@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="YAML config file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-    run.add_argument("--jobs", type=int, default=1, help="worker threads")
+    run.add_argument("--jobs", type=int, default=1, help="threads for capacity-table builds (runs execute in one thread)")
     run.add_argument("--runs", default=None, help="filter, e.g. 'generation=4G,capacity=30'")
     run.set_defaults(func=_cmd_run)
 
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--out", required=True)
     tab.add_argument("--data", default=None, help="optional data dir providing se_table.csv")
     tab.add_argument("--seed", type=int, default=None)
-    tab.add_argument("--jobs", type=int, default=1)
+    tab.add_argument("--jobs", type=int, default=1, help="threads for capacity-table builds")
     tab.set_defaults(func=_cmd_tables)
     return parser
 

@@ -1,19 +1,25 @@
 """End-to-end orchestration: demand -> capacity -> sites -> cost -> energy.
 
 Capacity tables are built once per (country, generation) and cached on disk
-keyed by a content hash of everything that determines them, because table
-construction dominates runtime. The run matrix then executes against the
-cached tables with a bounded worker pool; results are sorted by run key
-before emission so output never depends on scheduling.
+keyed by a content hash of everything that determines them. With a warm cache
+the run matrix and result emission, not table construction, dominate runtime,
+so each stage of a run is computed once per the axes it depends on and
+shared by every run with the same stage key:
+
+* demand and sites: (country, generation, scenario)
+* cost and cross-subsidy: (country, generation, backhaul, sharing, policy, scenario)
+* energy and emissions: (country, generation, backhaul, sharing, energy strategy, scenario)
+
+Results are sorted by run key before emission, so output never depends on
+the order of the runs.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DecileRecord,
@@ -56,6 +62,7 @@ from .energy import (
 from .errors import BbandSimError, ValidationError
 from .radio import (
     CapacityTable,
+    FrequencySet,
     build_capacity_table,
     load_capacity_tables,
     save_capacity_tables,
@@ -120,13 +127,36 @@ def country_deciles(bundle: InputBundle) -> dict[str, list[DecileRecord]]:
     }
 
 
+def _load_cached_table(path: Path, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:
+    """The table cached at ``path``, or None (with a warning) if it does not match its key."""
+    try:
+        loaded = load_capacity_tables(path)
+    except (ValidationError, ValueError) as err:
+        logger.warning("capacity table cache %s is unreadable (%s); rebuilding", path, err)
+        return None
+    table = loaded[0] if len(loaded) == 1 else None
+    if (
+        table is None
+        or table.generation != freq_set.generation
+        or table.freq_label != freq_set.label
+        or tuple(d for d, _ in table.rows) != tuple(density_grid)
+    ):
+        logger.warning("capacity table cache %s does not match its key; rebuilding", path)
+        return None
+    return table
+
+
 def capacity_tables(
     bundle: InputBundle,
     cache_dir: Path | str | None = None,
     jobs: int = 1,
     generations: Sequence[Generation] | None = None,
 ) -> dict[tuple[str, Generation], CapacityTable]:
-    """Build (or load from cache) one capacity table per country and generation."""
+    """Build (or load from cache) one capacity table per country and generation.
+
+    A cached table whose generation, frequency label or density grid differs
+    from the inputs behind its key is rebuilt and rewritten, never used.
+    """
     if generations is None:
         generations = bundle.strategy_space.generations
     tables: dict[tuple[str, Generation], CapacityTable] = {}
@@ -138,10 +168,12 @@ def capacity_tables(
             freq_set = bundle.frequency_set(iso3, gen)
             key = table_cache_key(bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid)
             cache_file = cache / f"{key}.csv" if cache is not None else None
+            table = None
             if cache_file is not None and cache_file.is_file():
-                table = load_capacity_tables(cache_file)[0]
-                logger.debug("capacity table cache hit: %s %s", iso3, gen.value)
-            else:
+                table = _load_cached_table(cache_file, freq_set, bundle.density_grid)
+                if table is not None:
+                    logger.debug("capacity table cache hit: %s %s", iso3, gen.value)
+            if table is None:
                 logger.info("building capacity table for %s %s (%s)", iso3, gen.value, freq_set.label)
                 table = build_capacity_table(
                     bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid, jobs=jobs
@@ -207,70 +239,78 @@ def _decile_energy(
     return totals.energy_kwh, totals.on_grid_kwh, totals.off_grid_kwh, totals.emissions
 
 
+def _country_sites(
+    bundle: InputBundle,
+    deciles: Sequence[DecileRecord],
+    table: CapacityTable,
+    scenario: ScenarioSpec,
+) -> list[tuple[DecileRecord, DemandResult, SiteRequirement]]:
+    rows = []
+    for decile in deciles:
+        demand = _decile_demand(bundle, decile, scenario)
+        rows.append((decile, demand, required_sites(decile, demand.area_demand_mbps_km2, table)))
+    return rows
+
+
+def _country_costs(
+    bundle: InputBundle,
+    iso3: str,
+    sited: Sequence[tuple[DecileRecord, DemandResult, SiteRequirement]],
+    strategy: StrategyBundle,
+) -> list[DecileCost]:
+    country = bundle.countries[iso3]
+    mhz_held = bundle.frequency_set(iso3, strategy.generation).total_bandwidth_mhz
+    costs = []
+    for decile, demand, sites in sited:
+        components = decile_components(sites.new_sites, sites.upgraded_sites, strategy.backhaul, bundle.cost_inputs)
+        shared = apply_sharing(components, strategy.sharing, country.n_major_operators, decile.settlement)
+        costs.append(
+            private_cost(
+                shared.total,
+                bundle.cost_inputs,
+                strategy.policy,
+                demand.revenue_pv_usd,
+                spectrum_mhz=mhz_held,
+                population=decile.population,
+                country_iso3=iso3,
+                decile_index=decile.decile_index,
+            )
+        )
+    return cross_subsidize(costs)
+
+
+def _stage(memo: dict, key: tuple, compute: Callable[[], list]) -> list:
+    """The value memoised under ``key``, computed on first use.
+
+    A failing computation stores nothing, so every run that needs the key
+    fails on its own.
+    """
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
 def _run_one(
     bundle: InputBundle,
     deciles: dict[str, list[DecileRecord]],
     tables: dict[tuple[str, Generation], CapacityTable],
     strategy: StrategyBundle,
     scenario: ScenarioSpec,
-    demand_cache: dict | None = None,
+    memo: dict,
 ) -> list[RunResult]:
+    s = strategy
     results: list[RunResult] = []
     for iso3 in sorted(deciles):
-        country = bundle.countries[iso3]
-        table = tables[(iso3, strategy.generation)]
-        mhz_held = bundle.frequency_set(iso3, strategy.generation).total_bandwidth_mhz
-
-        costs: list[DecileCost] = []
-        rows: list[tuple[DecileRecord, DemandResult, SiteRequirement]] = []
-        for decile in deciles[iso3]:
-            cache_key = (iso3, decile.decile_index, strategy.generation,
-                         scenario.capacity_gb_month, scenario.adoption)
-            if demand_cache is not None and cache_key in demand_cache:
-                demand, sites = demand_cache[cache_key]
-            else:
-                demand = _decile_demand(bundle, decile, scenario)
-                sites = required_sites(decile, demand.area_demand_mbps_km2, table)
-                if demand_cache is not None:
-                    demand_cache[cache_key] = (demand, sites)
-
-            components = decile_components(sites.new_sites, sites.upgraded_sites, strategy.backhaul, bundle.cost_inputs)
-            shared = apply_sharing(components, strategy.sharing, country.n_major_operators, decile.settlement)
-            costs.append(
-                private_cost(
-                    shared.total,
-                    bundle.cost_inputs,
-                    strategy.policy,
-                    demand.revenue_pv_usd,
-                    spectrum_mhz=mhz_held,
-                    population=decile.population,
-                    country_iso3=iso3,
-                    decile_index=decile.decile_index,
-                )
-            )
-            rows.append((decile, demand, sites))
-
-        costs = cross_subsidize(costs)
-        for (decile, demand, sites), cost in zip(rows, costs):
-            energy_kwh, on_kwh, off_kwh, species = _decile_energy(bundle, decile, sites, strategy, scenario)
-            results.append(
-                RunResult(
-                    country_iso3=iso3,
-                    decile_index=decile.decile_index,
-                    settlement=decile.settlement,
-                    population=decile.population,
-                    area_km2=decile.area_km2,
-                    strategy=strategy,
-                    scenario=scenario,
-                    demand=demand,
-                    sites=sites,
-                    cost=cost,
-                    energy_kwh=energy_kwh,
-                    on_grid_kwh=on_kwh,
-                    off_grid_kwh=off_kwh,
-                    emissions=species,
-                )
-            )
+        sited = _stage(memo, ("sites", iso3, s.generation, scenario), lambda: _country_sites(
+            bundle, deciles[iso3], tables[(iso3, s.generation)], scenario))
+        costs = _stage(memo, ("cost", iso3, s.generation, s.backhaul, s.sharing, s.policy, scenario),
+                       lambda: _country_costs(bundle, iso3, sited, strategy))
+        energy = _stage(memo, ("energy", iso3, s.generation, s.backhaul, s.sharing, s.energy_strategy, scenario),
+                        lambda: [_decile_energy(bundle, d, sites, strategy, scenario) for d, _, sites in sited])
+        for (decile, demand, sites), cost, totals in zip(sited, costs, energy):
+            results.append(RunResult(iso3, decile.decile_index, decile.settlement, decile.population,
+                                     decile.area_km2, strategy, scenario, demand, sites, cost, *totals))
     return results
 
 
@@ -284,7 +324,9 @@ def run_pipeline(
 
     ``runs`` defaults to the full enumeration of the bundle's axes. A
     failing run is recorded with its run key and does not abort the rest.
-    Output order is deterministic for a given bundle and seed.
+    ``jobs`` is the thread count for capacity-table builds; the runs
+    themselves execute in one thread. Output order is deterministic for a
+    given bundle and seed.
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
@@ -292,59 +334,25 @@ def run_pipeline(
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
 
-    # Demand and dimensioning depend only on (decile, generation, scenario),
-    # so they are shared across the sharing/policy/backhaul/energy axes.
-    demand_cache: dict = {}
+    memo: dict = {}
     results: list[RunResult] = []
     failures: list[RunFailure] = []
-
-    def execute(run):
-        strategy, scenario = run
-        return _run_one(bundle, deciles, tables, strategy, scenario, demand_cache)
-
-    if jobs > 1:
-        # Demand cache stays single-threaded to keep the fill deterministic.
-        for strategy, scenario in runs:
-            for iso3 in sorted(deciles):
-                for decile in deciles[iso3]:
-                    key = (iso3, decile.decile_index, strategy.generation,
-                           scenario.capacity_gb_month, scenario.adoption)
-                    if key not in demand_cache:
-                        demand = _decile_demand(bundle, decile, scenario)
-                        sites = required_sites(
-                            decile, demand.area_demand_mbps_km2, tables[(iso3, strategy.generation)]
-                        )
-                        demand_cache[key] = (demand, sites)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda run: _safe_execute(execute, run), runs))
-    else:
-        outcomes = [_safe_execute(execute, run) for run in runs]
-
-    for run, outcome in zip(runs, outcomes):
-        if isinstance(outcome, str):
-            strategy, scenario = run
-            failures.append(RunFailure(strategy, scenario, outcome))
-            logger.error("run failed (%s, %s): %s", strategy, scenario, outcome)
-        else:
-            results.extend(outcome)
+    for strategy, scenario in runs:
+        try:
+            results.extend(_run_one(bundle, deciles, tables, strategy, scenario, memo))
+        except BbandSimError as err:
+            failures.append(RunFailure(strategy, scenario, f"{type(err).__name__}: {err}"))
+            logger.error("run failed (%s, %s): %s", strategy, scenario, failures[-1].error)
 
     results.sort(key=RunResult.sort_key)
     return PipelineOutput(results=results, failures=failures)
-
-
-def _safe_execute(fn, run):
-    try:
-        return fn(run)
-    except BbandSimError as err:
-        return f"{type(err).__name__}: {err}"
 
 
 # ---------------------------------------------------------------------------
 # Emission of result files
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Fixed formatting: integers verbatim, floats at 6 significant digits."""
+def _fmt_any(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, int):
@@ -352,6 +360,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+_FMT_BY_TYPE = {str: str, int: str, float: "{:.6g}".format}
+
+
+def _fmt(value) -> str:
+    """Fixed formatting: integers verbatim, floats at 6 significant digits."""
+    return _FMT_BY_TYPE.get(type(value), _fmt_any)(value)
 
 
 DECILE_COLUMNS = [
@@ -429,67 +445,64 @@ def decile_row(r: RunResult) -> dict:
     }
 
 
-def _run_key(r: RunResult):
-    s, sc = r.strategy, r.scenario
-    return (
-        s.generation.value, s.backhaul.value, s.sharing.value, s.policy.value,
-        s.energy_strategy.value, sc.capacity_gb_month, sc.adoption.value,
-    )
+class _GroupSums:
+    """Per-group sums of decile-row fields, added in the order rows are fed.
+
+    ``sums`` holds ``(column, source field, zero)`` triples; rows that
+    differ from ``where`` in any field are skipped. :meth:`rows` returns one
+    row per group, sorted by the group fields.
+    """
+
+    def __init__(self, group_fields: Sequence[str], sums: Sequence[tuple[str, str, float]], where: dict | None = None):
+        self.group_fields = tuple(group_fields)
+        self.sums = tuple(sums)
+        self.where = tuple((where or {}).items())
+        self.groups: dict[tuple, dict] = {}
+
+    def add(self, d: dict) -> None:
+        for f, v in self.where:
+            if d[f] != v:
+                return
+        key = tuple(d[f] for f in self.group_fields)
+        row = self.groups.get(key)
+        if row is None:
+            row = self.groups[key] = dict(zip(self.group_fields, key))
+            row.update((column, zero) for column, _, zero in self.sums)
+        for column, field, _ in self.sums:
+            row[column] += d[field]
+
+    def rows(self) -> list[dict]:
+        return [self.groups[k] for k in sorted(self.groups)]
+
+
+def _country_sums() -> _GroupSums:
+    counts = [(f, f, 0) for f in ("population", "total_sites", "new_sites", "upgraded_sites")]
+    counts.append(("unserviceable_deciles", "unserviceable", 0))
+    group = COUNTRY_COLUMNS[:COUNTRY_COLUMNS.index("population")]  # country and run key
+    return _GroupSums(group, [*counts, *((f, f, 0.0) for f in _SUM_FIELDS)])
 
 
 def aggregate_country_rows(results: Sequence[RunResult]) -> list[dict]:
     """Country-level aggregation of the per-decile results, full precision."""
-    grouped: dict[tuple, dict] = {}
+    sums = _country_sums()
     for r in results:
-        key = (r.country_iso3, *_run_key(r))
-        row = grouped.get(key)
-        if row is None:
-            s, sc = r.strategy, r.scenario
-            row = {c: 0 for c in COUNTRY_COLUMNS}
-            row.update({
-                "country_iso3": r.country_iso3,
-                "generation": s.generation.value,
-                "backhaul": s.backhaul.value,
-                "sharing": s.sharing.value,
-                "policy": s.policy.value,
-                "energy_strategy": s.energy_strategy.value,
-                "capacity_gb_month": sc.capacity_gb_month,
-                "adoption": sc.adoption.value,
-            })
-            for f in _SUM_FIELDS:
-                row[f] = 0.0
-            grouped[key] = row
-        d = decile_row(r)
-        row["population"] += d["population"]
-        row["total_sites"] += d["total_sites"]
-        row["new_sites"] += d["new_sites"]
-        row["upgraded_sites"] += d["upgraded_sites"]
-        row["unserviceable_deciles"] += 1 if d["unserviceable"] else 0
-        for f in _SUM_FIELDS:
-            row[f] += d[f]
-    return [grouped[k] for k in sorted(grouped)]
+        sums.add(decile_row(r))
+    return sums.rows()
 
 
-def _summary_rows(
-    results: Sequence[RunResult],
-    group_fields: Sequence[str],
-    value_fields: Sequence[str],
-    baseline_filter: dict,
-) -> list[dict]:
-    grouped: dict[tuple, dict] = {}
-    for r in results:
-        d = decile_row(r)
-        if any(d[f] != v for f, v in baseline_filter.items()):
-            continue
-        key = tuple(d[f] for f in group_fields)
-        row = grouped.get(key)
-        if row is None:
-            row = {f: d[f] for f in group_fields}
-            row.update({f: 0.0 for f in value_fields})
-            grouped[key] = row
-        for f in value_fields:
-            row[f] += d[f]
-    return [grouped[k] for k in sorted(grouped)]
+_COST_ENERGY = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"]
+
+#: (file name, group fields, value fields, baseline filter) of each summary file.
+_SUMMARIES = [
+    ("summary_by_technology.csv", ["generation", "backhaul", "capacity_gb_month", "adoption"], _COST_ENERGY,
+     {"sharing": "baseline", "policy": "baseline", "energy_strategy": "baseline"}),
+    ("summary_by_sharing.csv", ["sharing"], _COST_ENERGY, {"policy": "baseline", "energy_strategy": "baseline"}),
+    ("summary_by_policy.csv", ["policy"],
+     ["financial_cost_usd", "private_cost_usd", "government_cost_usd", "subsidy_usd"],
+     {"sharing": "baseline", "energy_strategy": "baseline"}),
+    ("summary_emissions.csv", ["energy_strategy", "generation", "backhaul"],
+     ["energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"], {"sharing": "baseline", "policy": "baseline"}),
+]
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[dict]) -> None:
@@ -497,9 +510,17 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[dict]) -> None
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+                fh.write(",".join([_fmt(row[c]) for c in columns]) + "\n")
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
+
+
+def _feeding(rows: Iterable[dict], sinks: Sequence[_GroupSums]) -> Iterator[dict]:
+    """Yield ``rows`` unchanged, adding each one to every sink on the way."""
+    for d in rows:
+        for sink in sinks:
+            sink.add(d)
+        yield d
 
 
 def emit_results(results: Sequence[RunResult], out_dir: Path | str) -> list[Path]:
@@ -507,49 +528,22 @@ def emit_results(results: Sequence[RunResult], out_dir: Path | str) -> list[Path
 
     Output is byte-stable: rows are fully sorted, floats carry 6 significant
     digits, and re-running with identical inputs rewrites identical files.
+    One sorted pass formats each decile row once, streams it to
+    ``results_decile.csv`` and adds it to the country and summary sums, so
+    every sum accumulates in sorted row order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(results, key=RunResult.sort_key)
+    country = _country_sums()
+    summaries = [(name, [*group, *values], _GroupSums(group, [(f, f, 0.0) for f in values], where))
+                 for name, group, values, where in _SUMMARIES]
+    sinks = [country, *(sums for _, _, sums in summaries)]
+    rows = (decile_row(r) for r in sorted(results, key=RunResult.sort_key))
 
-    paths = []
-    p = out / "results_decile.csv"
-    _write_csv(p, DECILE_COLUMNS, (decile_row(r) for r in ordered))
-    paths.append(p)
-
-    p = out / "results_country.csv"
-    _write_csv(p, COUNTRY_COLUMNS, aggregate_country_rows(ordered))
-    paths.append(p)
-
-    cost_energy = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"]
-    summaries = [
-        (
-            "summary_by_technology.csv",
-            ["generation", "backhaul", "capacity_gb_month", "adoption"],
-            cost_energy,
-            {"sharing": "baseline", "policy": "baseline", "energy_strategy": "baseline"},
-        ),
-        (
-            "summary_by_sharing.csv",
-            ["sharing"],
-            cost_energy,
-            {"policy": "baseline", "energy_strategy": "baseline"},
-        ),
-        (
-            "summary_by_policy.csv",
-            ["policy"],
-            ["financial_cost_usd", "private_cost_usd", "government_cost_usd", "subsidy_usd"],
-            {"sharing": "baseline", "energy_strategy": "baseline"},
-        ),
-        (
-            "summary_emissions.csv",
-            ["energy_strategy", "generation", "backhaul"],
-            ["energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"],
-            {"sharing": "baseline", "policy": "baseline"},
-        ),
-    ]
-    for filename, group_fields, value_fields, baseline in summaries:
-        p = out / filename
-        _write_csv(p, [*group_fields, *value_fields], _summary_rows(ordered, group_fields, value_fields, baseline))
-        paths.append(p)
+    paths = [out / "results_decile.csv", out / "results_country.csv"]
+    _write_csv(paths[0], DECILE_COLUMNS, _feeding(rows, sinks))
+    _write_csv(paths[1], COUNTRY_COLUMNS, country.rows())
+    for name, columns, sums in summaries:
+        paths.append(out / name)
+        _write_csv(paths[-1], columns, sums.rows())
     return paths

@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -247,7 +248,10 @@ def sinr(signal_dbm, interferers_dbm, noise_dbm: float, network_load: float = 1.
     else:
         total_i = np.power(10.0, interferers / 10.0).sum(axis=-1) * network_load
     n = 10.0 ** (noise_dbm / 10.0)
-    out = 10.0 * np.log10(s / (total_i + n))
+    # A deep shadow-fading draw can push the signal below float range, so its
+    # linear power is 0 and the SINR is -inf; se_lookup maps that to SE 0.
+    with np.errstate(divide="ignore"):
+        out = 10.0 * np.log10(s / (total_i + n))
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -328,6 +332,10 @@ def shadow_fading_draws(
     return rng.lognormal(mu_ln, sigma_ln, size)
 
 
+def _density_stream_key(site_density: float) -> int:
+    return int(round(site_density * 1e6))
+
+
 def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_density: float) -> np.random.Generator:
     # Stream identity depends only on (seed, generation, carrier, density),
     # never on scheduling order, so parallel table builds are reproducible.
@@ -335,7 +343,7 @@ def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_densi
         4 if generation == Generation.G4 else 5,
         int(round(carrier.frequency_mhz * 1000.0)),
         int(round(carrier.bandwidth_mhz * 1000.0)),
-        int(round(site_density * 1e6)),
+        _density_stream_key(site_density),
     )
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
@@ -426,13 +434,17 @@ def build_capacity_table(
 
     Grid points run independently (optionally across ``jobs`` threads; the
     per-carrier RNG streams make the result scheduling-invariant), then the
-    capacity column is isotonically clipped.
+    capacity column is isotonically clipped. Grid points must be at least
+    1e-6 sites/km^2 apart, and from 0, so that each draws its own stream.
     """
     grid = list(density_grid)
     if len(grid) < 8:
         raise ValidationError("density grid needs at least 8 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("density grid must be strictly increasing")
+    stream_keys = [_density_stream_key(d) for d in grid]
+    if len(set(stream_keys)) < len(grid) or 0 in stream_keys:
+        raise ValidationError("density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream")
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -499,14 +511,24 @@ CAPACITY_TABLE_HEADER = ["generation", "freq_set", "site_density", "capacity_mbp
 
 
 def save_capacity_tables(tables: Iterable[CapacityTable], path: Path | str) -> None:
-    """Write tables to CSV (``generation,freq_set,site_density,capacity_mbps_km2``)."""
+    """Write tables to CSV (``generation,freq_set,site_density,capacity_mbps_km2``).
+
+    The file is written next to ``path`` under a temporary name and then
+    renamed over it, so a reader never sees a partly written table.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CAPACITY_TABLE_HEADER)
-        for table in tables:
-            for density, capacity in table.rows:
-                writer.writerow([table.generation.value, table.freq_label, repr(density), repr(capacity)])
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CAPACITY_TABLE_HEADER)
+            for table in tables:
+                for density, capacity in table.rows:
+                    writer.writerow([table.generation.value, table.freq_label, repr(density), repr(capacity)])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_capacity_tables(path: Path | str) -> list[CapacityTable]:

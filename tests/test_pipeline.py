@@ -1,5 +1,8 @@
 import csv
+import dataclasses
+import logging
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -77,11 +80,44 @@ class TestRunPipeline:
             return real(bundle_, decile, sites, strategy, scenario)
 
         monkeypatch.setattr(pl, "_decile_energy", explode)
-        runs = [BASELINE_RUN, (BASELINE_RUN[0], ScenarioSpec(40.0, AdoptionScenario.BASELINE))]
+        strategy = BASELINE_RUN[0]
+        low_tax = dataclasses.replace(strategy, policy=Policy.LOW_TAX)
+        failing = ScenarioSpec(40.0, AdoptionScenario.BASELINE)
+        # the two failing runs differ only in policy, so they share one energy key
+        runs = [BASELINE_RUN, (strategy, failing), (low_tax, failing), (low_tax, BASELINE_RUN[1])]
         out = run_pipeline(bundle, runs, cache_dir=table_cache)
-        assert len(out.failures) == 1
-        assert "synthetic failure" in out.failures[0].error
-        assert len(out.results) == 20  # the healthy run still completed
+        assert [(f.strategy, f.scenario) for f in out.failures] == [(strategy, failing), (low_tax, failing)]
+        assert all("synthetic failure" in f.error for f in out.failures)
+        assert len(out.results) == 40  # the healthy runs still completed
+        assert {r.strategy for r in out.results} == {strategy, low_tax}
+
+    def test_energy_computed_once_across_policies(self, bundle, table_cache, monkeypatch):
+        import bband_sim.pipeline as pl
+
+        calls = []
+        real = pl.emissions
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pl, "emissions", counted)
+        strategy, scenario = BASELINE_RUN
+        runs = [(dataclasses.replace(strategy, policy=policy), scenario) for policy in Policy]
+        assert len(runs) == 5
+        out = run_pipeline(bundle, runs, cache_dir=table_cache)
+        assert not out.failures
+        assert len(out.results) == 5 * 20
+        assert len(calls) == 20 * scenario.n_years  # once per decile-year, not once per policy
+
+    @pytest.mark.parametrize("change", [{"discount_rate": 0.10}, {"end_year": 2027}])
+    def test_runs_differing_only_in_scenario_detail_are_independent(self, bundle, table_cache, change):
+        strategy, scenario = BASELINE_RUN
+        other = dataclasses.replace(scenario, **change)
+        alone = run_pipeline(bundle, [(strategy, other)], cache_dir=table_cache).results
+        together = run_pipeline(bundle, [BASELINE_RUN, (strategy, other)], cache_dir=table_cache).results
+        assert [r for r in together if r.scenario == other] == alone
+        assert [r for r in together if r.scenario == scenario] == single_run(bundle, table_cache).results
 
     def test_cache_files_created_and_reused(self, bundle, tmp_path):
         cache = tmp_path / "cache"
@@ -92,6 +128,22 @@ class TestRunPipeline:
         second = run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
         assert [f.stat().st_mtime_ns for f in sorted(cache.glob('*.csv'))] == mtimes
         assert first.results == second.results
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    def test_damaged_cache_file_rebuilt_with_warning(self, bundle, baseline_output, tmp_path, caplog, damage):
+        cache = tmp_path / "cache"
+        run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
+        files = sorted(cache.glob("*.csv"))
+        assert files
+        for f in files:
+            lines = f.read_text().splitlines(keepends=True)
+            f.write_text("".join(lines[:4]) if damage == "truncate" else lines[0] + "4G,x,not-a-number,1\n")
+        with caplog.at_level(logging.WARNING, logger="bband_sim.pipeline"):
+            again = run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
+        assert again.results == baseline_output.results
+        assert "rebuilding" in caplog.text
+        assert sorted(cache.iterdir()) == files  # rewritten in place, no temporary files left
+        assert all(len(f.read_text().splitlines()) == 1 + len(bundle.density_grid) for f in files)
 
 
 class TestAggregation:
@@ -123,6 +175,19 @@ class TestEmitResults:
         for name in ("results_decile.csv", "results_country.csv", "summary_by_sharing.csv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert len(lines) == 1
+
+    def test_row_order_does_not_change_bytes(self, bundle, table_cache, tmp_path):
+        strategy, scenario = BASELINE_RUN
+        runs = [(dataclasses.replace(strategy, sharing=sharing, policy=policy), scenario)
+                for sharing in Sharing for policy in (Policy.BASELINE, Policy.HIGH_TAX)]
+        results = run_pipeline(bundle, runs, cache_dir=table_cache).results
+        shuffled = list(results)
+        random.Random(7).shuffle(shuffled)
+        assert shuffled != results
+        emit_results(results, tmp_path / "sorted")
+        emit_results(shuffled, tmp_path / "shuffled")
+        for name in ("results_decile.csv", "results_country.csv", "summary_by_sharing.csv", "summary_by_policy.csv"):
+            assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "shuffled" / name).read_bytes()
 
     def test_idempotent_bytes(self, baseline_output, tmp_path):
         emit_results(baseline_output.results, tmp_path)

@@ -141,6 +141,19 @@ class TestSinr:
         idle = sinr(-90.0, [-95.0], -120.0, network_load=0.0)
         assert idle > loaded
 
+    def test_signal_below_float_range_is_minus_inf_without_warning(self, se_table):
+        import warnings
+
+        from bband_sim.radio import sinr
+        noise = noise_floor(SimulationParams(), 10e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sinr(-4000.0, [], noise)
+            assert got == -math.inf
+            assert se_lookup(se_table, got, Generation.G4) == 0.0
+            trials = sinr(np.array([-4000.0, -90.0]), np.full((2, 1), -4000.0), noise)
+        assert trials[0] == -math.inf and math.isfinite(trials[1])
+
 
 class TestSeLookup:
     def test_below_minimum_is_zero(self, se_table):
@@ -257,6 +270,30 @@ class TestCapacityTable:
             build_capacity_table(fast_params, se_table, FS4, (0.1, 0.2))
         with pytest.raises(ValidationError):
             build_capacity_table(fast_params, se_table, FS4, (0.1,) * 8)
+
+    def test_grid_with_colliding_stream_keys_rejected(self, se_table, fast_params):
+        # round(density * 1e6) keys the RNG stream: these two points would share one
+        close = (0.0100001, 0.0100004, *GRID[1:])
+        with pytest.raises(ValidationError, match="RNG stream"):
+            build_capacity_table(fast_params, se_table, FS4, close)
+        # a point that rounds to key 0
+        with pytest.raises(ValidationError, match="RNG stream"):
+            build_capacity_table(fast_params, se_table, FS4, (4e-7, *GRID))
+
+    def test_save_replaces_atomically(self, t4, t5, tmp_path):
+        path = tmp_path / "tables.csv"
+        save_capacity_tables([t4], path)
+
+        def interrupted():
+            yield t5
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            save_capacity_tables(interrupted(), path)
+        assert load_capacity_tables(path) == [t4]  # the old file is whole
+        save_capacity_tables([t4, t5], path)
+        assert load_capacity_tables(path) == [t4, t5]
+        assert [p.name for p in tmp_path.iterdir()] == ["tables.csv"]
 
     def test_csv_round_trip(self, t4, t5, tmp_path):
         path = tmp_path / "tables.csv"
