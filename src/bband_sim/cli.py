@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .core import enumerate_runs
-from .data_io import load_bundle, load_config, _Collector, _build_sim_params, _build_table_portfolios, _load_se_table, default_se_table_path
+from .data_io import load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError
 from .pipeline import emit_results, run_pipeline
 from .radio import build_capacity_table, save_capacity_tables
@@ -130,30 +130,23 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    collector = _Collector()
-    config = load_config(args.config, collector)
-    sim_params, grid = _build_sim_params(config, collector)
-    portfolios = _build_table_portfolios(config, collector)
+    try:
+        inputs = load_table_inputs(args.config, args.data)
+    except InputValidationError as err:
+        for diag in err.diagnostics:
+            print(diag, file=sys.stderr)
+        return EXIT_VALIDATION
+    sim_params = inputs.sim_params
     if args.seed is not None:
         sim_params = dataclasses.replace(sim_params, seed=args.seed)
 
-    se_path = default_se_table_path()
-    if args.data:
-        candidate = Path(args.data) / "se_table.csv"
-        if candidate.is_file():
-            se_path = candidate
-    se_table = _load_se_table(se_path, sim_params.mimo_efficiency, collector)
-    if collector.diagnostics:
-        for diag in collector.diagnostics:
-            print(diag, file=sys.stderr)
-        return EXIT_VALIDATION
-
     out_dir = Path(args.out)
+    memo: dict = {}
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         tables = [
-            build_capacity_table(sim_params, se_table, fs, grid, jobs=args.jobs)
-            for fs in portfolios
+            build_capacity_table(sim_params, inputs.se_table, fs, inputs.density_grid, jobs=args.jobs, memo=memo)
+            for fs in inputs.portfolios
         ]
         path = out_dir / "capacity_tables.csv"
         save_capacity_tables(tables, path)

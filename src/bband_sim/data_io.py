@@ -378,6 +378,15 @@ def default_se_table_path() -> Path:
     return Path(str(resources.files("bband_sim").joinpath("data/se_table.csv")))
 
 
+def _se_table_path(data_dir: Path | str | None) -> Path:
+    """``<data_dir>/se_table.csv`` when that file exists, else the packaged table."""
+    if data_dir:
+        candidate = Path(data_dir) / "se_table.csv"
+        if candidate.is_file():
+            return candidate
+    return default_se_table_path()
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -661,10 +670,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     energy_mix = _load_energy_mix(data_dir, countries, years, collector)
     emission_factors = _load_emission_factors(data_dir, collector)
 
-    se_path = data_dir / "se_table.csv"
-    if not se_path.is_file():
-        se_path = default_se_table_path()
-    se_table = _load_se_table(se_path, sim_params.mimo_efficiency, collector)
+    se_table = _load_se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
 
     collector.raise_if_any()
     return InputBundle(
@@ -683,6 +689,33 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         density_grid=density_grid,
         table_portfolios=portfolios,
     )
+
+
+@dataclass(frozen=True)
+class TableInputs:
+    """What building capacity tables needs, without the rest of a bundle."""
+
+    sim_params: SimulationParams
+    density_grid: tuple[float, ...]
+    se_table: SpectralEfficiencyTable
+    portfolios: tuple[FrequencySet, ...]
+
+
+def load_table_inputs(config_path: Path | str, data_dir: Path | str | None = None) -> TableInputs:
+    """Load and validate the inputs of the ``tables`` command.
+
+    Reads the config's ``simulation`` and ``tables`` sections and the SE
+    table (``<data_dir>/se_table.csv`` if present, else the packaged one).
+    Like :func:`load_bundle`, raises one :class:`InputValidationError`
+    carrying every diagnostic.
+    """
+    collector = _Collector()
+    config = load_config(config_path, collector)
+    sim_params, density_grid = _build_sim_params(config, collector)
+    portfolios = _build_table_portfolios(config, collector)
+    se_table = _load_se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
+    collector.raise_if_any()
+    return TableInputs(sim_params, density_grid, se_table, portfolios)
 
 
 # ---------------------------------------------------------------------------

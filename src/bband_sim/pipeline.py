@@ -1,17 +1,20 @@
 """End-to-end orchestration: demand -> capacity -> sites -> cost -> energy.
 
 Capacity tables are built once per (country, generation) and cached on disk
-keyed by a content hash of everything that determines them. With a warm cache
-the run matrix and result emission, not table construction, dominate runtime,
-so each stage of a run is computed once per the axes it depends on and
-shared by every run with the same stage key:
+keyed by a content hash of everything that determines them; cold builds of
+one call share a carrier memo, so a carrier that several countries hold is
+simulated once per density. With a warm cache the run matrix and result
+emission, not table construction, dominate runtime, so each stage of a run
+is computed once per the axes it depends on and shared by every run with
+the same stage key:
 
 * demand and sites: (country, generation, scenario)
 * cost and cross-subsidy: (country, generation, backhaul, sharing, policy, scenario)
 * energy and emissions: (country, generation, backhaul, sharing, energy strategy, scenario)
 
-Results are sorted by run key before emission, so output never depends on
-the order of the runs.
+Results come back in deterministic run order (runs as given, countries
+sorted, deciles in order); emission sorts them by run key, so output files
+never depend on the order of the runs.
 """
 
 from __future__ import annotations
@@ -156,10 +159,14 @@ def capacity_tables(
 
     A cached table whose generation, frequency label or density grid differs
     from the inputs behind its key is rebuilt and rewritten, never used.
+    Tables built in one call share a carrier memo (see
+    :func:`radio.simulate_density`), so identical portfolios, and carriers
+    common to several, are simulated once per density.
     """
     if generations is None:
         generations = bundle.strategy_space.generations
     tables: dict[tuple[str, Generation], CapacityTable] = {}
+    memo: dict = {}
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -176,7 +183,7 @@ def capacity_tables(
             if table is None:
                 logger.info("building capacity table for %s %s (%s)", iso3, gen.value, freq_set.label)
                 table = build_capacity_table(
-                    bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid, jobs=jobs
+                    bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid, jobs=jobs, memo=memo
                 )
                 if cache_file is not None:
                     save_capacity_tables([table], cache_file)
@@ -325,8 +332,9 @@ def run_pipeline(
     ``runs`` defaults to the full enumeration of the bundle's axes. A
     failing run is recorded with its run key and does not abort the rest.
     ``jobs`` is the thread count for capacity-table builds; the runs
-    themselves execute in one thread. Output order is deterministic for a
-    given bundle and seed.
+    themselves execute in one thread. Results come back in deterministic
+    run order: runs as given, then countries sorted, then deciles;
+    :func:`emit_results` sorts them by run key.
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
@@ -343,8 +351,6 @@ def run_pipeline(
         except BbandSimError as err:
             failures.append(RunFailure(strategy, scenario, f"{type(err).__name__}: {err}"))
             logger.error("run failed (%s, %s): %s", strategy, scenario, failures[-1].error)
-
-    results.sort(key=RunResult.sort_key)
     return PipelineOutput(results=results, failures=failures)
 
 

@@ -14,7 +14,14 @@ the carriers in use.
 
 Every (carrier, density) simulation derives its own RNG stream from the seed
 and its identifying integers, so tables are bit-identical regardless of how
-the work is scheduled across threads.
+the work is scheduled across threads. A simulation draws all its random
+numbers first, then runs the interferer chain over blocks of
+:data:`TRIAL_BLOCK` trials in reused buffers, element for element the same
+arithmetic as :func:`free_space_path_loss`, :func:`received_signal` and
+:func:`sinr` on whole arrays. A carrier's contribution depends only on
+(params, SE table, generation, carrier, density), so builds that share a
+memo (see :func:`simulate_density`) simulate each distinct carrier once
+per density. ``jobs`` threads split a table's grid densities.
 """
 
 from __future__ import annotations
@@ -38,6 +45,16 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 
 #: Density grid (sites/km^2) used when the config does not supply one.
 DEFAULT_DENSITY_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+
+#: Version of the radio model behind every capacity table, part of
+#: :func:`table_cache_key`. Bump it with any change that alters a table
+#: value, so that tables cached by older code are rebuilt, not reused.
+RADIO_MODEL_VERSION = 1
+
+#: Trials per block of the interferer chain in :func:`trial_sinr_db`. The
+#: (trials, interferers) float64 block buffers then fit in a core's L2
+#: cache at two rings; results do not depend on it.
+TRIAL_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -293,18 +310,26 @@ def _interferer_positions(isd_km: float, rings: int) -> np.ndarray:
     return np.array(points) if points else np.empty((0, 2))
 
 
+# Corner angles of the hexagon's six triangles, as ``tri * pi/3`` and that
+# plus pi/3, with their cosines and sines: a lookup replaces trig per trial.
+_HEX_A0 = np.arange(6) * (math.pi / 3.0)
+_HEX_A1 = _HEX_A0 + math.pi / 3.0
+_HEX_COS0, _HEX_SIN0 = np.cos(_HEX_A0), np.sin(_HEX_A0)
+_HEX_COS1, _HEX_SIN1 = np.cos(_HEX_A1), np.sin(_HEX_A1)
+
+
 def _sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float):
     """Uniform points in a regular hexagon centred at the origin."""
     tri = rng.integers(0, 6, n)
     u = rng.random(n)
     v = rng.random(n)
     over = u + v > 1.0
-    u[over] = 1.0 - u[over]
-    v[over] = 1.0 - v[over]
-    a0 = tri * (math.pi / 3.0)
-    a1 = a0 + math.pi / 3.0
-    x = u * circumradius_km * np.cos(a0) + v * circumradius_km * np.cos(a1)
-    y = u * circumradius_km * np.sin(a0) + v * circumradius_km * np.sin(a1)
+    np.subtract(1.0, u, out=u, where=over)
+    np.subtract(1.0, v, out=v, where=over)
+    u *= circumradius_km
+    v *= circumradius_km
+    x = u * _HEX_COS0[tri] + v * _HEX_COS1[tri]
+    y = u * _HEX_SIN0[tri] + v * _HEX_SIN1[tri]
     return x, y
 
 
@@ -348,20 +373,50 @@ def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_densi
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-def simulate_density(
+def _received_mw(d_km, shadow_db, params: SimulationParams, freq_term_db, mask, scratch):
+    """Distances in km -> received power in mW, in place in ``d_km``.
+
+    The same operations, in the same order, as :func:`free_space_path_loss`,
+    :func:`received_signal` and the dBm-to-linear step of :func:`sinr`, so
+    every element is bit-identical to that chain. ``mask`` and ``scratch``
+    are buffers shaped like ``d_km``.
+    """
+    np.maximum(d_km, params.min_distance_m / 1000.0, out=d_km)
+    np.multiply(d_km, 1000.0, out=scratch)
+    np.greater(scratch, params.los_breakpoint_m, out=mask)
+    np.log10(d_km, out=d_km)
+    d_km *= 20.0
+    d_km += freq_term_db
+    d_km += 32.44
+    np.add(d_km, params.nlos_excess_db, out=d_km, where=mask)
+    np.subtract(params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db, d_km, out=d_km)
+    d_km -= shadow_db
+    d_km += params.rx_gain_db
+    d_km -= params.rx_losses_db
+    d_km -= params.rx_misc_losses_db
+    d_km /= 10.0
+    np.power(10.0, d_km, out=d_km)
+
+
+def trial_sinr_db(
     params: SimulationParams,
-    se_table: SpectralEfficiencyTable,
-    freq_set: FrequencySet,
+    generation: Generation,
+    carrier: Carrier,
     site_density: float,
     receiver_positions: Sequence[tuple[float, float]] | None = None,
-) -> float:
-    """Area capacity in Mbps/km^2 delivered at ``site_density`` sites/km^2.
+) -> np.ndarray:
+    """Per-trial downlink SINR in dB of one carrier at ``site_density``.
 
-    Per carrier, ``params.trials`` receivers are dropped uniformly in the
-    serving hexagon (or placed at ``receiver_positions``, a testing hook);
-    each trial evaluates the serving path, the interfering ring paths and
-    the noise floor, maps SINR to spectral efficiency, and the carrier is
-    credited with the reliability-level percentile of that distribution.
+    ``params.trials`` receivers are dropped uniformly in the serving hexagon
+    (or placed at ``receiver_positions``, a testing hook); each trial sees
+    the serving path, the interfering ring paths and the noise floor. All
+    random draws come first, in a fixed order from the carrier's own
+    stream: hexagon drops, serving shadow, then the full (trials,
+    interferers) shadow array. The serving path runs on whole arrays and the
+    interferer paths over blocks of :data:`TRIAL_BLOCK` trials in reused
+    buffers, each element computed exactly as :func:`free_space_path_loss`,
+    :func:`received_signal` and :func:`sinr` compute it on whole arrays. A
+    signal below float range gives -inf.
     """
     if site_density <= 0:
         raise ValidationError("site_density must be > 0")
@@ -369,47 +424,95 @@ def simulate_density(
         raise ValidationError("trials must be >= 100")
 
     isd = inter_site_distance_km(site_density)
-    hex_circumradius = isd / math.sqrt(3.0)
     sites = _interferer_positions(isd, params.interferer_rings)
-    dh_km = (params.tx_height_m - params.rx_height_m) / 1000.0
-    percentile = (1.0 - params.reliability) * 100.0
+    rng = _carrier_rng(params.seed, generation, carrier, site_density)
+    if receiver_positions is None:
+        x, y = _sample_hexagon(rng, params.trials, isd / math.sqrt(3.0))
+    else:
+        pos = np.asarray(receiver_positions, dtype=float)
+        x, y = pos[:, 0], pos[:, 1]
+    n, m = len(x), len(sites)
+    shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
+    shadow_interf = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (n, m))
 
+    dh_sq = ((params.tx_height_m - params.rx_height_m) / 1000.0) ** 2
+    freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
+    noise_mw = 10.0 ** (noise_floor(params, carrier.bandwidth_mhz * 1e6) / 10.0)
+    signal = np.sqrt(x * x + y * y + dh_sq)
+    _received_mw(signal, shadow_signal, params, freq_term_db, np.empty(n, bool), np.empty(n))
+
+    total = np.empty(n)  # interference sum, then plus noise, then the SINR
+    if m:
+        rows = min(TRIAL_BLOCK, n)
+        path, scratch, mask = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m), bool)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            d, t = path[:hi - lo], scratch[:hi - lo]
+            np.subtract(x[lo:hi, None], sites[:, 0], out=d)
+            d *= d
+            np.subtract(y[lo:hi, None], sites[:, 1], out=t)
+            t *= t
+            d += t
+            d += dh_sq
+            np.sqrt(d, out=d)
+            _received_mw(d, shadow_interf[lo:hi], params, freq_term_db, mask[:hi - lo], t)
+            np.sum(d, axis=-1, out=total[lo:hi])
+        total *= params.network_load
+        total += noise_mw
+    else:
+        total.fill(noise_mw)  # 0.0 + noise_mw == noise_mw, as in sinr()
+    np.divide(signal, total, out=total)
+    with np.errstate(divide="ignore"):
+        np.log10(total, out=total)
+    total *= 10.0
+    return total
+
+
+def carrier_capacity(
+    params: SimulationParams,
+    se_table: SpectralEfficiencyTable,
+    generation: Generation,
+    carrier: Carrier,
+    site_density: float,
+    receiver_positions: Sequence[tuple[float, float]] | None = None,
+) -> float:
+    """One carrier's area capacity in Mbps/km^2 at ``site_density`` sites/km^2.
+
+    The per-trial SINRs of :func:`trial_sinr_db` map to spectral efficiency,
+    and the carrier is credited with the reliability-level percentile of
+    that distribution times bandwidth, sectors and density.
+    """
+    sinr_db = trial_sinr_db(params, generation, carrier, site_density, receiver_positions)
+    se = se_lookup(se_table, sinr_db, generation)
+    se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0))
+    return se_reliable * carrier.bandwidth_mhz * params.sectors_per_site * site_density
+
+
+def simulate_density(
+    params: SimulationParams,
+    se_table: SpectralEfficiencyTable,
+    freq_set: FrequencySet,
+    site_density: float,
+    receiver_positions: Sequence[tuple[float, float]] | None = None,
+    memo: dict | None = None,
+) -> float:
+    """Area capacity in Mbps/km^2 delivered at ``site_density`` sites/km^2.
+
+    The sum of :func:`carrier_capacity` over the set's carriers, in carrier
+    order. ``memo`` maps ``(params, generation, carrier, density)`` to a
+    carrier's contribution, so sets sharing a carrier simulate it once; it
+    must serve one SE table only. ``receiver_positions`` calls bypass it.
+    """
+    if memo is None or receiver_positions is not None:
+        memo = {}
     capacity = 0.0
     for carrier in freq_set.carriers:
-        rng = _carrier_rng(params.seed, freq_set.generation, carrier, site_density)
-        if receiver_positions is None:
-            x, y = _sample_hexagon(rng, params.trials, hex_circumradius)
-        else:
-            pos = np.asarray(receiver_positions, dtype=float)
-            x, y = pos[:, 0], pos[:, 1]
-        n = len(x)
-        shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
-        shadow_interf = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (n, len(sites)))
-
-        d_signal = np.sqrt(x**2 + y**2 + dh_km**2)
-        pl_signal = free_space_path_loss(
-            d_signal, carrier.frequency_mhz,
-            params.los_breakpoint_m, params.nlos_excess_db, params.min_distance_m,
-        )
-        signal = received_signal(params, pl_signal, shadow_signal)
-
-        if len(sites):
-            dx = x[:, None] - sites[:, 0][None, :]
-            dy = y[:, None] - sites[:, 1][None, :]
-            d_interf = np.sqrt(dx**2 + dy**2 + dh_km**2)
-            pl_interf = free_space_path_loss(
-                d_interf, carrier.frequency_mhz,
-                params.los_breakpoint_m, params.nlos_excess_db, params.min_distance_m,
+        key = (params, freq_set.generation, carrier, site_density)
+        if key not in memo:
+            memo[key] = carrier_capacity(
+                params, se_table, freq_set.generation, carrier, site_density, receiver_positions
             )
-            interferers = received_signal(params, pl_interf, shadow_interf)
-        else:
-            interferers = np.empty((n, 0))
-
-        noise = noise_floor(params, carrier.bandwidth_mhz * 1e6)
-        sinr_db = sinr(signal, interferers, noise, params.network_load)
-        se = se_lookup(se_table, sinr_db, freq_set.generation)
-        se_reliable = float(np.percentile(se, percentile))
-        capacity += se_reliable * carrier.bandwidth_mhz * params.sectors_per_site * site_density
+        capacity += memo[key]
     return capacity
 
 
@@ -429,6 +532,7 @@ def build_capacity_table(
     freq_set: FrequencySet,
     density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
     jobs: int = 1,
+    memo: dict | None = None,
 ) -> CapacityTable:
     """Simulate every grid density and assemble a monotone capacity table.
 
@@ -436,6 +540,9 @@ def build_capacity_table(
     per-carrier RNG streams make the result scheduling-invariant), then the
     capacity column is isotonically clipped. Grid points must be at least
     1e-6 sites/km^2 apart, and from 0, so that each draws its own stream.
+    A ``memo`` shared by the builds of one SE table simulates each distinct
+    (generation, carrier, density) once; see :func:`simulate_density`. The
+    threads work on distinct densities, so they never race on a memo key.
     """
     grid = list(density_grid)
     if len(grid) < 8:
@@ -446,11 +553,14 @@ def build_capacity_table(
     if len(set(stream_keys)) < len(grid) or 0 in stream_keys:
         raise ValidationError("density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream")
 
+    def simulate(d: float) -> float:
+        return simulate_density(params, se_table, freq_set, d, memo=memo)
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(lambda d: simulate_density(params, se_table, freq_set, d), grid))
+            raw = list(pool.map(simulate, grid))
     else:
-        raw = [simulate_density(params, se_table, freq_set, d) for d in grid]
+        raw = [simulate(d) for d in grid]
 
     clipped = isotonic_clip(raw)
     return CapacityTable(
@@ -481,7 +591,9 @@ def required_density(table: CapacityTable, demand_mbps_km2: float) -> tuple[floa
             if c == prev_c:  # flat zero segment cannot bracket positive demand
                 return d, False
             frac = (demand_mbps_km2 - prev_c) / (c - prev_c)
-            return prev_d + frac * (d - prev_d), False
+            # prev_d + (d - prev_d) can round one ulp above d; capping at the
+            # row keeps the result monotone in demand across rows.
+            return min(prev_d + frac * (d - prev_d), d), False
         prev_d, prev_c = d, c
     # Unreachable: demand <= max_capacity guarantees a bracketing row.
     raise AssertionError("no bracketing row found")
@@ -495,6 +607,7 @@ def table_cache_key(
 ) -> str:
     """Content hash identifying a capacity table build, for disk caching."""
     payload = {
+        "model_version": RADIO_MODEL_VERSION,
         "params": asdict(params),
         "se_rows": {gen.value: list(map(list, rows)) for gen, rows in sorted(se_table.rows.items())},
         "mimo_streams": {gen.value: n for gen, n in sorted(se_table.mimo_streams.items())},

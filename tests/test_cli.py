@@ -88,3 +88,13 @@ def test_tables_command(miniland_config, tmp_path, capsys):
     assert generations == {"4G", "5G"}
     # one row per grid point per portfolio
     assert len(rows) == 2 * 10
+
+
+def test_tables_invalid_config_lists_every_problem(miniland_copy, tmp_path, capsys):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 5\n") + "misc: {}\n")
+    code = main(["tables", "--config", str(config), "--out", str(tmp_path / "tables")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "trials" in err and "misc" in err
+    assert not (tmp_path / "tables").exists()

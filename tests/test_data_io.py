@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from bband_sim.core import AdoptionScenario, Generation, IncomeGroup
-from bband_sim.data_io import load_bundle, save_bundle, validate_axes
+from bband_sim.data_io import default_se_table_path, load_bundle, load_table_inputs, save_bundle, validate_axes
 from bband_sim.errors import InputValidationError
 
 
@@ -148,3 +148,32 @@ class TestConfigGrammar:
         bundle = load_bundle(miniland_dir, config)
         assert bundle.sim_params.trials == 10_000
         assert bundle.cost_inputs.equipment_usd == 40_000.0
+
+
+class TestTableInputs:
+    def test_matches_bundle(self, bundle, miniland_dir, miniland_config):
+        inputs = load_table_inputs(miniland_config, miniland_dir)
+        assert inputs.sim_params == bundle.sim_params
+        assert inputs.density_grid == bundle.density_grid
+        assert inputs.se_table == bundle.se_table
+        assert inputs.portfolios == bundle.table_portfolios
+
+    def test_se_table_from_data_dir_else_packaged(self, miniland_copy):
+        config = miniland_copy / "config.yaml"
+        packaged = load_table_inputs(config).se_table
+        se = default_se_table_path().read_text().replace("4G,-6.7,0.1523", "4G,-6.5,0.1523")
+        (miniland_copy / "se_table.csv").write_text(se)
+        assert load_table_inputs(config, miniland_copy).se_table != packaged
+        assert load_table_inputs(config, miniland_copy / "elsewhere").se_table == packaged
+
+    def test_collects_all_errors_not_fail_fast(self, miniland_copy):
+        rewrite(miniland_copy / "config.yaml", "  trials: 10000\n", "  trials: 5\n")
+        with (miniland_copy / "config.yaml").open("a") as fh:
+            fh.write("tables:\n  portfolios:\n    - {generation: 6G, carriers: [[800, 10]]}\n")
+        (miniland_copy / "se_table.csv").write_text("generation,min_sinr_db,se_bps_hz\n4G,x,1\n")
+        with pytest.raises(InputValidationError) as err:
+            load_table_inputs(miniland_copy / "config.yaml", miniland_copy)
+        messages = [str(d) for d in err.value.diagnostics]
+        assert any("trials" in m for m in messages)
+        assert any("tables.portfolios" in m for m in messages)
+        assert any(m.startswith("se_table.csv") for m in messages)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bband_sim import load_bundle
+from bband_sim import load_bundle, pipeline, radio
 
 from bband_sim.core import (
     AdoptionScenario,
@@ -128,6 +128,21 @@ class TestRunPipeline:
         second = run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
         assert [f.stat().st_mtime_ns for f in sorted(cache.glob('*.csv'))] == mtimes
         assert first.results == second.results
+
+    def test_cold_tables_simulate_each_distinct_carrier_once(self, bundle, monkeypatch):
+        small = dataclasses.replace(bundle, sim_params=dataclasses.replace(bundle.sim_params, trials=200))
+        builds, sims = [], []
+        build, simulate = radio.build_capacity_table, radio.carrier_capacity
+        monkeypatch.setattr(pipeline, "build_capacity_table", lambda *a, **k: builds.append(a[2]) or build(*a, **k))
+        monkeypatch.setattr(radio, "carrier_capacity", lambda *a, **k: sims.append(a[2:5]) or simulate(*a, **k))
+        tables = pipeline.capacity_tables(small)
+        assert len(builds) == 4  # one build per (country, generation), even without a cache
+        # MLA and MLB hold the same 4G carriers and share 700x10 in 5G: 6 distinct carriers, not 10
+        assert len(sims) == len(set(sims)) == 6 * len(small.density_grid)
+        monkeypatch.undo()
+        for (iso3, gen), table in tables.items():
+            fs = small.frequency_set(iso3, gen)
+            assert table == build(small.sim_params, small.se_table, fs, small.density_grid)
 
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_damaged_cache_file_rebuilt_with_warning(self, bundle, baseline_output, tmp_path, caplog, damage):

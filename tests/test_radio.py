@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bband_sim import radio
 from bband_sim.core import Generation
 from bband_sim.errors import ValidationError
 from bband_sim.radio import (
@@ -12,6 +16,7 @@ from bband_sim.radio import (
     SimulationParams,
     SpectralEfficiencyTable,
     build_capacity_table,
+    carrier_capacity,
     free_space_path_loss,
     inter_site_distance_km,
     isotonic_clip,
@@ -23,7 +28,9 @@ from bband_sim.radio import (
     se_lookup,
     shadow_fading_draws,
     simulate_density,
+    sinr,
     table_cache_key,
+    trial_sinr_db,
 )
 from bband_sim.data_io import default_se_table_path, _load_se_table, _Collector
 
@@ -226,6 +233,126 @@ class TestSimulateDensity:
             SimulationParams(trials=50)
 
 
+def reference_sinr_db(params, generation, carrier, site_density, receiver_positions=None):
+    """The unblocked whole-array chain that trial_sinr_db must match bit for bit."""
+    isd = inter_site_distance_km(site_density)
+    sites = radio._interferer_positions(isd, params.interferer_rings)
+    dh_km = (params.tx_height_m - params.rx_height_m) / 1000.0
+    rng = radio._carrier_rng(params.seed, generation, carrier, site_density)
+    if receiver_positions is None:
+        n, r = params.trials, isd / math.sqrt(3.0)
+        tri = rng.integers(0, 6, n)
+        u = rng.random(n)
+        v = rng.random(n)
+        over = u + v > 1.0
+        u[over] = 1.0 - u[over]
+        v[over] = 1.0 - v[over]
+        a0 = tri * (math.pi / 3.0)
+        a1 = a0 + math.pi / 3.0
+        x = u * r * np.cos(a0) + v * r * np.cos(a1)
+        y = u * r * np.sin(a0) + v * r * np.sin(a1)
+    else:
+        pos = np.asarray(receiver_positions, dtype=float)
+        x, y = pos[:, 0], pos[:, 1]
+    n = len(x)
+    shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
+    shadow_interf = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (n, len(sites)))
+
+    def received(d_km, shadow):
+        loss = free_space_path_loss(d_km, carrier.frequency_mhz, params.los_breakpoint_m,
+                                    params.nlos_excess_db, params.min_distance_m)
+        return received_signal(params, loss, shadow)
+
+    signal = received(np.sqrt(x**2 + y**2 + dh_km**2), shadow_signal)
+    if len(sites):
+        dx = x[:, None] - sites[:, 0][None, :]
+        dy = y[:, None] - sites[:, 1][None, :]
+        interferers = received(np.sqrt(dx**2 + dy**2 + dh_km**2), shadow_interf)
+    else:
+        interferers = np.empty((n, 0))
+    return sinr(signal, interferers, noise_floor(params, carrier.bandwidth_mhz * 1e6), params.network_load)
+
+
+DEEP_SHADOW = {"shadow_mu_db": 2000.0, "shadow_sigma_db": 1000.0}  # ~10% of signals underflow to 0 mW
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("trials, rings, block, extra", [
+        (5000, 2, None, {}),  # default block size, partial last block
+        (5000, 0, None, {}),
+        (300, 3, 7, {"network_load": 0.4, "los_breakpoint_m": 150.0}),
+        (301, 1, 300, {"shadow_sigma_db": 0.0}),
+        (2000, 1, 64, DEEP_SHADOW),
+    ])
+    def test_matches_unblocked_chain_bit_for_bit(self, monkeypatch, trials, rings, block, extra):
+        if block is not None:
+            monkeypatch.setattr(radio, "TRIAL_BLOCK", block)
+        params = SimulationParams(trials=trials, seed=31, interferer_rings=rings, **extra)
+        for carrier, density in ((Carrier(700.0, 10.0), 0.05), (Carrier(3500.0, 40.0), 2.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = trial_sinr_db(params, Generation.G5, carrier, density)
+            want = reference_sinr_db(params, Generation.G5, carrier, density)
+            assert got.tobytes() == want.tobytes()
+        if extra is DEEP_SHADOW:
+            assert np.isneginf(got).any()
+
+    def test_receiver_positions_match_unblocked_chain(self, monkeypatch):
+        monkeypatch.setattr(radio, "TRIAL_BLOCK", 2)
+        params = SimulationParams(trials=2000, seed=5, interferer_rings=2)
+        positions = [(0.0, 0.0), (0.3, -0.1), (0.05, 0.4), (-0.2, 0.2), (0.5, 0.0)]
+        carrier = Carrier(1800.0, 10.0)
+        got = trial_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=positions)
+        want = reference_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=positions)
+        assert got.tobytes() == want.tobytes()
+
+    # Table rows at the commit before the blocked kernel, printed with repr.
+    PINNED = {
+        2: (FS5, ["0.7767299999999999", "1.5534599999999998", "3.8836499999999994", "7.767299999999999",
+                  "15.534599999999998", "38.836499999999994", "192.27000000000004", "894.54"]),
+        0: (FS4, ["7.972728", "16.997382", "42.49345500000001", "84.98691000000002", "169.97382000000005",
+                  "424.93455000000006", "849.8691000000001", "1699.7382000000002"]),
+    }
+
+    @pytest.mark.parametrize("rings", sorted(PINNED))
+    def test_table_values_pinned(self, se_table, rings):
+        freq_set, want = self.PINNED[rings]
+        params = SimulationParams(trials=5000, seed=7, interferer_rings=rings)
+        table = build_capacity_table(params, se_table, freq_set, GRID)
+        assert [repr(c) for _, c in table.rows] == want
+        assert [d for d, _ in table.rows] == list(GRID)
+
+
+class TestCarrierMemo:
+    def test_shared_carrier_simulated_once_per_density(self, se_table, fast_params, monkeypatch):
+        calls = []
+
+        def counting(params, se, generation, carrier, density, receiver_positions=None):
+            calls.append((generation, carrier, density))
+            return carrier_capacity(params, se, generation, carrier, density, receiver_positions)
+
+        a = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(1800.0, 10.0)))
+        b = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(2600.0, 10.0)))
+        same_carrier_5g = FrequencySet(Generation.G5, (Carrier(800.0, 10.0),))
+        alone = [build_capacity_table(fast_params, se_table, fs, GRID) for fs in (a, b, same_carrier_5g)]
+
+        monkeypatch.setattr(radio, "carrier_capacity", counting)
+        memo: dict = {}
+        shared = [build_capacity_table(fast_params, se_table, fs, GRID, jobs=2, memo=memo)
+                  for fs in (a, b, same_carrier_5g, a)]
+        assert shared == alone + alone[:1]
+        # 800x10 is shared by a and b; the 5G stream differs; the repeated a costs nothing
+        assert len(calls) == 4 * len(GRID)
+        assert len(set(calls)) == len(calls)
+
+    def test_receiver_positions_bypass_memo(self, se_table, fast_params):
+        memo: dict = {}
+        simulate_density(fast_params, se_table, FS4, 1.0, receiver_positions=[(0.1, 0.0)], memo=memo)
+        assert memo == {}
+        simulate_density(fast_params, se_table, FS4, 1.0, memo=memo)
+        assert len(memo) == len(FS4.carriers)
+
+
 @pytest.fixture(scope="module")
 def t4(se_table, fast_params):
     return build_capacity_table(fast_params, se_table, FS4, GRID)
@@ -310,6 +437,11 @@ class TestCapacityTable:
         assert key != table_cache_key(fast_params, se_table, FS5, GRID)
         assert key != table_cache_key(fast_params, se_table, FS4, GRID[:-1] + (4.0,))
 
+    def test_cache_key_holds_model_version(self, se_table, fast_params, monkeypatch):
+        key = table_cache_key(fast_params, se_table, FS4, GRID)
+        monkeypatch.setattr(radio, "RADIO_MODEL_VERSION", radio.RADIO_MODEL_VERSION + 1)
+        assert table_cache_key(fast_params, se_table, FS4, GRID) != key
+
 
 class TestRequiredDensity:
     TABLE = CapacityTable(Generation.G4, "800x10", ((0.5, 60.0), (1.0, 120.0)))
@@ -346,3 +478,85 @@ class TestRequiredDensity:
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
             CapacityTable(Generation.G4, "x", ())
+
+
+@st.composite
+def capacity_tables(draw):
+    """Valid tables: increasing positive densities, non-decreasing capacities >= 0."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    densities = sorted(draw(st.sets(st.floats(1e-3, 1e3, **finite), min_size=1, max_size=8)))
+    capacities = sorted(draw(st.lists(st.floats(0.0, 1e6, **finite),
+                                      min_size=len(densities), max_size=len(densities))))
+    return CapacityTable(Generation.G4, "x", tuple(zip(densities, capacities)))
+
+
+@st.composite
+def well_conditioned_tables(draw):
+    """Tables whose inverse is well conditioned: rows at least 0.01 apart in
+    density, a positive first capacity, and at most 10x growth per row.
+
+    A rising row after zero-capacity rows, or rows a few ulps apart, makes
+    capacity at the returned density sensitive to its last bit, so no
+    relative bound holds there.
+    """
+    n = draw(st.integers(1, 8))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    growth = draw(st.lists(st.floats(1.0, 10.0), min_size=n - 1, max_size=n - 1))
+    densities = np.cumsum(gaps).tolist()
+    capacities = [draw(st.floats(1.0, 1e3))]
+    for g in growth:
+        capacities.append(capacities[-1] * g)
+    return CapacityTable(Generation.G4, "x", tuple(zip(densities, capacities)))
+
+
+demand_fractions = st.floats(0.0, 1.5, allow_nan=False)
+
+
+class TestRequiredDensityProperties:
+    # At demand == 44.65792525380674 the interpolation rounded one ulp above
+    # the row density 6.707465839397691 that the next larger demand returns.
+    ULP_TABLE = CapacityTable(Generation.G4, "x", (
+        (2.317057901291514, 30.293157486611875),
+        (6.707465839397691, 44.65792525380674),
+        (7.082615919069186, 469.3399757146037),
+    ))
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity_tables(), demand_fractions, demand_fractions)
+    @example(ULP_TABLE, 0.5, 1.0)
+    def test_monotone_in_demand(self, table, f1, f2):
+        # random demands plus every row capacity and its neighbouring floats
+        near_rows = [x for _, c in table.rows for x in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+        demands = sorted({f1 * table.max_capacity, f2 * table.max_capacity, *near_rows})
+        densities = [required_density(table, x)[0] for x in demands]
+        assert densities == sorted(densities)
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity_tables(), demand_fractions)
+    def test_unserviceable_exactly_above_max_capacity(self, table, fraction):
+        demand = fraction * table.max_capacity
+        density, unserviceable = required_density(table, demand)
+        assert unserviceable == (demand > table.max_capacity)
+        if unserviceable:
+            assert density == table.max_density
+
+    @settings(max_examples=300, deadline=None)
+    @given(well_conditioned_tables(), st.floats(1e-6, 1.0))
+    def test_interpolated_capacity_recovers_demand(self, table, fraction):
+        demand = fraction * table.max_capacity
+        density, unserviceable = required_density(table, demand)
+        assert not unserviceable
+        xs = [0.0, *(d for d, _ in table.rows)]
+        ys = [0.0, *(c for _, c in table.rows)]
+        assert float(np.interp(density, xs, ys)) == pytest.approx(demand, rel=1e-9)
+
+
+class TestIsotonicClipProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=30))
+    def test_non_decreasing_dominating_and_idempotent(self, values):
+        clipped = isotonic_clip(values)
+        assert len(clipped) == len(values)
+        assert all(a <= b for a, b in zip(clipped, clipped[1:]))
+        assert all(c >= v for c, v in zip(clipped, values))
+        assert isotonic_clip(clipped) == clipped
