@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import enumerate_runs
+from .core import AdoptionScenario, Backhaul, EnergyStrategy, Generation, Policy, Sharing, enumerate_runs
 from .data_io import load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError
 from .pipeline import emit_results, run_pipeline
@@ -36,11 +36,24 @@ logger = logging.getLogger("bband_sim")
 RUN_FILTER_FIELDS = ("generation", "backhaul", "sharing", "policy", "energy", "capacity", "adoption")
 
 
+#: The values each run filter field may take (capacity: any number).
+RUN_FILTER_VALUES = {
+    "generation": [g.value for g in Generation],
+    "backhaul": [b.value for b in Backhaul],
+    "sharing": [s.value for s in Sharing],
+    "policy": [p.value for p in Policy],
+    "energy": [e.value for e in EnergyStrategy],
+    "adoption": [a.value for a in AdoptionScenario],
+}
+
+
 def parse_run_filter(expr: str):
     """Parse ``field=v1|v2,field=v`` into a predicate over (strategy, scenario).
 
     Fields: generation, backhaul, sharing, policy, energy, capacity,
     adoption. Clauses are ANDed; ``|`` separates alternatives in a clause.
+    A value the field cannot take raises ValueError naming the valid ones;
+    capacities compare as numbers.
     """
     clauses = []
     for part in expr.split(","):
@@ -53,7 +66,17 @@ def parse_run_filter(expr: str):
         field = field.strip()
         if field not in RUN_FILTER_FIELDS:
             raise ValueError(f"unknown run filter field {field!r} (valid: {RUN_FILTER_FIELDS})")
-        clauses.append((field, {v.strip() for v in values.split("|")}))
+        allowed = {v.strip() for v in values.split("|")}
+        if field == "capacity":
+            try:
+                allowed = {float(v) for v in allowed}
+            except ValueError:
+                raise ValueError(f"capacity values must be numbers, got {sorted(allowed)}") from None
+        else:
+            unknown = sorted(allowed - set(RUN_FILTER_VALUES[field]))
+            if unknown:
+                raise ValueError(f"unknown {field} value(s) {unknown} (valid: {'|'.join(RUN_FILTER_VALUES[field])})")
+        clauses.append((field, allowed))
 
     def accept(strategy, scenario) -> bool:
         lookup = {
@@ -62,7 +85,7 @@ def parse_run_filter(expr: str):
             "sharing": strategy.sharing.value,
             "policy": strategy.policy.value,
             "energy": strategy.energy_strategy.value,
-            "capacity": f"{scenario.capacity_gb_month:g}",
+            "capacity": scenario.capacity_gb_month,
             "adoption": scenario.adoption.value,
         }
         return all(lookup[f] in allowed for f, allowed in clauses)
@@ -111,7 +134,7 @@ def _cmd_run(args) -> int:
     cache_dir = os.environ.get("BBAND_SIM_CACHE") or out_dir / "capacity_cache"
     try:
         output = run_pipeline(bundle, runs, jobs=args.jobs, cache_dir=cache_dir)
-        paths = emit_results(output.results, out_dir)
+        paths = emit_results(output.table, out_dir)
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
@@ -121,7 +144,7 @@ def _cmd_run(args) -> int:
 
     for p in paths:
         logger.info("wrote %s", p)
-    print(f"{len(runs)} run(s), {len(output.results)} result rows -> {out_dir}")
+    print(f"{len(runs)} run(s), {len(output.table)} result rows -> {out_dir}")
     if output.failures:
         for f in output.failures:
             print(f"FAILED run {f.strategy} {f.scenario}: {f.error}", file=sys.stderr)

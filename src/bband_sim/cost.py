@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .core import Backhaul, Policy, Settlement, Sharing
+import numpy as np
+
+from .core import Backhaul, Policy, Settlement, Sharing, StrategyBundle
 from .errors import ValidationError
 
 
@@ -214,22 +217,23 @@ def cross_subsidize(decile_costs: list[DecileCost]) -> list[DecileCost]:
     if len(countries) > 1:
         raise ValidationError(f"cross_subsidize spans countries: {sorted(countries)}")
 
-    pool = sum(max(0.0, c.revenue_pv - c.private_cost) for c in decile_costs)
-    deficits = {
-        i: c.private_cost - c.revenue_pv
-        for i, c in enumerate(decile_costs)
-        if c.private_cost > c.revenue_pv
-    }
-    allocation = {i: 0.0 for i in deficits}
-    for i in sorted(deficits, key=lambda i: (deficits[i], decile_costs[i].decile_index)):
-        grant = min(pool, deficits[i])
-        allocation[i] = grant
-        pool -= grant
+    subsidy = subsidies(
+        [c.revenue_pv for c in decile_costs],
+        [c.private_cost for c in decile_costs],
+        [c.decile_index for c in decile_costs],
+    )
+    return [replace(c, subsidy=s) for c, s in zip(decile_costs, subsidy)]
 
-    out = []
-    for i, c in enumerate(decile_costs):
-        subsidy = deficits[i] - allocation[i] if i in deficits else 0.0
-        out.append(replace(c, subsidy=subsidy))
+
+def subsidies(revenue_pv: Sequence[float], private_costs: Sequence[float], decile_index: Sequence[int]) -> list[float]:
+    """State subsidy per decile of one country, by the rule of :func:`cross_subsidize`."""
+    pool = sum(max(0.0, r - c) for r, c in zip(revenue_pv, private_costs))
+    out = [0.0] * len(revenue_pv)
+    deficits = [(c - r, d, i) for i, (r, c, d) in enumerate(zip(revenue_pv, private_costs, decile_index)) if c > r]
+    for deficit, _, i in sorted(deficits, key=lambda x: x[:2]):
+        grant = min(pool, deficit)
+        pool -= grant
+        out[i] = deficit - grant
     return out
 
 
@@ -240,3 +244,64 @@ def financial_cost_total(decile_costs: list[DecileCost]) -> float:
     sides, so the sum equals network + administration + profit + subsidy.
     """
     return sum(c.private_cost + c.government_cost for c in decile_costs)
+
+
+def cost_columns(
+    new_sites: np.ndarray,
+    upgraded_sites: np.ndarray,
+    settlements: Sequence[Settlement],
+    revenue_pv: np.ndarray,
+    population: np.ndarray,
+    decile_index: Sequence[int],
+    strategy: StrategyBundle,
+    n_sharers: int,
+    spectrum_mhz: float,
+    costs: CostInputs,
+) -> dict[str, np.ndarray]:
+    """Cost columns of one country's deciles under one strategy.
+
+    The chain :func:`decile_components` -> :func:`apply_sharing` ->
+    :func:`private_cost` -> :func:`cross_subsidize` over arrays of deciles,
+    bit for bit: an unshared asset class is divided by 1.0, which leaves
+    it unchanged. Keys are the ``*_usd`` result columns.
+    """
+    new = np.asarray(new_sites, dtype=np.int64)
+    n = new + np.asarray(upgraded_sites, dtype=np.int64)
+    if (new < 0).any() or (n < new).any():
+        raise ValidationError("site counts must be >= 0")
+    if n_sharers < 1:
+        raise ValidationError("n_sharers must be >= 1")
+    sharing = strategy.sharing
+    # deciles whose radio equipment and backhaul are shared (see apply_sharing)
+    radio = np.array([
+        sharing == Sharing.ACTIVE or (sharing == Sharing.SRN and s == Settlement.RURAL) for s in settlements
+    ], dtype=bool)
+    radio_div = np.where(radio, float(n_sharers), 1.0)
+    civils_div = float(n_sharers) if sharing == Sharing.PASSIVE else radio_div
+    network = (
+        n * costs.equipment_usd / radio_div
+        + n * costs.backhaul_unit_cost(strategy.backhaul) / radio_div
+        + new * costs.civils_usd / civils_div
+        + n * costs.core_usd
+    )
+    if (network < 0).any():
+        raise ValidationError("network must be >= 0")
+    administration = costs.admin_share * network
+    profit = costs.profit_margin * network
+    revenue = np.asarray(revenue_pv, dtype=np.float64)
+    tax = costs.tax_rate(strategy.policy) * revenue
+    spectrum = costs.spectrum_coef(strategy.policy) * spectrum_mhz * np.asarray(population, dtype=np.int64)
+    total = network + administration + spectrum + tax + profit
+    subsidy = np.array(subsidies(revenue.tolist(), total.tolist(), decile_index))
+    government = subsidy - (spectrum + tax)
+    return {
+        "network_usd": network,
+        "administration_usd": administration,
+        "spectrum_usd": spectrum,
+        "tax_usd": tax,
+        "profit_usd": profit,
+        "private_cost_usd": total,
+        "subsidy_usd": subsidy,
+        "government_cost_usd": government,
+        "financial_cost_usd": total + government,
+    }

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .core import Backhaul, EnergyStrategy, Settlement, Sharing
 from .errors import ValidationError
 
@@ -19,6 +21,9 @@ ZERO_EMISSION_SOURCES = ("nuclear", "hydro", "renewables_other")
 DIESEL_SOURCE = "diesel"
 
 MIX_SUM_TOLERANCE = 1e-6
+
+#: Per-decile horizon totals returned by :func:`energy`, in this order.
+ENERGY_FIELDS = ("energy_kwh", "on_grid_kwh", "off_grid_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,9 @@ class FactorRow:
         for name in ("co2_kg_kwh", "nox_g_kwh", "sox_g_kwh", "pm10_g_kwh"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.co2_kg_kwh, self.nox_g_kwh, self.sox_g_kwh, self.pm10_g_kwh)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,16 @@ def split_energy(energy_kwh: float, grid: GridSplit) -> tuple[float, float]:
     return on, energy_kwh - on
 
 
+def check_mix_row(mix_row: Mapping[str, float]) -> None:
+    """Reject a generation mix with unknown sources or shares not summing to 1."""
+    unknown = [s for s in mix_row if s not in MIX_SOURCES]
+    if unknown:
+        raise ValidationError(f"unknown mix sources: {unknown}")
+    total_share = sum(mix_row.values())
+    if abs(total_share - 1.0) > MIX_SUM_TOLERANCE:
+        raise ValidationError(f"mix shares sum to {total_share}, expected 1")
+
+
 def emissions(
     on_grid_kwh: float,
     off_grid_kwh: float,
@@ -163,13 +181,7 @@ def emissions(
     source's factors applied; off-grid energy uses the diesel generator row,
     or nothing at all once converted to renewables.
     """
-    unknown = [s for s in mix_row if s not in MIX_SOURCES]
-    if unknown:
-        raise ValidationError(f"unknown mix sources: {unknown}")
-    total_share = sum(mix_row.values())
-    if abs(total_share - 1.0) > MIX_SUM_TOLERANCE:
-        raise ValidationError(f"mix shares sum to {total_share}, expected 1")
-
+    check_mix_row(mix_row)
     co2 = nox = sox = pm10 = 0.0
     for source, share in mix_row.items():
         row = factors.by_source[source]
@@ -236,3 +248,67 @@ def cumulate_horizon(per_year: Sequence[YearEnergy]) -> HorizonTotals:
         off_grid_kwh=sum(y.off_grid_kwh for y in per_year),
         emissions=total,
     )
+
+
+def energy(
+    existing_sites: Sequence[int],
+    new_sites: Sequence[int],
+    settlements: Sequence[Settlement],
+    sharing: Sharing,
+    n_sharers: int,
+    backhaul: Backhaul,
+    grid: GridSplit,
+    mix_rows: Sequence[Mapping[str, float]],
+    params: EnergyParams,
+    factors: EmissionFactors,
+) -> dict[str, np.ndarray]:
+    """Horizon energy and emissions of a block of deciles under one strategy.
+
+    The whole (decile x year) block of the per-decile chain
+    :func:`build_schedule` -> :func:`annual_energy` -> divide by
+    :func:`sharing_energy_divisor` -> :func:`split_energy` ->
+    :func:`emissions` -> :func:`cumulate_horizon` at once, bit for bit:
+    every element sees the same operations in the same order, sources are
+    added in each mix row's own order, and years are reduced sequentially.
+    ``mix_rows`` holds one generation mix per horizon year, in year order;
+    each is validated once. Returns :data:`ENERGY_FIELDS` -> per-decile
+    array.
+    """
+    existing = np.asarray(existing_sites, dtype=np.int64)
+    new = np.asarray(new_sites, dtype=np.int64)
+    if (existing < 0).any() or (new < 0).any():
+        raise ValidationError("site counts must be >= 0")
+    n_years = len(mix_rows)
+    if n_years < 1:
+        raise ValidationError("n_years must be >= 1")
+    for row in mix_rows:
+        check_mix_row(row)
+
+    q, r = np.divmod(new, n_years)
+    builds = q[:, None] + (np.arange(n_years) < r[:, None])
+    divisor = np.array([sharing_energy_divisor(sharing, s, n_sharers) for s in settlements])
+    per_site = params.site_kwh_per_hour + params.backhaul_kwh_per_hour(backhaul)
+    kwh = (existing[:, None] + np.cumsum(builds, axis=1)) * per_site * HOURS_PER_YEAR / divisor[:, None]
+    on = kwh * grid.on_grid_share
+    off = kwh - on
+
+    # slot k of year t holds the k-th source of that year's mix row; slots
+    # past the end of a shorter row are padding and add nothing
+    width = max(len(row) for row in mix_rows)
+    pad = [(0.0, (0.0, 0.0, 0.0, 0.0))]
+    slots = [
+        [(share, factors.by_source[source].as_tuple()) for source, share in row.items()] + pad * (width - len(row))
+        for row in mix_rows
+    ]
+    shares = np.array([[share for share, _ in year] for year in slots])
+    coef = np.array([[f for _, f in year] for year in slots]).transpose(2, 0, 1)  # (species, year, slot)
+    used = np.arange(width) < np.array([len(row) for row in mix_rows])[:, None]
+    species = np.zeros((4, *kwh.shape))
+    for k in range(width):
+        np.add(species, on * shares[:, k] * coef[:, None, :, k], out=species, where=used[:, k])
+    if grid.off_grid_source == DIESEL_SOURCE:
+        species += off * np.array(factors.diesel.as_tuple())[:, None, None]
+
+    # copied, so that the totals do not keep the whole cumsum buffer alive
+    totals = np.cumsum(np.stack([kwh, on, off, *species]), axis=-1)[..., -1].copy()
+    return dict(zip(ENERGY_FIELDS, totals))

@@ -12,17 +12,31 @@ the same stage key:
 * cost and cross-subsidy: (country, generation, backhaul, sharing, policy, scenario)
 * energy and emissions: (country, generation, backhaul, sharing, energy strategy, scenario)
 
-Results come back in deterministic run order (runs as given, countries
-sorted, deciles in order); emission sorts them by run key, so output files
-never depend on the order of the runs.
+Each stage computes a whole country's deciles at once: demand and sites
+through the per-decile functions, cost through :func:`cost.cost_columns`
+and energy through the array kernel :func:`energy.energy`, each bit for
+bit equal to its per-decile chain. Stage outputs are numpy columns, and
+:func:`run_pipeline` returns them as one :class:`ResultTable`, in
+deterministic run order (runs as given, countries sorted, deciles in
+order); :class:`RunResult` rows are built only when asked for.
+
+:func:`emit_results` sorts the table by run key with one ``np.lexsort``,
+so output files never depend on the order of the runs. It writes
+``results_decile.csv`` in blocks of sorted rows, formatting each distinct
+value of a column once per block, and computes the country file and the
+four summaries as group-bys (``np.bincount``/``np.add.at``), which add in
+sorted row order, exactly as a running total would.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     DecileRecord,
@@ -33,13 +47,7 @@ from .core import (
     build_deciles,
     enumerate_runs,
 )
-from .cost import (
-    DecileCost,
-    apply_sharing,
-    cross_subsidize,
-    decile_components,
-    private_cost,
-)
+from .cost import DecileCost, cost_columns
 from .data_io import InputBundle
 from .demand import (
     DemandResult,
@@ -50,18 +58,7 @@ from .demand import (
     per_user_busy_hour_rate,
 )
 from .dimensioning import SiteRequirement, required_sites
-from .energy import (
-    Emissions,
-    GridSplit,
-    YearEnergy,
-    annual_energy,
-    apply_renewables_strategy,
-    build_schedule,
-    cumulate_horizon,
-    emissions,
-    sharing_energy_divisor,
-    split_energy,
-)
+from .energy import Emissions, GridSplit, apply_renewables_strategy, energy
 from .errors import BbandSimError, ValidationError
 from .radio import (
     CapacityTable,
@@ -95,18 +92,7 @@ class RunResult:
     emissions: Emissions
 
     def sort_key(self):
-        s, sc = self.strategy, self.scenario
-        return (
-            self.country_iso3,
-            self.decile_index,
-            s.generation.value,
-            s.backhaul.value,
-            s.sharing.value,
-            s.policy.value,
-            s.energy_strategy.value,
-            sc.capacity_gb_month,
-            sc.adoption.value,
-        )
+        return (self.country_iso3, self.decile_index, *run_key(self.strategy, self.scenario))
 
 
 @dataclass(frozen=True)
@@ -116,10 +102,128 @@ class RunFailure:
     error: str
 
 
+DECILE_COLUMNS = [
+    "country_iso3", "decile_index", "settlement", "population", "area_km2",
+    "generation", "backhaul", "sharing", "policy", "energy_strategy",
+    "capacity_gb_month", "adoption",
+    "demand_mbps_km2", "total_sites", "existing_sites", "new_sites",
+    "upgraded_sites", "unserviceable",
+    "revenue_pv_usd", "network_usd", "administration_usd", "spectrum_usd",
+    "tax_usd", "profit_usd", "private_cost_usd", "subsidy_usd",
+    "government_cost_usd", "financial_cost_usd",
+    "energy_kwh", "on_grid_kwh", "off_grid_kwh",
+    "co2_kg", "nox_g", "sox_g", "pm10_g",
+]
+
+#: Result columns set by the run (strategy and scenario), in sort order.
+RUN_KEY_COLUMNS = ("generation", "backhaul", "sharing", "policy", "energy_strategy", "capacity_gb_month", "adoption")
+
+#: The per-row columns of a :class:`ResultTable`: every decile column
+#: outside the run key, and the two demand fields only :class:`RunResult` carries.
+TABLE_COLUMNS = [c for c in DECILE_COLUMNS if c not in RUN_KEY_COLUMNS] + ["smartphone_users", "busy_hour_rate_mbps"]
+
+
+def run_key(strategy: StrategyBundle, scenario: ScenarioSpec) -> tuple:
+    """The values of :data:`RUN_KEY_COLUMNS` for one run."""
+    s = strategy
+    return (s.generation.value, s.backhaul.value, s.sharing.value, s.policy.value,
+            s.energy_strategy.value, scenario.capacity_gb_month, scenario.adoption.value)
+
+
+@dataclass(frozen=True, eq=False)
+class ResultTable:
+    """Per-decile results as numpy columns, one row per (run, country, decile).
+
+    ``runs`` lists each run once and ``run`` holds each row's index into
+    it; ``columns`` maps every name in :data:`TABLE_COLUMNS` to a per-row
+    array. The run-key columns are per run, in :attr:`run_values`.
+    """
+
+    runs: Sequence[tuple[StrategyBundle, ScenarioSpec]]
+    run: np.ndarray
+    columns: Mapping[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.run)
+
+    @cached_property
+    def run_keys(self) -> list[tuple]:
+        """:func:`run_key` of each run."""
+        return [run_key(*r) for r in self.runs]
+
+    @cached_property
+    def run_values(self) -> dict[str, np.ndarray]:
+        """Each run-key column's value per run (not per row)."""
+        return {name: np.array([k[i] for k in self.run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)}
+
+    def column(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """The values of any decile column at row indices ``rows``."""
+        if name in self.run_values:
+            return self.run_values[name][self.run[rows]]
+        return self.columns[name][rows]
+
+    def sort_order(self) -> np.ndarray:
+        """Row indices in :meth:`RunResult.sort_key` order; equal keys keep row order."""
+        rank = {k: i for i, k in enumerate(sorted(set(self.run_keys)))}
+        run_rank = np.array([rank[k] for k in self.run_keys], dtype=np.int64)
+        return np.lexsort((run_rank[self.run], self.columns["decile_index"], self.columns["country_iso3"]))
+
+    def rows(self) -> list[RunResult]:
+        """The table as :class:`RunResult` rows, in table order."""
+        names = ("country_iso3", "decile_index", "settlement", "population", "area_km2",
+                 "smartphone_users", "busy_hour_rate_mbps", "demand_mbps_km2", "revenue_pv_usd",
+                 "total_sites", "existing_sites", "new_sites", "upgraded_sites", "unserviceable",
+                 "network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd",
+                 "private_cost_usd", "subsidy_usd", "energy_kwh", "on_grid_kwh", "off_grid_kwh",
+                 "co2_kg", "nox_g", "sox_g", "pm10_g")
+        out = []
+        for run, row in zip(self.run.tolist(), zip(*(self.columns[n].tolist() for n in names))):
+            (iso3, index, settlement, population, area, users, rate, demand, revenue,
+             total, existing, new, upgraded, unserviceable,
+             network, administration, spectrum, tax, profit, private, subsidy,
+             kwh, on, off, co2, nox, sox, pm10) = row
+            out.append(RunResult(
+                iso3, index, Settlement(settlement), population, area, *self.runs[run],
+                DemandResult(users, rate, demand, revenue),
+                SiteRequirement(iso3, index, total, existing, new, upgraded, unserviceable),
+                DecileCost(iso3, index, network, administration, spectrum, tax, profit, private, revenue, subsidy),
+                kwh, on, off, Emissions(co2, nox, sox, pm10),
+            ))
+        return out
+
+    @classmethod
+    def from_rows(cls, results: Sequence[RunResult]) -> ResultTable:
+        """The table of a list of rows, in list order.
+
+        Each column takes its dtype from its values (int, float, bool or
+        str), so each value is written as its type says; a column mixing
+        ints and floats is float.
+        """
+        index: dict = {}
+        run = [index.setdefault((r.strategy, r.scenario), len(index)) for r in results]
+        rows = [decile_row(r) for r in results]
+        extra = {
+            "smartphone_users": [r.demand.smartphone_users for r in results],
+            "busy_hour_rate_mbps": [r.demand.busy_hour_rate_mbps for r in results],
+        }
+        columns = {
+            name: np.array(extra[name] if name in extra else [d[name] for d in rows])
+            for name in TABLE_COLUMNS
+        }
+        return cls(list(index), np.array(run, dtype=np.intp), columns)
+
+
 @dataclass(frozen=True)
 class PipelineOutput:
-    results: list[RunResult]
+    """The result table of a run matrix, and the runs that failed."""
+
+    table: ResultTable
     failures: list[RunFailure]
+
+    @cached_property
+    def results(self) -> list[RunResult]:
+        """The table as :class:`RunResult` rows, built on first use."""
+        return self.table.rows()
 
 
 def country_deciles(bundle: InputBundle) -> dict[str, list[DecileRecord]]:
@@ -218,32 +322,14 @@ def _decile_demand(
     )
 
 
-def _decile_energy(
-    bundle: InputBundle,
-    decile: DecileRecord,
-    sites: SiteRequirement,
-    strategy: StrategyBundle,
-    scenario: ScenarioSpec,
-) -> tuple[float, float, float, Emissions]:
-    country = bundle.countries[decile.country_iso3]
-    divisor = sharing_energy_divisor(strategy.sharing, decile.settlement, country.n_major_operators)
-    grid = apply_renewables_strategy(GridSplit(country.on_grid_share), strategy.energy_strategy)
-    builds = build_schedule(sites.new_sites, scenario.n_years)
-
-    per_year: list[YearEnergy] = []
-    cumulative_new = 0
-    for offset, year in enumerate(scenario.years()):
-        cumulative_new += builds[offset]
-        energy = annual_energy(decile.existing_sites, cumulative_new, bundle.energy_params, strategy.backhaul)
-        energy /= divisor
-        on, off = split_energy(energy, grid)
-        mix_row = bundle.energy_mix[decile.country_iso3].get(year)
-        if mix_row is None:
-            raise ValidationError(f"{decile.country_iso3}: no energy mix for year {year}")
-        species = emissions(on, off, mix_row, bundle.emission_factors, grid)
-        per_year.append(YearEnergy(year, energy, on, off, species))
-    totals = cumulate_horizon(per_year)
-    return totals.energy_kwh, totals.on_grid_kwh, totals.off_grid_kwh, totals.emissions
+def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
+    return {
+        "country_iso3": np.array([d.country_iso3 for d in deciles]),
+        "decile_index": np.array([d.decile_index for d in deciles], dtype=np.int64),
+        "settlement": np.array([d.settlement.value for d in deciles]),
+        "population": np.array([d.population for d in deciles], dtype=np.int64),
+        "area_km2": np.array([d.area_km2 for d in deciles], dtype=np.float64),
+    }
 
 
 def _country_sites(
@@ -251,42 +337,77 @@ def _country_sites(
     deciles: Sequence[DecileRecord],
     table: CapacityTable,
     scenario: ScenarioSpec,
-) -> list[tuple[DecileRecord, DemandResult, SiteRequirement]]:
-    rows = []
-    for decile in deciles:
-        demand = _decile_demand(bundle, decile, scenario)
-        rows.append((decile, demand, required_sites(decile, demand.area_demand_mbps_km2, table)))
-    return rows
+) -> dict[str, np.ndarray]:
+    demand = [_decile_demand(bundle, decile, scenario) for decile in deciles]
+    sites = [required_sites(decile, d.area_demand_mbps_km2, table) for decile, d in zip(deciles, demand)]
+    floats = {
+        "smartphone_users": [d.smartphone_users for d in demand],
+        "busy_hour_rate_mbps": [d.busy_hour_rate_mbps for d in demand],
+        "demand_mbps_km2": [d.area_demand_mbps_km2 for d in demand],
+        "revenue_pv_usd": [d.revenue_pv_usd for d in demand],
+    }
+    ints = {name: [getattr(s, name) for s in sites]
+            for name in ("total_sites", "existing_sites", "new_sites", "upgraded_sites")}
+    return {
+        **{name: np.array(v, dtype=np.float64) for name, v in floats.items()},
+        **{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
+        "unserviceable": np.array([s.unserviceable for s in sites], dtype=bool),
+    }
 
 
 def _country_costs(
     bundle: InputBundle,
-    iso3: str,
-    sited: Sequence[tuple[DecileRecord, DemandResult, SiteRequirement]],
+    deciles: Sequence[DecileRecord],
+    sited: Mapping[str, np.ndarray],
     strategy: StrategyBundle,
-) -> list[DecileCost]:
+) -> dict[str, np.ndarray]:
+    iso3 = deciles[0].country_iso3
+    return cost_columns(
+        sited["new_sites"],
+        sited["upgraded_sites"],
+        [d.settlement for d in deciles],
+        sited["revenue_pv_usd"],
+        [d.population for d in deciles],
+        [d.decile_index for d in deciles],
+        strategy,
+        bundle.countries[iso3].n_major_operators,
+        bundle.frequency_set(iso3, strategy.generation).total_bandwidth_mhz,
+        bundle.cost_inputs,
+    )
+
+
+def _country_energy(
+    bundle: InputBundle,
+    deciles: Sequence[DecileRecord],
+    sited: Mapping[str, np.ndarray],
+    strategy: StrategyBundle,
+    scenario: ScenarioSpec,
+) -> dict[str, np.ndarray]:
+    iso3 = deciles[0].country_iso3
     country = bundle.countries[iso3]
-    mhz_held = bundle.frequency_set(iso3, strategy.generation).total_bandwidth_mhz
-    costs = []
-    for decile, demand, sites in sited:
-        components = decile_components(sites.new_sites, sites.upgraded_sites, strategy.backhaul, bundle.cost_inputs)
-        shared = apply_sharing(components, strategy.sharing, country.n_major_operators, decile.settlement)
-        costs.append(
-            private_cost(
-                shared.total,
-                bundle.cost_inputs,
-                strategy.policy,
-                demand.revenue_pv_usd,
-                spectrum_mhz=mhz_held,
-                population=decile.population,
-                country_iso3=iso3,
-                decile_index=decile.decile_index,
-            )
-        )
-    return cross_subsidize(costs)
+    mix = bundle.energy_mix[iso3]
+    mix_rows = []
+    for year in scenario.years():
+        row = mix.get(year)
+        if row is None:
+            raise ValidationError(f"{iso3}: no energy mix for year {year}")
+        mix_rows.append(row)
+    grid = apply_renewables_strategy(GridSplit(country.on_grid_share), strategy.energy_strategy)
+    return energy(
+        sited["existing_sites"],
+        sited["new_sites"],
+        [d.settlement for d in deciles],
+        strategy.sharing,
+        country.n_major_operators,
+        strategy.backhaul,
+        grid,
+        mix_rows,
+        bundle.energy_params,
+        bundle.emission_factors,
+    )
 
 
-def _stage(memo: dict, key: tuple, compute: Callable[[], list]) -> list:
+def _stage(memo: dict, key: tuple, compute: Callable[[], dict]) -> dict:
     """The value memoised under ``key``, computed on first use.
 
     A failing computation stores nothing, so every run that needs the key
@@ -301,24 +422,25 @@ def _stage(memo: dict, key: tuple, compute: Callable[[], list]) -> list:
 def _run_one(
     bundle: InputBundle,
     deciles: dict[str, list[DecileRecord]],
+    decile_columns: dict[str, dict[str, np.ndarray]],
     tables: dict[tuple[str, Generation], CapacityTable],
     strategy: StrategyBundle,
     scenario: ScenarioSpec,
     memo: dict,
-) -> list[RunResult]:
+) -> list[tuple[dict[str, np.ndarray], ...]]:
+    """One block per country of one run: its decile, site, cost and energy columns."""
     s = strategy
-    results: list[RunResult] = []
+    blocks = []
     for iso3 in sorted(deciles):
+        ds = deciles[iso3]
         sited = _stage(memo, ("sites", iso3, s.generation, scenario), lambda: _country_sites(
-            bundle, deciles[iso3], tables[(iso3, s.generation)], scenario))
+            bundle, ds, tables[(iso3, s.generation)], scenario))
         costs = _stage(memo, ("cost", iso3, s.generation, s.backhaul, s.sharing, s.policy, scenario),
-                       lambda: _country_costs(bundle, iso3, sited, strategy))
-        energy = _stage(memo, ("energy", iso3, s.generation, s.backhaul, s.sharing, s.energy_strategy, scenario),
-                        lambda: [_decile_energy(bundle, d, sites, strategy, scenario) for d, _, sites in sited])
-        for (decile, demand, sites), cost, totals in zip(sited, costs, energy):
-            results.append(RunResult(iso3, decile.decile_index, decile.settlement, decile.population,
-                                     decile.area_km2, strategy, scenario, demand, sites, cost, *totals))
-    return results
+                       lambda: _country_costs(bundle, ds, sited, strategy))
+        used = _stage(memo, ("energy", iso3, s.generation, s.backhaul, s.sharing, s.energy_strategy, scenario),
+                      lambda: _country_energy(bundle, ds, sited, strategy, scenario))
+        blocks.append((decile_columns[iso3], sited, costs, used))
+    return blocks
 
 
 def run_pipeline(
@@ -332,62 +454,41 @@ def run_pipeline(
     ``runs`` defaults to the full enumeration of the bundle's axes. A
     failing run is recorded with its run key and does not abort the rest.
     ``jobs`` is the thread count for capacity-table builds; the runs
-    themselves execute in one thread. Results come back in deterministic
-    run order: runs as given, then countries sorted, then deciles;
-    :func:`emit_results` sorts them by run key.
+    themselves execute in one thread. The result table holds rows in
+    deterministic run order: runs as given, then countries sorted, then
+    deciles; :func:`emit_results` sorts them by run key.
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
     deciles = country_deciles(bundle)
+    decile_columns = {iso3: _decile_columns(ds) for iso3, ds in deciles.items()}
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
 
     memo: dict = {}
-    results: list[RunResult] = []
+    blocks: list[tuple[dict[str, np.ndarray], ...]] = []
+    block_runs: list[int] = []
     failures: list[RunFailure] = []
-    for strategy, scenario in runs:
+    for i, (strategy, scenario) in enumerate(runs):
         try:
-            results.extend(_run_one(bundle, deciles, tables, strategy, scenario, memo))
+            run_blocks = _run_one(bundle, deciles, decile_columns, tables, strategy, scenario, memo)
         except BbandSimError as err:
             failures.append(RunFailure(strategy, scenario, f"{type(err).__name__}: {err}"))
             logger.error("run failed (%s, %s): %s", strategy, scenario, failures[-1].error)
-    return PipelineOutput(results=results, failures=failures)
+            continue
+        blocks.extend(run_blocks)
+        block_runs.extend([i] * len(run_blocks))
+    if not blocks:
+        return PipelineOutput(ResultTable.from_rows([]), failures)
+    run = np.repeat(np.array(block_runs, dtype=np.intp), [len(b[0]["decile_index"]) for b in blocks])
+    columns = {name: np.concatenate([b[stage][name] for b in blocks])
+               for stage in range(len(blocks[0])) for name in blocks[0][stage]}
+    return PipelineOutput(ResultTable(list(runs), run, columns), failures)
 
 
 # ---------------------------------------------------------------------------
 # Emission of result files
 # ---------------------------------------------------------------------------
-
-def _fmt_any(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-_FMT_BY_TYPE = {str: str, int: str, float: "{:.6g}".format}
-
-
-def _fmt(value) -> str:
-    """Fixed formatting: integers verbatim, floats at 6 significant digits."""
-    return _FMT_BY_TYPE.get(type(value), _fmt_any)(value)
-
-
-DECILE_COLUMNS = [
-    "country_iso3", "decile_index", "settlement", "population", "area_km2",
-    "generation", "backhaul", "sharing", "policy", "energy_strategy",
-    "capacity_gb_month", "adoption",
-    "demand_mbps_km2", "total_sites", "existing_sites", "new_sites",
-    "upgraded_sites", "unserviceable",
-    "revenue_pv_usd", "network_usd", "administration_usd", "spectrum_usd",
-    "tax_usd", "profit_usd", "private_cost_usd", "subsidy_usd",
-    "government_cost_usd", "financial_cost_usd",
-    "energy_kwh", "on_grid_kwh", "off_grid_kwh",
-    "co2_kg", "nox_g", "sox_g", "pm10_g",
-]
 
 COUNTRY_COLUMNS = [
     "country_iso3", "generation", "backhaul", "sharing", "policy",
@@ -401,13 +502,30 @@ COUNTRY_COLUMNS = [
     "co2_kg", "nox_g", "sox_g", "pm10_g",
 ]
 
-_SUM_FIELDS = [
-    "revenue_pv_usd", "network_usd", "administration_usd", "spectrum_usd",
-    "tax_usd", "profit_usd", "private_cost_usd", "subsidy_usd",
-    "government_cost_usd", "financial_cost_usd",
-    "energy_kwh", "on_grid_kwh", "off_grid_kwh",
-    "co2_kg", "nox_g", "sox_g", "pm10_g",
+#: Group fields (country and run key) and (column, source, zero) sums of the country file.
+_COUNTRY_GROUP = COUNTRY_COLUMNS[:COUNTRY_COLUMNS.index("population")]
+_COUNTRY_SUMS = [
+    *((f, f, 0) for f in ("population", "total_sites", "new_sites", "upgraded_sites")),
+    ("unserviceable_deciles", "unserviceable", 0),
+    *((f, f, 0.0) for f in COUNTRY_COLUMNS[COUNTRY_COLUMNS.index("revenue_pv_usd"):]),
 ]
+
+_COST_ENERGY = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"]
+
+#: (file name, group fields, value fields, baseline filter) of each summary file.
+_SUMMARIES = [
+    ("summary_by_technology.csv", ["generation", "backhaul", "capacity_gb_month", "adoption"], _COST_ENERGY,
+     {"sharing": "baseline", "policy": "baseline", "energy_strategy": "baseline"}),
+    ("summary_by_sharing.csv", ["sharing"], _COST_ENERGY, {"policy": "baseline", "energy_strategy": "baseline"}),
+    ("summary_by_policy.csv", ["policy"],
+     ["financial_cost_usd", "private_cost_usd", "government_cost_usd", "subsidy_usd"],
+     {"sharing": "baseline", "energy_strategy": "baseline"}),
+    ("summary_emissions.csv", ["energy_strategy", "generation", "backhaul"],
+     ["energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"], {"sharing": "baseline", "policy": "baseline"}),
+]
+
+#: Rows of ``results_decile.csv`` formatted and written per block.
+EMIT_BLOCK = 4096
 
 
 def decile_row(r: RunResult) -> dict:
@@ -451,105 +569,116 @@ def decile_row(r: RunResult) -> dict:
     }
 
 
-class _GroupSums:
-    """Per-group sums of decile-row fields, added in the order rows are fed.
+def format_column(values: np.ndarray) -> np.ndarray:
+    """The CSV text of each value, as an object array.
 
-    ``sums`` holds ``(column, source field, zero)`` triples; rows that
-    differ from ``where`` in any field are skipped. :meth:`rows` returns one
-    row per group, sorted by the group fields.
+    Integers verbatim, bools as 1/0, floats at 6 significant digits,
+    strings as they are. Each distinct value is formatted once; floats are
+    told apart by bit pattern, so -0.0 and 0.0 keep their own text.
     """
-
-    def __init__(self, group_fields: Sequence[str], sums: Sequence[tuple[str, str, float]], where: dict | None = None):
-        self.group_fields = tuple(group_fields)
-        self.sums = tuple(sums)
-        self.where = tuple((where or {}).items())
-        self.groups: dict[tuple, dict] = {}
-
-    def add(self, d: dict) -> None:
-        for f, v in self.where:
-            if d[f] != v:
-                return
-        key = tuple(d[f] for f in self.group_fields)
-        row = self.groups.get(key)
-        if row is None:
-            row = self.groups[key] = dict(zip(self.group_fields, key))
-            row.update((column, zero) for column, _, zero in self.sums)
-        for column, field, _ in self.sums:
-            row[column] += d[field]
-
-    def rows(self) -> list[dict]:
-        return [self.groups[k] for k in sorted(self.groups)]
+    if values.dtype.kind == "b":
+        return np.array(["0", "1"], dtype=object)[values.astype(np.intp)]
+    if values.dtype.kind == "f":
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = ["{:.6g}".format(v) for v in distinct.view(np.float64).tolist()]
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        text = [str(v) for v in distinct.tolist()]
+    return np.array(text, dtype=object)[inverse]
 
 
-def _country_sums() -> _GroupSums:
-    counts = [(f, f, 0) for f in ("population", "total_sites", "new_sites", "upgraded_sites")]
-    counts.append(("unserviceable_deciles", "unserviceable", 0))
-    group = COUNTRY_COLUMNS[:COUNTRY_COLUMNS.index("population")]  # country and run key
-    return _GroupSums(group, [*counts, *((f, f, 0.0) for f in _SUM_FIELDS)])
+def _group_sums(
+    table: ResultTable,
+    order: np.ndarray,
+    group: Sequence[str],
+    sums: Sequence[tuple[str, str, float]],
+    where: Mapping[str, str] | None = None,
+) -> dict[str, np.ndarray]:
+    """Per-group sums over the rows ``order`` lists, as columns.
+
+    ``group`` names ``country_iso3`` (first, if at all) and run-key
+    columns; groups come sorted by their values. ``sums`` holds
+    ``(column, source, zero)`` triples: a float zero sums as float, an int
+    zero counts in integers. Rows whose run differs from ``where`` are
+    skipped. Each sum adds its rows in ``order`` (``np.bincount`` and
+    ``np.add.at`` add in index order), as a running total would.
+    """
+    run_ok = np.ones(len(table.runs), dtype=bool)
+    for f, v in (where or {}).items():
+        run_ok &= table.run_values[f] == v
+    run_code, radix = np.zeros(len(table.runs), dtype=np.int64), 1
+    for f in group:
+        if f != "country_iso3":
+            labels, code = np.unique(table.run_values[f], return_inverse=True)
+            run_code, radix = run_code * len(labels) + code, radix * len(labels)
+
+    rows = order[run_ok[table.run[order]]]
+    key = run_code[table.run[rows]]
+    if "country_iso3" in group:
+        _, country = np.unique(table.columns["country_iso3"][rows], return_inverse=True)
+        key = country * radix + key
+    _, first, gid = np.unique(key, return_index=True, return_inverse=True)
+    out = {f: table.column(f, rows[first]) for f in group}
+    for column, source, zero in sums:
+        values = table.columns[source][rows]
+        if isinstance(zero, float) or values.dtype.kind == "f":
+            out[column] = np.bincount(gid, weights=values, minlength=len(first))
+        else:
+            out[column] = np.zeros(len(first), dtype=np.int64)
+            np.add.at(out[column], gid, values)
+    return out
 
 
 def aggregate_country_rows(results: Sequence[RunResult]) -> list[dict]:
-    """Country-level aggregation of the per-decile results, full precision."""
-    sums = _country_sums()
-    for r in results:
-        sums.add(decile_row(r))
-    return sums.rows()
+    """Country-level aggregation of the per-decile results, full precision.
+
+    Rows are summed in list order, one dict per (country, run key), sorted.
+    """
+    table = ResultTable.from_rows(results)
+    sums = _group_sums(table, np.arange(len(table)), _COUNTRY_GROUP, _COUNTRY_SUMS)
+    return [dict(zip(COUNTRY_COLUMNS, row)) for row in zip(*(sums[c].tolist() for c in COUNTRY_COLUMNS))]
 
 
-_COST_ENERGY = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"]
-
-#: (file name, group fields, value fields, baseline filter) of each summary file.
-_SUMMARIES = [
-    ("summary_by_technology.csv", ["generation", "backhaul", "capacity_gb_month", "adoption"], _COST_ENERGY,
-     {"sharing": "baseline", "policy": "baseline", "energy_strategy": "baseline"}),
-    ("summary_by_sharing.csv", ["sharing"], _COST_ENERGY, {"policy": "baseline", "energy_strategy": "baseline"}),
-    ("summary_by_policy.csv", ["policy"],
-     ["financial_cost_usd", "private_cost_usd", "government_cost_usd", "subsidy_usd"],
-     {"sharing": "baseline", "energy_strategy": "baseline"}),
-    ("summary_emissions.csv", ["energy_strategy", "generation", "backhaul"],
-     ["energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"], {"sharing": "baseline", "policy": "baseline"}),
-]
-
-
-def _write_csv(path: Path, columns: Sequence[str], rows: Iterable[dict]) -> None:
+def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]) -> None:
+    """Write ``columns`` as the header, then each block of per-column texts as rows."""
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join([_fmt(row[c]) for c in columns]) + "\n")
+            for block in blocks:
+                fh.writelines(",".join(row) + "\n" for row in zip(*block))
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
-def _feeding(rows: Iterable[dict], sinks: Sequence[_GroupSums]) -> Iterator[dict]:
-    """Yield ``rows`` unchanged, adding each one to every sink on the way."""
-    for d in rows:
-        for sink in sinks:
-            sink.add(d)
-        yield d
+def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[list[str]]]:
+    run_text = {name: format_column(values) for name, values in table.run_values.items()}
+    for start in range(0, len(order), EMIT_BLOCK):
+        rows = order[start:start + EMIT_BLOCK]
+        run = table.run[rows]
+        yield [(run_text[c][run] if c in run_text else format_column(table.columns[c][rows])).tolist()
+               for c in DECILE_COLUMNS]
 
 
-def emit_results(results: Sequence[RunResult], out_dir: Path | str) -> list[Path]:
+def emit_results(results: ResultTable | Sequence[RunResult], out_dir: Path | str) -> list[Path]:
     """Write the decile, country and summary CSVs; returns the paths written.
 
     Output is byte-stable: rows are fully sorted, floats carry 6 significant
     digits, and re-running with identical inputs rewrites identical files.
-    One sorted pass formats each decile row once, streams it to
-    ``results_decile.csv`` and adds it to the country and summary sums, so
-    every sum accumulates in sorted row order.
+    A list of :class:`RunResult` rows is first turned into a
+    :class:`ResultTable`. Every sum adds its rows in sorted order.
     """
+    table = results if isinstance(results, ResultTable) else ResultTable.from_rows(results)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    country = _country_sums()
-    summaries = [(name, [*group, *values], _GroupSums(group, [(f, f, 0.0) for f in values], where))
-                 for name, group, values, where in _SUMMARIES]
-    sinks = [country, *(sums for _, _, sums in summaries)]
-    rows = (decile_row(r) for r in sorted(results, key=RunResult.sort_key))
+    order = table.sort_order()
+
+    def write(path: Path, columns: Sequence[str], sums: Mapping[str, np.ndarray]) -> None:
+        _write_csv(path, columns, [[format_column(sums[c]).tolist() for c in columns]])
 
     paths = [out / "results_decile.csv", out / "results_country.csv"]
-    _write_csv(paths[0], DECILE_COLUMNS, _feeding(rows, sinks))
-    _write_csv(paths[1], COUNTRY_COLUMNS, country.rows())
-    for name, columns, sums in summaries:
+    _write_csv(paths[0], DECILE_COLUMNS, _decile_blocks(table, order))
+    write(paths[1], COUNTRY_COLUMNS, _group_sums(table, order, _COUNTRY_GROUP, _COUNTRY_SUMS))
+    for name, group, values, where in _SUMMARIES:
         paths.append(out / name)
-        _write_csv(paths[-1], columns, sums.rows())
+        write(paths[-1], [*group, *values], _group_sums(table, order, group, [(f, f, 0.0) for f in values], where))
     return paths

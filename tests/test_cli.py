@@ -57,6 +57,18 @@ def test_bad_runs_expression(miniland_dir, miniland_config, tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_unknown_filter_value_lists_valid_values(miniland_dir, miniland_config, tmp_path, capsys):
+    code = main([
+        "run", "--data", str(miniland_dir), "--config", str(miniland_config),
+        "--out", str(tmp_path / "out"), "--runs", "policy=baseline|lowtax",
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "lowtax" in err
+    assert "baseline|low_tax|high_tax|low_spectrum|high_spectrum" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_filter_match(miniland_dir, miniland_config, tmp_path, capsys):
     code = main([
         "run", "--data", str(miniland_dir), "--config", str(miniland_config),

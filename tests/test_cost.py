@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bband_sim.core import Backhaul, Policy, Settlement, Sharing
+import oracles
+from bband_sim.core import Backhaul, EnergyStrategy, Generation, Policy, Settlement, Sharing, StrategyBundle
 from bband_sim.cost import (
     CostComponents,
     CostInputs,
     DecileCost,
     apply_sharing,
+    cost_columns,
     cross_subsidize,
     decile_components,
     financial_cost_total,
@@ -143,6 +147,114 @@ class TestCrossSubsidize:
             assert sum(c.subsidy for c in out) == pytest.approx(max(0.0, deficits - surplus), abs=1e-6)
             for (c, r), rec in zip(pairs, out):
                 assert rec.subsidy <= max(0.0, c - r) + 1e-9
+
+
+money = st.one_of(st.sampled_from([0.0, 10.0, 20.0, 50.0]), st.floats(0.0, 1e9))
+
+
+@st.composite
+def country_costs(draw):
+    """One country's (private cost, revenue) per decile; small round values make ties common."""
+    n = draw(st.integers(1, 10))
+    return draw(st.lists(st.tuples(money, money), min_size=n, max_size=n))
+
+
+class TestCrossSubsidizeProperties:
+    make = staticmethod(TestCrossSubsidize.make)
+
+    @settings(max_examples=300, deadline=None)
+    @given(country_costs())
+    def test_matches_brute_force_oracle(self, pairs):
+        out = cross_subsidize(self.make(pairs))
+        revenues = [r for _, r in pairs]
+        private = [c for c, _ in pairs]
+        expected, expected_total = oracles.cross_subsidy_oracle(revenues, private)
+        # 1e-9 relative to the country's largest amount: the oracle pays in
+        # installments, whose rounding leaves residues near zero
+        tol = 1e-9 * max(1.0, *revenues, *private)
+        assert [c.subsidy for c in out] == pytest.approx(expected, rel=1e-9, abs=tol)
+        total = sum(c.subsidy for c in out)
+        assert total == pytest.approx(expected_total, rel=1e-9, abs=tol)
+        # conservation: the pool pays down deficits until one side runs out
+        deficits = sum(max(0.0, c - r) for c, r in pairs)
+        surplus = sum(max(0.0, r - c) for c, r in pairs)
+        assert total == pytest.approx(max(0.0, deficits - surplus), rel=1e-9, abs=tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(country_costs(), st.randoms(use_true_random=False))
+    def test_ties_broken_by_decile_index_not_position(self, pairs, rnd):
+        records = self.make(pairs)
+        shuffled = list(records)
+        rnd.shuffle(shuffled)
+        in_order = {c.decile_index: c.subsidy for c in cross_subsidize(records)}
+        got = {c.decile_index: c.subsidy for c in cross_subsidize(shuffled)}
+        # the pool sums in list order, so only its last bits may move
+        tol = 1e-9 * max(1.0, *(x for pair in pairs for x in pair))
+        assert got == pytest.approx(in_order, rel=1e-9, abs=tol)
+
+    def test_equal_deficits_fund_the_lower_decile_first(self):
+        # deficits of 30 in deciles 2 and 3, a pool of 30: decile 2 is paid
+        out = cross_subsidize(self.make([(100, 130), (130, 100), (130, 100)])[::-1])
+        assert {c.decile_index: c.subsidy for c in out} == {1: 0.0, 2: 0.0, 3: 30.0}
+
+
+@st.composite
+def cost_blocks(draw):
+    """Keyword arguments of :func:`cost_columns` for one country of 1-10 deciles."""
+    n = draw(st.integers(1, 10))
+    counts = st.lists(st.integers(0, 2_000_000), min_size=n, max_size=n)
+    strategy = StrategyBundle(
+        draw(st.sampled_from(list(Generation))), draw(st.sampled_from(Backhaul)), draw(st.sampled_from(Sharing)),
+        draw(st.sampled_from(Policy)), EnergyStrategy.BASELINE,
+    )
+    return {
+        "new_sites": draw(counts),
+        "upgraded_sites": draw(counts),
+        "settlements": draw(st.lists(st.sampled_from(Settlement), min_size=n, max_size=n)),
+        "revenue_pv": draw(st.lists(st.floats(0.0, 1e12), min_size=n, max_size=n)),
+        "population": draw(st.lists(st.integers(0, 50_000_000), min_size=n, max_size=n)),
+        "decile_index": list(range(1, n + 1)),
+        "strategy": strategy,
+        "n_sharers": draw(st.integers(1, 5)),
+        "spectrum_mhz": draw(st.floats(0.0, 500.0)),
+        "costs": CostInputs(),
+    }
+
+
+class TestCostColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(cost_blocks())
+    def test_equals_scalar_chain_bit_for_bit(self, b):
+        s, costs = b["strategy"], b["costs"]
+        chain = cross_subsidize([
+            private_cost(
+                apply_sharing(decile_components(new, upgraded, s.backhaul, costs), s.sharing, b["n_sharers"],
+                              settlement).total,
+                costs, s.policy, revenue, spectrum_mhz=b["spectrum_mhz"], population=population,
+                country_iso3="AAA", decile_index=index,
+            )
+            for new, upgraded, settlement, revenue, population, index in zip(
+                b["new_sites"], b["upgraded_sites"], b["settlements"], b["revenue_pv"], b["population"],
+                b["decile_index"])
+        ])
+        got = cost_columns(**b)
+        fields = {"network_usd": "network", "administration_usd": "administration", "spectrum_usd": "spectrum",
+                  "tax_usd": "tax", "profit_usd": "profit", "private_cost_usd": "private_cost",
+                  "subsidy_usd": "subsidy", "government_cost_usd": "government_cost",
+                  "financial_cost_usd": "financial_cost"}
+        assert set(got) == set(fields)
+        for column, field in fields.items():
+            assert [x.hex() for x in got[column].tolist()] == [float(getattr(c, field)).hex() for c in chain], column
+
+    def test_rejects_negative_counts_and_no_sharers(self):
+        args = dict(settlements=[Settlement.RURAL], revenue_pv=[0.0], population=[0], decile_index=[1],
+                    strategy=StrategyBundle(Generation.G4, Backhaul.FIBER, Sharing.ACTIVE, Policy.BASELINE,
+                                            EnergyStrategy.BASELINE),
+                    spectrum_mhz=10.0, costs=COSTS)
+        with pytest.raises(ValidationError, match="site counts"):
+            cost_columns(new_sites=[1], upgraded_sites=[-1], n_sharers=2, **args)
+        with pytest.raises(ValidationError, match="n_sharers"):
+            cost_columns(new_sites=[1], upgraded_sites=[1], n_sharers=0, **args)
 
 
 class TestFinancialTotal:

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bband_sim.core import Backhaul, EnergyStrategy, Settlement, Sharing
 from bband_sim.energy import (
     DIESEL_SOURCE,
+    ENERGY_FIELDS,
+    MIX_SOURCES,
     EmissionFactors,
     Emissions,
     EnergyParams,
@@ -14,6 +18,7 @@ from bband_sim.energy import (
     build_schedule,
     cumulate_horizon,
     emissions,
+    energy,
     sharing_energy_divisor,
     split_energy,
 )
@@ -205,3 +210,117 @@ class TestFactorValidation:
         bad = {k: v for k, v in FACTORS.by_source.items() if k != "diesel"}
         with pytest.raises(ValidationError, match="missing"):
             EmissionFactors(by_source=bad)
+
+
+@st.composite
+def mix_rows(draw, n_years):
+    """One generation mix per year: a random subset of the sources in a random order."""
+    rows = []
+    for _ in range(n_years):
+        sources = draw(st.permutations(MIX_SOURCES))[:draw(st.integers(1, len(MIX_SOURCES)))]
+        weights = draw(st.lists(st.integers(0, 1000), min_size=len(sources), max_size=len(sources)))
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        rows.append({source: w / total for source, w in zip(sources, weights)})
+    return rows
+
+
+@st.composite
+def energy_blocks(draw, max_sites=5_000_000):
+    """Keyword arguments of :func:`energy` for a block of 1-10 deciles."""
+    n = draw(st.integers(1, 10))
+    site_counts = st.lists(st.one_of(st.just(0), st.integers(0, 50), st.integers(0, max_sites)), min_size=n, max_size=n)
+    share = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    grid = apply_renewables_strategy(GridSplit(share), draw(st.sampled_from(EnergyStrategy)))
+    return {
+        "existing_sites": draw(site_counts),
+        "new_sites": draw(site_counts),
+        "settlements": draw(st.lists(st.sampled_from(Settlement), min_size=n, max_size=n)),
+        "sharing": draw(st.sampled_from(Sharing)),
+        "n_sharers": draw(st.integers(1, 5)),
+        "backhaul": draw(st.sampled_from(Backhaul)),
+        "grid": grid,
+        "mix_rows": draw(mix_rows(draw(st.integers(1, 30)))),
+        "params": EnergyParams(),
+        "factors": FACTORS,
+    }
+
+
+def scalar_chain(existing_sites, new_sites, settlements, sharing, n_sharers, backhaul, grid, mix_rows, params, factors):
+    """Per-decile horizon totals from the scalar functions, one decile-year at a time."""
+    out = []
+    for existing, new, settlement in zip(existing_sites, new_sites, settlements):
+        divisor = sharing_energy_divisor(sharing, settlement, n_sharers)
+        per_year, cumulative = [], 0
+        for year, (builds, mix) in enumerate(zip(build_schedule(new, len(mix_rows)), mix_rows), start=2023):
+            cumulative += builds
+            kwh = annual_energy(existing, cumulative, params, backhaul)
+            kwh /= divisor
+            on, off = split_energy(kwh, grid)
+            per_year.append(YearEnergy(year, kwh, on, off, emissions(on, off, mix, factors, grid)))
+        t = cumulate_horizon(per_year)
+        e = t.emissions
+        out.append((t.energy_kwh, t.on_grid_kwh, t.off_grid_kwh, e.co2_kg, e.nox_g, e.sox_g, e.pm10_g))
+    return out
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestEnergyKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(energy_blocks())
+    def test_equals_scalar_chain_bit_for_bit(self, block):
+        got = energy(**block)
+        assert list(got) == list(ENERGY_FIELDS)
+        columns = zip(*(got[f].tolist() for f in ENERGY_FIELDS))
+        for kernel_row, chain_row in zip(columns, scalar_chain(**block), strict=True):
+            assert bits(kernel_row) == bits(chain_row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(energy_blocks(max_sites=1_000_000), st.integers(2, 50))
+    def test_linear_in_site_counts(self, block, k):
+        share = block["grid"].on_grid_share
+        assume(share == 0.0 or share > 1e-300)  # subnormal products lose the exactness of doubling
+        # a whole number of builds per year keeps the build schedule linear
+        n_years = len(block["mix_rows"])
+        block["new_sites"] = [n_years * (x // n_years) for x in block["new_sites"]]
+        single = energy(**block)
+        scaled = dict(block, existing_sites=[k * x for x in block["existing_sites"]],
+                      new_sites=[k * x for x in block["new_sites"]])
+        multiple = energy(**scaled)
+        doubled = energy(**dict(block, existing_sites=[2 * x for x in block["existing_sites"]],
+                                new_sites=[2 * x for x in block["new_sites"]]))
+        # off-grid energy is total minus on-grid, so bound errors by the total
+        largest_factor = max(max(row.as_tuple()) for row in FACTORS.by_source.values())
+        tol = 1e-12 * k * single["energy_kwh"] * largest_factor
+        for f in ENERGY_FIELDS:
+            assert (doubled[f] == 2.0 * single[f]).all(), f  # scaling by 2 is exact
+            assert (abs(multiple[f] - k * single[f]) <= tol).all(), f
+
+    @settings(max_examples=200, deadline=None)
+    @given(energy_blocks())
+    def test_on_and_off_grid_conserve_energy(self, block):
+        got = energy(**block)
+        share = block["grid"].on_grid_share
+        for total, on, off in zip(*(got[f].tolist() for f in ("energy_kwh", "on_grid_kwh", "off_grid_kwh"))):
+            assert on + off == pytest.approx(total, rel=1e-12)
+            assert on == pytest.approx(share * total, rel=1e-12)
+            if share == 1.0:
+                assert off == 0.0
+            if share == 0.0:
+                assert on == 0.0
+
+    def test_each_mix_row_checked(self):
+        bad = dict(ALL_COAL, coal=0.97)
+        block = {"existing_sites": [1], "new_sites": [2], "settlements": [Settlement.RURAL],
+                 "sharing": Sharing.BASELINE, "n_sharers": 3, "backhaul": Backhaul.FIBER, "grid": GridSplit(0.5),
+                 "params": EnergyParams(), "factors": FACTORS}
+        with pytest.raises(ValidationError, match="sum"):
+            energy(**block, mix_rows=[ALL_COAL, bad])
+        with pytest.raises(ValidationError, match="unknown mix sources"):
+            energy(**block, mix_rows=[{"peat": 1.0}])
+        with pytest.raises(ValidationError, match="site counts"):
+            energy(**dict(block, new_sites=[-1]), mix_rows=[ALL_COAL])

@@ -5,6 +5,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bband_sim import load_bundle, pipeline, radio
@@ -16,16 +17,26 @@ from bband_sim.core import (
     Generation,
     Policy,
     ScenarioSpec,
+    Settlement,
     Sharing,
     StrategyBundle,
     enumerate_runs,
 )
+from bband_sim.cost import DecileCost
+from bband_sim.demand import DemandResult
+from bband_sim.dimensioning import SiteRequirement
+from bband_sim.energy import Emissions
 from bband_sim.errors import ValidationError
 from bband_sim.pipeline import (
+    COUNTRY_COLUMNS,
+    DECILE_COLUMNS,
     PipelineOutput,
+    ResultTable,
+    RunResult,
     aggregate_country_rows,
     decile_row,
     emit_results,
+    format_column,
     run_pipeline,
 )
 
@@ -72,21 +83,22 @@ class TestRunPipeline:
     def test_failure_contained(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
 
-        real = pl._decile_energy
+        real = pl.energy
 
-        def explode(bundle_, decile, sites, strategy, scenario):
-            if scenario.capacity_gb_month == 40.0:
+        def explode(existing, new, settlements, sharing, *args):
+            if sharing == Sharing.ACTIVE:
                 raise ValidationError("synthetic failure")
-            return real(bundle_, decile, sites, strategy, scenario)
+            return real(existing, new, settlements, sharing, *args)
 
-        monkeypatch.setattr(pl, "_decile_energy", explode)
-        strategy = BASELINE_RUN[0]
+        monkeypatch.setattr(pl, "energy", explode)
+        strategy, scenario = BASELINE_RUN
         low_tax = dataclasses.replace(strategy, policy=Policy.LOW_TAX)
-        failing = ScenarioSpec(40.0, AdoptionScenario.BASELINE)
+        active = dataclasses.replace(strategy, sharing=Sharing.ACTIVE)
+        active_low_tax = dataclasses.replace(active, policy=Policy.LOW_TAX)
         # the two failing runs differ only in policy, so they share one energy key
-        runs = [BASELINE_RUN, (strategy, failing), (low_tax, failing), (low_tax, BASELINE_RUN[1])]
+        runs = [BASELINE_RUN, (active, scenario), (active_low_tax, scenario), (low_tax, scenario)]
         out = run_pipeline(bundle, runs, cache_dir=table_cache)
-        assert [(f.strategy, f.scenario) for f in out.failures] == [(strategy, failing), (low_tax, failing)]
+        assert [(f.strategy, f.scenario) for f in out.failures] == [(active, scenario), (active_low_tax, scenario)]
         assert all("synthetic failure" in f.error for f in out.failures)
         assert len(out.results) == 40  # the healthy runs still completed
         assert {r.strategy for r in out.results} == {strategy, low_tax}
@@ -95,20 +107,20 @@ class TestRunPipeline:
         import bband_sim.pipeline as pl
 
         calls = []
-        real = pl.emissions
+        real = pl.energy
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(pl, "emissions", counted)
+        monkeypatch.setattr(pl, "energy", counted)
         strategy, scenario = BASELINE_RUN
         runs = [(dataclasses.replace(strategy, policy=policy), scenario) for policy in Policy]
         assert len(runs) == 5
         out = run_pipeline(bundle, runs, cache_dir=table_cache)
         assert not out.failures
         assert len(out.results) == 5 * 20
-        assert len(calls) == 20 * scenario.n_years  # once per decile-year, not once per policy
+        assert len(calls) == 2  # once per country's energy key, not once per policy
 
     @pytest.mark.parametrize("change", [{"discount_rate": 0.10}, {"end_year": 2027}])
     def test_runs_differing_only_in_scenario_detail_are_independent(self, bundle, table_cache, change):
@@ -237,6 +249,107 @@ class TestEmitResults:
         assert rows["passive"] <= rows["baseline"]
 
 
+def row_formatter(value) -> str:
+    """The per-value CSV formatting rule: bools as 1/0, ints verbatim, floats at 6 significant digits."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+INF, NAN = float("inf"), float("nan")
+SPECIAL_FLOATS = [-0.0, 0.0, NAN, -NAN, INF, -INF, 1e16, 123456.5, 999999.5, 5e-324, 2.5e-310, 1e-7, -0.0, 0.0]
+
+
+def special_rows() -> list[RunResult]:
+    """Hand-built rows holding signed zeros, nan, infinities, subnormals and large values."""
+    base = BASELINE_RUN[0]
+    low_tax = dataclasses.replace(base, policy=Policy.LOW_TAX)
+    scenario = BASELINE_RUN[1]
+
+    def row(strategy, index, population, area, demand, sites, cost, kwh, species):
+        return RunResult("AAA", index, Settlement.RURAL, population, area, strategy, scenario,
+                         DemandResult(1.0, 0.5, demand, cost[-1]), SiteRequirement("AAA", index, *sites),
+                         DecileCost("AAA", index, *cost), *kwh, Emissions(*species))
+
+    return [
+        row(low_tax, 1, 1_234_567, 5e-324, NAN, (3, 1, 2, 1, True),
+            (1e16, -0.0, 0.0, INF, -INF, 123456.5, 0.5, -0.0), (2.5e-310, -0.0, 1e16), (-0.0, 0.0, NAN, 1e-7)),
+        row(base, 2, 10_000_000, 123456.5, 0.0, (0, 4, 0, 0, False),
+            (-0.0, 1.5, 2.5, 3.5, 4.5, 5.5, -0.0, 6.5), (1.0, 0.5, 0.5), (-0.0, -0.0, INF, 1e300)),
+        row(base, 1, 0, 1e16, 5e-324, (1, 1, 0, 1, True),
+            (5e-324, 1e-320, 2.0, -INF, NAN, 999999.5, 1e16, 0.0), (0.0, 0.0, 0.0), (1e-300, 1e16, -0.0, 5e-324)),
+    ]
+
+
+# the files written for special_rows() by the row-at-a-time emitter this one replaced
+SPECIAL_FILES = {
+    "results_decile.csv": [
+        ",".join(DECILE_COLUMNS),
+        "AAA,1,rural,0,1e+16,4G,wireless,baseline,baseline,baseline,30,baseline,4.94066e-324,1,1,0,1,1,1e+16,"
+        "4.94066e-324,9.99989e-321,2,-inf,nan,1e+06,0,inf,inf,0,0,0,1e-300,1e+16,-0,4.94066e-324",
+        "AAA,1,rural,1234567,4.94066e-324,4G,wireless,baseline,low_tax,baseline,30,baseline,nan,3,1,2,1,1,0.5,"
+        "1e+16,-0,0,inf,-inf,123456,-0,-inf,-inf,2.5e-310,-0,1e+16,-0,0,nan,1e-07",
+        "AAA,2,rural,10000000,123456,4G,wireless,baseline,baseline,baseline,30,baseline,0,0,4,0,0,0,-0,-0,1.5,"
+        "2.5,3.5,4.5,5.5,6.5,0.5,6,1,0.5,0.5,-0,-0,inf,1e+300",
+    ],
+    "results_country.csv": [
+        ",".join(COUNTRY_COLUMNS),
+        "AAA,4G,wireless,baseline,baseline,baseline,30,baseline,10000000,1,0,1,1,1e+16,4.94066e-324,1.5,4.5,"
+        "-inf,nan,1e+06,6.5,inf,inf,1,0.5,0.5,1e-300,1e+16,inf,1e+300",
+        "AAA,4G,wireless,baseline,low_tax,baseline,30,baseline,1234567,3,2,1,1,0.5,1e+16,0,0,inf,-inf,123456,"
+        "0,-inf,-inf,2.5e-310,0,1e+16,0,0,nan,1e-07",
+    ],
+    "summary_by_policy.csv": [
+        "policy,financial_cost_usd,private_cost_usd,government_cost_usd,subsidy_usd",
+        "baseline,inf,1e+06,inf,6.5",
+        "low_tax,-inf,123456,-inf,0",
+    ],
+    "summary_by_sharing.csv": [
+        "sharing,financial_cost_usd,energy_kwh,co2_kg,nox_g,sox_g,pm10_g",
+        "baseline,inf,1,1e-300,1e+16,inf,1e+300",
+    ],
+    "summary_by_technology.csv": [
+        "generation,backhaul,capacity_gb_month,adoption,financial_cost_usd,energy_kwh,co2_kg,nox_g,sox_g,pm10_g",
+        "4G,wireless,30,baseline,inf,1,1e-300,1e+16,inf,1e+300",
+    ],
+    "summary_emissions.csv": [
+        "energy_strategy,generation,backhaul,energy_kwh,co2_kg,nox_g,sox_g,pm10_g",
+        "baseline,4G,wireless,1,1e-300,1e+16,inf,1e+300",
+    ],
+}
+
+
+class TestFormatting:
+    @pytest.mark.parametrize("values", [
+        SPECIAL_FLOATS,
+        [0, 7, 999_999, 1_000_000, 1_234_567, 10**15, 0, 7],  # population-style int column
+        [True, False, False, True],
+        ["MLA", "rural", "4G", "MLA"],
+    ])
+    def test_column_matches_row_formatter(self, values):
+        assert format_column(np.array(values)).tolist() == [row_formatter(v) for v in values]
+
+    def test_signed_zero_and_nan_payloads_keep_their_text(self):
+        text = format_column(np.array([0.0, -0.0, NAN, -NAN])).tolist()
+        assert text == ["0", "-0", f"{NAN:.6g}", f"{-NAN:.6g}"]
+
+    def test_emit_special_values_bytes(self, tmp_path):
+        emit_results(special_rows(), tmp_path)
+        for name, lines in SPECIAL_FILES.items():
+            assert (tmp_path / name).read_text() == "".join(line + "\n" for line in lines), name
+
+    def test_table_round_trips_rows(self, baseline_output):
+        rows = baseline_output.results
+        assert ResultTable.from_rows(rows).rows() == rows
+        # repr tells -0.0 from 0.0 and sees nan, which == cannot
+        special = ResultTable.from_rows(special_rows()).rows()
+        assert [repr(decile_row(r)) for r in special] == [repr(decile_row(r)) for r in special_rows()]
+
+
 class TestEdgeCasesEndToEnd:
     def test_degenerate_deciles_flow_through_as_zeros(self, miniland_copy, table_cache):
         # keep only two MLA regions: deciles 3..10 become degenerate
@@ -286,3 +399,19 @@ class TestRunFilter:
         from bband_sim.cli import parse_run_filter
         with pytest.raises(ValueError, match="unknown run filter field"):
             parse_run_filter("flavor=salty")
+
+    @pytest.mark.parametrize("expr, message", [
+        ("policy=baseline|lowtax", "low_tax"),
+        ("generation=6G", "4G|5G"),
+        ("capacity=thirty", "numbers"),
+    ])
+    def test_unknown_value_rejected(self, expr, message):
+        from bband_sim.cli import parse_run_filter
+        with pytest.raises(ValueError, match=message):
+            parse_run_filter(expr)
+
+    def test_capacity_compares_as_number(self):
+        from bband_sim.cli import parse_run_filter
+        accept = parse_run_filter("capacity=30.0")
+        assert accept(*BASELINE_RUN)
+        assert not accept(BASELINE_RUN[0], ScenarioSpec(20.0, AdoptionScenario.BASELINE))

@@ -38,7 +38,7 @@ def main() -> int:
             for f in result.failures:
                 print("FAILED:", f, file=sys.stderr)
             return 1
-        paths = emit_results(result.results, out)
+        paths = emit_results(result.table, out)
 
         GOLDEN.mkdir(parents=True, exist_ok=True)
         lines = []
