@@ -23,7 +23,7 @@ from pathlib import Path
 from .core import AdoptionScenario, Backhaul, EnergyStrategy, Generation, Policy, Sharing, enumerate_runs
 from .data_io import load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError
-from .pipeline import emit_results, run_pipeline
+from .pipeline import emit_results, run_key, run_pipeline
 from .radio import build_capacity_table, save_capacity_tables
 
 EXIT_OK = 0
@@ -33,6 +33,7 @@ EXIT_IO = 4
 
 logger = logging.getLogger("bband_sim")
 
+#: Run filter fields, in the order of :func:`pipeline.run_key`.
 RUN_FILTER_FIELDS = ("generation", "backhaul", "sharing", "policy", "energy", "capacity", "adoption")
 
 
@@ -79,15 +80,7 @@ def parse_run_filter(expr: str):
         clauses.append((field, allowed))
 
     def accept(strategy, scenario) -> bool:
-        lookup = {
-            "generation": strategy.generation.value,
-            "backhaul": strategy.backhaul.value,
-            "sharing": strategy.sharing.value,
-            "policy": strategy.policy.value,
-            "energy": strategy.energy_strategy.value,
-            "capacity": scenario.capacity_gb_month,
-            "adoption": scenario.adoption.value,
-        }
+        lookup = dict(zip(RUN_FILTER_FIELDS, run_key(strategy, scenario)))
         return all(lookup[f] in allowed for f, allowed in clauses)
 
     return accept

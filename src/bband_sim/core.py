@@ -7,8 +7,16 @@ import math
 from dataclasses import dataclass, field
 
 from enum import Enum
+from functools import reduce
+from operator import add
+from typing import Iterable
 
 from .errors import MissingDataError, ValidationError
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0, the same bits on every Python (``sum`` compensates from 3.12)."""
+    return reduce(add, values, 0.0)
 
 
 class Generation(str, Enum):
@@ -99,6 +107,10 @@ class RegionRecord:
     @property
     def pop_density(self) -> float:
         return self.population / self.area_km2
+
+
+#: Deciles per country: :func:`build_deciles` always returns this many.
+N_DECILES = 10
 
 
 @dataclass(frozen=True)
@@ -289,8 +301,9 @@ def build_deciles(
     Regions are sorted by descending density (ties broken by ascending
     region_id) and split into 10 contiguous bins of equal region count;
     with ``n = 10q + r`` regions the first ``r`` bins take one extra
-    region. Bin totals are exact integer sums, so population, area and
-    site conservation hold exactly. Empty bins (fewer than 10 regions)
+    region. Population and site totals are exact integer sums, so they
+    are conserved exactly; area is the left-to-right float sum of the
+    bin's regions in sorted order. Empty bins (fewer than 10 regions)
     come back degenerate with zero population and area.
     """
     if not regions:
@@ -307,8 +320,8 @@ def build_deciles(
 
     ordered = sorted(regions, key=lambda r: (-r.pop_density, r.region_id))
     n = len(ordered)
-    q, rem = divmod(n, 10)
-    sizes = [q + 1] * rem + [q] * (10 - rem)
+    q, rem = divmod(n, N_DECILES)
+    sizes = [q + 1] * rem + [q] * (N_DECILES - rem)
 
     deciles: list[DecileRecord] = []
     start = 0
@@ -330,7 +343,7 @@ def build_deciles(
             )
             continue
         population = sum(m.population for m in members)
-        area = sum(m.area_km2 for m in members)
+        area = ordered_sum(m.area_km2 for m in members)
         sites = sum(m.existing_sites for m in members)
         density = population / area
         deciles.append(

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Backhaul, Policy, Settlement, Sharing, StrategyBundle
+from .core import Backhaul, Policy, Settlement, Sharing, StrategyBundle, ordered_sum
 from .errors import ValidationError
 
 
@@ -217,23 +217,35 @@ def cross_subsidize(decile_costs: list[DecileCost]) -> list[DecileCost]:
     if len(countries) > 1:
         raise ValidationError(f"cross_subsidize spans countries: {sorted(countries)}")
 
-    subsidy = subsidies(
-        [c.revenue_pv for c in decile_costs],
-        [c.private_cost for c in decile_costs],
-        [c.decile_index for c in decile_costs],
-    )
+    revenue, private, index = zip(*((c.revenue_pv, c.private_cost, c.decile_index) for c in decile_costs))
+    subsidy = subsidies([revenue], [private], index)[0].tolist()
     return [replace(c, subsidy=s) for c, s in zip(decile_costs, subsidy)]
 
 
-def subsidies(revenue_pv: Sequence[float], private_costs: Sequence[float], decile_index: Sequence[int]) -> list[float]:
-    """State subsidy per decile of one country, by the rule of :func:`cross_subsidize`."""
-    pool = sum(max(0.0, r - c) for r, c in zip(revenue_pv, private_costs))
-    out = [0.0] * len(revenue_pv)
-    deficits = [(c - r, d, i) for i, (r, c, d) in enumerate(zip(revenue_pv, private_costs, decile_index)) if c > r]
-    for deficit, _, i in sorted(deficits, key=lambda x: x[:2]):
-        grant = min(pool, deficit)
-        pool -= grant
-        out[i] = deficit - grant
+def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: Sequence[int]) -> np.ndarray:
+    """State subsidy per decile by the rule of :func:`cross_subsidize`, for (keys, deciles) arrays.
+
+    Each key's pool is the left-to-right sum of its surpluses; deficits are
+    paid one rank at a time across keys, in stable (deficit, decile index)
+    order. ``np.where`` spells ``max(0.0, x)`` and ``min(pool, deficit)``
+    exactly, so every value equals the per-key loop bit for bit.
+    """
+    revenue = np.asarray(revenue_pv, dtype=np.float64)
+    private = np.asarray(private_costs, dtype=np.float64)
+    surplus = revenue - private
+    pool = np.cumsum(np.where(surplus > 0.0, surplus, 0.0), axis=1)[:, -1]  # sequential, as a running total
+    short = private > revenue
+    deficit = private - revenue
+    # non-deficit deciles sort last; their steps below change nothing
+    rank = np.lexsort((np.broadcast_to(decile_index, revenue.shape), np.where(short, deficit, np.inf)), axis=-1)
+    keys = np.arange(len(revenue))
+    out = np.zeros(revenue.shape)
+    for i in rank.T:
+        d = deficit[keys, i]
+        grant = np.where(d < pool, d, pool)
+        paid = short[keys, i]
+        pool = np.where(paid, pool - grant, pool)
+        out[keys, i] = np.where(paid, d - grant, 0.0)
     return out
 
 
@@ -243,7 +255,7 @@ def financial_cost_total(decile_costs: list[DecileCost]) -> float:
     Spectrum fees and taxes cancel between the operator and government
     sides, so the sum equals network + administration + profit + subsidy.
     """
-    return sum(c.private_cost + c.government_cost for c in decile_costs)
+    return ordered_sum(c.private_cost + c.government_cost for c in decile_costs)
 
 
 def cost_columns(
@@ -251,19 +263,20 @@ def cost_columns(
     upgraded_sites: np.ndarray,
     settlements: Sequence[Settlement],
     revenue_pv: np.ndarray,
-    population: np.ndarray,
+    population: Sequence[int],
     decile_index: Sequence[int],
-    strategy: StrategyBundle,
+    strategies: Sequence[StrategyBundle],
     n_sharers: int,
-    spectrum_mhz: float,
+    spectrum_mhz: Sequence[float],
     costs: CostInputs,
 ) -> dict[str, np.ndarray]:
-    """Cost columns of one country's deciles under one strategy.
+    """Cost columns of one country's deciles under a batch of strategies.
 
-    The chain :func:`decile_components` -> :func:`apply_sharing` ->
-    :func:`private_cost` -> :func:`cross_subsidize` over arrays of deciles,
-    bit for bit: an unshared asset class is divided by 1.0, which leaves
-    it unchanged. Keys are the ``*_usd`` result columns.
+    Site counts and revenue are (keys, deciles), with one strategy and one
+    MHz figure per key. The chain :func:`decile_components` ->
+    :func:`apply_sharing` -> :func:`private_cost` -> :func:`cross_subsidize`
+    over the block, bit for bit (an unshared asset class is divided by 1.0,
+    which is exact). Keys are the ``*_usd`` result columns.
     """
     new = np.asarray(new_sites, dtype=np.int64)
     n = new + np.asarray(upgraded_sites, dtype=np.int64)
@@ -271,16 +284,16 @@ def cost_columns(
         raise ValidationError("site counts must be >= 0")
     if n_sharers < 1:
         raise ValidationError("n_sharers must be >= 1")
-    sharing = strategy.sharing
+    sharing = np.array([s.sharing.value for s in strategies])[:, None]
+    rural = np.array([s == Settlement.RURAL for s in settlements], dtype=bool)
     # deciles whose radio equipment and backhaul are shared (see apply_sharing)
-    radio = np.array([
-        sharing == Sharing.ACTIVE or (sharing == Sharing.SRN and s == Settlement.RURAL) for s in settlements
-    ], dtype=bool)
+    radio = (sharing == Sharing.ACTIVE.value) | ((sharing == Sharing.SRN.value) & rural)
     radio_div = np.where(radio, float(n_sharers), 1.0)
-    civils_div = float(n_sharers) if sharing == Sharing.PASSIVE else radio_div
+    civils_div = np.where(sharing == Sharing.PASSIVE.value, float(n_sharers), radio_div)
+    backhaul = np.array([costs.backhaul_unit_cost(s.backhaul) for s in strategies])[:, None]
     network = (
         n * costs.equipment_usd / radio_div
-        + n * costs.backhaul_unit_cost(strategy.backhaul) / radio_div
+        + n * backhaul / radio_div
         + new * costs.civils_usd / civils_div
         + n * costs.core_usd
     )
@@ -289,10 +302,11 @@ def cost_columns(
     administration = costs.admin_share * network
     profit = costs.profit_margin * network
     revenue = np.asarray(revenue_pv, dtype=np.float64)
-    tax = costs.tax_rate(strategy.policy) * revenue
-    spectrum = costs.spectrum_coef(strategy.policy) * spectrum_mhz * np.asarray(population, dtype=np.int64)
+    tax = np.array([costs.tax_rate(s.policy) for s in strategies])[:, None] * revenue
+    fee = np.array([costs.spectrum_coef(s.policy) for s in strategies]) * np.asarray(spectrum_mhz, dtype=np.float64)
+    spectrum = fee[:, None] * np.asarray(population, dtype=np.int64)
     total = network + administration + spectrum + tax + profit
-    subsidy = np.array(subsidies(revenue.tolist(), total.tolist(), decile_index))
+    subsidy = subsidies(revenue, total, decile_index)
     government = subsidy - (spectrum + tax)
     return {
         "network_usd": network,

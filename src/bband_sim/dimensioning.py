@@ -39,18 +39,6 @@ class SiteRequirement:
             raise ValidationError("upgraded_sites must equal min(existing, total)")
 
 
-@dataclass(frozen=True)
-class CountrySites:
-    """Elementwise site totals across one country's deciles."""
-
-    country_iso3: str
-    total_sites: int
-    existing_sites: int
-    new_sites: int
-    upgraded_sites: int
-    unserviceable_deciles: int
-
-
 def required_sites(
     decile: DecileRecord,
     demand_mbps_km2: float,
@@ -85,19 +73,3 @@ def required_sites(
         unserviceable=unserviceable,
     )
 
-
-def aggregate_country(reqs: list[SiteRequirement]) -> CountrySites:
-    """Sum decile requirements; all inputs must share one country."""
-    if not reqs:
-        return CountrySites("", 0, 0, 0, 0, 0)
-    countries = {r.country_iso3 for r in reqs}
-    if len(countries) > 1:
-        raise ValidationError(f"mixed countries in aggregation: {sorted(countries)}")
-    return CountrySites(
-        country_iso3=reqs[0].country_iso3,
-        total_sites=sum(r.total_sites for r in reqs),
-        existing_sites=sum(r.existing_sites for r in reqs),
-        new_sites=sum(r.new_sites for r in reqs),
-        upgraded_sites=sum(r.upgraded_sites for r in reqs),
-        unserviceable_deciles=sum(1 for r in reqs if r.unserviceable),
-    )

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Backhaul, EnergyStrategy, Settlement, Sharing
+from .core import Backhaul, EnergyStrategy, Settlement, Sharing, ordered_sum
 from .errors import ValidationError
 
 HOURS_PER_YEAR = 8760
@@ -243,36 +243,35 @@ def cumulate_horizon(per_year: Sequence[YearEnergy]) -> HorizonTotals:
     for y in per_year:
         total = total + y.emissions
     return HorizonTotals(
-        energy_kwh=sum(y.energy_kwh for y in per_year),
-        on_grid_kwh=sum(y.on_grid_kwh for y in per_year),
-        off_grid_kwh=sum(y.off_grid_kwh for y in per_year),
+        energy_kwh=ordered_sum(y.energy_kwh for y in per_year),
+        on_grid_kwh=ordered_sum(y.on_grid_kwh for y in per_year),
+        off_grid_kwh=ordered_sum(y.off_grid_kwh for y in per_year),
         emissions=total,
     )
 
 
 def energy(
-    existing_sites: Sequence[int],
-    new_sites: Sequence[int],
-    settlements: Sequence[Settlement],
-    sharing: Sharing,
-    n_sharers: int,
-    backhaul: Backhaul,
-    grid: GridSplit,
+    existing_sites: np.ndarray,
+    new_sites: np.ndarray,
+    divisor: np.ndarray,
+    site_kwh_per_hour: np.ndarray,
+    on_grid_share: np.ndarray,
+    diesel: np.ndarray,
     mix_rows: Sequence[Mapping[str, float]],
-    params: EnergyParams,
     factors: EmissionFactors,
 ) -> dict[str, np.ndarray]:
-    """Horizon energy and emissions of a block of deciles under one strategy.
+    """Horizon energy and emissions of a batch of keys over one country's deciles.
 
-    The whole (decile x year) block of the per-decile chain
-    :func:`build_schedule` -> :func:`annual_energy` -> divide by
-    :func:`sharing_energy_divisor` -> :func:`split_energy` ->
-    :func:`emissions` -> :func:`cumulate_horizon` at once, bit for bit:
-    every element sees the same operations in the same order, sources are
-    added in each mix row's own order, and years are reduced sequentially.
-    ``mix_rows`` holds one generation mix per horizon year, in year order;
-    each is validated once. Returns :data:`ENERGY_FIELDS` -> per-decile
-    array.
+    Site counts and ``divisor`` (:func:`sharing_energy_divisor`) are (keys,
+    deciles); ``site_kwh_per_hour`` (site plus backhaul), ``on_grid_share``
+    and ``diesel`` (off-grid energy burns diesel) are per key. ``mix_rows``
+    holds each horizon year's generation mix, shared by every key and
+    validated once. Returns :data:`ENERGY_FIELDS` -> (keys, deciles) array,
+    equal bit for bit to the per-decile chain :func:`build_schedule` ->
+    :func:`annual_energy` -> divide -> :func:`split_energy` ->
+    :func:`emissions` -> :func:`cumulate_horizon`: each element sees the
+    same operations in the same order, sources add in each mix row's own
+    order, the diesel add is masked, and years reduce sequentially.
     """
     existing = np.asarray(existing_sites, dtype=np.int64)
     new = np.asarray(new_sites, dtype=np.int64)
@@ -285,11 +284,11 @@ def energy(
         check_mix_row(row)
 
     q, r = np.divmod(new, n_years)
-    builds = q[:, None] + (np.arange(n_years) < r[:, None])
-    divisor = np.array([sharing_energy_divisor(sharing, s, n_sharers) for s in settlements])
-    per_site = params.site_kwh_per_hour + params.backhaul_kwh_per_hour(backhaul)
-    kwh = (existing[:, None] + np.cumsum(builds, axis=1)) * per_site * HOURS_PER_YEAR / divisor[:, None]
-    on = kwh * grid.on_grid_share
+    builds = q[..., None] + (np.arange(n_years) < r[..., None])
+    per_site = np.asarray(site_kwh_per_hour, dtype=np.float64)[:, None, None]
+    divisor = np.asarray(divisor, dtype=np.float64)[..., None]
+    kwh = (existing[..., None] + np.cumsum(builds, axis=-1)) * per_site * HOURS_PER_YEAR / divisor
+    on = kwh * np.asarray(on_grid_share, dtype=np.float64)[:, None, None]
     off = kwh - on
 
     # slot k of year t holds the k-th source of that year's mix row; slots
@@ -301,13 +300,13 @@ def energy(
         for row in mix_rows
     ]
     shares = np.array([[share for share, _ in year] for year in slots])
-    coef = np.array([[f for _, f in year] for year in slots]).transpose(2, 0, 1)  # (species, year, slot)
+    coef = np.array([[f for _, f in year] for year in slots]).transpose(2, 0, 1)[:, None, None]  # (species, 1, 1, year, slot)
     used = np.arange(width) < np.array([len(row) for row in mix_rows])[:, None]
     species = np.zeros((4, *kwh.shape))
     for k in range(width):
-        np.add(species, on * shares[:, k] * coef[:, None, :, k], out=species, where=used[:, k])
-    if grid.off_grid_source == DIESEL_SOURCE:
-        species += off * np.array(factors.diesel.as_tuple())[:, None, None]
+        np.add(species, on * shares[:, k] * coef[..., k], out=species, where=used[:, k])
+    burns = np.asarray(diesel, dtype=bool)[:, None, None]
+    np.add(species, off * np.array(factors.diesel.as_tuple())[:, None, None, None], out=species, where=burns)
 
     # copied, so that the totals do not keep the whole cumsum buffer alive
     totals = np.cumsum(np.stack([kwh, on, off, *species]), axis=-1)[..., -1].copy()

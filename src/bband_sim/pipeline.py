@@ -2,43 +2,43 @@
 
 Capacity tables are built once per (country, generation) and cached on disk
 keyed by a content hash of everything that determines them; cold builds of
-one call share a carrier memo, so a carrier that several countries hold is
-simulated once per density. With a warm cache the run matrix and result
-emission, not table construction, dominate runtime, so each stage of a run
-is computed once per the axes it depends on and shared by every run with
-the same stage key:
+one call share a carrier memo. With a warm cache the run matrix and result
+emission dominate runtime. Each stage runs once per key of the axes it
+depends on, and every country has the same stage keys:
 
-* demand and sites: (country, generation, scenario)
-* cost and cross-subsidy: (country, generation, backhaul, sharing, policy, scenario)
-* energy and emissions: (country, generation, backhaul, sharing, energy strategy, scenario)
+* sites (demand and dimensioning): (generation, scenario)
+* cost and cross-subsidy: (generation, backhaul, sharing, policy, scenario)
+* energy and emissions: (generation, backhaul, sharing, energy strategy, scenario)
 
-Each stage computes a whole country's deciles at once: demand and sites
-through the per-decile functions, cost through :func:`cost.cost_columns`
-and energy through the array kernel :func:`energy.energy`, each bit for
-bit equal to its per-decile chain. Stage outputs are numpy columns, and
-:func:`run_pipeline` returns them as one :class:`ResultTable`, in
-deterministic run order (runs as given, countries sorted, deciles in
-order); :class:`RunResult` rows are built only when asked for.
+:func:`run_pipeline` walks the runs once to find each run's key in each
+stage, then runs each stage over all its keys: sites per key and decile,
+cost as one :func:`cost.cost_columns` call per country and energy as one
+:func:`energy.energy` call per (country, horizon), both bit for bit equal
+to their per-decile chains. A batch that raises runs again key by key, so
+a failing key fails only the runs that need it. The :class:`ResultTable`
+keeps each stage's (country, key, decile) arrays and per-row indices.
 
-:func:`emit_results` sorts the table by run key with one ``np.lexsort``,
-so output files never depend on the order of the runs. It writes
-``results_decile.csv`` in blocks of sorted rows, formatting each distinct
-value of a column once per block, and computes the country file and the
-four summaries as group-bys (``np.bincount``/``np.add.at``), which add in
+:func:`emit_results` sorts the rows by run key with one ``np.lexsort``. It
+formats each stage row's columns once into a text segment and writes each
+``results_decile.csv`` row as its five segments joined. The country file
+and the summaries are group-bys (``np.bincount``/``np.add.at``) that add in
 sorted row order, exactly as a running total would.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    N_DECILES,
     DecileRecord,
     Generation,
     ScenarioSpec,
@@ -58,7 +58,15 @@ from .demand import (
     per_user_busy_hour_rate,
 )
 from .dimensioning import SiteRequirement, required_sites
-from .energy import Emissions, GridSplit, apply_renewables_strategy, energy
+from .energy import (
+    DIESEL_SOURCE,
+    ENERGY_FIELDS,
+    Emissions,
+    GridSplit,
+    apply_renewables_strategy,
+    energy,
+    sharing_energy_divisor,
+)
 from .errors import BbandSimError, ValidationError
 from .radio import (
     CapacityTable,
@@ -91,9 +99,6 @@ class RunResult:
     off_grid_kwh: float
     emissions: Emissions
 
-    def sort_key(self):
-        return (self.country_iso3, self.decile_index, *run_key(self.strategy, self.scenario))
-
 
 @dataclass(frozen=True)
 class RunFailure:
@@ -102,25 +107,26 @@ class RunFailure:
     error: str
 
 
-DECILE_COLUMNS = [
-    "country_iso3", "decile_index", "settlement", "population", "area_km2",
-    "generation", "backhaul", "sharing", "policy", "energy_strategy",
-    "capacity_gb_month", "adoption",
-    "demand_mbps_km2", "total_sites", "existing_sites", "new_sites",
-    "upgraded_sites", "unserviceable",
-    "revenue_pv_usd", "network_usd", "administration_usd", "spectrum_usd",
-    "tax_usd", "profit_usd", "private_cost_usd", "subsidy_usd",
-    "government_cost_usd", "financial_cost_usd",
-    "energy_kwh", "on_grid_kwh", "off_grid_kwh",
-    "co2_kg", "nox_g", "sox_g", "pm10_g",
-]
+#: The columns of each result stage, in ``results_decile.csv`` order, so
+#: that a row's text is its five stage segments joined. The run stage holds
+#: the run key; the sites stage also carries two demand fields that only
+#: :class:`RunResult` shows.
+STAGE_COLUMNS = {
+    "decile": ("country_iso3", "decile_index", "settlement", "population", "area_km2"),
+    "run": ("generation", "backhaul", "sharing", "policy", "energy_strategy", "capacity_gb_month", "adoption"),
+    "sites": ("demand_mbps_km2", "total_sites", "existing_sites", "new_sites", "upgraded_sites", "unserviceable",
+              "revenue_pv_usd", "smartphone_users", "busy_hour_rate_mbps"),
+    "cost": ("network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd", "private_cost_usd",
+             "subsidy_usd", "government_cost_usd", "financial_cost_usd"),
+    "energy": ENERGY_FIELDS,
+}
+_UNWRITTEN = ("smartphone_users", "busy_hour_rate_mbps")
+_STAGE_OF = {name: stage for stage, names in STAGE_COLUMNS.items() for name in names}
+
+DECILE_COLUMNS = [name for names in STAGE_COLUMNS.values() for name in names if name not in _UNWRITTEN]
 
 #: Result columns set by the run (strategy and scenario), in sort order.
-RUN_KEY_COLUMNS = ("generation", "backhaul", "sharing", "policy", "energy_strategy", "capacity_gb_month", "adoption")
-
-#: The per-row columns of a :class:`ResultTable`: every decile column
-#: outside the run key, and the two demand fields only :class:`RunResult` carries.
-TABLE_COLUMNS = [c for c in DECILE_COLUMNS if c not in RUN_KEY_COLUMNS] + ["smartphone_users", "busy_hour_rate_mbps"]
+RUN_KEY_COLUMNS = STAGE_COLUMNS["run"]
 
 
 def run_key(strategy: StrategyBundle, scenario: ScenarioSpec) -> tuple:
@@ -132,16 +138,18 @@ def run_key(strategy: StrategyBundle, scenario: ScenarioSpec) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
-    """Per-decile results as numpy columns, one row per (run, country, decile).
+    """Per-decile results, one row per (run, country, decile), kept per stage.
 
     ``runs`` lists each run once and ``run`` holds each row's index into
-    it; ``columns`` maps every name in :data:`TABLE_COLUMNS` to a per-row
-    array. The run-key columns are per run, in :attr:`run_values`.
+    it: the run stage's columns are :attr:`run_values`. ``stages`` maps
+    every other stage of :data:`STAGE_COLUMNS` to each row's index into
+    the stage rows, and the stage's columns. A pipeline stage row is one
+    (country, stage key, decile), stored once however many runs share it.
     """
 
     runs: Sequence[tuple[StrategyBundle, ScenarioSpec]]
     run: np.ndarray
-    columns: Mapping[str, np.ndarray]
+    stages: Mapping[str, tuple[np.ndarray, Mapping[str, np.ndarray]]]
 
     def __len__(self) -> int:
         return len(self.run)
@@ -156,44 +164,42 @@ class ResultTable:
         """Each run-key column's value per run (not per row)."""
         return {name: np.array([k[i] for k in self.run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)}
 
-    def column(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """The values of any decile column at row indices ``rows``."""
-        if name in self.run_values:
-            return self.run_values[name][self.run[rows]]
-        return self.columns[name][rows]
+    def stage(self, name: str) -> tuple[np.ndarray, Mapping[str, np.ndarray]]:
+        """Each row's index into the rows of stage ``name``, and the stage's columns."""
+        return (self.run, self.run_values) if name == "run" else self.stages[name]
+
+    def column(self, name: str, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The values of a stage column at row indices ``rows`` (default: every row)."""
+        index, columns = self.stage(_STAGE_OF[name])
+        return columns[name][index[rows]]
 
     def sort_order(self) -> np.ndarray:
-        """Row indices in :meth:`RunResult.sort_key` order; equal keys keep row order."""
+        """Row indices sorted by country, decile and run key; equal keys keep row order."""
         rank = {k: i for i, k in enumerate(sorted(set(self.run_keys)))}
         run_rank = np.array([rank[k] for k in self.run_keys], dtype=np.int64)
-        return np.lexsort((run_rank[self.run], self.columns["decile_index"], self.columns["country_iso3"]))
+        return np.lexsort((run_rank[self.run], self.column("decile_index"), self.column("country_iso3")))
 
     def rows(self) -> list[RunResult]:
         """The table as :class:`RunResult` rows, in table order."""
-        names = ("country_iso3", "decile_index", "settlement", "population", "area_km2",
-                 "smartphone_users", "busy_hour_rate_mbps", "demand_mbps_km2", "revenue_pv_usd",
-                 "total_sites", "existing_sites", "new_sites", "upgraded_sites", "unserviceable",
-                 "network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd",
-                 "private_cost_usd", "subsidy_usd", "energy_kwh", "on_grid_kwh", "off_grid_kwh",
-                 "co2_kg", "nox_g", "sox_g", "pm10_g")
-        out = []
-        for run, row in zip(self.run.tolist(), zip(*(self.columns[n].tolist() for n in names))):
-            (iso3, index, settlement, population, area, users, rate, demand, revenue,
-             total, existing, new, upgraded, unserviceable,
-             network, administration, spectrum, tax, profit, private, subsidy,
-             kwh, on, off, co2, nox, sox, pm10) = row
-            out.append(RunResult(
-                iso3, index, Settlement(settlement), population, area, *self.runs[run],
-                DemandResult(users, rate, demand, revenue),
-                SiteRequirement(iso3, index, total, existing, new, upgraded, unserviceable),
-                DecileCost(iso3, index, network, administration, spectrum, tax, profit, private, revenue, subsidy),
-                kwh, on, off, Emissions(co2, nox, sox, pm10),
-            ))
-        return out
+        def columns(*names: str) -> Iterable[tuple]:
+            return zip(*(self.column(name).tolist() for name in names))
+
+        place = ("country_iso3", "decile_index")
+        demand = starmap(DemandResult, columns("smartphone_users", "busy_hour_rate_mbps", "demand_mbps_km2",
+                                               "revenue_pv_usd"))
+        sites = starmap(SiteRequirement, columns(*place, *STAGE_COLUMNS["sites"][1:6]))
+        costs = starmap(DecileCost, columns(*place, *STAGE_COLUMNS["cost"][:6], "revenue_pv_usd", "subsidy_usd"))
+        emissions = starmap(Emissions, columns(*ENERGY_FIELDS[3:]))
+        return [
+            RunResult(iso3, index, Settlement(settlement), population, area, *self.runs[run], d, s, c, kwh, on, off, e)
+            for (iso3, index, settlement, population, area), run, d, s, c, (kwh, on, off), e in zip(
+                columns(*STAGE_COLUMNS["decile"]), self.run.tolist(), demand, sites, costs,
+                columns(*ENERGY_FIELDS[:3]), emissions)
+        ]
 
     @classmethod
     def from_rows(cls, results: Sequence[RunResult]) -> ResultTable:
-        """The table of a list of rows, in list order.
+        """The table of a list of rows, in list order: one stage row per row.
 
         Each column takes its dtype from its values (int, float, bool or
         str), so each value is written as its type says; a column mixing
@@ -201,16 +207,12 @@ class ResultTable:
         """
         index: dict = {}
         run = [index.setdefault((r.strategy, r.scenario), len(index)) for r in results]
-        rows = [decile_row(r) for r in results]
-        extra = {
-            "smartphone_users": [r.demand.smartphone_users for r in results],
-            "busy_hour_rate_mbps": [r.demand.busy_hour_rate_mbps for r in results],
-        }
-        columns = {
-            name: np.array(extra[name] if name in extra else [d[name] for d in rows])
-            for name in TABLE_COLUMNS
-        }
-        return cls(list(index), np.array(run, dtype=np.intp), columns)
+        rows = [{**decile_row(r), "smartphone_users": r.demand.smartphone_users,
+                 "busy_hour_rate_mbps": r.demand.busy_hour_rate_mbps} for r in results]
+        every = np.arange(len(rows))
+        stages = {stage: (every, {name: np.array([row[name] for row in rows]) for name in names})
+                  for stage, names in STAGE_COLUMNS.items() if stage != "run"}
+        return cls(list(index), np.array(run, dtype=np.intp), stages)
 
 
 @dataclass(frozen=True)
@@ -355,92 +357,49 @@ def _country_sites(
     }
 
 
-def _country_costs(
-    bundle: InputBundle,
-    deciles: Sequence[DecileRecord],
-    sited: Mapping[str, np.ndarray],
-    strategy: StrategyBundle,
-) -> dict[str, np.ndarray]:
-    iso3 = deciles[0].country_iso3
-    return cost_columns(
-        sited["new_sites"],
-        sited["upgraded_sites"],
-        [d.settlement for d in deciles],
-        sited["revenue_pv_usd"],
-        [d.population for d in deciles],
-        [d.decile_index for d in deciles],
-        strategy,
-        bundle.countries[iso3].n_major_operators,
-        bundle.frequency_set(iso3, strategy.generation).total_bandwidth_mhz,
-        bundle.cost_inputs,
-    )
+#: The stages computed per key, in the order a run reports its first failure.
+_KEYED_STAGES = ("sites", "cost", "energy")
 
 
-def _country_energy(
-    bundle: InputBundle,
-    deciles: Sequence[DecileRecord],
-    sited: Mapping[str, np.ndarray],
-    strategy: StrategyBundle,
-    scenario: ScenarioSpec,
-) -> dict[str, np.ndarray]:
-    iso3 = deciles[0].country_iso3
-    country = bundle.countries[iso3]
-    mix = bundle.energy_mix[iso3]
-    mix_rows = []
-    for year in scenario.years():
-        row = mix.get(year)
-        if row is None:
-            raise ValidationError(f"{iso3}: no energy mix for year {year}")
-        mix_rows.append(row)
-    grid = apply_renewables_strategy(GridSplit(country.on_grid_share), strategy.energy_strategy)
-    return energy(
-        sited["existing_sites"],
-        sited["new_sites"],
-        [d.settlement for d in deciles],
-        strategy.sharing,
-        country.n_major_operators,
-        strategy.backhaul,
-        grid,
-        mix_rows,
-        bundle.energy_params,
-        bundle.emission_factors,
-    )
+def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float) -> None:
+    logger.info("stage %s: %d keys, %d kernel calls, %d failed keys, %.3f s",
+                stage, keys, calls, failed, time.perf_counter() - start)
 
 
-def _stage(memo: dict, key: tuple, compute: Callable[[], dict]) -> dict:
-    """The value memoised under ``key``, computed on first use.
+def _batched(
+    stage: str,
+    batches: Sequence[tuple[int, np.ndarray]],
+    compute: Callable[[int, np.ndarray], Mapping[str, np.ndarray]],
+    shape: tuple[int, int, int],
+) -> tuple[dict[str, np.ndarray], dict[tuple[int, int], str]]:
+    """One stage over (country, key ids) batches, one ``compute`` call per non-empty batch.
 
-    A failing computation stores nothing, so every run that needs the key
-    fails on its own.
+    A batch that raises runs again one key at a time, so each failing key
+    fails alone. Returns the stage's columns, shaped ``shape`` (countries,
+    keys, deciles), zero where no key was computed, and each failing
+    (country, key)'s error.
     """
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-    return value
+    start, calls, columns, errors = time.perf_counter(), 0, {}, {}
 
+    def put(country: int, keys: np.ndarray, out: Mapping[str, np.ndarray]) -> None:
+        for name, values in out.items():
+            if name not in columns:
+                columns[name] = np.zeros(shape, dtype=values.dtype)
+            columns[name][country, keys] = values
 
-def _run_one(
-    bundle: InputBundle,
-    deciles: dict[str, list[DecileRecord]],
-    decile_columns: dict[str, dict[str, np.ndarray]],
-    tables: dict[tuple[str, Generation], CapacityTable],
-    strategy: StrategyBundle,
-    scenario: ScenarioSpec,
-    memo: dict,
-) -> list[tuple[dict[str, np.ndarray], ...]]:
-    """One block per country of one run: its decile, site, cost and energy columns."""
-    s = strategy
-    blocks = []
-    for iso3 in sorted(deciles):
-        ds = deciles[iso3]
-        sited = _stage(memo, ("sites", iso3, s.generation, scenario), lambda: _country_sites(
-            bundle, ds, tables[(iso3, s.generation)], scenario))
-        costs = _stage(memo, ("cost", iso3, s.generation, s.backhaul, s.sharing, s.policy, scenario),
-                       lambda: _country_costs(bundle, ds, sited, strategy))
-        used = _stage(memo, ("energy", iso3, s.generation, s.backhaul, s.sharing, s.energy_strategy, scenario),
-                      lambda: _country_energy(bundle, ds, sited, strategy, scenario))
-        blocks.append((decile_columns[iso3], sited, costs, used))
-    return blocks
+    for country, keys in (batch for batch in batches if len(batch[1])):
+        try:
+            calls += 1
+            put(country, keys, compute(country, keys))
+        except BbandSimError:
+            for key in keys.tolist():
+                try:
+                    calls += 1
+                    put(country, [key], compute(country, np.array([key])))
+                except BbandSimError as err:
+                    errors[country, key] = f"{type(err).__name__}: {err}"
+    _log_stage(stage, sum(len(keys) for _, keys in batches), calls, len(errors), start)
+    return columns, errors
 
 
 def run_pipeline(
@@ -452,8 +411,9 @@ def run_pipeline(
     """Execute the run matrix and return per-decile results.
 
     ``runs`` defaults to the full enumeration of the bundle's axes. A
-    failing run is recorded with its run key and does not abort the rest.
-    ``jobs`` is the thread count for capacity-table builds; the runs
+    failing run is recorded with the first failing stage key it needs
+    (countries sorted, then sites, cost, energy) and does not abort the
+    rest. ``jobs`` is the thread count for capacity-table builds; the runs
     themselves execute in one thread. The result table holds rows in
     deterministic run order: runs as given, then countries sorted, then
     deciles; :func:`emit_results` sorts them by run key.
@@ -461,45 +421,109 @@ def run_pipeline(
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
     deciles = country_deciles(bundle)
-    decile_columns = {iso3: _decile_columns(ds) for iso3, ds in deciles.items()}
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
+    countries = list(deciles)
 
-    memo: dict = {}
-    blocks: list[tuple[dict[str, np.ndarray], ...]] = []
-    block_runs: list[int] = []
+    # every (run, country) needs one key of each stage; keys hold no country
+    ids, first = ({}, {}, {}), ([], [], [])  # each stage's key ids, and each key's first run
+    key_ids = np.empty((len(runs), len(ids)), dtype=np.intp)
+    for i, (s, scenario) in enumerate(runs):
+        stage_keys = ((s.generation, scenario), (s.generation, s.backhaul, s.sharing, s.policy, scenario),
+                      (s.generation, s.backhaul, s.sharing, s.energy_strategy, scenario))
+        for j, key in enumerate(stage_keys):
+            k = key_ids[i, j] = ids[j].setdefault(key, len(first[j]))
+            if k == len(first[j]):
+                first[j].append(i)
+    site_of = [key_ids[first[j], 0] for j in range(len(ids))]  # each key's sites key
+    shapes = [(len(countries), len(f), N_DECILES) for f in first]
+
+    def sites(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
+        iso3 = countries[c]
+        per_key = [_country_sites(bundle, deciles[iso3], tables[(iso3, s.generation)], scenario)
+                   for s, scenario in (runs[first[0][k]] for k in keys)]
+        return {name: np.stack([p[name] for p in per_key]) for name in per_key[0]}
+
+    sited, site_errors = _batched("sites", [(c, np.arange(len(first[0]))) for c in range(len(countries))],
+                                  sites, shapes[0])
+
+    def needing_sites(j: int, groups: Sequence[np.ndarray]) -> list[tuple[int, np.ndarray]]:
+        """Batches of stage ``j`` keys per country and group, without keys whose sites failed."""
+        return [(c, keys[[(c, k) not in site_errors for k in site_of[j][keys].tolist()]])
+                for c in range(len(countries)) for keys in groups]
+
+    def cost(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
+        iso3, ds, on = countries[c], deciles[countries[c]], site_of[1][keys]
+        batch = [runs[first[1][k]][0] for k in keys]
+        mhz = {g: bundle.frequency_set(iso3, g).total_bandwidth_mhz for g in {s.generation for s in batch}}
+        return cost_columns(
+            sited["new_sites"][c, on], sited["upgraded_sites"][c, on], [d.settlement for d in ds],
+            sited["revenue_pv_usd"][c, on], [d.population for d in ds], [d.decile_index for d in ds],
+            batch, bundle.countries[iso3].n_major_operators, [mhz[s.generation] for s in batch],
+            bundle.cost_inputs,
+        )
+
+    costs, cost_errors = _batched("cost", needing_sites(1, [np.arange(len(first[1]))]), cost, shapes[1])
+
+    def energy_batch(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
+        iso3, ds, on = countries[c], deciles[countries[c]], site_of[2][keys]
+        country, mix, params = bundle.countries[iso3], bundle.energy_mix[iso3], bundle.energy_params
+        years = runs[first[2][keys[0]]][1].years()
+        missing = [year for year in years if year not in mix]
+        if missing:
+            raise ValidationError(f"{iso3}: no energy mix for year {missing[0]}")
+        batch = [runs[first[2][k]][0] for k in keys]
+        divisor = {sh: [sharing_energy_divisor(sh, d.settlement, country.n_major_operators) for d in ds]
+                   for sh in {s.sharing for s in batch}}
+        grid = {e: apply_renewables_strategy(GridSplit(country.on_grid_share), e)
+                for e in {s.energy_strategy for s in batch}}
+        return energy(
+            sited["existing_sites"][c, on], sited["new_sites"][c, on], [divisor[s.sharing] for s in batch],
+            [params.site_kwh_per_hour + params.backhaul_kwh_per_hour(s.backhaul) for s in batch],
+            [grid[s.energy_strategy].on_grid_share for s in batch],
+            [grid[s.energy_strategy].off_grid_source == DIESEL_SOURCE for s in batch],
+            [mix[year] for year in years], bundle.emission_factors,
+        )
+
+    horizons: dict[tuple[int, int], list[int]] = {}  # energy keys share mix rows within one horizon
+    for k, i in enumerate(first[2]):
+        horizons.setdefault((runs[i][1].start_year, runs[i][1].end_year), []).append(k)
+    used, energy_errors = _batched("energy", needing_sites(2, [np.array(keys) for keys in horizons.values()]),
+                                   energy_batch, shapes[2])
+
+    errors = (site_errors, cost_errors, energy_errors)
+    ok = np.ones(len(runs), dtype=bool)
     failures: list[RunFailure] = []
-    for i, (strategy, scenario) in enumerate(runs):
-        try:
-            run_blocks = _run_one(bundle, deciles, decile_columns, tables, strategy, scenario, memo)
-        except BbandSimError as err:
-            failures.append(RunFailure(strategy, scenario, f"{type(err).__name__}: {err}"))
-            logger.error("run failed (%s, %s): %s", strategy, scenario, failures[-1].error)
-            continue
-        blocks.extend(run_blocks)
-        block_runs.extend([i] * len(run_blocks))
-    if not blocks:
+    for i in (range(len(runs)) if any(errors) else ()):
+        error = next((e[c, k] for c in range(len(countries)) for e, k in zip(errors, key_ids[i].tolist())
+                      if (c, k) in e), None)
+        if error is not None:
+            ok[i] = False
+            failures.append(RunFailure(*runs[i], error))
+            logger.error("run failed (%s, %s): %s", *runs[i], error)
+    good = np.flatnonzero(ok)
+    if not good.size:
         return PipelineOutput(ResultTable.from_rows([]), failures)
-    run = np.repeat(np.array(block_runs, dtype=np.intp), [len(b[0]["decile_index"]) for b in blocks])
-    columns = {name: np.concatenate([b[stage][name] for b in blocks])
-               for stage in range(len(blocks[0])) for name in blocks[0][stage]}
-    return PipelineOutput(ResultTable(list(runs), run, columns), failures)
+
+    per_run = len(countries) * N_DECILES
+    run = np.repeat(good, per_run)
+    place = np.tile(np.arange(per_run), len(good))  # (country, decile) within the run
+    country, decile = np.divmod(place, N_DECILES)
+    stages = {"decile": (place, _decile_columns([d for iso3 in countries for d in deciles[iso3]]))}
+    for j, (stage, columns) in enumerate(zip(_KEYED_STAGES, (sited, costs, used))):
+        index = (country * len(first[j]) + key_ids[run, j]) * N_DECILES + decile
+        stages[stage] = (index, {name: values.reshape(-1) for name, values in columns.items()})
+    return PipelineOutput(ResultTable(list(runs), run, stages), failures)
 
 
 # ---------------------------------------------------------------------------
 # Emission of result files
 # ---------------------------------------------------------------------------
 
+#: Country-file columns: the group, then site counts and the decile file's money, energy and emission sums.
 COUNTRY_COLUMNS = [
-    "country_iso3", "generation", "backhaul", "sharing", "policy",
-    "energy_strategy", "capacity_gb_month", "adoption",
-    "population", "total_sites", "new_sites", "upgraded_sites",
-    "unserviceable_deciles",
-    "revenue_pv_usd", "network_usd", "administration_usd", "spectrum_usd",
-    "tax_usd", "profit_usd", "private_cost_usd", "subsidy_usd",
-    "government_cost_usd", "financial_cost_usd",
-    "energy_kwh", "on_grid_kwh", "off_grid_kwh",
-    "co2_kg", "nox_g", "sox_g", "pm10_g",
+    "country_iso3", *RUN_KEY_COLUMNS, "population", "total_sites", "new_sites", "upgraded_sites",
+    "unserviceable_deciles", *DECILE_COLUMNS[DECILE_COLUMNS.index("revenue_pv_usd"):],
 ]
 
 #: Group fields (country and run key) and (column, source, zero) sums of the country file.
@@ -529,44 +553,17 @@ EMIT_BLOCK = 4096
 
 
 def decile_row(r: RunResult) -> dict:
-    s, sc, c = r.strategy, r.scenario, r.cost
-    return {
-        "country_iso3": r.country_iso3,
-        "decile_index": r.decile_index,
-        "settlement": r.settlement.value,
-        "population": r.population,
-        "area_km2": r.area_km2,
-        "generation": s.generation.value,
-        "backhaul": s.backhaul.value,
-        "sharing": s.sharing.value,
-        "policy": s.policy.value,
-        "energy_strategy": s.energy_strategy.value,
-        "capacity_gb_month": sc.capacity_gb_month,
-        "adoption": sc.adoption.value,
-        "demand_mbps_km2": r.demand.area_demand_mbps_km2,
-        "total_sites": r.sites.total_sites,
-        "existing_sites": r.sites.existing_sites,
-        "new_sites": r.sites.new_sites,
-        "upgraded_sites": r.sites.upgraded_sites,
-        "unserviceable": r.sites.unserviceable,
-        "revenue_pv_usd": c.revenue_pv,
-        "network_usd": c.network,
-        "administration_usd": c.administration,
-        "spectrum_usd": c.spectrum,
-        "tax_usd": c.tax,
-        "profit_usd": c.profit,
-        "private_cost_usd": c.private_cost,
-        "subsidy_usd": c.subsidy,
-        "government_cost_usd": c.government_cost,
-        "financial_cost_usd": c.financial_cost,
-        "energy_kwh": r.energy_kwh,
-        "on_grid_kwh": r.on_grid_kwh,
-        "off_grid_kwh": r.off_grid_kwh,
-        "co2_kg": r.emissions.co2_kg,
-        "nox_g": r.emissions.nox_g,
-        "sox_g": r.emissions.sox_g,
-        "pm10_g": r.emissions.pm10_g,
-    }
+    """One row of ``results_decile.csv``, unformatted, by column name."""
+    d, c, e = r.sites, r.cost, r.emissions
+    return dict(zip(DECILE_COLUMNS, (
+        r.country_iso3, r.decile_index, r.settlement.value, r.population, r.area_km2,
+        *run_key(r.strategy, r.scenario),
+        r.demand.area_demand_mbps_km2, d.total_sites, d.existing_sites, d.new_sites, d.upgraded_sites,
+        d.unserviceable, c.revenue_pv,
+        c.network, c.administration, c.spectrum, c.tax, c.profit, c.private_cost, c.subsidy,
+        c.government_cost, c.financial_cost,
+        r.energy_kwh, r.on_grid_kwh, r.off_grid_kwh, e.co2_kg, e.nox_g, e.sox_g, e.pm10_g,
+    )))
 
 
 def format_column(values: np.ndarray) -> np.ndarray:
@@ -580,7 +577,7 @@ def format_column(values: np.ndarray) -> np.ndarray:
         return np.array(["0", "1"], dtype=object)[values.astype(np.intp)]
     if values.dtype.kind == "f":
         distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        text = ["{:.6g}".format(v) for v in distinct.view(np.float64).tolist()]
+        text = [f"{v:.6g}" for v in distinct.view(np.float64).tolist()]
     else:
         distinct, inverse = np.unique(values, return_inverse=True)
         text = [str(v) for v in distinct.tolist()]
@@ -615,12 +612,12 @@ def _group_sums(
     rows = order[run_ok[table.run[order]]]
     key = run_code[table.run[rows]]
     if "country_iso3" in group:
-        _, country = np.unique(table.columns["country_iso3"][rows], return_inverse=True)
+        _, country = np.unique(table.column("country_iso3", rows), return_inverse=True)
         key = country * radix + key
     _, first, gid = np.unique(key, return_index=True, return_inverse=True)
     out = {f: table.column(f, rows[first]) for f in group}
     for column, source, zero in sums:
-        values = table.columns[source][rows]
+        values = table.column(source, rows)
         if isinstance(zero, float) or values.dtype.kind == "f":
             out[column] = np.bincount(gid, weights=values, minlength=len(first))
         else:
@@ -645,18 +642,27 @@ def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[Seq
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
             for block in blocks:
-                fh.writelines(",".join(row) + "\n" for row in zip(*block))
+                lines = list(map(",".join, zip(*block)))
+                if lines:
+                    fh.write("\n".join(lines) + "\n")
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
 def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[list[str]]]:
-    run_text = {name: format_column(values) for name, values in table.run_values.items()}
+    """Blocks of ``results_decile.csv`` rows in ``order``, as five stage segments per row.
+
+    A segment is the text of one stage row's written columns, each value
+    formatted once per stage and the values joined by commas.
+    """
+    segments = []
+    for stage, names in STAGE_COLUMNS.items():
+        index, columns = table.stage(stage)
+        texts = [format_column(columns[name]).tolist() for name in names if name not in _UNWRITTEN]
+        segments.append((index, np.array(list(map(",".join, zip(*texts))), dtype=object)))
     for start in range(0, len(order), EMIT_BLOCK):
         rows = order[start:start + EMIT_BLOCK]
-        run = table.run[rows]
-        yield [(run_text[c][run] if c in run_text else format_column(table.columns[c][rows])).tolist()
-               for c in DECILE_COLUMNS]
+        yield [text[index[rows]].tolist() for index, text in segments]
 
 
 def emit_results(results: ResultTable | Sequence[RunResult], out_dir: Path | str) -> list[Path]:
@@ -667,6 +673,7 @@ def emit_results(results: ResultTable | Sequence[RunResult], out_dir: Path | str
     A list of :class:`RunResult` rows is first turned into a
     :class:`ResultTable`. Every sum adds its rows in sorted order.
     """
+    start = time.perf_counter()
     table = results if isinstance(results, ResultTable) else ResultTable.from_rows(results)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -681,4 +688,5 @@ def emit_results(results: ResultTable | Sequence[RunResult], out_dir: Path | str
     for name, group, values, where in _SUMMARIES:
         paths.append(out / name)
         write(paths[-1], [*group, *values], _group_sums(table, order, group, [(f, f, 0.0) for f in values], where))
+    _log_stage("emit", len(table), len(paths), 0, start)
     return paths

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Generation
+from .core import Generation, ordered_sum
 from .errors import ValidationError
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -128,7 +128,7 @@ class FrequencySet:
 
     @property
     def total_bandwidth_mhz(self) -> float:
-        return sum(c.bandwidth_mhz for c in self.carriers)
+        return ordered_sum(c.bandwidth_mhz for c in self.carriers)
 
 
 # Spatial multiplexing streams per generation (2x2 vs 4x4 antennas).

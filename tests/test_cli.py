@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import pytest
 
@@ -47,6 +48,30 @@ def test_run_is_deterministic_across_invocations(miniland_dir, miniland_config, 
         assert code == EXIT_OK
         outs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
     assert outs[0] == outs[1]
+
+
+def test_verbose_logs_each_stage_and_writes_the_same_bytes(
+    miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch, caplog
+):
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
+    outs = {}
+    for flags, level in (([], logging.WARNING), (["-v"], logging.INFO)):
+        out = tmp_path / ("verbose" if flags else "quiet")
+        with caplog.at_level(level, logger="bband_sim"):
+            code = main([*flags, "run", "--data", str(miniland_dir), "--config", str(miniland_config),
+                         "--out", str(out), "--runs", "generation=4G,capacity=30"])
+        assert code == EXIT_OK
+        outs[out.name] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert len(outs["verbose"]) == 6
+    assert outs["verbose"] == outs["quiet"]
+    stages = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
+    # 240 runs over 2 countries: 3 sites, 120 cost and 48 energy keys per country
+    assert [m.rsplit(",", 1)[0] for m in stages] == [
+        "stage sites: 6 keys, 2 kernel calls, 0 failed keys",
+        "stage cost: 240 keys, 2 kernel calls, 0 failed keys",
+        "stage energy: 96 keys, 2 kernel calls, 0 failed keys",
+        "stage emit: 4800 keys, 6 kernel calls, 0 failed keys",
+    ]
 
 
 def test_bad_runs_expression(miniland_dir, miniland_config, tmp_path, capsys):

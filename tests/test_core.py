@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bband_sim.core import (
     AdoptionScenario,
@@ -66,6 +68,14 @@ class TestBuildDeciles:
         densities = [d.pop_density for d in deciles if not d.degenerate]
         assert all(a >= b for a, b in zip(densities, densities[1:]))
 
+    def test_area_is_the_left_to_right_sum(self):
+        # decile 1 holds the three densest regions, the 1e16 km2 one first;
+        # 1e16 + 1.0 rounds back to 1e16, where a compensated sum (the
+        # builtin sum from Python 3.12 on) would give 1e16 + 2
+        regions = [region(0, 10**23, 1e16), region(1, 10**6, 1.0), region(2, 10**6 - 1, 1.0)]
+        regions += [region(i, 1, 1000.0) for i in range(3, 30)]
+        assert build_deciles(regions, "AAA")[0].area_km2 == 1e16
+
     def test_density_tie_broken_by_region_id(self):
         regions = [region(i, pop=100, area=1.0) for i in range(10)]
         deciles = build_deciles(regions, "AAA")
@@ -83,6 +93,42 @@ class TestBuildDeciles:
     def test_wrong_country_rejected(self):
         with pytest.raises(ValidationError):
             build_deciles([region(0, 100, 1.0, country="BBB")], "AAA")
+
+
+@st.composite
+def country_regions(draw):
+    """1-40 regions of one country; region i holds 2**i existing sites, so a
+    decile's site count names its member regions."""
+    n = draw(st.integers(1, 40))
+    areas = st.one_of(st.floats(1e-3, 1e7), st.sampled_from([1.0, 1e16]))
+    return [region(i, draw(st.one_of(st.just(0), st.integers(0, 10**7))), draw(areas), sites=2**i) for i in range(n)]
+
+
+class TestDecileConservation:
+    @settings(max_examples=300, deadline=None)
+    @given(country_regions())
+    def test_partition_conserves_population_sites_and_area(self, regions):
+        deciles = build_deciles(regions, "AAA")
+        assert [d.decile_index for d in deciles] == list(range(1, 11))
+        members = [[r for r in regions if d.existing_sites >> int(r.region_id[1:]) & 1] for d in deciles]
+        # every region lands in exactly one decile
+        assert sorted(r.region_id for m in members for r in m) == sorted(r.region_id for r in regions)
+        assert sum(d.existing_sites for d in deciles) == sum(r.existing_sites for r in regions)
+        assert sum(d.population for d in deciles) == sum(r.population for r in regions)
+        # contiguous bins of the density order, larger bins first
+        ordered = sorted(regions, key=lambda r: (-r.pop_density, r.region_id))
+        assert [r for m in members for r in sorted(m, key=ordered.index)] == ordered
+        sizes = [len(m) for m in members]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+        for d, m in zip(deciles, members):
+            assert d.population == sum(r.population for r in m)
+            area = 0.0
+            for r in sorted(m, key=ordered.index):
+                area += r.area_km2
+            assert d.area_km2 == area
+            assert d.degenerate == (not m)
+            if not m:
+                assert (d.population, d.area_km2, d.existing_sites) == (0, 0.0, 0)
 
 
 class TestClassifySettlement:

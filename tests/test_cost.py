@@ -16,6 +16,7 @@ from bband_sim.cost import (
     financial_cost_total,
     private_cost,
     site_network_cost,
+    subsidies,
 )
 from bband_sim.errors import ValidationError
 
@@ -200,61 +201,111 @@ class TestCrossSubsidizeProperties:
 
 @st.composite
 def cost_blocks(draw):
-    """Keyword arguments of :func:`cost_columns` for one country of 1-10 deciles."""
-    n = draw(st.integers(1, 10))
-    counts = st.lists(st.integers(0, 2_000_000), min_size=n, max_size=n)
-    strategy = StrategyBundle(
-        draw(st.sampled_from(list(Generation))), draw(st.sampled_from(Backhaul)), draw(st.sampled_from(Sharing)),
-        draw(st.sampled_from(Policy)), EnergyStrategy.BASELINE,
-    )
+    """Keyword arguments of :func:`cost_columns`: 1-8 strategies over one country's 1-10 deciles.
+
+    Site counts include 0. In about half the blocks every decile copies the
+    first one's inputs, so each key's deficits tie and the subsidy order
+    rests on the decile index.
+    """
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    repeat = draw(st.booleans())
+
+    def per_decile(values):
+        return draw(st.lists(values, min_size=1 if repeat else n, max_size=1 if repeat else n)) * (n if repeat else 1)
+
+    counts = st.one_of(st.just(0), st.integers(0, 100), st.integers(0, 2_000_000))
+    revenue = st.one_of(st.sampled_from([0.0, 1e5, 2e5, 5e5]), st.floats(0.0, 1e12))
+    strategies = st.builds(StrategyBundle, st.sampled_from(Generation), st.sampled_from(Backhaul),
+                           st.sampled_from(Sharing), st.sampled_from(Policy), st.sampled_from(EnergyStrategy))
     return {
-        "new_sites": draw(counts),
-        "upgraded_sites": draw(counts),
-        "settlements": draw(st.lists(st.sampled_from(Settlement), min_size=n, max_size=n)),
-        "revenue_pv": draw(st.lists(st.floats(0.0, 1e12), min_size=n, max_size=n)),
-        "population": draw(st.lists(st.integers(0, 50_000_000), min_size=n, max_size=n)),
+        "new_sites": [per_decile(counts) for _ in range(k)],
+        "upgraded_sites": [per_decile(counts) for _ in range(k)],
+        "settlements": per_decile(st.sampled_from(Settlement)),
+        "revenue_pv": [per_decile(revenue) for _ in range(k)],
+        "population": per_decile(st.integers(0, 50_000_000)),
         "decile_index": list(range(1, n + 1)),
-        "strategy": strategy,
+        "strategies": draw(st.lists(strategies, min_size=k, max_size=k)),
         "n_sharers": draw(st.integers(1, 5)),
-        "spectrum_mhz": draw(st.floats(0.0, 500.0)),
+        "spectrum_mhz": draw(st.lists(st.floats(0.0, 500.0), min_size=k, max_size=k)),
         "costs": CostInputs(),
     }
+
+
+def scalar_subsidies(revenue_pv, private_costs, decile_index):
+    """One key's subsidies, one decile at a time: the loop the batched rule must equal."""
+    pool = 0.0
+    for r, c in zip(revenue_pv, private_costs):
+        pool += max(0.0, r - c)
+    out = [0.0] * len(revenue_pv)
+    deficits = [(c - r, d, i) for i, (r, c, d) in enumerate(zip(revenue_pv, private_costs, decile_index)) if c > r]
+    for deficit, _, i in sorted(deficits, key=lambda x: x[:2]):
+        grant = min(pool, deficit)
+        pool -= grant
+        out[i] = deficit - grant
+    return out
 
 
 class TestCostColumns:
     @settings(max_examples=300, deadline=None)
     @given(cost_blocks())
     def test_equals_scalar_chain_bit_for_bit(self, b):
-        s, costs = b["strategy"], b["costs"]
-        chain = cross_subsidize([
-            private_cost(
-                apply_sharing(decile_components(new, upgraded, s.backhaul, costs), s.sharing, b["n_sharers"],
-                              settlement).total,
-                costs, s.policy, revenue, spectrum_mhz=b["spectrum_mhz"], population=population,
-                country_iso3="AAA", decile_index=index,
-            )
-            for new, upgraded, settlement, revenue, population, index in zip(
-                b["new_sites"], b["upgraded_sites"], b["settlements"], b["revenue_pv"], b["population"],
-                b["decile_index"])
-        ])
+        costs = b["costs"]
         got = cost_columns(**b)
         fields = {"network_usd": "network", "administration_usd": "administration", "spectrum_usd": "spectrum",
                   "tax_usd": "tax", "profit_usd": "profit", "private_cost_usd": "private_cost",
                   "subsidy_usd": "subsidy", "government_cost_usd": "government_cost",
                   "financial_cost_usd": "financial_cost"}
         assert set(got) == set(fields)
-        for column, field in fields.items():
-            assert [x.hex() for x in got[column].tolist()] == [float(getattr(c, field)).hex() for c in chain], column
+        for i, s in enumerate(b["strategies"]):
+            chain = cross_subsidize([
+                private_cost(
+                    apply_sharing(decile_components(new, upgraded, s.backhaul, costs), s.sharing, b["n_sharers"],
+                                  settlement).total,
+                    costs, s.policy, revenue, spectrum_mhz=b["spectrum_mhz"][i], population=population,
+                    country_iso3="AAA", decile_index=index,
+                )
+                for new, upgraded, settlement, revenue, population, index in zip(
+                    b["new_sites"][i], b["upgraded_sites"][i], b["settlements"], b["revenue_pv"][i],
+                    b["population"], b["decile_index"])
+            ])
+            for column, field in fields.items():
+                assert [x.hex() for x in got[column][i].tolist()] == [float(getattr(c, field)).hex() for c in chain], column
 
     def test_rejects_negative_counts_and_no_sharers(self):
-        args = dict(settlements=[Settlement.RURAL], revenue_pv=[0.0], population=[0], decile_index=[1],
-                    strategy=StrategyBundle(Generation.G4, Backhaul.FIBER, Sharing.ACTIVE, Policy.BASELINE,
-                                            EnergyStrategy.BASELINE),
-                    spectrum_mhz=10.0, costs=COSTS)
+        args = dict(settlements=[Settlement.RURAL], revenue_pv=[[0.0]], population=[0], decile_index=[1],
+                    strategies=[StrategyBundle(Generation.G4, Backhaul.FIBER, Sharing.ACTIVE, Policy.BASELINE,
+                                               EnergyStrategy.BASELINE)],
+                    spectrum_mhz=[10.0], costs=COSTS)
         with pytest.raises(ValidationError, match="site counts"):
-            cost_columns(new_sites=[1], upgraded_sites=[-1], n_sharers=2, **args)
+            cost_columns(new_sites=[[1]], upgraded_sites=[[-1]], n_sharers=2, **args)
         with pytest.raises(ValidationError, match="n_sharers"):
-            cost_columns(new_sites=[1], upgraded_sites=[1], n_sharers=0, **args)
+            cost_columns(new_sites=[[1]], upgraded_sites=[[1]], n_sharers=0, **args)
+
+
+class TestBatchedSubsidies:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.lists(
+        st.tuples(st.lists(money, min_size=n, max_size=n), st.lists(money, min_size=n, max_size=n)),
+        min_size=1, max_size=8)), st.randoms(use_true_random=False))
+    def test_equals_per_key_loop_bit_for_bit(self, keys, rnd):
+        revenue = [r for r, _ in keys]
+        private = [c for _, c in keys]
+        index = list(range(1, len(revenue[0]) + 1))
+        rnd.shuffle(index)  # ties are broken by decile index, wherever the decile sits
+        got = subsidies(revenue, private, index)
+        for row, r, c in zip(got.tolist(), revenue, private):
+            assert [x.hex() for x in row] == [x.hex() for x in scalar_subsidies(r, c, index)]
+
+
+    def test_pool_adds_surpluses_left_to_right(self):
+        # nine surpluses whose running total differs in the last bit from a
+        # pairwise sum, and a deficit larger than the pool: its subsidy
+        # (deficit - pool) shows the pool's bits
+        surplus = [380475.37, 713257.86, 612517.8, 941000.98, 991676.72, 723676.25, 808843.81, 152865.02, 712890.26]
+        revenue, private = [*surplus, 0.0], [0.0] * 9 + [1e7]
+        assert np.cumsum(revenue[:9])[-1] != np.sum(revenue[:9])
+        got = subsidies([revenue], [private], list(range(1, 11)))[0].tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in scalar_subsidies(revenue, private, list(range(1, 11)))]
 
 
 class TestFinancialTotal:

@@ -1,7 +1,7 @@
 import pytest
 
 from bband_sim.core import DecileRecord, Generation, Settlement
-from bband_sim.dimensioning import SiteRequirement, aggregate_country, required_sites
+from bband_sim.dimensioning import SiteRequirement, required_sites
 from bband_sim.errors import ValidationError
 from bband_sim.radio import CapacityTable
 
@@ -66,33 +66,3 @@ class TestRequiredSites:
         with pytest.raises(ValidationError):
             SiteRequirement("AAA", 1, total_sites=60, existing_sites=40, new_sites=5, upgraded_sites=40)
 
-
-class TestAggregateCountry:
-    def test_elementwise_sums(self):
-        reqs = [
-            SiteRequirement("AAA", i, total_sites=8, existing_sites=3, new_sites=5, upgraded_sites=3)
-            for i in range(1, 11)
-        ]
-        agg = aggregate_country(reqs)
-        assert agg.new_sites == 50
-        assert agg.upgraded_sites == 30
-        assert agg.unserviceable_deciles == 0
-
-    def test_empty_is_zeros(self):
-        agg = aggregate_country([])
-        assert (agg.total_sites, agg.new_sites, agg.upgraded_sites, agg.unserviceable_deciles) == (0, 0, 0, 0)
-
-    def test_unserviceable_counted(self):
-        reqs = [
-            SiteRequirement("AAA", 1, 10, 0, 10, 0, unserviceable=True),
-            SiteRequirement("AAA", 2, 10, 0, 10, 0),
-        ]
-        assert aggregate_country(reqs).unserviceable_deciles == 1
-
-    def test_mixed_countries_rejected(self):
-        reqs = [
-            SiteRequirement("AAA", 1, 10, 0, 10, 0),
-            SiteRequirement("BBB", 1, 10, 0, 10, 0),
-        ]
-        with pytest.raises(ValidationError, match="mixed"):
-            aggregate_country(reqs)

@@ -228,27 +228,55 @@ def mix_rows(draw, n_years):
 
 @st.composite
 def energy_blocks(draw, max_sites=5_000_000):
-    """Keyword arguments of :func:`energy` for a block of 1-10 deciles."""
+    """A batch of 1-8 energy keys over one country's 1-10 deciles.
+
+    Each key has its own site counts (0 included), sharing, sharers,
+    backhaul and grid (energy strategy and on-grid share); settlements and
+    the mix rows are the country's, shared by every key.
+    """
     n = draw(st.integers(1, 10))
     site_counts = st.lists(st.one_of(st.just(0), st.integers(0, 50), st.integers(0, max_sites)), min_size=n, max_size=n)
-    share = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
-    grid = apply_renewables_strategy(GridSplit(share), draw(st.sampled_from(EnergyStrategy)))
-    return {
+    shares = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    keys = [{
         "existing_sites": draw(site_counts),
         "new_sites": draw(site_counts),
-        "settlements": draw(st.lists(st.sampled_from(Settlement), min_size=n, max_size=n)),
         "sharing": draw(st.sampled_from(Sharing)),
         "n_sharers": draw(st.integers(1, 5)),
         "backhaul": draw(st.sampled_from(Backhaul)),
-        "grid": grid,
+        "grid": apply_renewables_strategy(GridSplit(draw(shares)), draw(st.sampled_from(EnergyStrategy))),
+    } for _ in range(draw(st.integers(1, 8)))]
+    return {
+        "keys": keys,
+        "settlements": draw(st.lists(st.sampled_from(Settlement), min_size=n, max_size=n)),
         "mix_rows": draw(mix_rows(draw(st.integers(1, 30)))),
         "params": EnergyParams(),
         "factors": FACTORS,
     }
 
 
+def batch_energy(keys, settlements, mix_rows, params, factors):
+    """:func:`energy` of a block: one kernel call over all its keys."""
+    return energy(
+        [k["existing_sites"] for k in keys],
+        [k["new_sites"] for k in keys],
+        [[sharing_energy_divisor(k["sharing"], s, k["n_sharers"]) for s in settlements] for k in keys],
+        [params.site_kwh_per_hour + params.backhaul_kwh_per_hour(k["backhaul"]) for k in keys],
+        [k["grid"].on_grid_share for k in keys],
+        [k["grid"].off_grid_source == DIESEL_SOURCE for k in keys],
+        mix_rows,
+        factors,
+    )
+
+
+def scaled(block, k):
+    """The block with every key's site counts multiplied by ``k``."""
+    keys = [dict(key, existing_sites=[k * x for x in key["existing_sites"]], new_sites=[k * x for x in key["new_sites"]])
+            for key in block["keys"]]
+    return dict(block, keys=keys)
+
+
 def scalar_chain(existing_sites, new_sites, settlements, sharing, n_sharers, backhaul, grid, mix_rows, params, factors):
-    """Per-decile horizon totals from the scalar functions, one decile-year at a time."""
+    """Per-decile horizon totals of one key from the scalar functions, one decile-year at a time."""
     out = []
     for existing, new, settlement in zip(existing_sites, new_sites, settlements):
         divisor = sharing_energy_divisor(sharing, settlement, n_sharers)
@@ -273,26 +301,26 @@ class TestEnergyKernel:
     @settings(max_examples=300, deadline=None)
     @given(energy_blocks())
     def test_equals_scalar_chain_bit_for_bit(self, block):
-        got = energy(**block)
+        got = batch_energy(**block)
         assert list(got) == list(ENERGY_FIELDS)
-        columns = zip(*(got[f].tolist() for f in ENERGY_FIELDS))
-        for kernel_row, chain_row in zip(columns, scalar_chain(**block), strict=True):
-            assert bits(kernel_row) == bits(chain_row)
+        shared = {name: block[name] for name in ("settlements", "mix_rows", "params", "factors")}
+        for i, key in enumerate(block["keys"]):
+            columns = zip(*(got[f][i].tolist() for f in ENERGY_FIELDS))
+            for kernel_row, chain_row in zip(columns, scalar_chain(**key, **shared), strict=True):
+                assert bits(kernel_row) == bits(chain_row)
 
     @settings(max_examples=200, deadline=None)
     @given(energy_blocks(max_sites=1_000_000), st.integers(2, 50))
     def test_linear_in_site_counts(self, block, k):
-        share = block["grid"].on_grid_share
-        assume(share == 0.0 or share > 1e-300)  # subnormal products lose the exactness of doubling
+        # subnormal products lose the exactness of doubling
+        assume(all(key["grid"].on_grid_share == 0.0 or key["grid"].on_grid_share > 1e-300 for key in block["keys"]))
         # a whole number of builds per year keeps the build schedule linear
         n_years = len(block["mix_rows"])
-        block["new_sites"] = [n_years * (x // n_years) for x in block["new_sites"]]
-        single = energy(**block)
-        scaled = dict(block, existing_sites=[k * x for x in block["existing_sites"]],
-                      new_sites=[k * x for x in block["new_sites"]])
-        multiple = energy(**scaled)
-        doubled = energy(**dict(block, existing_sites=[2 * x for x in block["existing_sites"]],
-                                new_sites=[2 * x for x in block["new_sites"]]))
+        for key in block["keys"]:
+            key["new_sites"] = [n_years * (x // n_years) for x in key["new_sites"]]
+        single = batch_energy(**block)
+        multiple = batch_energy(**scaled(block, k))
+        doubled = batch_energy(**scaled(block, 2))
         # off-grid energy is total minus on-grid, so bound errors by the total
         largest_factor = max(max(row.as_tuple()) for row in FACTORS.by_source.values())
         tol = 1e-12 * k * single["energy_kwh"] * largest_factor
@@ -303,24 +331,25 @@ class TestEnergyKernel:
     @settings(max_examples=200, deadline=None)
     @given(energy_blocks())
     def test_on_and_off_grid_conserve_energy(self, block):
-        got = energy(**block)
-        share = block["grid"].on_grid_share
-        for total, on, off in zip(*(got[f].tolist() for f in ("energy_kwh", "on_grid_kwh", "off_grid_kwh"))):
-            assert on + off == pytest.approx(total, rel=1e-12)
-            assert on == pytest.approx(share * total, rel=1e-12)
-            if share == 1.0:
-                assert off == 0.0
-            if share == 0.0:
-                assert on == 0.0
+        got = batch_energy(**block)
+        for i, key in enumerate(block["keys"]):
+            share = key["grid"].on_grid_share
+            for total, on, off in zip(*(got[f][i].tolist() for f in ("energy_kwh", "on_grid_kwh", "off_grid_kwh"))):
+                assert on + off == pytest.approx(total, rel=1e-12)
+                assert on == pytest.approx(share * total, rel=1e-12)
+                if share == 1.0:
+                    assert off == 0.0
+                if share == 0.0:
+                    assert on == 0.0
 
     def test_each_mix_row_checked(self):
         bad = dict(ALL_COAL, coal=0.97)
-        block = {"existing_sites": [1], "new_sites": [2], "settlements": [Settlement.RURAL],
-                 "sharing": Sharing.BASELINE, "n_sharers": 3, "backhaul": Backhaul.FIBER, "grid": GridSplit(0.5),
-                 "params": EnergyParams(), "factors": FACTORS}
+        key = {"existing_sites": [1], "new_sites": [2], "sharing": Sharing.BASELINE, "n_sharers": 3,
+               "backhaul": Backhaul.FIBER, "grid": GridSplit(0.5)}
+        block = {"keys": [key], "settlements": [Settlement.RURAL], "params": EnergyParams(), "factors": FACTORS}
         with pytest.raises(ValidationError, match="sum"):
-            energy(**block, mix_rows=[ALL_COAL, bad])
+            batch_energy(**block, mix_rows=[ALL_COAL, bad])
         with pytest.raises(ValidationError, match="unknown mix sources"):
-            energy(**block, mix_rows=[{"peat": 1.0}])
+            batch_energy(**block, mix_rows=[{"peat": 1.0}])
         with pytest.raises(ValidationError, match="site counts"):
-            energy(**dict(block, new_sites=[-1]), mix_rows=[ALL_COAL])
+            batch_energy(**dict(block, keys=[key, dict(key, new_sites=[-1])]), mix_rows=[ALL_COAL])

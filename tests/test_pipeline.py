@@ -65,6 +65,12 @@ class TestRunPipeline:
             indices = sorted(r.decile_index for r in baseline_output.results if r.country_iso3 == iso3)
             assert indices == list(range(1, 11))
 
+    def test_no_runs_yield_an_empty_table(self, bundle, table_cache, tmp_path):
+        out = run_pipeline(bundle, [], cache_dir=table_cache)
+        assert (len(out.table), out.failures, out.results) == (0, [], [])
+        emit_results(out.table, tmp_path)
+        assert (tmp_path / "results_decile.csv").read_text() == ",".join(DECILE_COLUMNS) + "\n"
+
     def test_no_unserviceable_deciles(self, baseline_output):
         assert all(not r.sites.unserviceable for r in baseline_output.results)
 
@@ -85,10 +91,11 @@ class TestRunPipeline:
 
         real = pl.energy
 
-        def explode(existing, new, settlements, sharing, *args):
-            if sharing == Sharing.ACTIVE:
+        def explode(existing, new, divisor, *args):
+            # actively shared keys divide every decile's energy among the sharers
+            if (np.asarray(divisor) > 1).all(axis=1).any():
                 raise ValidationError("synthetic failure")
-            return real(existing, new, settlements, sharing, *args)
+            return real(existing, new, divisor, *args)
 
         monkeypatch.setattr(pl, "energy", explode)
         strategy, scenario = BASELINE_RUN
@@ -103,6 +110,45 @@ class TestRunPipeline:
         assert len(out.results) == 40  # the healthy runs still completed
         assert {r.strategy for r in out.results} == {strategy, low_tax}
 
+    def test_failing_key_fails_alone_inside_its_batch(self, bundle, table_cache, monkeypatch):
+        import bband_sim.pipeline as pl
+
+        strategy, scenario = BASELINE_RUN
+        runs = [(dataclasses.replace(strategy, sharing=sharing, policy=policy, energy_strategy=e), scenario)
+                for sharing in Sharing for policy in (Policy.BASELINE, Policy.HIGH_TAX) for e in EnergyStrategy]
+        real_cost, real_energy, cost_batches = pl.cost_columns, pl.energy, []
+
+        def cost(*args):
+            strategies, n_sharers = args[6], args[7]
+            cost_batches.append(len(strategies))
+            # MLB has 4 operators, MLA 3
+            if n_sharers == 4 and (Sharing.ACTIVE, Policy.HIGH_TAX) in {(s.sharing, s.policy) for s in strategies}:
+                raise ValidationError("cost key failed in MLB")
+            return real_cost(*args)
+
+        def energy(existing, new, divisor, site_kwh, share, diesel, *args):
+            # MLA's actively shared, diesel-free key: every divisor is MLA's 3 operators
+            if ((np.asarray(divisor) == 3).all(axis=1) & ~np.asarray(diesel)).any():
+                raise ValidationError("energy key failed in MLA")
+            return real_energy(existing, new, divisor, site_kwh, share, diesel, *args)
+
+        monkeypatch.setattr(pl, "cost_columns", cost)
+        monkeypatch.setattr(pl, "energy", energy)
+        out = run_pipeline(bundle, runs, cache_dir=table_cache)
+        monkeypatch.undo()
+
+        # 8 cost keys per country: MLA's batch passes, MLB's fails and runs again key by key
+        assert cost_batches == [8, 8] + [1] * 8
+        # a run needing both failing keys reports MLA's: countries come first, then sites, cost, energy
+        assert [(f.strategy.sharing, f.strategy.policy, f.strategy.energy_strategy, f.error) for f in out.failures] == [
+            (Sharing.ACTIVE, Policy.BASELINE, EnergyStrategy.RENEWABLES, "ValidationError: energy key failed in MLA"),
+            (Sharing.ACTIVE, Policy.HIGH_TAX, EnergyStrategy.BASELINE, "ValidationError: cost key failed in MLB"),
+            (Sharing.ACTIVE, Policy.HIGH_TAX, EnergyStrategy.RENEWABLES, "ValidationError: energy key failed in MLA"),
+        ]
+        failed = [(f.strategy, f.scenario) for f in out.failures]
+        healthy = [run for run in runs if run not in failed]
+        assert out.results == run_pipeline(bundle, healthy, cache_dir=table_cache).results
+
     def test_energy_computed_once_across_policies(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
 
@@ -110,7 +156,7 @@ class TestRunPipeline:
         real = pl.energy
 
         def counted(*args):
-            calls.append(args)
+            calls.append(len(args[0]))  # keys in this kernel call
             return real(*args)
 
         monkeypatch.setattr(pl, "energy", counted)
@@ -120,7 +166,26 @@ class TestRunPipeline:
         out = run_pipeline(bundle, runs, cache_dir=table_cache)
         assert not out.failures
         assert len(out.results) == 5 * 20
-        assert len(calls) == 2  # once per country's energy key, not once per policy
+        assert len(calls) == 2  # one kernel call per country
+        assert sum(calls) == 2  # each country's one energy key once, not once per policy
+
+    def test_each_energy_key_computed_once_over_the_matrix(self, bundle, table_cache, monkeypatch):
+        import bband_sim.pipeline as pl
+
+        calls = []
+        real = pl.energy
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(pl, "energy", counted)
+        runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
+        out = run_pipeline(bundle, runs, cache_dir=table_cache)
+        keys = {(s.generation, s.backhaul, s.sharing, s.energy_strategy, sc) for s, sc in runs}
+        assert not out.failures
+        # one call per country (every run shares one horizon), each over every energy key
+        assert calls == [len(keys)] * 2
 
     @pytest.mark.parametrize("change", [{"discount_rate": 0.10}, {"end_year": 2027}])
     def test_runs_differing_only_in_scenario_detail_are_independent(self, bundle, table_cache, change):

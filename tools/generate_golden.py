@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden outputs for the miniland fixture.
+"""Regenerate, or check, the committed golden outputs for the miniland fixture.
 
 Runs the full scenario matrix at the fixture's pinned seed and records:
 
@@ -7,8 +7,13 @@ Runs the full scenario matrix at the fixture's pinned seed and records:
 * SHA-256 checksums of every emitted file (byte-identity for the large ones)
 
 Run from the repository root:  python3 tools/generate_golden.py
+
+With ``--check`` it writes nothing under ``tests/golden/``: it runs the
+matrix into a temporary directory, compares every emitted file against
+``checksums.sha256``, lists the files that differ and exits 1 if any do.
 """
 
+import argparse
 import hashlib
 import shutil
 import sys
@@ -29,7 +34,21 @@ SUMMARY_FILES = (
 )
 
 
-def main() -> int:
+def check(paths: list[Path]) -> int:
+    """Compare each emitted file with its recorded checksum; 1 if any differ or are missing."""
+    recorded = dict(line.split()[::-1] for line in (GOLDEN / "checksums.sha256").read_text().splitlines() if line)
+    emitted = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    bad = sorted(name for name in recorded.keys() | emitted.keys() if recorded.get(name) != emitted.get(name))
+    for name in bad:
+        print(f"MISMATCH: {name}", file=sys.stderr)
+    print(f"{len(emitted) - len(bad)} of {len(recorded)} golden files match")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare against the goldens instead of writing them")
+    args = parser.parse_args(argv)
     bundle = load_bundle(ROOT / "data" / "miniland", ROOT / "data" / "miniland" / "config.yaml")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -39,6 +58,8 @@ def main() -> int:
                 print("FAILED:", f, file=sys.stderr)
             return 1
         paths = emit_results(result.table, out)
+        if args.check:
+            return check(paths)
 
         GOLDEN.mkdir(parents=True, exist_ok=True)
         lines = []
