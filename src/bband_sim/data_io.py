@@ -1,19 +1,24 @@
 """Input schemas, collect-all validation, and bundle (de)serialization.
 
-All inputs are headered CSV files plus one YAML config document. Headers are
-matched byte-for-byte against the documented schemas. Loading never stops at
-the first problem: every diagnostic is collected with file and line context
-and raised together as :class:`InputValidationError`.
+All inputs are headered CSV files plus one YAML config document. Each CSV is
+declared once, in :data:`SCHEMAS`, as one ``(column, kind, bound)`` row per
+column in file order. The header, the reader and :func:`save_bundle` all walk
+that declaration. Kinds:
 
-File schemas (exact headers):
+* ``str``: the cell with surrounding blanks stripped; bound ``"nonempty"``
+  rejects an empty cell.
+* an enum: the cell exactly as written (not stripped) must be one of the
+  enum's values.
+* ``int``, ``float``: the cell parsed by that builtin; a bound such as
+  ``">= 0"`` or ``"> 0"`` is checked on the parsed value.
 
-* ``regions.csv``            ``region_id,country_iso3,population,area_km2,existing_sites``
-* ``countries.csv``          ``country_iso3,income_group,n_major_operators,arpu_low,arpu_base,arpu_high,on_grid_share,grid_carbon_intensity_kg_kwh``
-* ``spectrum.csv``           ``country_iso3,generation,frequency_mhz,bandwidth_mhz``
-* ``energy_mix.csv``         ``region,year,source,share``
-* ``emission_factors.csv``   ``source,co2_kg_kwh,nox_g_kwh,sox_g_kwh,pm10_g_kwh``
-* ``se_table.csv``           ``generation,min_sinr_db,se_bps_hz`` (optional; the
-  packaged default is used when the file is absent)
+Headers must match byte for byte. Loading never stops at the first problem:
+every bad cell and every row with the wrong number of cells is reported with
+file and line and the row is dropped; the rules that span cells, rows or
+files (duplicates, unknown countries, ARPU order, mix sums and coverage, the
+emission-factor set, SE rows per generation) then run on the rows that
+parsed. All diagnostics are raised together as :class:`InputValidationError`.
+``se_table.csv`` is optional; the packaged table is used when it is absent.
 
 The config is a YAML mapping with the sections ``axes``, ``horizon``,
 ``settlement``, ``adoption``, ``simulation``, ``cost``, ``energy`` and
@@ -24,10 +29,12 @@ is present it must be complete.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass
+from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import yaml
 
@@ -66,15 +73,55 @@ from .radio import (
     SpectralEfficiencyTable,
 )
 
-REGIONS_HEADER = "region_id,country_iso3,population,area_km2,existing_sites"
-COUNTRIES_HEADER = (
-    "country_iso3,income_group,n_major_operators,arpu_low,arpu_base,arpu_high,"
-    "on_grid_share,grid_carbon_intensity_kg_kwh"
+#: Every input CSV: one ``(column, kind, bound)`` row per column, in file order.
+SCHEMAS = {
+    "regions.csv": (
+        ("region_id", str, "nonempty"),
+        ("country_iso3", str, None),
+        ("population", int, ">= 0"),
+        ("area_km2", float, "> 0"),
+        ("existing_sites", int, ">= 0"),
+    ),
+    "countries.csv": (
+        ("country_iso3", str, "nonempty"),
+        ("income_group", IncomeGroup, None),
+        ("n_major_operators", int, ">= 1"),
+        ("arpu_low", float, ">= 0"),
+        ("arpu_base", float, ">= 0"),
+        ("arpu_high", float, ">= 0"),
+        ("on_grid_share", float, ">= 0"),
+        ("grid_carbon_intensity_kg_kwh", float, ">= 0"),
+    ),
+    "spectrum.csv": (
+        ("country_iso3", str, None),
+        ("generation", Generation, None),
+        ("frequency_mhz", float, "> 0"),
+        ("bandwidth_mhz", float, "> 0"),
+    ),
+    "energy_mix.csv": (
+        ("region", str, None),
+        ("year", int, None),
+        ("source", str, None),
+        ("share", float, ">= 0"),
+    ),
+    "emission_factors.csv": (
+        ("source", str, None),
+        ("co2_kg_kwh", float, ">= 0"),
+        ("nox_g_kwh", float, ">= 0"),
+        ("sox_g_kwh", float, ">= 0"),
+        ("pm10_g_kwh", float, ">= 0"),
+    ),
+    "se_table.csv": (
+        ("generation", Generation, None),
+        ("min_sinr_db", float, None),
+        ("se_bps_hz", float, "> 0"),
+    ),
+}
+
+
+REGIONS_HEADER, COUNTRIES_HEADER, SPECTRUM_HEADER, ENERGY_MIX_HEADER, EMISSION_FACTORS_HEADER, SE_TABLE_HEADER = (
+    ",".join(column for column, _, _ in columns) for columns in SCHEMAS.values()
 )
-SPECTRUM_HEADER = "country_iso3,generation,frequency_mhz,bandwidth_mhz"
-ENERGY_MIX_HEADER = "region,year,source,share"
-EMISSION_FACTORS_HEADER = "source,co2_kg_kwh,nox_g_kwh,sox_g_kwh,pm10_g_kwh"
-SE_TABLE_HEADER = "generation,min_sinr_db,se_bps_hz"
 
 # Frequency sets used by the `tables` command when the config does not
 # override them: three 10 MHz carriers for 4G, 10 + 40 MHz for 5G.
@@ -148,150 +195,124 @@ class _Collector:
             raise InputValidationError(self.diagnostics)
 
 
-def _read_rows(path: Path, expected_header: str, collector: _Collector) -> list[tuple[int, dict[str, str]]]:
-    """Rows of a headered CSV as (line_number, dict); header must match exactly."""
+def _parser(where: str, kind, bound: str | None = None) -> Callable[[Any], Any]:
+    """A function parsing one value as ``kind`` within ``bound``.
+
+    The function raises ValueError whose text is the diagnostic, which
+    starts with ``where`` (a column or config key).
+    """
+    if kind is str:
+        if bound != "nonempty":
+            return str.strip
+
+        def parse(raw):
+            value = raw.strip()
+            if not value:
+                raise ValueError(f"{where} is empty")
+            return value
+    elif kind is int or kind is float:
+        op, limit = bound.split() if bound else (None, 0)
+        within = operator.gt if op == ">" else operator.ge
+        limit = int(limit)
+
+        def parse(raw):
+            try:
+                value = kind(raw)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+            if bound and not within(value, limit):
+                raise ValueError(f"{where}: {value} must be {bound}")
+            return value
+    else:
+        def parse(raw):
+            try:
+                return kind(raw)
+            except ValueError:
+                valid = ", ".join(e.value for e in kind)
+                raise ValueError(f"{where}: {raw!r} is not one of {{{valid}}}") from None
+    return parse
+
+
+def _read_csv(path: Path, columns, collector: _Collector) -> Iterator[tuple[int, list]]:
+    """Yield ``(line, values)`` for each row of a schema CSV whose cells all parse.
+
+    Reports a missing file, a header other than the declared one, a row with
+    the wrong number of cells, and each bad cell in column order. Blank lines
+    are skipped and not counted.
+    """
     name = path.name
     if not path.is_file():
         collector.add(name, 0, "file is missing")
-        return []
+        return
+    header = ",".join(column for column, _, _ in columns)
     with path.open(newline="", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\r\n")
-        if first != expected_header:
-            collector.add(name, 1, f"header must be exactly {expected_header!r}, got {first!r}")
-            return []
-        reader = csv.DictReader(fh, fieldnames=expected_header.split(","))
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if None in row or any(v is None for v in row.values()):
-                collector.add(name, line_no, "wrong number of columns")
+        if first != header:
+            collector.add(name, 1, f"header must be exactly {header!r}, got {first!r}")
+            return
+        parsers = [_parser(*column) for column in columns]
+        for line, cells in enumerate(filter(None, csv.reader(fh)), start=2):
+            if len(cells) != len(parsers):
+                collector.add(name, line, "wrong number of columns")
                 continue
-            rows.append((line_no, row))
-        return rows
+            values = []
+            for parse, raw in zip(parsers, cells):
+                try:
+                    values.append(parse(raw))
+                except ValueError as err:
+                    collector.add(name, line, str(err))
+            if len(values) == len(parsers):
+                yield line, values
 
 
-def _parse_number(
-    raw: str, kind: type, file: str, line: int, column: str, collector: _Collector,
-    minimum: float | None = None, strict_minimum: bool = False,
-):
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError):
-        collector.add(file, line, f"{column}: {raw!r} is not a valid {kind.__name__}")
-        return None
-    if minimum is not None:
-        if strict_minimum and not value > minimum:
-            collector.add(file, line, f"{column}: {value} must be > {minimum}")
-            return None
-        if not strict_minimum and value < minimum:
-            collector.add(file, line, f"{column}: {value} must be >= {minimum}")
-            return None
-    return value
-
-
-def _parse_enum(raw: str, enum_cls, file: str, line: int, column: str, collector: _Collector):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        collector.add(file, line, f"{column}: {raw!r} is not one of {{{valid}}}")
-        return None
-
-
-def _load_countries(data_dir: Path, spectrum: dict[str, list[SpectrumHolding]], collector: _Collector) -> dict[str, CountryParams]:
-    rows = _read_rows(data_dir / "countries.csv", COUNTRIES_HEADER, collector)
-    countries: dict[str, CountryParams] = {}
-    for line, row in rows:
-        iso3 = row["country_iso3"].strip()
-        if not iso3:
-            collector.add("countries.csv", line, "country_iso3 is empty")
-            continue
-        if iso3 in countries:
-            collector.add("countries.csv", line, f"duplicate country {iso3}")
-            continue
-        income = _parse_enum(row["income_group"], IncomeGroup, "countries.csv", line, "income_group", collector)
-        n_ops = _parse_number(row["n_major_operators"], int, "countries.csv", line, "n_major_operators", collector, minimum=1)
-        arpu_low = _parse_number(row["arpu_low"], float, "countries.csv", line, "arpu_low", collector, minimum=0)
-        arpu_base = _parse_number(row["arpu_base"], float, "countries.csv", line, "arpu_base", collector, minimum=0)
-        arpu_high = _parse_number(row["arpu_high"], float, "countries.csv", line, "arpu_high", collector, minimum=0)
-        on_grid = _parse_number(row["on_grid_share"], float, "countries.csv", line, "on_grid_share", collector, minimum=0)
-        intensity = _parse_number(row["grid_carbon_intensity_kg_kwh"], float, "countries.csv", line, "grid_carbon_intensity_kg_kwh", collector, minimum=0)
-        if None in (income, n_ops, arpu_low, arpu_base, arpu_high, on_grid, intensity):
-            continue
-        if not arpu_low <= arpu_base <= arpu_high:
-            collector.add("countries.csv", line, f"{iso3}: ARPU tiers must be ordered low <= base <= high")
-            continue
-        if on_grid > 1:
-            collector.add("countries.csv", line, f"{iso3}: on_grid_share {on_grid} exceeds 1")
-            continue
-        countries[iso3] = CountryParams(
-            country_iso3=iso3,
-            income_group=income,
-            n_major_operators=n_ops,
-            spectrum_portfolio=tuple(spectrum.get(iso3, ())),
-            arpu_low=arpu_low,
-            arpu_base=arpu_base,
-            arpu_high=arpu_high,
-            on_grid_share=on_grid,
-            grid_carbon_intensity_kg_kwh=intensity,
-        )
-    return countries
-
-
-def _load_spectrum(data_dir: Path, collector: _Collector) -> dict[str, list[SpectrumHolding]]:
-    rows = _read_rows(data_dir / "spectrum.csv", SPECTRUM_HEADER, collector)
+def _spectrum(rows: Iterable[tuple[int, list]]) -> dict[str, list[SpectrumHolding]]:
     holdings: dict[str, list[SpectrumHolding]] = {}
-    for line, row in rows:
-        iso3 = row["country_iso3"].strip()
-        gen = _parse_enum(row["generation"], Generation, "spectrum.csv", line, "generation", collector)
-        freq = _parse_number(row["frequency_mhz"], float, "spectrum.csv", line, "frequency_mhz", collector, minimum=0, strict_minimum=True)
-        bw = _parse_number(row["bandwidth_mhz"], float, "spectrum.csv", line, "bandwidth_mhz", collector, minimum=0, strict_minimum=True)
-        if None in (gen, freq, bw):
-            continue
+    for _, (iso3, gen, freq, bw) in rows:
         holdings.setdefault(iso3, []).append(SpectrumHolding(freq, bw, gen))
     return holdings
 
 
-def _load_regions(data_dir: Path, countries: Mapping[str, CountryParams], collector: _Collector) -> dict[str, tuple[RegionRecord, ...]]:
-    rows = _read_rows(data_dir / "regions.csv", REGIONS_HEADER, collector)
+def _countries(
+    rows: Iterable[tuple[int, list]], spectrum: Mapping[str, list[SpectrumHolding]], collector: _Collector
+) -> dict[str, CountryParams]:
+    countries: dict[str, CountryParams] = {}
+    for line, (iso3, income, n_ops, arpu_low, arpu_base, arpu_high, on_grid, intensity) in rows:
+        if iso3 in countries:
+            collector.add("countries.csv", line, f"duplicate country {iso3}")
+        elif not arpu_low <= arpu_base <= arpu_high:
+            collector.add("countries.csv", line, f"{iso3}: ARPU tiers must be ordered low <= base <= high")
+        elif on_grid > 1:
+            collector.add("countries.csv", line, f"{iso3}: on_grid_share {on_grid} exceeds 1")
+        else:
+            countries[iso3] = CountryParams(
+                iso3, income, n_ops, tuple(spectrum.get(iso3, ())), arpu_low, arpu_base, arpu_high, on_grid, intensity
+            )
+    return countries
+
+
+def _regions(
+    rows: Iterable[tuple[int, list]], countries: Mapping[str, CountryParams], collector: _Collector
+) -> dict[str, tuple[RegionRecord, ...]]:
     regions: dict[str, list[RegionRecord]] = {}
     seen_ids: dict[tuple[str, str], int] = {}
-    for line, row in rows:
-        region_id = row["region_id"].strip()
-        iso3 = row["country_iso3"].strip()
-        population = _parse_number(row["population"], int, "regions.csv", line, "population", collector, minimum=0)
-        area = _parse_number(row["area_km2"], float, "regions.csv", line, "area_km2", collector, minimum=0, strict_minimum=True)
-        sites = _parse_number(row["existing_sites"], int, "regions.csv", line, "existing_sites", collector, minimum=0)
-        if None in (population, area, sites):
-            continue
-        if not region_id:
-            collector.add("regions.csv", line, "region_id is empty")
-            continue
+    for line, values in rows:
+        region_id, iso3 = values[0], values[1]
         if countries and iso3 not in countries:
             collector.add("regions.csv", line, f"region {region_id} references unknown country {iso3}")
-            continue
-        key = (iso3, region_id)
-        if key in seen_ids:
-            collector.add("regions.csv", line, f"duplicate region_id {region_id} in {iso3} (first seen line {seen_ids[key]})")
-            continue
-        seen_ids[key] = line
-        regions.setdefault(iso3, []).append(
-            RegionRecord(region_id=region_id, country_iso3=iso3, population=population, area_km2=area, existing_sites=sites)
-        )
+        elif (iso3, region_id) in seen_ids:
+            first = seen_ids[iso3, region_id]
+            collector.add("regions.csv", line, f"duplicate region_id {region_id} in {iso3} (first seen line {first})")
+        else:
+            seen_ids[iso3, region_id] = line
+            regions.setdefault(iso3, []).append(RegionRecord(*values))
     return {iso3: tuple(rs) for iso3, rs in regions.items()}
 
 
-def _load_energy_mix(
-    data_dir: Path, countries: Mapping[str, CountryParams], years: range, collector: _Collector
+def _energy_mix(
+    rows: Iterable[tuple[int, list]], countries: Mapping[str, CountryParams], years: range, collector: _Collector
 ) -> dict[str, dict[int, dict[str, float]]]:
-    rows = _read_rows(data_dir / "energy_mix.csv", ENERGY_MIX_HEADER, collector)
     mix: dict[str, dict[int, dict[str, float]]] = {}
-    for line, row in rows:
-        region = row["region"].strip()
-        year = _parse_number(row["year"], int, "energy_mix.csv", line, "year", collector)
-        source = row["source"].strip()
-        share = _parse_number(row["share"], float, "energy_mix.csv", line, "share", collector, minimum=0)
-        if None in (year, share):
-            continue
+    for line, (region, year, source, share) in rows:
         if source not in MIX_SOURCES:
             collector.add("energy_mix.csv", line, f"source {source!r} is not one of {MIX_SOURCES}")
             continue
@@ -316,24 +337,15 @@ def _load_energy_mix(
     return mix
 
 
-def _load_emission_factors(data_dir: Path, collector: _Collector) -> EmissionFactors | None:
-    rows = _read_rows(data_dir / "emission_factors.csv", EMISSION_FACTORS_HEADER, collector)
+def _emission_factors(rows: Iterable[tuple[int, list]], collector: _Collector) -> EmissionFactors | None:
     by_source: dict[str, FactorRow] = {}
-    for line, row in rows:
-        source = row["source"].strip()
+    for line, (source, *factors) in rows:
         if source not in (*MIX_SOURCES, DIESEL_SOURCE):
             collector.add("emission_factors.csv", line, f"unknown source {source!r}")
-            continue
-        values = [
-            _parse_number(row[c], float, "emission_factors.csv", line, c, collector, minimum=0)
-            for c in ("co2_kg_kwh", "nox_g_kwh", "sox_g_kwh", "pm10_g_kwh")
-        ]
-        if None in values:
-            continue
-        if source in by_source:
+        elif source in by_source:
             collector.add("emission_factors.csv", line, f"duplicate source {source}")
-            continue
-        by_source[source] = FactorRow(*values)
+        else:
+            by_source[source] = FactorRow(*factors)
     try:
         return EmissionFactors(by_source=by_source)
     except ValidationError as err:
@@ -354,12 +366,14 @@ def _load_se_table(path: Path, mimo_efficiency: float, collector: _Collector) ->
             return None
         reader = csv.DictReader(fh, fieldnames=SE_TABLE_HEADER.split(","))
         for line_no, row in enumerate(reader, start=2):
-            gen = _parse_enum(row["generation"], Generation, name, line_no, "generation", collector)
-            min_sinr = _parse_number(row["min_sinr_db"], float, name, line_no, "min_sinr_db", collector)
-            se = _parse_number(row["se_bps_hz"], float, name, line_no, "se_bps_hz", collector, minimum=0, strict_minimum=True)
-            if None in (gen, min_sinr, se):
-                continue
-            rows_by_gen.setdefault(gen, []).append((min_sinr, se))
+            values = []
+            for column, kind, bound in SCHEMAS["se_table.csv"]:
+                try:
+                    values.append(_parser(column, kind, bound)(row[column]))
+                except ValueError as err:
+                    collector.add(name, line_no, str(err))
+            if len(values) == 3:
+                rows_by_gen.setdefault(values[0], []).append((values[1], values[2]))
     for gen in Generation:
         if gen not in rows_by_gen:
             collector.add(name, 0, f"no rows for generation {gen.value}")
@@ -404,9 +418,9 @@ def _config_scalar(section: dict, key: str, default, where: str, collector: _Col
     if key not in section:
         return default
     try:
-        return cast(section[key])
-    except (TypeError, ValueError):
-        collector.add("config", 0, f"{where}.{key}: {section[key]!r} is not a valid {cast.__name__}")
+        return _parser(f"{where}.{key}", cast)(section[key])
+    except ValueError as err:
+        collector.add("config", 0, str(err))
         return default
 
 
@@ -414,10 +428,9 @@ def _axis_values(raw, enum_cls, name: str, collector: _Collector):
     values = []
     for item in raw:
         try:
-            values.append(enum_cls(item))
-        except ValueError:
-            valid = ", ".join(e.value for e in enum_cls)
-            collector.add("config", 0, f"axes.{name}: {item!r} is not one of {{{valid}}}")
+            values.append(_parser(f"axes.{name}", enum_cls)(item))
+        except ValueError as err:
+            collector.add("config", 0, str(err))
     if not values:
         collector.add("config", 0, f"axes.{name} is empty")
     return tuple(values)
@@ -651,8 +664,11 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     if not urban_min > suburban_min > 0:
         collector.add("config", 0, "settlement thresholds must satisfy urban_min > suburban_min > 0")
 
-    spectrum = _load_spectrum(data_dir, collector)
-    countries = _load_countries(data_dir, spectrum, collector)
+    def read(name: str) -> Iterator[tuple[int, list]]:
+        return _read_csv(data_dir / name, SCHEMAS[name], collector)
+
+    spectrum = _spectrum(read("spectrum.csv"))
+    countries = _countries(read("countries.csv"), spectrum, collector)
     for iso3 in sorted(spectrum):
         if countries and iso3 not in countries:
             collector.add("spectrum.csv", 0, f"spectrum row references unknown country {iso3}")
@@ -661,14 +677,14 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
             if not params.holdings(gen):
                 collector.add("spectrum.csv", 0, f"{iso3}: no {gen.value} carriers in portfolio")
 
-    regions = _load_regions(data_dir, countries, collector)
+    regions = _regions(read("regions.csv"), countries, collector)
     for iso3 in sorted(countries):
         if iso3 not in regions:
             collector.add("regions.csv", 0, f"country {iso3} has no regions")
 
     years = range(scenario_space.start_year, scenario_space.end_year + 1)
-    energy_mix = _load_energy_mix(data_dir, countries, years, collector)
-    emission_factors = _load_emission_factors(data_dir, collector)
+    energy_mix = _energy_mix(read("energy_mix.csv"), countries, years, collector)
+    emission_factors = _emission_factors(read("emission_factors.csv"), collector)
 
     se_table = _load_se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
 
@@ -722,63 +738,53 @@ def load_table_inputs(config_path: Path | str, data_dir: Path | str | None = Non
 # Serialization (round-trip support)
 # ---------------------------------------------------------------------------
 
+def _text(value):
+    """A cell's text: an enum's value; ``csv`` writes numbers with ``repr``."""
+    return value.value if isinstance(value, Enum) else value
+
+
 def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | str) -> None:
     """Write a bundle back out in the documented schemas.
 
-    ``load_bundle(save_bundle(b)) == b`` field for field: numbers are
-    written with ``repr`` so floats survive the text round trip exactly.
+    Each CSV is written by walking its :data:`SCHEMAS` columns over the
+    bundle's records. ``load_bundle(save_bundle(b)) == b`` field for field:
+    numbers are written with ``repr`` so floats survive the text round trip
+    exactly, and enums as their values.
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
 
-    with (data_dir / "regions.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGIONS_HEADER.split(","))
-        for iso3 in sorted(bundle.regions):
-            for r in bundle.regions[iso3]:
-                writer.writerow([r.region_id, r.country_iso3, r.population, repr(r.area_km2), r.existing_sites])
-
-    with (data_dir / "countries.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNTRIES_HEADER.split(","))
-        for iso3 in sorted(bundle.countries):
-            c = bundle.countries[iso3]
-            writer.writerow([
-                c.country_iso3, c.income_group.value, c.n_major_operators,
-                repr(c.arpu_low), repr(c.arpu_base), repr(c.arpu_high),
-                repr(c.on_grid_share), repr(c.grid_carbon_intensity_kg_kwh),
-            ])
-
-    with (data_dir / "spectrum.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPECTRUM_HEADER.split(","))
-        for iso3 in sorted(bundle.countries):
-            for h in bundle.countries[iso3].spectrum_portfolio:
-                writer.writerow([iso3, h.generation.value, repr(h.frequency_mhz), repr(h.bandwidth_mhz)])
-
-    with (data_dir / "energy_mix.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ENERGY_MIX_HEADER.split(","))
-        for region in sorted(bundle.energy_mix):
-            for year in sorted(bundle.energy_mix[region]):
-                for source in MIX_SOURCES:
-                    shares = bundle.energy_mix[region][year]
-                    if source in shares:
-                        writer.writerow([region, year, source, repr(shares[source])])
-
-    with (data_dir / "emission_factors.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EMISSION_FACTORS_HEADER.split(","))
-        for source in (*MIX_SOURCES, DIESEL_SOURCE):
-            row = bundle.emission_factors.by_source[source]
-            writer.writerow([source, repr(row.co2_kg_kwh), repr(row.nox_g_kwh), repr(row.sox_g_kwh), repr(row.pm10_g_kwh)])
-
-    with (data_dir / "se_table.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SE_TABLE_HEADER.split(","))
-        for gen in Generation:
-            for min_sinr, se in bundle.se_table.rows[gen]:
-                writer.writerow([gen.value, repr(min_sinr), repr(se)])
+    records = {
+        "regions.csv": (vars(r) for iso3 in sorted(bundle.regions) for r in bundle.regions[iso3]),
+        "countries.csv": (vars(bundle.countries[iso3]) for iso3 in sorted(bundle.countries)),
+        "spectrum.csv": (
+            {"country_iso3": iso3, **vars(h)}
+            for iso3 in sorted(bundle.countries)
+            for h in bundle.countries[iso3].spectrum_portfolio
+        ),
+        "energy_mix.csv": (
+            {"region": region, "year": year, "source": source, "share": shares[source]}
+            for region, by_year in sorted(bundle.energy_mix.items())
+            for year, shares in sorted(by_year.items())
+            for source in MIX_SOURCES
+            if source in shares
+        ),
+        "emission_factors.csv": (
+            {"source": source, **vars(bundle.emission_factors.by_source[source])}
+            for source in (*MIX_SOURCES, DIESEL_SOURCE)
+        ),
+        "se_table.csv": (
+            {"generation": gen, "min_sinr_db": min_sinr, "se_bps_hz": se}
+            for gen in Generation
+            for min_sinr, se in bundle.se_table.rows[gen]
+        ),
+    }
+    for name, columns in SCHEMAS.items():
+        with (data_dir / name).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(column for column, _, _ in columns)
+            for record in records[name]:
+                writer.writerow(_text(record[column]) for column, _, _ in columns)
 
     config = {
         "axes": {
