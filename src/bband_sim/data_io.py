@@ -353,39 +353,31 @@ def _emission_factors(rows: Iterable[tuple[int, list]], collector: _Collector) -
         return None
 
 
-def _load_se_table(path: Path, mimo_efficiency: float, collector: _Collector) -> SpectralEfficiencyTable | None:
+def _se_table(path: Path, mimo_efficiency: float, collector: _Collector) -> SpectralEfficiencyTable | None:
     rows_by_gen: dict[Generation, list[tuple[float, float]]] = {}
-    name = path.name
-    if not path.is_file():
-        collector.add(name, 0, "file is missing")
+    for _, (gen, min_sinr, se) in _read_csv(path, SCHEMAS["se_table.csv"], collector):
+        rows_by_gen.setdefault(gen, []).append((min_sinr, se))
+    missing = [gen for gen in Generation if gen not in rows_by_gen]
+    for gen in missing:
+        collector.add(path.name, 0, f"no rows for generation {gen.value}")
+    if missing:
         return None
-    with path.open(newline="", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\r\n")
-        if first != SE_TABLE_HEADER:
-            collector.add(name, 1, f"header must be exactly {SE_TABLE_HEADER!r}, got {first!r}")
-            return None
-        reader = csv.DictReader(fh, fieldnames=SE_TABLE_HEADER.split(","))
-        for line_no, row in enumerate(reader, start=2):
-            values = []
-            for column, kind, bound in SCHEMAS["se_table.csv"]:
-                try:
-                    values.append(_parser(column, kind, bound)(row[column]))
-                except ValueError as err:
-                    collector.add(name, line_no, str(err))
-            if len(values) == 3:
-                rows_by_gen.setdefault(values[0], []).append((values[1], values[2]))
-    for gen in Generation:
-        if gen not in rows_by_gen:
-            collector.add(name, 0, f"no rows for generation {gen.value}")
-            return None
     try:
-        return SpectralEfficiencyTable(
-            rows={g: tuple(r) for g, r in rows_by_gen.items()},
-            mimo_efficiency=mimo_efficiency,
-        )
+        return SpectralEfficiencyTable(rows={g: tuple(r) for g, r in rows_by_gen.items()}, mimo_efficiency=mimo_efficiency)
     except ValidationError as err:
-        collector.add(name, 0, str(err))
+        collector.add(path.name, 0, str(err))
         return None
+
+
+def load_se_table(path: Path | str, mimo_efficiency: float) -> SpectralEfficiencyTable:
+    """Read one SE table in the ``se_table.csv`` schema.
+
+    Raises :class:`InputValidationError` carrying every problem found.
+    """
+    collector = _Collector()
+    table = _se_table(Path(path), mimo_efficiency, collector)
+    collector.raise_if_any()
+    return table
 
 
 def default_se_table_path() -> Path:
@@ -686,7 +678,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     energy_mix = _energy_mix(read("energy_mix.csv"), countries, years, collector)
     emission_factors = _emission_factors(read("emission_factors.csv"), collector)
 
-    se_table = _load_se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
+    se_table = _se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
 
     collector.raise_if_any()
     return InputBundle(
@@ -729,7 +721,7 @@ def load_table_inputs(config_path: Path | str, data_dir: Path | str | None = Non
     config = load_config(config_path, collector)
     sim_params, density_grid = _build_sim_params(config, collector)
     portfolios = _build_table_portfolios(config, collector)
-    se_table = _load_se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
+    se_table = _se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
     collector.raise_if_any()
     return TableInputs(sim_params, density_grid, se_table, portfolios)
 

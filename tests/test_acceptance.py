@@ -30,7 +30,7 @@ from bband_sim.core import (
     StrategyBundle,
 )
 from bband_sim.cost import DecileCost, cross_subsidize, financial_cost_total
-from bband_sim.data_io import default_se_table_path, _load_se_table, _Collector
+from bband_sim.data_io import default_se_table_path, load_se_table
 from bband_sim.demand import decile_revenue_pv, per_user_busy_hour_rate
 from bband_sim.energy import (
     Emissions,
@@ -111,7 +111,7 @@ def test_criterion_1_equation_oracles():
 
 def test_criterion_2_radio_properties():
     start = time.perf_counter()
-    se_table = _load_se_table(default_se_table_path(), 0.85, _Collector())
+    se_table = load_se_table(default_se_table_path(), 0.85)
     params = SimulationParams(trials=10_000, seed=314)
     grid = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     fs = FrequencySet(Generation.G4, (Carrier(800, 10), Carrier(1800, 10), Carrier(2500, 10)))

@@ -12,7 +12,7 @@ With ``old`` ``None`` the file is overwritten with ``new``, or deleted when
 
 import pytest
 
-from bband_sim.data_io import load_bundle
+from bband_sim.data_io import load_bundle, load_se_table
 from bband_sim.errors import InputValidationError
 
 APPEND = "append"
@@ -30,6 +30,7 @@ COUNTRIES_HEADER = (
     "country_iso3,income_group,n_major_operators,arpu_low,arpu_base,arpu_high,"
     "on_grid_share,grid_carbon_intensity_kg_kwh"
 )
+SE_TABLE_EMPTY = ["se_table.csv: no rows for generation 4G", "se_table.csv: no rows for generation 5G"]
 HORIZON = "horizon:\n  start_year: 2023\n  end_year: 2030\n  discount_rate: 0.05\n"
 PENETRATION_CAP = "  penetration_cap: 1.0\n"
 
@@ -272,11 +273,26 @@ CASES = {
     ),
     "se_table_header": (
         [("se_table.csv", "generation,min_sinr_db", "gen,min_sinr_db")],
-        ["se_table.csv:1: header must be exactly 'generation,min_sinr_db,se_bps_hz', got 'gen,min_sinr_db,se_bps_hz'"],
+        [
+            "se_table.csv:1: header must be exactly 'generation,min_sinr_db,se_bps_hz', got 'gen,min_sinr_db,se_bps_hz'",
+            *SE_TABLE_EMPTY,
+        ],
+    ),
+    "se_table_extra_column": (
+        [("se_table.csv", "4G,-6.7,0.1523", "4G,-6.7,0.1523,9")],
+        ["se_table.csv:2: wrong number of columns"],
+    ),
+    "se_table_short_row": (
+        [("se_table.csv", "5G,2.4,1.9141", "5G,2.4")],
+        ["se_table.csv:21: wrong number of columns"],
     ),
     "se_table_generation_without_rows": (
         [("se_table.csv", None, "generation,min_sinr_db,se_bps_hz\n4G,-6.7,0.1523\n")],
         ["se_table.csv: no rows for generation 5G"],
+    ),
+    "se_table_without_rows": (
+        [("se_table.csv", None, "generation,min_sinr_db,se_bps_hz\n")],
+        SE_TABLE_EMPTY,
     ),
     "se_table_not_increasing": (
         [("se_table.csv", "4G,-4.7,0.2344", "4G,-4.7,0.1")],
@@ -431,3 +447,9 @@ def test_diagnostics_pinned(miniland_copy, edits, expected):
 def test_missing_data_directory(miniland_copy):
     missing = miniland_copy / "elsewhere"
     assert diagnostics(missing, miniland_copy / "config.yaml") == [f"{missing}: data directory is missing"]
+
+
+def test_missing_se_table_file(tmp_path):
+    with pytest.raises(InputValidationError) as err:
+        load_se_table(tmp_path / "se_table.csv", 0.85)
+    assert [str(d) for d in err.value.diagnostics] == ["se_table.csv: file is missing", *SE_TABLE_EMPTY]

@@ -32,12 +32,12 @@ from bband_sim.radio import (
     table_cache_key,
     trial_sinr_db,
 )
-from bband_sim.data_io import default_se_table_path, _load_se_table, _Collector
+from bband_sim.data_io import default_se_table_path, load_se_table
 
 
 @pytest.fixture(scope="module")
 def se_table():
-    table = _load_se_table(default_se_table_path(), 0.85, _Collector())
+    table = load_se_table(default_se_table_path(), 0.85)
     assert table is not None
     return table
 
