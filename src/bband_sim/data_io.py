@@ -2,23 +2,20 @@
 
 All inputs are headered CSV files plus one YAML config document. Each CSV is
 declared once, in :data:`SCHEMAS`, as one ``(column, kind, bound)`` row per
-column in file order. The header, the reader and :func:`save_bundle` all walk
-that declaration. Kinds:
-
-* ``str``: the cell with surrounding blanks stripped; bound ``"nonempty"``
-  rejects an empty cell.
-* an enum: the cell exactly as written (not stripped) must be one of the
-  enum's values.
-* ``int``, ``float``: the cell parsed by that builtin; a bound such as
-  ``">= 0"`` or ``"> 0"`` is checked on the parsed value.
+column in file order; the header, the reader and :func:`save_bundle` all walk
+it. A ``str`` cell is stripped of surrounding blanks (bound ``"nonempty"``
+rejects an empty one); an enum cell must be one of the enum's values exactly
+as written; an ``int`` or ``float`` cell is parsed by that builtin, must be
+finite, and is checked against a bound such as ``(">=", 0)``. Config numbers
+are parsed the same way.
 
 Headers must match byte for byte. Loading never stops at the first problem:
-every bad cell and every row with the wrong number of cells is reported with
-file and line and the row is dropped; the rules that span cells, rows or
-files (duplicates, unknown countries, ARPU order, mix sums and coverage, the
-emission-factor set, SE rows per generation) then run on the rows that
-parsed. All diagnostics are raised together as :class:`InputValidationError`.
-``se_table.csv`` is optional; the packaged table is used when it is absent.
+each bad cell, and each row with the wrong number of cells, is reported with
+file and line and its row dropped; the rules across cells, rows and files
+(duplicates, unknown countries, ARPU order, mix sums, SE rows per generation
+...) run on the rows that parsed. All diagnostics are raised together as
+:class:`InputValidationError`. ``se_table.csv`` is optional; the packaged
+table is used when it is absent.
 
 The config is a YAML mapping with the sections ``axes``, ``horizon``,
 ``settlement``, ``adoption``, ``simulation``, ``cost``, ``energy`` and
@@ -29,12 +26,12 @@ is present it must be complete.
 from __future__ import annotations
 
 import csv
-import operator
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 import yaml
 
@@ -78,43 +75,43 @@ SCHEMAS = {
     "regions.csv": (
         ("region_id", str, "nonempty"),
         ("country_iso3", str, None),
-        ("population", int, ">= 0"),
-        ("area_km2", float, "> 0"),
-        ("existing_sites", int, ">= 0"),
+        ("population", int, (">=", 0)),
+        ("area_km2", float, (">", 0)),
+        ("existing_sites", int, (">=", 0)),
     ),
     "countries.csv": (
         ("country_iso3", str, "nonempty"),
         ("income_group", IncomeGroup, None),
-        ("n_major_operators", int, ">= 1"),
-        ("arpu_low", float, ">= 0"),
-        ("arpu_base", float, ">= 0"),
-        ("arpu_high", float, ">= 0"),
-        ("on_grid_share", float, ">= 0"),
-        ("grid_carbon_intensity_kg_kwh", float, ">= 0"),
+        ("n_major_operators", int, (">=", 1)),
+        ("arpu_low", float, (">=", 0)),
+        ("arpu_base", float, (">=", 0)),
+        ("arpu_high", float, (">=", 0)),
+        ("on_grid_share", float, (">=", 0)),
+        ("grid_carbon_intensity_kg_kwh", float, (">=", 0)),
     ),
     "spectrum.csv": (
         ("country_iso3", str, None),
         ("generation", Generation, None),
-        ("frequency_mhz", float, "> 0"),
-        ("bandwidth_mhz", float, "> 0"),
+        ("frequency_mhz", float, (">", 0)),
+        ("bandwidth_mhz", float, (">", 0)),
     ),
     "energy_mix.csv": (
         ("region", str, None),
         ("year", int, None),
         ("source", str, None),
-        ("share", float, ">= 0"),
+        ("share", float, (">=", 0)),
     ),
     "emission_factors.csv": (
         ("source", str, None),
-        ("co2_kg_kwh", float, ">= 0"),
-        ("nox_g_kwh", float, ">= 0"),
-        ("sox_g_kwh", float, ">= 0"),
-        ("pm10_g_kwh", float, ">= 0"),
+        ("co2_kg_kwh", float, (">=", 0)),
+        ("nox_g_kwh", float, (">=", 0)),
+        ("sox_g_kwh", float, (">=", 0)),
+        ("pm10_g_kwh", float, (">=", 0)),
     ),
     "se_table.csv": (
         ("generation", Generation, None),
         ("min_sinr_db", float, None),
-        ("se_bps_hz", float, "> 0"),
+        ("se_bps_hz", float, (">", 0)),
     ),
 }
 
@@ -132,12 +129,7 @@ DEFAULT_TABLE_PORTFOLIOS = (
 
 CONFIG_SECTIONS = ("axes", "horizon", "settlement", "adoption", "simulation", "cost", "energy", "tables")
 
-COST_KEYS = (
-    "equipment_usd", "backhaul_wireless_usd", "backhaul_fiber_usd", "civils_usd",
-    "core_usd", "admin_share", "profit_margin", "tax_rate_low", "tax_rate_baseline",
-    "tax_rate_high", "spectrum_coef_low_usd_mhz_pop", "spectrum_coef_baseline_usd_mhz_pop",
-    "spectrum_coef_high_usd_mhz_pop",
-)
+COST_KEYS = tuple(f.name for f in fields(CostInputs))
 
 
 @dataclass(frozen=True)
@@ -195,86 +187,77 @@ class _Collector:
             raise InputValidationError(self.diagnostics)
 
 
-def _parser(where: str, kind, bound: str | None = None) -> Callable[[Any], Any]:
-    """A function parsing one value as ``kind`` within ``bound``.
-
-    The function raises ValueError whose text is the diagnostic, which
-    starts with ``where`` (a column or config key).
-    """
+def _parse(raw, kind, bound, where: str):
+    """``raw`` as a ``kind`` within ``bound``, else ValueError: the diagnostic, led by ``where``."""
     if kind is str:
-        if bound != "nonempty":
-            return str.strip
-
-        def parse(raw):
-            value = raw.strip()
-            if not value:
-                raise ValueError(f"{where} is empty")
-            return value
-    elif kind is int or kind is float:
-        op, limit = bound.split() if bound else (None, 0)
-        within = operator.gt if op == ">" else operator.ge
-        limit = int(limit)
-
-        def parse(raw):
-            try:
-                value = kind(raw)
-            except (TypeError, ValueError):
-                raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
-            if bound and not within(value, limit):
-                raise ValueError(f"{where}: {value} must be {bound}")
-            return value
-    else:
-        def parse(raw):
-            try:
-                return kind(raw)
-            except ValueError:
-                valid = ", ".join(e.value for e in kind)
-                raise ValueError(f"{where}: {raw!r} is not one of {{{valid}}}") from None
-    return parse
+        value = raw.strip()
+        if bound and not value:
+            raise ValueError(f"{where} is empty")
+        return value
+    if kind is not int and kind is not float:
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"{where}: {raw!r} is not one of {{{', '.join(e.value for e in kind)}}}") from None
+    try:
+        value = kind(raw)
+        if kind is int and isinstance(raw, float) and value != raw:
+            raise ValueError  # int() would drop the fraction
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+    if kind is float and not -math.inf < value < math.inf:
+        raise ValueError(f"{where}: {raw!r} is not finite")
+    if bound:
+        op, limit = bound
+        if not (value > limit if op == ">" else value >= limit):
+            raise ValueError(f"{where}: {value} must be {op} {limit}")
+    return value
 
 
-def _read_csv(path: Path, columns, collector: _Collector) -> Iterator[tuple[int, list]]:
-    """Yield ``(line, values)`` for each row of a schema CSV whose cells all parse.
+#: Parsed rows of one CSV: ``(line, values)``, values in column order.
+Rows = Iterable[tuple[int, list]]
 
-    Reports a missing file, a header other than the declared one, a row with
-    the wrong number of cells, and each bad cell in column order. Blank lines
-    are skipped and not counted.
+
+def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
+    """Yield ``(line, values)`` for each row whose cells all parse as ``columns``.
+
+    ``columns`` defaults to the schema of the file's name. Reports a missing
+    file, a header other than the declared one, a row with the wrong number of
+    cells and each bad cell, in column order. Blank lines are not counted.
     """
     name = path.name
     if not path.is_file():
         collector.add(name, 0, "file is missing")
         return
+    columns = columns or SCHEMAS[name]
     header = ",".join(column for column, _, _ in columns)
     with path.open(newline="", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\r\n")
         if first != header:
             collector.add(name, 1, f"header must be exactly {header!r}, got {first!r}")
             return
-        parsers = [_parser(*column) for column in columns]
         for line, cells in enumerate(filter(None, csv.reader(fh)), start=2):
-            if len(cells) != len(parsers):
+            if len(cells) != len(columns):
                 collector.add(name, line, "wrong number of columns")
                 continue
             values = []
-            for parse, raw in zip(parsers, cells):
+            for raw, (column, kind, bound) in zip(cells, columns):
                 try:
-                    values.append(parse(raw))
+                    values.append(_parse(raw, kind, bound, column))
                 except ValueError as err:
                     collector.add(name, line, str(err))
-            if len(values) == len(parsers):
+            if len(values) == len(columns):
                 yield line, values
 
 
-def _spectrum(rows: Iterable[tuple[int, list]]) -> dict[str, list[SpectrumHolding]]:
+def _spectrum(rows: Rows) -> dict[str, list[SpectrumHolding]]:
     holdings: dict[str, list[SpectrumHolding]] = {}
     for _, (iso3, gen, freq, bw) in rows:
         holdings.setdefault(iso3, []).append(SpectrumHolding(freq, bw, gen))
     return holdings
 
 
-def _countries(
-    rows: Iterable[tuple[int, list]], spectrum: Mapping[str, list[SpectrumHolding]], collector: _Collector
-) -> dict[str, CountryParams]:
+def _countries(rows: Rows, spectrum: Mapping[str, list[SpectrumHolding]], collector: _Collector) -> dict[str, CountryParams]:
     countries: dict[str, CountryParams] = {}
     for line, (iso3, income, n_ops, arpu_low, arpu_base, arpu_high, on_grid, intensity) in rows:
         if iso3 in countries:
@@ -284,15 +267,12 @@ def _countries(
         elif on_grid > 1:
             collector.add("countries.csv", line, f"{iso3}: on_grid_share {on_grid} exceeds 1")
         else:
-            countries[iso3] = CountryParams(
-                iso3, income, n_ops, tuple(spectrum.get(iso3, ())), arpu_low, arpu_base, arpu_high, on_grid, intensity
-            )
+            holdings = tuple(spectrum.get(iso3, ()))
+            countries[iso3] = CountryParams(iso3, income, n_ops, holdings, arpu_low, arpu_base, arpu_high, on_grid, intensity)
     return countries
 
 
-def _regions(
-    rows: Iterable[tuple[int, list]], countries: Mapping[str, CountryParams], collector: _Collector
-) -> dict[str, tuple[RegionRecord, ...]]:
+def _regions(rows: Rows, countries: Mapping[str, CountryParams], collector: _Collector) -> dict[str, tuple[RegionRecord, ...]]:
     regions: dict[str, list[RegionRecord]] = {}
     seen_ids: dict[tuple[str, str], int] = {}
     for line, values in rows:
@@ -300,17 +280,14 @@ def _regions(
         if countries and iso3 not in countries:
             collector.add("regions.csv", line, f"region {region_id} references unknown country {iso3}")
         elif (iso3, region_id) in seen_ids:
-            first = seen_ids[iso3, region_id]
-            collector.add("regions.csv", line, f"duplicate region_id {region_id} in {iso3} (first seen line {first})")
+            collector.add("regions.csv", line, f"duplicate region_id {region_id} in {iso3} (first seen line {seen_ids[iso3, region_id]})")
         else:
             seen_ids[iso3, region_id] = line
             regions.setdefault(iso3, []).append(RegionRecord(*values))
     return {iso3: tuple(rs) for iso3, rs in regions.items()}
 
 
-def _energy_mix(
-    rows: Iterable[tuple[int, list]], countries: Mapping[str, CountryParams], years: range, collector: _Collector
-) -> dict[str, dict[int, dict[str, float]]]:
+def _energy_mix(rows: Rows, countries: Mapping[str, CountryParams], years: range, collector: _Collector) -> dict:
     mix: dict[str, dict[int, dict[str, float]]] = {}
     for line, (region, year, source, share) in rows:
         if source not in MIX_SOURCES:
@@ -328,16 +305,15 @@ def _energy_mix(
             if abs(total - 1.0) > MIX_SUM_TOLERANCE:
                 collector.add("energy_mix.csv", 0, f"{region}/{year}: shares sum to {total:.6f}, expected 1")
     for iso3 in sorted(countries):
+        missing_years = [y for y in years if y not in mix.get(iso3, ())]
         if iso3 not in mix:
             collector.add("energy_mix.csv", 0, f"country {iso3} has no energy mix rows")
-            continue
-        missing_years = [y for y in years if y not in mix[iso3]]
-        if missing_years:
+        elif missing_years:
             collector.add("energy_mix.csv", 0, f"{iso3}: missing mix years {missing_years}")
     return mix
 
 
-def _emission_factors(rows: Iterable[tuple[int, list]], collector: _Collector) -> EmissionFactors | None:
+def _emission_factors(rows: Rows, collector: _Collector) -> EmissionFactors | None:
     by_source: dict[str, FactorRow] = {}
     for line, (source, *factors) in rows:
         if source not in (*MIX_SOURCES, DIESEL_SOURCE):
@@ -355,7 +331,7 @@ def _emission_factors(rows: Iterable[tuple[int, list]], collector: _Collector) -
 
 def _se_table(path: Path, mimo_efficiency: float, collector: _Collector) -> SpectralEfficiencyTable | None:
     rows_by_gen: dict[Generation, list[tuple[float, float]]] = {}
-    for _, (gen, min_sinr, se) in _read_csv(path, SCHEMAS["se_table.csv"], collector):
+    for _, (gen, min_sinr, se) in _read_csv(path, collector, SCHEMAS["se_table.csv"]):
         rows_by_gen.setdefault(gen, []).append((min_sinr, se))
     missing = [gen for gen in Generation if gen not in rows_by_gen]
     for gen in missing:
@@ -370,10 +346,7 @@ def _se_table(path: Path, mimo_efficiency: float, collector: _Collector) -> Spec
 
 
 def load_se_table(path: Path | str, mimo_efficiency: float) -> SpectralEfficiencyTable:
-    """Read one SE table in the ``se_table.csv`` schema.
-
-    Raises :class:`InputValidationError` carrying every problem found.
-    """
+    """Read one SE table in the ``se_table.csv`` schema; raise :class:`InputValidationError` on any problem."""
     collector = _Collector()
     table = _se_table(Path(path), mimo_efficiency, collector)
     collector.raise_if_any()
@@ -397,6 +370,18 @@ def _se_table_path(data_dir: Path | str | None) -> Path:
 # Config handling
 # ---------------------------------------------------------------------------
 
+#: Config axis -> (its StrategySpace or ScenarioSpace field, value kind).
+AXES = {
+    "generation": ("generations", Generation),
+    "backhaul": ("backhauls", Backhaul),
+    "sharing": ("sharings", Sharing),
+    "policy": ("policies", Policy),
+    "energy_strategy": ("energy_strategies", EnergyStrategy),
+    "capacity_gb_month": ("capacities_gb_month", float),
+    "adoption": ("adoptions", AdoptionScenario),
+}
+
+
 def _expect_mapping(value: Any, where: str, collector: _Collector) -> dict:
     if value is None:
         return {}
@@ -410,22 +395,41 @@ def _config_scalar(section: dict, key: str, default, where: str, collector: _Col
     if key not in section:
         return default
     try:
-        return _parser(f"{where}.{key}", cast)(section[key])
+        return _parse(section[key], cast, None, f"{where}.{key}")
     except ValueError as err:
         collector.add("config", 0, str(err))
         return default
 
 
-def _axis_values(raw, enum_cls, name: str, collector: _Collector):
+def _config_list(raw, kind, where: str, collector: _Collector, bound=None) -> tuple | None:
+    """The items of a config list that parse as ``kind``; None when ``raw`` is not a list."""
+    if not isinstance(raw, (list, tuple)):
+        collector.add("config", 0, f"{where} must be a list")
+        return None
     values = []
     for item in raw:
         try:
-            values.append(_parser(f"axes.{name}", enum_cls)(item))
+            values.append(_parse(item, kind, bound, where))
         except ValueError as err:
             collector.add("config", 0, str(err))
-    if not values:
-        collector.add("config", 0, f"axes.{name} is empty")
     return tuple(values)
+
+
+def _config_params(cls, section: dict, where: str, collector: _Collector, **given):
+    """A ``cls`` with each field from the config section, parsed as the type of its default.
+
+    Absent fields keep their default; ``given`` fields are passed as they are.
+    """
+    kwargs = {
+        f.name: _config_scalar(section, f.name, f.default, where, collector, cast=type(f.default))
+        for f in fields(cls)
+        if f.name not in given
+    }
+    try:
+        return cls(**kwargs, **given)
+    except ValidationError as err:
+        collector.add("config", 0, f"{where}: {err}")
+        return cls()
 
 
 def validate_axes(config: Mapping[str, Any]) -> tuple[StrategySpace, ScenarioSpace]:
@@ -445,114 +449,57 @@ def _validate_axes_collect(config: Mapping[str, Any], collector: _Collector) -> 
     axes = _expect_mapping(config.get("axes"), "axes", collector)
     horizon = _expect_mapping(config.get("horizon"), "horizon", collector)
 
-    known = {"generation", "backhaul", "sharing", "policy", "energy_strategy", "capacity_gb_month", "adoption"}
     for key in axes:
-        if key not in known:
-            collector.add("config", 0, f"axes.{key} is not a recognised axis ({sorted(known)})")
+        if key not in AXES:
+            collector.add("config", 0, f"axes.{key} is not a recognised axis ({sorted(AXES)})")
+    values = {}
+    for key, (field_name, kind) in AXES.items():
+        if key in axes:
+            items = _config_list(axes[key], kind, f"axes.{key}", collector, (">", 0) if kind is float else None)
+            if items == ():
+                collector.add("config", 0, f"axes.{key} is empty")
+            values[field_name] = items or ()
+    strategy_fields = {f.name for f in fields(StrategySpace)}
 
-    defaults = StrategySpace()
-    generations = _axis_values(axes["generation"], Generation, "generation", collector) if "generation" in axes else defaults.generations
-    backhauls = _axis_values(axes["backhaul"], Backhaul, "backhaul", collector) if "backhaul" in axes else defaults.backhauls
-    sharings = _axis_values(axes["sharing"], Sharing, "sharing", collector) if "sharing" in axes else defaults.sharings
-    policies = _axis_values(axes["policy"], Policy, "policy", collector) if "policy" in axes else defaults.policies
-    energies = _axis_values(axes["energy_strategy"], EnergyStrategy, "energy_strategy", collector) if "energy_strategy" in axes else defaults.energy_strategies
-
-    if "capacity_gb_month" in axes:
-        capacities = []
-        for item in axes["capacity_gb_month"]:
-            try:
-                value = float(item)
-            except (TypeError, ValueError):
-                collector.add("config", 0, f"axes.capacity_gb_month: {item!r} is not a number")
-                continue
-            if value <= 0:
-                collector.add("config", 0, f"axes.capacity_gb_month: {value} must be > 0")
-                continue
-            capacities.append(value)
-        if not capacities:
-            collector.add("config", 0, "axes.capacity_gb_month is empty")
-        capacities = tuple(capacities)
-    else:
-        capacities = ScenarioSpace().capacities_gb_month
-
-    adoptions = _axis_values(axes["adoption"], AdoptionScenario, "adoption", collector) if "adoption" in axes else ScenarioSpace().adoptions
-
-    start_year = _config_scalar(horizon, "start_year", 2023, "horizon", collector, cast=int)
-    end_year = _config_scalar(horizon, "end_year", 2030, "horizon", collector, cast=int)
-    discount = _config_scalar(horizon, "discount_rate", 0.05, "horizon", collector)
+    defaults = ScenarioSpace()
+    start_year = _config_scalar(horizon, "start_year", defaults.start_year, "horizon", collector, cast=int)
+    end_year = _config_scalar(horizon, "end_year", defaults.end_year, "horizon", collector, cast=int)
+    discount = _config_scalar(horizon, "discount_rate", defaults.discount_rate, "horizon", collector)
     if end_year < start_year:
         collector.add("config", 0, f"horizon: end_year {end_year} before start_year {start_year}")
     if discount < 0:
         collector.add("config", 0, "horizon.discount_rate must be >= 0")
 
-    strategy_space = StrategySpace(
-        generations=generations,
-        backhauls=backhauls,
-        sharings=sharings,
-        policies=policies,
-        energy_strategies=energies,
-    )
-    scenario_space = ScenarioSpace(
-        capacities_gb_month=capacities,
-        adoptions=adoptions,
-        start_year=start_year,
-        end_year=end_year,
-        discount_rate=discount,
-    )
+    strategy_space = StrategySpace(**{k: v for k, v in values.items() if k in strategy_fields})
+    scenario_values = {k: v for k, v in values.items() if k not in strategy_fields}
+    scenario_space = ScenarioSpace(**scenario_values, start_year=start_year, end_year=end_year, discount_rate=discount)
     return strategy_space, scenario_space
 
 
 def _build_adoption(config: Mapping[str, Any], collector: _Collector) -> AdoptionParams:
     section = _expect_mapping(config.get("adoption"), "adoption", collector)
     cagr = {g: dict(v) for g, v in DEFAULT_ADOPTION_CAGR.items()}
-    raw_cagr = _expect_mapping(section.get("cagr"), "adoption.cagr", collector)
-    for group_name, by_scenario in raw_cagr.items():
+    for group_name, by_scenario in _expect_mapping(section.get("cagr"), "adoption.cagr", collector).items():
         try:
             group = IncomeGroup(group_name)
         except ValueError:
             collector.add("config", 0, f"adoption.cagr: unknown income group {group_name!r}")
             continue
-        for scen_name, rate in _expect_mapping(by_scenario, f"adoption.cagr.{group_name}", collector).items():
+        rates = _expect_mapping(by_scenario, f"adoption.cagr.{group_name}", collector)
+        for scen_name in rates:
             try:
                 scen = AdoptionScenario(scen_name)
             except ValueError:
                 collector.add("config", 0, f"adoption.cagr.{group_name}: unknown scenario {scen_name!r}")
                 continue
-            cagr[group][scen] = float(rate)
-    try:
-        return AdoptionParams(
-            base_cell_penetration=_config_scalar(section, "base_cell_penetration", 0.55, "adoption", collector),
-            smartphone_penetration_urban=_config_scalar(section, "smartphone_penetration_urban", 0.65, "adoption", collector),
-            smartphone_penetration_rural=_config_scalar(section, "smartphone_penetration_rural", 0.40, "adoption", collector),
-            penetration_cap=_config_scalar(section, "penetration_cap", 1.0, "adoption", collector),
-            cagr_by_income=cagr,
-        )
-    except ValidationError as err:
-        collector.add("config", 0, f"adoption: {err}")
-        return AdoptionParams()
+            cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}", collector)
+    return _config_params(AdoptionParams, section, "adoption", collector, cagr_by_income=cagr)
 
 
 def _build_sim_params(config: Mapping[str, Any], collector: _Collector) -> tuple[SimulationParams, tuple[float, ...]]:
     section = _expect_mapping(config.get("simulation"), "simulation", collector)
-    grid = tuple(float(x) for x in section.get("density_grid", DEFAULT_DENSITY_GRID))
-    kwargs = {}
-    numeric_fields = {
-        "tx_power_dbm": 40.0, "tx_gain_db": 16.0, "tx_losses_db": 1.0,
-        "rx_gain_db": 0.0, "rx_losses_db": 4.0, "rx_misc_losses_db": 4.0,
-        "tx_height_m": 30.0, "rx_height_m": 1.5, "network_load": 1.0,
-        "los_breakpoint_m": 500.0, "shadow_mu_db": 2.0, "shadow_sigma_db": 10.0,
-        "temperature_k": 290.0, "noise_figure_db": 1.5, "nlos_excess_db": 12.0,
-        "min_distance_m": 10.0, "reliability": 0.90, "mimo_efficiency": 0.85,
-    }
-    for name, default in numeric_fields.items():
-        kwargs[name] = _config_scalar(section, name, default, "simulation", collector)
-    for name, default in (("sectors_per_site", 3), ("trials", 10_000), ("seed", 42), ("interferer_rings", 1)):
-        kwargs[name] = _config_scalar(section, name, default, "simulation", collector, cast=int)
-    try:
-        return SimulationParams(**kwargs), grid
-    except ValidationError as err:
-        collector.add("config", 0, f"simulation: {err}")
-        return SimulationParams(), grid
+    grid = _config_list(section.get("density_grid", DEFAULT_DENSITY_GRID), float, "simulation.density_grid", collector)
+    return _config_params(SimulationParams, section, "simulation", collector), grid or ()
 
 
 def _build_cost_inputs(config: Mapping[str, Any], collector: _Collector) -> CostInputs:
@@ -567,24 +514,7 @@ def _build_cost_inputs(config: Mapping[str, Any], collector: _Collector) -> Cost
         collector.add("config", 0, f"cost: unknown keys {unknown}")
     if missing or unknown:
         return CostInputs()
-    try:
-        return CostInputs(**{k: float(section[k]) for k in COST_KEYS})
-    except (TypeError, ValueError, ValidationError) as err:
-        collector.add("config", 0, f"cost: {err}")
-        return CostInputs()
-
-
-def _build_energy_params(config: Mapping[str, Any], collector: _Collector) -> EnergyParams:
-    section = _expect_mapping(config.get("energy"), "energy", collector)
-    try:
-        return EnergyParams(
-            site_kwh_per_hour=_config_scalar(section, "site_kwh_per_hour", 0.249, "energy", collector),
-            backhaul_wireless_kwh_per_hour=_config_scalar(section, "backhaul_wireless_kwh_per_hour", 0.025, "energy", collector),
-            backhaul_fiber_kwh_per_hour=_config_scalar(section, "backhaul_fiber_kwh_per_hour", 0.010, "energy", collector),
-        )
-    except ValidationError as err:
-        collector.add("config", 0, f"energy: {err}")
-        return EnergyParams()
+    return _config_params(CostInputs, section, "cost", collector)
 
 
 def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) -> tuple[FrequencySet, ...]:
@@ -592,12 +522,15 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
     raw = section.get("portfolios")
     if raw is None:
         return DEFAULT_TABLE_PORTFOLIOS
+    if not isinstance(raw, list):
+        collector.add("config", 0, "tables.portfolios must be a list")
+        return DEFAULT_TABLE_PORTFOLIOS
     portfolios = []
     for entry in raw:
         entry = _expect_mapping(entry, "tables.portfolios[]", collector)
         try:
             gen = Generation(entry.get("generation"))
-            carriers = tuple(Carrier(float(f), float(b)) for f, b in entry.get("carriers", ()))
+            carriers = tuple(Carrier(*(_parse(x, float, None, "carriers") for x in pair)) for pair in entry.get("carriers", ()))
             portfolios.append(FrequencySet(gen, carriers))
         except (TypeError, ValueError, ValidationError) as err:
             collector.add("config", 0, f"tables.portfolios: {err}")
@@ -609,23 +542,17 @@ def load_config(config_path: Path | str, collector: _Collector | None = None) ->
     own = collector is None
     collector = collector or _Collector()
     path = Path(config_path)
+    raw = None
     if not path.is_file():
         collector.add(path.name, 0, "config file is missing")
-        if own:
-            collector.raise_if_any()
-        return {}
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as err:
-        collector.add(path.name, 0, f"invalid YAML: {err}")
-        if own:
-            collector.raise_if_any()
-        return {}
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
+    else:
+        try:
+            raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        except yaml.YAMLError as err:
+            collector.add(path.name, 0, f"invalid YAML: {err}")
+    if raw is not None and not isinstance(raw, dict):
         collector.add(path.name, 0, "config must be a mapping at the top level")
-        raw = {}
+    raw = raw if isinstance(raw, dict) else {}
     for key in raw:
         if key not in CONFIG_SECTIONS:
             collector.add(path.name, 0, f"unknown config section {key!r} (valid: {CONFIG_SECTIONS})")
@@ -647,7 +574,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     adoption = _build_adoption(config, collector)
     sim_params, density_grid = _build_sim_params(config, collector)
     cost_inputs = _build_cost_inputs(config, collector)
-    energy_params = _build_energy_params(config, collector)
+    energy_params = _config_params(EnergyParams, _expect_mapping(config.get("energy"), "energy", collector), "energy", collector)
     portfolios = _build_table_portfolios(config, collector)
 
     settlement_section = _expect_mapping(config.get("settlement"), "settlement", collector)
@@ -656,11 +583,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     if not urban_min > suburban_min > 0:
         collector.add("config", 0, "settlement thresholds must satisfy urban_min > suburban_min > 0")
 
-    def read(name: str) -> Iterator[tuple[int, list]]:
-        return _read_csv(data_dir / name, SCHEMAS[name], collector)
-
-    spectrum = _spectrum(read("spectrum.csv"))
-    countries = _countries(read("countries.csv"), spectrum, collector)
+    spectrum = _spectrum(_read_csv(data_dir / "spectrum.csv", collector))
+    countries = _countries(_read_csv(data_dir / "countries.csv", collector), spectrum, collector)
     for iso3 in sorted(spectrum):
         if countries and iso3 not in countries:
             collector.add("spectrum.csv", 0, f"spectrum row references unknown country {iso3}")
@@ -669,14 +593,14 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
             if not params.holdings(gen):
                 collector.add("spectrum.csv", 0, f"{iso3}: no {gen.value} carriers in portfolio")
 
-    regions = _regions(read("regions.csv"), countries, collector)
+    regions = _regions(_read_csv(data_dir / "regions.csv", collector), countries, collector)
     for iso3 in sorted(countries):
         if iso3 not in regions:
             collector.add("regions.csv", 0, f"country {iso3} has no regions")
 
     years = range(scenario_space.start_year, scenario_space.end_year + 1)
-    energy_mix = _energy_mix(read("energy_mix.csv"), countries, years, collector)
-    emission_factors = _emission_factors(read("emission_factors.csv"), collector)
+    energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries, years, collector)
+    emission_factors = _emission_factors(_read_csv(data_dir / "emission_factors.csv", collector), collector)
 
     se_table = _se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
 
@@ -739,9 +663,8 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
     """Write a bundle back out in the documented schemas.
 
     Each CSV is written by walking its :data:`SCHEMAS` columns over the
-    bundle's records. ``load_bundle(save_bundle(b)) == b`` field for field:
-    numbers are written with ``repr`` so floats survive the text round trip
-    exactly, and enums as their values.
+    bundle's records, numbers with ``repr`` and enums as their values, so
+    ``load_bundle(save_bundle(b)) == b`` field for field.
     """
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -778,53 +701,27 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
             for record in records[name]:
                 writer.writerow(_text(record[column]) for column, _, _ in columns)
 
+    spaces = {**vars(bundle.strategy_space), **vars(bundle.scenario_space)}
     config = {
-        "axes": {
-            "generation": [g.value for g in bundle.strategy_space.generations],
-            "backhaul": [b.value for b in bundle.strategy_space.backhauls],
-            "sharing": [s.value for s in bundle.strategy_space.sharings],
-            "policy": [p.value for p in bundle.strategy_space.policies],
-            "energy_strategy": [e.value for e in bundle.strategy_space.energy_strategies],
-            "capacity_gb_month": list(bundle.scenario_space.capacities_gb_month),
-            "adoption": [a.value for a in bundle.scenario_space.adoptions],
-        },
-        "horizon": {
-            "start_year": bundle.scenario_space.start_year,
-            "end_year": bundle.scenario_space.end_year,
-            "discount_rate": bundle.scenario_space.discount_rate,
-        },
+        "axes": {key: [_text(v) for v in spaces[field_name]] for key, (field_name, _) in AXES.items()},
+        "horizon": {key: spaces[key] for key in ("start_year", "end_year", "discount_rate")},
         "settlement": {
             "urban_min_density": bundle.settlement_thresholds[0],
             "suburban_min_density": bundle.settlement_thresholds[1],
         },
         "adoption": {
-            "base_cell_penetration": bundle.adoption.base_cell_penetration,
-            "smartphone_penetration_urban": bundle.adoption.smartphone_penetration_urban,
-            "smartphone_penetration_rural": bundle.adoption.smartphone_penetration_rural,
-            "penetration_cap": bundle.adoption.penetration_cap,
+            **{k: v for k, v in vars(bundle.adoption).items() if k != "cagr_by_income"},
             "cagr": {
                 g.value: {s.value: rate for s, rate in by_scen.items()}
                 for g, by_scen in bundle.adoption.cagr_by_income.items()
             },
         },
-        "simulation": {
-            **{k: v for k, v in vars(bundle.sim_params).items()},
-            "density_grid": list(bundle.density_grid),
-        },
-        "cost": {k: getattr(bundle.cost_inputs, k) for k in COST_KEYS},
-        "energy": {
-            "site_kwh_per_hour": bundle.energy_params.site_kwh_per_hour,
-            "backhaul_wireless_kwh_per_hour": bundle.energy_params.backhaul_wireless_kwh_per_hour,
-            "backhaul_fiber_kwh_per_hour": bundle.energy_params.backhaul_fiber_kwh_per_hour,
-        },
-        "tables": {
-            "portfolios": [
-                {
-                    "generation": fs.generation.value,
-                    "carriers": [[c.frequency_mhz, c.bandwidth_mhz] for c in fs.carriers],
-                }
-                for fs in bundle.table_portfolios
-            ],
-        },
+        "simulation": {**vars(bundle.sim_params), "density_grid": list(bundle.density_grid)},
+        "cost": vars(bundle.cost_inputs),
+        "energy": vars(bundle.energy_params),
+        "tables": {"portfolios": [
+            {"generation": fs.generation.value, "carriers": [[c.frequency_mhz, c.bandwidth_mhz] for c in fs.carriers]}
+            for fs in bundle.table_portfolios
+        ]},
     }
     Path(config_path).write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")

@@ -354,7 +354,7 @@ CASES = {
     ),
     "config_capacity_not_a_number": (
         [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: [20, abc, 40]")],
-        ["config: axes.capacity_gb_month: 'abc' is not a number"],
+        ["config: axes.capacity_gb_month: 'abc' is not a valid float"],
     ),
     "config_capacity_not_positive": (
         [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: [20, -5, 40]")],
@@ -411,6 +411,122 @@ CASES = {
     "config_settlement_unordered": (
         [("config.yaml", "urban_min_density: 1500", "urban_min_density: 100")],
         ["config: settlement thresholds must satisfy urban_min > suburban_min > 0"],
+    ),
+    # --- numbers must be finite ---
+    "energy_mix_share_nan": (
+        [("energy_mix.csv", "MLA,2026,coal,0.37", "MLA,2026,coal,nan")],
+        [
+            "energy_mix.csv:20: share: 'nan' is not finite",
+            "energy_mix.csv: MLA/2026: shares sum to 0.630000, expected 1",
+        ],
+    ),
+    "emission_factors_nan": (
+        [("emission_factors.csv", "gas,0.45,", "gas,nan,")],
+        [
+            "emission_factors.csv:3: co2_kg_kwh: 'nan' is not finite",
+            "emission_factors.csv: emission factors missing sources: ['gas']",
+        ],
+    ),
+    "countries_arpu_high_inf": (
+        [("countries.csv", "MLA,LMC,3,6,10,14", "MLA,LMC,3,6,10,inf")],
+        ["countries.csv:2: arpu_high: 'inf' is not finite", *MLA_DROPPED],
+    ),
+    "countries_on_grid_share_nan": (
+        [("countries.csv", "0.67,0.62", "nan,0.62")],
+        ["countries.csv:2: on_grid_share: 'nan' is not finite", *MLA_DROPPED],
+    ),
+    "regions_area_overflows": (
+        [("regions.csv", "MLA-R05,MLA,180000,400", "MLA-R05,MLA,180000,1e309")],
+        ["regions.csv:6: area_km2: '1e309' is not finite"],
+    ),
+    "spectrum_frequency_minus_inf": (
+        [("spectrum.csv", "MLB,4G,800,10", "MLB,4G,-inf,10")],
+        ["spectrum.csv:7: frequency_mhz: '-inf' is not finite"],
+    ),
+    "se_table_min_sinr_nan": (
+        [("se_table.csv", "5G,2.4,1.9141", "5G,nan,1.9141")],
+        ["se_table.csv:21: min_sinr_db: 'nan' is not finite"],
+    ),
+    "config_horizon_nan": (
+        [("config.yaml", "discount_rate: 0.05", "discount_rate: .nan")],
+        ["config: horizon.discount_rate: nan is not finite"],
+    ),
+    "config_adoption_inf": (
+        [("config.yaml", "base_cell_penetration: 0.55", "base_cell_penetration: .inf")],
+        ["config: adoption.base_cell_penetration: inf is not finite"],
+    ),
+    "config_simulation_nan": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_sigma_db: .nan")],
+        ["config: simulation.shadow_sigma_db: nan is not finite"],
+    ),
+    "config_cost_inf": (
+        [("config.yaml", "civils_usd: 30000", "civils_usd: .inf")],
+        ["config: cost.civils_usd: inf is not finite"],
+    ),
+    "config_energy_nan": (
+        [("config.yaml", "backhaul_fiber_kwh_per_hour: 0.010", "backhaul_fiber_kwh_per_hour: .nan")],
+        ["config: energy.backhaul_fiber_kwh_per_hour: nan is not finite"],
+    ),
+    "config_settlement_inf": (
+        [("config.yaml", "urban_min_density: 1500", "urban_min_density: .inf")],
+        ["config: settlement.urban_min_density: inf is not finite"],
+    ),
+    "config_density_grid_nan": (
+        [("config.yaml", "density_grid: [0.01,", "density_grid: [.nan,")],
+        ["config: simulation.density_grid: nan is not finite"],
+    ),
+    "config_capacity_inf": (
+        [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: [20, .inf, 40]")],
+        ["config: axes.capacity_gb_month: inf is not finite"],
+    ),
+    "config_cagr_nan": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {low: .nan}}\n")],
+        ["config: adoption.cagr.LIC.low: nan is not finite"],
+    ),
+    "config_carrier_nan": (
+        [("config.yaml", APPEND, "tables:\n  portfolios:\n    - {generation: 4G, carriers: [[800, .nan]]}\n")],
+        ["config: tables.portfolios: carriers: nan is not finite"],
+    ),
+    # --- config values of the wrong shape ---
+    "config_cost_not_a_number": (
+        [("config.yaml", "civils_usd: 30000", "civils_usd: abc")],
+        ["config: cost.civils_usd: 'abc' is not a valid float"],
+    ),
+    "config_cagr_not_a_number": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {low: abc}}\n")],
+        ["config: adoption.cagr.LIC.low: 'abc' is not a valid float"],
+    ),
+    "config_density_grid_not_a_number": (
+        [("config.yaml", "density_grid: [0.01,", "density_grid: [abc,")],
+        ["config: simulation.density_grid: 'abc' is not a valid float"],
+    ),
+    "config_density_grid_not_a_list": (
+        [("config.yaml", "density_grid: [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]", "density_grid: 5")],
+        ["config: simulation.density_grid must be a list"],
+    ),
+    "config_axis_not_a_list": (
+        [("config.yaml", "backhaul: [wireless, fiber]", "backhaul: 7")],
+        ["config: axes.backhaul must be a list"],
+    ),
+    "config_capacity_not_a_list": (
+        [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: 30")],
+        ["config: axes.capacity_gb_month must be a list"],
+    ),
+    "config_portfolios_not_a_list": (
+        [("config.yaml", APPEND, "tables:\n  portfolios: 3\n")],
+        ["config: tables.portfolios must be a list"],
+    ),
+    "config_int_not_integral": (
+        [("config.yaml", "start_year: 2023", "start_year: 2023.9")],
+        ["config: horizon.start_year: 2023.9 is not a valid int"],
+    ),
+    "config_int_integral_float_loads": (
+        [("config.yaml", "trials: 10000", "trials: 10000.0")],
+        [],
+    ),
+    "config_int_inf": (
+        [("config.yaml", "trials: 10000", "trials: .inf")],
+        ["config: simulation.trials: inf is not a valid int"],
     ),
 }
 
