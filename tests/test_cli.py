@@ -1,8 +1,16 @@
 import csv
 import logging
+import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bband_sim import save_bundle
 from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 SINGLE_RUN_FILTER = (
@@ -135,3 +143,85 @@ def test_tables_invalid_config_lists_every_problem(miniland_copy, tmp_path, caps
     err = capsys.readouterr().err
     assert "trials" in err and "misc" in err
     assert not (tmp_path / "tables").exists()
+
+
+# CLI damage fuzz: miniland as save_bundle writes it, with one header, one
+# cell or one config value damaged. `validate` must exit 0 or 2, never raise.
+INPUT_CSVS = ("regions.csv", "countries.csv", "spectrum.csv", "energy_mix.csv", "emission_factors.csv", "se_table.csv")
+STRING_COLUMNS = {"region_id", "country_iso3", "region", "source"}
+CELL_DAMAGE = ("", "nan", "-inf", "1e309", "-1", "abc", "extra column", "dropped column")
+# Damage that no int, float or enum column accepts.
+NOT_A_NUMBER = {"", "nan", "-inf", "1e309", "abc"}
+CONFIG_PATHS = (
+    ("axes",), ("axes", "generation"), ("axes", "backhaul"), ("axes", "capacity_gb_month"), ("axes", "adoption"),
+    ("horizon",), ("horizon", "start_year"), ("horizon", "discount_rate"), ("settlement", "urban_min_density"),
+    ("adoption", "penetration_cap"), ("adoption", "cagr"), ("adoption", "cagr", "LIC"), ("adoption", "cagr", "LIC", "low"),
+    ("simulation", "density_grid"), ("simulation", "trials"), ("simulation", "seed"), ("simulation", "shadow_sigma_db"),
+    ("cost",), ("cost", "civils_usd"), ("energy", "site_kwh_per_hour"), ("tables", "portfolios"),
+    ("tables", "portfolios", 0), ("tables", "portfolios", 0, "carriers"), ("tables", "portfolios", 0, "carriers", 0),
+)
+CONFIG_SHAPES = ("abc", 7, -1, 2023.9, math.nan, math.inf, None, True, [], ["abc"], [math.nan], {"x": 1}, [[1, 2, 3]])
+
+
+@pytest.fixture(scope="module")
+def saved_miniland(bundle, tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("saved") / "miniland"
+    save_bundle(bundle, data_dir, data_dir / "config.yaml")
+    return data_dir
+
+
+def validate_damaged(source: Path, damage) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / "miniland"
+        shutil.copytree(source, data_dir)
+        damage(data_dir)
+        return main(["validate", "--data", str(data_dir), "--config", str(data_dir / "config.yaml")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(INPUT_CSVS), line=st.integers(0, 100), column=st.integers(0, 10), damage=st.sampled_from(CELL_DAMAGE))
+@example(name="countries.csv", line=1, column=6, damage="nan")
+@example(name="se_table.csv", line=1, column=2, damage="extra column")
+def test_validate_survives_csv_damage(saved_miniland, name, line, column, damage):
+    lines = (saved_miniland / name).read_text().splitlines()
+    line %= len(lines)
+    header = lines[0].split(",")
+    column %= len(header)
+
+    def damage_cell(data_dir):
+        cells = lines[line].split(",")
+        if damage == "extra column":
+            cells.append("1")
+        elif damage == "dropped column":
+            del cells[column]
+        else:
+            cells[column] = damage
+        (data_dir / name).write_text("\n".join([*lines[:line], ",".join(cells), *lines[line + 1:]]) + "\n")
+
+    code = validate_damaged(saved_miniland, damage_cell)
+    typed = header[column] not in STRING_COLUMNS
+    if line == 0 or damage.endswith("column") or (typed and damage in NOT_A_NUMBER):
+        assert code == EXIT_VALIDATION
+    else:
+        assert code in (EXIT_OK, EXIT_VALIDATION)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), shape=st.sampled_from(CONFIG_SHAPES))
+@example(path=("simulation", "density_grid"), shape=7)
+@example(path=("axes", "backhaul"), shape=7)
+@example(path=("adoption", "cagr", "LIC", "low"), shape="abc")
+def test_validate_survives_config_damage(saved_miniland, path, shape):
+    def damage_config(data_dir):
+        config = yaml.safe_load((data_dir / "config.yaml").read_text())
+        parent = config
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = shape
+        (data_dir / "config.yaml").write_text(yaml.safe_dump(config))
+
+    code = validate_damaged(saved_miniland, damage_config)
+    if isinstance(shape, str) or isinstance(shape, float) and not math.isfinite(shape):
+        assert code == EXIT_VALIDATION
+    else:
+        assert code in (EXIT_OK, EXIT_VALIDATION)
