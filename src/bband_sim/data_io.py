@@ -20,12 +20,13 @@ table is used when it is absent.
 The config is a YAML mapping with the sections ``axes``, ``horizon``,
 ``settlement``, ``adoption``, ``simulation``, ``cost``, ``energy`` and
 ``tables``; every key has a documented default, but when a ``cost`` section
-is present it must be complete.
+is present it must be complete. A key that no section reads is rejected.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -128,6 +129,8 @@ DEFAULT_TABLE_PORTFOLIOS = (
 )
 
 CONFIG_SECTIONS = ("axes", "horizon", "settlement", "adoption", "simulation", "cost", "energy", "tables")
+HORIZON_KEYS = ("start_year", "end_year", "discount_rate")
+SETTLEMENT_KEYS = ("urban_min_density", "suburban_min_density")
 
 COST_KEYS = tuple(f.name for f in fields(CostInputs))
 
@@ -218,12 +221,23 @@ def _parse(raw, kind, bound, where: str):
 Rows = Iterable[tuple[int, list]]
 
 
+def _read_utf8(path: Path, collector: _Collector) -> str | None:
+    """The text of ``path``, or None with a diagnostic at its first byte that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        collector.add(path.name, 0, f"not valid UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}")
+        return None
+
+
 def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
     """Yield ``(line, values)`` for each row whose cells all parse as ``columns``.
 
     ``columns`` defaults to the schema of the file's name. Reports a missing
     file, a header other than the declared one, a row with the wrong number of
-    cells and each bad cell, in column order. Blank lines are not counted.
+    cells and each bad cell, in column order. Blank lines are not counted. A
+    file that is not UTF-8 gives one diagnostic and no rows.
     """
     name = path.name
     if not path.is_file():
@@ -231,23 +245,26 @@ def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
         return
     columns = columns or SCHEMAS[name]
     header = ",".join(column for column, _, _ in columns)
-    with path.open(newline="", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\r\n")
-        if first != header:
-            collector.add(name, 1, f"header must be exactly {header!r}, got {first!r}")
-            return
-        for line, cells in enumerate(filter(None, csv.reader(fh)), start=2):
-            if len(cells) != len(columns):
-                collector.add(name, line, "wrong number of columns")
-                continue
-            values = []
-            for raw, (column, kind, bound) in zip(cells, columns):
-                try:
-                    values.append(_parse(raw, kind, bound, column))
-                except ValueError as err:
-                    collector.add(name, line, str(err))
-            if len(values) == len(columns):
-                yield line, values
+    text = _read_utf8(path, collector)
+    if text is None:
+        return
+    fh = io.StringIO(text, newline="")
+    first = fh.readline().rstrip("\r\n")
+    if first != header:
+        collector.add(name, 1, f"header must be exactly {header!r}, got {first!r}")
+        return
+    for line, cells in enumerate(filter(None, csv.reader(fh)), start=2):
+        if len(cells) != len(columns):
+            collector.add(name, line, "wrong number of columns")
+            continue
+        values = []
+        for raw, (column, kind, bound) in zip(cells, columns):
+            try:
+                values.append(_parse(raw, kind, bound, column))
+            except ValueError as err:
+                collector.add(name, line, str(err))
+        if len(values) == len(columns):
+            yield line, values
 
 
 def _spectrum(rows: Rows) -> dict[str, list[SpectrumHolding]]:
@@ -415,16 +432,23 @@ def _config_list(raw, kind, where: str, collector: _Collector, bound=None) -> tu
     return tuple(values)
 
 
-def _config_params(cls, section: dict, where: str, collector: _Collector, **given):
+def _unknown_keys(section: dict, known: Iterable[str], where: str, collector: _Collector) -> list:
+    """The keys of a config section that nothing reads, all reported in one diagnostic."""
+    unknown = [k for k in section if k not in known]
+    if unknown:
+        collector.add("config", 0, f"{where}: unknown keys {unknown}")
+    return unknown
+
+
+def _config_params(cls, section: dict, where: str, collector: _Collector, extra_keys=(), **given):
     """A ``cls`` with each field from the config section, parsed as the type of its default.
 
     Absent fields keep their default; ``given`` fields are passed as they are.
+    A key that is neither a read field nor one of ``extra_keys`` is reported.
     """
-    kwargs = {
-        f.name: _config_scalar(section, f.name, f.default, where, collector, cast=type(f.default))
-        for f in fields(cls)
-        if f.name not in given
-    }
+    read = [f for f in fields(cls) if f.name not in given]
+    _unknown_keys(section, [*extra_keys, *(f.name for f in read)], where, collector)
+    kwargs = {f.name: _config_scalar(section, f.name, f.default, where, collector, cast=type(f.default)) for f in read}
     try:
         return cls(**kwargs, **given)
     except ValidationError as err:
@@ -448,6 +472,7 @@ def validate_axes(config: Mapping[str, Any]) -> tuple[StrategySpace, ScenarioSpa
 def _validate_axes_collect(config: Mapping[str, Any], collector: _Collector) -> tuple[StrategySpace, ScenarioSpace]:
     axes = _expect_mapping(config.get("axes"), "axes", collector)
     horizon = _expect_mapping(config.get("horizon"), "horizon", collector)
+    _unknown_keys(horizon, HORIZON_KEYS, "horizon", collector)
 
     for key in axes:
         if key not in AXES:
@@ -493,13 +518,13 @@ def _build_adoption(config: Mapping[str, Any], collector: _Collector) -> Adoptio
                 collector.add("config", 0, f"adoption.cagr.{group_name}: unknown scenario {scen_name!r}")
                 continue
             cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}", collector)
-    return _config_params(AdoptionParams, section, "adoption", collector, cagr_by_income=cagr)
+    return _config_params(AdoptionParams, section, "adoption", collector, ("cagr",), cagr_by_income=cagr)
 
 
 def _build_sim_params(config: Mapping[str, Any], collector: _Collector) -> tuple[SimulationParams, tuple[float, ...]]:
     section = _expect_mapping(config.get("simulation"), "simulation", collector)
     grid = _config_list(section.get("density_grid", DEFAULT_DENSITY_GRID), float, "simulation.density_grid", collector)
-    return _config_params(SimulationParams, section, "simulation", collector), grid or ()
+    return _config_params(SimulationParams, section, "simulation", collector, ("density_grid",)), grid or ()
 
 
 def _build_cost_inputs(config: Mapping[str, Any], collector: _Collector) -> CostInputs:
@@ -509,9 +534,7 @@ def _build_cost_inputs(config: Mapping[str, Any], collector: _Collector) -> Cost
     missing = [k for k in COST_KEYS if k not in section]
     if missing:
         collector.add("config", 0, f"cost: missing mandatory keys {missing}")
-    unknown = [k for k in section if k not in COST_KEYS]
-    if unknown:
-        collector.add("config", 0, f"cost: unknown keys {unknown}")
+    unknown = _unknown_keys(section, COST_KEYS, "cost", collector)
     if missing or unknown:
         return CostInputs()
     return _config_params(CostInputs, section, "cost", collector)
@@ -546,8 +569,9 @@ def load_config(config_path: Path | str, collector: _Collector | None = None) ->
     if not path.is_file():
         collector.add(path.name, 0, "config file is missing")
     else:
+        text = _read_utf8(path, collector)
         try:
-            raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+            raw = yaml.safe_load(text) if text is not None else None
         except yaml.YAMLError as err:
             collector.add(path.name, 0, f"invalid YAML: {err}")
     if raw is not None and not isinstance(raw, dict):
@@ -578,6 +602,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     portfolios = _build_table_portfolios(config, collector)
 
     settlement_section = _expect_mapping(config.get("settlement"), "settlement", collector)
+    _unknown_keys(settlement_section, SETTLEMENT_KEYS, "settlement", collector)
     urban_min = _config_scalar(settlement_section, "urban_min_density", DEFAULT_URBAN_MIN_DENSITY, "settlement", collector)
     suburban_min = _config_scalar(settlement_section, "suburban_min_density", DEFAULT_SUBURBAN_MIN_DENSITY, "settlement", collector)
     if not urban_min > suburban_min > 0:
@@ -704,7 +729,7 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
     spaces = {**vars(bundle.strategy_space), **vars(bundle.scenario_space)}
     config = {
         "axes": {key: [_text(v) for v in spaces[field_name]] for key, (field_name, _) in AXES.items()},
-        "horizon": {key: spaces[key] for key in ("start_year", "end_year", "discount_rate")},
+        "horizon": {key: spaces[key] for key in HORIZON_KEYS},
         "settlement": {
             "urban_min_density": bundle.settlement_thresholds[0],
             "suburban_min_density": bundle.settlement_thresholds[1],

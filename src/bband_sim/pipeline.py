@@ -267,11 +267,13 @@ def capacity_tables(
     from the inputs behind its key is rebuilt and rewritten, never used.
     Tables built in one call share a carrier memo (see
     :func:`radio.simulate_density`), so identical portfolios, and carriers
-    common to several, are simulated once per density.
+    common to several, are simulated once per density. A table read from
+    its cache file serves every later lookup of its key in the same call.
     """
     if generations is None:
         generations = bundle.strategy_space.generations
     tables: dict[tuple[str, Generation], CapacityTable] = {}
+    loaded: dict[str, CapacityTable] = {}  # cache key -> table read from its file
     memo: dict = {}
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
@@ -281,10 +283,11 @@ def capacity_tables(
             freq_set = bundle.frequency_set(iso3, gen)
             key = table_cache_key(bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid)
             cache_file = cache / f"{key}.csv" if cache is not None else None
-            table = None
-            if cache_file is not None and cache_file.is_file():
+            table = loaded.get(key)
+            if table is None and cache_file is not None and cache_file.is_file():
                 table = _load_cached_table(cache_file, freq_set, bundle.density_grid)
                 if table is not None:
+                    loaded[key] = table
                     logger.debug("capacity table cache hit: %s %s", iso3, gen.value)
             if table is None:
                 logger.info("building capacity table for %s %s (%s)", iso3, gen.value, freq_set.label)

@@ -14,11 +14,14 @@ the carriers in use.
 
 Every (carrier, density) simulation derives its own RNG stream from the seed
 and its identifying integers, so tables are bit-identical regardless of how
-the work is scheduled across threads. A simulation draws all its random
-numbers first, then runs the interferer chain over blocks of
-:data:`TRIAL_BLOCK` trials in reused buffers, element for element the same
-arithmetic as :func:`free_space_path_loss`, :func:`received_signal` and
-:func:`sinr` on whole arrays. A carrier's contribution depends only on
+the work is scheduled across threads. A simulation draws the receiver
+drops and the serving shadow fading for all its trials, then runs the
+interferer chain over blocks of :data:`TRIAL_BLOCK` trials, drawing each
+block's interferer shadow fading as it goes; the stream yields the same
+numbers as one whole-array draw, so working memory is bounded by the block
+size, not by trials x interferers. Each element is the same arithmetic as
+:func:`free_space_path_loss`, :func:`received_signal` and :func:`sinr` on
+whole arrays. A carrier's contribution depends only on
 (params, SE table, generation, carrier, density), so builds that share a
 memo (see :func:`simulate_density`) simulate each distinct carrier once
 per density. ``jobs`` threads split a table's grid densities.
@@ -51,9 +54,10 @@ DEFAULT_DENSITY_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 #: value, so that tables cached by older code are rebuilt, not reused.
 RADIO_MODEL_VERSION = 1
 
-#: Trials per block of the interferer chain in :func:`trial_sinr_db`. The
-#: (trials, interferers) float64 block buffers then fit in a core's L2
-#: cache at two rings; results do not depend on it.
+#: Trials per block of the interferer chain in :func:`trial_sinr_db`. Its
+#: four (block, interferers) buffers, shadow fading included, bound the
+#: chain's memory and fit in a core's L2 cache at two rings; results do not
+#: depend on it.
 TRIAL_BLOCK = 2048
 
 
@@ -409,12 +413,13 @@ def trial_sinr_db(
 
     ``params.trials`` receivers are dropped uniformly in the serving hexagon
     (or placed at ``receiver_positions``, a testing hook); each trial sees
-    the serving path, the interfering ring paths and the noise floor. All
-    random draws come first, in a fixed order from the carrier's own
-    stream: hexagon drops, serving shadow, then the full (trials,
-    interferers) shadow array. The serving path runs on whole arrays and the
-    interferer paths over blocks of :data:`TRIAL_BLOCK` trials in reused
-    buffers, each element computed exactly as :func:`free_space_path_loss`,
+    the serving path, the interfering ring paths and the noise floor. The
+    draws come from the carrier's own stream in a fixed order: hexagon
+    drops, serving shadow, then the (trials, interferers) shadow array in
+    row order, one block of rows at a time. The serving path runs on whole
+    arrays and the interferer paths over blocks of :data:`TRIAL_BLOCK`
+    trials, so memory beyond the per-trial arrays is bounded by the block
+    size. Each element is computed exactly as :func:`free_space_path_loss`,
     :func:`received_signal` and :func:`sinr` compute it on whole arrays. A
     signal below float range gives -inf.
     """
@@ -433,7 +438,6 @@ def trial_sinr_db(
         x, y = pos[:, 0], pos[:, 1]
     n, m = len(x), len(sites)
     shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
-    shadow_interf = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (n, m))
 
     dh_sq = ((params.tx_height_m - params.rx_height_m) / 1000.0) ** 2
     freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
@@ -455,7 +459,8 @@ def trial_sinr_db(
             d += t
             d += dh_sq
             np.sqrt(d, out=d)
-            _received_mw(d, shadow_interf[lo:hi], params, freq_term_db, mask[:hi - lo], t)
+            shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (hi - lo, m))
+            _received_mw(d, shadow, params, freq_term_db, mask[:hi - lo], t)
             np.sum(d, axis=-1, out=total[lo:hi])
         total *= params.network_load
         total += noise_mw

@@ -12,6 +12,7 @@ With ``old`` ``None`` the file is overwritten with ``new``, or deleted when
 
 import pytest
 
+from bband_sim.cli import EXIT_VALIDATION, main
 from bband_sim.data_io import load_bundle, load_se_table
 from bband_sim.errors import InputValidationError
 
@@ -396,6 +397,27 @@ CASES = {
         [("config.yaml", "  core_usd: 10000\n", "  core_usd: 10000\n  tower_usd: 1\n")],
         ["config: cost: unknown keys ['tower_usd']"],
     ),
+    # A misspelt key would otherwise be ignored and its default used.
+    "config_simulation_unknown_key": (
+        [("config.yaml", "trials: 10000", "trails: 10000")],
+        ["config: simulation: unknown keys ['trails']"],
+    ),
+    "config_horizon_unknown_key": (
+        [("config.yaml", "discount_rate: 0.05", "discount_rate: 0.05\n  discount: 0.1")],
+        ["config: horizon: unknown keys ['discount']"],
+    ),
+    "config_settlement_unknown_key": (
+        [("config.yaml", "suburban_min_density: 300", "suburban_min_density: 300\n  rural_min_density: 10")],
+        ["config: settlement: unknown keys ['rural_min_density']"],
+    ),
+    "config_adoption_unknown_keys": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cap: 0.9\n  cagr_by_income: {}\n")],
+        ["config: adoption: unknown keys ['cap', 'cagr_by_income']"],
+    ),
+    "config_energy_unknown_key": (
+        [("config.yaml", "site_kwh_per_hour: 0.249", "site_kwh_per_hour: 0.249\n  site_kwh: 0.3")],
+        ["config: energy: unknown keys ['site_kwh']"],
+    ),
     "config_cost_invalid": (
         [("config.yaml", "tax_rate_low: 0.10", "tax_rate_low: 0.50")],
         ["config: cost: tax rates must be ordered low <= baseline <= high"],
@@ -569,3 +591,29 @@ def test_missing_se_table_file(tmp_path):
     with pytest.raises(InputValidationError) as err:
         load_se_table(tmp_path / "se_table.csv", 0.85)
     assert [str(d) for d in err.value.diagnostics] == ["se_table.csv: file is missing", *SE_TABLE_EMPTY]
+
+
+# A file that is not UTF-8 (here a Latin-1 e-acute) is one diagnostic with
+# the offset of its first bad byte; a CSV then contributes no rows.
+LATIN1_CASES = {
+    "regions.csv": (
+        ("MLA-R05,MLA", "MLA-R\u00e905,MLA"),
+        ["regions.csv: country MLA has no regions", "regions.csv: country MLB has no regions"],
+    ),
+    "config.yaml": (("# Miniland synthetic", "# Miniland synth\u00e9tic"), []),
+}
+
+
+@pytest.mark.parametrize("name", list(LATIN1_CASES))
+def test_non_utf8_file_is_one_diagnostic(miniland_copy, capsys, name):
+    (old, new), follow_on = LATIN1_CASES[name]
+    path = miniland_copy / name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    data = text.replace(old, new, 1).encode("latin-1")
+    path.write_bytes(data)
+    first_bad = f"{name}: not valid UTF-8: byte 0xe9 at offset {data.index(0xE9)}"
+    assert diagnostics(miniland_copy, miniland_copy / "config.yaml") == [first_bad, *follow_on]
+    code = main(["validate", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")])
+    assert code == EXIT_VALIDATION
+    assert first_bad in capsys.readouterr().err

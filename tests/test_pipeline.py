@@ -221,6 +221,17 @@ class TestRunPipeline:
             fs = small.frequency_set(iso3, gen)
             assert table == build(small.sim_params, small.se_table, fs, small.density_grid)
 
+    def test_shared_cache_file_read_once_per_call(self, bundle, table_cache, monkeypatch):
+        warm = pipeline.capacity_tables(bundle, cache_dir=table_cache)
+        reads = []
+        load = pipeline.load_capacity_tables
+        monkeypatch.setattr(pipeline, "load_capacity_tables", lambda path: reads.append(path) or load(path))
+        tables = pipeline.capacity_tables(bundle, cache_dir=table_cache)
+        # MLA and MLB hold the same 4G carriers: 4 lookups of 3 distinct files
+        assert len(tables) == 4
+        assert len(reads) == len(set(reads)) == 3
+        assert tables == warm
+
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_damaged_cache_file_rebuilt_with_warning(self, bundle, baseline_output, tmp_path, caplog, damage):
         cache = tmp_path / "cache"

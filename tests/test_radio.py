@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -321,6 +322,20 @@ class TestBlockedKernel:
         table = build_capacity_table(params, se_table, freq_set, GRID)
         assert [repr(c) for _, c in table.rows] == want
         assert [d for d, _ in table.rows] == list(GRID)
+
+
+class TestKernelMemory:
+    def test_peak_memory_bounded_by_trial_block(self):
+        # The whole (trials, interferers) shadow array alone would be 14.4 MB
+        # here: 50k trials x 36 interferers at three rings.
+        params = SimulationParams(trials=50_000, seed=3, interferer_rings=3)
+        tracemalloc.start()
+        try:
+            trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestCarrierMemo:
