@@ -31,7 +31,7 @@ from .core import (
 )
 from .data_io import InputBundle, load_bundle, save_bundle, validate_axes
 from .errors import BbandSimError, InputValidationError, MissingDataError, ValidationError
-from .pipeline import PipelineOutput, RunResult, emit_results, run_pipeline
+from .pipeline import PipelineOutput, emit_results, run_pipeline
 
 __all__ = [
     "AdoptionScenario",
@@ -48,7 +48,6 @@ __all__ = [
     "PipelineOutput",
     "Policy",
     "RegionRecord",
-    "RunResult",
     "ScenarioSpace",
     "ScenarioSpec",
     "Settlement",

@@ -127,7 +127,7 @@ def _cmd_run(args) -> int:
     cache_dir = os.environ.get("BBAND_SIM_CACHE") or out_dir / "capacity_cache"
     try:
         output = run_pipeline(bundle, runs, jobs=args.jobs, cache_dir=cache_dir)
-        paths = emit_results(output.table, out_dir)
+        paths = emit_results(output.results, out_dir)
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
@@ -137,7 +137,7 @@ def _cmd_run(args) -> int:
 
     for p in paths:
         logger.info("wrote %s", p)
-    print(f"{len(runs)} run(s), {len(output.table)} result rows -> {out_dir}")
+    print(f"{len(runs)} run(s), {len(output.results)} result rows -> {out_dir}")
     if output.failures:
         for f in output.failures:
             print(f"FAILED run {f.strategy} {f.scenario}: {f.error}", file=sys.stderr)

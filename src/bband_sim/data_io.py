@@ -222,10 +222,14 @@ Rows = Iterable[tuple[int, list]]
 
 
 def _read_utf8(path: Path, collector: _Collector) -> str | None:
-    """The text of ``path``, or None with a diagnostic at its first byte that is not UTF-8."""
+    """The text of ``path``, a leading byte-order mark dropped.
+
+    None, with a diagnostic, if it is not UTF-8: the diagnostic gives the
+    first bad byte and its offset in the file, a byte-order mark counted.
+    """
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         collector.add(path.name, 0, f"not valid UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}")
         return None
@@ -236,8 +240,9 @@ def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
 
     ``columns`` defaults to the schema of the file's name. Reports a missing
     file, a header other than the declared one, a row with the wrong number of
-    cells and each bad cell, in column order. Blank lines are not counted. A
-    file that is not UTF-8 gives one diagnostic and no rows.
+    cells and each bad cell, in column order. Blank lines are skipped but
+    counted: ``line`` is the physical line on which the row ends. A file
+    that is not UTF-8 gives one diagnostic and no rows.
     """
     name = path.name
     if not path.is_file():
@@ -253,7 +258,9 @@ def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
     if first != header:
         collector.add(name, 1, f"header must be exactly {header!r}, got {first!r}")
         return
-    for line, cells in enumerate(filter(None, csv.reader(fh)), start=2):
+    reader = csv.reader(fh)
+    for cells in filter(None, reader):
+        line = reader.line_num + 1  # the header was read before the reader
         if len(cells) != len(columns):
             collector.add(name, line, "wrong number of columns")
             continue

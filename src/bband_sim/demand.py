@@ -67,21 +67,6 @@ class AdoptionParams:
         return self.smartphone_penetration_urban
 
 
-@dataclass(frozen=True)
-class DemandResult:
-    """Per-decile demand outputs."""
-
-    smartphone_users: float
-    busy_hour_rate_mbps: float
-    area_demand_mbps_km2: float
-    revenue_pv_usd: float
-
-    def __post_init__(self):
-        for name in ("smartphone_users", "busy_hour_rate_mbps", "area_demand_mbps_km2", "revenue_pv_usd"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-
-
 def per_user_busy_hour_rate(
     capacity_gb_month: float,
     days: int = 30,

@@ -31,7 +31,6 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -42,26 +41,23 @@ from .core import (
     DecileRecord,
     Generation,
     ScenarioSpec,
-    Settlement,
     StrategyBundle,
     build_deciles,
     enumerate_runs,
 )
-from .cost import DecileCost, cost_columns
+from .cost import cost_columns
 from .data_io import InputBundle
 from .demand import (
-    DemandResult,
     arpu_for_settlement,
     area_demand,
     decile_revenue_pv,
     penetration_series,
     per_user_busy_hour_rate,
 )
-from .dimensioning import SiteRequirement, required_sites
+from .dimensioning import required_sites
 from .energy import (
     DIESEL_SOURCE,
     ENERGY_FIELDS,
-    Emissions,
     GridSplit,
     apply_renewables_strategy,
     energy,
@@ -81,26 +77,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class RunResult:
-    """One (country, decile, strategy, scenario) outcome row."""
-
-    country_iso3: str
-    decile_index: int
-    settlement: Settlement
-    population: int
-    area_km2: float
-    strategy: StrategyBundle
-    scenario: ScenarioSpec
-    demand: DemandResult
-    sites: SiteRequirement
-    cost: DecileCost
-    energy_kwh: float
-    on_grid_kwh: float
-    off_grid_kwh: float
-    emissions: Emissions
-
-
-@dataclass(frozen=True)
 class RunFailure:
     strategy: StrategyBundle
     scenario: ScenarioSpec
@@ -109,21 +85,19 @@ class RunFailure:
 
 #: The columns of each result stage, in ``results_decile.csv`` order, so
 #: that a row's text is its five stage segments joined. The run stage holds
-#: the run key; the sites stage also carries two demand fields that only
-#: :class:`RunResult` shows.
+#: the run key.
 STAGE_COLUMNS = {
     "decile": ("country_iso3", "decile_index", "settlement", "population", "area_km2"),
     "run": ("generation", "backhaul", "sharing", "policy", "energy_strategy", "capacity_gb_month", "adoption"),
     "sites": ("demand_mbps_km2", "total_sites", "existing_sites", "new_sites", "upgraded_sites", "unserviceable",
-              "revenue_pv_usd", "smartphone_users", "busy_hour_rate_mbps"),
+              "revenue_pv_usd"),
     "cost": ("network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd", "private_cost_usd",
              "subsidy_usd", "government_cost_usd", "financial_cost_usd"),
     "energy": ENERGY_FIELDS,
 }
-_UNWRITTEN = ("smartphone_users", "busy_hour_rate_mbps")
 _STAGE_OF = {name: stage for stage, names in STAGE_COLUMNS.items() for name in names}
 
-DECILE_COLUMNS = [name for names in STAGE_COLUMNS.values() for name in names if name not in _UNWRITTEN]
+DECILE_COLUMNS = [name for names in STAGE_COLUMNS.values() for name in names]
 
 #: Result columns set by the run (strategy and scenario), in sort order.
 RUN_KEY_COLUMNS = STAGE_COLUMNS["run"]
@@ -179,53 +153,13 @@ class ResultTable:
         run_rank = np.array([rank[k] for k in self.run_keys], dtype=np.int64)
         return np.lexsort((run_rank[self.run], self.column("decile_index"), self.column("country_iso3")))
 
-    def rows(self) -> list[RunResult]:
-        """The table as :class:`RunResult` rows, in table order."""
-        def columns(*names: str) -> Iterable[tuple]:
-            return zip(*(self.column(name).tolist() for name in names))
-
-        place = ("country_iso3", "decile_index")
-        demand = starmap(DemandResult, columns("smartphone_users", "busy_hour_rate_mbps", "demand_mbps_km2",
-                                               "revenue_pv_usd"))
-        sites = starmap(SiteRequirement, columns(*place, *STAGE_COLUMNS["sites"][1:6]))
-        costs = starmap(DecileCost, columns(*place, *STAGE_COLUMNS["cost"][:6], "revenue_pv_usd", "subsidy_usd"))
-        emissions = starmap(Emissions, columns(*ENERGY_FIELDS[3:]))
-        return [
-            RunResult(iso3, index, Settlement(settlement), population, area, *self.runs[run], d, s, c, kwh, on, off, e)
-            for (iso3, index, settlement, population, area), run, d, s, c, (kwh, on, off), e in zip(
-                columns(*STAGE_COLUMNS["decile"]), self.run.tolist(), demand, sites, costs,
-                columns(*ENERGY_FIELDS[:3]), emissions)
-        ]
-
-    @classmethod
-    def from_rows(cls, results: Sequence[RunResult]) -> ResultTable:
-        """The table of a list of rows, in list order: one stage row per row.
-
-        Each column takes its dtype from its values (int, float, bool or
-        str), so each value is written as its type says; a column mixing
-        ints and floats is float.
-        """
-        index: dict = {}
-        run = [index.setdefault((r.strategy, r.scenario), len(index)) for r in results]
-        rows = [{**decile_row(r), "smartphone_users": r.demand.smartphone_users,
-                 "busy_hour_rate_mbps": r.demand.busy_hour_rate_mbps} for r in results]
-        every = np.arange(len(rows))
-        stages = {stage: (every, {name: np.array([row[name] for row in rows]) for name in names})
-                  for stage, names in STAGE_COLUMNS.items() if stage != "run"}
-        return cls(list(index), np.array(run, dtype=np.intp), stages)
-
 
 @dataclass(frozen=True)
 class PipelineOutput:
     """The result table of a run matrix, and the runs that failed."""
 
-    table: ResultTable
+    results: ResultTable
     failures: list[RunFailure]
-
-    @cached_property
-    def results(self) -> list[RunResult]:
-        """The table as :class:`RunResult` rows, built on first use."""
-        return self.table.rows()
 
 
 def country_deciles(bundle: InputBundle) -> dict[str, list[DecileRecord]]:
@@ -267,13 +201,14 @@ def capacity_tables(
     from the inputs behind its key is rebuilt and rewritten, never used.
     Tables built in one call share a carrier memo (see
     :func:`radio.simulate_density`), so identical portfolios, and carriers
-    common to several, are simulated once per density. A table read from
-    its cache file serves every later lookup of its key in the same call.
+    common to several, are simulated once per density. Each distinct cache
+    key is built or read once per call, and that table serves every later
+    lookup of the key in the same call.
     """
     if generations is None:
         generations = bundle.strategy_space.generations
     tables: dict[tuple[str, Generation], CapacityTable] = {}
-    loaded: dict[str, CapacityTable] = {}  # cache key -> table read from its file
+    by_key: dict[str, CapacityTable] = {}  # cache key -> table built or read in this call
     memo: dict = {}
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
@@ -283,11 +218,10 @@ def capacity_tables(
             freq_set = bundle.frequency_set(iso3, gen)
             key = table_cache_key(bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid)
             cache_file = cache / f"{key}.csv" if cache is not None else None
-            table = loaded.get(key)
+            table = by_key.get(key)
             if table is None and cache_file is not None and cache_file.is_file():
                 table = _load_cached_table(cache_file, freq_set, bundle.density_grid)
                 if table is not None:
-                    loaded[key] = table
                     logger.debug("capacity table cache hit: %s %s", iso3, gen.value)
             if table is None:
                 logger.info("building capacity table for %s %s (%s)", iso3, gen.value, freq_set.label)
@@ -296,7 +230,7 @@ def capacity_tables(
                 )
                 if cache_file is not None:
                     save_capacity_tables([table], cache_file)
-            tables[(iso3, gen)] = table
+            tables[(iso3, gen)] = by_key[key] = table
     return tables
 
 
@@ -304,7 +238,8 @@ def _decile_demand(
     bundle: InputBundle,
     decile: DecileRecord,
     scenario: ScenarioSpec,
-) -> DemandResult:
+) -> tuple[float, float]:
+    """A decile's peak area demand (Mbps/km^2) and revenue present value."""
     country = bundle.countries[decile.country_iso3]
     cagr = bundle.adoption.cagr(country.income_group, scenario.adoption)
     cap = bundle.adoption.penetration_cap
@@ -318,13 +253,7 @@ def _decile_demand(
         country.market_share,
         scenario.discount_rate,
     )
-    users = max(decile.population * p * s for p, s in zip(pen, sp)) if decile.population else 0.0
-    return DemandResult(
-        smartphone_users=users,
-        busy_hour_rate_mbps=rate,
-        area_demand_mbps_km2=demand,
-        revenue_pv_usd=revenue,
-    )
+    return demand, revenue
 
 
 def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
@@ -343,18 +272,13 @@ def _country_sites(
     table: CapacityTable,
     scenario: ScenarioSpec,
 ) -> dict[str, np.ndarray]:
-    demand = [_decile_demand(bundle, decile, scenario) for decile in deciles]
-    sites = [required_sites(decile, d.area_demand_mbps_km2, table) for decile, d in zip(deciles, demand)]
-    floats = {
-        "smartphone_users": [d.smartphone_users for d in demand],
-        "busy_hour_rate_mbps": [d.busy_hour_rate_mbps for d in demand],
-        "demand_mbps_km2": [d.area_demand_mbps_km2 for d in demand],
-        "revenue_pv_usd": [d.revenue_pv_usd for d in demand],
-    }
+    demand, revenue = zip(*(_decile_demand(bundle, decile, scenario) for decile in deciles))
+    sites = [required_sites(decile, d, table) for decile, d in zip(deciles, demand)]
     ints = {name: [getattr(s, name) for s in sites]
             for name in ("total_sites", "existing_sites", "new_sites", "upgraded_sites")}
     return {
-        **{name: np.array(v, dtype=np.float64) for name, v in floats.items()},
+        "demand_mbps_km2": np.array(demand, dtype=np.float64),
+        "revenue_pv_usd": np.array(revenue, dtype=np.float64),
         **{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
         "unserviceable": np.array([s.unserviceable for s in sites], dtype=bool),
     }
@@ -506,7 +430,10 @@ def run_pipeline(
             logger.error("run failed (%s, %s): %s", *runs[i], error)
     good = np.flatnonzero(ok)
     if not good.size:
-        return PipelineOutput(ResultTable.from_rows([]), failures)
+        none = np.empty(0, dtype=np.intp)
+        stages = {stage: (none, {name: np.empty(0) for name in names})
+                  for stage, names in STAGE_COLUMNS.items() if stage != "run"}
+        return PipelineOutput(ResultTable([], none, stages), failures)
 
     per_run = len(countries) * N_DECILES
     run = np.repeat(good, per_run)
@@ -553,20 +480,6 @@ _SUMMARIES = [
 
 #: Rows of ``results_decile.csv`` formatted and written per block.
 EMIT_BLOCK = 4096
-
-
-def decile_row(r: RunResult) -> dict:
-    """One row of ``results_decile.csv``, unformatted, by column name."""
-    d, c, e = r.sites, r.cost, r.emissions
-    return dict(zip(DECILE_COLUMNS, (
-        r.country_iso3, r.decile_index, r.settlement.value, r.population, r.area_km2,
-        *run_key(r.strategy, r.scenario),
-        r.demand.area_demand_mbps_km2, d.total_sites, d.existing_sites, d.new_sites, d.upgraded_sites,
-        d.unserviceable, c.revenue_pv,
-        c.network, c.administration, c.spectrum, c.tax, c.profit, c.private_cost, c.subsidy,
-        c.government_cost, c.financial_cost,
-        r.energy_kwh, r.on_grid_kwh, r.off_grid_kwh, e.co2_kg, e.nox_g, e.sox_g, e.pm10_g,
-    )))
 
 
 def format_column(values: np.ndarray) -> np.ndarray:
@@ -629,12 +542,11 @@ def _group_sums(
     return out
 
 
-def aggregate_country_rows(results: Sequence[RunResult]) -> list[dict]:
+def aggregate_country_rows(table: ResultTable) -> list[dict]:
     """Country-level aggregation of the per-decile results, full precision.
 
-    Rows are summed in list order, one dict per (country, run key), sorted.
+    Rows are summed in table order, one dict per (country, run key), sorted.
     """
-    table = ResultTable.from_rows(results)
     sums = _group_sums(table, np.arange(len(table)), _COUNTRY_GROUP, _COUNTRY_SUMS)
     return [dict(zip(COUNTRY_COLUMNS, row)) for row in zip(*(sums[c].tolist() for c in COUNTRY_COLUMNS))]
 
@@ -661,23 +573,21 @@ def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[list[
     segments = []
     for stage, names in STAGE_COLUMNS.items():
         index, columns = table.stage(stage)
-        texts = [format_column(columns[name]).tolist() for name in names if name not in _UNWRITTEN]
+        texts = [format_column(columns[name]).tolist() for name in names]
         segments.append((index, np.array(list(map(",".join, zip(*texts))), dtype=object)))
     for start in range(0, len(order), EMIT_BLOCK):
         rows = order[start:start + EMIT_BLOCK]
         yield [text[index[rows]].tolist() for index, text in segments]
 
 
-def emit_results(results: ResultTable | Sequence[RunResult], out_dir: Path | str) -> list[Path]:
+def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
     """Write the decile, country and summary CSVs; returns the paths written.
 
     Output is byte-stable: rows are fully sorted, floats carry 6 significant
     digits, and re-running with identical inputs rewrites identical files.
-    A list of :class:`RunResult` rows is first turned into a
-    :class:`ResultTable`. Every sum adds its rows in sorted order.
+    Every sum adds its rows in sorted order.
     """
     start = time.perf_counter()
-    table = results if isinstance(results, ResultTable) else ResultTable.from_rows(results)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     order = table.sort_order()

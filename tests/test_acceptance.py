@@ -40,7 +40,7 @@ from bband_sim.energy import (
     emissions,
     split_energy,
 )
-from bband_sim.pipeline import aggregate_country_rows, decile_row
+from bband_sim.pipeline import aggregate_country_rows
 from bband_sim.radio import (
     Carrier,
     FrequencySet,
@@ -67,18 +67,20 @@ def _strategy(generation=Generation.G4, backhaul=Backhaul.WIRELESS, sharing=Shar
 SCENARIO_30 = ScenarioSpec(30.0, AdoptionScenario.BASELINE)
 
 
-def _totals(results, *, field):
+def _totals(group, *, field):
+    """The sum of one column over a group's rows, added in table order."""
+    table, rows = group
     if field == "financial":
-        return sum(r.cost.financial_cost for r in results)
+        return sum(table.column("financial_cost_usd", rows).tolist())
     if field == "energy":
-        return sum(r.energy_kwh for r in results)
+        return sum(table.column("energy_kwh", rows).tolist())
     raise AssertionError(field)
 
 
-def _species_totals(results) -> Emissions:
+def _species_totals(table, rows) -> Emissions:
     total = Emissions()
-    for r in results:
-        total = total + r.emissions
+    for species in zip(*(table.column(name, rows).tolist() for name in ("co2_kg", "nox_g", "sox_g", "pm10_g"))):
+        total = total + Emissions(*species)
     return total
 
 
@@ -162,11 +164,12 @@ def directional_runs(bundle, table_cache):
     ]
     out = run_pipeline(bundle, runs, cache_dir=table_cache)
     assert not out.failures
+    table = out.results
+    key = zip(*(table.column(f).tolist() for f in ("generation", "backhaul", "sharing")))
     grouped = {}
-    for r in out.results:
-        key = (r.strategy.generation, r.strategy.backhaul, r.strategy.sharing)
-        grouped.setdefault(key, []).append(r)
-    return grouped
+    for row, (generation, backhaul, sharing) in enumerate(key):
+        grouped.setdefault((Generation(generation), Backhaul(backhaul), Sharing(sharing)), []).append(row)
+    return {k: (table, np.array(rows)) for k, rows in grouped.items()}
 
 
 def test_criterion_3_directional_claims(directional_runs):
@@ -240,7 +243,7 @@ def test_criterion_4_linearity_and_conservation(bundle, table_cache):
     out = run_pipeline(bundle, [(_strategy(), SCENARIO_30)], cache_dir=table_cache)
     rows = aggregate_country_rows(out.results)
     for field in ("financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"):
-        decile_total = sum(decile_row(r)[field] for r in out.results)
+        decile_total = sum(out.results.column(field).tolist())
         country_total = sum(row[field] for row in rows)
         assert country_total == pytest.approx(decile_total, rel=1e-9)
 
@@ -253,11 +256,9 @@ def test_criterion_5_renewables_strategy(bundle, table_cache, tmp_path):
         (_strategy(energy=EnergyStrategy.RENEWABLES), SCENARIO_30),
     ]
     out = run_pipeline(bundle, runs, cache_dir=table_cache)
-    by_strategy = {}
-    for r in out.results:
-        by_strategy.setdefault(r.strategy.energy_strategy, []).append(r)
-    base = _species_totals(by_strategy[EnergyStrategy.BASELINE])
-    green = _species_totals(by_strategy[EnergyStrategy.RENEWABLES])
+    strategy = out.results.column("energy_strategy")
+    base = _species_totals(out.results, strategy == EnergyStrategy.BASELINE.value)
+    green = _species_totals(out.results, strategy == EnergyStrategy.RENEWABLES.value)
     # both miniland countries have on_grid_share < 1
     assert green.co2_kg < base.co2_kg
     assert green.nox_g < base.nox_g
@@ -271,14 +272,10 @@ def test_criterion_5_renewables_strategy(bundle, table_cache, tmp_path):
             iso3: dataclasses.replace(c, on_grid_share=1.0) for iso3, c in bundle.countries.items()
         },
     )
-    out_on = run_pipeline(fully_on, runs, cache_dir=table_cache)
-    split = {}
-    for r in out_on.results:
-        split.setdefault(r.strategy.energy_strategy, []).append(r)
     dir_a = tmp_path / "baseline"
     dir_b = tmp_path / "renewables"
-    emit_results(split[EnergyStrategy.BASELINE], dir_a)
-    emit_results(split[EnergyStrategy.RENEWABLES], dir_b)
+    emit_results(run_pipeline(fully_on, runs[:1], cache_dir=table_cache).results, dir_a)
+    emit_results(run_pipeline(fully_on, runs[1:], cache_dir=table_cache).results, dir_b)
     for name in ("results_decile.csv", "results_country.csv"):
         bytes_a = (dir_a / name).read_bytes()
         bytes_b = (dir_b / name).read_bytes()
@@ -292,11 +289,18 @@ def test_criterion_6_policy_monotonicity(bundle, table_cache):
     policies = [Policy.LOW_TAX, Policy.BASELINE, Policy.HIGH_TAX, Policy.LOW_SPECTRUM, Policy.HIGH_SPECTRUM]
     runs = [(_strategy(policy=p), SCENARIO_30) for p in policies]
     out = run_pipeline(bundle, runs, cache_dir=table_cache)
+    table = out.results
+    cost_fields = ("network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd",
+                   "private_cost_usd", "revenue_pv_usd", "subsidy_usd")
     totals = {}
     costs_by_policy = {}
-    for r in out.results:
-        totals[r.strategy.policy] = totals.get(r.strategy.policy, 0.0) + r.cost.financial_cost
-        costs_by_policy.setdefault(r.strategy.policy, []).append(r.cost)
+    for policy, iso3, index, financial, *cost in zip(
+            table.column("policy").tolist(), table.column("country_iso3").tolist(),
+            table.column("decile_index").tolist(), table.column("financial_cost_usd").tolist(),
+            *(table.column(name).tolist() for name in cost_fields)):
+        policy = Policy(policy)
+        totals[policy] = totals.get(policy, 0.0) + financial
+        costs_by_policy.setdefault(policy, []).append(DecileCost(iso3, index, *cost))
 
     assert totals[Policy.LOW_TAX] <= totals[Policy.BASELINE] <= totals[Policy.HIGH_TAX]
     assert totals[Policy.LOW_SPECTRUM] <= totals[Policy.BASELINE] <= totals[Policy.HIGH_SPECTRUM]
@@ -317,7 +321,7 @@ def test_criterion_7_golden_run(bundle, tmp_path):
     result = run_pipeline(bundle, jobs=2, cache_dir=tmp_path / "cache")
     assert not result.failures
     assert len(result.results) == 1440 * 20
-    assert all(not r.sites.unserviceable for r in result.results)
+    assert not result.results.column("unserviceable").any()
     paths = emit_results(result.results, out_dir)
 
     recorded = {}

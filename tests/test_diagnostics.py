@@ -57,14 +57,14 @@ CASES = {
         [("countries.csv", "MLB,UMC,4,8,12,16,0.94,0.48", "MLB,UMC,4,8,12,16,0.94")],
         ["countries.csv:3: wrong number of columns", *MLB_DROPPED],
     ),
-    # Blank lines are skipped and not counted: the fault on physical line 8
-    # is reported as line 7.
-    "regions_blank_line_is_not_counted": (
+    # Blank lines are skipped but counted: the fault is reported on its
+    # physical line, 8.
+    "regions_blank_line_keeps_physical_line_numbers": (
         [
             ("regions.csv", "MLA-R04,MLA,220000,275,60\n", "MLA-R04,MLA,220000,275,60\n\n"),
             ("regions.csv", "MLA-R06,MLA,150000", "MLA-R06,MLA,-1"),
         ],
-        ["regions.csv:7: population: -1 must be >= 0"],
+        ["regions.csv:8: population: -1 must be >= 0"],
     ),
     # --- blanks around cells: stripped, except enum values ---
     "regions_padded_cells_load": (
@@ -617,3 +617,22 @@ def test_non_utf8_file_is_one_diagnostic(miniland_copy, capsys, name):
     code = main(["validate", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")])
     assert code == EXIT_VALIDATION
     assert first_bad in capsys.readouterr().err
+
+
+BOM = b"\xef\xbb\xbf"  # how spreadsheet "CSV UTF-8" exports begin
+
+
+@pytest.mark.parametrize("name", ["regions.csv", "config.yaml"])
+def test_byte_order_mark_is_accepted(miniland_copy, name):
+    path = miniland_copy / name
+    path.write_bytes(BOM + path.read_bytes())
+    assert diagnostics(miniland_copy, miniland_copy / "config.yaml") == []
+
+
+def test_byte_order_mark_then_non_utf8_gives_the_file_offset(miniland_copy):
+    (old, new), follow_on = LATIN1_CASES["regions.csv"]
+    path = miniland_copy / "regions.csv"
+    data = BOM + path.read_text(encoding="utf-8").replace(old, new, 1).encode("latin-1")
+    path.write_bytes(data)
+    first_bad = f"regions.csv: not valid UTF-8: byte 0xe9 at offset {data.index(0xE9)}"
+    assert diagnostics(miniland_copy, miniland_copy / "config.yaml") == [first_bad, *follow_on]

@@ -3,7 +3,6 @@ import dataclasses
 import logging
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,24 +16,21 @@ from bband_sim.core import (
     Generation,
     Policy,
     ScenarioSpec,
-    Settlement,
     Sharing,
     StrategyBundle,
     enumerate_runs,
 )
+from bband_sim.cli import parse_run_filter
 from bband_sim.cost import DecileCost
-from bband_sim.demand import DemandResult
-from bband_sim.dimensioning import SiteRequirement
-from bband_sim.energy import Emissions
 from bband_sim.errors import ValidationError
 from bband_sim.pipeline import (
     COUNTRY_COLUMNS,
     DECILE_COLUMNS,
+    RUN_KEY_COLUMNS,
+    STAGE_COLUMNS,
     PipelineOutput,
     ResultTable,
-    RunResult,
     aggregate_country_rows,
-    decile_row,
     emit_results,
     format_column,
     run_pipeline,
@@ -55,28 +51,40 @@ def baseline_output(bundle, table_cache) -> PipelineOutput:
     return single_run(bundle, table_cache)
 
 
+def rows(table: ResultTable) -> list[tuple]:
+    """Each row of ``table`` in table order: its run, then its ``results_decile.csv`` values."""
+    runs = [table.runs[i] for i in table.run.tolist()]
+    return list(zip(runs, *(table.column(name).tolist() for name in DECILE_COLUMNS)))
+
+
+def emitted(table: ResultTable, out_dir) -> dict[str, bytes]:
+    """The bytes of each file ``emit_results`` writes for ``table``, by name."""
+    return {path.name: path.read_bytes() for path in emit_results(table, out_dir)}
+
+
 class TestRunPipeline:
     def test_one_run_yields_twenty_rows(self, baseline_output):
-        assert len(baseline_output.results) == 20
+        table = baseline_output.results
+        assert len(table) == 20
         assert not baseline_output.failures
-        countries = {r.country_iso3 for r in baseline_output.results}
+        countries = set(table.column("country_iso3").tolist())
         assert countries == {"MLA", "MLB"}
         for iso3 in countries:
-            indices = sorted(r.decile_index for r in baseline_output.results if r.country_iso3 == iso3)
+            indices = sorted(table.column("decile_index")[table.column("country_iso3") == iso3].tolist())
             assert indices == list(range(1, 11))
 
     def test_no_runs_yield_an_empty_table(self, bundle, table_cache, tmp_path):
         out = run_pipeline(bundle, [], cache_dir=table_cache)
-        assert (len(out.table), out.failures, out.results) == (0, [], [])
-        emit_results(out.table, tmp_path)
+        assert (len(out.results), out.failures, rows(out.results)) == (0, [], [])
+        emit_results(out.results, tmp_path)
         assert (tmp_path / "results_decile.csv").read_text() == ",".join(DECILE_COLUMNS) + "\n"
 
     def test_no_unserviceable_deciles(self, baseline_output):
-        assert all(not r.sites.unserviceable for r in baseline_output.results)
+        assert not baseline_output.results.column("unserviceable").any()
 
     def test_same_seed_identical_rows(self, bundle, table_cache, baseline_output):
         again = single_run(bundle, table_cache)
-        assert again.results == baseline_output.results
+        assert rows(again.results) == rows(baseline_output.results)
 
     def test_jobs_do_not_change_results(self, bundle, table_cache, baseline_output):
         runs = [BASELINE_RUN,
@@ -84,7 +92,7 @@ class TestRunPipeline:
                 (BASELINE_RUN[0], ScenarioSpec(40.0, AdoptionScenario.HIGH))]
         serial = run_pipeline(bundle, runs, cache_dir=table_cache, jobs=1)
         threaded = run_pipeline(bundle, runs, cache_dir=table_cache, jobs=4)
-        assert serial.results == threaded.results
+        assert rows(serial.results) == rows(threaded.results)
 
     def test_failure_contained(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
@@ -108,7 +116,7 @@ class TestRunPipeline:
         assert [(f.strategy, f.scenario) for f in out.failures] == [(active, scenario), (active_low_tax, scenario)]
         assert all("synthetic failure" in f.error for f in out.failures)
         assert len(out.results) == 40  # the healthy runs still completed
-        assert {r.strategy for r in out.results} == {strategy, low_tax}
+        assert {run[0] for run, *_ in rows(out.results)} == {strategy, low_tax}
 
     def test_failing_key_fails_alone_inside_its_batch(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
@@ -147,7 +155,7 @@ class TestRunPipeline:
         ]
         failed = [(f.strategy, f.scenario) for f in out.failures]
         healthy = [run for run in runs if run not in failed]
-        assert out.results == run_pipeline(bundle, healthy, cache_dir=table_cache).results
+        assert rows(out.results) == rows(run_pipeline(bundle, healthy, cache_dir=table_cache).results)
 
     def test_energy_computed_once_across_policies(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
@@ -191,10 +199,10 @@ class TestRunPipeline:
     def test_runs_differing_only_in_scenario_detail_are_independent(self, bundle, table_cache, change):
         strategy, scenario = BASELINE_RUN
         other = dataclasses.replace(scenario, **change)
-        alone = run_pipeline(bundle, [(strategy, other)], cache_dir=table_cache).results
-        together = run_pipeline(bundle, [BASELINE_RUN, (strategy, other)], cache_dir=table_cache).results
-        assert [r for r in together if r.scenario == other] == alone
-        assert [r for r in together if r.scenario == scenario] == single_run(bundle, table_cache).results
+        alone = rows(run_pipeline(bundle, [(strategy, other)], cache_dir=table_cache).results)
+        together = rows(run_pipeline(bundle, [BASELINE_RUN, (strategy, other)], cache_dir=table_cache).results)
+        assert [r for r in together if r[0][1] == other] == alone
+        assert [r for r in together if r[0][1] == scenario] == rows(single_run(bundle, table_cache).results)
 
     def test_cache_files_created_and_reused(self, bundle, tmp_path):
         cache = tmp_path / "cache"
@@ -204,7 +212,7 @@ class TestRunPipeline:
         mtimes = [f.stat().st_mtime_ns for f in files]
         second = run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
         assert [f.stat().st_mtime_ns for f in sorted(cache.glob('*.csv'))] == mtimes
-        assert first.results == second.results
+        assert rows(first.results) == rows(second.results)
 
     def test_cold_tables_simulate_each_distinct_carrier_once(self, bundle, monkeypatch):
         small = dataclasses.replace(bundle, sim_params=dataclasses.replace(bundle.sim_params, trials=200))
@@ -213,7 +221,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "build_capacity_table", lambda *a, **k: builds.append(a[2]) or build(*a, **k))
         monkeypatch.setattr(radio, "carrier_capacity", lambda *a, **k: sims.append(a[2:5]) or simulate(*a, **k))
         tables = pipeline.capacity_tables(small)
-        assert len(builds) == 4  # one build per (country, generation), even without a cache
+        assert len(builds) == 3  # one build per distinct table, even without a cache
         # MLA and MLB hold the same 4G carriers and share 700x10 in 5G: 6 distinct carriers, not 10
         assert len(sims) == len(set(sims)) == 6 * len(small.density_grid)
         monkeypatch.undo()
@@ -232,6 +240,17 @@ class TestRunPipeline:
         assert len(reads) == len(set(reads)) == 3
         assert tables == warm
 
+    def test_cold_call_reads_no_cache_file(self, bundle, tmp_path, monkeypatch):
+        small = dataclasses.replace(bundle, sim_params=dataclasses.replace(bundle.sim_params, trials=200))
+        reads = []
+        load = pipeline.load_capacity_tables
+        monkeypatch.setattr(pipeline, "load_capacity_tables", lambda path: reads.append(path) or load(path))
+        tables = pipeline.capacity_tables(small, cache_dir=tmp_path / "cache")
+        # the shared 4G table is built once and serves both countries without a read back
+        assert len(tables) == 4
+        assert reads == []
+        assert len(list((tmp_path / "cache").glob("*.csv"))) == 3
+
     @pytest.mark.parametrize("damage", ["truncate", "garbage"])
     def test_damaged_cache_file_rebuilt_with_warning(self, bundle, baseline_output, tmp_path, caplog, damage):
         cache = tmp_path / "cache"
@@ -243,7 +262,7 @@ class TestRunPipeline:
             f.write_text("".join(lines[:4]) if damage == "truncate" else lines[0] + "4G,x,not-a-number,1\n")
         with caplog.at_level(logging.WARNING, logger="bband_sim.pipeline"):
             again = run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
-        assert again.results == baseline_output.results
+        assert rows(again.results) == rows(baseline_output.results)
         assert "rebuilding" in caplog.text
         assert sorted(cache.iterdir()) == files  # rewritten in place, no temporary files left
         assert all(len(f.read_text().splitlines()) == 1 + len(bundle.density_grid) for f in files)
@@ -251,14 +270,14 @@ class TestRunPipeline:
 
 class TestAggregation:
     def test_decile_to_country_to_global_consistency(self, baseline_output):
-        results = baseline_output.results
-        country_rows = aggregate_country_rows(results)
+        table = baseline_output.results
+        country_rows = aggregate_country_rows(table)
         fields = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g", "revenue_pv_usd"]
         for field in fields:
-            decile_total = sum(decile_row(r)[field] for r in results)
+            decile_total = sum(table.column(field).tolist())
             country_total = sum(row[field] for row in country_rows)
             assert country_total == pytest.approx(decile_total, rel=1e-9)
-        assert sum(row["total_sites"] for row in country_rows) == sum(r.sites.total_sites for r in results)
+        assert sum(row["total_sites"] for row in country_rows) == sum(table.column("total_sites").tolist())
 
 
 class TestEmitResults:
@@ -273,24 +292,11 @@ class TestEmitResults:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 20
 
-    def test_empty_results_headers_only(self, tmp_path):
-        emit_results([], tmp_path)
+    def test_empty_results_headers_only(self, bundle, table_cache, tmp_path):
+        emit_results(run_pipeline(bundle, [], cache_dir=table_cache).results, tmp_path)
         for name in ("results_decile.csv", "results_country.csv", "summary_by_sharing.csv"):
             lines = (tmp_path / name).read_text().splitlines()
             assert len(lines) == 1
-
-    def test_row_order_does_not_change_bytes(self, bundle, table_cache, tmp_path):
-        strategy, scenario = BASELINE_RUN
-        runs = [(dataclasses.replace(strategy, sharing=sharing, policy=policy), scenario)
-                for sharing in Sharing for policy in (Policy.BASELINE, Policy.HIGH_TAX)]
-        results = run_pipeline(bundle, runs, cache_dir=table_cache).results
-        shuffled = list(results)
-        random.Random(7).shuffle(shuffled)
-        assert shuffled != results
-        emit_results(results, tmp_path / "sorted")
-        emit_results(shuffled, tmp_path / "shuffled")
-        for name in ("results_decile.csv", "results_country.csv", "summary_by_sharing.csv", "summary_by_policy.csv"):
-            assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "shuffled" / name).read_bytes()
 
     def test_idempotent_bytes(self, baseline_output, tmp_path):
         emit_results(baseline_output.results, tmp_path)
@@ -325,6 +331,61 @@ class TestEmitResults:
         assert rows["passive"] <= rows["baseline"]
 
 
+@pytest.fixture(scope="module")
+def matrix_files(bundle, table_cache, tmp_path_factory) -> dict[str, bytes]:
+    """The six files of the full run matrix."""
+    out = run_pipeline(bundle, cache_dir=table_cache)
+    assert not out.failures
+    return emitted(out.results, tmp_path_factory.mktemp("matrix"))
+
+
+def decile_lines(files: dict[str, bytes]) -> list[bytes]:
+    return files["results_decile.csv"].splitlines()
+
+
+#: Where a ``results_decile.csv`` line holds its run key.
+RUN_KEY = slice(DECILE_COLUMNS.index(RUN_KEY_COLUMNS[0]), DECILE_COLUMNS.index(RUN_KEY_COLUMNS[-1]) + 1)
+
+
+class TestBatchedMatrix:
+    """A run's rows depend on its own inputs only, not on which other runs or countries are present."""
+
+    def test_shuffled_runs_emit_identical_files(self, bundle, table_cache, matrix_files, tmp_path):
+        runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
+        random.Random(7).shuffle(runs)
+        assert runs != enumerate_runs(bundle.strategy_space, bundle.scenario_space)
+        assert emitted(run_pipeline(bundle, runs, cache_dir=table_cache).results, tmp_path) == matrix_files
+        assert len(matrix_files) == 6
+
+    @pytest.mark.parametrize("expr", [
+        "generation=5G,sharing=active",
+        "policy=high_tax|low_spectrum,capacity=20",
+        "backhaul=fiber,energy=renewables,adoption=low|high",
+        "sharing=srn|passive,policy=baseline,capacity=40,adoption=baseline",
+    ])
+    def test_filtered_runs_keep_their_decile_lines(self, bundle, table_cache, matrix_files, tmp_path, expr):
+        accept = parse_run_filter(expr)
+        runs = [run for run in enumerate_runs(bundle.strategy_space, bundle.scenario_space) if accept(*run)]
+        lines = decile_lines(emitted(run_pipeline(bundle, runs, cache_dir=table_cache).results, tmp_path))
+        keys = {tuple(line.split(b",")[RUN_KEY]) for line in lines[1:]}
+        assert len(keys) == len(runs)
+        full = decile_lines(matrix_files)
+        assert lines == full[:1] + [line for line in full[1:] if tuple(line.split(b",")[RUN_KEY]) in keys]
+
+    def test_dropping_a_country_keeps_the_other_countrys_lines(self, miniland_copy, table_cache, matrix_files,
+                                                               tmp_path):
+        for name in ("countries.csv", "regions.csv", "spectrum.csv", "energy_mix.csv"):
+            path = miniland_copy / name
+            path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                    if not line.startswith("MLB")))
+        mla_only = load_bundle(miniland_copy, miniland_copy / "config.yaml")
+        assert sorted(mla_only.countries) == ["MLA"]
+        lines = decile_lines(emitted(run_pipeline(mla_only, cache_dir=table_cache).results, tmp_path))
+        full = decile_lines(matrix_files)
+        assert len(lines) == 1 + 1440 * 10
+        assert lines == full[:1] + [line for line in full[1:] if line.startswith(b"MLA,")]
+
+
 def row_formatter(value) -> str:
     """The per-value CSV formatting rule: bools as 1/0, ints verbatim, floats at 6 significant digits."""
     if isinstance(value, bool):
@@ -340,28 +401,48 @@ INF, NAN = float("inf"), float("nan")
 SPECIAL_FLOATS = [-0.0, 0.0, NAN, -NAN, INF, -INF, 1e16, 123456.5, 999999.5, 5e-324, 2.5e-310, 1e-7, -0.0, 0.0]
 
 
-def special_rows() -> list[RunResult]:
-    """Hand-built rows holding signed zeros, nan, infinities, subnormals and large values."""
+#: The dtype of each result column that the pipeline does not store as float64.
+COLUMN_DTYPES = {
+    "country_iso3": str, "decile_index": np.int64, "settlement": str, "population": np.int64,
+    "total_sites": np.int64, "existing_sites": np.int64, "new_sites": np.int64, "upgraded_sites": np.int64,
+    "unserviceable": bool,
+}
+
+
+def special_table() -> ResultTable:
+    """A hand-built table holding signed zeros, nan, infinities, subnormals and large values."""
     base = BASELINE_RUN[0]
     low_tax = dataclasses.replace(base, policy=Policy.LOW_TAX)
     scenario = BASELINE_RUN[1]
 
-    def row(strategy, index, population, area, demand, sites, cost, kwh, species):
-        return RunResult("AAA", index, Settlement.RURAL, population, area, strategy, scenario,
-                         DemandResult(1.0, 0.5, demand, cost[-1]), SiteRequirement("AAA", index, *sites),
-                         DecileCost("AAA", index, *cost), *kwh, Emissions(*species))
+    def row(index, population, area, demand, sites, cost, energy):
+        c = DecileCost("AAA", index, *cost)
+        return {
+            "decile": ("AAA", index, "rural", population, area),
+            "sites": (demand, *sites, c.revenue_pv),
+            "cost": (c.network, c.administration, c.spectrum, c.tax, c.profit, c.private_cost, c.subsidy,
+                     c.government_cost, c.financial_cost),
+            "energy": energy,
+        }
 
-    return [
-        row(low_tax, 1, 1_234_567, 5e-324, NAN, (3, 1, 2, 1, True),
-            (1e16, -0.0, 0.0, INF, -INF, 123456.5, 0.5, -0.0), (2.5e-310, -0.0, 1e16), (-0.0, 0.0, NAN, 1e-7)),
-        row(base, 2, 10_000_000, 123456.5, 0.0, (0, 4, 0, 0, False),
-            (-0.0, 1.5, 2.5, 3.5, 4.5, 5.5, -0.0, 6.5), (1.0, 0.5, 0.5), (-0.0, -0.0, INF, 1e300)),
-        row(base, 1, 0, 1e16, 5e-324, (1, 1, 0, 1, True),
-            (5e-324, 1e-320, 2.0, -INF, NAN, 999999.5, 1e16, 0.0), (0.0, 0.0, 0.0), (1e-300, 1e16, -0.0, 5e-324)),
+    records = [
+        row(1, 1_234_567, 5e-324, NAN, (3, 1, 2, 1, True), (1e16, -0.0, 0.0, INF, -INF, 123456.5, 0.5, -0.0),
+            (2.5e-310, -0.0, 1e16, -0.0, 0.0, NAN, 1e-7)),
+        row(2, 10_000_000, 123456.5, 0.0, (0, 4, 0, 0, False), (-0.0, 1.5, 2.5, 3.5, 4.5, 5.5, -0.0, 6.5),
+            (1.0, 0.5, 0.5, -0.0, -0.0, INF, 1e300)),
+        row(1, 0, 1e16, 5e-324, (1, 1, 0, 1, True), (5e-324, 1e-320, 2.0, -INF, NAN, 999999.5, 1e16, 0.0),
+            (0.0, 0.0, 0.0, 1e-300, 1e16, -0.0, 5e-324)),
     ]
+    every = np.arange(len(records))
+    stages = {
+        stage: (every, {name: np.array(values, dtype=COLUMN_DTYPES.get(name, np.float64))
+                        for name, values in zip(STAGE_COLUMNS[stage], zip(*(r[stage] for r in records)))})
+        for stage in records[0]
+    }
+    return ResultTable([(low_tax, scenario), (base, scenario)], np.array([0, 1, 1]), stages)
 
 
-# the files written for special_rows() by the row-at-a-time emitter this one replaced
+# the files written for special_table() by the row-at-a-time emitter this one replaced
 SPECIAL_FILES = {
     "results_decile.csv": [
         ",".join(DECILE_COLUMNS),
@@ -414,16 +495,14 @@ class TestFormatting:
         assert text == ["0", "-0", f"{NAN:.6g}", f"{-NAN:.6g}"]
 
     def test_emit_special_values_bytes(self, tmp_path):
-        emit_results(special_rows(), tmp_path)
+        emit_results(special_table(), tmp_path)
         for name, lines in SPECIAL_FILES.items():
             assert (tmp_path / name).read_text() == "".join(line + "\n" for line in lines), name
 
-    def test_table_round_trips_rows(self, baseline_output):
-        rows = baseline_output.results
-        assert ResultTable.from_rows(rows).rows() == rows
-        # repr tells -0.0 from 0.0 and sees nan, which == cannot
-        special = ResultTable.from_rows(special_rows()).rows()
-        assert [repr(decile_row(r)) for r in special] == [repr(decile_row(r)) for r in special_rows()]
+    def test_special_table_has_the_pipeline_dtypes(self, baseline_output):
+        special, table = special_table(), baseline_output.results
+        for name in DECILE_COLUMNS:
+            assert special.column(name).dtype.kind == table.column(name).dtype.kind, name
 
 
 class TestEdgeCasesEndToEnd:
@@ -435,13 +514,14 @@ class TestEdgeCasesEndToEnd:
         bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
         out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=table_cache)
         assert not out.failures
-        mla = [r for r in out.results if r.country_iso3 == "MLA"]
-        assert len(mla) == 10
-        empty = [r for r in mla if r.decile_index >= 3]
-        assert all(r.population == 0 for r in empty)
-        assert all(r.sites.total_sites == 0 for r in empty)
-        assert all(r.cost.financial_cost == 0 for r in empty)
-        assert all(r.energy_kwh == 0 for r in empty)
+        table = out.results
+        mla = table.column("country_iso3") == "MLA"
+        assert mla.sum() == 10
+        empty = mla & (table.column("decile_index") >= 3)
+        assert (table.column("population", empty) == 0).all()
+        assert (table.column("total_sites", empty) == 0).all()
+        assert (table.column("financial_cost_usd", empty) == 0).all()
+        assert (table.column("energy_kwh", empty) == 0).all()
 
     def test_unserviceable_demand_flagged_not_crashed(self, miniland_copy, table_cache):
         # a density grid topping out far below urban demand forces the flag
@@ -453,11 +533,12 @@ class TestEdgeCasesEndToEnd:
         bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
         out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=None)
         assert not out.failures
-        flagged = [r for r in out.results if r.sites.unserviceable]
-        assert flagged, "expected at least one unserviceable decile"
+        flagged = out.results.column("unserviceable")
+        assert flagged.any(), "expected at least one unserviceable decile"
         max_density = bundle.density_grid[-1]
-        for r in flagged:
-            assert r.sites.total_sites == math.ceil(max_density * r.area_km2 - 1e-9)
+        for sites, area in zip(out.results.column("total_sites", flagged).tolist(),
+                               out.results.column("area_km2", flagged).tolist()):
+            assert sites == math.ceil(max_density * area - 1e-9)
 
 
 class TestRunFilter:

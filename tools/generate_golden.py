@@ -57,7 +57,7 @@ def main(argv=None) -> int:
             for f in result.failures:
                 print("FAILED:", f, file=sys.stderr)
             return 1
-        paths = emit_results(result.table, out)
+        paths = emit_results(result.results, out)
         if args.check:
             return check(paths)
 
