@@ -31,7 +31,16 @@ from .core import (
 )
 from .data_io import InputBundle, load_bundle, save_bundle, validate_axes
 from .errors import BbandSimError, InputValidationError, MissingDataError, ValidationError
-from .pipeline import PipelineOutput, emit_results, run_pipeline
+
+
+def __getattr__(name):
+    # The pipeline exports resolve on first use, so importing the package does not import numpy.
+    if name in ("PipelineOutput", "emit_results", "run_pipeline"):
+        from . import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdoptionScenario",

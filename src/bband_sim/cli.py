@@ -23,8 +23,6 @@ from pathlib import Path
 from .core import AdoptionScenario, Backhaul, EnergyStrategy, Generation, Policy, Sharing, enumerate_runs
 from .data_io import load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError
-from .pipeline import emit_results, run_key, run_pipeline
-from .radio import build_capacity_table, save_capacity_tables
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,6 +54,8 @@ def parse_run_filter(expr: str):
     A value the field cannot take raises ValueError naming the valid ones;
     capacities compare as numbers.
     """
+    from .pipeline import run_key
+
     clauses = []
     for part in expr.split(","):
         part = part.strip()
@@ -99,6 +99,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .pipeline import emit_results, run_pipeline  # here, so that `validate` never imports numpy
+
     try:
         bundle = load_bundle(args.data, args.config)
     except InputValidationError as err:
@@ -146,6 +148,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .radio import build_capacity_table, save_capacity_tables
+
     try:
         inputs = load_table_inputs(args.config, args.data)
     except InputValidationError as err:

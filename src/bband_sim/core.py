@@ -1,4 +1,5 @@
-"""Shared domain model: regions, density deciles, strategy and scenario spaces."""
+"""Shared domain model: regions, density deciles, strategy and scenario spaces,
+and the numpy-free parameter types the input loader builds."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import MissingDataError, ValidationError
 
@@ -268,6 +269,256 @@ class ScenarioSpace:
     start_year: int = 2023
     end_year: int = 2030
     discount_rate: float = 0.05
+
+
+# Input parameter types: the loader (data_io) builds these from the config
+# and CSVs. They hold no arrays, so loading inputs never imports numpy.
+
+#: Density grid (sites/km^2) used when the config does not supply one.
+DEFAULT_DENSITY_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+
+
+@dataclass(frozen=True)
+class SimulationParams:
+    """Link budget and Monte Carlo controls for the radio simulation."""
+
+    tx_power_dbm: float = 40.0
+    tx_gain_db: float = 16.0
+    tx_losses_db: float = 1.0
+    rx_gain_db: float = 0.0
+    rx_losses_db: float = 4.0
+    rx_misc_losses_db: float = 4.0
+    tx_height_m: float = 30.0
+    rx_height_m: float = 1.5
+    sectors_per_site: int = 3
+    network_load: float = 1.0
+    los_breakpoint_m: float = 500.0
+    shadow_mu_db: float = 2.0
+    shadow_sigma_db: float = 10.0
+    temperature_k: float = 290.0
+    noise_figure_db: float = 1.5
+    nlos_excess_db: float = 12.0
+    min_distance_m: float = 10.0
+    reliability: float = 0.90
+    trials: int = 10_000
+    seed: int = 42
+    interferer_rings: int = 1
+    mimo_efficiency: float = 0.85
+
+    def __post_init__(self):
+        if not (0 < self.reliability < 1):
+            raise ValidationError("reliability must be in (0, 1)")
+        if self.trials < 100:
+            raise ValidationError("trials must be >= 100")
+        if self.sectors_per_site < 1:
+            raise ValidationError("sectors_per_site must be >= 1")
+        if not (0 <= self.network_load <= 1):
+            raise ValidationError("network_load must be in [0, 1]")
+        if self.interferer_rings < 0:
+            raise ValidationError("interferer_rings must be >= 0")
+        if not (0 < self.mimo_efficiency <= 1):
+            raise ValidationError("mimo_efficiency must be in (0, 1]")
+
+
+@dataclass(frozen=True)
+class Carrier:
+    """One frequency carrier: centre frequency and downlink bandwidth."""
+
+    frequency_mhz: float
+    bandwidth_mhz: float
+
+    def __post_init__(self):
+        if not (self.frequency_mhz > 0 and self.bandwidth_mhz > 0):
+            raise ValidationError("carrier frequency and bandwidth must be > 0")
+
+
+@dataclass(frozen=True)
+class FrequencySet:
+    """The carriers a generation deploys, e.g. 4G on 800+1800+2500 MHz."""
+
+    generation: Generation
+    carriers: tuple[Carrier, ...]
+
+    def __post_init__(self):
+        if not self.carriers:
+            raise ValidationError("frequency set needs at least one carrier")
+
+    @property
+    def label(self) -> str:
+        return "+".join(f"{c.frequency_mhz:g}x{c.bandwidth_mhz:g}" for c in self.carriers)
+
+    @property
+    def total_bandwidth_mhz(self) -> float:
+        return ordered_sum(c.bandwidth_mhz for c in self.carriers)
+
+
+# Spatial multiplexing streams per generation (2x2 vs 4x4 antennas).
+MIMO_STREAMS = {Generation.G4: 2, Generation.G5: 4}
+
+
+@dataclass(frozen=True)
+class SpectralEfficiencyTable:
+    """Step lookup from SINR to spectral efficiency, per generation.
+
+    ``rows`` maps generation to ordered ``(min_sinr_db, se_bps_hz)`` pairs,
+    strictly increasing in both columns. Lookup picks the largest row whose
+    threshold the SINR meets; below the lowest row means no service. The
+    result is scaled by the generation's MIMO streams times an efficiency
+    factor (the table values are single-stream).
+    """
+
+    rows: Mapping[Generation, tuple[tuple[float, float], ...]]
+    mimo_streams: Mapping[Generation, int] = None
+    mimo_efficiency: float = 0.85
+
+    def __post_init__(self):
+        if self.mimo_streams is None:
+            object.__setattr__(self, "mimo_streams", dict(MIMO_STREAMS))
+        for gen, rows in self.rows.items():
+            if not rows:
+                raise ValidationError(f"SE table for {gen.value} is empty")
+            sinrs = [r[0] for r in rows]
+            ses = [r[1] for r in rows]
+            if any(b <= a for a, b in zip(sinrs, sinrs[1:])):
+                raise ValidationError(f"SE table for {gen.value}: min_sinr_db not strictly increasing")
+            if any(b <= a for a, b in zip(ses, ses[1:])):
+                raise ValidationError(f"SE table for {gen.value}: se_bps_hz not strictly increasing")
+            if any(se <= 0 for se in ses):
+                raise ValidationError(f"SE table for {gen.value}: se_bps_hz must be > 0")
+
+    def multiplier(self, generation: Generation) -> float:
+        return self.mimo_streams[generation] * self.mimo_efficiency
+
+
+@dataclass(frozen=True)
+class CostInputs:
+    """Unit costs and fiscal coefficients. All money in USD.
+
+    These are artifact configuration with documented defaults, not
+    published prices; override them from the cost section of the config.
+    The spectrum fee is ``coefficient x MHz held x decile population``.
+    """
+
+    equipment_usd: float = 40_000.0
+    backhaul_wireless_usd: float = 20_000.0
+    backhaul_fiber_usd: float = 40_000.0
+    civils_usd: float = 30_000.0
+    core_usd: float = 10_000.0
+    admin_share: float = 0.10
+    profit_margin: float = 0.20
+    tax_rate_low: float = 0.10
+    tax_rate_baseline: float = 0.25
+    tax_rate_high: float = 0.40
+    spectrum_coef_low_usd_mhz_pop: float = 0.005
+    spectrum_coef_baseline_usd_mhz_pop: float = 0.01
+    spectrum_coef_high_usd_mhz_pop: float = 0.02
+
+    def __post_init__(self):
+        for name in (
+            "equipment_usd", "backhaul_wireless_usd", "backhaul_fiber_usd",
+            "civils_usd", "core_usd", "admin_share", "profit_margin",
+        ):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+        if not (0 <= self.tax_rate_low <= self.tax_rate_baseline <= self.tax_rate_high):
+            raise ValidationError("tax rates must be ordered low <= baseline <= high")
+        if not (
+            0
+            <= self.spectrum_coef_low_usd_mhz_pop
+            <= self.spectrum_coef_baseline_usd_mhz_pop
+            <= self.spectrum_coef_high_usd_mhz_pop
+        ):
+            raise ValidationError("spectrum coefficients must be ordered low <= baseline <= high")
+
+    def backhaul_unit_cost(self, backhaul: Backhaul) -> float:
+        if backhaul == Backhaul.FIBER:
+            return self.backhaul_fiber_usd
+        return self.backhaul_wireless_usd
+
+    def tax_rate(self, policy: Policy) -> float:
+        if policy == Policy.LOW_TAX:
+            return self.tax_rate_low
+        if policy == Policy.HIGH_TAX:
+            return self.tax_rate_high
+        return self.tax_rate_baseline
+
+    def spectrum_coef(self, policy: Policy) -> float:
+        if policy == Policy.LOW_SPECTRUM:
+            return self.spectrum_coef_low_usd_mhz_pop
+        if policy == Policy.HIGH_SPECTRUM:
+            return self.spectrum_coef_high_usd_mhz_pop
+        return self.spectrum_coef_baseline_usd_mhz_pop
+
+
+#: Grid generation sources recognised in the energy mix input.
+MIX_SOURCES = ("coal", "gas", "oil", "nuclear", "hydro", "renewables_other")
+
+#: Sources whose operational emissions are treated as negligible.
+ZERO_EMISSION_SOURCES = ("nuclear", "hydro", "renewables_other")
+
+DIESEL_SOURCE = "diesel"
+
+MIX_SUM_TOLERANCE = 1e-6
+
+
+@dataclass(frozen=True)
+class EnergyParams:
+    """Hourly electricity draw per site, plus the backhaul adder."""
+
+    site_kwh_per_hour: float = 0.249
+    backhaul_wireless_kwh_per_hour: float = 0.025
+    backhaul_fiber_kwh_per_hour: float = 0.010
+
+    def __post_init__(self):
+        if not (self.site_kwh_per_hour > 0):
+            raise ValidationError("site_kwh_per_hour must be > 0")
+        # adders of zero are allowed so a bare site can be modeled
+        for name in ("backhaul_wireless_kwh_per_hour", "backhaul_fiber_kwh_per_hour"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+
+    def backhaul_kwh_per_hour(self, backhaul: Backhaul) -> float:
+        if backhaul == Backhaul.FIBER:
+            return self.backhaul_fiber_kwh_per_hour
+        return self.backhaul_wireless_kwh_per_hour
+
+
+@dataclass(frozen=True)
+class FactorRow:
+    """Per-kWh emission factors for one generation source."""
+
+    co2_kg_kwh: float
+    nox_g_kwh: float
+    sox_g_kwh: float
+    pm10_g_kwh: float
+
+    def __post_init__(self):
+        for name in ("co2_kg_kwh", "nox_g_kwh", "sox_g_kwh", "pm10_g_kwh"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.co2_kg_kwh, self.nox_g_kwh, self.sox_g_kwh, self.pm10_g_kwh)
+
+
+@dataclass(frozen=True)
+class EmissionFactors:
+    """Emission factors per grid source plus the off-grid diesel generator row."""
+
+    by_source: Mapping[str, FactorRow]
+
+    def __post_init__(self):
+        missing = [s for s in (*MIX_SOURCES, DIESEL_SOURCE) if s not in self.by_source]
+        if missing:
+            raise ValidationError(f"emission factors missing sources: {missing}")
+        for source in ZERO_EMISSION_SOURCES:
+            row = self.by_source[source]
+            if (row.co2_kg_kwh, row.nox_g_kwh, row.sox_g_kwh, row.pm10_g_kwh) != (0, 0, 0, 0):
+                raise ValidationError(f"{source}: operational emission factors must be zero")
+
+    @property
+    def diesel(self) -> FactorRow:
+        return self.by_source[DIESEL_SOURCE]
 
 
 def classify_settlement(

@@ -7,68 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Backhaul, Policy, Settlement, Sharing, StrategyBundle, ordered_sum
+from .core import Backhaul, CostInputs, Policy, Settlement, Sharing, StrategyBundle, ordered_sum
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class CostInputs:
-    """Unit costs and fiscal coefficients. All money in USD.
-
-    These are artifact configuration with documented defaults, not
-    published prices; override them from the cost section of the config.
-    The spectrum fee is ``coefficient x MHz held x decile population``.
-    """
-
-    equipment_usd: float = 40_000.0
-    backhaul_wireless_usd: float = 20_000.0
-    backhaul_fiber_usd: float = 40_000.0
-    civils_usd: float = 30_000.0
-    core_usd: float = 10_000.0
-    admin_share: float = 0.10
-    profit_margin: float = 0.20
-    tax_rate_low: float = 0.10
-    tax_rate_baseline: float = 0.25
-    tax_rate_high: float = 0.40
-    spectrum_coef_low_usd_mhz_pop: float = 0.005
-    spectrum_coef_baseline_usd_mhz_pop: float = 0.01
-    spectrum_coef_high_usd_mhz_pop: float = 0.02
-
-    def __post_init__(self):
-        for name in (
-            "equipment_usd", "backhaul_wireless_usd", "backhaul_fiber_usd",
-            "civils_usd", "core_usd", "admin_share", "profit_margin",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if not (0 <= self.tax_rate_low <= self.tax_rate_baseline <= self.tax_rate_high):
-            raise ValidationError("tax rates must be ordered low <= baseline <= high")
-        if not (
-            0
-            <= self.spectrum_coef_low_usd_mhz_pop
-            <= self.spectrum_coef_baseline_usd_mhz_pop
-            <= self.spectrum_coef_high_usd_mhz_pop
-        ):
-            raise ValidationError("spectrum coefficients must be ordered low <= baseline <= high")
-
-    def backhaul_unit_cost(self, backhaul: Backhaul) -> float:
-        if backhaul == Backhaul.FIBER:
-            return self.backhaul_fiber_usd
-        return self.backhaul_wireless_usd
-
-    def tax_rate(self, policy: Policy) -> float:
-        if policy == Policy.LOW_TAX:
-            return self.tax_rate_low
-        if policy == Policy.HIGH_TAX:
-            return self.tax_rate_high
-        return self.tax_rate_baseline
-
-    def spectrum_coef(self, policy: Policy) -> float:
-        if policy == Policy.LOW_SPECTRUM:
-            return self.spectrum_coef_low_usd_mhz_pop
-        if policy == Policy.HIGH_SPECTRUM:
-            return self.spectrum_coef_high_usd_mhz_pop
-        return self.spectrum_coef_baseline_usd_mhz_pop
 
 
 @dataclass(frozen=True)

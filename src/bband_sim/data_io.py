@@ -37,39 +37,13 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    AdoptionScenario,
-    Backhaul,
-    CountryParams,
-    EnergyStrategy,
-    Generation,
-    IncomeGroup,
-    Policy,
-    RegionRecord,
-    ScenarioSpace,
-    Sharing,
-    SpectrumHolding,
-    StrategySpace,
-    DEFAULT_SUBURBAN_MIN_DENSITY,
-    DEFAULT_URBAN_MIN_DENSITY,
+    DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY, DIESEL_SOURCE, MIX_SOURCES,
+    MIX_SUM_TOLERANCE, AdoptionScenario, Backhaul, Carrier, CostInputs, CountryParams, EmissionFactors, EnergyParams,
+    EnergyStrategy, FactorRow, FrequencySet, Generation, IncomeGroup, Policy, RegionRecord, ScenarioSpace, Sharing,
+    SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
 )
-from .cost import CostInputs
 from .demand import DEFAULT_ADOPTION_CAGR, AdoptionParams
-from .energy import (
-    DIESEL_SOURCE,
-    EmissionFactors,
-    EnergyParams,
-    FactorRow,
-    MIX_SOURCES,
-    MIX_SUM_TOLERANCE,
-)
 from .errors import InputValidationError, ValidationError
-from .radio import (
-    Carrier,
-    DEFAULT_DENSITY_GRID,
-    FrequencySet,
-    SimulationParams,
-    SpectralEfficiencyTable,
-)
 
 #: Every input CSV: one ``(column, kind, bound)`` row per column, in file order.
 SCHEMAS = {

@@ -7,83 +7,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Backhaul, EnergyStrategy, Settlement, Sharing, ordered_sum
+from .core import (
+    DIESEL_SOURCE, MIX_SOURCES, MIX_SUM_TOLERANCE, ZERO_EMISSION_SOURCES, Backhaul, EmissionFactors, EnergyParams,
+    EnergyStrategy, FactorRow, Settlement, Sharing, ordered_sum,
+)
 from .errors import ValidationError
 
 HOURS_PER_YEAR = 8760
 
-#: Grid generation sources recognised in the energy mix input.
-MIX_SOURCES = ("coal", "gas", "oil", "nuclear", "hydro", "renewables_other")
-
-#: Sources whose operational emissions are treated as negligible.
-ZERO_EMISSION_SOURCES = ("nuclear", "hydro", "renewables_other")
-
-DIESEL_SOURCE = "diesel"
-
-MIX_SUM_TOLERANCE = 1e-6
-
 #: Per-decile horizon totals returned by :func:`energy`, in this order.
 ENERGY_FIELDS = ("energy_kwh", "on_grid_kwh", "off_grid_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g")
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Hourly electricity draw per site, plus the backhaul adder."""
-
-    site_kwh_per_hour: float = 0.249
-    backhaul_wireless_kwh_per_hour: float = 0.025
-    backhaul_fiber_kwh_per_hour: float = 0.010
-
-    def __post_init__(self):
-        if not (self.site_kwh_per_hour > 0):
-            raise ValidationError("site_kwh_per_hour must be > 0")
-        # adders of zero are allowed so a bare site can be modeled
-        for name in ("backhaul_wireless_kwh_per_hour", "backhaul_fiber_kwh_per_hour"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-
-    def backhaul_kwh_per_hour(self, backhaul: Backhaul) -> float:
-        if backhaul == Backhaul.FIBER:
-            return self.backhaul_fiber_kwh_per_hour
-        return self.backhaul_wireless_kwh_per_hour
-
-
-@dataclass(frozen=True)
-class FactorRow:
-    """Per-kWh emission factors for one generation source."""
-
-    co2_kg_kwh: float
-    nox_g_kwh: float
-    sox_g_kwh: float
-    pm10_g_kwh: float
-
-    def __post_init__(self):
-        for name in ("co2_kg_kwh", "nox_g_kwh", "sox_g_kwh", "pm10_g_kwh"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.co2_kg_kwh, self.nox_g_kwh, self.sox_g_kwh, self.pm10_g_kwh)
-
-
-@dataclass(frozen=True)
-class EmissionFactors:
-    """Emission factors per grid source plus the off-grid diesel generator row."""
-
-    by_source: Mapping[str, FactorRow]
-
-    def __post_init__(self):
-        missing = [s for s in (*MIX_SOURCES, DIESEL_SOURCE) if s not in self.by_source]
-        if missing:
-            raise ValidationError(f"emission factors missing sources: {missing}")
-        for source in ZERO_EMISSION_SOURCES:
-            row = self.by_source[source]
-            if (row.co2_kg_kwh, row.nox_g_kwh, row.sox_g_kwh, row.pm10_g_kwh) != (0, 0, 0, 0):
-                raise ValidationError(f"{source}: operational emission factors must be zero")
-
-    @property
-    def diesel(self) -> FactorRow:
-        return self.by_source[DIESEL_SOURCE]
 
 
 @dataclass(frozen=True)

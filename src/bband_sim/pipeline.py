@@ -2,9 +2,11 @@
 
 Capacity tables are built once per (country, generation) and cached on disk
 keyed by a content hash of everything that determines them; cold builds of
-one call share a carrier memo. With a warm cache the run matrix and result
-emission dominate runtime. Each stage runs once per key of the axes it
-depends on, and every country has the same stage keys:
+one call share a carrier memo. With a warm cache, about half of a miniland
+``run``'s wall time is starting the interpreter and importing modules (numpy
+among them); of the work in this module, result emission takes the most.
+Each stage runs once per key of the axes it depends on, and every country
+has the same stage keys:
 
 * sites (demand and dimensioning): (generation, scenario)
 * cost and cross-subsidy: (generation, backhaul, sharing, policy, scenario)

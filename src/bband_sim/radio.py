@@ -37,17 +37,16 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Generation, ordered_sum
+from .core import (
+    DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
+)
 from .errors import ValidationError
 
 BOLTZMANN_J_PER_K = 1.380649e-23
-
-#: Density grid (sites/km^2) used when the config does not supply one.
-DEFAULT_DENSITY_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 
 #: Version of the radio model behind every capacity table, part of
 #: :func:`table_cache_key`. Bump it with any change that alters a table
@@ -59,118 +58,6 @@ RADIO_MODEL_VERSION = 1
 #: chain's memory and fit in a core's L2 cache at two rings; results do not
 #: depend on it.
 TRIAL_BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class SimulationParams:
-    """Link budget and Monte Carlo controls for the radio simulation."""
-
-    tx_power_dbm: float = 40.0
-    tx_gain_db: float = 16.0
-    tx_losses_db: float = 1.0
-    rx_gain_db: float = 0.0
-    rx_losses_db: float = 4.0
-    rx_misc_losses_db: float = 4.0
-    tx_height_m: float = 30.0
-    rx_height_m: float = 1.5
-    sectors_per_site: int = 3
-    network_load: float = 1.0
-    los_breakpoint_m: float = 500.0
-    shadow_mu_db: float = 2.0
-    shadow_sigma_db: float = 10.0
-    temperature_k: float = 290.0
-    noise_figure_db: float = 1.5
-    nlos_excess_db: float = 12.0
-    min_distance_m: float = 10.0
-    reliability: float = 0.90
-    trials: int = 10_000
-    seed: int = 42
-    interferer_rings: int = 1
-    mimo_efficiency: float = 0.85
-
-    def __post_init__(self):
-        if not (0 < self.reliability < 1):
-            raise ValidationError("reliability must be in (0, 1)")
-        if self.trials < 100:
-            raise ValidationError("trials must be >= 100")
-        if self.sectors_per_site < 1:
-            raise ValidationError("sectors_per_site must be >= 1")
-        if not (0 <= self.network_load <= 1):
-            raise ValidationError("network_load must be in [0, 1]")
-        if self.interferer_rings < 0:
-            raise ValidationError("interferer_rings must be >= 0")
-        if not (0 < self.mimo_efficiency <= 1):
-            raise ValidationError("mimo_efficiency must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Carrier:
-    """One frequency carrier: centre frequency and downlink bandwidth."""
-
-    frequency_mhz: float
-    bandwidth_mhz: float
-
-    def __post_init__(self):
-        if not (self.frequency_mhz > 0 and self.bandwidth_mhz > 0):
-            raise ValidationError("carrier frequency and bandwidth must be > 0")
-
-
-@dataclass(frozen=True)
-class FrequencySet:
-    """The carriers a generation deploys, e.g. 4G on 800+1800+2500 MHz."""
-
-    generation: Generation
-    carriers: tuple[Carrier, ...]
-
-    def __post_init__(self):
-        if not self.carriers:
-            raise ValidationError("frequency set needs at least one carrier")
-
-    @property
-    def label(self) -> str:
-        return "+".join(f"{c.frequency_mhz:g}x{c.bandwidth_mhz:g}" for c in self.carriers)
-
-    @property
-    def total_bandwidth_mhz(self) -> float:
-        return ordered_sum(c.bandwidth_mhz for c in self.carriers)
-
-
-# Spatial multiplexing streams per generation (2x2 vs 4x4 antennas).
-MIMO_STREAMS = {Generation.G4: 2, Generation.G5: 4}
-
-
-@dataclass(frozen=True)
-class SpectralEfficiencyTable:
-    """Step lookup from SINR to spectral efficiency, per generation.
-
-    ``rows`` maps generation to ordered ``(min_sinr_db, se_bps_hz)`` pairs,
-    strictly increasing in both columns. Lookup picks the largest row whose
-    threshold the SINR meets; below the lowest row means no service. The
-    result is scaled by the generation's MIMO streams times an efficiency
-    factor (the table values are single-stream).
-    """
-
-    rows: Mapping[Generation, tuple[tuple[float, float], ...]]
-    mimo_streams: Mapping[Generation, int] = None
-    mimo_efficiency: float = 0.85
-
-    def __post_init__(self):
-        if self.mimo_streams is None:
-            object.__setattr__(self, "mimo_streams", dict(MIMO_STREAMS))
-        for gen, rows in self.rows.items():
-            if not rows:
-                raise ValidationError(f"SE table for {gen.value} is empty")
-            sinrs = [r[0] for r in rows]
-            ses = [r[1] for r in rows]
-            if any(b <= a for a, b in zip(sinrs, sinrs[1:])):
-                raise ValidationError(f"SE table for {gen.value}: min_sinr_db not strictly increasing")
-            if any(b <= a for a, b in zip(ses, ses[1:])):
-                raise ValidationError(f"SE table for {gen.value}: se_bps_hz not strictly increasing")
-            if any(se <= 0 for se in ses):
-                raise ValidationError(f"SE table for {gen.value}: se_bps_hz must be > 0")
-
-    def multiplier(self, generation: Generation) -> float:
-        return self.mimo_streams[generation] * self.mimo_efficiency
 
 
 @dataclass(frozen=True)
@@ -186,6 +73,9 @@ class CapacityTable:
             raise ValidationError("capacity table has no rows")
         densities = [r[0] for r in self.rows]
         caps = [r[1] for r in self.rows]
+        # Every comparison with nan is false, so the order checks below would pass it.
+        if not all(map(math.isfinite, densities + caps)):
+            raise ValidationError("capacity table entries must be finite")
         if any(b <= a for a, b in zip(densities, densities[1:])):
             raise ValidationError("capacity table densities must be strictly increasing")
         if any(b < a for a, b in zip(caps, caps[1:])):

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bband_sim import load_bundle, pipeline, radio
 
@@ -20,7 +22,7 @@ from bband_sim.core import (
     StrategyBundle,
     enumerate_runs,
 )
-from bband_sim.cli import parse_run_filter
+from bband_sim.cli import RUN_FILTER_VALUES, parse_run_filter
 from bband_sim.cost import DecileCost
 from bband_sim.errors import ValidationError
 from bband_sim.pipeline import (
@@ -251,7 +253,10 @@ class TestRunPipeline:
         assert reads == []
         assert len(list((tmp_path / "cache").glob("*.csv"))) == 3
 
-    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    @pytest.mark.parametrize("damage", [
+        "truncate", "garbage",
+        *(f"{cell}={value}" for cell in ("density", "capacity") for value in ("nan", "inf", "-inf")),
+    ])
     def test_damaged_cache_file_rebuilt_with_warning(self, bundle, baseline_output, tmp_path, caplog, damage):
         cache = tmp_path / "cache"
         run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
@@ -259,11 +264,20 @@ class TestRunPipeline:
         assert files
         for f in files:
             lines = f.read_text().splitlines(keepends=True)
-            f.write_text("".join(lines[:4]) if damage == "truncate" else lines[0] + "4G,x,not-a-number,1\n")
+            if damage == "truncate":
+                f.write_text("".join(lines[:4]))
+            elif damage == "garbage":
+                f.write_text(lines[0] + "4G,x,not-a-number,1\n")
+            else:  # one cell of the last row, e.g. "capacity=inf"
+                cell, value = damage.split("=")
+                last = lines[-1].rstrip("\n").split(",")
+                last[2 if cell == "density" else 3] = value
+                f.write_text("".join(lines[:-1]) + ",".join(last) + "\n")
         with caplog.at_level(logging.WARNING, logger="bband_sim.pipeline"):
             again = run_pipeline(bundle, [BASELINE_RUN], cache_dir=cache)
         assert rows(again.results) == rows(baseline_output.results)
         assert "rebuilding" in caplog.text
+        assert [r.levelno for r in caplog.records] == [logging.WARNING] * len(files)
         assert sorted(cache.iterdir()) == files  # rewritten in place, no temporary files left
         assert all(len(f.read_text().splitlines()) == 1 + len(bundle.density_grid) for f in files)
 
@@ -347,6 +361,34 @@ def decile_lines(files: dict[str, bytes]) -> list[bytes]:
 RUN_KEY = slice(DECILE_COLUMNS.index(RUN_KEY_COLUMNS[0]), DECILE_COLUMNS.index(RUN_KEY_COLUMNS[-1]) + 1)
 
 
+#: Values of each ``--runs`` field; capacity 25 is on no miniland axis, so a filter can match nothing.
+FILTER_VALUES = {**RUN_FILTER_VALUES, "capacity": ["20", "25", "30", "40"]}
+
+
+@st.composite
+def run_filters(draw) -> str:
+    """A ``--runs`` expression of 1-3 clauses on distinct fields, each with 1+ distinct values."""
+    fields = draw(st.lists(st.sampled_from(sorted(FILTER_VALUES)), min_size=1, max_size=3, unique=True))
+    return ",".join(
+        f"{field}={'|'.join(draw(st.lists(st.sampled_from(FILTER_VALUES[field]), min_size=1, unique=True)))}"
+        for field in fields
+    )
+
+
+def filtered_runs(bundle, expr: str) -> list:
+    accept = parse_run_filter(expr)
+    return [run for run in enumerate_runs(bundle.strategy_space, bundle.scenario_space) if accept(*run)]
+
+
+def assert_filter_keeps_decile_lines(bundle, table_cache, matrix_files, out_dir, runs) -> None:
+    """Each of ``runs``' ``results_decile.csv`` lines equals its line in the full matrix's file."""
+    lines = decile_lines(emitted(run_pipeline(bundle, runs, cache_dir=table_cache).results, out_dir))
+    keys = {tuple(line.split(b",")[RUN_KEY]) for line in lines[1:]}
+    assert len(keys) == len(runs)
+    full = decile_lines(matrix_files)
+    assert lines == full[:1] + [line for line in full[1:] if tuple(line.split(b",")[RUN_KEY]) in keys]
+
+
 class TestBatchedMatrix:
     """A run's rows depend on its own inputs only, not on which other runs or countries are present."""
 
@@ -364,13 +406,15 @@ class TestBatchedMatrix:
         "sharing=srn|passive,policy=baseline,capacity=40,adoption=baseline",
     ])
     def test_filtered_runs_keep_their_decile_lines(self, bundle, table_cache, matrix_files, tmp_path, expr):
-        accept = parse_run_filter(expr)
-        runs = [run for run in enumerate_runs(bundle.strategy_space, bundle.scenario_space) if accept(*run)]
-        lines = decile_lines(emitted(run_pipeline(bundle, runs, cache_dir=table_cache).results, tmp_path))
-        keys = {tuple(line.split(b",")[RUN_KEY]) for line in lines[1:]}
-        assert len(keys) == len(runs)
-        full = decile_lines(matrix_files)
-        assert lines == full[:1] + [line for line in full[1:] if tuple(line.split(b",")[RUN_KEY]) in keys]
+        assert_filter_keeps_decile_lines(bundle, table_cache, matrix_files, tmp_path, filtered_runs(bundle, expr))
+
+    @settings(max_examples=25, deadline=None)
+    @given(expr=run_filters())
+    def test_drawn_filters_keep_their_decile_lines(self, bundle, table_cache, matrix_files, tmp_path_factory, expr):
+        runs = filtered_runs(bundle, expr)
+        assume(runs)
+        out = tmp_path_factory.mktemp("filtered")
+        assert_filter_keeps_decile_lines(bundle, table_cache, matrix_files, out, runs)
 
     def test_dropping_a_country_keeps_the_other_countrys_lines(self, miniland_copy, table_cache, matrix_files,
                                                                tmp_path):

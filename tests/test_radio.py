@@ -422,6 +422,15 @@ class TestCapacityTable:
         with pytest.raises(ValidationError, match="RNG stream"):
             build_capacity_table(fast_params, se_table, FS4, (4e-7, *GRID))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_entry_rejected(self, cell, value):
+        # nan fails every comparison and inf sorts last, so the order checks alone let both through
+        rows = [[0.5, 60.0], [1.0, 120.0]]
+        rows[cell[0]][cell[1]] = value
+        with pytest.raises(ValidationError, match="finite"):
+            CapacityTable(Generation.G4, "x", tuple(map(tuple, rows)))
+
     def test_save_replaces_atomically(self, t4, t5, tmp_path):
         path = tmp_path / "tables.csv"
         save_capacity_tables([t4], path)
