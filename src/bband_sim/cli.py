@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import AdoptionScenario, Backhaul, EnergyStrategy, Generation, Policy, Sharing, enumerate_runs
+from .core import AXES, enumerate_runs, run_key
 from .data_io import load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError
 
@@ -31,19 +31,12 @@ EXIT_IO = 4
 
 logger = logging.getLogger("bband_sim")
 
-#: Run filter fields, in the order of :func:`pipeline.run_key`.
-RUN_FILTER_FIELDS = ("generation", "backhaul", "sharing", "policy", "energy", "capacity", "adoption")
-
+#: Run filter fields, in :data:`core.AXES` order: each axis's name, with
+#: ``energy`` and ``capacity`` short for the two long ones.
+RUN_FILTER_FIELDS = tuple({"energy_strategy": "energy", "capacity_gb_month": "capacity"}.get(a.name, a.name) for a in AXES)
 
 #: The values each run filter field may take (capacity: any number).
-RUN_FILTER_VALUES = {
-    "generation": [g.value for g in Generation],
-    "backhaul": [b.value for b in Backhaul],
-    "sharing": [s.value for s in Sharing],
-    "policy": [p.value for p in Policy],
-    "energy": [e.value for e in EnergyStrategy],
-    "adoption": [a.value for a in AdoptionScenario],
-}
+RUN_FILTER_VALUES = {f: [v.value for v in a.kind] for f, a in zip(RUN_FILTER_FIELDS, AXES) if a.kind is not float}
 
 
 def parse_run_filter(expr: str):
@@ -54,8 +47,6 @@ def parse_run_filter(expr: str):
     A value the field cannot take raises ValueError naming the valid ones;
     capacities compare as numbers.
     """
-    from .pipeline import run_key
-
     clauses = []
     for part in expr.split(","):
         part = part.strip()

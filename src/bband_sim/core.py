@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MissingDataError, ValidationError
 
@@ -235,25 +234,11 @@ class ScenarioSpec:
 class StrategySpace:
     """Axes of the strategy enumeration, in definition order."""
 
-    generations: tuple[Generation, ...] = (Generation.G4, Generation.G5)
-    backhauls: tuple[Backhaul, ...] = (Backhaul.WIRELESS, Backhaul.FIBER)
-    sharings: tuple[Sharing, ...] = (
-        Sharing.BASELINE,
-        Sharing.PASSIVE,
-        Sharing.ACTIVE,
-        Sharing.SRN,
-    )
-    policies: tuple[Policy, ...] = (
-        Policy.BASELINE,
-        Policy.LOW_TAX,
-        Policy.HIGH_TAX,
-        Policy.LOW_SPECTRUM,
-        Policy.HIGH_SPECTRUM,
-    )
-    energy_strategies: tuple[EnergyStrategy, ...] = (
-        EnergyStrategy.BASELINE,
-        EnergyStrategy.RENEWABLES,
-    )
+    generations: tuple[Generation, ...] = tuple(Generation)
+    backhauls: tuple[Backhaul, ...] = tuple(Backhaul)
+    sharings: tuple[Sharing, ...] = tuple(Sharing)
+    policies: tuple[Policy, ...] = tuple(Policy)
+    energy_strategies: tuple[EnergyStrategy, ...] = tuple(EnergyStrategy)
 
 
 @dataclass(frozen=True)
@@ -261,14 +246,35 @@ class ScenarioSpace:
     """Axes of the scenario enumeration plus the shared horizon."""
 
     capacities_gb_month: tuple[float, ...] = (20.0, 30.0, 40.0)
-    adoptions: tuple[AdoptionScenario, ...] = (
-        AdoptionScenario.LOW,
-        AdoptionScenario.BASELINE,
-        AdoptionScenario.HIGH,
-    )
+    adoptions: tuple[AdoptionScenario, ...] = tuple(AdoptionScenario)
     start_year: int = 2023
     end_year: int = 2030
     discount_rate: float = 0.05
+
+
+#: The ScenarioSpace fields every ScenarioSpec of a run matrix shares.
+HORIZON_KEYS = ("start_year", "end_year", "discount_rate")
+
+
+class Axis(NamedTuple):
+    """One axis of the run matrix."""
+
+    name: str  # config key, result column, and StrategyBundle / ScenarioSpec field
+    field: str  # StrategySpace / ScenarioSpace field holding its values
+    kind: type  # the enum of its values, or float
+
+
+#: The run-matrix axes in enumeration order: the StrategyBundle fields,
+#: then the ScenarioSpec ones, each in field order.
+AXES = (
+    Axis("generation", "generations", Generation),
+    Axis("backhaul", "backhauls", Backhaul),
+    Axis("sharing", "sharings", Sharing),
+    Axis("policy", "policies", Policy),
+    Axis("energy_strategy", "energy_strategies", EnergyStrategy),
+    Axis("capacity_gb_month", "capacities_gb_month", float),
+    Axis("adoption", "adoptions", AdoptionScenario),
+)
 
 
 # Input parameter types: the loader (data_io) builds these from the config
@@ -615,44 +621,20 @@ def enumerate_runs(
     strategy_space: StrategySpace,
     scenario_space: ScenarioSpace,
 ) -> list[tuple[StrategyBundle, ScenarioSpec]]:
-    """Cartesian product of the strategy and scenario axes.
+    """Cartesian product of the spaces' :data:`AXES`, in table and space order: the last axis varies fastest."""
+    spaces = {**vars(strategy_space), **vars(scenario_space)}
+    for axis in AXES:
+        if not spaces[axis.field]:
+            raise ValidationError(f"axis {axis.field} is empty")
+    n = len(fields(StrategyBundle))
+    horizon = {k: spaces[k] for k in HORIZON_KEYS}
+    return [
+        (StrategyBundle(*point[:n]), ScenarioSpec(*point[n:], **horizon))
+        for point in itertools.product(*(spaces[axis.field] for axis in AXES))
+    ]
 
-    Order is deterministic: axes iterate in their definition order
-    (generation, backhaul, sharing, policy, energy strategy, capacity,
-    adoption), so repeated calls enumerate identically.
-    """
-    for name, axis in (
-        ("generations", strategy_space.generations),
-        ("backhauls", strategy_space.backhauls),
-        ("sharings", strategy_space.sharings),
-        ("policies", strategy_space.policies),
-        ("energy_strategies", strategy_space.energy_strategies),
-        ("capacities_gb_month", scenario_space.capacities_gb_month),
-        ("adoptions", scenario_space.adoptions),
-    ):
-        if not axis:
-            raise ValidationError(f"axis {name} is empty")
 
-    runs = []
-    for gen, bh, sh, pol, en, cap, ad in itertools.product(
-        strategy_space.generations,
-        strategy_space.backhauls,
-        strategy_space.sharings,
-        strategy_space.policies,
-        strategy_space.energy_strategies,
-        scenario_space.capacities_gb_month,
-        scenario_space.adoptions,
-    ):
-        runs.append(
-            (
-                StrategyBundle(gen, bh, sh, pol, en),
-                ScenarioSpec(
-                    capacity_gb_month=cap,
-                    adoption=ad,
-                    start_year=scenario_space.start_year,
-                    end_year=scenario_space.end_year,
-                    discount_rate=scenario_space.discount_rate,
-                ),
-            )
-        )
-    return runs
+def run_key(strategy: StrategyBundle, scenario: ScenarioSpec) -> tuple:
+    """The value of each of :data:`AXES` for one run: enum values as text, capacity as it is."""
+    values = {**vars(strategy), **vars(scenario)}
+    return tuple(values[a.name] if a.kind is float else values[a.name].value for a in AXES)

@@ -37,10 +37,10 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY, DIESEL_SOURCE, MIX_SOURCES,
-    MIX_SUM_TOLERANCE, AdoptionScenario, Backhaul, Carrier, CostInputs, CountryParams, EmissionFactors, EnergyParams,
-    EnergyStrategy, FactorRow, FrequencySet, Generation, IncomeGroup, Policy, RegionRecord, ScenarioSpace, Sharing,
-    SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
+    AXES, DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY, DIESEL_SOURCE, HORIZON_KEYS,
+    MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionScenario, Carrier, CostInputs, CountryParams, EmissionFactors,
+    EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup, RegionRecord, ScenarioSpace, SimulationParams,
+    SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
 )
 from .demand import DEFAULT_ADOPTION_CAGR, AdoptionParams
 from .errors import InputValidationError, ValidationError
@@ -103,7 +103,6 @@ DEFAULT_TABLE_PORTFOLIOS = (
 )
 
 CONFIG_SECTIONS = ("axes", "horizon", "settlement", "adoption", "simulation", "cost", "energy", "tables")
-HORIZON_KEYS = ("start_year", "end_year", "discount_rate")
 SETTLEMENT_KEYS = ("urban_min_density", "suburban_min_density")
 
 COST_KEYS = tuple(f.name for f in fields(CostInputs))
@@ -368,18 +367,6 @@ def _se_table_path(data_dir: Path | str | None) -> Path:
 # Config handling
 # ---------------------------------------------------------------------------
 
-#: Config axis -> (its StrategySpace or ScenarioSpace field, value kind).
-AXES = {
-    "generation": ("generations", Generation),
-    "backhaul": ("backhauls", Backhaul),
-    "sharing": ("sharings", Sharing),
-    "policy": ("policies", Policy),
-    "energy_strategy": ("energy_strategies", EnergyStrategy),
-    "capacity_gb_month": ("capacities_gb_month", float),
-    "adoption": ("adoptions", AdoptionScenario),
-}
-
-
 def _expect_mapping(value: Any, where: str, collector: _Collector) -> dict:
     if value is None:
         return {}
@@ -389,11 +376,11 @@ def _expect_mapping(value: Any, where: str, collector: _Collector) -> dict:
     return value
 
 
-def _config_scalar(section: dict, key: str, default, where: str, collector: _Collector, cast=float):
+def _config_scalar(section: dict, key: str, default, where: str, collector: _Collector, cast=float, bound=None):
     if key not in section:
         return default
     try:
-        return _parse(section[key], cast, None, f"{where}.{key}")
+        return _parse(section[key], cast, bound, f"{where}.{key}")
     except ValueError as err:
         collector.add("config", 0, str(err))
         return default
@@ -455,17 +442,17 @@ def _validate_axes_collect(config: Mapping[str, Any], collector: _Collector) -> 
     horizon = _expect_mapping(config.get("horizon"), "horizon", collector)
     _unknown_keys(horizon, HORIZON_KEYS, "horizon", collector)
 
+    names = [axis.name for axis in AXES]
     for key in axes:
-        if key not in AXES:
-            collector.add("config", 0, f"axes.{key} is not a recognised axis ({sorted(AXES)})")
+        if key not in names:
+            collector.add("config", 0, f"axes.{key} is not a recognised axis ({sorted(names)})")
     values = {}
-    for key, (field_name, kind) in AXES.items():
-        if key in axes:
-            items = _config_list(axes[key], kind, f"axes.{key}", collector, (">", 0) if kind is float else None)
+    for name, field_name, kind in AXES:
+        if name in axes:
+            items = _config_list(axes[name], kind, f"axes.{name}", collector, (">", 0) if kind is float else None)
             if items == ():
-                collector.add("config", 0, f"axes.{key} is empty")
+                collector.add("config", 0, f"axes.{name} is empty")
             values[field_name] = items or ()
-    strategy_fields = {f.name for f in fields(StrategySpace)}
 
     defaults = ScenarioSpace()
     start_year = _config_scalar(horizon, "start_year", defaults.start_year, "horizon", collector, cast=int)
@@ -475,14 +462,23 @@ def _validate_axes_collect(config: Mapping[str, Any], collector: _Collector) -> 
         collector.add("config", 0, f"horizon: end_year {end_year} before start_year {start_year}")
     if discount < 0:
         collector.add("config", 0, "horizon.discount_rate must be >= 0")
+    else:
+        _check_compounding(discount, end_year - start_year + 1, "horizon.discount_rate", collector)
 
-    strategy_space = StrategySpace(**{k: v for k, v in values.items() if k in strategy_fields})
-    scenario_values = {k: v for k, v in values.items() if k not in strategy_fields}
-    scenario_space = ScenarioSpace(**scenario_values, start_year=start_year, end_year=end_year, discount_rate=discount)
+    strategy_space = StrategySpace(**{f.name: values.pop(f.name) for f in fields(StrategySpace) if f.name in values})
+    scenario_space = ScenarioSpace(**values, start_year=start_year, end_year=end_year, discount_rate=discount)
     return strategy_space, scenario_space
 
 
-def _build_adoption(config: Mapping[str, Any], collector: _Collector) -> AdoptionParams:
+def _check_compounding(rate: float, n_years: int, where: str, collector: _Collector) -> None:
+    """Report ``rate`` when ``(1 + rate) ** n_years``, its growth over the horizon, overflows a float."""
+    try:
+        (1.0 + rate) ** max(n_years, 0)
+    except OverflowError:
+        collector.add("config", 0, f"{where}: (1 + {rate}) ** {n_years} overflows")
+
+
+def _build_adoption(config: Mapping[str, Any], space: ScenarioSpace, collector: _Collector) -> AdoptionParams:
     section = _expect_mapping(config.get("adoption"), "adoption", collector)
     cagr = {g: dict(v) for g, v in DEFAULT_ADOPTION_CAGR.items()}
     for group_name, by_scenario in _expect_mapping(section.get("cagr"), "adoption.cagr", collector).items():
@@ -498,7 +494,12 @@ def _build_adoption(config: Mapping[str, Any], collector: _Collector) -> Adoptio
             except ValueError:
                 collector.add("config", 0, f"adoption.cagr.{group_name}: unknown scenario {scen_name!r}")
                 continue
-            cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}", collector)
+            cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}",
+                                               collector, bound=(">=", -1))
+    n_years = space.end_year - space.start_year + 1
+    for group, by_scenario in cagr.items():
+        for scen, rate in by_scenario.items():
+            _check_compounding(rate, n_years, f"adoption.cagr.{group.value}.{scen.value}", collector)
     return _config_params(AdoptionParams, section, "adoption", collector, ("cagr",), cagr_by_income=cagr)
 
 
@@ -576,7 +577,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
 
     config = load_config(config_path, collector)
     strategy_space, scenario_space = _validate_axes_collect(config, collector)
-    adoption = _build_adoption(config, collector)
+    adoption = _build_adoption(config, scenario_space, collector)
     sim_params, density_grid = _build_sim_params(config, collector)
     cost_inputs = _build_cost_inputs(config, collector)
     energy_params = _config_params(EnergyParams, _expect_mapping(config.get("energy"), "energy", collector), "energy", collector)
@@ -709,7 +710,7 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
 
     spaces = {**vars(bundle.strategy_space), **vars(bundle.scenario_space)}
     config = {
-        "axes": {key: [_text(v) for v in spaces[field_name]] for key, (field_name, _) in AXES.items()},
+        "axes": {axis.name: [_text(v) for v in spaces[axis.field]] for axis in AXES},
         "horizon": {key: spaces[key] for key in HORIZON_KEYS},
         "settlement": {
             "urban_min_density": bundle.settlement_thresholds[0],

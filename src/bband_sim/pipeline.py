@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    AXES,
     N_DECILES,
     DecileRecord,
     Generation,
@@ -46,6 +47,7 @@ from .core import (
     StrategyBundle,
     build_deciles,
     enumerate_runs,
+    run_key,
 )
 from .cost import cost_columns
 from .data_io import InputBundle
@@ -90,7 +92,7 @@ class RunFailure:
 #: the run key.
 STAGE_COLUMNS = {
     "decile": ("country_iso3", "decile_index", "settlement", "population", "area_km2"),
-    "run": ("generation", "backhaul", "sharing", "policy", "energy_strategy", "capacity_gb_month", "adoption"),
+    "run": tuple(axis.name for axis in AXES),
     "sites": ("demand_mbps_km2", "total_sites", "existing_sites", "new_sites", "upgraded_sites", "unserviceable",
               "revenue_pv_usd"),
     "cost": ("network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd", "private_cost_usd",
@@ -103,13 +105,6 @@ DECILE_COLUMNS = [name for names in STAGE_COLUMNS.values() for name in names]
 
 #: Result columns set by the run (strategy and scenario), in sort order.
 RUN_KEY_COLUMNS = STAGE_COLUMNS["run"]
-
-
-def run_key(strategy: StrategyBundle, scenario: ScenarioSpec) -> tuple:
-    """The values of :data:`RUN_KEY_COLUMNS` for one run."""
-    s = strategy
-    return (s.generation.value, s.backhaul.value, s.sharing.value, s.policy.value,
-            s.energy_strategy.value, scenario.capacity_gb_month, scenario.adoption.value)
 
 
 @dataclass(frozen=True, eq=False)

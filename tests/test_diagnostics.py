@@ -550,7 +550,28 @@ CASES = {
         [("config.yaml", "trials: 10000", "trials: .inf")],
         ["config: simulation.trials: inf is not a valid int"],
     ),
+    # --- rates whose growth over the horizon would corrupt or crash a run ---
+    "config_cagr_below_minus_one": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {low: -3.0}}\n")],
+        ["config: adoption.cagr.LIC.low: -3.0 must be >= -1"],
+    ),
+    "config_cagr_minus_one_loads": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {low: -1}}\n")],
+        [],
+    ),
+    "config_cagr_overflows": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {low: 1.0e300}, HIC: {high: 1.0e30}}\n")],
+        ["config: adoption.cagr.LIC.low: (1 + 1e+300) ** 8 overflows"],
+    ),
+    "config_discount_overflows": (
+        [("config.yaml", "discount_rate: 0.05", "discount_rate: 1.0e300")],
+        ["config: horizon.discount_rate: (1 + 1e+300) ** 8 overflows"],
+    ),
 }
+
+#: The damaged configs that passed ``validate`` before rates were bounded:
+#: ``run`` then crashed with an OverflowError, or wrote sign-flipping demand.
+BAD_RATES = ("config_cagr_below_minus_one", "config_cagr_overflows", "config_discount_overflows")
 
 
 def damage(data_dir, edits):
@@ -580,6 +601,17 @@ def diagnostics(data_dir, config_path):
 def test_diagnostics_pinned(miniland_copy, edits, expected):
     damage(miniland_copy, edits)
     assert diagnostics(miniland_copy, miniland_copy / "config.yaml") == expected
+
+
+@pytest.mark.parametrize("case", BAD_RATES)
+def test_bad_rates_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
+    edits, expected = CASES[case]
+    damage(miniland_copy, edits)
+    args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
+    assert main(["validate", *args]) == EXIT_VALIDATION
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count(expected[0]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_data_directory(miniland_copy):

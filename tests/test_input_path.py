@@ -20,8 +20,8 @@ from bband_sim.radio import table_cache_key
 SRC = Path(bband_sim.__file__).resolve().parent
 
 #: Checks, in a fresh interpreter (pytest has already loaded numpy), that
-#: importing the package and the CLI and validating a good and a bad data
-#: directory load no numpy module.
+#: importing the package and the CLI, validating a good and a bad data
+#: directory, and parsing and applying a ``--runs`` filter load no numpy module.
 CHILD = """
 import sys
 import bband_sim
@@ -29,6 +29,9 @@ import bband_sim.cli as cli
 good, bad = sys.argv[1:3], sys.argv[3:5]
 codes = [cli.main(["validate", "--data", data, "--config", config]) for data, config in (good, bad)]
 assert codes == [0, 2], codes
+accept = cli.parse_run_filter("generation=4G,capacity=30")
+run = bband_sim.enumerate_runs(bband_sim.StrategySpace(), bband_sim.ScenarioSpace(capacities_gb_month=(30.0,)))[0]
+assert accept(*run)
 loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("numpy."))
 assert not loaded, loaded[:5]
 """
