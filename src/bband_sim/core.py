@@ -396,6 +396,65 @@ class SpectralEfficiencyTable:
         return self.mimo_streams[generation] * self.mimo_efficiency
 
 
+# Income-group compound annual growth defaults for the low / baseline / high
+# adoption scenarios. Mature markets grow slowly, LICs fastest.
+DEFAULT_ADOPTION_CAGR: dict[IncomeGroup, dict[AdoptionScenario, float]] = {
+    IncomeGroup.HIC: {
+        AdoptionScenario.LOW: 0.005,
+        AdoptionScenario.BASELINE: 0.01,
+        AdoptionScenario.HIGH: 0.015,
+    },
+    IncomeGroup.UMC: {
+        AdoptionScenario.LOW: 0.01,
+        AdoptionScenario.BASELINE: 0.02,
+        AdoptionScenario.HIGH: 0.04,
+    },
+    IncomeGroup.LMC: {
+        AdoptionScenario.LOW: 0.015,
+        AdoptionScenario.BASELINE: 0.03,
+        AdoptionScenario.HIGH: 0.06,
+    },
+    IncomeGroup.LIC: {
+        AdoptionScenario.LOW: 0.02,
+        AdoptionScenario.BASELINE: 0.04,
+        AdoptionScenario.HIGH: 0.06,
+    },
+}
+
+
+@dataclass(frozen=True)
+class AdoptionParams:
+    """Base penetration levels and growth rates driving user projections."""
+
+    base_cell_penetration: float = 0.55
+    smartphone_penetration_urban: float = 0.65
+    smartphone_penetration_rural: float = 0.40
+    penetration_cap: float = 1.0
+    cagr_by_income: dict[IncomeGroup, dict[AdoptionScenario, float]] | None = None
+
+    def __post_init__(self):
+        if self.cagr_by_income is None:
+            object.__setattr__(self, "cagr_by_income", DEFAULT_ADOPTION_CAGR)
+        if not (self.penetration_cap > 0):
+            raise ValidationError("penetration_cap must be > 0")
+        for name, value in (
+            ("base_cell_penetration", self.base_cell_penetration),
+            ("smartphone_penetration_urban", self.smartphone_penetration_urban),
+            ("smartphone_penetration_rural", self.smartphone_penetration_rural),
+        ):
+            if not (0 <= value <= self.penetration_cap):
+                raise ValidationError(f"{name} {value} outside [0, cap]")
+
+    def cagr(self, income: IncomeGroup, scenario: AdoptionScenario) -> float:
+        return self.cagr_by_income[income][scenario]
+
+    def smartphone_base(self, settlement: Settlement) -> float:
+        # Suburban areas track the urban smartphone level; only rural differs.
+        if settlement == Settlement.RURAL:
+            return self.smartphone_penetration_rural
+        return self.smartphone_penetration_urban
+
+
 @dataclass(frozen=True)
 class CostInputs:
     """Unit costs and fiscal coefficients. All money in USD.

@@ -2,173 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import Backhaul, CostInputs, Policy, Settlement, Sharing, StrategyBundle, ordered_sum
+from .core import CostInputs, Settlement, Sharing, StrategyBundle
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class CostComponents:
-    """Network investment split by asset class, summed over a decile's sites."""
-
-    equipment: float = 0.0
-    backhaul: float = 0.0
-    civils: float = 0.0
-    core: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.equipment + self.backhaul + self.civils + self.core
-
-
-@dataclass(frozen=True)
-class DecileCost:
-    """Full cost decomposition of one decile under one strategy."""
-
-    country_iso3: str
-    decile_index: int
-    network: float
-    administration: float
-    spectrum: float
-    tax: float
-    profit: float
-    private_cost: float
-    revenue_pv: float
-    subsidy: float = 0.0
-
-    @property
-    def government_cost(self) -> float:
-        """State subsidy net of spectrum and tax receipts."""
-        return self.subsidy - (self.spectrum + self.tax)
-
-    @property
-    def financial_cost(self) -> float:
-        return self.private_cost + self.government_cost
-
-
-def site_network_cost(kind: str, backhaul: Backhaul, costs: CostInputs) -> float:
-    """Per-site network investment; upgrades reuse the existing tower (no civils)."""
-    if kind not in ("new", "upgrade"):
-        raise ValidationError(f"kind must be 'new' or 'upgrade', got {kind!r}")
-    total = costs.equipment_usd + costs.backhaul_unit_cost(backhaul) + costs.core_usd
-    if kind == "new":
-        total += costs.civils_usd
-    return total
-
-
-def decile_components(
-    new_sites: int,
-    upgraded_sites: int,
-    backhaul: Backhaul,
-    costs: CostInputs,
-) -> CostComponents:
-    """Asset-class totals for a decile's new builds plus upgrades."""
-    if new_sites < 0 or upgraded_sites < 0:
-        raise ValidationError("site counts must be >= 0")
-    n = new_sites + upgraded_sites
-    return CostComponents(
-        equipment=n * costs.equipment_usd,
-        backhaul=n * costs.backhaul_unit_cost(backhaul),
-        civils=new_sites * costs.civils_usd,
-        core=n * costs.core_usd,
-    )
-
-
-def apply_sharing(
-    components: CostComponents,
-    sharing: Sharing,
-    n_sharers: int,
-    settlement: Settlement,
-) -> CostComponents:
-    """Divide shared asset classes by the number of sharing operators.
-
-    Passive sharing splits the civil works; active sharing also splits the
-    radio equipment and backhaul. The shared rural network applies the
-    active rule in rural deciles only. The core network stays per-operator
-    in every model.
-    """
-    if n_sharers < 1:
-        raise ValidationError("n_sharers must be >= 1")
-    if sharing == Sharing.BASELINE:
-        return components
-    if sharing == Sharing.PASSIVE:
-        return replace(components, civils=components.civils / n_sharers)
-    if sharing == Sharing.ACTIVE or (sharing == Sharing.SRN and settlement == Settlement.RURAL):
-        return CostComponents(
-            equipment=components.equipment / n_sharers,
-            backhaul=components.backhaul / n_sharers,
-            civils=components.civils / n_sharers,
-            core=components.core,
-        )
-    return components  # SRN outside rural areas behaves like baseline
-
-
-def private_cost(
-    network: float,
-    costs: CostInputs,
-    policy: Policy,
-    revenue_pv: float,
-    spectrum_mhz: float,
-    population: int,
-    country_iso3: str = "",
-    decile_index: int = 0,
-) -> DecileCost:
-    """Operator-side cost stack for one decile.
-
-    Administration and profit scale with the network investment; tax is
-    levied on the revenue present value; the spectrum fee prices the MHz
-    held against the decile population at the policy's coefficient.
-    """
-    if network < 0:
-        raise ValidationError("network must be >= 0")
-    administration = costs.admin_share * network
-    profit = costs.profit_margin * network
-    tax = costs.tax_rate(policy) * revenue_pv
-    spectrum = costs.spectrum_coef(policy) * spectrum_mhz * population
-    total = network + administration + spectrum + tax + profit
-    return DecileCost(
-        country_iso3=country_iso3,
-        decile_index=decile_index,
-        network=network,
-        administration=administration,
-        spectrum=spectrum,
-        tax=tax,
-        profit=profit,
-        private_cost=total,
-        revenue_pv=revenue_pv,
-    )
-
-
-def cross_subsidize(decile_costs: list[DecileCost]) -> list[DecileCost]:
-    """Reallocate viable deciles' surplus to unviable ones within a country.
-
-    The pooled surplus (revenue above private cost) pays down deficits in
-    descending-viability order, most viable deficit first, ties broken by
-    decile index; whatever deficit remains becomes the state subsidy.
-    Returns new records in the original order.
-    """
-    if not decile_costs:
-        return []
-    countries = {c.country_iso3 for c in decile_costs}
-    if len(countries) > 1:
-        raise ValidationError(f"cross_subsidize spans countries: {sorted(countries)}")
-
-    revenue, private, index = zip(*((c.revenue_pv, c.private_cost, c.decile_index) for c in decile_costs))
-    subsidy = subsidies([revenue], [private], index)[0].tolist()
-    return [replace(c, subsidy=s) for c, s in zip(decile_costs, subsidy)]
-
-
 def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: Sequence[int]) -> np.ndarray:
-    """State subsidy per decile by the rule of :func:`cross_subsidize`, for (keys, deciles) arrays.
+    """State subsidy per decile after cross-subsidy within each key, for (keys, deciles) arrays.
 
-    Each key's pool is the left-to-right sum of its surpluses; deficits are
-    paid one rank at a time across keys, in stable (deficit, decile index)
-    order. ``np.where`` spells ``max(0.0, x)`` and ``min(pool, deficit)``
-    exactly, so every value equals the per-key loop bit for bit.
+    Each key's pooled surplus (revenue above private cost) pays down its
+    deficits most viable first, that is smallest deficit first, ties broken
+    by decile index; whatever deficit remains is the state subsidy. The
+    pool is the left-to-right sum of the surpluses; deficits are paid one
+    rank at a time across keys, in stable (deficit, decile index) order.
+    ``np.where`` spells ``max(0.0, x)`` and ``min(pool, deficit)`` exactly,
+    so every value equals the per-key loop bit for bit.
     """
     revenue = np.asarray(revenue_pv, dtype=np.float64)
     private = np.asarray(private_costs, dtype=np.float64)
@@ -189,15 +40,6 @@ def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: S
     return out
 
 
-def financial_cost_total(decile_costs: list[DecileCost]) -> float:
-    """Total cost to society: private plus net government cost.
-
-    Spectrum fees and taxes cancel between the operator and government
-    sides, so the sum equals network + administration + profit + subsidy.
-    """
-    return ordered_sum(c.private_cost + c.government_cost for c in decile_costs)
-
-
 def cost_columns(
     new_sites: np.ndarray,
     upgraded_sites: np.ndarray,
@@ -213,10 +55,15 @@ def cost_columns(
     """Cost columns of one country's deciles under a batch of strategies.
 
     Site counts and revenue are (keys, deciles), with one strategy and one
-    MHz figure per key. The chain :func:`decile_components` ->
-    :func:`apply_sharing` -> :func:`private_cost` -> :func:`cross_subsidize`
-    over the block, bit for bit (an unshared asset class is divided by 1.0,
-    which is exact). Keys are the ``*_usd`` result columns.
+    MHz figure per key. New and upgraded sites buy equipment, backhaul and
+    core; only new sites buy civil works. Passive sharing divides civils by
+    the sharers, active sharing (and the shared rural network, in rural
+    deciles) also equipment and backhaul; core is never shared (an
+    unshared class is divided by 1.0, which is exact). Administration and
+    profit scale with the network, tax with revenue, and the spectrum fee
+    is the policy's coefficient x MHz x population; :func:`subsidies` then
+    cross-subsidizes. Equal bit for bit to the per-decile chain in
+    ``tests/reference_chains.py``. Keys are the ``*_usd`` result columns.
     """
     new = np.asarray(new_sites, dtype=np.int64)
     n = new + np.asarray(upgraded_sites, dtype=np.int64)
@@ -226,7 +73,7 @@ def cost_columns(
         raise ValidationError("n_sharers must be >= 1")
     sharing = np.array([s.sharing.value for s in strategies])[:, None]
     rural = np.array([s == Settlement.RURAL for s in settlements], dtype=bool)
-    # deciles whose radio equipment and backhaul are shared (see apply_sharing)
+    # deciles whose radio equipment and backhaul are shared
     radio = (sharing == Sharing.ACTIVE.value) | ((sharing == Sharing.SRN.value) & rural)
     radio_div = np.where(radio, float(n_sharers), 1.0)
     civils_div = np.where(sharing == Sharing.PASSIVE.value, float(n_sharers), radio_div)

@@ -37,12 +37,11 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    AXES, DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY, DIESEL_SOURCE, HORIZON_KEYS,
-    MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionScenario, Carrier, CostInputs, CountryParams, EmissionFactors,
-    EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup, RegionRecord, ScenarioSpace, SimulationParams,
-    SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
+    AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY,
+    DIESEL_SOURCE, HORIZON_KEYS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier,
+    CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup,
+    RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
 )
-from .demand import DEFAULT_ADOPTION_CAGR, AdoptionParams
 from .errors import InputValidationError, ValidationError
 
 #: Every input CSV: one ``(column, kind, bound)`` row per column, in file order.
@@ -306,8 +305,20 @@ def _energy_mix(rows: Rows, countries: Mapping[str, CountryParams], years: range
         if iso3 not in mix:
             collector.add("energy_mix.csv", 0, f"country {iso3} has no energy mix rows")
         elif missing_years:
-            collector.add("energy_mix.csv", 0, f"{iso3}: missing mix years {missing_years}")
+            collector.add("energy_mix.csv", 0, f"{iso3}: missing mix years {_year_ranges(missing_years)}")
     return mix
+
+
+def _year_ranges(years: list[int], shown: int = 5) -> str:
+    """Ascending ``years`` as ``[2024, 2026-2030]``: the first ``shown`` runs, then ``(+K more)``."""
+    runs: list[list[int]] = []
+    for year in years:
+        if runs and runs[-1][1] == year - 1:
+            runs[-1][1] = year
+        else:
+            runs.append([year, year])
+    text = ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs[:shown])
+    return f"[{text}]" + (f" (+{len(runs) - shown} more)" if len(runs) > shown else "")
 
 
 def _emission_factors(rows: Rows, collector: _Collector) -> EmissionFactors | None:

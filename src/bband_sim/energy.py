@@ -8,8 +8,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    DIESEL_SOURCE, MIX_SOURCES, MIX_SUM_TOLERANCE, ZERO_EMISSION_SOURCES, Backhaul, EmissionFactors, EnergyParams,
-    EnergyStrategy, FactorRow, Settlement, Sharing, ordered_sum,
+    DIESEL_SOURCE, MIX_SOURCES, MIX_SUM_TOLERANCE, ZERO_EMISSION_SOURCES, EmissionFactors, EnergyParams,
+    EnergyStrategy, FactorRow, Settlement, Sharing,
 )
 from .errors import ValidationError
 
@@ -33,64 +33,6 @@ class GridSplit:
             raise ValidationError(f"unknown off_grid_source {self.off_grid_source!r}")
 
 
-@dataclass(frozen=True)
-class Emissions:
-    """The four tracked species. CO2 in kg, the others in grams."""
-
-    co2_kg: float = 0.0
-    nox_g: float = 0.0
-    sox_g: float = 0.0
-    pm10_g: float = 0.0
-
-    def __add__(self, other: "Emissions") -> "Emissions":
-        return Emissions(
-            self.co2_kg + other.co2_kg,
-            self.nox_g + other.nox_g,
-            self.sox_g + other.sox_g,
-            self.pm10_g + other.pm10_g,
-        )
-
-
-@dataclass(frozen=True)
-class YearEnergy:
-    """One year's energy and emissions for a decile."""
-
-    year: int
-    energy_kwh: float
-    on_grid_kwh: float
-    off_grid_kwh: float
-    emissions: Emissions
-
-
-@dataclass(frozen=True)
-class HorizonTotals:
-    energy_kwh: float
-    on_grid_kwh: float
-    off_grid_kwh: float
-    emissions: Emissions
-
-
-def annual_energy(
-    existing_sites: int,
-    new_cumulative: int,
-    params: EnergyParams,
-    backhaul: Backhaul,
-) -> float:
-    """kWh consumed in one year by all sites in operation, backhaul included."""
-    if existing_sites < 0 or new_cumulative < 0:
-        raise ValidationError("site counts must be >= 0")
-    per_site = params.site_kwh_per_hour + params.backhaul_kwh_per_hour(backhaul)
-    return (existing_sites + new_cumulative) * per_site * HOURS_PER_YEAR
-
-
-def split_energy(energy_kwh: float, grid: GridSplit) -> tuple[float, float]:
-    """Proportional on/off-grid split; the parts sum back to the total exactly."""
-    if energy_kwh < 0:
-        raise ValidationError("energy_kwh must be >= 0")
-    on = energy_kwh * grid.on_grid_share
-    return on, energy_kwh - on
-
-
 def check_mix_row(mix_row: Mapping[str, float]) -> None:
     """Reject a generation mix with unknown sources or shares not summing to 1."""
     unknown = [s for s in mix_row if s not in MIX_SOURCES]
@@ -99,37 +41,6 @@ def check_mix_row(mix_row: Mapping[str, float]) -> None:
     total_share = sum(mix_row.values())
     if abs(total_share - 1.0) > MIX_SUM_TOLERANCE:
         raise ValidationError(f"mix shares sum to {total_share}, expected 1")
-
-
-def emissions(
-    on_grid_kwh: float,
-    off_grid_kwh: float,
-    mix_row: Mapping[str, float],
-    factors: EmissionFactors,
-    grid: GridSplit,
-) -> Emissions:
-    """Emission species from one year's energy.
-
-    On-grid energy is split across the year's generation mix and each
-    source's factors applied; off-grid energy uses the diesel generator row,
-    or nothing at all once converted to renewables.
-    """
-    check_mix_row(mix_row)
-    co2 = nox = sox = pm10 = 0.0
-    for source, share in mix_row.items():
-        row = factors.by_source[source]
-        kwh = on_grid_kwh * share
-        co2 += kwh * row.co2_kg_kwh
-        nox += kwh * row.nox_g_kwh
-        sox += kwh * row.sox_g_kwh
-        pm10 += kwh * row.pm10_g_kwh
-    if grid.off_grid_source == DIESEL_SOURCE:
-        row = factors.diesel
-        co2 += off_grid_kwh * row.co2_kg_kwh
-        nox += off_grid_kwh * row.nox_g_kwh
-        sox += off_grid_kwh * row.sox_g_kwh
-        pm10 += off_grid_kwh * row.pm10_g_kwh
-    return Emissions(co2, nox, sox, pm10)
 
 
 def apply_renewables_strategy(grid: GridSplit, strategy: EnergyStrategy) -> GridSplit:
@@ -154,35 +65,6 @@ def sharing_energy_divisor(sharing: Sharing, settlement: Settlement, n_sharers: 
     return 1.0
 
 
-def build_schedule(total_new: int, n_years: int) -> list[int]:
-    """Spread new builds uniformly across the horizon, remainder up front."""
-    if total_new < 0:
-        raise ValidationError("total_new must be >= 0")
-    if n_years < 1:
-        raise ValidationError("n_years must be >= 1")
-    q, r = divmod(total_new, n_years)
-    return [q + 1 if t < r else q for t in range(n_years)]
-
-
-def cumulate_horizon(per_year: Sequence[YearEnergy]) -> HorizonTotals:
-    """Sum a contiguous run of per-year results into horizon totals."""
-    if not per_year:
-        raise ValidationError("no yearly results to cumulate")
-    years = [y.year for y in per_year]
-    expected = list(range(years[0], years[0] + len(years)))
-    if years != expected:
-        raise ValidationError(f"years {years} are not contiguous from {years[0]}")
-    total = Emissions()
-    for y in per_year:
-        total = total + y.emissions
-    return HorizonTotals(
-        energy_kwh=ordered_sum(y.energy_kwh for y in per_year),
-        on_grid_kwh=ordered_sum(y.on_grid_kwh for y in per_year),
-        off_grid_kwh=ordered_sum(y.off_grid_kwh for y in per_year),
-        emissions=total,
-    )
-
-
 def energy(
     existing_sites: np.ndarray,
     new_sites: np.ndarray,
@@ -199,12 +81,16 @@ def energy(
     deciles); ``site_kwh_per_hour`` (site plus backhaul), ``on_grid_share``
     and ``diesel`` (off-grid energy burns diesel) are per key. ``mix_rows``
     holds each horizon year's generation mix, shared by every key and
-    validated once. Returns :data:`ENERGY_FIELDS` -> (keys, deciles) array,
-    equal bit for bit to the per-decile chain :func:`build_schedule` ->
-    :func:`annual_energy` -> divide -> :func:`split_energy` ->
-    :func:`emissions` -> :func:`cumulate_horizon`: each element sees the
-    same operations in the same order, sources add in each mix row's own
-    order, the diesel add is masked, and years reduce sequentially.
+    validated once. New sites are built evenly over the horizon, remainder
+    first; each year, the sites in operation draw ``site_kwh_per_hour``
+    for 8760 hours, divided by the divisor. On-grid energy is split across
+    the year's mix and each source's factors applied; off-grid energy
+    burns diesel or nothing. Returns :data:`ENERGY_FIELDS` -> (keys,
+    deciles) array, the years added in order. Equal bit for bit to the
+    per-decile, per-year chain in ``tests/reference_chains.py``: each
+    element sees the same operations in the same order, sources add in
+    each mix row's own order, the diesel add is masked, and years reduce
+    sequentially.
     """
     existing = np.asarray(existing_sites, dtype=np.int64)
     new = np.asarray(new_sites, dtype=np.int64)

@@ -8,17 +8,22 @@ among them); of the work in this module, result emission takes the most.
 Each stage runs once per key of the axes it depends on, and every country
 has the same stage keys:
 
-* sites (demand and dimensioning): (generation, scenario)
+* sites (demand and dimensioning): (generation, scenario); demand and
+  revenue themselves depend on the scenario only
 * cost and cross-subsidy: (generation, backhaul, sharing, policy, scenario)
 * energy and emissions: (generation, backhaul, sharing, energy strategy, scenario)
 
 :func:`run_pipeline` walks the runs once to find each run's key in each
-stage, then runs each stage over all its keys: sites per key and decile,
-cost as one :func:`cost.cost_columns` call per country and energy as one
-:func:`energy.energy` call per (country, horizon), both bit for bit equal
-to their per-decile chains. A batch that raises runs again key by key, so
-a failing key fails only the runs that need it. The :class:`ResultTable`
-keeps each stage's (country, key, decile) arrays and per-row indices.
+stage, then runs each stage over all its keys, one kernel call per
+country: sites as :func:`demand.demand_columns` over the distinct
+scenarios and :func:`dimensioning.site_counts` over the keys, cost as
+:func:`cost.cost_columns`, and energy as :func:`energy.energy` per
+(country, horizon). The kernels equal the per-decile scalar chains bit
+for bit; the cost and energy chains live on in
+``tests/reference_chains.py`` as their references. A batch that raises
+runs again key by key, so a failing key fails only the runs that need it.
+The :class:`ResultTable` keeps each stage's (country, key, decile) arrays
+and per-row indices.
 
 :func:`emit_results` sorts the rows by run key with one ``np.lexsort``. It
 formats each stage row's columns once into a text segment and writes each
@@ -51,14 +56,8 @@ from .core import (
 )
 from .cost import cost_columns
 from .data_io import InputBundle
-from .demand import (
-    arpu_for_settlement,
-    area_demand,
-    decile_revenue_pv,
-    penetration_series,
-    per_user_busy_hour_rate,
-)
-from .dimensioning import required_sites
+from .demand import demand_columns
+from .dimensioning import site_counts
 from .energy import (
     DIESEL_SOURCE,
     ENERGY_FIELDS,
@@ -231,28 +230,6 @@ def capacity_tables(
     return tables
 
 
-def _decile_demand(
-    bundle: InputBundle,
-    decile: DecileRecord,
-    scenario: ScenarioSpec,
-) -> tuple[float, float]:
-    """A decile's peak area demand (Mbps/km^2) and revenue present value."""
-    country = bundle.countries[decile.country_iso3]
-    cagr = bundle.adoption.cagr(country.income_group, scenario.adoption)
-    cap = bundle.adoption.penetration_cap
-    pen = penetration_series(bundle.adoption.base_cell_penetration, cagr, scenario.n_years, cap)
-    sp = penetration_series(bundle.adoption.smartphone_base(decile.settlement), cagr, scenario.n_years, cap)
-    rate = per_user_busy_hour_rate(scenario.capacity_gb_month)
-    demand = area_demand(decile, pen, sp, rate, country.market_share)
-    revenue = decile_revenue_pv(
-        decile, pen, sp,
-        arpu_for_settlement(country, decile.settlement),
-        country.market_share,
-        scenario.discount_rate,
-    )
-    return demand, revenue
-
-
 def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
     return {
         "country_iso3": np.array([d.country_iso3 for d in deciles]),
@@ -263,31 +240,13 @@ def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
     }
 
 
-def _country_sites(
-    bundle: InputBundle,
-    deciles: Sequence[DecileRecord],
-    table: CapacityTable,
-    scenario: ScenarioSpec,
-) -> dict[str, np.ndarray]:
-    demand, revenue = zip(*(_decile_demand(bundle, decile, scenario) for decile in deciles))
-    sites = [required_sites(decile, d, table) for decile, d in zip(deciles, demand)]
-    ints = {name: [getattr(s, name) for s in sites]
-            for name in ("total_sites", "existing_sites", "new_sites", "upgraded_sites")}
-    return {
-        "demand_mbps_km2": np.array(demand, dtype=np.float64),
-        "revenue_pv_usd": np.array(revenue, dtype=np.float64),
-        **{name: np.array(v, dtype=np.int64) for name, v in ints.items()},
-        "unserviceable": np.array([s.unserviceable for s in sites], dtype=bool),
-    }
-
-
 #: The stages computed per key, in the order a run reports its first failure.
 _KEYED_STAGES = ("sites", "cost", "energy")
 
 
-def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float) -> None:
-    logger.info("stage %s: %d keys, %d kernel calls, %d failed keys, %.3f s",
-                stage, keys, calls, failed, time.perf_counter() - start)
+def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float, counts: str = "") -> None:
+    logger.info("stage %s: %d keys, %d kernel calls, %d failed keys, %s%.3f s",
+                stage, keys, calls, failed, counts, time.perf_counter() - start)
 
 
 def _batched(
@@ -295,13 +254,15 @@ def _batched(
     batches: Sequence[tuple[int, np.ndarray]],
     compute: Callable[[int, np.ndarray], Mapping[str, np.ndarray]],
     shape: tuple[int, int, int],
+    counts: Callable[[Mapping[str, np.ndarray], Mapping[tuple[int, int], str]], str] = lambda columns, errors: "",
 ) -> tuple[dict[str, np.ndarray], dict[tuple[int, int], str]]:
     """One stage over (country, key ids) batches, one ``compute`` call per non-empty batch.
 
     A batch that raises runs again one key at a time, so each failing key
     fails alone. Returns the stage's columns, shaped ``shape`` (countries,
     keys, deciles), zero where no key was computed, and each failing
-    (country, key)'s error.
+    (country, key)'s error. ``counts`` adds its text, from the columns and
+    errors, to the stage's log line.
     """
     start, calls, columns, errors = time.perf_counter(), 0, {}, {}
 
@@ -322,7 +283,7 @@ def _batched(
                     put(country, [key], compute(country, np.array([key])))
                 except BbandSimError as err:
                     errors[country, key] = f"{type(err).__name__}: {err}"
-    _log_stage(stage, sum(len(keys) for _, keys in batches), calls, len(errors), start)
+    _log_stage(stage, sum(len(keys) for _, keys in batches), calls, len(errors), start, counts(columns, errors))
     return columns, errors
 
 
@@ -363,13 +324,21 @@ def run_pipeline(
     shapes = [(len(countries), len(f), N_DECILES) for f in first]
 
     def sites(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
-        iso3 = countries[c]
-        per_key = [_country_sites(bundle, deciles[iso3], tables[(iso3, s.generation)], scenario)
-                   for s, scenario in (runs[first[0][k]] for k in keys)]
-        return {name: np.stack([p[name] for p in per_key]) for name in per_key[0]}
+        iso3, ds = countries[c], deciles[countries[c]]
+        batch = [runs[first[0][k]] for k in keys]
+        scenarios = {scenario: i for i, scenario in enumerate(dict.fromkeys(sc for _, sc in batch))}
+        demand = demand_columns(ds, bundle.countries[iso3], bundle.adoption, list(scenarios))
+        out = {name: values[[scenarios[sc] for _, sc in batch]] for name, values in demand.items()}
+        return {**out, **site_counts(out["demand_mbps_km2"], [tables[(iso3, s.generation)] for s, _ in batch], ds)}
+
+    def flagged(columns: Mapping[str, np.ndarray], errors: Mapping[tuple[int, int], str]) -> str:
+        """The unserviceable and degenerate (country, key, decile) rows of the computed keys."""
+        computed = len(first[0]) - np.bincount([c for c, _ in errors], minlength=len(countries))
+        degenerate = computed @ [sum(d.degenerate for d in deciles[iso3]) for iso3 in countries]
+        return f"{columns.get('unserviceable', np.zeros(0)).sum()} unserviceable rows, {degenerate} degenerate rows, "
 
     sited, site_errors = _batched("sites", [(c, np.arange(len(first[0]))) for c in range(len(countries))],
-                                  sites, shapes[0])
+                                  sites, shapes[0], flagged)
 
     def needing_sites(j: int, groups: Sequence[np.ndarray]) -> list[tuple[int, np.ndarray]]:
         """Batches of stage ``j`` keys per country and group, without keys whose sites failed."""

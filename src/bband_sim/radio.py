@@ -465,33 +465,33 @@ def build_capacity_table(
     )
 
 
-def required_density(table: CapacityTable, demand_mbps_km2: float) -> tuple[float, bool]:
-    """Smallest site density meeting a traffic demand, from the lookup table.
+def required_density(table: CapacityTable, demand_mbps_km2) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest site density meeting each traffic demand, from the lookup table.
 
     Linear interpolation between bracketing rows, anchored at the implicit
     (0 density, 0 capacity) point below the first row. Returns
-    ``(density, unserviceable)``; demand above the table maximum returns the
-    maximum density with the flag set rather than extrapolating.
+    ``(density, unserviceable)`` arrays shaped like the demand; demand above
+    the table maximum returns the maximum density with the flag set rather
+    than extrapolating.
     """
-    if demand_mbps_km2 < 0:
+    demand = np.asarray(demand_mbps_km2, dtype=np.float64)
+    if not (demand >= 0).all():
         raise ValidationError("demand must be >= 0")
-    if demand_mbps_km2 == 0:
-        return 0.0, False
-    if demand_mbps_km2 > table.max_capacity:
-        return table.max_density, True
-
-    prev_d, prev_c = 0.0, 0.0
-    for d, c in table.rows:
-        if c >= demand_mbps_km2:
-            if c == prev_c:  # flat zero segment cannot bracket positive demand
-                return d, False
-            frac = (demand_mbps_km2 - prev_c) / (c - prev_c)
-            # prev_d + (d - prev_d) can round one ulp above d; capping at the
-            # row keeps the result monotone in demand across rows.
-            return min(prev_d + frac * (d - prev_d), d), False
-        prev_d, prev_c = d, c
-    # Unreachable: demand <= max_capacity guarantees a bracketing row.
-    raise AssertionError("no bracketing row found")
+    unserviceable = demand > table.max_capacity
+    density = np.where(unserviceable, table.max_density, 0.0)
+    inside = (demand > 0) & ~unserviceable
+    x = demand[inside]
+    densities = np.array([0.0, *(d for d, _ in table.rows)])
+    caps = np.array([0.0, *(c for _, c in table.rows)])
+    # the first row whose capacity reaches the demand; capacities never decrease
+    row = np.searchsorted(caps[1:], x, side="left") + 1
+    d, c, prev_d, prev_c = densities[row], caps[row], densities[row - 1], caps[row - 1]
+    flat = c == prev_c  # a flat zero segment cannot bracket positive demand
+    frac = (x - prev_c) / np.where(flat, 1.0, c - prev_c)
+    # prev_d + (d - prev_d) can round one ulp above d; capping at the row
+    # keeps the result monotone in demand across rows.
+    density[inside] = np.where(flat, d, np.minimum(prev_d + frac * (d - prev_d), d))
+    return density, unserviceable
 
 
 def table_cache_key(

@@ -18,28 +18,27 @@ import pytest
 import oracles
 from bband_sim import emit_results, load_bundle, run_pipeline
 from bband_sim.core import (
+    AdoptionParams,
     AdoptionScenario,
     Backhaul,
+    CountryParams,
     DecileRecord,
+    EmissionFactors,
+    EnergyParams,
     EnergyStrategy,
+    FactorRow,
     Generation,
+    IncomeGroup,
     Policy,
     ScenarioSpec,
     Settlement,
     Sharing,
     StrategyBundle,
 )
-from bband_sim.cost import DecileCost, cross_subsidize, financial_cost_total
+from bband_sim.cost import subsidies
 from bband_sim.data_io import default_se_table_path, load_se_table
-from bband_sim.demand import decile_revenue_pv, per_user_busy_hour_rate
-from bband_sim.energy import (
-    Emissions,
-    EnergyParams,
-    GridSplit,
-    annual_energy,
-    emissions,
-    split_energy,
-)
+from bband_sim.demand import demand_columns, per_user_busy_hour_rate
+from bband_sim.energy import ENERGY_FIELDS, energy
 from bband_sim.pipeline import aggregate_country_rows
 from bband_sim.radio import (
     Carrier,
@@ -77,11 +76,28 @@ def _totals(group, *, field):
     raise AssertionError(field)
 
 
-def _species_totals(table, rows) -> Emissions:
-    total = Emissions()
-    for species in zip(*(table.column(name, rows).tolist() for name in ("co2_kg", "nox_g", "sox_g", "pm10_g"))):
-        total = total + Emissions(*species)
-    return total
+SPECIES = ("co2_kg", "nox_g", "sox_g", "pm10_g")
+
+MIX = {"coal": 0.4, "gas": 0.3, "oil": 0.1, "nuclear": 0.05, "hydro": 0.05, "renewables_other": 0.1}
+FACTORS = EmissionFactors(by_source={
+    "coal": FactorRow(0.95, 0.9, 2.2, 0.35),
+    "gas": FactorRow(0.45, 0.45, 0.01, 0.02),
+    "oil": FactorRow(0.72, 1.1, 1.3, 0.09),
+    "nuclear": FactorRow(0, 0, 0, 0),
+    "hydro": FactorRow(0, 0, 0, 0),
+    "renewables_other": FactorRow(0, 0, 0, 0),
+    "diesel": FactorRow(0.8, 10.0, 4.0, 1.0),
+})
+
+
+def _one_year_energy(existing: int, new: int, site_kwh_per_hour: float, on_grid_share: float = 1.0) -> dict:
+    """:func:`energy.energy` of one key and one decile over a one-year horizon, as Python floats."""
+    out = energy([[existing]], [[new]], [[1.0]], [site_kwh_per_hour], [on_grid_share], [True], [MIX], FACTORS)
+    return {name: out[name].item() for name in ENERGY_FIELDS}
+
+
+def _species_totals(table, rows) -> list[float]:
+    return [sum(table.column(name, rows).tolist()) for name in SPECIES]
 
 
 def test_criterion_1_equation_oracles():
@@ -97,12 +113,16 @@ def test_criterion_1_equation_oracles():
     assert free_space_path_loss(0.5, 3500.0) == pytest.approx(97.30, abs=0.01)
 
     params = EnergyParams(site_kwh_per_hour=0.249, backhaul_wireless_kwh_per_hour=0.0)
-    got = annual_energy(10, 0, params, Backhaul.WIRELESS)
-    assert got == pytest.approx(oracles.annual_site_energy_oracle(10, 0.249), rel=1e-12)
-    assert got == pytest.approx(21_812.4, abs=1e-9)
+    got = _one_year_energy(10, 0, params.site_kwh_per_hour + params.backhaul_kwh_per_hour(Backhaul.WIRELESS))
+    assert got["energy_kwh"] == pytest.approx(oracles.annual_site_energy_oracle(10, 0.249), rel=1e-12)
+    assert got["energy_kwh"] == pytest.approx(21_812.4, abs=1e-9)
 
+    # one user, always connected, paying $100 a year for 8 years at 5%
     decile = DecileRecord("AAA", 1, 1, 1.0, 0, 1.0, Settlement.SUBURBAN)
-    pv = decile_revenue_pv(decile, [1.0] * 8, [1.0] * 8, 100.0 / 12.0, 1.0, 0.05)
+    country = CountryParams("AAA", IncomeGroup.LIC, 1, (), *[100.0 / 12.0] * 3, 1.0, 0.0)
+    adoption = AdoptionParams(1.0, 1.0, 1.0, 1.0, {IncomeGroup.LIC: {AdoptionScenario.BASELINE: 0.0}})
+    scenario = ScenarioSpec(30.0, AdoptionScenario.BASELINE, 2023, 2030, 0.05)
+    pv = demand_columns([decile], country, adoption, [scenario])["revenue_pv_usd"].item()
     assert pv == pytest.approx(oracles.annuity_pv_oracle(100.0, 0.05, 8), rel=1e-12)
     assert pv == pytest.approx(646.32, abs=0.01)
 
@@ -207,37 +227,19 @@ def test_criterion_3_directional_claims(directional_runs):
 
 def test_criterion_4_linearity_and_conservation(bundle, table_cache):
     # doubling site counts doubles energy and every species exactly
-    from bband_sim.energy import EmissionFactors, FactorRow
-
     params = EnergyParams()
-    mix = {"coal": 0.4, "gas": 0.3, "oil": 0.1, "nuclear": 0.05, "hydro": 0.05, "renewables_other": 0.1}
-    ef = EmissionFactors(by_source={
-        "coal": FactorRow(0.95, 0.9, 2.2, 0.35),
-        "gas": FactorRow(0.45, 0.45, 0.01, 0.02),
-        "oil": FactorRow(0.72, 1.1, 1.3, 0.09),
-        "nuclear": FactorRow(0, 0, 0, 0),
-        "hydro": FactorRow(0, 0, 0, 0),
-        "renewables_other": FactorRow(0, 0, 0, 0),
-        "diesel": FactorRow(0.8, 10.0, 4.0, 1.0),
-    })
-    grid = GridSplit(0.67)
+    per_site = params.site_kwh_per_hour + params.backhaul_kwh_per_hour(Backhaul.WIRELESS)
     for existing, new in ((7, 5), (120, 33), (0, 9)):
-        single_energy = annual_energy(existing, new, params, Backhaul.WIRELESS)
-        double_energy = annual_energy(2 * existing, 2 * new, params, Backhaul.WIRELESS)
-        assert double_energy == 2.0 * single_energy
-        on1, off1 = split_energy(single_energy, grid)
-        on2, off2 = split_energy(double_energy, grid)
-        e1 = emissions(on1, off1, mix, ef, grid)
-        e2 = emissions(on2, off2, mix, ef, grid)
-        assert e2.co2_kg == 2.0 * e1.co2_kg
-        assert e2.nox_g == 2.0 * e1.nox_g
-        assert e2.sox_g == 2.0 * e1.sox_g
-        assert e2.pm10_g == 2.0 * e1.pm10_g
+        single = _one_year_energy(existing, new, per_site, 0.67)
+        double = _one_year_energy(2 * existing, 2 * new, per_site, 0.67)
+        for name in ("energy_kwh", *SPECIES):
+            assert double[name] == 2.0 * single[name], name
 
     # on-grid + off-grid conserves the total to 1e-12 relative
     for share in (0.0, 0.17, 1 / 3, 0.53, 0.67, 0.94, 1.0):
-        on, off = split_energy(98765.4321, GridSplit(share))
-        assert on + off == pytest.approx(98765.4321, rel=1e-12)
+        got = _one_year_energy(1, 0, 98765.4321 / 8760, share)
+        assert got["energy_kwh"] == pytest.approx(98765.4321, rel=1e-12)
+        assert got["on_grid_kwh"] + got["off_grid_kwh"] == pytest.approx(got["energy_kwh"], rel=1e-12)
 
     # decile -> country -> global aggregation to 1e-9 relative
     out = run_pipeline(bundle, [(_strategy(), SCENARIO_30)], cache_dir=table_cache)
@@ -260,10 +262,7 @@ def test_criterion_5_renewables_strategy(bundle, table_cache, tmp_path):
     base = _species_totals(out.results, strategy == EnergyStrategy.BASELINE.value)
     green = _species_totals(out.results, strategy == EnergyStrategy.RENEWABLES.value)
     # both miniland countries have on_grid_share < 1
-    assert green.co2_kg < base.co2_kg
-    assert green.nox_g < base.nox_g
-    assert green.sox_g < base.sox_g
-    assert green.pm10_g < base.pm10_g
+    assert all(g < b for g, b in zip(green, base))
 
     # with fully on-grid countries the two strategies are byte-identical
     fully_on = dataclasses.replace(
@@ -290,27 +289,22 @@ def test_criterion_6_policy_monotonicity(bundle, table_cache):
     runs = [(_strategy(policy=p), SCENARIO_30) for p in policies]
     out = run_pipeline(bundle, runs, cache_dir=table_cache)
     table = out.results
-    cost_fields = ("network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd",
-                   "private_cost_usd", "revenue_pv_usd", "subsidy_usd")
     totals = {}
-    costs_by_policy = {}
-    for policy, iso3, index, financial, *cost in zip(
-            table.column("policy").tolist(), table.column("country_iso3").tolist(),
-            table.column("decile_index").tolist(), table.column("financial_cost_usd").tolist(),
-            *(table.column(name).tolist() for name in cost_fields)):
+    expected = {}
+    for policy, financial, network, administration, profit, subsidy in zip(
+            *(table.column(name).tolist() for name in ("policy", "financial_cost_usd", "network_usd",
+                                                        "administration_usd", "profit_usd", "subsidy_usd"))):
         policy = Policy(policy)
         totals[policy] = totals.get(policy, 0.0) + financial
-        costs_by_policy.setdefault(policy, []).append(DecileCost(iso3, index, *cost))
+        expected[policy] = expected.get(policy, 0.0) + network + administration + profit + subsidy
 
     assert totals[Policy.LOW_TAX] <= totals[Policy.BASELINE] <= totals[Policy.HIGH_TAX]
     assert totals[Policy.LOW_SPECTRUM] <= totals[Policy.BASELINE] <= totals[Policy.HIGH_SPECTRUM]
 
     # spectrum and tax receipts cancel between operator and state: the total
     # equals network + administration + profit + subsidy, to 1e-9 relative
-    for policy, costs in costs_by_policy.items():
-        total = financial_cost_total(costs)
-        expected = sum(c.network + c.administration + c.profit + c.subsidy for c in costs)
-        assert total == pytest.approx(expected, rel=1e-9)
+    for policy, total in totals.items():
+        assert total == pytest.approx(expected[policy], rel=1e-9)
 
     _passed(6, "financial cost is monotone along both policy axes; fee cancellation holds")
 
@@ -344,25 +338,20 @@ def test_criterion_8_cross_subsidy_oracle():
     for _ in range(1000):
         revenues = rng.uniform(0, 500, 10)
         private = rng.uniform(0, 500, 10)
-        records = [
-            DecileCost("AAA", i + 1, network=0, administration=0, spectrum=0, tax=0,
-                       profit=0, private_cost=float(c), revenue_pv=float(v))
-            for i, (v, c) in enumerate(zip(revenues, private))
-        ]
-        out = cross_subsidize(records)
+        out = subsidies([revenues], [private], range(1, 11))[0].tolist()
 
         deficits = np.maximum(0.0, private - revenues)
         surplus = np.maximum(0.0, revenues - private).sum()
         expected_total = max(0.0, deficits.sum() - surplus)
-        got_total = sum(c.subsidy for c in out)
+        got_total = sum(out)
         assert got_total == pytest.approx(expected_total, abs=1e-6)
-        for c, deficit in zip(out, deficits):
-            grant = deficit - c.subsidy
+        for subsidy, deficit in zip(out, deficits):
+            grant = deficit - subsidy
             assert -1e-9 <= grant <= deficit + 1e-9  # never exceed a decile's deficit
 
         oracle_subsidies, oracle_total = oracles.cross_subsidy_oracle(list(revenues), list(private))
         assert got_total == pytest.approx(oracle_total, abs=1e-6)
-        for c, expected in zip(out, oracle_subsidies):
-            assert c.subsidy == pytest.approx(expected, abs=1e-6)
+        for subsidy, expected in zip(out, oracle_subsidies):
+            assert subsidy == pytest.approx(expected, abs=1e-6)
 
     _passed(8, "cross-subsidy allocation matches the brute-force oracle over 1,000 cases")

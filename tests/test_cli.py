@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import logging
 import math
 import shutil
@@ -75,10 +76,35 @@ def test_verbose_logs_each_stage_and_writes_the_same_bytes(
     stages = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
     # 240 runs over 2 countries: 3 sites, 120 cost and 48 energy keys per country
     assert [m.rsplit(",", 1)[0] for m in stages] == [
-        "stage sites: 6 keys, 2 kernel calls, 0 failed keys",
+        "stage sites: 6 keys, 2 kernel calls, 0 failed keys, 0 unserviceable rows, 0 degenerate rows",
         "stage cost: 240 keys, 2 kernel calls, 0 failed keys",
         "stage energy: 96 keys, 2 kernel calls, 0 failed keys",
         "stage emit: 4800 keys, 6 kernel calls, 0 failed keys",
+    ]
+
+
+def test_wide_fixture_matches_its_reference(tmp_path, monkeypatch, caplog):
+    """The generated 40-country fixture, cold, on one policy: the slice whose deciles reach unserviceable demand."""
+    import importlib.util
+
+    from conftest import REPO_ROOT
+
+    spec = importlib.util.spec_from_file_location("bench_fixture", REPO_ROOT / "bench" / "fixture.py")
+    fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixture)
+    data = fixture.generate("wide", 20230, tmp_path / "wide")
+    monkeypatch.delenv("BBAND_SIM_CACHE", raising=False)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="bband_sim"):
+        code = main(["-v", "run", "--data", str(data), "--config", str(data / "config.yaml"), "--out", str(out),
+                     "--seed", "20230", "--runs", "policy=baseline,energy=baseline,adoption=baseline"])
+    assert code == EXIT_OK
+    for line in (REPO_ROOT / "bench" / "reference" / "wide.sha256").read_text().splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    sites = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage sites:")]
+    assert [m.rsplit(",", 1)[0] for m in sites] == [
+        "stage sites: 240 keys, 40 kernel calls, 0 failed keys, 4 unserviceable rows, 0 degenerate rows",
     ]
 
 

@@ -5,20 +5,18 @@ from hypothesis import strategies as st
 
 import oracles
 from bband_sim.core import Backhaul, EnergyStrategy, Generation, Policy, Settlement, Sharing, StrategyBundle
-from bband_sim.cost import (
+from bband_sim.cost import CostInputs, cost_columns, subsidies
+from bband_sim.errors import ValidationError
+from reference_chains import (
     CostComponents,
-    CostInputs,
     DecileCost,
     apply_sharing,
-    cost_columns,
     cross_subsidize,
     decile_components,
     financial_cost_total,
     private_cost,
     site_network_cost,
-    subsidies,
 )
-from bband_sim.errors import ValidationError
 
 COSTS = CostInputs(
     equipment_usd=40_000, backhaul_wireless_usd=20_000, backhaul_fiber_usd=40_000,

@@ -254,6 +254,19 @@ CASES = {
             "energy_mix.csv: MLB: missing mix years [2031]",
         ],
     ),
+    # missing years are shown as ranges, at most five of them
+    "energy_mix_missing_year_ranges": (
+        [
+            ("config.yaml", "end_year: 2030", "end_year: 2045"),
+            ("energy_mix.csv", None, "region,year,source,share\n" + "".join(
+                f"{iso3},{year},renewables_other,1.0\n"
+                for iso3 in ("MLA", "MLB") for year in (2023, 2025, 2029, 2031, 2033, 2035, 2037))),
+        ],
+        [
+            "energy_mix.csv: MLA: missing mix years [2024, 2026-2028, 2030, 2032, 2034] (+2 more)",
+            "energy_mix.csv: MLB: missing mix years [2024, 2026-2028, 2030, 2032, 2034] (+2 more)",
+        ],
+    ),
     "emission_factors_unknown_source": (
         [("emission_factors.csv", "gas,", "peat,")],
         [
@@ -612,6 +625,16 @@ def test_bad_rates_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
     assert main(["run", *args, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.count(expected[0]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):
+    # every rate now overflows too, one line each; the mix years are one range per country
+    damage(miniland_copy, [("config.yaml", "end_year: 2030", "end_year: 200000")])
+    code = main(["validate", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "energy_mix.csv: MLA: missing mix years [2031-200000]\n" in err
+    assert len(err.encode()) < 4096
 
 
 def test_missing_data_directory(miniland_copy):

@@ -8,21 +8,23 @@ from bband_sim.energy import (
     ENERGY_FIELDS,
     MIX_SOURCES,
     EmissionFactors,
-    Emissions,
     EnergyParams,
     FactorRow,
     GridSplit,
+    apply_renewables_strategy,
+    energy,
+    sharing_energy_divisor,
+)
+from bband_sim.errors import ValidationError
+from reference_chains import (
+    Emissions,
     YearEnergy,
     annual_energy,
-    apply_renewables_strategy,
     build_schedule,
     cumulate_horizon,
     emissions,
-    energy,
-    sharing_energy_divisor,
     split_energy,
 )
-from bband_sim.errors import ValidationError
 
 FACTORS = EmissionFactors(by_source={
     "coal": FactorRow(1.0, 0.9, 2.2, 0.35),

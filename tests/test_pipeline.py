@@ -23,7 +23,6 @@ from bband_sim.core import (
     enumerate_runs,
 )
 from bband_sim.cli import RUN_FILTER_VALUES, parse_run_filter
-from bband_sim.cost import DecileCost
 from bband_sim.errors import ValidationError
 from bband_sim.pipeline import (
     COUNTRY_COLUMNS,
@@ -37,6 +36,7 @@ from bband_sim.pipeline import (
     format_column,
     run_pipeline,
 )
+from reference_chains import DecileCost
 
 BASELINE_RUN = (
     StrategyBundle(Generation.G4, Backhaul.WIRELESS, Sharing.BASELINE, Policy.BASELINE, EnergyStrategy.BASELINE),
@@ -196,6 +196,25 @@ class TestRunPipeline:
         assert not out.failures
         # one call per country (every run shares one horizon), each over every energy key
         assert calls == [len(keys)] * 2
+
+    def test_demand_computed_once_per_country_and_scenario(self, bundle, table_cache, monkeypatch):
+        import bband_sim.pipeline as pl
+
+        computed = []
+        real = pl.demand_columns
+
+        def counted(deciles, country, adoption, scenarios):
+            computed.extend((country.country_iso3, scenario) for scenario in scenarios)
+            return real(deciles, country, adoption, scenarios)
+
+        monkeypatch.setattr(pl, "demand_columns", counted)
+        runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
+        out = run_pipeline(bundle, runs, cache_dir=table_cache)
+        assert not out.failures
+        # 9 scenarios per country, not once per (generation, scenario) sites key
+        assert sorted(computed, key=str) == sorted(
+            ((iso3, sc) for iso3 in bundle.countries for sc in {sc for _, sc in runs}), key=str)
+        assert len(computed) == 2 * 9
 
     @pytest.mark.parametrize("change", [{"discount_rate": 0.10}, {"end_year": 2027}])
     def test_runs_differing_only_in_scenario_detail_are_independent(self, bundle, table_cache, change):
@@ -550,14 +569,17 @@ class TestFormatting:
 
 
 class TestEdgeCasesEndToEnd:
-    def test_degenerate_deciles_flow_through_as_zeros(self, miniland_copy, table_cache):
+    def test_degenerate_deciles_flow_through_as_zeros(self, miniland_copy, table_cache, caplog):
         # keep only two MLA regions: deciles 3..10 become degenerate
         regions = (miniland_copy / "regions.csv").read_text().splitlines()
         kept = [r for r in regions if not r.startswith("MLA-") or r.startswith(("MLA-R01", "MLA-R02"))]
         (miniland_copy / "regions.csv").write_text("\n".join(kept) + "\n")
         bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
-        out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=table_cache)
+        with caplog.at_level(logging.INFO, logger="bband_sim"):
+            out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=table_cache)
         assert not out.failures
+        # one sites key per country: MLA's 8 degenerate deciles are 8 degenerate rows
+        assert "stage sites: 2 keys, 2 kernel calls, 0 failed keys, 0 unserviceable rows, 8 degenerate rows" in caplog.text
         table = out.results
         mla = table.column("country_iso3") == "MLA"
         assert mla.sum() == 10

@@ -467,27 +467,33 @@ class TestCapacityTable:
         assert table_cache_key(fast_params, se_table, FS4, GRID) != key
 
 
+def lookup(table, demand: float) -> tuple[float, bool]:
+    """:func:`required_density` of one demand, as Python values."""
+    density, flag = required_density(table, np.array([demand]))
+    return density.item(), flag.item()
+
+
 class TestRequiredDensity:
     TABLE = CapacityTable(Generation.G4, "800x10", ((0.5, 60.0), (1.0, 120.0)))
 
     def test_exact_row_hit(self):
-        assert required_density(self.TABLE, 60.0) == (0.5, False)
+        assert lookup(self.TABLE, 60.0) == (0.5, False)
 
     def test_zero_demand(self):
-        assert required_density(self.TABLE, 0.0) == (0.0, False)
+        assert lookup(self.TABLE, 0.0) == (0.0, False)
 
     def test_midpoint_interpolation(self):
-        density, flag = required_density(self.TABLE, 90.0)
+        density, flag = lookup(self.TABLE, 90.0)
         assert density == pytest.approx(0.75)
         assert not flag
 
     def test_below_first_row_anchored_at_origin(self):
-        density, flag = required_density(self.TABLE, 30.0)
+        density, flag = lookup(self.TABLE, 30.0)
         assert density == pytest.approx(0.25)
         assert not flag
 
     def test_above_maximum_flags_unserviceable(self):
-        density, flag = required_density(self.TABLE, 130.0)
+        density, flag = lookup(self.TABLE, 130.0)
         assert density == 1.0
         assert flag
 
@@ -495,9 +501,17 @@ class TestRequiredDensity:
         table = build_capacity_table(fast_params, se_table, FS4, GRID)
         for d, c in table.rows:
             if c > 0:
-                density, flag = required_density(table, c)
+                density, flag = lookup(table, c)
                 assert not flag
                 assert density <= d + 1e-12
+
+    def test_array_shape_kept_and_negative_or_nan_rejected(self):
+        density, flag = required_density(self.TABLE, np.array([[0.0, 30.0, 60.0], [90.0, 120.0, 130.0]]))
+        assert density.tolist() == [[0.0, 0.25, 0.5], [0.75, 1.0, 1.0]]
+        assert flag.tolist() == [[False, False, False], [False, False, True]]
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValidationError, match="demand must be >= 0"):
+                required_density(self.TABLE, np.array([1.0, bad]))
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
@@ -552,14 +566,15 @@ class TestRequiredDensityProperties:
         # random demands plus every row capacity and its neighbouring floats
         near_rows = [x for _, c in table.rows for x in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
         demands = sorted({f1 * table.max_capacity, f2 * table.max_capacity, *near_rows})
-        densities = [required_density(table, x)[0] for x in demands]
+        densities = required_density(table, np.array(demands))[0].tolist()
         assert densities == sorted(densities)
+        assert densities == [lookup(table, x)[0] for x in demands]  # a batch looks each demand up alone
 
     @settings(max_examples=300, deadline=None)
     @given(capacity_tables(), demand_fractions)
     def test_unserviceable_exactly_above_max_capacity(self, table, fraction):
         demand = fraction * table.max_capacity
-        density, unserviceable = required_density(table, demand)
+        density, unserviceable = lookup(table, demand)
         assert unserviceable == (demand > table.max_capacity)
         if unserviceable:
             assert density == table.max_density
@@ -568,7 +583,7 @@ class TestRequiredDensityProperties:
     @given(well_conditioned_tables(), st.floats(1e-6, 1.0))
     def test_interpolated_capacity_recovers_demand(self, table, fraction):
         demand = fraction * table.max_capacity
-        density, unserviceable = required_density(table, demand)
+        density, unserviceable = lookup(table, demand)
         assert not unserviceable
         xs = [0.0, *(d for d, _ in table.rows)]
         ys = [0.0, *(c for _, c in table.rows)]
