@@ -20,9 +20,9 @@ import os
 import sys
 from pathlib import Path
 
-from .core import AXES, enumerate_runs, run_key
-from .data_io import load_bundle, load_table_inputs
-from .errors import BbandSimError, InputValidationError
+from .core import AXES, SimulationParams, enumerate_runs, run_key
+from .data_io import Diagnostic, load_bundle, load_table_inputs
+from .errors import BbandSimError, InputValidationError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,14 +77,18 @@ def parse_run_filter(expr: str):
     return accept
 
 
-def _cmd_validate(args) -> int:
+def _seeded(params: SimulationParams, seed: int | None) -> SimulationParams:
+    """``params`` with the ``--seed`` override, if one is given; a bad seed is an input diagnostic."""
+    if seed is None:
+        return params
     try:
-        load_bundle(args.data, args.config)
-    except InputValidationError as err:
-        for diag in err.diagnostics:
-            print(diag, file=sys.stderr)
-        print(f"INVALID: {len(err.diagnostics)} problem(s)", file=sys.stderr)
-        return EXIT_VALIDATION
+        return dataclasses.replace(params, seed=seed)
+    except ValidationError as err:
+        raise InputValidationError([Diagnostic("--seed", 0, str(err))]) from None
+
+
+def _cmd_validate(args) -> int:
+    load_bundle(args.data, args.config)
     print("OK")
     return EXIT_OK
 
@@ -92,17 +96,8 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     from .pipeline import emit_results, run_pipeline  # here, so that `validate` never imports numpy
 
-    try:
-        bundle = load_bundle(args.data, args.config)
-    except InputValidationError as err:
-        for diag in err.diagnostics:
-            print(diag, file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.seed is not None:
-        bundle = dataclasses.replace(
-            bundle, sim_params=dataclasses.replace(bundle.sim_params, seed=args.seed)
-        )
+    bundle = load_bundle(args.data, args.config)
+    bundle = dataclasses.replace(bundle, sim_params=_seeded(bundle.sim_params, args.seed))
 
     runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
     if args.runs:
@@ -118,16 +113,8 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     cache_dir = os.environ.get("BBAND_SIM_CACHE") or out_dir / "capacity_cache"
-    try:
-        output = run_pipeline(bundle, runs, jobs=args.jobs, cache_dir=cache_dir)
-        paths = emit_results(output.results, out_dir)
-    except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except BbandSimError as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
-
+    output = run_pipeline(bundle, runs, jobs=args.jobs, cache_dir=cache_dir)
+    paths = emit_results(output.results, out_dir)
     for p in paths:
         logger.info("wrote %s", p)
     print(f"{len(runs)} run(s), {len(output.results)} result rows -> {out_dir}")
@@ -141,32 +128,17 @@ def _cmd_run(args) -> int:
 def _cmd_tables(args) -> int:
     from .radio import build_capacity_table, save_capacity_tables
 
-    try:
-        inputs = load_table_inputs(args.config, args.data)
-    except InputValidationError as err:
-        for diag in err.diagnostics:
-            print(diag, file=sys.stderr)
-        return EXIT_VALIDATION
-    sim_params = inputs.sim_params
-    if args.seed is not None:
-        sim_params = dataclasses.replace(sim_params, seed=args.seed)
-
+    inputs = load_table_inputs(args.config, args.data)
+    sim_params = _seeded(inputs.sim_params, args.seed)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     memo: dict = {}
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        tables = [
-            build_capacity_table(sim_params, inputs.se_table, fs, inputs.density_grid, jobs=args.jobs, memo=memo)
-            for fs in inputs.portfolios
-        ]
-        path = out_dir / "capacity_tables.csv"
-        save_capacity_tables(tables, path)
-    except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except BbandSimError as err:
-        print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    tables = [
+        build_capacity_table(sim_params, inputs.se_table, fs, inputs.density_grid, jobs=args.jobs, memo=memo)
+        for fs in inputs.portfolios
+    ]
+    path = out_dir / "capacity_tables.csv"
+    save_capacity_tables(tables, path)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -204,12 +176,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its input diagnostics and errors become the documented exit codes."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputValidationError as err:
+        for diag in err.diagnostics:
+            print(diag, file=sys.stderr)
+        if args.command == "validate":
+            print(f"INVALID: {len(err.diagnostics)} problem(s)", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as err:
+        print(f"I/O error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except BbandSimError as err:
+        print(f"runtime error: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

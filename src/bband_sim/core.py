@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingDataError, ValidationError
 
@@ -144,6 +144,11 @@ class DecileRecord:
                 f"pop_density {self.pop_density} != population/area {expected}"
             )
 
+    @property
+    def active(self) -> bool:
+        """Populated and not degenerate: only an active decile has demand, revenue and sites."""
+        return self.population > 0 and not self.degenerate
+
 
 @dataclass(frozen=True)
 class SpectrumHolding:
@@ -191,6 +196,13 @@ class CountryParams:
 
     def holdings(self, generation: Generation) -> tuple[SpectrumHolding, ...]:
         return tuple(h for h in self.spectrum_portfolio if h.generation == generation)
+
+    def frequency_set(self, generation: Generation) -> FrequencySet:
+        """The carriers the country holds for ``generation``, in portfolio order."""
+        holdings = self.holdings(generation)
+        if not holdings:
+            raise ValidationError(f"{self.country_iso3} has no {generation.value} spectrum")
+        return FrequencySet(generation, tuple(Carrier(h.frequency_mhz, h.bandwidth_mhz) for h in holdings))
 
 
 @dataclass(frozen=True)
@@ -284,6 +296,26 @@ AXES = (
 DEFAULT_DENSITY_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 
 
+def density_stream_key(site_density: float) -> int:
+    """The density's part of a radio RNG stream key: the density in 1e-6 sites/km^2, rounded."""
+    return int(round(site_density * 1e6))
+
+
+def check_density_grid(grid: Sequence[float]) -> None:
+    """Reject a capacity-table density grid that cannot give a table.
+
+    A grid needs at least 8 points, strictly increasing, each with its own
+    RNG stream: points at least 1e-6 sites/km^2 apart, and from 0.
+    """
+    if len(grid) < 8:
+        raise ValidationError("density grid needs at least 8 points")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError("density grid must be strictly increasing")
+    stream_keys = [density_stream_key(d) for d in grid]
+    if len(set(stream_keys)) < len(grid) or 0 in stream_keys:
+        raise ValidationError("density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream")
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     """Link budget and Monte Carlo controls for the radio simulation."""
@@ -316,6 +348,8 @@ class SimulationParams:
             raise ValidationError("reliability must be in (0, 1)")
         if self.trials < 100:
             raise ValidationError("trials must be >= 100")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.sectors_per_site < 1:
             raise ValidationError("sectors_per_site must be >= 1")
         if not (0 <= self.network_load <= 1):
@@ -374,12 +408,9 @@ class SpectralEfficiencyTable:
     """
 
     rows: Mapping[Generation, tuple[tuple[float, float], ...]]
-    mimo_streams: Mapping[Generation, int] = None
     mimo_efficiency: float = 0.85
 
     def __post_init__(self):
-        if self.mimo_streams is None:
-            object.__setattr__(self, "mimo_streams", dict(MIMO_STREAMS))
         for gen, rows in self.rows.items():
             if not rows:
                 raise ValidationError(f"SE table for {gen.value} is empty")
@@ -393,7 +424,7 @@ class SpectralEfficiencyTable:
                 raise ValidationError(f"SE table for {gen.value}: se_bps_hz must be > 0")
 
     def multiplier(self, generation: Generation) -> float:
-        return self.mimo_streams[generation] * self.mimo_efficiency
+        return MIMO_STREAMS[generation] * self.mimo_efficiency
 
 
 # Income-group compound annual growth defaults for the low / baseline / high

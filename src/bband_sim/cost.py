@@ -6,8 +6,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CostInputs, Settlement, Sharing, StrategyBundle
+from .core import CostInputs, CountryParams, DecileRecord, Settlement, Sharing, StrategyBundle
 from .errors import ValidationError
+
+
+def radio_divisor(strategies: Sequence[StrategyBundle], deciles: Sequence[DecileRecord], n_sharers: int) -> np.ndarray:
+    """(keys, deciles): the operators sharing each decile's radio equipment and backhaul under each key.
+
+    Active sharing shares them in every decile, the shared rural network in
+    rural deciles only; there ``n_sharers`` operators split them, elsewhere
+    one operator runs its own (a divisor of 1.0). Cost and energy both
+    divide by it.
+    """
+    sharing = np.array([s.sharing.value for s in strategies])[:, None]
+    rural = np.array([d.settlement == Settlement.RURAL for d in deciles], dtype=bool)
+    shared = (sharing == Sharing.ACTIVE.value) | ((sharing == Sharing.SRN.value) & rural)
+    return np.where(shared, float(n_sharers), 1.0)
 
 
 def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: Sequence[int]) -> np.ndarray:
@@ -43,25 +57,23 @@ def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: S
 def cost_columns(
     new_sites: np.ndarray,
     upgraded_sites: np.ndarray,
-    settlements: Sequence[Settlement],
     revenue_pv: np.ndarray,
-    population: Sequence[int],
-    decile_index: Sequence[int],
+    deciles: Sequence[DecileRecord],
     strategies: Sequence[StrategyBundle],
-    n_sharers: int,
-    spectrum_mhz: Sequence[float],
+    country: CountryParams,
     costs: CostInputs,
 ) -> dict[str, np.ndarray]:
     """Cost columns of one country's deciles under a batch of strategies.
 
-    Site counts and revenue are (keys, deciles), with one strategy and one
-    MHz figure per key. New and upgraded sites buy equipment, backhaul and
-    core; only new sites buy civil works. Passive sharing divides civils by
-    the sharers, active sharing (and the shared rural network, in rural
-    deciles) also equipment and backhaul; core is never shared (an
+    Site counts and revenue are (keys, deciles), with one strategy per key;
+    the country's major operators are the sharers. New and upgraded sites
+    buy equipment, backhaul and core; only new sites buy civil works.
+    Passive sharing divides civils by the sharers, and :func:`radio_divisor`
+    divides equipment, backhaul and civils; core is never shared (an
     unshared class is divided by 1.0, which is exact). Administration and
     profit scale with the network, tax with revenue, and the spectrum fee
-    is the policy's coefficient x MHz x population; :func:`subsidies` then
+    is the policy's coefficient x the MHz the country holds for the key's
+    generation x the decile population; :func:`subsidies` then
     cross-subsidizes. Equal bit for bit to the per-decile chain in
     ``tests/reference_chains.py``. Keys are the ``*_usd`` result columns.
     """
@@ -69,14 +81,10 @@ def cost_columns(
     n = new + np.asarray(upgraded_sites, dtype=np.int64)
     if (new < 0).any() or (n < new).any():
         raise ValidationError("site counts must be >= 0")
-    if n_sharers < 1:
-        raise ValidationError("n_sharers must be >= 1")
-    sharing = np.array([s.sharing.value for s in strategies])[:, None]
-    rural = np.array([s == Settlement.RURAL for s in settlements], dtype=bool)
-    # deciles whose radio equipment and backhaul are shared
-    radio = (sharing == Sharing.ACTIVE.value) | ((sharing == Sharing.SRN.value) & rural)
-    radio_div = np.where(radio, float(n_sharers), 1.0)
-    civils_div = np.where(sharing == Sharing.PASSIVE.value, float(n_sharers), radio_div)
+    n_sharers = country.n_major_operators
+    radio_div = radio_divisor(strategies, deciles, n_sharers)
+    passive = np.array([s.sharing == Sharing.PASSIVE for s in strategies], dtype=bool)[:, None]
+    civils_div = np.where(passive, float(n_sharers), radio_div)
     backhaul = np.array([costs.backhaul_unit_cost(s.backhaul) for s in strategies])[:, None]
     network = (
         n * costs.equipment_usd / radio_div
@@ -90,10 +98,11 @@ def cost_columns(
     profit = costs.profit_margin * network
     revenue = np.asarray(revenue_pv, dtype=np.float64)
     tax = np.array([costs.tax_rate(s.policy) for s in strategies])[:, None] * revenue
-    fee = np.array([costs.spectrum_coef(s.policy) for s in strategies]) * np.asarray(spectrum_mhz, dtype=np.float64)
-    spectrum = fee[:, None] * np.asarray(population, dtype=np.int64)
+    mhz = {g: country.frequency_set(g).total_bandwidth_mhz for g in {s.generation for s in strategies}}
+    fee = np.array([costs.spectrum_coef(s.policy) * mhz[s.generation] for s in strategies])
+    spectrum = fee[:, None] * np.array([d.population for d in deciles], dtype=np.int64)
     total = network + administration + spectrum + tax + profit
-    subsidy = subsidies(revenue, total, decile_index)
+    subsidy = subsidies(revenue, total, [d.decile_index for d in deciles])
     government = subsidy - (spectrum + tax)
     return {
         "network_usd": network,

@@ -41,6 +41,7 @@ from .core import (
     DIESEL_SOURCE, HORIZON_KEYS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier,
     CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup,
     RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
+    check_density_grid,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -141,13 +142,8 @@ class InputBundle:
     table_portfolios: tuple[FrequencySet, ...] = DEFAULT_TABLE_PORTFOLIOS
 
     def frequency_set(self, country_iso3: str, generation: Generation) -> FrequencySet:
-        holdings = self.countries[country_iso3].holdings(generation)
-        if not holdings:
-            raise ValidationError(f"{country_iso3} has no {generation.value} spectrum")
-        return FrequencySet(
-            generation=generation,
-            carriers=tuple(Carrier(h.frequency_mhz, h.bandwidth_mhz) for h in holdings),
-        )
+        """:meth:`CountryParams.frequency_set` of one country; ``bench/run.py`` calls it."""
+        return self.countries[country_iso3].frequency_set(generation)
 
 
 class _Collector:
@@ -516,7 +512,13 @@ def _build_adoption(config: Mapping[str, Any], space: ScenarioSpace, collector: 
 
 def _build_sim_params(config: Mapping[str, Any], collector: _Collector) -> tuple[SimulationParams, tuple[float, ...]]:
     section = _expect_mapping(config.get("simulation"), "simulation", collector)
-    grid = _config_list(section.get("density_grid", DEFAULT_DENSITY_GRID), float, "simulation.density_grid", collector)
+    raw = section.get("density_grid", DEFAULT_DENSITY_GRID)
+    grid = _config_list(raw, float, "simulation.density_grid", collector)
+    if grid is not None and len(grid) == len(raw):  # a bad item is reported already
+        try:
+            check_density_grid(grid)
+        except ValidationError as err:
+            collector.add("config", 0, f"simulation: {err}")
     return _config_params(SimulationParams, section, "simulation", collector, ("density_grid",)), grid or ()
 
 

@@ -10,11 +10,12 @@ from .core import DEFAULT_ADOPTION_CAGR, AdoptionParams, CountryParams, DecileRe
 from .errors import ValidationError
 
 
-def per_user_busy_hour_rate(
-    capacity_gb_month: float,
-    days: int = 30,
-    busy_hour_share: float = 0.15,
-) -> float:
+#: Days per month, and the busy hour's share of a day's traffic.
+DAYS_PER_MONTH = 30
+BUSY_HOUR_SHARE = 0.15
+
+
+def per_user_busy_hour_rate(capacity_gb_month: float) -> float:
     """Convert a monthly traffic allowance to a busy-hour rate in Mbps.
 
     GB/month -> Mbit/month (x1000 x8), to a daily quantity, then the busy
@@ -22,11 +23,7 @@ def per_user_busy_hour_rate(
     """
     if capacity_gb_month < 0:
         raise ValidationError("capacity_gb_month must be >= 0")
-    if days < 1:
-        raise ValidationError("days must be >= 1")
-    if not (0 < busy_hour_share <= 1):
-        raise ValidationError("busy_hour_share must be in (0, 1]")
-    return capacity_gb_month * 1000.0 * 8.0 / days * busy_hour_share / 3600.0
+    return capacity_gb_month * 1000.0 * 8.0 / DAYS_PER_MONTH * BUSY_HOUR_SHARE / 3600.0
 
 
 def arpu_for_settlement(country: CountryParams, settlement: Settlement) -> float:
@@ -59,7 +56,7 @@ def demand_columns(
     population = np.array([d.population for d in deciles], dtype=np.int64)[:, None]
     smartphone = np.array([adoption.smartphone_base(d.settlement) for d in deciles])[:, None]
     arpu = np.array([arpu_for_settlement(country, d.settlement) for d in deciles])[:, None]
-    active = np.array([d.population > 0 and not d.degenerate for d in deciles], dtype=bool)
+    active = np.array([d.active for d in deciles], dtype=bool)
     area = np.array([d.area_km2 if a else 1.0 for d, a in zip(deciles, active)])
     share, cap = country.market_share, adoption.penetration_cap
     demand, revenue = [], []

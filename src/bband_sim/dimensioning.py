@@ -32,7 +32,7 @@ def site_counts(
     density, unserviceable = map(np.array, zip(*(required_density(t, row) for t, row in zip(tables, demand))))
     area = np.array([d.area_km2 for d in deciles], dtype=np.float64)
     existing = np.broadcast_to(np.array([d.existing_sites for d in deciles], dtype=np.int64), demand.shape)
-    active = np.array([not d.degenerate and d.population > 0 for d in deciles], dtype=bool)
+    active = np.array([d.active for d in deciles], dtype=bool)
     total = np.where(active, np.ceil(density * area - _CEIL_EPS), 0.0).astype(np.int64)
     return {
         "total_sites": total,

@@ -18,12 +18,17 @@ stage, then runs each stage over all its keys, one kernel call per
 country: sites as :func:`demand.demand_columns` over the distinct
 scenarios and :func:`dimensioning.site_counts` over the keys, cost as
 :func:`cost.cost_columns`, and energy as :func:`energy.energy` per
-(country, horizon). The kernels equal the per-decile scalar chains bit
-for bit; the cost and energy chains live on in
-``tests/reference_chains.py`` as their references. A batch that raises
-runs again key by key, so a failing key fails only the runs that need it.
-The :class:`ResultTable` keeps each stage's (country, key, decile) arrays
-and per-row indices.
+(country, horizon). Every kernel takes the same kind of input: the
+batch's (keys, deciles) arrays from earlier stages, the country's
+:class:`DecileRecord` list, one :class:`StrategyBundle` (or
+:class:`ScenarioSpec`) per key, the :class:`CountryParams` and the
+stage's parameters. Each kernel works out its own coefficients (sharing
+divisors, backhaul draw, spectrum MHz, on-grid share, diesel); this
+module only routes keys and slices arrays. The cost and energy kernels
+equal the per-decile scalar chains in ``tests/reference_chains.py`` bit
+for bit. A batch that raises runs again key by key, so a failing key
+fails only the runs that need it. The :class:`ResultTable` keeps each
+stage's (country, key, decile) arrays and per-row indices.
 
 :func:`emit_results` sorts the rows by run key with one ``np.lexsort``. It
 formats each stage row's columns once into a text segment and writes each
@@ -58,14 +63,7 @@ from .cost import cost_columns
 from .data_io import InputBundle
 from .demand import demand_columns
 from .dimensioning import site_counts
-from .energy import (
-    DIESEL_SOURCE,
-    ENERGY_FIELDS,
-    GridSplit,
-    apply_renewables_strategy,
-    energy,
-    sharing_energy_divisor,
-)
+from .energy import ENERGY_FIELDS, energy
 from .errors import BbandSimError, ValidationError
 from .radio import (
     CapacityTable,
@@ -211,7 +209,7 @@ def capacity_tables(
         cache.mkdir(parents=True, exist_ok=True)
     for iso3 in sorted(bundle.countries):
         for gen in generations:
-            freq_set = bundle.frequency_set(iso3, gen)
+            freq_set = bundle.countries[iso3].frequency_set(gen)
             key = table_cache_key(bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid)
             cache_file = cache / f"{key}.csv" if cache is not None else None
             table = by_key.get(key)
@@ -346,35 +344,23 @@ def run_pipeline(
                 for c in range(len(countries)) for keys in groups]
 
     def cost(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
-        iso3, ds, on = countries[c], deciles[countries[c]], site_of[1][keys]
-        batch = [runs[first[1][k]][0] for k in keys]
-        mhz = {g: bundle.frequency_set(iso3, g).total_bandwidth_mhz for g in {s.generation for s in batch}}
+        iso3, on = countries[c], site_of[1][keys]
         return cost_columns(
-            sited["new_sites"][c, on], sited["upgraded_sites"][c, on], [d.settlement for d in ds],
-            sited["revenue_pv_usd"][c, on], [d.population for d in ds], [d.decile_index for d in ds],
-            batch, bundle.countries[iso3].n_major_operators, [mhz[s.generation] for s in batch],
-            bundle.cost_inputs,
+            sited["new_sites"][c, on], sited["upgraded_sites"][c, on], sited["revenue_pv_usd"][c, on], deciles[iso3],
+            [runs[first[1][k]][0] for k in keys], bundle.countries[iso3], bundle.cost_inputs,
         )
 
     costs, cost_errors = _batched("cost", needing_sites(1, [np.arange(len(first[1]))]), cost, shapes[1])
 
     def energy_batch(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
-        iso3, ds, on = countries[c], deciles[countries[c]], site_of[2][keys]
-        country, mix, params = bundle.countries[iso3], bundle.energy_mix[iso3], bundle.energy_params
-        years = runs[first[2][keys[0]]][1].years()
+        iso3, on = countries[c], site_of[2][keys]
+        mix, years = bundle.energy_mix[iso3], runs[first[2][keys[0]]][1].years()
         missing = [year for year in years if year not in mix]
         if missing:
             raise ValidationError(f"{iso3}: no energy mix for year {missing[0]}")
-        batch = [runs[first[2][k]][0] for k in keys]
-        divisor = {sh: [sharing_energy_divisor(sh, d.settlement, country.n_major_operators) for d in ds]
-                   for sh in {s.sharing for s in batch}}
-        grid = {e: apply_renewables_strategy(GridSplit(country.on_grid_share), e)
-                for e in {s.energy_strategy for s in batch}}
         return energy(
-            sited["existing_sites"][c, on], sited["new_sites"][c, on], [divisor[s.sharing] for s in batch],
-            [params.site_kwh_per_hour + params.backhaul_kwh_per_hour(s.backhaul) for s in batch],
-            [grid[s.energy_strategy].on_grid_share for s in batch],
-            [grid[s.energy_strategy].off_grid_source == DIESEL_SOURCE for s in batch],
+            sited["existing_sites"][c, on], sited["new_sites"][c, on], deciles[iso3],
+            [runs[first[2][k]][0] for k in keys], bundle.countries[iso3], bundle.energy_params,
             [mix[year] for year in years], bundle.emission_factors,
         )
 

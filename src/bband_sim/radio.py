@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
+    check_density_grid, density_stream_key,
 )
 from .errors import ValidationError
 
@@ -251,10 +252,6 @@ def shadow_fading_draws(
     return rng.lognormal(mu_ln, sigma_ln, size)
 
 
-def _density_stream_key(site_density: float) -> int:
-    return int(round(site_density * 1e6))
-
-
 def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_density: float) -> np.random.Generator:
     # Stream identity depends only on (seed, generation, carrier, density),
     # never on scheduling order, so parallel table builds are reproducible.
@@ -262,7 +259,7 @@ def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_densi
         4 if generation == Generation.G4 else 5,
         int(round(carrier.frequency_mhz * 1000.0)),
         int(round(carrier.bandwidth_mhz * 1000.0)),
-        _density_stream_key(site_density),
+        density_stream_key(site_density),
     )
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
@@ -433,20 +430,14 @@ def build_capacity_table(
 
     Grid points run independently (optionally across ``jobs`` threads; the
     per-carrier RNG streams make the result scheduling-invariant), then the
-    capacity column is isotonically clipped. Grid points must be at least
-    1e-6 sites/km^2 apart, and from 0, so that each draws its own stream.
+    capacity column is isotonically clipped. The grid must pass
+    :func:`core.check_density_grid`, as the input loader checks it.
     A ``memo`` shared by the builds of one SE table simulates each distinct
     (generation, carrier, density) once; see :func:`simulate_density`. The
     threads work on distinct densities, so they never race on a memo key.
     """
     grid = list(density_grid)
-    if len(grid) < 8:
-        raise ValidationError("density grid needs at least 8 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("density grid must be strictly increasing")
-    stream_keys = [_density_stream_key(d) for d in grid]
-    if len(set(stream_keys)) < len(grid) or 0 in stream_keys:
-        raise ValidationError("density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream")
+    check_density_grid(grid)
 
     def simulate(d: float) -> float:
         return simulate_density(params, se_table, freq_set, d, memo=memo)
@@ -505,7 +496,7 @@ def table_cache_key(
         "model_version": RADIO_MODEL_VERSION,
         "params": asdict(params),
         "se_rows": {gen.value: list(map(list, rows)) for gen, rows in sorted(se_table.rows.items())},
-        "mimo_streams": {gen.value: n for gen, n in sorted(se_table.mimo_streams.items())},
+        "mimo_streams": {gen.value: n for gen, n in sorted(MIMO_STREAMS.items())},
         "mimo_efficiency": se_table.mimo_efficiency,
         "generation": freq_set.generation.value,
         "carriers": [[c.frequency_mhz, c.bandwidth_mhz] for c in freq_set.carriers],

@@ -1,8 +1,10 @@
 """The per-decile scalar chains that the cost and energy kernels equal bit for bit.
 
 :func:`bband_sim.energy.energy` equals, element for element, the chain
-:func:`build_schedule` -> :func:`annual_energy` -> divide ->
-:func:`split_energy` -> :func:`emissions` -> :func:`cumulate_horizon`, and
+:func:`build_schedule` -> :func:`annual_energy` -> divide by
+:func:`sharing_energy_divisor` -> :func:`split_energy` (with the
+:class:`GridSplit` of :func:`apply_renewables_strategy`) ->
+:func:`emissions` -> :func:`cumulate_horizon`, and
 :func:`bband_sim.cost.cost_columns` the chain :func:`decile_components` ->
 :func:`apply_sharing` -> :func:`private_cost` -> :func:`cross_subsidize`.
 The property tests in ``test_energy.py`` and ``test_cost.py`` check both
@@ -12,15 +14,53 @@ against these one decile at a time; the run path uses only the kernels.
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from bband_sim.core import Backhaul, CostInputs, EmissionFactors, EnergyParams, Policy, Settlement, Sharing, ordered_sum
+from bband_sim.core import (
+    Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement, Sharing, ordered_sum,
+)
 from bband_sim.cost import subsidies
-from bband_sim.energy import DIESEL_SOURCE, HOURS_PER_YEAR, GridSplit, check_mix_row
+from bband_sim.energy import DIESEL_SOURCE, HOURS_PER_YEAR, check_mix_row
 from bband_sim.errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
 # Energy and emissions
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GridSplit:
+    """Share of site energy drawn from the grid, and the off-grid source."""
+
+    on_grid_share: float
+    off_grid_source: str = DIESEL_SOURCE  # "diesel" or "renewable"
+
+    def __post_init__(self):
+        if not (0 <= self.on_grid_share <= 1):
+            raise ValidationError("on_grid_share must be in [0, 1]")
+        if self.off_grid_source not in (DIESEL_SOURCE, "renewable"):
+            raise ValidationError(f"unknown off_grid_source {self.off_grid_source!r}")
+
+
+def apply_renewables_strategy(grid: GridSplit, strategy: EnergyStrategy) -> GridSplit:
+    """Swap off-grid diesel generators for renewables when the strategy says so."""
+    if strategy == EnergyStrategy.RENEWABLES:
+        return replace(grid, off_grid_source="renewable")
+    return grid
+
+
+def sharing_energy_divisor(sharing: Sharing, settlement: Settlement, n_sharers: int) -> float:
+    """Operator share of site energy under each sharing model.
+
+    Active sharing runs one set of radio equipment for all sharers, so the
+    modeled operator accounts for 1/n of the site energy; the shared rural
+    network does the same in rural deciles only. Passive sharing leaves the
+    radio equipment duplicated, so energy matches the baseline exactly.
+    """
+    if n_sharers < 1:
+        raise ValidationError("n_sharers must be >= 1")
+    if sharing == Sharing.ACTIVE or (sharing == Sharing.SRN and settlement == Settlement.RURAL):
+        return float(n_sharers)
+    return 1.0
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,11 @@ FACTORS = EmissionFactors(by_source={
 })
 
 
-def _one_year_energy(existing: int, new: int, site_kwh_per_hour: float, on_grid_share: float = 1.0) -> dict:
-    """:func:`energy.energy` of one key and one decile over a one-year horizon, as Python floats."""
-    out = energy([[existing]], [[new]], [[1.0]], [site_kwh_per_hour], [on_grid_share], [True], [MIX], FACTORS)
+def _one_year_energy(existing: int, new: int, params: EnergyParams, on_grid_share: float = 1.0) -> dict:
+    """:func:`energy.energy` of one unshared, wireless, diesel key and one decile over one year, as Python floats."""
+    decile = DecileRecord("AAA", 1, 1, 1.0, existing, 1.0, Settlement.RURAL)
+    country = CountryParams("AAA", IncomeGroup.LIC, 1, (), 0.0, 0.0, 0.0, on_grid_share, 0.0)
+    out = energy([[existing]], [[new]], [decile], [_strategy()], country, params, [MIX], FACTORS)
     return {name: out[name].item() for name in ENERGY_FIELDS}
 
 
@@ -113,7 +115,7 @@ def test_criterion_1_equation_oracles():
     assert free_space_path_loss(0.5, 3500.0) == pytest.approx(97.30, abs=0.01)
 
     params = EnergyParams(site_kwh_per_hour=0.249, backhaul_wireless_kwh_per_hour=0.0)
-    got = _one_year_energy(10, 0, params.site_kwh_per_hour + params.backhaul_kwh_per_hour(Backhaul.WIRELESS))
+    got = _one_year_energy(10, 0, params)
     assert got["energy_kwh"] == pytest.approx(oracles.annual_site_energy_oracle(10, 0.249), rel=1e-12)
     assert got["energy_kwh"] == pytest.approx(21_812.4, abs=1e-9)
 
@@ -228,16 +230,15 @@ def test_criterion_3_directional_claims(directional_runs):
 def test_criterion_4_linearity_and_conservation(bundle, table_cache):
     # doubling site counts doubles energy and every species exactly
     params = EnergyParams()
-    per_site = params.site_kwh_per_hour + params.backhaul_kwh_per_hour(Backhaul.WIRELESS)
     for existing, new in ((7, 5), (120, 33), (0, 9)):
-        single = _one_year_energy(existing, new, per_site, 0.67)
-        double = _one_year_energy(2 * existing, 2 * new, per_site, 0.67)
+        single = _one_year_energy(existing, new, params, 0.67)
+        double = _one_year_energy(2 * existing, 2 * new, params, 0.67)
         for name in ("energy_kwh", *SPECIES):
             assert double[name] == 2.0 * single[name], name
 
     # on-grid + off-grid conserves the total to 1e-12 relative
     for share in (0.0, 0.17, 1 / 3, 0.53, 0.67, 0.94, 1.0):
-        got = _one_year_energy(1, 0, 98765.4321 / 8760, share)
+        got = _one_year_energy(1, 0, EnergyParams(98765.4321 / 8760, backhaul_wireless_kwh_per_hour=0.0), share)
         assert got["energy_kwh"] == pytest.approx(98765.4321, rel=1e-12)
         assert got["on_grid_kwh"] + got["off_grid_kwh"] == pytest.approx(got["energy_kwh"], rel=1e-12)
 

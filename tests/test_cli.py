@@ -33,6 +33,16 @@ def test_validate_broken_exits_2(miniland_copy, capsys):
     assert "countries.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "tables"])
+def test_negative_seed_is_one_line_and_exit_2(miniland_dir, miniland_config, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([command, "--data", str(miniland_dir), "--config", str(miniland_config), "--out", str(out),
+                 "--seed", "-1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "--seed: seed must be >= 0\n"
+    assert not out.exists()
+
+
 def test_run_single_filter(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
     out = tmp_path / "out"

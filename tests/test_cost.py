@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bband_sim.core import Backhaul, EnergyStrategy, Generation, Policy, Settlement, Sharing, StrategyBundle
+from bband_sim.core import (
+    Backhaul, CountryParams, DecileRecord, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement, Sharing,
+    SpectrumHolding, StrategyBundle,
+)
 from bband_sim.cost import CostInputs, cost_columns, subsidies
 from bband_sim.errors import ValidationError
 from reference_chains import (
@@ -197,13 +200,32 @@ class TestCrossSubsidizeProperties:
         assert {c.decile_index: c.subsidy for c in out} == {1: 0.0, 2: 0.0, 3: 30.0}
 
 
+def country(n_sharers, holdings=()):
+    """A country with ``n_sharers`` major operators and the spectrum ``holdings``."""
+    return CountryParams("AAA", IncomeGroup.LIC, n_sharers, tuple(holdings), 0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+def deciles(settlements, population):
+    """Deciles 1..n with the given settlements and populations, each of 1 km^2."""
+    return [DecileRecord("AAA", i, p, 1.0, 0, float(p), s) for i, (s, p) in enumerate(zip(settlements, population), 1)]
+
+
+def held_mhz(country, generation):
+    """The MHz the country holds for ``generation``, added left to right."""
+    total = 0.0
+    for h in country.spectrum_portfolio:
+        if h.generation == generation:
+            total += h.bandwidth_mhz
+    return total
+
+
 @st.composite
 def cost_blocks(draw):
     """Keyword arguments of :func:`cost_columns`: 1-8 strategies over one country's 1-10 deciles.
 
     Site counts include 0. In about half the blocks every decile copies the
     first one's inputs, so each key's deficits tie and the subsidy order
-    rests on the decile index.
+    rests on the decile index. The country holds 1-3 carriers per generation.
     """
     n, k = draw(st.integers(1, 10)), draw(st.integers(1, 8))
     repeat = draw(st.booleans())
@@ -215,16 +237,15 @@ def cost_blocks(draw):
     revenue = st.one_of(st.sampled_from([0.0, 1e5, 2e5, 5e5]), st.floats(0.0, 1e12))
     strategies = st.builds(StrategyBundle, st.sampled_from(Generation), st.sampled_from(Backhaul),
                            st.sampled_from(Sharing), st.sampled_from(Policy), st.sampled_from(EnergyStrategy))
+    holdings = [SpectrumHolding(800.0, draw(st.floats(0.1, 200.0)), g)
+                for g in Generation for _ in range(draw(st.integers(1, 3)))]
     return {
         "new_sites": [per_decile(counts) for _ in range(k)],
         "upgraded_sites": [per_decile(counts) for _ in range(k)],
-        "settlements": per_decile(st.sampled_from(Settlement)),
         "revenue_pv": [per_decile(revenue) for _ in range(k)],
-        "population": per_decile(st.integers(0, 50_000_000)),
-        "decile_index": list(range(1, n + 1)),
+        "deciles": deciles(per_decile(st.sampled_from(Settlement)), per_decile(st.integers(0, 50_000_000))),
         "strategies": draw(st.lists(strategies, min_size=k, max_size=k)),
-        "n_sharers": draw(st.integers(1, 5)),
-        "spectrum_mhz": draw(st.lists(st.floats(0.0, 500.0), min_size=k, max_size=k)),
+        "country": country(draw(st.integers(1, 5)), holdings),
         "costs": CostInputs(),
     }
 
@@ -247,7 +268,7 @@ class TestCostColumns:
     @settings(max_examples=300, deadline=None)
     @given(cost_blocks())
     def test_equals_scalar_chain_bit_for_bit(self, b):
-        costs = b["costs"]
+        costs, n_sharers = b["costs"], b["country"].n_major_operators
         got = cost_columns(**b)
         fields = {"network_usd": "network", "administration_usd": "administration", "spectrum_usd": "spectrum",
                   "tax_usd": "tax", "profit_usd": "profit", "private_cost_usd": "private_cost",
@@ -257,27 +278,31 @@ class TestCostColumns:
         for i, s in enumerate(b["strategies"]):
             chain = cross_subsidize([
                 private_cost(
-                    apply_sharing(decile_components(new, upgraded, s.backhaul, costs), s.sharing, b["n_sharers"],
-                                  settlement).total,
-                    costs, s.policy, revenue, spectrum_mhz=b["spectrum_mhz"][i], population=population,
-                    country_iso3="AAA", decile_index=index,
+                    apply_sharing(decile_components(new, upgraded, s.backhaul, costs), s.sharing, n_sharers,
+                                  d.settlement).total,
+                    costs, s.policy, revenue, spectrum_mhz=held_mhz(b["country"], s.generation),
+                    population=d.population, country_iso3="AAA", decile_index=d.decile_index,
                 )
-                for new, upgraded, settlement, revenue, population, index in zip(
-                    b["new_sites"][i], b["upgraded_sites"][i], b["settlements"], b["revenue_pv"][i],
-                    b["population"], b["decile_index"])
+                for new, upgraded, revenue, d in zip(b["new_sites"][i], b["upgraded_sites"][i], b["revenue_pv"][i],
+                                                     b["deciles"])
             ])
             for column, field in fields.items():
                 assert [x.hex() for x in got[column][i].tolist()] == [float(getattr(c, field)).hex() for c in chain], column
 
     def test_rejects_negative_counts_and_no_sharers(self):
-        args = dict(settlements=[Settlement.RURAL], revenue_pv=[[0.0]], population=[0], decile_index=[1],
+        args = dict(revenue_pv=[[0.0]], deciles=deciles([Settlement.RURAL], [0]),
                     strategies=[StrategyBundle(Generation.G4, Backhaul.FIBER, Sharing.ACTIVE, Policy.BASELINE,
                                                EnergyStrategy.BASELINE)],
-                    spectrum_mhz=[10.0], costs=COSTS)
+                    country=country(2, [SpectrumHolding(800.0, 10.0, Generation.G4)]), costs=COSTS)
         with pytest.raises(ValidationError, match="site counts"):
-            cost_columns(new_sites=[[1]], upgraded_sites=[[-1]], n_sharers=2, **args)
-        with pytest.raises(ValidationError, match="n_sharers"):
-            cost_columns(new_sites=[[1]], upgraded_sites=[[1]], n_sharers=0, **args)
+            cost_columns(new_sites=[[1]], upgraded_sites=[[-1]], **args)
+        # the sharers are the country's major operators, of which there is at least one
+        with pytest.raises(ValidationError, match="n_major_operators"):
+            country(0)
+        # a generation the country holds no spectrum for has no spectrum fee to price
+        g5 = StrategyBundle(Generation.G5, Backhaul.FIBER, Sharing.ACTIVE, Policy.BASELINE, EnergyStrategy.BASELINE)
+        with pytest.raises(ValidationError, match="no 5G spectrum"):
+            cost_columns(new_sites=[[1]], upgraded_sites=[[1]], **dict(args, strategies=[g5]))
 
 
 class TestBatchedSubsidies:

@@ -28,9 +28,9 @@ class TestLoadMiniland:
             assert years == list(range(2023, 2031))
 
     def test_spectrum_portfolios(self, bundle):
-        fs4 = bundle.frequency_set("MLA", Generation.G4)
+        fs4 = bundle.countries["MLA"].frequency_set(Generation.G4)
         assert fs4.total_bandwidth_mhz == 30
-        fs5 = bundle.frequency_set("MLB", Generation.G5)
+        fs5 = bundle.countries["MLB"].frequency_set(Generation.G5)
         assert fs5.total_bandwidth_mhz == 50
 
 

@@ -539,6 +539,28 @@ CASES = {
         [("config.yaml", "density_grid: [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]", "density_grid: 5")],
         ["config: simulation.density_grid must be a list"],
     ),
+    # --- density grids that cannot give a capacity table, and seeds no RNG takes ---
+    "config_density_grid_too_short": (
+        [("config.yaml", "density_grid: [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]",
+          "density_grid: [0.5, 0.2, 1.0]")],
+        ["config: simulation: density grid needs at least 8 points"],
+    ),
+    "config_density_grid_not_increasing": (
+        [("config.yaml", "2.0, 5.0, 10.0]", "2.0, 10.0, 5.0]")],
+        ["config: simulation: density grid must be strictly increasing"],
+    ),
+    "config_density_grid_shared_stream": (
+        [("config.yaml", "density_grid: [0.01, 0.02,", "density_grid: [0.0100001, 0.0100004, 0.02,")],
+        ["config: simulation: density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream"],
+    ),
+    "config_density_grid_stream_of_zero": (
+        [("config.yaml", "density_grid: [0.01,", "density_grid: [4.0e-7, 0.01,")],
+        ["config: simulation: density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream"],
+    ),
+    "config_seed_negative": (
+        [("config.yaml", "seed: 20230", "seed: -5")],
+        ["config: simulation: seed must be >= 0"],
+    ),
     "config_axis_not_a_list": (
         [("config.yaml", "backhaul: [wireless, fiber]", "backhaul: 7")],
         ["config: axes.backhaul must be a list"],
@@ -625,6 +647,24 @@ def test_bad_rates_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
     assert main(["run", *args, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.count(expected[0]) == 2
     assert not (tmp_path / "out").exists()
+
+
+#: The damaged configs that passed ``validate`` before the density grid and
+#: the seed were checked on load: ``run`` and ``tables`` then failed (exit 3,
+#: or a numpy traceback for the seed).
+BAD_TABLE_INPUTS = ("config_density_grid_too_short", "config_density_grid_shared_stream", "config_seed_negative")
+
+
+@pytest.mark.parametrize("case", BAD_TABLE_INPUTS)
+def test_bad_table_inputs_stop_validate_run_and_tables(miniland_copy, tmp_path, capsys, case):
+    edits, expected = CASES[case]
+    damage(miniland_copy, edits)
+    args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
+    assert main(["validate", *args]) == EXIT_VALIDATION
+    assert main(["run", *args, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    assert main(["tables", *args, "--out", str(tmp_path / "tables")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count(expected[0]) == 3
+    assert not (tmp_path / "run").exists() and not (tmp_path / "tables").exists()
 
 
 def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):

@@ -2,27 +2,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bband_sim.core import Backhaul, EnergyStrategy, Settlement, Sharing
+from bband_sim.core import (
+    Backhaul, CountryParams, DecileRecord, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement, Sharing,
+    StrategyBundle,
+)
+from bband_sim.cost import radio_divisor
 from bband_sim.energy import (
-    DIESEL_SOURCE,
     ENERGY_FIELDS,
     MIX_SOURCES,
     EmissionFactors,
     EnergyParams,
     FactorRow,
-    GridSplit,
-    apply_renewables_strategy,
     energy,
-    sharing_energy_divisor,
 )
 from bband_sim.errors import ValidationError
 from reference_chains import (
     Emissions,
+    GridSplit,
     YearEnergy,
     annual_energy,
+    apply_renewables_strategy,
     build_schedule,
     cumulate_horizon,
     emissions,
+    sharing_energy_divisor,
     split_energy,
 )
 
@@ -38,6 +41,27 @@ FACTORS = EmissionFactors(by_source={
 
 ALL_COAL = {"coal": 1.0, "gas": 0.0, "oil": 0.0, "nuclear": 0.0, "hydro": 0.0, "renewables_other": 0.0}
 ALL_GREEN = {"coal": 0.0, "gas": 0.0, "oil": 0.0, "nuclear": 0.0, "hydro": 0.0, "renewables_other": 1.0}
+
+
+def strategy(backhaul=Backhaul.WIRELESS, sharing=Sharing.BASELINE, energy_strategy=EnergyStrategy.BASELINE):
+    return StrategyBundle(Generation.G4, backhaul, sharing, Policy.BASELINE, energy_strategy)
+
+
+def country(n_sharers=1, on_grid_share=1.0):
+    """A country with ``n_sharers`` major operators; energy reads nothing else of it but the on-grid share."""
+    return CountryParams("AAA", IncomeGroup.LIC, n_sharers, (), 0.0, 0.0, 0.0, on_grid_share, 0.0)
+
+
+def deciles(settlements):
+    """One populated decile per settlement, in order."""
+    return [DecileRecord("AAA", i, 1, 1.0, 0, 1.0, s) for i, s in enumerate(settlements, start=1)]
+
+
+def one_decile(existing, new, key, on_grid_share, mix=ALL_COAL):
+    """The kernel's horizon totals of one key over one rural decile, as Python floats."""
+    out = energy([[existing]], [[new]], deciles([Settlement.RURAL]), [key], country(1, on_grid_share), EnergyParams(),
+                 [mix], FACTORS)
+    return {name: out[name].item() for name in ENERGY_FIELDS}
 
 
 class TestAnnualEnergy:
@@ -119,40 +143,36 @@ class TestEmissions:
 
 class TestRenewablesStrategy:
     def test_baseline_keeps_diesel(self):
-        grid = apply_renewables_strategy(GridSplit(0.5), EnergyStrategy.BASELINE)
-        assert grid.off_grid_source == DIESEL_SOURCE
+        got = one_decile(10, 0, strategy(), 0.0, ALL_GREEN)
+        assert got["co2_kg"] == got["off_grid_kwh"] * FACTORS.diesel.co2_kg_kwh > 0
 
     def test_renewables_swaps_source(self):
-        grid = apply_renewables_strategy(GridSplit(0.5), EnergyStrategy.RENEWABLES)
-        assert grid.off_grid_source == "renewable"
+        got = one_decile(10, 0, strategy(energy_strategy=EnergyStrategy.RENEWABLES), 0.0, ALL_GREEN)
+        assert got["off_grid_kwh"] > 0
+        assert [got[name] for name in ("co2_kg", "nox_g", "sox_g", "pm10_g")] == [0.0] * 4
 
     def test_no_effect_when_fully_on_grid(self):
-        mix = ALL_COAL
-        base = emissions(*split_energy(1000.0, GridSplit(1.0)), mix, FACTORS, GridSplit(1.0))
-        green_grid = apply_renewables_strategy(GridSplit(1.0), EnergyStrategy.RENEWABLES)
-        green = emissions(*split_energy(1000.0, green_grid), mix, FACTORS, green_grid)
+        base = one_decile(10, 5, strategy(), 1.0)
+        green = one_decile(10, 5, strategy(energy_strategy=EnergyStrategy.RENEWABLES), 1.0)
         assert base == green
 
     def test_strictly_lower_when_off_grid_exists(self):
-        mix = ALL_COAL
-        for strategy, grid in ((EnergyStrategy.BASELINE, GridSplit(0.67)),):
-            on, off = split_energy(1000.0, grid)
-            base = emissions(on, off, mix, FACTORS, grid)
-            green_grid = apply_renewables_strategy(grid, EnergyStrategy.RENEWABLES)
-            green = emissions(on, off, mix, FACTORS, green_grid)
-            assert green.co2_kg < base.co2_kg
-            assert green.nox_g < base.nox_g
-            assert green.sox_g < base.sox_g
-            assert green.pm10_g < base.pm10_g
+        base = one_decile(10, 5, strategy(), 0.67)
+        green = one_decile(10, 5, strategy(energy_strategy=EnergyStrategy.RENEWABLES), 0.67)
+        for name in ("co2_kg", "nox_g", "sox_g", "pm10_g"):
+            assert green[name] < base[name], name
 
 
 class TestSharingDivisor:
     def test_rules(self):
-        assert sharing_energy_divisor(Sharing.BASELINE, Settlement.RURAL, 4) == 1.0
-        assert sharing_energy_divisor(Sharing.PASSIVE, Settlement.RURAL, 4) == 1.0
-        assert sharing_energy_divisor(Sharing.ACTIVE, Settlement.URBAN, 4) == 4.0
-        assert sharing_energy_divisor(Sharing.SRN, Settlement.RURAL, 4) == 4.0
-        assert sharing_energy_divisor(Sharing.SRN, Settlement.URBAN, 4) == 1.0
+        settlements = deciles([Settlement.RURAL, Settlement.URBAN])
+        strategies = [strategy(sharing=sharing) for sharing in Sharing]
+        assert radio_divisor(strategies, settlements, 4).tolist() == [
+            [1.0, 1.0],  # baseline
+            [1.0, 1.0],  # passive
+            [4.0, 4.0],  # active
+            [4.0, 1.0],  # srn: rural deciles only
+        ]
 
 
 class TestSchedule:
@@ -232,39 +252,39 @@ def mix_rows(draw, n_years):
 def energy_blocks(draw, max_sites=5_000_000):
     """A batch of 1-8 energy keys over one country's 1-10 deciles.
 
-    Each key has its own site counts (0 included), sharing, sharers,
-    backhaul and grid (energy strategy and on-grid share); settlements and
+    Each key has its own site counts (0 included) and strategy (sharing,
+    backhaul and energy strategy); settlements, sharers, on-grid share and
     the mix rows are the country's, shared by every key.
     """
     n = draw(st.integers(1, 10))
     site_counts = st.lists(st.one_of(st.just(0), st.integers(0, 50), st.integers(0, max_sites)), min_size=n, max_size=n)
-    shares = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    strategies = st.builds(strategy, st.sampled_from(Backhaul), st.sampled_from(Sharing),
+                           st.sampled_from(EnergyStrategy))
     keys = [{
         "existing_sites": draw(site_counts),
         "new_sites": draw(site_counts),
-        "sharing": draw(st.sampled_from(Sharing)),
-        "n_sharers": draw(st.integers(1, 5)),
-        "backhaul": draw(st.sampled_from(Backhaul)),
-        "grid": apply_renewables_strategy(GridSplit(draw(shares)), draw(st.sampled_from(EnergyStrategy))),
+        "strategy": draw(strategies),
     } for _ in range(draw(st.integers(1, 8)))]
     return {
         "keys": keys,
         "settlements": draw(st.lists(st.sampled_from(Settlement), min_size=n, max_size=n)),
+        "n_sharers": draw(st.integers(1, 5)),
+        "on_grid_share": draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
         "mix_rows": draw(mix_rows(draw(st.integers(1, 30)))),
         "params": EnergyParams(),
         "factors": FACTORS,
     }
 
 
-def batch_energy(keys, settlements, mix_rows, params, factors):
+def batch_energy(keys, settlements, n_sharers, on_grid_share, mix_rows, params, factors):
     """:func:`energy` of a block: one kernel call over all its keys."""
     return energy(
         [k["existing_sites"] for k in keys],
         [k["new_sites"] for k in keys],
-        [[sharing_energy_divisor(k["sharing"], s, k["n_sharers"]) for s in settlements] for k in keys],
-        [params.site_kwh_per_hour + params.backhaul_kwh_per_hour(k["backhaul"]) for k in keys],
-        [k["grid"].on_grid_share for k in keys],
-        [k["grid"].off_grid_source == DIESEL_SOURCE for k in keys],
+        deciles(settlements),
+        [k["strategy"] for k in keys],
+        country(n_sharers, on_grid_share),
+        params,
         mix_rows,
         factors,
     )
@@ -277,15 +297,17 @@ def scaled(block, k):
     return dict(block, keys=keys)
 
 
-def scalar_chain(existing_sites, new_sites, settlements, sharing, n_sharers, backhaul, grid, mix_rows, params, factors):
+def scalar_chain(existing_sites, new_sites, strategy, settlements, n_sharers, on_grid_share, mix_rows, params,
+                 factors):
     """Per-decile horizon totals of one key from the scalar functions, one decile-year at a time."""
+    grid = apply_renewables_strategy(GridSplit(on_grid_share), strategy.energy_strategy)
     out = []
     for existing, new, settlement in zip(existing_sites, new_sites, settlements):
-        divisor = sharing_energy_divisor(sharing, settlement, n_sharers)
+        divisor = sharing_energy_divisor(strategy.sharing, settlement, n_sharers)
         per_year, cumulative = [], 0
         for year, (builds, mix) in enumerate(zip(build_schedule(new, len(mix_rows)), mix_rows), start=2023):
             cumulative += builds
-            kwh = annual_energy(existing, cumulative, params, backhaul)
+            kwh = annual_energy(existing, cumulative, params, strategy.backhaul)
             kwh /= divisor
             on, off = split_energy(kwh, grid)
             per_year.append(YearEnergy(year, kwh, on, off, emissions(on, off, mix, factors, grid)))
@@ -305,7 +327,7 @@ class TestEnergyKernel:
     def test_equals_scalar_chain_bit_for_bit(self, block):
         got = batch_energy(**block)
         assert list(got) == list(ENERGY_FIELDS)
-        shared = {name: block[name] for name in ("settlements", "mix_rows", "params", "factors")}
+        shared = {name: value for name, value in block.items() if name != "keys"}
         for i, key in enumerate(block["keys"]):
             columns = zip(*(got[f][i].tolist() for f in ENERGY_FIELDS))
             for kernel_row, chain_row in zip(columns, scalar_chain(**key, **shared), strict=True):
@@ -315,7 +337,7 @@ class TestEnergyKernel:
     @given(energy_blocks(max_sites=1_000_000), st.integers(2, 50))
     def test_linear_in_site_counts(self, block, k):
         # subnormal products lose the exactness of doubling
-        assume(all(key["grid"].on_grid_share == 0.0 or key["grid"].on_grid_share > 1e-300 for key in block["keys"]))
+        assume(block["on_grid_share"] == 0.0 or block["on_grid_share"] > 1e-300)
         # a whole number of builds per year keeps the build schedule linear
         n_years = len(block["mix_rows"])
         for key in block["keys"]:
@@ -334,8 +356,8 @@ class TestEnergyKernel:
     @given(energy_blocks())
     def test_on_and_off_grid_conserve_energy(self, block):
         got = batch_energy(**block)
-        for i, key in enumerate(block["keys"]):
-            share = key["grid"].on_grid_share
+        share = block["on_grid_share"]
+        for i in range(len(block["keys"])):
             for total, on, off in zip(*(got[f][i].tolist() for f in ("energy_kwh", "on_grid_kwh", "off_grid_kwh"))):
                 assert on + off == pytest.approx(total, rel=1e-12)
                 assert on == pytest.approx(share * total, rel=1e-12)
@@ -346,9 +368,9 @@ class TestEnergyKernel:
 
     def test_each_mix_row_checked(self):
         bad = dict(ALL_COAL, coal=0.97)
-        key = {"existing_sites": [1], "new_sites": [2], "sharing": Sharing.BASELINE, "n_sharers": 3,
-               "backhaul": Backhaul.FIBER, "grid": GridSplit(0.5)}
-        block = {"keys": [key], "settlements": [Settlement.RURAL], "params": EnergyParams(), "factors": FACTORS}
+        key = {"existing_sites": [1], "new_sites": [2], "strategy": strategy(Backhaul.FIBER)}
+        block = {"keys": [key], "settlements": [Settlement.RURAL], "n_sharers": 3, "on_grid_share": 0.5,
+                 "params": EnergyParams(), "factors": FACTORS}
         with pytest.raises(ValidationError, match="sum"):
             batch_energy(**block, mix_rows=[ALL_COAL, bad])
         with pytest.raises(ValidationError, match="unknown mix sources"):

@@ -115,8 +115,8 @@ MINILAND_CACHE_KEYS = {
 
 def test_miniland_cache_keys_unchanged(bundle):
     keys = {
-        (iso3, gen.value): table_cache_key(bundle.sim_params, bundle.se_table, bundle.frequency_set(iso3, gen),
-                                           bundle.density_grid)
+        (iso3, gen.value): table_cache_key(bundle.sim_params, bundle.se_table,
+                                           bundle.countries[iso3].frequency_set(gen), bundle.density_grid)
         for iso3 in sorted(bundle.countries) for gen in bundle.strategy_space.generations
     }
     assert keys == MINILAND_CACHE_KEYS

@@ -101,11 +101,10 @@ class TestRunPipeline:
 
         real = pl.energy
 
-        def explode(existing, new, divisor, *args):
-            # actively shared keys divide every decile's energy among the sharers
-            if (np.asarray(divisor) > 1).all(axis=1).any():
+        def explode(existing, new, deciles, strategies, *args):
+            if any(s.sharing == Sharing.ACTIVE for s in strategies):
                 raise ValidationError("synthetic failure")
-            return real(existing, new, divisor, *args)
+            return real(existing, new, deciles, strategies, *args)
 
         monkeypatch.setattr(pl, "energy", explode)
         strategy, scenario = BASELINE_RUN
@@ -129,18 +128,19 @@ class TestRunPipeline:
         real_cost, real_energy, cost_batches = pl.cost_columns, pl.energy, []
 
         def cost(*args):
-            strategies, n_sharers = args[6], args[7]
+            strategies, country = args[4], args[5]
             cost_batches.append(len(strategies))
-            # MLB has 4 operators, MLA 3
-            if n_sharers == 4 and (Sharing.ACTIVE, Policy.HIGH_TAX) in {(s.sharing, s.policy) for s in strategies}:
+            if country.country_iso3 == "MLB" and (Sharing.ACTIVE, Policy.HIGH_TAX) in {
+                    (s.sharing, s.policy) for s in strategies}:
                 raise ValidationError("cost key failed in MLB")
             return real_cost(*args)
 
-        def energy(existing, new, divisor, site_kwh, share, diesel, *args):
-            # MLA's actively shared, diesel-free key: every divisor is MLA's 3 operators
-            if ((np.asarray(divisor) == 3).all(axis=1) & ~np.asarray(diesel)).any():
+        def energy(existing, new, deciles, strategies, country, *args):
+            # MLA's actively shared, diesel-free key
+            if country.country_iso3 == "MLA" and (Sharing.ACTIVE, EnergyStrategy.RENEWABLES) in {
+                    (s.sharing, s.energy_strategy) for s in strategies}:
                 raise ValidationError("energy key failed in MLA")
-            return real_energy(existing, new, divisor, site_kwh, share, diesel, *args)
+            return real_energy(existing, new, deciles, strategies, country, *args)
 
         monkeypatch.setattr(pl, "cost_columns", cost)
         monkeypatch.setattr(pl, "energy", energy)
@@ -247,7 +247,7 @@ class TestRunPipeline:
         assert len(sims) == len(set(sims)) == 6 * len(small.density_grid)
         monkeypatch.undo()
         for (iso3, gen), table in tables.items():
-            fs = small.frequency_set(iso3, gen)
+            fs = small.countries[iso3].frequency_set(gen)
             assert table == build(small.sim_params, small.se_table, fs, small.density_grid)
 
     def test_shared_cache_file_read_once_per_call(self, bundle, table_cache, monkeypatch):
