@@ -372,6 +372,11 @@ class Carrier:
             raise ValidationError("carrier frequency and bandwidth must be > 0")
 
 
+def carrier_stream_key(carrier: Carrier) -> tuple[int, int]:
+    """The carrier's part of a radio RNG stream key: frequency and bandwidth in kHz, rounded."""
+    return int(round(carrier.frequency_mhz * 1000.0)), int(round(carrier.bandwidth_mhz * 1000.0))
+
+
 @dataclass(frozen=True)
 class FrequencySet:
     """The carriers a generation deploys, e.g. 4G on 800+1800+2500 MHz."""
@@ -382,6 +387,15 @@ class FrequencySet:
     def __post_init__(self):
         if not self.carriers:
             raise ValidationError("frequency set needs at least one carrier")
+        keys = [carrier_stream_key(c) for c in self.carriers]
+        for i, key in enumerate(keys):
+            j = keys.index(key)
+            if j < i:
+                a, b = self.carriers[j], self.carriers[i]
+                raise ValidationError(
+                    f"carriers [{a.frequency_mhz!r}, {a.bandwidth_mhz!r}] and [{b.frequency_mhz!r}, "
+                    f"{b.bandwidth_mhz!r}] are equal to 1 kHz, so they would share an RNG stream"
+                )
 
     @property
     def label(self) -> str:

@@ -612,6 +612,11 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         for gen in strategy_space.generations:
             if not params.holdings(gen):
                 collector.add("spectrum.csv", 0, f"{iso3}: no {gen.value} carriers in portfolio")
+                continue
+            try:
+                params.frequency_set(gen)
+            except ValidationError as err:
+                collector.add("spectrum.csv", 0, f"{iso3}: {gen.value} {err}")
 
     regions = _regions(_read_csv(data_dir / "regions.csv", collector), countries, collector)
     for iso3 in sorted(countries):

@@ -55,7 +55,9 @@ def energy(
     the per-decile, per-year chain in ``tests/reference_chains.py``: each
     element sees the same operations in the same order, sources add in
     each mix row's own order, the diesel add is masked, and years reduce
-    sequentially.
+    sequentially. Working memory is a few (keys, deciles, years) arrays:
+    the four species are built one at a time, and each field's years are
+    reduced in place, on their own.
     """
     existing = np.asarray(existing_sites, dtype=np.int64)
     new = np.asarray(new_sites, dtype=np.int64)
@@ -68,10 +70,11 @@ def energy(
         check_mix_row(row)
 
     q, r = np.divmod(new, n_years)
-    builds = q[..., None] + (np.arange(n_years) < r[..., None])
     per_site = np.array([params.site_kwh_per_hour + params.backhaul_kwh_per_hour(s.backhaul) for s in strategies])
     divisor = radio_divisor(strategies, deciles, country.n_major_operators)[..., None]
-    kwh = (existing[..., None] + np.cumsum(builds, axis=-1)) * per_site[:, None, None] * HOURS_PER_YEAR / divisor
+    operating = existing[..., None] + np.cumsum(q[..., None] + (np.arange(n_years) < r[..., None]), axis=-1)
+    kwh = operating * per_site[:, None, None] * HOURS_PER_YEAR / divisor
+    del operating  # (keys, deciles, years) ints no later step reads
     on = kwh * country.on_grid_share
     off = kwh - on
 
@@ -84,14 +87,22 @@ def energy(
         for row in mix_rows
     ]
     shares = np.array([[share for share, _ in year] for year in slots])
-    coef = np.array([[f for _, f in year] for year in slots]).transpose(2, 0, 1)[:, None, None]  # (species, 1, 1, year, slot)
+    coef = np.array([[f for _, f in year] for year in slots])  # (year, slot, species)
     used = np.arange(width) < np.array([len(row) for row in mix_rows])[:, None]
-    species = np.zeros((4, *kwh.shape))
-    for k in range(width):
-        np.add(species, on * shares[:, k] * coef[..., k], out=species, where=used[:, k])
     burns = np.array([s.energy_strategy != EnergyStrategy.RENEWABLES for s in strategies], dtype=bool)[:, None, None]
-    np.add(species, off * np.array(factors.diesel.as_tuple())[:, None, None, None], out=species, where=burns)
+    totals, term = {}, np.empty(kwh.shape)
+    for i, (name, diesel) in enumerate(zip(ENERGY_FIELDS[3:], factors.diesel.as_tuple())):
+        species = np.zeros(kwh.shape)
+        for k in range(width):
+            np.multiply(on, shares[:, k], out=term)
+            term *= coef[:, k, i]
+            np.add(species, term, out=species, where=used[:, k])
+        np.multiply(off, diesel, out=term)
+        np.add(species, term, out=species, where=burns)
+        totals[name] = _horizon_total(species)
+    return {**dict(zip(ENERGY_FIELDS, map(_horizon_total, (kwh, on, off)))), **totals}
 
-    # copied, so that the totals do not keep the whole cumsum buffer alive
-    totals = np.cumsum(np.stack([kwh, on, off, *species]), axis=-1)[..., -1].copy()
-    return dict(zip(ENERGY_FIELDS, totals))
+
+def _horizon_total(per_year: np.ndarray) -> np.ndarray:
+    """The sum over the last (year) axis, added in year order, overwriting ``per_year``."""
+    return np.cumsum(per_year, axis=-1, out=per_year)[..., -1].copy()

@@ -30,11 +30,16 @@ for bit. A batch that raises runs again key by key, so a failing key
 fails only the runs that need it. The :class:`ResultTable` keeps each
 stage's (country, key, decile) arrays and per-row indices.
 
-:func:`emit_results` sorts the rows by run key with one ``np.lexsort``. It
-formats each stage row's columns once into a text segment and writes each
-``results_decile.csv`` row as its five segments joined. The country file
-and the summaries are group-bys (``np.bincount``/``np.add.at``) that add in
-sorted row order, exactly as a running total would.
+:func:`emit_results` sorts the rows by run key with one ``np.lexsort`` and
+writes each file one :data:`EMIT_BLOCK` of rows at a time, so the result
+text it holds does not grow with the rows. A ``results_decile.csv`` row is
+its five stage segments joined: the decile and run segments are formatted
+once, and each block formats only the keyed stage rows it refers to. The
+country file and the summaries are group-bys (``np.bincount``/
+``np.add.at``) that add in sorted row order, exactly as a running total
+would. Besides the result table, the run path's working memory is then a
+few (keys, deciles, years) arrays in :func:`energy.energy` and one block
+of text.
 """
 
 from __future__ import annotations
@@ -390,11 +395,12 @@ def run_pipeline(
     per_run = len(countries) * N_DECILES
     run = np.repeat(good, per_run)
     place = np.tile(np.arange(per_run), len(good))  # (country, decile) within the run
-    country, decile = np.divmod(place, N_DECILES)
+    country, decile = np.divmod(np.arange(per_run), N_DECILES)
     stages = {"decile": (place, _decile_columns([d for iso3 in countries for d in deciles[iso3]]))}
     for j, (stage, columns) in enumerate(zip(_KEYED_STAGES, (sited, costs, used))):
-        index = (country * len(first[j]) + key_ids[run, j]) * N_DECILES + decile
-        stages[stage] = (index, {name: values.reshape(-1) for name, values in columns.items()})
+        # stage row (country, key, decile), built per run and place, not per row
+        index = key_ids[good, j, None] * N_DECILES + (country * len(first[j]) * N_DECILES + decile)
+        stages[stage] = (index.reshape(-1), {name: values.reshape(-1) for name, values in columns.items()})
     return PipelineOutput(ResultTable(list(runs), run, stages), failures)
 
 
@@ -430,26 +436,30 @@ _SUMMARIES = [
      ["energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"], {"sharing": "baseline", "policy": "baseline"}),
 ]
 
-#: Rows of ``results_decile.csv`` formatted and written per block.
-EMIT_BLOCK = 4096
+#: Rows of each result file formatted and written per block: the text of
+#: one block at a time is all the text that emission holds.
+EMIT_BLOCK = 1024
 
 
-def format_column(values: np.ndarray) -> np.ndarray:
-    """The CSV text of each value, as an object array.
+def format_rows(columns: Sequence[np.ndarray]) -> list[str]:
+    """The CSV text of each row of equal-length ``columns``, its values joined by commas.
 
     Integers verbatim, bools as 1/0, floats at 6 significant digits,
-    strings as they are. Each distinct value is formatted once; floats are
-    told apart by bit pattern, so -0.0 and 0.0 keep their own text.
+    strings as they are. The columns of one kind are formatted together,
+    each distinct value once, and rows share its text; floats are told
+    apart by bit pattern, so -0.0 and 0.0 keep their own text.
     """
-    if values.dtype.kind == "b":
-        return np.array(["0", "1"], dtype=object)[values.astype(np.intp)]
-    if values.dtype.kind == "f":
-        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        text = [f"{v:.6g}" for v in distinct.view(np.float64).tolist()]
-    else:
-        distinct, inverse = np.unique(values, return_inverse=True)
-        text = [str(v) for v in distinct.tolist()]
-    return np.array(text, dtype=object)[inverse]
+    kinds = ["i" if values.dtype.kind == "b" else values.dtype.kind for values in columns]  # bools stack as 0/1
+    texts: list = [None] * len(columns)
+    for kind in set(kinds):
+        which = [i for i, k in enumerate(kinds) if k == kind]
+        stacked = np.stack([columns[i] for i in which])
+        distinct, inverse = np.unique(stacked.view(np.int64) if kind == "f" else stacked, return_inverse=True)
+        spec = {"f": "{:.6g}", "i": "{:d}"}.get(kind, "{}")
+        text = np.array(list(map(spec.format, distinct.view(stacked.dtype).tolist())), dtype=object)
+        for i, column_text in zip(which, text[inverse.reshape(stacked.shape)].tolist()):
+            texts[i] = column_text
+    return list(map(",".join, zip(*texts)))
 
 
 def _group_sums(
@@ -458,15 +468,16 @@ def _group_sums(
     group: Sequence[str],
     sums: Sequence[tuple[str, str, float]],
     where: Mapping[str, str] | None = None,
-) -> dict[str, np.ndarray]:
-    """Per-group sums over the rows ``order`` lists, as columns.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-group sums over the rows ``order`` lists: each group's first row, and the sums as columns.
 
     ``group`` names ``country_iso3`` (first, if at all) and run-key
-    columns; groups come sorted by their values. ``sums`` holds
-    ``(column, source, zero)`` triples: a float zero sums as float, an int
-    zero counts in integers. Rows whose run differs from ``where`` are
-    skipped. Each sum adds its rows in ``order`` (``np.bincount`` and
-    ``np.add.at`` add in index order), as a running total would.
+    columns; groups come sorted by their values, which are those of their
+    first row. ``sums`` holds ``(column, source, zero)`` triples: a float
+    zero sums as float, an int zero counts in integers. Rows whose run
+    differs from ``where`` are skipped. Each sum adds its rows in ``order``
+    (``np.bincount`` and ``np.add.at`` add in index order), as a running
+    total would.
     """
     run_ok = np.ones(len(table.runs), dtype=bool)
     for f, v in (where or {}).items():
@@ -480,10 +491,11 @@ def _group_sums(
     rows = order[run_ok[table.run[order]]]
     key = run_code[table.run[rows]]
     if "country_iso3" in group:
-        _, country = np.unique(table.column("country_iso3", rows), return_inverse=True)
-        key = country * radix + key
+        index, columns = table.stage("decile")
+        _, country = np.unique(columns["country_iso3"], return_inverse=True)
+        key += country[index[rows]] * radix
     _, first, gid = np.unique(key, return_index=True, return_inverse=True)
-    out = {f: table.column(f, rows[first]) for f in group}
+    out = {}
     for column, source, zero in sums:
         values = table.column(source, rows)
         if isinstance(zero, float) or values.dtype.kind == "f":
@@ -491,7 +503,7 @@ def _group_sums(
         else:
             out[column] = np.zeros(len(first), dtype=np.int64)
             np.add.at(out[column], gid, values)
-    return out
+    return rows[first], out
 
 
 def aggregate_country_rows(table: ResultTable) -> list[dict]:
@@ -499,37 +511,51 @@ def aggregate_country_rows(table: ResultTable) -> list[dict]:
 
     Rows are summed in table order, one dict per (country, run key), sorted.
     """
-    sums = _group_sums(table, np.arange(len(table)), _COUNTRY_GROUP, _COUNTRY_SUMS)
-    return [dict(zip(COUNTRY_COLUMNS, row)) for row in zip(*(sums[c].tolist() for c in COUNTRY_COLUMNS))]
+    first, sums = _group_sums(table, np.arange(len(table)), _COUNTRY_GROUP, _COUNTRY_SUMS)
+    columns = {**{f: table.column(f, first) for f in _COUNTRY_GROUP}, **sums}
+    return [dict(zip(COUNTRY_COLUMNS, row)) for row in zip(*(columns[c].tolist() for c in COUNTRY_COLUMNS))]
 
 
-def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]) -> None:
-    """Write ``columns`` as the header, then each block of per-column texts as rows."""
+def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[str]]) -> None:
+    """Write ``columns`` as the header, then each block of row texts."""
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
-            for block in blocks:
-                lines = list(map(",".join, zip(*block)))
+            for lines in blocks:
                 if lines:
                     fh.write("\n".join(lines) + "\n")
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
-def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[list[str]]]:
-    """Blocks of ``results_decile.csv`` rows in ``order``, as five stage segments per row.
+def _blocks(n: int) -> Iterable[slice]:
+    """Consecutive slices of at most :data:`EMIT_BLOCK` of ``n`` rows."""
+    return (slice(start, start + EMIT_BLOCK) for start in range(0, n, EMIT_BLOCK))
 
-    A segment is the text of one stage row's written columns, each value
-    formatted once per stage and the values joined by commas.
+
+def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[str]]:
+    """``results_decile.csv`` row texts in ``order``, one block of :data:`EMIT_BLOCK` rows at a time.
+
+    A row's text is its five stage segments joined, a segment being one
+    stage row's columns. The decile and run segments, which scale with
+    deciles and runs, are formatted once. A block formats only the keyed
+    stage rows it refers to: sorted rows group by (country, decile), and a
+    keyed stage row is one (country, key, decile), so it falls in one group
+    and is formatted about once in all.
     """
-    segments = []
-    for stage, names in STAGE_COLUMNS.items():
+    fixed = []
+    for stage in ("decile", "run"):
         index, columns = table.stage(stage)
-        texts = [format_column(columns[name]).tolist() for name in names]
-        segments.append((index, np.array(list(map(",".join, zip(*texts))), dtype=object)))
-    for start in range(0, len(order), EMIT_BLOCK):
-        rows = order[start:start + EMIT_BLOCK]
-        yield [text[index[rows]].tolist() for index, text in segments]
+        fixed.append((index, format_rows([columns[name] for name in STAGE_COLUMNS[stage]])))
+    for block in _blocks(len(order)):
+        rows = order[block]
+        parts = [map(text.__getitem__, index[rows].tolist()) for index, text in fixed]
+        for stage in _KEYED_STAGES:
+            index, columns = table.stage(stage)
+            stage_rows, inverse = np.unique(index[rows], return_inverse=True)
+            text = format_rows([columns[name][stage_rows] for name in STAGE_COLUMNS[stage]])
+            parts.append(map(text.__getitem__, inverse.tolist()))
+        yield list(map(",".join, zip(*parts)))
 
 
 def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
@@ -537,21 +563,27 @@ def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
 
     Output is byte-stable: rows are fully sorted, floats carry 6 significant
     digits, and re-running with identical inputs rewrites identical files.
-    Every sum adds its rows in sorted order.
+    Every sum adds its rows in sorted order. Each file is formatted and
+    written one :data:`EMIT_BLOCK` of rows at a time, so the text held at
+    once does not grow with the number of rows.
     """
     start = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     order = table.sort_order()
 
-    def write(path: Path, columns: Sequence[str], sums: Mapping[str, np.ndarray]) -> None:
-        _write_csv(path, columns, [[format_column(sums[c]).tolist() for c in columns]])
+    def write(name: str, group: Sequence[str], sums: Sequence[tuple[str, str, float]],
+              where: Mapping[str, str] | None = None) -> Path:
+        first, totals = _group_sums(table, order, group, sums, where)
+        _write_csv(out / name, [*group, *(column for column, _, _ in sums)], (
+            format_rows([*(table.column(f, first[block]) for f in group), *(totals[c][block] for c, _, _ in sums)])
+            for block in _blocks(len(first))
+        ))
+        return out / name
 
-    paths = [out / "results_decile.csv", out / "results_country.csv"]
+    paths = [out / "results_decile.csv"]
     _write_csv(paths[0], DECILE_COLUMNS, _decile_blocks(table, order))
-    write(paths[1], COUNTRY_COLUMNS, _group_sums(table, order, _COUNTRY_GROUP, _COUNTRY_SUMS))
-    for name, group, values, where in _SUMMARIES:
-        paths.append(out / name)
-        write(paths[-1], [*group, *values], _group_sums(table, order, group, [(f, f, 0.0) for f in values], where))
+    paths.append(write("results_country.csv", _COUNTRY_GROUP, _COUNTRY_SUMS))
+    paths += [write(name, group, [(f, f, 0.0) for f in values], where) for name, group, values, where in _SUMMARIES]
     _log_stage("emit", len(table), len(paths), 0, start)
     return paths

@@ -13,18 +13,24 @@ spectral efficiency times bandwidth, sectors and site density, summed over
 the carriers in use.
 
 Every (carrier, density) simulation derives its own RNG stream from the seed
-and its identifying integers, so tables are bit-identical regardless of how
+and its identifying integers (:func:`core.carrier_stream_key` and
+:func:`core.density_stream_key`; a frequency set and a density grid reject
+two entries with one key), so tables are bit-identical regardless of how
 the work is scheduled across threads. A simulation draws the receiver
 drops and the serving shadow fading for all its trials, then runs the
-interferer chain over blocks of :data:`TRIAL_BLOCK` trials, drawing each
-block's interferer shadow fading as it goes; the stream yields the same
-numbers as one whole-array draw, so working memory is bounded by the block
-size, not by trials x interferers. Each element is the same arithmetic as
+interferer chain over blocks of consecutive trials of at most
+:data:`BLOCK_ELEMENTS` (trial, interferer) paths, drawing each block's
+interferer shadow fading as it goes; the stream yields the same numbers as
+one whole-array draw, so the chain's working memory is bounded by the
+block size, not by trials x interferers, however many rings there are.
+Each element is the same arithmetic as
 :func:`free_space_path_loss`, :func:`received_signal` and :func:`sinr` on
 whole arrays. A carrier's contribution depends only on
 (params, SE table, generation, carrier, density), so builds that share a
 memo (see :func:`simulate_density`) simulate each distinct carrier once
-per density. ``jobs`` threads split a table's grid densities.
+per density. ``jobs`` threads split a table's grid densities; the thread
+pool is imported only when a build uses one, so a run whose tables all come
+from the cache never loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,7 +48,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
-    check_density_grid, density_stream_key,
+    carrier_stream_key, check_density_grid, density_stream_key,
 )
 from .errors import ValidationError
 
@@ -54,11 +59,13 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 #: value, so that tables cached by older code are rebuilt, not reused.
 RADIO_MODEL_VERSION = 1
 
-#: Trials per block of the interferer chain in :func:`trial_sinr_db`. Its
-#: four (block, interferers) buffers, shadow fading included, bound the
-#: chain's memory and fit in a core's L2 cache at two rings; results do not
-#: depend on it.
-TRIAL_BLOCK = 2048
+#: (trial, interferer) paths per block of the interferer chain in
+#: :func:`trial_sinr_db`: a block holds ``max(1, BLOCK_ELEMENTS //
+#: interferers)`` trials, 2048 at two rings. Its four (block, interferers)
+#: buffers, shadow fading included, take about 25 bytes per path, so the
+#: chain's memory is bounded whatever the ring count, and they fit in a
+#: core's L2 cache; results do not depend on it.
+BLOCK_ELEMENTS = 36864
 
 
 @dataclass(frozen=True)
@@ -255,12 +262,7 @@ def shadow_fading_draws(
 def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_density: float) -> np.random.Generator:
     # Stream identity depends only on (seed, generation, carrier, density),
     # never on scheduling order, so parallel table builds are reproducible.
-    key = (
-        4 if generation == Generation.G4 else 5,
-        int(round(carrier.frequency_mhz * 1000.0)),
-        int(round(carrier.bandwidth_mhz * 1000.0)),
-        density_stream_key(site_density),
-    )
+    key = (4 if generation == Generation.G4 else 5, *carrier_stream_key(carrier), density_stream_key(site_density))
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
@@ -304,9 +306,10 @@ def trial_sinr_db(
     draws come from the carrier's own stream in a fixed order: hexagon
     drops, serving shadow, then the (trials, interferers) shadow array in
     row order, one block of rows at a time. The serving path runs on whole
-    arrays and the interferer paths over blocks of :data:`TRIAL_BLOCK`
-    trials, so memory beyond the per-trial arrays is bounded by the block
-    size. Each element is computed exactly as :func:`free_space_path_loss`,
+    arrays and the interferer paths over blocks of at most
+    :data:`BLOCK_ELEMENTS` paths, so memory beyond the per-trial arrays is
+    bounded by the block size, whatever the ring count. Each element is
+    computed exactly as :func:`free_space_path_loss`,
     :func:`received_signal` and :func:`sinr` compute it on whole arrays. A
     signal below float range gives -inf.
     """
@@ -334,7 +337,7 @@ def trial_sinr_db(
 
     total = np.empty(n)  # interference sum, then plus noise, then the SINR
     if m:
-        rows = min(TRIAL_BLOCK, n)
+        rows = min(max(1, BLOCK_ELEMENTS // m), n)
         path, scratch, mask = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m), bool)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
@@ -443,6 +446,8 @@ def build_capacity_table(
         return simulate_density(params, se_table, freq_set, d, memo=memo)
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(simulate, grid))
     else:

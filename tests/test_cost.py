@@ -237,8 +237,9 @@ def cost_blocks(draw):
     revenue = st.one_of(st.sampled_from([0.0, 1e5, 2e5, 5e5]), st.floats(0.0, 1e12))
     strategies = st.builds(StrategyBundle, st.sampled_from(Generation), st.sampled_from(Backhaul),
                            st.sampled_from(Sharing), st.sampled_from(Policy), st.sampled_from(EnergyStrategy))
-    holdings = [SpectrumHolding(800.0, draw(st.floats(0.1, 200.0)), g)
-                for g in Generation for _ in range(draw(st.integers(1, 3)))]
+    # carriers of one generation at distinct frequencies: equal ones would share an RNG stream
+    holdings = [SpectrumHolding(800.0 + 100.0 * i, draw(st.floats(0.1, 200.0)), g)
+                for g in Generation for i in range(draw(st.integers(1, 3)))]
     return {
         "new_sites": [per_decile(counts) for _ in range(k)],
         "upgraded_sites": [per_decile(counts) for _ in range(k)],

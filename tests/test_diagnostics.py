@@ -210,6 +210,13 @@ CASES = {
         [("spectrum.csv", "MLA,5G,700,10\nMLA,5G,3500,30\n", "")],
         ["spectrum.csv: MLA: no 5G carriers in portfolio"],
     ),
+    # carriers equal to 1 kHz would draw from one RNG stream
+    "spectrum_carriers_share_a_stream": (
+        [("spectrum.csv", "MLA,4G,800,10", "MLA,4G,800.0001,10"),
+         ("spectrum.csv", "MLA,4G,1800,10", "MLA,4G,800.0004,10")],
+        ["spectrum.csv: MLA: 4G carriers [800.0001, 10.0] and [800.0004, 10.0] are equal to 1 kHz, so they would "
+         "share an RNG stream"],
+    ),
     "regions_id_empty": (
         [("regions.csv", "MLA-R05,MLA", ",MLA")],
         ["regions.csv:6: region_id is empty"],
@@ -443,6 +450,12 @@ CASES = {
         [("config.yaml", APPEND, "tables:\n  portfolios:\n    - {generation: 6G, carriers: [[800, 10]]}\n")],
         ["config: tables.portfolios: '6G' is not a valid Generation"],
     ),
+    "config_table_portfolio_carriers_share_a_stream": (
+        [("config.yaml", APPEND,
+          "tables:\n  portfolios:\n    - {generation: 4G, carriers: [[800.0001, 10], [800.0004, 10]]}\n")],
+        ["config: tables.portfolios: carriers [800.0001, 10.0] and [800.0004, 10.0] are equal to 1 kHz, so they "
+         "would share an RNG stream"],
+    ),
     "config_settlement_unordered": (
         [("config.yaml", "urban_min_density: 1500", "urban_min_density: 100")],
         ["config: settlement thresholds must satisfy urban_min > suburban_min > 0"],
@@ -652,7 +665,8 @@ def test_bad_rates_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
 #: The damaged configs that passed ``validate`` before the density grid and
 #: the seed were checked on load: ``run`` and ``tables`` then failed (exit 3,
 #: or a numpy traceback for the seed).
-BAD_TABLE_INPUTS = ("config_density_grid_too_short", "config_density_grid_shared_stream", "config_seed_negative")
+BAD_TABLE_INPUTS = ("config_density_grid_too_short", "config_density_grid_shared_stream", "config_seed_negative",
+                    "config_table_portfolio_carriers_share_a_stream")
 
 
 @pytest.mark.parametrize("case", BAD_TABLE_INPUTS)
@@ -665,6 +679,16 @@ def test_bad_table_inputs_stop_validate_run_and_tables(miniland_copy, tmp_path, 
     assert main(["tables", *args, "--out", str(tmp_path / "tables")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.count(expected[0]) == 3
     assert not (tmp_path / "run").exists() and not (tmp_path / "tables").exists()
+
+
+def test_carriers_sharing_a_stream_stop_validate_and_run(miniland_copy, tmp_path, capsys):
+    edits, expected = CASES["spectrum_carriers_share_a_stream"]
+    damage(miniland_copy, edits)
+    args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
+    assert main(["validate", *args]) == EXIT_VALIDATION
+    assert main(["run", *args, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count(expected[0]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):

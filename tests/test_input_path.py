@@ -2,7 +2,8 @@
 
 ``data_io`` imports only ``core`` and ``errors``, and neither imports numpy,
 so ``validate``, ``import bband_sim`` and ``import bband_sim.cli`` never
-load it; ``run`` and ``tables`` do when they start.
+load it; ``run`` and ``tables`` do when they start. A ``run`` whose capacity
+tables all come from the cache never loads the thread pool either.
 """
 
 import ast
@@ -47,6 +48,32 @@ def test_validate_and_imports_load_no_numpy(miniland_dir, miniland_config, minil
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "OK"
     assert "population" in child.stderr  # the damaged copy was reported, not skipped
+
+
+#: Runs ``cli.main`` on the given arguments in a fresh interpreter, then
+#: checks that nothing loaded ``concurrent.futures``.
+RUN_CHILD = """
+import sys
+import bband_sim.cli as cli
+assert cli.main(sys.argv[1:]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("concurrent"))
+assert not loaded, loaded
+"""
+
+
+def test_warm_cache_run_loads_no_thread_pool(bundle, miniland_dir, miniland_config, table_cache, tmp_path):
+    from bband_sim.pipeline import capacity_tables
+
+    capacity_tables(bundle, cache_dir=table_cache)  # every table is in the cache now
+    env = {**os.environ, "BBAND_SIM_CACHE": str(table_cache),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    argv = ["run", "--data", miniland_dir, "--config", miniland_config, "--out", out, "--jobs", "2",
+            "--runs", "generation=4G,capacity=30"]
+    child = subprocess.run([sys.executable, "-c", RUN_CHILD, *map(str, argv)], env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert (out / "results_decile.csv").is_file()
 
 
 def relative_imports(module: str) -> set[str]:

@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,13 +28,14 @@ from bband_sim.errors import ValidationError
 from bband_sim.pipeline import (
     COUNTRY_COLUMNS,
     DECILE_COLUMNS,
+    EMIT_BLOCK,
     RUN_KEY_COLUMNS,
     STAGE_COLUMNS,
     PipelineOutput,
     ResultTable,
     aggregate_country_rows,
     emit_results,
-    format_column,
+    format_rows,
     run_pipeline,
 )
 from reference_chains import DecileCost
@@ -338,6 +340,15 @@ class TestEmitResults:
         second = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
         assert first == second
 
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_block_size_does_not_change_bytes(self, bundle, table_cache, tmp_path, monkeypatch, block):
+        # 48 runs, 960 rows in one default block; small blocks end inside (country, decile) groups
+        table = run_pipeline(bundle, filtered_runs(bundle, "policy=baseline,energy=baseline,adoption=baseline"),
+                             cache_dir=table_cache).results
+        want = emitted(table, tmp_path / "default")
+        monkeypatch.setattr(pipeline, "EMIT_BLOCK", block)
+        assert emitted(table, tmp_path / "small") == want
+
     def test_country_file_matches_decile_sums(self, baseline_output, tmp_path):
         emit_results(baseline_output.results, tmp_path)
         with (tmp_path / "results_decile.csv").open() as fh:
@@ -551,11 +562,18 @@ class TestFormatting:
         ["MLA", "rural", "4G", "MLA"],
     ])
     def test_column_matches_row_formatter(self, values):
-        assert format_column(np.array(values)).tolist() == [row_formatter(v) for v in values]
+        assert format_rows([np.array(values)]) == [row_formatter(v) for v in values]
 
     def test_signed_zero_and_nan_payloads_keep_their_text(self):
-        text = format_column(np.array([0.0, -0.0, NAN, -NAN])).tolist()
+        text = format_rows([np.array([0.0, -0.0, NAN, -NAN])])
         assert text == ["0", "-0", f"{NAN:.6g}", f"{-NAN:.6g}"]
+
+    def test_rows_of_mixed_columns_match_row_formatter(self):
+        n = len(SPECIAL_FLOATS)
+        columns = [np.array(SPECIAL_FLOATS), np.arange(n) * 10**14, np.arange(n) % 3 == 0,
+                   np.array(["MLA", "rural"] * (n // 2)), np.array(SPECIAL_FLOATS[::-1])]
+        want = [",".join(map(row_formatter, row)) for row in zip(*(values.tolist() for values in columns))]
+        assert format_rows(columns) == want
 
     def test_emit_special_values_bytes(self, tmp_path):
         emit_results(special_table(), tmp_path)
@@ -566,6 +584,45 @@ class TestFormatting:
         special, table = special_table(), baseline_output.results
         for name in DECILE_COLUMNS:
             assert special.column(name).dtype.kind == table.column(name).dtype.kind, name
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """The run path's working memory does not grow with result rows."""
+
+    def test_emission_holds_one_block_of_text(self, bundle, table_cache, tmp_path):
+        table = run_pipeline(bundle, cache_dir=table_cache).results
+        # results_decile.csv alone is about 7 MB of text in 28 blocks; one
+        # block's text, the sort order and the country sums stay under 4 MB
+        assert traced_peak(emit_results, table, tmp_path) < 4e6
+        assert (tmp_path / "results_decile.csv").stat().st_size > 6e6
+        assert len(table) > 28 * EMIT_BLOCK
+
+    def test_energy_stage_holds_a_few_year_arrays(self, bundle, table_cache, monkeypatch):
+        real, peaks = pipeline.energy, []
+
+        def traced(existing, new, deciles, strategies, country, params, mix_rows, factors):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(existing, new, deciles, strategies, country, params, mix_rows, factors)
+            # in (keys, deciles, years) float arrays
+            peaks.append((tracemalloc.get_traced_memory()[1] - held) / (existing.size * len(mix_rows) * 8))
+            return out
+
+        monkeypatch.setattr(pipeline, "energy", traced)
+        out = traced_peak(run_pipeline, bundle, None, 1, table_cache)
+        assert out and len(peaks) == 2
+        # kwh, on-grid, off-grid, one species, one term buffer and the totals
+        assert max(peaks) < 8
 
 
 class TestEdgeCasesEndToEnd:

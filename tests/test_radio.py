@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim import radio
-from bband_sim.core import Generation
+from bband_sim.core import Generation, carrier_stream_key
 from bband_sim.errors import ValidationError
 from bband_sim.radio import (
     Carrier,
@@ -286,8 +286,8 @@ class TestBlockedKernel:
         (2000, 1, 64, DEEP_SHADOW),
     ])
     def test_matches_unblocked_chain_bit_for_bit(self, monkeypatch, trials, rings, block, extra):
-        if block is not None:
-            monkeypatch.setattr(radio, "TRIAL_BLOCK", block)
+        if block is not None:  # trials per block: the element budget over 3r(r+1) interferers
+            monkeypatch.setattr(radio, "BLOCK_ELEMENTS", block * 3 * rings * (rings + 1))
         params = SimulationParams(trials=trials, seed=31, interferer_rings=rings, **extra)
         for carrier, density in ((Carrier(700.0, 10.0), 0.05), (Carrier(3500.0, 40.0), 2.0)):
             with warnings.catch_warnings():
@@ -299,7 +299,7 @@ class TestBlockedKernel:
             assert np.isneginf(got).any()
 
     def test_receiver_positions_match_unblocked_chain(self, monkeypatch):
-        monkeypatch.setattr(radio, "TRIAL_BLOCK", 2)
+        monkeypatch.setattr(radio, "BLOCK_ELEMENTS", 2 * 18)  # two trials at two rings
         params = SimulationParams(trials=2000, seed=5, interferer_rings=2)
         positions = [(0.0, 0.0), (0.3, -0.1), (0.05, 0.4), (-0.2, 0.2), (0.5, 0.0)]
         carrier = Carrier(1800.0, 10.0)
@@ -324,18 +324,53 @@ class TestBlockedKernel:
         assert [d for d, _ in table.rows] == list(GRID)
 
 
+def kernel_peak_bytes(params: SimulationParams) -> int:
+    tracemalloc.start()
+    try:
+        trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernelMemory:
     def test_peak_memory_bounded_by_trial_block(self):
         # The whole (trials, interferers) shadow array alone would be 14.4 MB
         # here: 50k trials x 36 interferers at three rings.
-        params = SimulationParams(trials=50_000, seed=3, interferer_rings=3)
-        tracemalloc.start()
-        try:
-            trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert kernel_peak_bytes(SimulationParams(trials=50_000, seed=3, interferer_rings=3)) < 8e6
+
+    def test_peak_memory_does_not_grow_with_rings(self):
+        # 20 rings are 1260 interferers: one block of all 400 trials would
+        # hold about 12.6 MB in its four buffers; blocks of at most
+        # BLOCK_ELEMENTS paths hold under 1 MB, as at two rings.
+        params = SimulationParams(trials=400, seed=3, interferer_rings=20)
+        assert kernel_peak_bytes(params) < 2e6
+        got = trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 0.5)
+        want = reference_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 0.5)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCarrierStreams:
+    def test_stream_key_is_the_carrier_in_khz(self):
+        assert carrier_stream_key(Carrier(800.0001, 10.0)) == (800_000, 10_000)
+        assert carrier_stream_key(Carrier(3500.0, 40.0004)) == (3_500_000, 40_000)
+
+    def test_carrier_rng_is_keyed_by_the_stream_key(self):
+        def draws(carrier):
+            return radio._carrier_rng(7, Generation.G4, carrier, 0.5).random(4).tolist()
+
+        assert draws(Carrier(800.0001, 10.0)) == draws(Carrier(800.0004, 10.0)) == draws(Carrier(800.0, 10.0))
+        assert draws(Carrier(800.001, 10.0)) != draws(Carrier(800.0, 10.0))
+
+    @pytest.mark.parametrize("carriers", [
+        ((800.0001, 10.0), (800.0004, 10.0)),
+        ((1800.0, 10.0), (2600.0, 20.0), (1800.0, 10.0)),
+        ((700.0, 10.0), (700.0, 10.0004)),
+    ])
+    def test_frequency_set_rejects_carriers_sharing_a_stream(self, carriers):
+        with pytest.raises(ValidationError, match="equal to 1 kHz, so they would share an RNG stream"):
+            FrequencySet(Generation.G4, tuple(Carrier(*c) for c in carriers))
+        FrequencySet(Generation.G4, tuple(Carrier(f + 0.001 * i, bw) for i, (f, bw) in enumerate(carriers)))
 
 
 class TestCarrierMemo:
