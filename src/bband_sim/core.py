@@ -417,12 +417,12 @@ class SpectralEfficiencyTable:
     ``rows`` maps generation to ordered ``(min_sinr_db, se_bps_hz)`` pairs,
     strictly increasing in both columns. Lookup picks the largest row whose
     threshold the SINR meets; below the lowest row means no service. The
-    result is scaled by the generation's MIMO streams times an efficiency
-    factor (the table values are single-stream).
+    values are single-stream: :func:`radio.carrier_capacity` scales them by
+    the generation's :data:`MIMO_STREAMS` times
+    :attr:`SimulationParams.mimo_efficiency`.
     """
 
     rows: Mapping[Generation, tuple[tuple[float, float], ...]]
-    mimo_efficiency: float = 0.85
 
     def __post_init__(self):
         for gen, rows in self.rows.items():
@@ -436,9 +436,6 @@ class SpectralEfficiencyTable:
                 raise ValidationError(f"SE table for {gen.value}: se_bps_hz not strictly increasing")
             if any(se <= 0 for se in ses):
                 raise ValidationError(f"SE table for {gen.value}: se_bps_hz must be > 0")
-
-    def multiplier(self, generation: Generation) -> float:
-        return MIMO_STREAMS[generation] * self.mimo_efficiency
 
 
 # Income-group compound annual growth defaults for the low / baseline / high
@@ -665,7 +662,7 @@ def build_deciles(
     region. Population and site totals are exact integer sums, so they
     are conserved exactly; area is the left-to-right float sum of the
     bin's regions in sorted order. Empty bins (fewer than 10 regions)
-    come back degenerate with zero population and area.
+    come back degenerate and rural, with zero population, area and sites.
     """
     if not regions:
         raise MissingDataError(f"{country_iso3}: no regions supplied")
@@ -689,35 +686,19 @@ def build_deciles(
     for idx, size in enumerate(sizes, start=1):
         members = ordered[start:start + size]
         start += size
-        if not members:
-            deciles.append(
-                DecileRecord(
-                    country_iso3=country_iso3,
-                    decile_index=idx,
-                    population=0,
-                    area_km2=0.0,
-                    existing_sites=0,
-                    pop_density=0.0,
-                    settlement=Settlement.RURAL,
-                    degenerate=True,
-                )
-            )
-            continue
         population = sum(m.population for m in members)
         area = ordered_sum(m.area_km2 for m in members)
-        sites = sum(m.existing_sites for m in members)
-        density = population / area
-        deciles.append(
-            DecileRecord(
-                country_iso3=country_iso3,
-                decile_index=idx,
-                population=population,
-                area_km2=area,
-                existing_sites=sites,
-                pop_density=density,
-                settlement=classify_settlement(density, thresholds),
-            )
-        )
+        density = population / area if members else 0.0  # an empty bin classifies as rural
+        deciles.append(DecileRecord(
+            country_iso3=country_iso3,
+            decile_index=idx,
+            population=population,
+            area_km2=area,
+            existing_sites=sum(m.existing_sites for m in members),
+            pop_density=density,
+            settlement=classify_settlement(density, thresholds),
+            degenerate=not members,
+        ))
     return deciles
 
 

@@ -90,11 +90,6 @@ SCHEMAS = {
     ),
 }
 
-
-REGIONS_HEADER, COUNTRIES_HEADER, SPECTRUM_HEADER, ENERGY_MIX_HEADER, EMISSION_FACTORS_HEADER, SE_TABLE_HEADER = (
-    ",".join(column for column, _, _ in columns) for columns in SCHEMAS.values()
-)
-
 # Frequency sets used by the `tables` command when the config does not
 # override them: three 10 MHz carriers for 4G, 10 + 40 MHz for 5G.
 DEFAULT_TABLE_PORTFOLIOS = (
@@ -333,7 +328,7 @@ def _emission_factors(rows: Rows, collector: _Collector) -> EmissionFactors | No
         return None
 
 
-def _se_table(path: Path, mimo_efficiency: float, collector: _Collector) -> SpectralEfficiencyTable | None:
+def _se_table(path: Path, collector: _Collector) -> SpectralEfficiencyTable | None:
     rows_by_gen: dict[Generation, list[tuple[float, float]]] = {}
     for _, (gen, min_sinr, se) in _read_csv(path, collector, SCHEMAS["se_table.csv"]):
         rows_by_gen.setdefault(gen, []).append((min_sinr, se))
@@ -343,16 +338,16 @@ def _se_table(path: Path, mimo_efficiency: float, collector: _Collector) -> Spec
     if missing:
         return None
     try:
-        return SpectralEfficiencyTable(rows={g: tuple(r) for g, r in rows_by_gen.items()}, mimo_efficiency=mimo_efficiency)
+        return SpectralEfficiencyTable(rows={g: tuple(r) for g, r in rows_by_gen.items()})
     except ValidationError as err:
         collector.add(path.name, 0, str(err))
         return None
 
 
-def load_se_table(path: Path | str, mimo_efficiency: float) -> SpectralEfficiencyTable:
+def load_se_table(path: Path | str) -> SpectralEfficiencyTable:
     """Read one SE table in the ``se_table.csv`` schema; raise :class:`InputValidationError` on any problem."""
     collector = _Collector()
-    table = _se_table(Path(path), mimo_efficiency, collector)
+    table = _se_table(Path(path), collector)
     collector.raise_if_any()
     return table
 
@@ -555,10 +550,8 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
     return tuple(portfolios) if portfolios else DEFAULT_TABLE_PORTFOLIOS
 
 
-def load_config(config_path: Path | str, collector: _Collector | None = None) -> dict[str, Any]:
-    """Parse the YAML config document and check its top-level structure."""
-    own = collector is None
-    collector = collector or _Collector()
+def load_config(config_path: Path | str, collector: _Collector) -> dict[str, Any]:
+    """Parse the YAML config document and report problems with its top-level structure."""
     path = Path(config_path)
     raw = None
     if not path.is_file():
@@ -575,8 +568,6 @@ def load_config(config_path: Path | str, collector: _Collector | None = None) ->
     for key in raw:
         if key not in CONFIG_SECTIONS:
             collector.add(path.name, 0, f"unknown config section {key!r} (valid: {CONFIG_SECTIONS})")
-    if own:
-        collector.raise_if_any()
     return raw
 
 
@@ -622,12 +613,17 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     for iso3 in sorted(countries):
         if iso3 not in regions:
             collector.add("regions.csv", 0, f"country {iso3} has no regions")
+    for iso3, records in sorted(regions.items()):
+        # a run holds decile sums as 64-bit integers, and a country's total bounds them all
+        over = [c for c in ("population", "existing_sites") if sum(getattr(r, c) for r in records) > 2**63 - 1]
+        if over:
+            collector.add("regions.csv", 0, f"{iso3}: total {' and total '.join(over)} above 2**63 - 1")
 
     years = range(scenario_space.start_year, scenario_space.end_year + 1)
     energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries, years, collector)
     emission_factors = _emission_factors(_read_csv(data_dir / "emission_factors.csv", collector), collector)
 
-    se_table = _se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
+    se_table = _se_table(_se_table_path(data_dir), collector)
 
     collector.raise_if_any()
     return InputBundle(
@@ -670,7 +666,7 @@ def load_table_inputs(config_path: Path | str, data_dir: Path | str | None = Non
     config = load_config(config_path, collector)
     sim_params, density_grid = _build_sim_params(config, collector)
     portfolios = _build_table_portfolios(config, collector)
-    se_table = _se_table(_se_table_path(data_dir), sim_params.mimo_efficiency, collector)
+    se_table = _se_table(_se_table_path(data_dir), collector)
     collector.raise_if_any()
     return TableInputs(sim_params, density_grid, se_table, portfolios)
 

@@ -26,9 +26,10 @@ stage's parameters. Each kernel works out its own coefficients (sharing
 divisors, backhaul draw, spectrum MHz, on-grid share, diesel); this
 module only routes keys and slices arrays. The cost and energy kernels
 equal the per-decile scalar chains in ``tests/reference_chains.py`` bit
-for bit. A batch that raises runs again key by key, so a failing key
-fails only the runs that need it. The :class:`ResultTable` keeps each
-stage's (country, key, decile) arrays and per-row indices.
+for bit. A batch that raises, or computes a non-finite float, runs again
+key by key, so a failing key fails only the runs that need it. The
+:class:`ResultTable` keeps each stage's (country, key, decile) arrays and
+per-row indices.
 
 :func:`emit_results` sorts the rows by run key with one ``np.lexsort`` and
 writes each file one :data:`EMIT_BLOCK` of rows at a time, so the result
@@ -261,15 +262,19 @@ def _batched(
 ) -> tuple[dict[str, np.ndarray], dict[tuple[int, int], str]]:
     """One stage over (country, key ids) batches, one ``compute`` call per non-empty batch.
 
-    A batch that raises runs again one key at a time, so each failing key
-    fails alone. Returns the stage's columns, shaped ``shape`` (countries,
-    keys, deciles), zero where no key was computed, and each failing
-    (country, key)'s error. ``counts`` adds its text, from the columns and
+    A batch that raises, or that computes a non-finite value in a float
+    column, runs again one key at a time, so each failing key fails alone.
+    Returns the stage's columns, shaped ``shape`` (countries, keys,
+    deciles), zero where no key was computed, and each failing (country,
+    key)'s error. ``counts`` adds its text, from the columns and
     errors, to the stage's log line.
     """
     start, calls, columns, errors = time.perf_counter(), 0, {}, {}
 
     def put(country: int, keys: np.ndarray, out: Mapping[str, np.ndarray]) -> None:
+        for name, values in out.items():
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                raise ValidationError(f"{stage} stage: non-finite {name}")
         for name, values in out.items():
             if name not in columns:
                 columns[name] = np.zeros(shape, dtype=values.dtype)
@@ -302,8 +307,9 @@ def run_pipeline(
     failing run is recorded with the first failing stage key it needs
     (countries sorted, then sites, cost, energy) and does not abort the
     rest. ``jobs`` is the thread count for capacity-table builds; the runs
-    themselves execute in one thread. The result table holds rows in
-    deterministic run order: runs as given, then countries sorted, then
+    themselves execute in one thread. The result table lists the runs as
+    given, failed ones included, and holds rows of the runs that did not
+    fail in deterministic order: runs as given, then countries sorted, then
     deciles; :func:`emit_results` sorts them by run key.
     """
     if runs is None:
@@ -386,12 +392,6 @@ def run_pipeline(
             failures.append(RunFailure(*runs[i], error))
             logger.error("run failed (%s, %s): %s", *runs[i], error)
     good = np.flatnonzero(ok)
-    if not good.size:
-        none = np.empty(0, dtype=np.intp)
-        stages = {stage: (none, {name: np.empty(0) for name in names})
-                  for stage, names in STAGE_COLUMNS.items() if stage != "run"}
-        return PipelineOutput(ResultTable([], none, stages), failures)
-
     per_run = len(countries) * N_DECILES
     run = np.repeat(good, per_run)
     place = np.tile(np.arange(per_run), len(good))  # (country, decile) within the run
@@ -400,7 +400,8 @@ def run_pipeline(
     for j, (stage, columns) in enumerate(zip(_KEYED_STAGES, (sited, costs, used))):
         # stage row (country, key, decile), built per run and place, not per row
         index = key_ids[good, j, None] * N_DECILES + (country * len(first[j]) * N_DECILES + decile)
-        stages[stage] = (index.reshape(-1), {name: values.reshape(-1) for name, values in columns.items()})
+        stages[stage] = (index.reshape(-1), {name: columns.get(name, np.zeros(0)).reshape(-1)
+                                             for name in STAGE_COLUMNS[stage]})
     return PipelineOutput(ResultTable(list(runs), run, stages), failures)
 
 

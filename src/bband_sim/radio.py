@@ -7,10 +7,11 @@ from rings of neighbouring sites (6k sites at distance k*ISD for ring k).
 Propagation is free-space path loss with a lognormally distributed shadow
 fading excess (see :func:`shadow_fading_draws`) and a fixed extra loss for
 paths beyond the LoS breakpoint. Per-trial
-SINR maps through a step lookup table to spectral efficiency; the capacity
-credited to a density is the reliability-level (default 10th percentile)
-spectral efficiency times bandwidth, sectors and site density, summed over
-the carriers in use.
+SINR maps through a step lookup table to single-stream spectral
+efficiency, scaled by the generation's MIMO streams times
+``params.mimo_efficiency``; the capacity credited to a density is the
+reliability-level (default 10th percentile) spectral efficiency times
+bandwidth, sectors and site density, summed over the carriers in use.
 
 Every (carrier, density) simulation derives its own RNG stream from the seed
 and its identifying integers (:func:`core.carrier_stream_key` and
@@ -23,9 +24,10 @@ interferer chain over blocks of consecutive trials of at most
 interferer shadow fading as it goes; the stream yields the same numbers as
 one whole-array draw, so the chain's working memory is bounded by the
 block size, not by trials x interferers, however many rings there are.
-Each element is the same arithmetic as
-:func:`free_space_path_loss`, :func:`received_signal` and :func:`sinr` on
-whole arrays. A carrier's contribution depends only on
+Every element takes the same arithmetic, in the same order, whatever the
+block size (see :func:`_received_mw`), and ``tests/reference_chains.py``
+keeps the unblocked whole-array chain that the kernel equals bit for bit.
+A carrier's contribution depends only on
 (params, SE table, generation, carrier, density), so builds that share a
 memo (see :func:`simulate_density`) simulate each distinct carrier once
 per density. ``jobs`` threads split a table's grid densities; the thread
@@ -100,47 +102,6 @@ class CapacityTable:
         return self.rows[-1][1]
 
 
-def free_space_path_loss(
-    distance_km,
-    freq_mhz: float,
-    los_breakpoint_m: float = 500.0,
-    nlos_excess_db: float = 12.0,
-    min_distance_m: float = 10.0,
-):
-    """Free-space path loss in dB, with a fixed NLoS penalty past the breakpoint.
-
-    ``20 log10(d_km) + 20 log10(f_MHz) + 32.44``; distances are clamped to
-    ``min_distance_m`` to avoid the origin singularity, and paths strictly
-    longer than the breakpoint take ``nlos_excess_db`` extra loss. Accepts
-    scalars or arrays.
-    """
-    if freq_mhz <= 0:
-        raise ValidationError("freq_mhz must be > 0")
-    d = np.maximum(np.asarray(distance_km, dtype=float), min_distance_m / 1000.0)
-    loss = 20.0 * np.log10(d) + 20.0 * np.log10(freq_mhz) + 32.44
-    loss = loss + np.where(d * 1000.0 > los_breakpoint_m, nlos_excess_db, 0.0)
-    if loss.ndim == 0:
-        return float(loss)
-    return loss
-
-
-def received_signal(params: SimulationParams, path_loss_db, shadow_db):
-    """Received power in dBm for one path (works elementwise on arrays)."""
-    out = (
-        params.tx_power_dbm
-        + params.tx_gain_db
-        - params.tx_losses_db
-        - np.asarray(path_loss_db, dtype=float)
-        - np.asarray(shadow_db, dtype=float)
-        + params.rx_gain_db
-        - params.rx_losses_db
-        - params.rx_misc_losses_db
-    )
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def noise_floor(params: SimulationParams, bw_hz: float) -> float:
     """Thermal noise power in dBm over ``bw_hz``, including the UE noise figure."""
     if bw_hz <= 0:
@@ -152,43 +113,18 @@ def noise_floor(params: SimulationParams, bw_hz: float) -> float:
     )
 
 
-def sinr(signal_dbm, interferers_dbm, noise_dbm: float, network_load: float = 1.0):
-    """SINR in dB from dBm inputs.
-
-    Powers are summed in the linear domain; interference is scaled by the
-    network load (1.0 means all co-channel cells transmit). ``signal_dbm``
-    may be an array of trials with ``interferers_dbm`` shaped
-    ``(trials, n_interferers)``; an empty interferer list gives the SNR.
-    """
-    s = np.power(10.0, np.asarray(signal_dbm, dtype=float) / 10.0)
-    interferers = np.asarray(interferers_dbm, dtype=float)
-    if interferers.size == 0:
-        total_i = 0.0
-    else:
-        total_i = np.power(10.0, interferers / 10.0).sum(axis=-1) * network_load
-    n = 10.0 ** (noise_dbm / 10.0)
-    # A deep shadow-fading draw can push the signal below float range, so its
-    # linear power is 0 and the SINR is -inf; se_lookup maps that to SE 0.
-    with np.errstate(divide="ignore"):
-        out = 10.0 * np.log10(s / (total_i + n))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation):
-    """Spectral efficiency in bps/Hz for a SINR, including the MIMO multiplier.
+    """Single-stream spectral efficiency in bps/Hz for a SINR.
 
     Step function: the largest row whose ``min_sinr_db`` the SINR meets is
-    selected; below the lowest row returns 0 (no service); above the top row
-    saturates at the top row.
+    selected; below the lowest row (-inf included) returns 0 (no service);
+    above the top row saturates at the top row.
     """
     rows = table.rows[generation]
     mins = np.array([r[0] for r in rows])
     ses = np.array([r[1] for r in rows])
     idx = np.searchsorted(mins, np.asarray(sinr_db, dtype=float), side="right") - 1
     se = np.where(idx < 0, 0.0, ses[np.clip(idx, 0, len(ses) - 1)])
-    se = se * table.multiplier(generation)
     if np.ndim(se) == 0:
         return float(se)
     return se
@@ -269,10 +205,13 @@ def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_densi
 def _received_mw(d_km, shadow_db, params: SimulationParams, freq_term_db, mask, scratch):
     """Distances in km -> received power in mW, in place in ``d_km``.
 
-    The same operations, in the same order, as :func:`free_space_path_loss`,
-    :func:`received_signal` and the dBm-to-linear step of :func:`sinr`, so
-    every element is bit-identical to that chain. ``mask`` and ``scratch``
-    are buffers shaped like ``d_km``.
+    Free-space path loss ``20 log10(d) + 20 log10(f_MHz) + 32.44`` dB, with
+    ``d`` clamped to ``min_distance_m / 1000`` km and paths strictly longer
+    than the LoS breakpoint taking ``nlos_excess_db`` more; received dBm is
+    ``(tx power + tx gain - tx losses) - loss - shadow + rx gain - rx losses
+    - rx misc losses``, added in that order, then ``10 ** (dBm / 10)``.
+    ``freq_term_db`` is ``20 log10(f_MHz)``; ``mask`` and ``scratch`` are
+    buffers shaped like ``d_km``.
     """
     np.maximum(d_km, params.min_distance_m / 1000.0, out=d_km)
     np.multiply(d_km, 1000.0, out=scratch)
@@ -308,16 +247,14 @@ def trial_sinr_db(
     row order, one block of rows at a time. The serving path runs on whole
     arrays and the interferer paths over blocks of at most
     :data:`BLOCK_ELEMENTS` paths, so memory beyond the per-trial arrays is
-    bounded by the block size, whatever the ring count. Each element is
-    computed exactly as :func:`free_space_path_loss`,
-    :func:`received_signal` and :func:`sinr` compute it on whole arrays. A
-    signal below float range gives -inf.
+    bounded by the block size, whatever the ring count. Each path's
+    distance is ``sqrt(dx^2 + dy^2 + dh^2)`` in km and its power in mW
+    comes from :func:`_received_mw`; a trial's interference is the sum of
+    its paths' powers in interferer order, times ``network_load``, and its
+    SINR is ``10 log10(signal / (interference + noise))`` with the noise
+    floor in mW (noise alone when there are no rings). A signal below float
+    range gives -inf.
     """
-    if site_density <= 0:
-        raise ValidationError("site_density must be > 0")
-    if receiver_positions is None and params.trials < 100:
-        raise ValidationError("trials must be >= 100")
-
     isd = inter_site_distance_km(site_density)
     sites = _interferer_positions(isd, params.interferer_rings)
     rng = _carrier_rng(params.seed, generation, carrier, site_density)
@@ -355,7 +292,7 @@ def trial_sinr_db(
         total *= params.network_load
         total += noise_mw
     else:
-        total.fill(noise_mw)  # 0.0 + noise_mw == noise_mw, as in sinr()
+        total.fill(noise_mw)  # 0.0 + noise_mw == noise_mw
     np.divide(signal, total, out=total)
     with np.errstate(divide="ignore"):
         np.log10(total, out=total)
@@ -369,16 +306,17 @@ def carrier_capacity(
     generation: Generation,
     carrier: Carrier,
     site_density: float,
-    receiver_positions: Sequence[tuple[float, float]] | None = None,
 ) -> float:
     """One carrier's area capacity in Mbps/km^2 at ``site_density`` sites/km^2.
 
-    The per-trial SINRs of :func:`trial_sinr_db` map to spectral efficiency,
-    and the carrier is credited with the reliability-level percentile of
-    that distribution times bandwidth, sectors and density.
+    The per-trial SINRs of :func:`trial_sinr_db` map to single-stream
+    spectral efficiency, scaled by the generation's :data:`MIMO_STREAMS`
+    times ``params.mimo_efficiency``; the carrier is credited with the
+    reliability-level percentile of that distribution times bandwidth,
+    sectors and density.
     """
-    sinr_db = trial_sinr_db(params, generation, carrier, site_density, receiver_positions)
-    se = se_lookup(se_table, sinr_db, generation)
+    sinr_db = trial_sinr_db(params, generation, carrier, site_density)
+    se = se_lookup(se_table, sinr_db, generation) * (MIMO_STREAMS[generation] * params.mimo_efficiency)
     se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0))
     return se_reliable * carrier.bandwidth_mhz * params.sectors_per_site * site_density
 
@@ -388,7 +326,6 @@ def simulate_density(
     se_table: SpectralEfficiencyTable,
     freq_set: FrequencySet,
     site_density: float,
-    receiver_positions: Sequence[tuple[float, float]] | None = None,
     memo: dict | None = None,
 ) -> float:
     """Area capacity in Mbps/km^2 delivered at ``site_density`` sites/km^2.
@@ -396,29 +333,22 @@ def simulate_density(
     The sum of :func:`carrier_capacity` over the set's carriers, in carrier
     order. ``memo`` maps ``(params, generation, carrier, density)`` to a
     carrier's contribution, so sets sharing a carrier simulate it once; it
-    must serve one SE table only. ``receiver_positions`` calls bypass it.
+    must serve one SE table only.
     """
-    if memo is None or receiver_positions is not None:
+    if memo is None:
         memo = {}
     capacity = 0.0
     for carrier in freq_set.carriers:
         key = (params, freq_set.generation, carrier, site_density)
         if key not in memo:
-            memo[key] = carrier_capacity(
-                params, se_table, freq_set.generation, carrier, site_density, receiver_positions
-            )
+            memo[key] = carrier_capacity(params, se_table, freq_set.generation, carrier, site_density)
         capacity += memo[key]
     return capacity
 
 
 def isotonic_clip(values: Sequence[float]) -> list[float]:
     """Running maximum, removing small Monte Carlo dips from a table column."""
-    out: list[float] = []
-    best = -math.inf
-    for v in values:
-        best = max(best, v)
-        out.append(best)
-    return out
+    return np.maximum.accumulate(np.asarray(values, dtype=float)).tolist()
 
 
 def build_capacity_table(
@@ -502,7 +432,7 @@ def table_cache_key(
         "params": asdict(params),
         "se_rows": {gen.value: list(map(list, rows)) for gen, rows in sorted(se_table.rows.items())},
         "mimo_streams": {gen.value: n for gen, n in sorted(MIMO_STREAMS.items())},
-        "mimo_efficiency": se_table.mimo_efficiency,
+        "mimo_efficiency": params.mimo_efficiency,
         "generation": freq_set.generation.value,
         "carriers": [[c.frequency_mhz, c.bandwidth_mhz] for c in freq_set.carriers],
         "grid": list(density_grid),

@@ -1,4 +1,4 @@
-"""The per-decile scalar chains that the cost and energy kernels equal bit for bit.
+"""The scalar and unblocked chains that the src kernels equal bit for bit.
 
 :func:`bband_sim.energy.energy` equals, element for element, the chain
 :func:`build_schedule` -> :func:`annual_energy` -> divide by
@@ -7,19 +7,29 @@
 :func:`emissions` -> :func:`cumulate_horizon`, and
 :func:`bband_sim.cost.cost_columns` the chain :func:`decile_components` ->
 :func:`apply_sharing` -> :func:`private_cost` -> :func:`cross_subsidize`.
-The property tests in ``test_energy.py`` and ``test_cost.py`` check both
-against these one decile at a time; the run path uses only the kernels.
+:func:`bband_sim.radio.trial_sinr_db` equals :func:`reference_sinr_db`,
+the whole-array link chain :func:`free_space_path_loss` ->
+:func:`received_signal` -> :func:`sinr` with no trial blocks.
+The property tests in ``test_energy.py``, ``test_cost.py`` and
+``test_radio.py`` check the kernels against these; the run path uses only
+the kernels.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from bband_sim import radio
 from bband_sim.core import (
-    Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement, Sharing, ordered_sum,
+    Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement, Sharing, SimulationParams,
+    ordered_sum,
 )
 from bband_sim.cost import subsidies
 from bband_sim.energy import DIESEL_SOURCE, HOURS_PER_YEAR, check_mix_row
 from bband_sim.errors import ValidationError
+from bband_sim.radio import inter_site_distance_km, noise_floor, shadow_fading_draws
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +354,113 @@ def financial_cost_total(decile_costs: list[DecileCost]) -> float:
     sides, so the sum equals network + administration + profit + subsidy.
     """
     return ordered_sum(c.private_cost + c.government_cost for c in decile_costs)
+
+
+# ---------------------------------------------------------------------------
+# Radio link
+# ---------------------------------------------------------------------------
+
+
+def free_space_path_loss(
+    distance_km,
+    freq_mhz: float,
+    los_breakpoint_m: float = 500.0,
+    nlos_excess_db: float = 12.0,
+    min_distance_m: float = 10.0,
+):
+    """Free-space path loss in dB, with a fixed NLoS penalty past the breakpoint.
+
+    ``20 log10(d_km) + 20 log10(f_MHz) + 32.44``; distances are clamped to
+    ``min_distance_m`` to avoid the origin singularity, and paths strictly
+    longer than the breakpoint take ``nlos_excess_db`` extra loss. Accepts
+    scalars or arrays.
+    """
+    if freq_mhz <= 0:
+        raise ValidationError("freq_mhz must be > 0")
+    d = np.maximum(np.asarray(distance_km, dtype=float), min_distance_m / 1000.0)
+    loss = 20.0 * np.log10(d) + 20.0 * np.log10(freq_mhz) + 32.44
+    loss = loss + np.where(d * 1000.0 > los_breakpoint_m, nlos_excess_db, 0.0)
+    if loss.ndim == 0:
+        return float(loss)
+    return loss
+
+
+def received_signal(params: SimulationParams, path_loss_db, shadow_db):
+    """Received power in dBm for one path (works elementwise on arrays)."""
+    out = (
+        params.tx_power_dbm
+        + params.tx_gain_db
+        - params.tx_losses_db
+        - np.asarray(path_loss_db, dtype=float)
+        - np.asarray(shadow_db, dtype=float)
+        + params.rx_gain_db
+        - params.rx_losses_db
+        - params.rx_misc_losses_db
+    )
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+def sinr(signal_dbm, interferers_dbm, noise_dbm: float, network_load: float = 1.0):
+    """SINR in dB from dBm inputs.
+
+    Powers are summed in the linear domain; interference is scaled by the
+    network load (1.0 means all co-channel cells transmit). ``signal_dbm``
+    may be an array of trials with ``interferers_dbm`` shaped
+    ``(trials, n_interferers)``; an empty interferer list gives the SNR.
+    """
+    s = np.power(10.0, np.asarray(signal_dbm, dtype=float) / 10.0)
+    interferers = np.asarray(interferers_dbm, dtype=float)
+    if interferers.size == 0:
+        total_i = 0.0
+    else:
+        total_i = np.power(10.0, interferers / 10.0).sum(axis=-1) * network_load
+    n = 10.0 ** (noise_dbm / 10.0)
+    # A deep shadow-fading draw can push the signal below float range, so its
+    # linear power is 0 and the SINR is -inf; se_lookup maps that to SE 0.
+    with np.errstate(divide="ignore"):
+        out = 10.0 * np.log10(s / (total_i + n))
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+def reference_sinr_db(params, generation, carrier, site_density, receiver_positions=None):
+    """The unblocked whole-array chain that trial_sinr_db must match bit for bit."""
+    isd = inter_site_distance_km(site_density)
+    sites = radio._interferer_positions(isd, params.interferer_rings)
+    dh_km = (params.tx_height_m - params.rx_height_m) / 1000.0
+    rng = radio._carrier_rng(params.seed, generation, carrier, site_density)
+    if receiver_positions is None:
+        n, r = params.trials, isd / math.sqrt(3.0)
+        tri = rng.integers(0, 6, n)
+        u = rng.random(n)
+        v = rng.random(n)
+        over = u + v > 1.0
+        u[over] = 1.0 - u[over]
+        v[over] = 1.0 - v[over]
+        a0 = tri * (math.pi / 3.0)
+        a1 = a0 + math.pi / 3.0
+        x = u * r * np.cos(a0) + v * r * np.cos(a1)
+        y = u * r * np.sin(a0) + v * r * np.sin(a1)
+    else:
+        pos = np.asarray(receiver_positions, dtype=float)
+        x, y = pos[:, 0], pos[:, 1]
+    n = len(x)
+    shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
+    shadow_interf = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (n, len(sites)))
+
+    def received(d_km, shadow):
+        loss = free_space_path_loss(d_km, carrier.frequency_mhz, params.los_breakpoint_m,
+                                    params.nlos_excess_db, params.min_distance_m)
+        return received_signal(params, loss, shadow)
+
+    signal = received(np.sqrt(x**2 + y**2 + dh_km**2), shadow_signal)
+    if len(sites):
+        dx = x[:, None] - sites[:, 0][None, :]
+        dy = y[:, None] - sites[:, 1][None, :]
+        interferers = received(np.sqrt(dx**2 + dy**2 + dh_km**2), shadow_interf)
+    else:
+        interferers = np.empty((n, 0))
+    return sinr(signal, interferers, noise_floor(params, carrier.bandwidth_mhz * 1e6), params.network_load)

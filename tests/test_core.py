@@ -130,6 +130,20 @@ class TestDecileConservation:
             if not m:
                 assert (d.population, d.area_km2, d.existing_sites) == (0, 0.0, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 25), st.sampled_from([(1500.0, 300.0), (1e-3, 1e-6)]))
+    def test_empty_bins_come_last_rural_and_zero(self, n, thresholds):
+        deciles = build_deciles([region(i, i + 1, 1.0, sites=1) for i in range(n)], "AAA", thresholds)
+        filled = min(n, 10)
+        assert [d.degenerate for d in deciles] == [False] * filled + [True] * (10 - filled)
+        for d in deciles[filled:]:
+            fields = (d.population, d.area_km2, d.existing_sites, d.pop_density, d.settlement)
+            assert fields == (0, 0.0, 0, 0.0, Settlement.RURAL)
+            assert [type(v) for v in fields[:4]] == [int, float, int, float]
+        # filled bins hold 1-25 persons/km^2: all rural, or all urban under the low thresholds
+        want = Settlement.URBAN if thresholds[0] < 1 else Settlement.RURAL
+        assert all(d.settlement == want for d in deciles[:filled])
+
 
 class TestClassifySettlement:
     def test_urban(self):

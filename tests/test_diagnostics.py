@@ -615,6 +615,19 @@ CASES = {
         [("config.yaml", "discount_rate: 0.05", "discount_rate: 1.0e300")],
         ["config: horizon.discount_rate: (1 + 1e+300) ** 8 overflows"],
     ),
+    # --- country totals a run cannot hold as 64-bit integers ---
+    "regions_population_total_overflows": (
+        [("regions.csv", "MLA-R01,MLA,480000,", "MLA-R01,MLA,10000000000000000000,")],
+        ["regions.csv: MLA: total population above 2**63 - 1"],
+    ),
+    "regions_both_totals_overflow": (
+        [("regions.csv", "MLB-S01,MLB,900000,300,200", "MLB-S01,MLB,9223372036854775807,300,9223372036854775807")],
+        ["regions.csv: MLB: total population and total existing_sites above 2**63 - 1"],
+    ),
+    "regions_population_total_at_the_limit_loads": (
+        [("regions.csv", "MLA-R01,MLA,480000,", "MLA-R01,MLA,9223372036853105807,")],
+        [],
+    ),
 }
 
 #: The damaged configs that passed ``validate`` before rates were bounded:
@@ -653,6 +666,22 @@ def test_diagnostics_pinned(miniland_copy, edits, expected):
 
 @pytest.mark.parametrize("case", BAD_RATES)
 def test_bad_rates_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
+    edits, expected = CASES[case]
+    damage(miniland_copy, edits)
+    args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
+    assert main(["validate", *args]) == EXIT_VALIDATION
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.count(expected[0]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+#: The damaged regions that passed ``validate`` before country totals were
+#: bounded: ``run`` then died with an OverflowError traceback.
+OVERFLOWING_TOTALS = ("regions_population_total_overflows", "regions_both_totals_overflow")
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_TOTALS)
+def test_overflowing_totals_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
     edits, expected = CASES[case]
     damage(miniland_copy, edits)
     args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
@@ -708,7 +737,7 @@ def test_missing_data_directory(miniland_copy):
 
 def test_missing_se_table_file(tmp_path):
     with pytest.raises(InputValidationError) as err:
-        load_se_table(tmp_path / "se_table.csv", 0.85)
+        load_se_table(tmp_path / "se_table.csv")
     assert [str(d) for d in err.value.diagnostics] == ["se_table.csv: file is missing", *SE_TABLE_EMPTY]
 
 

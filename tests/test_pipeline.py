@@ -161,6 +161,41 @@ class TestRunPipeline:
         healthy = [run for run in runs if run not in failed]
         assert rows(out.results) == rows(run_pipeline(bundle, healthy, cache_dir=table_cache).results)
 
+    def test_every_run_failing_keeps_the_runs_given(self, bundle, table_cache, tmp_path, monkeypatch):
+        def fail(*args):
+            raise ValidationError("no sites")
+
+        monkeypatch.setattr(pipeline, "site_counts", fail)
+        strategy, scenario = BASELINE_RUN
+        runs = [BASELINE_RUN, (dataclasses.replace(strategy, policy=Policy.LOW_TAX), scenario)]
+        out = run_pipeline(bundle, runs, cache_dir=table_cache)
+        assert len(out.results) == 0
+        assert list(out.results.runs) == runs
+        assert [(f.strategy, f.scenario, f.error) for f in out.failures] == [(*run, "ValidationError: no sites")
+                                                                             for run in runs]
+        files = emitted(out.results, tmp_path)
+        assert len(files) == 6
+        assert files["results_decile.csv"] == (",".join(DECILE_COLUMNS) + "\n").encode()
+        assert all(text.count(b"\n") == 1 for text in files.values())
+
+    def test_non_finite_key_fails_alone_inside_its_batch(self, bundle, table_cache, monkeypatch):
+        real = pipeline.cost_columns
+
+        def cost(*args):
+            out = real(*args)
+            strategies = args[4]
+            out["tax_usd"][[s.policy == Policy.HIGH_TAX for s in strategies]] = math.inf
+            return out
+
+        monkeypatch.setattr(pipeline, "cost_columns", cost)
+        strategy, scenario = BASELINE_RUN
+        runs = [(dataclasses.replace(strategy, policy=policy), scenario) for policy in Policy]
+        out = run_pipeline(bundle, runs, cache_dir=table_cache)
+        assert [(f.strategy.policy, f.error) for f in out.failures] == [
+            (Policy.HIGH_TAX, "ValidationError: cost stage: non-finite tax_usd")]
+        assert len(out.results) == 20 * (len(runs) - 1)
+        assert np.isfinite(out.results.column("tax_usd")).all()
+
     def test_energy_computed_once_across_policies(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -18,27 +19,25 @@ from bband_sim.radio import (
     SpectralEfficiencyTable,
     build_capacity_table,
     carrier_capacity,
-    free_space_path_loss,
     inter_site_distance_km,
     isotonic_clip,
     load_capacity_tables,
     noise_floor,
-    received_signal,
     required_density,
     save_capacity_tables,
     se_lookup,
     shadow_fading_draws,
     simulate_density,
-    sinr,
     table_cache_key,
     trial_sinr_db,
 )
 from bband_sim.data_io import default_se_table_path, load_se_table
+from reference_chains import free_space_path_loss, received_signal, reference_sinr_db, sinr
 
 
 @pytest.fixture(scope="module")
 def se_table():
-    table = load_se_table(default_se_table_path(), 0.85)
+    table = load_se_table(default_se_table_path())
     assert table is not None
     return table
 
@@ -118,19 +117,15 @@ class TestNoiseFloor:
 
 class TestSinr:
     def test_snr_case(self):
-        from bband_sim.radio import sinr
         assert sinr(-90.0, [], -100.0) == pytest.approx(10.0, abs=1e-9)
 
     def test_unity_ratio(self):
-        from bband_sim.radio import sinr
         assert sinr(-100.0, [], -100.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_interferer(self):
-        from bband_sim.radio import sinr
         assert sinr(-90.0, [-100.0], -100.0) == pytest.approx(6.99, abs=0.01)
 
     def test_adding_interferer_never_increases(self):
-        from bband_sim.radio import sinr
         rng = np.random.default_rng(3)
         for _ in range(200):
             s = rng.uniform(-120, -40)
@@ -139,12 +134,10 @@ class TestSinr:
             assert sinr(s, extra, -100.0) <= sinr(s, base, -100.0)
 
     def test_sir_bounds_sinr(self):
-        from bband_sim.radio import sinr
         interferers = [-95.0, -101.0]
         assert sinr(-90.0, interferers, -300.0) >= sinr(-90.0, interferers, -100.0)
 
     def test_load_scales_interference(self):
-        from bband_sim.radio import sinr
         loaded = sinr(-90.0, [-95.0], -120.0, network_load=1.0)
         idle = sinr(-90.0, [-95.0], -120.0, network_load=0.0)
         assert idle > loaded
@@ -152,7 +145,6 @@ class TestSinr:
     def test_signal_below_float_range_is_minus_inf_without_warning(self, se_table):
         import warnings
 
-        from bband_sim.radio import sinr
         noise = noise_floor(SimulationParams(), 10e6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -168,8 +160,7 @@ class TestSeLookup:
         assert se_lookup(se_table, -50.0, Generation.G4) == 0.0
 
     def test_above_maximum_saturates(self, se_table):
-        top = se_table.rows[Generation.G4][-1][1] * se_table.multiplier(Generation.G4)
-        assert se_lookup(se_table, 60.0, Generation.G4) == pytest.approx(top)
+        assert se_lookup(se_table, 60.0, Generation.G4) == se_table.rows[Generation.G4][-1][1]
 
     def test_monotone_at_all_boundaries(self, se_table):
         for gen in Generation:
@@ -179,10 +170,13 @@ class TestSeLookup:
                 high = se_lookup(se_table, min_sinr + 0.01, gen)
                 assert low <= at <= high
 
-    def test_mimo_multiplier_applied(self, se_table):
+    def test_mimo_multiplier_applied(self, se_table, fast_params):
+        # se_lookup gives the single-stream value; carrier_capacity scales it by 4 streams x efficiency
         raw = se_table.rows[Generation.G5][0][1]
-        got = se_lookup(se_table, se_table.rows[Generation.G5][0][0], Generation.G5)
-        assert got == pytest.approx(raw * 4 * 0.85)
+        assert se_lookup(se_table, se_table.rows[Generation.G5][0][0], Generation.G5) == raw
+        flat = SpectralEfficiencyTable(rows={gen: ((-1000.0, 4.0),) for gen in Generation})
+        got = carrier_capacity(fast_params, flat, Generation.G5, Carrier(3500.0, 40.0), 0.5)
+        assert got == pytest.approx(4.0 * 4 * 0.85 * 40.0 * 3 * 0.5)
 
     def test_strictly_increasing_rows_enforced(self):
         with pytest.raises(ValidationError):
@@ -210,17 +204,19 @@ class TestShadowFading:
 
 class TestSimulateDensity:
     def test_deterministic_stub_closed_form(self):
-        # one receiver fixed at the cell edge, no shadow spread: capacity is
-        # exactly SE * BW * sectors * density
-        params = SimulationParams(shadow_mu_db=0.001, shadow_sigma_db=0.0, trials=2000, seed=1)
-        table = SpectralEfficiencyTable(
-            rows={Generation.G4: ((-1000.0, 4.0),), Generation.G5: ((-1000.0, 4.0),)},
-            mimo_efficiency=0.5,  # 2 streams * 0.5 -> multiplier exactly 1
-        )
-        fs = FrequencySet(Generation.G4, (Carrier(800.0, 10.0),))
+        # one receiver fixed at the cell edge, a constant shadow loss and no
+        # interferers: the SINR is the link budget over the noise floor
+        params = SimulationParams(shadow_mu_db=0.001, shadow_sigma_db=0.0, interferer_rings=0, trials=2000, seed=1)
         edge = inter_site_distance_km(1.0) / math.sqrt(3.0)
-        got = simulate_density(params, table, fs, 1.0, receiver_positions=[(edge, 0.0)])
-        assert got == 4.0 * 10.0 * 3 * 1.0
+        got = trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 1.0, receiver_positions=[(edge, 0.0)])
+        d_km = math.hypot(edge, (params.tx_height_m - params.rx_height_m) / 1000.0)
+        assert d_km * 1000.0 > params.los_breakpoint_m
+        loss = 20.0 * math.log10(d_km) + 20.0 * math.log10(800.0) + 32.44 + params.nlos_excess_db
+        signal = (params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db - loss - 0.001
+                  + params.rx_gain_db - params.rx_losses_db - params.rx_misc_losses_db)
+        assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)], abs=1e-9)
+        table = SpectralEfficiencyTable(rows={gen: ((-1000.0, 4.0),) for gen in Generation})
+        assert se_lookup(table, got, Generation.G4).tolist() == [4.0]
 
     def test_same_seed_bit_identical(self, se_table, fast_params):
         a = simulate_density(fast_params, se_table, FS4, 0.5)
@@ -232,46 +228,6 @@ class TestSimulateDensity:
             simulate_density(fast_params, se_table, FS4, 0.0)
         with pytest.raises(ValidationError):
             SimulationParams(trials=50)
-
-
-def reference_sinr_db(params, generation, carrier, site_density, receiver_positions=None):
-    """The unblocked whole-array chain that trial_sinr_db must match bit for bit."""
-    isd = inter_site_distance_km(site_density)
-    sites = radio._interferer_positions(isd, params.interferer_rings)
-    dh_km = (params.tx_height_m - params.rx_height_m) / 1000.0
-    rng = radio._carrier_rng(params.seed, generation, carrier, site_density)
-    if receiver_positions is None:
-        n, r = params.trials, isd / math.sqrt(3.0)
-        tri = rng.integers(0, 6, n)
-        u = rng.random(n)
-        v = rng.random(n)
-        over = u + v > 1.0
-        u[over] = 1.0 - u[over]
-        v[over] = 1.0 - v[over]
-        a0 = tri * (math.pi / 3.0)
-        a1 = a0 + math.pi / 3.0
-        x = u * r * np.cos(a0) + v * r * np.cos(a1)
-        y = u * r * np.sin(a0) + v * r * np.sin(a1)
-    else:
-        pos = np.asarray(receiver_positions, dtype=float)
-        x, y = pos[:, 0], pos[:, 1]
-    n = len(x)
-    shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
-    shadow_interf = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (n, len(sites)))
-
-    def received(d_km, shadow):
-        loss = free_space_path_loss(d_km, carrier.frequency_mhz, params.los_breakpoint_m,
-                                    params.nlos_excess_db, params.min_distance_m)
-        return received_signal(params, loss, shadow)
-
-    signal = received(np.sqrt(x**2 + y**2 + dh_km**2), shadow_signal)
-    if len(sites):
-        dx = x[:, None] - sites[:, 0][None, :]
-        dy = y[:, None] - sites[:, 1][None, :]
-        interferers = received(np.sqrt(dx**2 + dy**2 + dh_km**2), shadow_interf)
-    else:
-        interferers = np.empty((n, 0))
-    return sinr(signal, interferers, noise_floor(params, carrier.bandwidth_mhz * 1e6), params.network_load)
 
 
 DEEP_SHADOW = {"shadow_mu_db": 2000.0, "shadow_sigma_db": 1000.0}  # ~10% of signals underflow to 0 mW
@@ -377,9 +333,9 @@ class TestCarrierMemo:
     def test_shared_carrier_simulated_once_per_density(self, se_table, fast_params, monkeypatch):
         calls = []
 
-        def counting(params, se, generation, carrier, density, receiver_positions=None):
+        def counting(params, se, generation, carrier, density):
             calls.append((generation, carrier, density))
-            return carrier_capacity(params, se, generation, carrier, density, receiver_positions)
+            return carrier_capacity(params, se, generation, carrier, density)
 
         a = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(1800.0, 10.0)))
         b = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(2600.0, 10.0)))
@@ -394,13 +350,6 @@ class TestCarrierMemo:
         # 800x10 is shared by a and b; the 5G stream differs; the repeated a costs nothing
         assert len(calls) == 4 * len(GRID)
         assert len(set(calls)) == len(calls)
-
-    def test_receiver_positions_bypass_memo(self, se_table, fast_params):
-        memo: dict = {}
-        simulate_density(fast_params, se_table, FS4, 1.0, receiver_positions=[(0.1, 0.0)], memo=memo)
-        assert memo == {}
-        simulate_density(fast_params, se_table, FS4, 1.0, memo=memo)
-        assert len(memo) == len(FS4.carriers)
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +390,10 @@ class TestCapacityTable:
 
     def test_isotonic_clip(self):
         assert isotonic_clip([10.0, 9.0, 12.0]) == [10.0, 10.0, 12.0]
+
+    def test_mimo_efficiency_scales_the_table(self, se_table, fast_params, t4):
+        half = build_capacity_table(dataclasses.replace(fast_params, mimo_efficiency=0.5), se_table, FS4, GRID)
+        assert [c for _, c in half.rows] == pytest.approx([c * 0.5 / 0.85 for _, c in t4.rows], rel=1e-12)
 
     def test_grid_validation(self, se_table, fast_params):
         with pytest.raises(ValidationError):
