@@ -29,7 +29,7 @@ from .core import (
     classify_settlement,
     enumerate_runs,
 )
-from .data_io import InputBundle, load_bundle, save_bundle, validate_axes
+from .data_io import InputBundle, load_bundle, save_bundle
 from .errors import BbandSimError, InputValidationError, MissingDataError, ValidationError
 
 
@@ -72,5 +72,4 @@ __all__ = [
     "load_bundle",
     "run_pipeline",
     "save_bundle",
-    "validate_axes",
 ]

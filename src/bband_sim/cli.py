@@ -87,6 +87,13 @@ def _seeded(params: SimulationParams, seed: int | None) -> SimulationParams:
         raise InputValidationError([Diagnostic("--seed", 0, str(err))]) from None
 
 
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: an integer >= 1."""
+    if not text.lstrip("+").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_validate(args) -> int:
     load_bundle(args.data, args.config)
     print("OK")
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="YAML config file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-    run.add_argument("--jobs", type=int, default=1, help="threads for capacity-table builds (runs execute in one thread)")
+    run.add_argument("--jobs", type=_jobs, default=1, help="threads for capacity-table builds (runs execute in one thread)")
     run.add_argument("--runs", default=None, help="filter, e.g. 'generation=4G,capacity=30'")
     run.set_defaults(func=_cmd_run)
 
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab.add_argument("--out", required=True)
     tab.add_argument("--data", default=None, help="optional data dir providing se_table.csv")
     tab.add_argument("--seed", type=int, default=None)
-    tab.add_argument("--jobs", type=int, default=1, help="threads for capacity-table builds")
+    tab.add_argument("--jobs", type=_jobs, default=1, help="threads for capacity-table builds")
     tab.set_defaults(func=_cmd_tables)
     return parser
 

@@ -113,9 +113,9 @@ class RegionRecord:
 N_DECILES = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DecileRecord:
-    """One population-density decile of a country.
+    """One population-density decile of a country; its fields are keyword-only.
 
     Decile 1 holds the densest regions. A decile with no member regions
     (fewer than 10 regions in the country) is flagged ``degenerate`` and
@@ -127,22 +127,19 @@ class DecileRecord:
     population: int
     area_km2: float
     existing_sites: int
-    pop_density: float
     settlement: Settlement
     degenerate: bool = False
 
     def __post_init__(self):
         if not 1 <= self.decile_index <= 10:
             raise ValidationError(f"decile_index {self.decile_index} outside 1..10")
-        if self.degenerate:
-            return
-        if not (self.area_km2 > 0):
+        if not self.degenerate and not (self.area_km2 > 0):
             raise ValidationError("non-degenerate decile requires area_km2 > 0")
-        expected = self.population / self.area_km2
-        if not math.isclose(self.pop_density, expected, rel_tol=1e-9, abs_tol=1e-9):
-            raise ValidationError(
-                f"pop_density {self.pop_density} != population/area {expected}"
-            )
+
+    @property
+    def pop_density(self) -> float:
+        """Population per km^2; 0.0 for a degenerate decile."""
+        return 0.0 if self.degenerate else self.population / self.area_km2
 
     @property
     def active(self) -> bool:
@@ -304,8 +301,8 @@ def density_stream_key(site_density: float) -> int:
 def check_density_grid(grid: Sequence[float]) -> None:
     """Reject a capacity-table density grid that cannot give a table.
 
-    A grid needs at least 8 points, strictly increasing, each with its own
-    RNG stream: points at least 1e-6 sites/km^2 apart, and from 0.
+    A grid needs at least 8 site densities > 0, strictly increasing, each with
+    its own RNG stream: points at least 1e-6 sites/km^2 apart, and from 0.
     """
     if len(grid) < 8:
         raise ValidationError("density grid needs at least 8 points")
@@ -314,6 +311,8 @@ def check_density_grid(grid: Sequence[float]) -> None:
     stream_keys = [density_stream_key(d) for d in grid]
     if len(set(stream_keys)) < len(grid) or 0 in stream_keys:
         raise ValidationError("density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream")
+    if grid[0] <= 0:
+        raise ValidationError("density grid points must be > 0")
 
 
 @dataclass(frozen=True)
@@ -358,6 +357,12 @@ class SimulationParams:
             raise ValidationError("interferer_rings must be >= 0")
         if not (0 < self.mimo_efficiency <= 1):
             raise ValidationError("mimo_efficiency must be in (0, 1]")
+        if self.temperature_k <= 0:
+            raise ValidationError("temperature_k must be > 0")
+        if self.shadow_sigma_db < 0:
+            raise ValidationError("shadow_sigma_db must be >= 0")
+        if self.shadow_sigma_db > 0 and self.shadow_mu_db <= 0:
+            raise ValidationError("shadow_mu_db must be > 0 when shadow_sigma_db > 0")
 
 
 @dataclass(frozen=True)
@@ -629,10 +634,10 @@ class EmissionFactors:
 
 
 def classify_settlement(
-    pop_density: float,
+    density: float,
     thresholds: tuple[float, float] = (DEFAULT_URBAN_MIN_DENSITY, DEFAULT_SUBURBAN_MIN_DENSITY),
 ) -> Settlement:
-    """Map a population density to urban / suburban / rural.
+    """Map a population density (persons/km^2) to urban / suburban / rural.
 
     ``thresholds`` is ``(urban_min, suburban_min)``; both boundaries are
     inclusive on the denser side.
@@ -640,11 +645,11 @@ def classify_settlement(
     urban_min, suburban_min = thresholds
     if not (urban_min > suburban_min > 0):
         raise ValidationError("thresholds must satisfy urban_min > suburban_min > 0")
-    if not math.isfinite(pop_density) or pop_density < 0:
-        raise ValidationError(f"pop_density {pop_density!r} is not a finite non-negative number")
-    if pop_density >= urban_min:
+    if not math.isfinite(density) or density < 0:
+        raise ValidationError(f"pop_density {density!r} is not a finite non-negative number")
+    if density >= urban_min:
         return Settlement.URBAN
-    if pop_density >= suburban_min:
+    if density >= suburban_min:
         return Settlement.SUBURBAN
     return Settlement.RURAL
 
@@ -695,7 +700,6 @@ def build_deciles(
             population=population,
             area_km2=area,
             existing_sites=sum(m.existing_sites for m in members),
-            pop_density=density,
             settlement=classify_settlement(density, thresholds),
             degenerate=not members,
         ))

@@ -92,8 +92,6 @@ def cost_columns(
         + new * costs.civils_usd / civils_div
         + n * costs.core_usd
     )
-    if (network < 0).any():
-        raise ValidationError("network must be >= 0")
     administration = costs.admin_share * network
     profit = costs.profit_margin * network
     revenue = np.asarray(revenue_pv, dtype=np.float64)

@@ -286,6 +286,9 @@ def _energy_mix(rows: Rows, countries: Mapping[str, CountryParams], years: range
             continue
         year_row[source] = share
 
+    for region in sorted(set(mix) - set(countries) if countries else ()):
+        collector.add("energy_mix.csv", 0, f"mix row references unknown country {region}")
+        del mix[region]
     for region, by_year in sorted(mix.items()):
         for year, shares in sorted(by_year.items()):
             total = sum(shares.values())
@@ -342,14 +345,6 @@ def _se_table(path: Path, collector: _Collector) -> SpectralEfficiencyTable | No
     except ValidationError as err:
         collector.add(path.name, 0, str(err))
         return None
-
-
-def load_se_table(path: Path | str) -> SpectralEfficiencyTable:
-    """Read one SE table in the ``se_table.csv`` schema; raise :class:`InputValidationError` on any problem."""
-    collector = _Collector()
-    table = _se_table(Path(path), collector)
-    collector.raise_if_any()
-    return table
 
 
 def default_se_table_path() -> Path:
@@ -426,20 +421,8 @@ def _config_params(cls, section: dict, where: str, collector: _Collector, extra_
         return cls()
 
 
-def validate_axes(config: Mapping[str, Any]) -> tuple[StrategySpace, ScenarioSpace]:
-    """Normalize the strategy/scenario axes from a parsed config mapping.
-
-    Omitted axes take the documented defaults (all strategies; capacity
-    targets 20/30/40 GB/month; low/baseline/high adoption); unknown enum
-    values are rejected with the list of valid ones.
-    """
-    collector = _Collector()
-    space = _validate_axes_collect(config, collector)
-    collector.raise_if_any()
-    return space
-
-
-def _validate_axes_collect(config: Mapping[str, Any], collector: _Collector) -> tuple[StrategySpace, ScenarioSpace]:
+def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[StrategySpace, ScenarioSpace]:
+    """The strategy and scenario spaces of the ``axes`` and ``horizon`` sections; omitted axes take their defaults."""
     axes = _expect_mapping(config.get("axes"), "axes", collector)
     horizon = _expect_mapping(config.get("horizon"), "horizon", collector)
     _unknown_keys(horizon, HORIZON_KEYS, "horizon", collector)
@@ -580,7 +563,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         collector.raise_if_any()
 
     config = load_config(config_path, collector)
-    strategy_space, scenario_space = _validate_axes_collect(config, collector)
+    strategy_space, scenario_space = _validate_axes(config, collector)
     adoption = _build_adoption(config, scenario_space, collector)
     sim_params, density_grid = _build_sim_params(config, collector)
     cost_inputs = _build_cost_inputs(config, collector)

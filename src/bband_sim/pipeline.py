@@ -162,14 +162,6 @@ class PipelineOutput:
     failures: list[RunFailure]
 
 
-def country_deciles(bundle: InputBundle) -> dict[str, list[DecileRecord]]:
-    """Density deciles for every country in the bundle."""
-    return {
-        iso3: build_deciles(list(bundle.regions[iso3]), iso3, bundle.settlement_thresholds)
-        for iso3 in sorted(bundle.regions)
-    }
-
-
 def _load_cached_table(path: Path, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:
     """The table cached at ``path``, or None (with a warning) if it does not match its key."""
     try:
@@ -314,7 +306,8 @@ def run_pipeline(
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
-    deciles = country_deciles(bundle)
+    deciles = {iso3: build_deciles(list(bundle.regions[iso3]), iso3, bundle.settlement_thresholds)
+               for iso3 in sorted(bundle.regions)}
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
     countries = list(deciles)
@@ -505,16 +498,6 @@ def _group_sums(
             out[column] = np.zeros(len(first), dtype=np.int64)
             np.add.at(out[column], gid, values)
     return rows[first], out
-
-
-def aggregate_country_rows(table: ResultTable) -> list[dict]:
-    """Country-level aggregation of the per-decile results, full precision.
-
-    Rows are summed in table order, one dict per (country, run key), sorted.
-    """
-    first, sums = _group_sums(table, np.arange(len(table)), _COUNTRY_GROUP, _COUNTRY_SUMS)
-    columns = {**{f: table.column(f, first) for f in _COUNTRY_GROUP}, **sums}
-    return [dict(zip(COUNTRY_COLUMNS, row)) for row in zip(*(columns[c].tolist() for c in COUNTRY_COLUMNS))]
 
 
 def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[str]]) -> None:

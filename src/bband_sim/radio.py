@@ -113,8 +113,8 @@ def noise_floor(params: SimulationParams, bw_hz: float) -> float:
     )
 
 
-def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation):
-    """Single-stream spectral efficiency in bps/Hz for a SINR.
+def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation) -> np.ndarray:
+    """Single-stream spectral efficiency in bps/Hz for each SINR, as an array of the SINRs' shape.
 
     Step function: the largest row whose ``min_sinr_db`` the SINR meets is
     selected; below the lowest row (-inf included) returns 0 (no service);
@@ -124,10 +124,7 @@ def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation):
     mins = np.array([r[0] for r in rows])
     ses = np.array([r[1] for r in rows])
     idx = np.searchsorted(mins, np.asarray(sinr_db, dtype=float), side="right") - 1
-    se = np.where(idx < 0, 0.0, ses[np.clip(idx, 0, len(ses) - 1)])
-    if np.ndim(se) == 0:
-        return float(se)
-    return se
+    return np.where(idx < 0, 0.0, ses[np.clip(idx, 0, len(ses) - 1)])
 
 
 def inter_site_distance_km(site_density: float) -> float:

@@ -12,7 +12,8 @@ the whole-array link chain :func:`free_space_path_loss` ->
 :func:`received_signal` -> :func:`sinr` with no trial blocks.
 The property tests in ``test_energy.py``, ``test_cost.py`` and
 ``test_radio.py`` check the kernels against these; the run path uses only
-the kernels.
+the kernels. :func:`country_sums` folds a result table's rows into country
+totals, without the group-bys that write ``results_country.csv``.
 """
 
 import math
@@ -354,6 +355,23 @@ def financial_cost_total(decile_costs: list[DecileCost]) -> float:
     sides, so the sum equals network + administration + profit + subsidy.
     """
     return ordered_sum(c.private_cost + c.government_cost for c in decile_costs)
+
+
+# ---------------------------------------------------------------------------
+# Aggregation
+# ---------------------------------------------------------------------------
+
+
+def country_sums(table, fields: Sequence[str]) -> dict[tuple, dict[str, float]]:
+    """Each (country, run key)'s totals of ``fields``: a left-to-right fold of its rows in table order."""
+    groups = zip(table.column("country_iso3").tolist(), (table.run_keys[i] for i in table.run.tolist()))
+    columns = [table.column(f).tolist() for f in fields]
+    sums: dict[tuple, dict[str, float]] = {}
+    for row, (iso3, key) in enumerate(groups):
+        totals = sums.setdefault((iso3, *key), dict.fromkeys(fields, 0))
+        for f, values in zip(fields, columns):
+            totals[f] += values[row]
+    return sums
 
 
 # ---------------------------------------------------------------------------

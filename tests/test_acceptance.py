@@ -36,10 +36,8 @@ from bband_sim.core import (
     StrategyBundle,
 )
 from bband_sim.cost import subsidies
-from bband_sim.data_io import default_se_table_path, load_se_table
 from bband_sim.demand import demand_columns, per_user_busy_hour_rate
 from bband_sim.energy import ENERGY_FIELDS, energy
-from bband_sim.pipeline import aggregate_country_rows
 from bband_sim.radio import (
     Carrier,
     FrequencySet,
@@ -48,7 +46,7 @@ from bband_sim.radio import (
     noise_floor,
     se_lookup,
 )
-from reference_chains import free_space_path_loss, sinr
+from reference_chains import country_sums, free_space_path_loss, sinr
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "miniland"
 
@@ -91,7 +89,8 @@ FACTORS = EmissionFactors(by_source={
 
 def _one_year_energy(existing: int, new: int, params: EnergyParams, on_grid_share: float = 1.0) -> dict:
     """:func:`energy.energy` of one unshared, wireless, diesel key and one decile over one year, as Python floats."""
-    decile = DecileRecord("AAA", 1, 1, 1.0, existing, 1.0, Settlement.RURAL)
+    decile = DecileRecord(country_iso3="AAA", decile_index=1, population=1, area_km2=1.0, existing_sites=existing,
+                          settlement=Settlement.RURAL)
     country = CountryParams("AAA", IncomeGroup.LIC, 1, (), 0.0, 0.0, 0.0, on_grid_share, 0.0)
     out = energy([[existing]], [[new]], [decile], [_strategy()], country, params, [MIX], FACTORS)
     return {name: out[name].item() for name in ENERGY_FIELDS}
@@ -119,7 +118,8 @@ def test_criterion_1_equation_oracles():
     assert got["energy_kwh"] == pytest.approx(21_812.4, abs=1e-9)
 
     # one user, always connected, paying $100 a year for 8 years at 5%
-    decile = DecileRecord("AAA", 1, 1, 1.0, 0, 1.0, Settlement.SUBURBAN)
+    decile = DecileRecord(country_iso3="AAA", decile_index=1, population=1, area_km2=1.0, existing_sites=0,
+                          settlement=Settlement.SUBURBAN)
     country = CountryParams("AAA", IncomeGroup.LIC, 1, (), *[100.0 / 12.0] * 3, 1.0, 0.0)
     adoption = AdoptionParams(1.0, 1.0, 1.0, 1.0, {IncomeGroup.LIC: {AdoptionScenario.BASELINE: 0.0}})
     scenario = ScenarioSpec(30.0, AdoptionScenario.BASELINE, 2023, 2030, 0.05)
@@ -132,9 +132,9 @@ def test_criterion_1_equation_oracles():
     _passed(1, f"equation oracles match independent hand calculations ({elapsed * 1000:.0f} ms)")
 
 
-def test_criterion_2_radio_properties():
+def test_criterion_2_radio_properties(bundle):
     start = time.perf_counter()
-    se_table = load_se_table(default_se_table_path())
+    se_table = bundle.se_table
     params = SimulationParams(trials=10_000, seed=314)
     grid = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     fs = FrequencySet(Generation.G4, (Carrier(800, 10), Carrier(1800, 10), Carrier(2500, 10)))
@@ -142,9 +142,9 @@ def test_criterion_2_radio_properties():
     # SE lookup monotone at every row boundary
     for gen in Generation:
         for min_sinr, _ in se_table.rows[gen]:
-            low = se_lookup(se_table, min_sinr - 0.01, gen)
-            high = se_lookup(se_table, min_sinr + 0.01, gen)
-            assert low <= se_lookup(se_table, min_sinr, gen) <= high
+            low = float(se_lookup(se_table, min_sinr - 0.01, gen))
+            high = float(se_lookup(se_table, min_sinr + 0.01, gen))
+            assert low <= float(se_lookup(se_table, min_sinr, gen)) <= high
 
     # an extra interferer never raises SINR
     rng = np.random.default_rng(11)
@@ -243,8 +243,9 @@ def test_criterion_4_linearity_and_conservation(bundle, table_cache):
 
     # decile -> country -> global aggregation to 1e-9 relative
     out = run_pipeline(bundle, [(_strategy(), SCENARIO_30)], cache_dir=table_cache)
-    rows = aggregate_country_rows(out.results)
-    for field in ("financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"):
+    fields = ("financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g")
+    rows = country_sums(out.results, fields).values()
+    for field in fields:
         decile_total = sum(out.results.column(field).tolist())
         country_total = sum(row[field] for row in rows)
         assert country_total == pytest.approx(decile_total, rel=1e-9)

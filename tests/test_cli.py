@@ -43,6 +43,19 @@ def test_negative_seed_is_one_line_and_exit_2(miniland_dir, miniland_config, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "tables"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(miniland_dir, miniland_config, tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--data", str(miniland_dir), "--config", str(miniland_config), "--out", str(out),
+              "--jobs", jobs])
+    assert exit_.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.endswith(f"bband-sim {command}: error: argument --jobs: must be an integer >= 1, got {jobs!r}\n")
+    assert not out.exists()
+
+
 def test_run_single_filter(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
     out = tmp_path / "out"

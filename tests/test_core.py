@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bband_sim.core import (
     AdoptionScenario,
+    DecileRecord,
     RegionRecord,
     ScenarioSpace,
     Settlement,
@@ -143,6 +144,25 @@ class TestDecileConservation:
         # filled bins hold 1-25 persons/km^2: all rural, or all urban under the low thresholds
         want = Settlement.URBAN if thresholds[0] < 1 else Settlement.RURAL
         assert all(d.settlement == want for d in deciles[:filled])
+
+
+class TestDecileRecord:
+    def test_fields_are_keyword_only(self):
+        # positionally, a stored density would have shifted into ``settlement`` without an error
+        with pytest.raises(TypeError):
+            DecileRecord("AAA", 1, 1, 1.0, 0, 1.0, Settlement.RURAL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**12), st.floats(1e-6, 1e9))
+    def test_pop_density_is_population_over_area(self, population, area):
+        d = DecileRecord(country_iso3="AAA", decile_index=1, population=population, area_km2=area, existing_sites=0,
+                         settlement=Settlement.RURAL)
+        assert d.pop_density == population / area
+
+    def test_degenerate_density_is_zero(self):
+        d = DecileRecord(country_iso3="AAA", decile_index=10, population=0, area_km2=0.0, existing_sites=0,
+                         settlement=Settlement.RURAL, degenerate=True)
+        assert d.pop_density == 0.0 and type(d.pop_density) is float
 
 
 class TestClassifySettlement:

@@ -207,7 +207,8 @@ def country(n_sharers, holdings=()):
 
 def deciles(settlements, population):
     """Deciles 1..n with the given settlements and populations, each of 1 km^2."""
-    return [DecileRecord("AAA", i, p, 1.0, 0, float(p), s) for i, (s, p) in enumerate(zip(settlements, population), 1)]
+    return [DecileRecord(country_iso3="AAA", decile_index=i, population=p, area_km2=1.0, existing_sites=0, settlement=s)
+            for i, (s, p) in enumerate(zip(settlements, population), 1)]
 
 
 def held_mhz(country, generation):

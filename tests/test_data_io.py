@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from bband_sim.core import AdoptionScenario, Generation, IncomeGroup
-from bband_sim.data_io import default_se_table_path, load_bundle, load_table_inputs, save_bundle, validate_axes
+from bband_sim.data_io import default_se_table_path, load_bundle, load_table_inputs, save_bundle
 from bband_sim.errors import InputValidationError
 
 
@@ -83,28 +83,38 @@ class TestValidationDiagnostics:
         assert any("duplicate" in str(d) for d in err.value.diagnostics)
 
 
-class TestValidateAxes:
-    def test_defaults_when_omitted(self):
-        strategy, scenario = validate_axes({})
-        assert scenario.capacities_gb_month == (20.0, 30.0, 40.0)
-        assert len(strategy.policies) == 5
+def load_with_sections(data_dir: Path, **sections):
+    """``load_bundle`` of ``data_dir`` with config sections replaced; a ``None`` section is dropped."""
+    config = yaml.safe_load((data_dir / "config.yaml").read_text())
+    for name, section in sections.items():
+        if section is None:
+            config.pop(name)
+        else:
+            config[name] = section
+    (data_dir / "config.yaml").write_text(yaml.safe_dump(config))
+    return load_bundle(data_dir, data_dir / "config.yaml")
 
-    def test_unknown_adoption_listed(self):
+
+class TestValidateAxes:
+    def test_defaults_when_omitted(self, miniland_copy):
+        bundle = load_with_sections(miniland_copy, axes=None)
+        assert bundle.scenario_space.capacities_gb_month == (20.0, 30.0, 40.0)
+        assert len(bundle.strategy_space.policies) == 5
+
+    def test_unknown_adoption_listed(self, miniland_copy):
         with pytest.raises(InputValidationError) as err:
-            validate_axes({"axes": {"adoption": ["medium"]}})
+            load_with_sections(miniland_copy, axes={"adoption": ["medium"]})
         message = " ".join(str(d) for d in err.value.diagnostics)
         assert "medium" in message
         for valid in ("low", "baseline", "high"):
             assert valid in message
 
-    def test_subset_axes(self):
-        strategy, scenario = validate_axes({
-            "axes": {"generation": ["4G"], "capacity_gb_month": [30]},
-            "horizon": {"start_year": 2024, "end_year": 2028},
-        })
-        assert [g.value for g in strategy.generations] == ["4G"]
-        assert scenario.capacities_gb_month == (30.0,)
-        assert scenario.start_year == 2024
+    def test_subset_axes(self, miniland_copy):
+        bundle = load_with_sections(miniland_copy, axes={"generation": ["4G"], "capacity_gb_month": [30]},
+                                    horizon={"start_year": 2024, "end_year": 2028})
+        assert [g.value for g in bundle.strategy_space.generations] == ["4G"]
+        assert bundle.scenario_space.capacities_gb_month == (30.0,)
+        assert bundle.scenario_space.start_year == 2024
 
     def test_lic_baseline_cagr_default(self, bundle):
         assert bundle.adoption.cagr(IncomeGroup.LIC, AdoptionScenario.BASELINE) == 0.04

@@ -13,7 +13,7 @@ from bband_sim.errors import ValidationError
 def decile(pop=1000, area=10.0, settlement=Settlement.SUBURBAN, sites=0):
     return DecileRecord(
         country_iso3="AAA", decile_index=1, population=pop, area_km2=area,
-        existing_sites=sites, pop_density=pop / area, settlement=settlement,
+        existing_sites=sites, settlement=settlement,
     )
 
 
@@ -101,7 +101,8 @@ class TestAreaDemand:
         assert got == pytest.approx(585.83, abs=0.01)
 
     def test_zero_area_with_population_rejected(self):
-        d = DecileRecord("AAA", 1, 100, 0.0, 0, 0.0, Settlement.RURAL, degenerate=True)
+        d = DecileRecord(country_iso3="AAA", decile_index=1, population=100, area_km2=0.0, existing_sites=0,
+                         settlement=Settlement.RURAL, degenerate=True)
         # degenerate deciles contribute zero demand and revenue rather than erroring
         assert columns([d]) == ([0.0], [0.0])
 

@@ -13,17 +13,19 @@ With ``old`` ``None`` the file is overwritten with ``new``, or deleted when
 import pytest
 
 from bband_sim.cli import EXIT_VALIDATION, main
-from bband_sim.data_io import load_bundle, load_se_table
+from bband_sim.data_io import load_bundle
 from bband_sim.errors import InputValidationError
 
 APPEND = "append"
 
-# The follow-on diagnostics when a country's row is rejected: its spectrum
-# and its twelve regions then reference an unknown country.
+# The follow-on diagnostics when a country's row is rejected: its spectrum,
+# its twelve regions and its energy mix then reference an unknown country.
 MLA_REGIONS = [f"regions.csv:{line}: region MLA-R{line - 1:02d} references unknown country MLA" for line in range(2, 14)]
 MLB_REGIONS = [f"regions.csv:{line}: region MLB-S{line - 13:02d} references unknown country MLB" for line in range(14, 26)]
-MLA_DROPPED = ["spectrum.csv: spectrum row references unknown country MLA", *MLA_REGIONS]
-MLB_DROPPED = ["spectrum.csv: spectrum row references unknown country MLB", *MLB_REGIONS]
+MLA_DROPPED = ["spectrum.csv: spectrum row references unknown country MLA", *MLA_REGIONS,
+               "energy_mix.csv: mix row references unknown country MLA"]
+MLB_DROPPED = ["spectrum.csv: spectrum row references unknown country MLB", *MLB_REGIONS,
+               "energy_mix.csv: mix row references unknown country MLB"]
 MIX_SOURCES = "('coal', 'gas', 'oil', 'nuclear', 'hydro', 'renewables_other')"
 CONFIG_SECTIONS = "('axes', 'horizon', 'settlement', 'adoption', 'simulation', 'cost', 'energy', 'tables')"
 AXES = "['adoption', 'backhaul', 'capacity_gb_month', 'energy_strategy', 'generation', 'policy', 'sharing']"
@@ -169,6 +171,11 @@ CASES = {
             "energy_mix.csv:74: share: -0.26 must be >= 0",
             "energy_mix.csv: MLB/2027: shares sum to 0.740000, expected 1",
         ],
+    ),
+    # one diagnostic per unknown region, and its rows are dropped (ZZZ/2023 would not sum to 1)
+    "energy_mix_unknown_country": (
+        [("energy_mix.csv", APPEND, "ZZZ,2023,coal,0.5\nZZZ,2024,coal,1.0\n")],
+        ["energy_mix.csv: mix row references unknown country ZZZ"],
     ),
     "emission_factors_co2_negative": (
         [("emission_factors.csv", "diesel,0.8,", "diesel,-0.8,")],
@@ -570,9 +577,34 @@ CASES = {
         [("config.yaml", "density_grid: [0.01,", "density_grid: [4.0e-7, 0.01,")],
         ["config: simulation: density grid points closer than 1e-6 sites/km^2 (or to 0) share an RNG stream"],
     ),
+    "config_density_grid_negative_point": (
+        [("config.yaml", "density_grid: [0.01,", "density_grid: [-0.5, 0.01,")],
+        ["config: simulation: density grid points must be > 0"],
+    ),
     "config_seed_negative": (
         [("config.yaml", "seed: 20230", "seed: -5")],
         ["config: simulation: seed must be >= 0"],
+    ),
+    # --- link parameters the radio chain cannot take ---
+    "config_temperature_zero": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  temperature_k: 0")],
+        ["config: simulation: temperature_k must be > 0"],
+    ),
+    "config_temperature_negative": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  temperature_k: -5")],
+        ["config: simulation: temperature_k must be > 0"],
+    ),
+    "config_shadow_sigma_negative": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_sigma_db: -3")],
+        ["config: simulation: shadow_sigma_db must be >= 0"],
+    ),
+    "config_shadow_mu_zero": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_mu_db: 0")],
+        ["config: simulation: shadow_mu_db must be > 0 when shadow_sigma_db > 0"],
+    ),
+    "config_shadow_mu_zero_without_fading_loads": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_mu_db: 0\n  shadow_sigma_db: 0")],
+        [],
     ),
     "config_axis_not_a_list": (
         [("config.yaml", "backhaul: [wireless, fiber]", "backhaul: 7")],
@@ -691,11 +723,14 @@ def test_overflowing_totals_stop_validate_and_run(miniland_copy, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-#: The damaged configs that passed ``validate`` before the density grid and
-#: the seed were checked on load: ``run`` and ``tables`` then failed (exit 3,
-#: or a numpy traceback for the seed).
+#: The damaged configs that passed ``validate`` before the density grid, the
+#: seed and the link parameters were checked on load: ``run`` and ``tables``
+#: then failed (exit 3, or a traceback for the seed and a zero temperature),
+#: or built, for a negative shadow sigma, the table of its absolute value.
 BAD_TABLE_INPUTS = ("config_density_grid_too_short", "config_density_grid_shared_stream", "config_seed_negative",
-                    "config_table_portfolio_carriers_share_a_stream")
+                    "config_table_portfolio_carriers_share_a_stream", "config_density_grid_negative_point",
+                    "config_temperature_zero", "config_temperature_negative", "config_shadow_sigma_negative",
+                    "config_shadow_mu_zero")
 
 
 @pytest.mark.parametrize("case", BAD_TABLE_INPUTS)
@@ -733,12 +768,6 @@ def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):
 def test_missing_data_directory(miniland_copy):
     missing = miniland_copy / "elsewhere"
     assert diagnostics(missing, miniland_copy / "config.yaml") == [f"{missing}: data directory is missing"]
-
-
-def test_missing_se_table_file(tmp_path):
-    with pytest.raises(InputValidationError) as err:
-        load_se_table(tmp_path / "se_table.csv")
-    assert [str(d) for d in err.value.diagnostics] == ["se_table.csv: file is missing", *SE_TABLE_EMPTY]
 
 
 # A file that is not UTF-8 (here a Latin-1 e-acute) is one diagnostic with

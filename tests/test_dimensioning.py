@@ -11,7 +11,7 @@ from test_radio import capacity_tables
 def decile(pop=10_000, area=100.0, existing=40, country="AAA", index=1):
     return DecileRecord(
         country_iso3=country, decile_index=index, population=pop, area_km2=area,
-        existing_sites=existing, pop_density=pop / area, settlement=Settlement.RURAL,
+        existing_sites=existing, settlement=Settlement.RURAL,
     )
 
 
@@ -93,9 +93,10 @@ def site_blocks(draw):
         area = draw(st.floats(1e-3, 1e4))
         existing = draw(st.integers(0, 100_000))
         if draw(st.booleans()) and pop == 0:
-            deciles.append(DecileRecord("AAA", i + 1, 0, 0.0, existing, 0.0, Settlement.RURAL, degenerate=True))
+            deciles.append(DecileRecord(country_iso3="AAA", decile_index=i + 1, population=0, area_km2=0.0,
+                                        existing_sites=existing, settlement=Settlement.RURAL, degenerate=True))
         else:
-            deciles.append(DecileRecord("AAA", i + 1, pop, area, existing, pop / area, Settlement.RURAL))
+            deciles.append(decile(pop, area, existing, index=i + 1))
     fractions = st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)
     demand = [[f * table.max_capacity for f in row] for row in draw(st.lists(fractions, min_size=1, max_size=4))]
     return table, deciles, demand
@@ -120,6 +121,6 @@ class TestSiteCountsProperties:
     @given(capacity_tables(), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=20), st.floats(1e-3, 1e4))
     def test_total_monotone_in_demand(self, table, fractions, area):
         demand = sorted({f * table.max_capacity for f in fractions} | {c for _, c in table.rows})
-        d = DecileRecord("AAA", 1, 1000, area, 0, 1000 / area, Settlement.RURAL)
+        d = decile(pop=1000, area=area, existing=0)
         totals = site_counts([[x] for x in demand], [table] * len(demand), [d])["total_sites"][:, 0].tolist()
         assert totals == sorted(totals)

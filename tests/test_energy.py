@@ -54,7 +54,8 @@ def country(n_sharers=1, on_grid_share=1.0):
 
 def deciles(settlements):
     """One populated decile per settlement, in order."""
-    return [DecileRecord("AAA", i, 1, 1.0, 0, 1.0, s) for i, s in enumerate(settlements, start=1)]
+    return [DecileRecord(country_iso3="AAA", decile_index=i, population=1, area_km2=1.0, existing_sites=0, settlement=s)
+            for i, s in enumerate(settlements, start=1)]
 
 
 def one_decile(existing, new, key, on_grid_share, mix=ALL_COAL):

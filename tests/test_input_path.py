@@ -109,7 +109,7 @@ def test_pipeline_exports_resolve_on_first_use():
         "Generation", "IncomeGroup", "InputBundle", "InputValidationError", "MissingDataError", "PipelineOutput",
         "Policy", "RegionRecord", "ScenarioSpace", "ScenarioSpec", "Settlement", "Sharing", "SpectrumHolding",
         "StrategyBundle", "StrategySpace", "ValidationError", "build_deciles", "classify_settlement",
-        "emit_results", "enumerate_runs", "load_bundle", "run_pipeline", "save_bundle", "validate_axes",
+        "emit_results", "enumerate_runs", "load_bundle", "run_pipeline", "save_bundle",
     ]
     assert all(hasattr(bband_sim, name) for name in bband_sim.__all__)
 

@@ -33,12 +33,11 @@ from bband_sim.pipeline import (
     STAGE_COLUMNS,
     PipelineOutput,
     ResultTable,
-    aggregate_country_rows,
     emit_results,
     format_rows,
     run_pipeline,
 )
-from reference_chains import DecileCost
+from reference_chains import DecileCost, country_sums
 
 BASELINE_RUN = (
     StrategyBundle(Generation.G4, Backhaul.WIRELESS, Sharing.BASELINE, Policy.BASELINE, EnergyStrategy.BASELINE),
@@ -341,8 +340,9 @@ class TestRunPipeline:
 class TestAggregation:
     def test_decile_to_country_to_global_consistency(self, baseline_output):
         table = baseline_output.results
-        country_rows = aggregate_country_rows(table)
         fields = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g", "revenue_pv_usd"]
+        country_rows = country_sums(table, [*fields, "total_sites"]).values()
+        assert len(country_rows) == 2
         for field in fields:
             decile_total = sum(table.column(field).tolist())
             country_total = sum(row[field] for row in country_rows)

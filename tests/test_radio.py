@@ -31,15 +31,12 @@ from bband_sim.radio import (
     table_cache_key,
     trial_sinr_db,
 )
-from bband_sim.data_io import default_se_table_path, load_se_table
 from reference_chains import free_space_path_loss, received_signal, reference_sinr_db, sinr
 
 
 @pytest.fixture(scope="module")
-def se_table():
-    table = load_se_table(default_se_table_path())
-    assert table is not None
-    return table
+def se_table(bundle):
+    return bundle.se_table
 
 
 @pytest.fixture(scope="module")
@@ -150,30 +147,30 @@ class TestSinr:
             warnings.simplefilter("error")
             got = sinr(-4000.0, [], noise)
             assert got == -math.inf
-            assert se_lookup(se_table, got, Generation.G4) == 0.0
+            assert float(se_lookup(se_table, got, Generation.G4)) == 0.0
             trials = sinr(np.array([-4000.0, -90.0]), np.full((2, 1), -4000.0), noise)
         assert trials[0] == -math.inf and math.isfinite(trials[1])
 
 
 class TestSeLookup:
     def test_below_minimum_is_zero(self, se_table):
-        assert se_lookup(se_table, -50.0, Generation.G4) == 0.0
+        assert float(se_lookup(se_table, -50.0, Generation.G4)) == 0.0
 
     def test_above_maximum_saturates(self, se_table):
-        assert se_lookup(se_table, 60.0, Generation.G4) == se_table.rows[Generation.G4][-1][1]
+        assert float(se_lookup(se_table, 60.0, Generation.G4)) == se_table.rows[Generation.G4][-1][1]
 
     def test_monotone_at_all_boundaries(self, se_table):
         for gen in Generation:
             for min_sinr, _ in se_table.rows[gen]:
-                low = se_lookup(se_table, min_sinr - 0.01, gen)
-                at = se_lookup(se_table, min_sinr, gen)
-                high = se_lookup(se_table, min_sinr + 0.01, gen)
+                low = float(se_lookup(se_table, min_sinr - 0.01, gen))
+                at = float(se_lookup(se_table, min_sinr, gen))
+                high = float(se_lookup(se_table, min_sinr + 0.01, gen))
                 assert low <= at <= high
 
     def test_mimo_multiplier_applied(self, se_table, fast_params):
         # se_lookup gives the single-stream value; carrier_capacity scales it by 4 streams x efficiency
         raw = se_table.rows[Generation.G5][0][1]
-        assert se_lookup(se_table, se_table.rows[Generation.G5][0][0], Generation.G5) == raw
+        assert float(se_lookup(se_table, se_table.rows[Generation.G5][0][0], Generation.G5)) == raw
         flat = SpectralEfficiencyTable(rows={gen: ((-1000.0, 4.0),) for gen in Generation})
         got = carrier_capacity(fast_params, flat, Generation.G5, Carrier(3500.0, 40.0), 0.5)
         assert got == pytest.approx(4.0 * 4 * 0.85 * 40.0 * 3 * 0.5)
