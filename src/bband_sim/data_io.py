@@ -20,7 +20,8 @@ table is used when it is absent.
 The config is a YAML mapping with the sections ``axes``, ``horizon``,
 ``settlement``, ``adoption``, ``simulation``, ``cost``, ``energy`` and
 ``tables``; every key has a documented default, but when a ``cost`` section
-is present it must be complete. A key that no section reads is rejected.
+is present it must be complete. A key that no section reads is rejected,
+in ``tables`` and its portfolio entries too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .core import (
     DIESEL_SOURCE, HORIZON_KEYS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier,
     CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup,
     RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
-    check_density_grid,
+    density_grid_rules, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -148,6 +149,15 @@ class _Collector:
     def add(self, file: str, line: int, message: str) -> None:
         self.diagnostics.append(Diagnostic(file, line, message))
 
+    def check(self, file: str, line: int, prefix: str, build, /, *args, **kwargs):
+        """``build(*args, **kwargs)``, or None and one diagnostic per broken rule it reports, led by ``prefix``."""
+        try:
+            return build(*args, **kwargs)
+        except ValidationError as err:
+            for message in err.args:
+                self.add(file, line, prefix + message)
+            return None
+
     def raise_if_any(self) -> None:
         if self.diagnostics:
             raise InputValidationError(self.diagnostics)
@@ -167,8 +177,8 @@ def _parse(raw, kind, bound, where: str):
             raise ValueError(f"{where}: {raw!r} is not one of {{{', '.join(e.value for e in kind)}}}") from None
     try:
         value = kind(raw)
-        if kind is int and isinstance(raw, float) and value != raw:
-            raise ValueError  # int() would drop the fraction
+        if isinstance(raw, bool) or kind is int and isinstance(raw, float) and value != raw:
+            raise ValueError  # a YAML boolean (yes, on, true), or int() would drop the fraction
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
     if kind is float and not -math.inf < value < math.inf:
@@ -246,16 +256,12 @@ def _spectrum(rows: Rows) -> dict[str, list[SpectrumHolding]]:
 
 def _countries(rows: Rows, spectrum: Mapping[str, list[SpectrumHolding]], collector: _Collector) -> dict[str, CountryParams]:
     countries: dict[str, CountryParams] = {}
-    for line, (iso3, income, n_ops, arpu_low, arpu_base, arpu_high, on_grid, intensity) in rows:
+    for line, (iso3, income, n_ops, *tariffs) in rows:
         if iso3 in countries:
             collector.add("countries.csv", line, f"duplicate country {iso3}")
-        elif not arpu_low <= arpu_base <= arpu_high:
-            collector.add("countries.csv", line, f"{iso3}: ARPU tiers must be ordered low <= base <= high")
-        elif on_grid > 1:
-            collector.add("countries.csv", line, f"{iso3}: on_grid_share {on_grid} exceeds 1")
-        else:
-            holdings = tuple(spectrum.get(iso3, ()))
-            countries[iso3] = CountryParams(iso3, income, n_ops, holdings, arpu_low, arpu_base, arpu_high, on_grid, intensity)
+        elif (params := collector.check("countries.csv", line, "", CountryParams, iso3, income, n_ops,
+                                        tuple(spectrum.get(iso3, ())), *tariffs)) is not None:
+            countries[iso3] = params
     return countries
 
 
@@ -324,11 +330,7 @@ def _emission_factors(rows: Rows, collector: _Collector) -> EmissionFactors | No
             collector.add("emission_factors.csv", line, f"duplicate source {source}")
         else:
             by_source[source] = FactorRow(*factors)
-    try:
-        return EmissionFactors(by_source=by_source)
-    except ValidationError as err:
-        collector.add("emission_factors.csv", 0, str(err))
-        return None
+    return collector.check("emission_factors.csv", 0, "", EmissionFactors, by_source)
 
 
 def _se_table(path: Path, collector: _Collector) -> SpectralEfficiencyTable | None:
@@ -340,11 +342,7 @@ def _se_table(path: Path, collector: _Collector) -> SpectralEfficiencyTable | No
         collector.add(path.name, 0, f"no rows for generation {gen.value}")
     if missing:
         return None
-    try:
-        return SpectralEfficiencyTable(rows={g: tuple(r) for g, r in rows_by_gen.items()})
-    except ValidationError as err:
-        collector.add(path.name, 0, str(err))
-        return None
+    return collector.check(path.name, 0, "", SpectralEfficiencyTable, {g: tuple(r) for g, r in rows_by_gen.items()})
 
 
 def default_se_table_path() -> Path:
@@ -414,11 +412,7 @@ def _config_params(cls, section: dict, where: str, collector: _Collector, extra_
     read = [f for f in fields(cls) if f.name not in given]
     _unknown_keys(section, [*extra_keys, *(f.name for f in read)], where, collector)
     kwargs = {f.name: _config_scalar(section, f.name, f.default, where, collector, cast=type(f.default)) for f in read}
-    try:
-        return cls(**kwargs, **given)
-    except ValidationError as err:
-        collector.add("config", 0, f"{where}: {err}")
-        return cls()
+    return collector.check("config", 0, f"{where}: ", cls, **kwargs, **given) or cls()
 
 
 def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[StrategySpace, ScenarioSpace]:
@@ -493,10 +487,7 @@ def _build_sim_params(config: Mapping[str, Any], collector: _Collector) -> tuple
     raw = section.get("density_grid", DEFAULT_DENSITY_GRID)
     grid = _config_list(raw, float, "simulation.density_grid", collector)
     if grid is not None and len(grid) == len(raw):  # a bad item is reported already
-        try:
-            check_density_grid(grid)
-        except ValidationError as err:
-            collector.add("config", 0, f"simulation: {err}")
+        collector.check("config", 0, "simulation: ", raise_broken, density_grid_rules(grid))
     return _config_params(SimulationParams, section, "simulation", collector, ("density_grid",)), grid or ()
 
 
@@ -515,6 +506,7 @@ def _build_cost_inputs(config: Mapping[str, Any], collector: _Collector) -> Cost
 
 def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) -> tuple[FrequencySet, ...]:
     section = _expect_mapping(config.get("tables"), "tables", collector)
+    _unknown_keys(section, ("portfolios",), "tables", collector)
     raw = section.get("portfolios")
     if raw is None:
         return DEFAULT_TABLE_PORTFOLIOS
@@ -524,6 +516,7 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
     portfolios = []
     for entry in raw:
         entry = _expect_mapping(entry, "tables.portfolios[]", collector)
+        _unknown_keys(entry, ("generation", "carriers"), "tables.portfolios[]", collector)
         try:
             gen = Generation(entry.get("generation"))
             carriers = tuple(Carrier(*(_parse(x, float, None, "carriers") for x in pair)) for pair in entry.get("carriers", ()))
@@ -586,11 +579,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         for gen in strategy_space.generations:
             if not params.holdings(gen):
                 collector.add("spectrum.csv", 0, f"{iso3}: no {gen.value} carriers in portfolio")
-                continue
-            try:
-                params.frequency_set(gen)
-            except ValidationError as err:
-                collector.add("spectrum.csv", 0, f"{iso3}: {gen.value} {err}")
+            else:
+                collector.check("spectrum.csv", 0, f"{iso3}: {gen.value} ", params.frequency_set, gen)
 
     regions = _regions(_read_csv(data_dir / "regions.csv", collector), countries, collector)
     for iso3 in sorted(countries):

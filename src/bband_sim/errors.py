@@ -6,7 +6,10 @@ class BbandSimError(Exception):
 
 
 class ValidationError(BbandSimError):
-    """An input violates a documented precondition or schema rule."""
+    """An input violates a documented precondition or schema rule: ``args`` holds one message per broken rule."""
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 class MissingDataError(ValidationError):

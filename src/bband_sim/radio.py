@@ -44,13 +44,13 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
-    carrier_stream_key, check_density_grid, density_stream_key,
+    SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, raise_broken,
 )
 from .errors import ValidationError
 
@@ -71,27 +71,28 @@ BLOCK_ELEMENTS = 36864
 
 
 @dataclass(frozen=True)
-class CapacityTable:
+class CapacityTable(SelfChecked):
     """Monotone map from site density to area capacity for one frequency set."""
 
     generation: Generation
     freq_label: str
     rows: tuple[tuple[float, float], ...]  # (sites/km^2, Mbps/km^2)
 
-    def __post_init__(self):
+    def broken_rules(self) -> Iterator[str]:
         if not self.rows:
-            raise ValidationError("capacity table has no rows")
+            yield "capacity table has no rows"
         densities = [r[0] for r in self.rows]
         caps = [r[1] for r in self.rows]
-        # Every comparison with nan is false, so the order checks below would pass it.
+        # Every comparison with nan is false, so the order rules below would pass it.
         if not all(map(math.isfinite, densities + caps)):
-            raise ValidationError("capacity table entries must be finite")
+            yield "capacity table entries must be finite"
+            return
         if any(b <= a for a, b in zip(densities, densities[1:])):
-            raise ValidationError("capacity table densities must be strictly increasing")
+            yield "capacity table densities must be strictly increasing"
         if any(b < a for a, b in zip(caps, caps[1:])):
-            raise ValidationError("capacity table capacities must be monotone non-decreasing")
+            yield "capacity table capacities must be monotone non-decreasing"
         if any(d <= 0 for d in densities) or any(c < 0 for c in caps):
-            raise ValidationError("capacity table entries must be positive densities, non-negative capacities")
+            yield "capacity table entries must be positive densities, non-negative capacities"
 
     @property
     def max_density(self) -> float:
@@ -360,14 +361,14 @@ def build_capacity_table(
 
     Grid points run independently (optionally across ``jobs`` threads; the
     per-carrier RNG streams make the result scheduling-invariant), then the
-    capacity column is isotonically clipped. The grid must pass
-    :func:`core.check_density_grid`, as the input loader checks it.
+    capacity column is isotonically clipped. The grid must break none of
+    :func:`core.density_grid_rules`, as the input loader checks.
     A ``memo`` shared by the builds of one SE table simulates each distinct
     (generation, carrier, density) once; see :func:`simulate_density`. The
     threads work on distinct densities, so they never race on a memo key.
     """
     grid = list(density_grid)
-    check_density_grid(grid)
+    raise_broken(density_grid_rules(grid))
 
     def simulate(d: float) -> float:
         return simulate_density(params, se_table, freq_set, d, memo=memo)

@@ -277,6 +277,7 @@ def test_validate_survives_csv_damage(saved_miniland, name, line, column, damage
 @example(path=("simulation", "density_grid"), shape=7)
 @example(path=("axes", "backhaul"), shape=7)
 @example(path=("adoption", "cagr", "LIC", "low"), shape="abc")
+@example(path=("simulation", "shadow_sigma_db"), shape=True)
 def test_validate_survives_config_damage(saved_miniland, path, shape):
     def damage_config(data_dir):
         config = yaml.safe_load((data_dir / "config.yaml").read_text())
@@ -287,7 +288,7 @@ def test_validate_survives_config_damage(saved_miniland, path, shape):
         (data_dir / "config.yaml").write_text(yaml.safe_dump(config))
 
     code = validate_damaged(saved_miniland, damage_config)
-    if isinstance(shape, str) or isinstance(shape, float) and not math.isfinite(shape):
+    if isinstance(shape, (str, bool)) or isinstance(shape, float) and not math.isfinite(shape):
         assert code == EXIT_VALIDATION
     else:
         assert code in (EXIT_OK, EXIT_VALIDATION)

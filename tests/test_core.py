@@ -9,6 +9,7 @@ from bband_sim.core import (
     RegionRecord,
     ScenarioSpace,
     Settlement,
+    SimulationParams,
     StrategySpace,
     build_deciles,
     classify_settlement,
@@ -163,6 +164,38 @@ class TestDecileRecord:
         d = DecileRecord(country_iso3="AAA", decile_index=10, population=0, area_km2=0.0, existing_sites=0,
                          settlement=Settlement.RURAL, degenerate=True)
         assert d.pop_density == 0.0 and type(d.pop_density) is float
+
+
+#: The SimulationParams rules that break independently of each other, in
+#: declaration order: (field, values that break the rule, message).
+SIMULATION_RULES = (
+    ("reliability", st.floats(max_value=0.0) | st.floats(min_value=1.0), "reliability must be in (0, 1)"),
+    ("trials", st.integers(max_value=99), "trials must be >= 100"),
+    ("seed", st.integers(max_value=-1), "seed must be >= 0"),
+    ("sectors_per_site", st.integers(max_value=0), "sectors_per_site must be >= 1"),
+    ("network_load", st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0, exclude_min=True),
+     "network_load must be in [0, 1]"),
+    ("interferer_rings", st.integers(max_value=-1), "interferer_rings must be >= 0"),
+    ("mimo_efficiency", st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+     "mimo_efficiency must be in (0, 1]"),
+    ("temperature_k", st.floats(max_value=0.0), "temperature_k must be > 0"),
+    ("shadow_sigma_db", st.floats(max_value=0.0, exclude_max=True), "shadow_sigma_db must be >= 0"),
+)
+
+
+class TestSelfChecked:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_broken_rule_is_raised_in_declaration_order(self, data):
+        broken = sorted(data.draw(st.sets(st.integers(0, len(SIMULATION_RULES) - 1))))
+        values = {SIMULATION_RULES[i][0]: data.draw(SIMULATION_RULES[i][1]) for i in broken}
+        if not broken:
+            SimulationParams()
+            return
+        with pytest.raises(ValidationError) as err:
+            SimulationParams(**values)
+        assert err.value.args == tuple(SIMULATION_RULES[i][2] for i in broken)
+        assert str(err.value) == "; ".join(err.value.args)
 
 
 class TestClassifySettlement:

@@ -445,6 +445,18 @@ CASES = {
         [("config.yaml", "site_kwh_per_hour: 0.249", "site_kwh_per_hour: 0.249\n  site_kwh: 0.3")],
         ["config: energy: unknown keys ['site_kwh']"],
     ),
+    "config_tables_unknown_key": (
+        [("config.yaml", APPEND, "tables:\n  portfolio:\n    - {generation: 4G, carriers: [[800, 10]]}\n")],
+        ["config: tables: unknown keys ['portfolio']"],
+    ),
+    # the misspelt carriers are not read, so the entry has none
+    "config_table_portfolio_unknown_key": (
+        [("config.yaml", APPEND, "tables:\n  portfolios:\n    - {generation: 4G, carrier: [[800, 10]]}\n")],
+        [
+            "config: tables.portfolios[]: unknown keys ['carrier']",
+            "config: tables.portfolios: frequency set needs at least one carrier",
+        ],
+    ),
     "config_cost_invalid": (
         [("config.yaml", "tax_rate_low: 0.10", "tax_rate_low: 0.50")],
         ["config: cost: tax rates must be ordered low <= baseline <= high"],
@@ -559,6 +571,30 @@ CASES = {
         [("config.yaml", "density_grid: [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]", "density_grid: 5")],
         ["config: simulation.density_grid must be a list"],
     ),
+    # YAML reads yes, on and true as booleans, which int() and float() would take as 1
+    "config_bool_not_a_number": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  tx_gain_db: yes\n  network_load: on")],
+        [
+            "config: simulation.tx_gain_db: True is not a valid float",
+            "config: simulation.network_load: True is not a valid float",
+        ],
+    ),
+    "config_bool_not_an_int": (
+        [("config.yaml", "trials: 10000", "trials: true")],
+        ["config: simulation.trials: True is not a valid int"],
+    ),
+    "config_capacity_bool": (
+        [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: [20, yes, 40]")],
+        ["config: axes.capacity_gb_month: True is not a valid float"],
+    ),
+    "config_density_grid_bool": (
+        [("config.yaml", "density_grid: [0.01,", "density_grid: [on,")],
+        ["config: simulation.density_grid: True is not a valid float"],
+    ),
+    "config_cagr_bool": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {low: no}}\n")],
+        ["config: adoption.cagr.LIC.low: False is not a valid float"],
+    ),
     # --- density grids that cannot give a capacity table, and seeds no RNG takes ---
     "config_density_grid_too_short": (
         [("config.yaml", "density_grid: [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]",
@@ -605,6 +641,27 @@ CASES = {
     "config_shadow_mu_zero_without_fading_loads": (
         [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_mu_db: 0\n  shadow_sigma_db: 0")],
         [],
+    ),
+    # --- every rule a config section or a CSV row breaks, in rule order ---
+    "config_simulation_three_faults": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  temperature_k: 0\n  shadow_sigma_db: -3\n  reliability: 2")],
+        [
+            "config: simulation: reliability must be in (0, 1)",
+            "config: simulation: temperature_k must be > 0",
+            "config: simulation: shadow_sigma_db must be >= 0",
+        ],
+    ),
+    "config_cost_two_faults": (
+        [("config.yaml", "tax_rate_low: 0.10", "tax_rate_low: 0.50"), ("config.yaml", "civils_usd: 30000", "civils_usd: -1")],
+        ["config: cost: civils_usd must be >= 0", "config: cost: tax rates must be ordered low <= baseline <= high"],
+    ),
+    "countries_arpu_unordered_and_on_grid_above_one": (
+        [("countries.csv", "MLA,LMC,3,6,10,14,0.67", "MLA,LMC,3,6,16,14,1.67")],
+        [
+            "countries.csv:2: MLA: ARPU tiers must be ordered low <= base <= high",
+            "countries.csv:2: MLA: on_grid_share 1.67 exceeds 1",
+            *MLA_DROPPED,
+        ],
     ),
     "config_axis_not_a_list": (
         [("config.yaml", "backhaul: [wireless, fiber]", "backhaul: 7")],

@@ -416,6 +416,18 @@ class TestCapacityTable:
         with pytest.raises(ValidationError, match="finite"):
             CapacityTable(Generation.G4, "x", tuple(map(tuple, rows)))
 
+    def test_non_finite_rows_skip_the_order_rules(self):
+        # the order rules are meaningless on inf, so only the finiteness rule is reported
+        with pytest.raises(ValidationError) as err:
+            CapacityTable(Generation.G4, "x", ((1.0, math.inf), (0.5, 60.0)))
+        assert err.value.args == ("capacity table entries must be finite",)
+
+    def test_every_broken_order_rule_is_reported(self):
+        with pytest.raises(ValidationError) as err:
+            CapacityTable(Generation.G4, "x", ((1.0, 120.0), (0.5, 60.0)))
+        assert err.value.args == ("capacity table densities must be strictly increasing",
+                                  "capacity table capacities must be monotone non-decreasing")
+
     def test_save_replaces_atomically(self, t4, t5, tmp_path):
         path = tmp_path / "tables.csv"
         save_capacity_tables([t4], path)
