@@ -133,17 +133,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from .radio import build_capacity_table, save_capacity_tables
+    from .radio import build_capacity_tables, log_table_counts, save_capacity_tables
 
     inputs = load_table_inputs(args.config, args.data)
     sim_params = _seeded(inputs.sim_params, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    memo: dict = {}
-    tables = [
-        build_capacity_table(sim_params, inputs.se_table, fs, inputs.density_grid, jobs=args.jobs, memo=memo)
-        for fs in inputs.portfolios
-    ]
+    tables = build_capacity_tables(sim_params, inputs.se_table, inputs.portfolios, inputs.density_grid, args.jobs)
+    log_table_counts(len(inputs.portfolios), 0, list(dict.fromkeys(inputs.portfolios)), inputs.density_grid)
     path = out_dir / "capacity_tables.csv"
     save_capacity_tables(tables, path)
     print(f"wrote {path}")

@@ -653,6 +653,12 @@ class EmissionFactors(SelfChecked):
         return self.by_source[DIESEL_SOURCE]
 
 
+def settlement_threshold_rules(urban_min: float, suburban_min: float) -> Iterator[str]:
+    """The rule a pair of settlement density thresholds breaks, if it does."""
+    if not urban_min > suburban_min > 0:
+        yield "settlement thresholds must satisfy urban_min > suburban_min > 0"
+
+
 def classify_settlement(
     density: float,
     thresholds: tuple[float, float] = (DEFAULT_URBAN_MIN_DENSITY, DEFAULT_SUBURBAN_MIN_DENSITY),
@@ -662,9 +668,8 @@ def classify_settlement(
     ``thresholds`` is ``(urban_min, suburban_min)``; both boundaries are
     inclusive on the denser side.
     """
+    raise_broken(settlement_threshold_rules(*thresholds))
     urban_min, suburban_min = thresholds
-    if not (urban_min > suburban_min > 0):
-        raise ValidationError("thresholds must satisfy urban_min > suburban_min > 0")
     if not math.isfinite(density) or density < 0:
         raise ValidationError(f"pop_density {density!r} is not a finite non-negative number")
     if density >= urban_min:
@@ -694,16 +699,13 @@ def build_deciles(
     seen: set[str] = set()
     for r in regions:
         if r.country_iso3 != country_iso3:
-            raise ValidationError(
-                f"region {r.region_id} belongs to {r.country_iso3}, not {country_iso3}"
-            )
+            raise ValidationError(f"region {r.region_id} belongs to {r.country_iso3}, not {country_iso3}")
         if r.region_id in seen:
             raise ValidationError(f"{country_iso3}: duplicate region_id {r.region_id}")
         seen.add(r.region_id)
 
     ordered = sorted(regions, key=lambda r: (-r.pop_density, r.region_id))
-    n = len(ordered)
-    q, rem = divmod(n, N_DECILES)
+    q, rem = divmod(len(ordered), N_DECILES)
     sizes = [q + 1] * rem + [q] * (N_DECILES - rem)
 
     deciles: list[DecileRecord] = []

@@ -42,7 +42,7 @@ from .core import (
     DIESEL_SOURCE, HORIZON_KEYS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier,
     CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup,
     RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
-    density_grid_rules, raise_broken,
+    density_grid_rules, raise_broken, settlement_threshold_rules,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -520,9 +520,11 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
         try:
             gen = Generation(entry.get("generation"))
             carriers = tuple(Carrier(*(_parse(x, float, None, "carriers") for x in pair)) for pair in entry.get("carriers", ()))
-            portfolios.append(FrequencySet(gen, carriers))
         except (TypeError, ValueError, ValidationError) as err:
             collector.add("config", 0, f"tables.portfolios: {err}")
+            continue
+        if freq_set := collector.check("config", 0, "tables.portfolios: ", FrequencySet, gen, carriers):
+            portfolios.append(freq_set)
     return tuple(portfolios) if portfolios else DEFAULT_TABLE_PORTFOLIOS
 
 
@@ -567,8 +569,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     _unknown_keys(settlement_section, SETTLEMENT_KEYS, "settlement", collector)
     urban_min = _config_scalar(settlement_section, "urban_min_density", DEFAULT_URBAN_MIN_DENSITY, "settlement", collector)
     suburban_min = _config_scalar(settlement_section, "suburban_min_density", DEFAULT_SUBURBAN_MIN_DENSITY, "settlement", collector)
-    if not urban_min > suburban_min > 0:
-        collector.add("config", 0, "settlement thresholds must satisfy urban_min > suburban_min > 0")
+    collector.check("config", 0, "", raise_broken, settlement_threshold_rules(urban_min, suburban_min))
 
     spectrum = _spectrum(_read_csv(data_dir / "spectrum.csv", collector))
     countries = _countries(_read_csv(data_dir / "countries.csv", collector), spectrum, collector)

@@ -1,8 +1,9 @@
 """End-to-end orchestration: demand -> capacity -> sites -> cost -> energy.
 
 Capacity tables are built once per (country, generation) and cached on disk
-keyed by a content hash of everything that determines them; cold builds of
-one call share a carrier memo. With a warm cache, about half of a miniland
+keyed by a content hash of everything that determines them; the tables one
+call does not find are built together, so each distinct carrier is
+simulated once per density. With a warm cache, about half of a miniland
 ``run``'s wall time is starting the interpreter and importing modules (numpy
 among them); of the work in this module, result emission takes the most.
 Each stage runs once per key of the axes it depends on, and every country
@@ -74,8 +75,9 @@ from .errors import BbandSimError, ValidationError
 from .radio import (
     CapacityTable,
     FrequencySet,
-    build_capacity_table,
+    build_capacity_tables,
     load_capacity_tables,
+    log_table_counts,
     save_capacity_tables,
     table_cache_key,
 )
@@ -162,23 +164,20 @@ class PipelineOutput:
     failures: list[RunFailure]
 
 
-def _load_cached_table(path: Path, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:
-    """The table cached at ``path``, or None (with a warning) if it does not match its key."""
+def _load_cached_table(path: Path | None, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:
+    """The table cached at ``path``, or None: if there is none, or (with a warning) if it does not match its key."""
+    if path is None or not path.is_file():
+        return None
     try:
         loaded = load_capacity_tables(path)
     except (ValidationError, ValueError) as err:
         logger.warning("capacity table cache %s is unreadable (%s); rebuilding", path, err)
         return None
-    table = loaded[0] if len(loaded) == 1 else None
-    if (
-        table is None
-        or table.generation != freq_set.generation
-        or table.freq_label != freq_set.label
-        or tuple(d for d, _ in table.rows) != tuple(density_grid)
-    ):
+    expected = (freq_set.generation, freq_set.label, tuple(density_grid))
+    if [(t.generation, t.freq_label, tuple(d for d, _ in t.rows)) for t in loaded] != [expected]:
         logger.warning("capacity table cache %s does not match its key; rebuilding", path)
         return None
-    return table
+    return loaded[0]
 
 
 def capacity_tables(
@@ -189,41 +188,35 @@ def capacity_tables(
 ) -> dict[tuple[str, Generation], CapacityTable]:
     """Build (or load from cache) one capacity table per country and generation.
 
-    A cached table whose generation, frequency label or density grid differs
-    from the inputs behind its key is rebuilt and rewritten, never used.
-    Tables built in one call share a carrier memo (see
-    :func:`radio.simulate_density`), so identical portfolios, and carriers
-    common to several, are simulated once per density. Each distinct cache
-    key is built or read once per call, and that table serves every later
-    lookup of the key in the same call.
+    Each distinct cache key is read from its cache file at most once per
+    call, and that table serves every lookup of the key. A cached table
+    whose generation, frequency label or density grid differs from the
+    inputs behind its key is rebuilt and rewritten, never used. The keys
+    left over are built in one :func:`radio.build_capacity_tables` call, so
+    identical portfolios, and carriers common to several, are simulated
+    once per density; each built table is then written to its cache file.
     """
     if generations is None:
         generations = bundle.strategy_space.generations
-    tables: dict[tuple[str, Generation], CapacityTable] = {}
-    by_key: dict[str, CapacityTable] = {}  # cache key -> table built or read in this call
-    memo: dict = {}
     cache = Path(cache_dir) if cache_dir is not None else None
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
-    for iso3 in sorted(bundle.countries):
-        for gen in generations:
-            freq_set = bundle.countries[iso3].frequency_set(gen)
-            key = table_cache_key(bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid)
-            cache_file = cache / f"{key}.csv" if cache is not None else None
-            table = by_key.get(key)
-            if table is None and cache_file is not None and cache_file.is_file():
-                table = _load_cached_table(cache_file, freq_set, bundle.density_grid)
-                if table is not None:
-                    logger.debug("capacity table cache hit: %s %s", iso3, gen.value)
-            if table is None:
-                logger.info("building capacity table for %s %s (%s)", iso3, gen.value, freq_set.label)
-                table = build_capacity_table(
-                    bundle.sim_params, bundle.se_table, freq_set, bundle.density_grid, jobs=jobs, memo=memo
-                )
-                if cache_file is not None:
-                    save_capacity_tables([table], cache_file)
-            tables[(iso3, gen)] = by_key[key] = table
-    return tables
+    grid = bundle.density_grid
+    sets = {(iso3, gen): bundle.countries[iso3].frequency_set(gen)
+            for iso3 in sorted(bundle.countries) for gen in generations}
+    keys = {lookup: table_cache_key(bundle.sim_params, bundle.se_table, fs, grid) for lookup, fs in sets.items()}
+    distinct = {key: sets[lookup] for lookup, key in keys.items()}  # cache key -> its set, in first-lookup order
+    paths = {key: cache / f"{key}.csv" for key in distinct} if cache is not None else {}
+    found = {key: table for key, fs in distinct.items()
+             if (table := _load_cached_table(paths.get(key), fs, grid)) is not None}
+    misses = {key: fs for key, fs in distinct.items() if key not in found}
+    built = build_capacity_tables(bundle.sim_params, bundle.se_table, list(misses.values()), grid, jobs)
+    log_table_counts(len(keys), len(found), list(misses.values()), grid)
+    for key, table in zip(misses, built):
+        if key in paths:
+            save_capacity_tables([table], paths[key])
+        found[key] = table
+    return {lookup: found[key] for lookup, key in keys.items()}
 
 
 def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:

@@ -27,12 +27,11 @@ block size, not by trials x interferers, however many rings there are.
 Every element takes the same arithmetic, in the same order, whatever the
 block size (see :func:`_received_mw`), and ``tests/reference_chains.py``
 keeps the unblocked whole-array chain that the kernel equals bit for bit.
-A carrier's contribution depends only on
-(params, SE table, generation, carrier, density), so builds that share a
-memo (see :func:`simulate_density`) simulate each distinct carrier once
-per density. ``jobs`` threads split a table's grid densities; the thread
-pool is imported only when a build uses one, so a run whose tables all come
-from the cache never loads it.
+A carrier's contribution depends only on (params, SE table, generation,
+carrier, density), so :func:`build_capacity_tables` runs each distinct
+simulation its sets need once, in one pool of ``jobs`` threads that is
+imported only when ``jobs > 1`` and there is work: a run whose tables all
+come from the cache never loads it.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -50,9 +50,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
-    SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, raise_broken,
+    SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, ordered_sum, raise_broken,
 )
 from .errors import ValidationError
+
+logger = logging.getLogger(__name__)
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 
@@ -324,29 +326,54 @@ def simulate_density(
     se_table: SpectralEfficiencyTable,
     freq_set: FrequencySet,
     site_density: float,
-    memo: dict | None = None,
 ) -> float:
-    """Area capacity in Mbps/km^2 delivered at ``site_density`` sites/km^2.
-
-    The sum of :func:`carrier_capacity` over the set's carriers, in carrier
-    order. ``memo`` maps ``(params, generation, carrier, density)`` to a
-    carrier's contribution, so sets sharing a carrier simulate it once; it
-    must serve one SE table only.
-    """
-    if memo is None:
-        memo = {}
-    capacity = 0.0
-    for carrier in freq_set.carriers:
-        key = (params, freq_set.generation, carrier, site_density)
-        if key not in memo:
-            memo[key] = carrier_capacity(params, se_table, freq_set.generation, carrier, site_density)
-        capacity += memo[key]
-    return capacity
+    """Mbps/km^2 at ``site_density``: the set's :func:`carrier_capacity` values, summed in carrier order from 0.0."""
+    return ordered_sum(carrier_capacity(params, se_table, freq_set.generation, c, site_density)
+                       for c in freq_set.carriers)
 
 
 def isotonic_clip(values: Sequence[float]) -> list[float]:
     """Running maximum, removing small Monte Carlo dips from a table column."""
     return np.maximum.accumulate(np.asarray(values, dtype=float)).tolist()
+
+
+def _simulation_plan(freq_sets: Sequence[FrequencySet], density_grid: Sequence[float]) -> list[tuple]:
+    """Every distinct (generation, carrier, density) the sets' tables need, once each, in first-seen order."""
+    return list(dict.fromkeys((fs.generation, c, d) for fs in freq_sets for d in density_grid for c in fs.carriers))
+
+
+def build_capacity_tables(
+    params: SimulationParams,
+    se_table: SpectralEfficiencyTable,
+    freq_sets: Sequence[FrequencySet],
+    density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
+    jobs: int = 1,
+) -> list[CapacityTable]:
+    """One monotone capacity table per frequency set, in the sets' order.
+
+    Each simulation of :func:`_simulation_plan` runs once, across ``jobs`` threads if ``jobs > 1``, so sets that
+    share a carrier simulate it once per density. A set's column is its carriers' results summed as in
+    :func:`simulate_density`, isotonically clipped. The grid must break no :func:`core.density_grid_rules`.
+    """
+    grid = list(density_grid)
+    raise_broken(density_grid_rules(grid))
+    plan = _simulation_plan(freq_sets, grid)
+
+    def simulate(point: tuple) -> float:
+        return carrier_capacity(params, se_table, *point)
+
+    if jobs > 1 and plan:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            capacity = dict(zip(plan, pool.map(simulate, plan)))
+    else:
+        capacity = {point: simulate(point) for point in plan}
+    tables = []
+    for fs in freq_sets:
+        column = [ordered_sum(capacity[fs.generation, c, d] for c in fs.carriers) for d in grid]
+        tables.append(CapacityTable(fs.generation, fs.label, tuple(zip(grid, isotonic_clip(column)))))
+    return tables
 
 
 def build_capacity_table(
@@ -355,38 +382,17 @@ def build_capacity_table(
     freq_set: FrequencySet,
     density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
     jobs: int = 1,
-    memo: dict | None = None,
 ) -> CapacityTable:
-    """Simulate every grid density and assemble a monotone capacity table.
+    """The capacity table of one frequency set; see :func:`build_capacity_tables`."""
+    return build_capacity_tables(params, se_table, [freq_set], density_grid, jobs)[0]
 
-    Grid points run independently (optionally across ``jobs`` threads; the
-    per-carrier RNG streams make the result scheduling-invariant), then the
-    capacity column is isotonically clipped. The grid must break none of
-    :func:`core.density_grid_rules`, as the input loader checks.
-    A ``memo`` shared by the builds of one SE table simulates each distinct
-    (generation, carrier, density) once; see :func:`simulate_density`. The
-    threads work on distinct densities, so they never race on a memo key.
-    """
-    grid = list(density_grid)
-    raise_broken(density_grid_rules(grid))
 
-    def simulate(d: float) -> float:
-        return simulate_density(params, se_table, freq_set, d, memo=memo)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(simulate, grid))
-    else:
-        raw = [simulate(d) for d in grid]
-
-    clipped = isotonic_clip(raw)
-    return CapacityTable(
-        generation=freq_set.generation,
-        freq_label=freq_set.label,
-        rows=tuple(zip(grid, clipped)),
-    )
+def log_table_counts(lookups: int, cached: int, built: Sequence[FrequencySet], density_grid: Sequence[float]) -> None:
+    """Log one INFO line on a call's table lookups, with the pairs and simulations of the distinct sets ``built``."""
+    pairs = sum(len(fs.carriers) for fs in built) * len(density_grid)
+    logger.info("capacity tables: %d lookups, %d distinct tables, %d read from cache, %d built, %d carrier-density "
+                "pairs, %d simulations", lookups, cached + len(built), cached, len(built), pairs,
+                len(_simulation_plan(built, density_grid)))
 
 
 def required_density(table: CapacityTable, demand_mbps_km2) -> tuple[np.ndarray, np.ndarray]:

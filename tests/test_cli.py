@@ -201,6 +201,50 @@ def test_tables_command(miniland_config, tmp_path, capsys):
     assert len(rows) == 2 * 10
 
 
+def test_tables_build_shared_carriers_once_and_log_the_counts(miniland_copy, tmp_path, caplog):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 200\n") + (
+        "tables:\n  portfolios:\n    - {generation: 4G, carriers: [[800, 10], [1800, 10]]}\n"
+        "    - {generation: 4G, carriers: [[800, 10], [2600, 20]]}\n"
+        "    - {generation: 4G, carriers: [[800, 10], [1800, 10]]}\n"
+    ))
+    out = tmp_path / "tables"
+    with caplog.at_level(logging.INFO, logger="bband_sim"):
+        assert main(["-v", "tables", "--config", str(config), "--out", str(out), "--jobs", "2"]) == EXIT_OK
+    # 2 tables of 2 carriers over 10 densities; 800x10 is simulated once for both
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("capacity tables:")] == [
+        "capacity tables: 3 lookups, 2 distinct tables, 0 read from cache, 2 built, 40 carrier-density pairs, "
+        "30 simulations",
+    ]
+    with (out / "capacity_tables.csv").open() as fh:
+        labels = [r["freq_set"] for r in csv.DictReader(fh)]
+    assert labels == ["800x10+1800x10"] * 10 + ["800x10+2600x20"] * 10 + ["800x10+1800x10"] * 10
+
+
+def test_verbose_logs_the_table_counts_of_a_cold_and_a_warm_cache(miniland_copy, tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
+    args = ["run", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml"),
+            "--runs", "policy=baseline,energy=baseline,capacity=30"]
+    outs = {}
+    for name, flags in (("cold", ["-v"]), ("warm", ["-v"]), ("quiet", [])):
+        caplog.clear()
+        with caplog.at_level(logging.INFO if flags else logging.WARNING, logger="bband_sim"):
+            assert main([*flags, *args, "--out", str(tmp_path / name)]) == EXIT_OK
+        outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.csv")}
+        counts = [r.getMessage() for r in caplog.records if r.getMessage().startswith("capacity tables:")]
+        if name == "cold":
+            # MLA and MLB share their 4G table, and the 700x10 carrier of their 5G tables
+            assert counts == ["capacity tables: 4 lookups, 3 distinct tables, 0 read from cache, 3 built, "
+                              "70 carrier-density pairs, 60 simulations"]
+        elif name == "warm":
+            assert counts == ["capacity tables: 4 lookups, 3 distinct tables, 3 read from cache, 0 built, "
+                              "0 carrier-density pairs, 0 simulations"]
+        else:
+            assert counts == []
+    assert len(outs["cold"]) == 6
+    assert outs["cold"] == outs["warm"] == outs["quiet"]
+
+
 def test_tables_invalid_config_lists_every_problem(miniland_copy, tmp_path, capsys):
     config = miniland_copy / "config.yaml"
     config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 5\n") + "misc: {}\n")

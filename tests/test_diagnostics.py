@@ -475,6 +475,17 @@ CASES = {
         ["config: tables.portfolios: carriers [800.0001, 10.0] and [800.0004, 10.0] are equal to 1 kHz, so they "
          "would share an RNG stream"],
     ),
+    # each colliding pair is its own diagnostic, as in spectrum.csv
+    "config_table_portfolio_carriers_share_two_streams": (
+        [("config.yaml", APPEND,
+          "tables:\n  portfolios:\n    - {generation: 4G, carriers: [[800, 10], [800.0001, 10], [800.0002, 10]]}\n")],
+        [
+            "config: tables.portfolios: carriers [800.0, 10.0] and [800.0001, 10.0] are equal to 1 kHz, so they "
+            "would share an RNG stream",
+            "config: tables.portfolios: carriers [800.0, 10.0] and [800.0002, 10.0] are equal to 1 kHz, so they "
+            "would share an RNG stream",
+        ],
+    ),
     "config_settlement_unordered": (
         [("config.yaml", "urban_min_density: 1500", "urban_min_density: 100")],
         ["config: settlement thresholds must satisfy urban_min > suburban_min > 0"],

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bband_sim.radio import (
     SimulationParams,
     SpectralEfficiencyTable,
     build_capacity_table,
+    build_capacity_tables,
     carrier_capacity,
     inter_site_distance_km,
     isotonic_clip,
@@ -326,27 +328,43 @@ class TestCarrierStreams:
         FrequencySet(Generation.G4, tuple(Carrier(f + 0.001 * i, bw) for i, (f, bw) in enumerate(carriers)))
 
 
-class TestCarrierMemo:
-    def test_shared_carrier_simulated_once_per_density(self, se_table, fast_params, monkeypatch):
-        calls = []
+#: Carriers the generated frequency sets draw from: few, so sets often share one.
+CARRIER_POOL = (Carrier(800.0, 10.0), Carrier(1800.0, 10.0), Carrier(2600.0, 20.0))
+FREQ_SETS = st.builds(
+    FrequencySet, st.sampled_from(list(Generation)),
+    st.lists(st.sampled_from(CARRIER_POOL), min_size=1, max_size=3, unique=True).map(tuple),
+)
+SHARED_800 = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(1800.0, 10.0)))
 
-        def counting(params, se, generation, carrier, density):
-            calls.append((generation, carrier, density))
-            return carrier_capacity(params, se, generation, carrier, density)
 
-        a = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(1800.0, 10.0)))
-        b = FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(2600.0, 10.0)))
-        same_carrier_5g = FrequencySet(Generation.G5, (Carrier(800.0, 10.0),))
-        alone = [build_capacity_table(fast_params, se_table, fs, GRID) for fs in (a, b, same_carrier_5g)]
+@pytest.fixture(scope="module")
+def lone_tables():
+    """Each frequency set's table built on its own, kept across examples."""
+    return {}
 
-        monkeypatch.setattr(radio, "carrier_capacity", counting)
-        memo: dict = {}
-        shared = [build_capacity_table(fast_params, se_table, fs, GRID, jobs=2, memo=memo)
-                  for fs in (a, b, same_carrier_5g, a)]
-        assert shared == alone + alone[:1]
-        # 800x10 is shared by a and b; the 5G stream differs; the repeated a costs nothing
-        assert len(calls) == 4 * len(GRID)
-        assert len(set(calls)) == len(calls)
+
+class TestBuildCapacityTables:
+    @settings(max_examples=15, deadline=None)
+    @given(freq_sets=st.lists(FREQ_SETS, min_size=1, max_size=4))
+    # 800x10 shared within 4G, the same carrier in 5G (another stream), and a repeated set
+    @example(freq_sets=[SHARED_800, FrequencySet(Generation.G4, (Carrier(800.0, 10.0), Carrier(2600.0, 20.0))),
+                        FrequencySet(Generation.G5, (Carrier(800.0, 10.0),)), SHARED_800])
+    def test_each_distinct_simulation_runs_once(self, se_table, fast_params, lone_tables, freq_sets):
+        for fs in freq_sets:
+            if fs not in lone_tables:
+                lone_tables[fs] = build_capacity_table(fast_params, se_table, fs, GRID)
+        needed = {(fs.generation, c, d) for fs in freq_sets for c in fs.carriers for d in GRID}
+        for jobs in (1, 2):
+            calls = []
+
+            def counting(params, se, generation, carrier, density):
+                calls.append((generation, carrier, density))
+                return carrier_capacity(params, se, generation, carrier, density)
+
+            with mock.patch.object(radio, "carrier_capacity", counting):
+                tables = build_capacity_tables(fast_params, se_table, freq_sets, GRID, jobs=jobs)
+            assert tables == [lone_tables[fs] for fs in freq_sets]
+            assert len(calls) == len(set(calls)) and set(calls) == needed
 
 
 @pytest.fixture(scope="module")
