@@ -22,7 +22,6 @@ from .core import (
     ScenarioSpec,
     Settlement,
     Sharing,
-    SpectrumHolding,
     StrategyBundle,
     StrategySpace,
     build_deciles,
@@ -61,7 +60,6 @@ __all__ = [
     "ScenarioSpec",
     "Settlement",
     "Sharing",
-    "SpectrumHolding",
     "StrategyBundle",
     "StrategySpace",
     "ValidationError",

@@ -166,28 +166,13 @@ class DecileRecord(SelfChecked):
 
 
 @dataclass(frozen=True)
-class SpectrumHolding(SelfChecked):
-    """One licensed carrier in a country's portfolio."""
-
-    frequency_mhz: float
-    bandwidth_mhz: float
-    generation: Generation
-
-    def broken_rules(self) -> Iterator[str]:
-        if not (self.frequency_mhz > 0):
-            yield "frequency_mhz must be > 0"
-        if not (self.bandwidth_mhz > 0):
-            yield "bandwidth_mhz must be > 0"
-
-
-@dataclass(frozen=True)
 class CountryParams(SelfChecked):
     """Country-level model inputs for the hypothetical operator."""
 
     country_iso3: str
     income_group: IncomeGroup
     n_major_operators: int
-    spectrum_portfolio: tuple[SpectrumHolding, ...]
+    spectrum_portfolio: tuple[tuple[Generation, Carrier], ...]  # in ``spectrum.csv`` order
     arpu_low: float
     arpu_base: float
     arpu_high: float
@@ -195,6 +180,8 @@ class CountryParams(SelfChecked):
     grid_carbon_intensity_kg_kwh: float
 
     def broken_rules(self) -> Iterator[str]:
+        if any(c in self.country_iso3 for c in ',"\r\n'):  # the result CSVs write it unquoted
+            yield f"{self.country_iso3!r}: country_iso3 must not contain a comma, a double quote or a line break"
         if self.n_major_operators < 1:
             yield f"{self.country_iso3}: n_major_operators < 1"
         if not (0 <= self.arpu_low <= self.arpu_base <= self.arpu_high):
@@ -211,15 +198,12 @@ class CountryParams(SelfChecked):
         """Operator market share, one over the number of major operators."""
         return 1.0 / self.n_major_operators
 
-    def holdings(self, generation: Generation) -> tuple[SpectrumHolding, ...]:
-        return tuple(h for h in self.spectrum_portfolio if h.generation == generation)
-
     def frequency_set(self, generation: Generation) -> FrequencySet:
         """The carriers the country holds for ``generation``, in portfolio order."""
-        holdings = self.holdings(generation)
-        if not holdings:
+        carriers = tuple(c for g, c in self.spectrum_portfolio if g == generation)
+        if not carriers:
             raise ValidationError(f"{self.country_iso3} has no {generation.value} spectrum")
-        return FrequencySet(generation, tuple(Carrier(h.frequency_mhz, h.bandwidth_mhz) for h in holdings))
+        return FrequencySet(generation, carriers)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .core import (
     AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY,
     DIESEL_SOURCE, HORIZON_KEYS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier,
     CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup,
-    RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, SpectrumHolding, StrategySpace,
+    RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, StrategySpace,
     density_grid_rules, raise_broken, settlement_threshold_rules,
 )
 from .errors import InputValidationError, ValidationError
@@ -247,14 +247,15 @@ def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
             yield line, values
 
 
-def _spectrum(rows: Rows) -> dict[str, list[SpectrumHolding]]:
-    holdings: dict[str, list[SpectrumHolding]] = {}
+def _spectrum(rows: Rows) -> dict[str, list[tuple[Generation, Carrier]]]:
+    """Each country's ``(generation, carrier)`` pairs, in file order."""
+    portfolios: dict[str, list[tuple[Generation, Carrier]]] = {}
     for _, (iso3, gen, freq, bw) in rows:
-        holdings.setdefault(iso3, []).append(SpectrumHolding(freq, bw, gen))
-    return holdings
+        portfolios.setdefault(iso3, []).append((gen, Carrier(freq, bw)))
+    return portfolios
 
 
-def _countries(rows: Rows, spectrum: Mapping[str, list[SpectrumHolding]], collector: _Collector) -> dict[str, CountryParams]:
+def _countries(rows: Rows, spectrum: Mapping[str, list[tuple[Generation, Carrier]]], collector: _Collector) -> dict[str, CountryParams]:
     countries: dict[str, CountryParams] = {}
     for line, (iso3, income, n_ops, *tariffs) in rows:
         if iso3 in countries:
@@ -578,7 +579,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
             collector.add("spectrum.csv", 0, f"spectrum row references unknown country {iso3}")
     for iso3, params in sorted(countries.items()):
         for gen in strategy_space.generations:
-            if not params.holdings(gen):
+            if all(g != gen for g, _ in params.spectrum_portfolio):
                 collector.add("spectrum.csv", 0, f"{iso3}: no {gen.value} carriers in portfolio")
             else:
                 collector.check("spectrum.csv", 0, f"{iso3}: {gen.value} ", params.frequency_set, gen)
@@ -668,9 +669,9 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
         "regions.csv": (vars(r) for iso3 in sorted(bundle.regions) for r in bundle.regions[iso3]),
         "countries.csv": (vars(bundle.countries[iso3]) for iso3 in sorted(bundle.countries)),
         "spectrum.csv": (
-            {"country_iso3": iso3, **vars(h)}
+            {"country_iso3": iso3, "generation": gen, **vars(carrier)}
             for iso3 in sorted(bundle.countries)
-            for h in bundle.countries[iso3].spectrum_portfolio
+            for gen, carrier in bundle.countries[iso3].spectrum_portfolio
         ),
         "energy_mix.csv": (
             {"region": region, "year": year, "source": source, "share": shares[source]}

@@ -125,9 +125,8 @@ def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation) -
     """
     rows = table.rows[generation]
     mins = np.array([r[0] for r in rows])
-    ses = np.array([r[1] for r in rows])
-    idx = np.searchsorted(mins, np.asarray(sinr_db, dtype=float), side="right") - 1
-    return np.where(idx < 0, 0.0, ses[np.clip(idx, 0, len(ses) - 1)])
+    ses = np.array([0.0, *(r[1] for r in rows)])  # ses[i]: the SE of an SINR that meets i thresholds
+    return ses[np.searchsorted(mins, np.asarray(sinr_db, dtype=float), side="right")]
 
 
 def inter_site_distance_km(site_density: float) -> float:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import oracles
 from bband_sim.core import (
-    Backhaul, CountryParams, DecileRecord, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement, Sharing,
-    SpectrumHolding, StrategyBundle,
+    Backhaul, Carrier, CountryParams, DecileRecord, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement,
+    Sharing, StrategyBundle,
 )
 from bband_sim.cost import CostInputs, cost_columns, subsidies
 from bband_sim.errors import ValidationError
@@ -200,9 +200,9 @@ class TestCrossSubsidizeProperties:
         assert {c.decile_index: c.subsidy for c in out} == {1: 0.0, 2: 0.0, 3: 30.0}
 
 
-def country(n_sharers, holdings=()):
-    """A country with ``n_sharers`` major operators and the spectrum ``holdings``."""
-    return CountryParams("AAA", IncomeGroup.LIC, n_sharers, tuple(holdings), 0.0, 0.0, 0.0, 1.0, 0.0)
+def country(n_sharers, portfolio=()):
+    """A country with ``n_sharers`` major operators and the ``(generation, carrier)`` pairs ``portfolio``."""
+    return CountryParams("AAA", IncomeGroup.LIC, n_sharers, tuple(portfolio), 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 def deciles(settlements, population):
@@ -214,9 +214,9 @@ def deciles(settlements, population):
 def held_mhz(country, generation):
     """The MHz the country holds for ``generation``, added left to right."""
     total = 0.0
-    for h in country.spectrum_portfolio:
-        if h.generation == generation:
-            total += h.bandwidth_mhz
+    for g, carrier in country.spectrum_portfolio:
+        if g == generation:
+            total += carrier.bandwidth_mhz
     return total
 
 
@@ -239,15 +239,15 @@ def cost_blocks(draw):
     strategies = st.builds(StrategyBundle, st.sampled_from(Generation), st.sampled_from(Backhaul),
                            st.sampled_from(Sharing), st.sampled_from(Policy), st.sampled_from(EnergyStrategy))
     # carriers of one generation at distinct frequencies: equal ones would share an RNG stream
-    holdings = [SpectrumHolding(800.0 + 100.0 * i, draw(st.floats(0.1, 200.0)), g)
-                for g in Generation for i in range(draw(st.integers(1, 3)))]
+    portfolio = [(g, Carrier(800.0 + 100.0 * i, draw(st.floats(0.1, 200.0))))
+                 for g in Generation for i in range(draw(st.integers(1, 3)))]
     return {
         "new_sites": [per_decile(counts) for _ in range(k)],
         "upgraded_sites": [per_decile(counts) for _ in range(k)],
         "revenue_pv": [per_decile(revenue) for _ in range(k)],
         "deciles": deciles(per_decile(st.sampled_from(Settlement)), per_decile(st.integers(0, 50_000_000))),
         "strategies": draw(st.lists(strategies, min_size=k, max_size=k)),
-        "country": country(draw(st.integers(1, 5)), holdings),
+        "country": country(draw(st.integers(1, 5)), portfolio),
         "costs": CostInputs(),
     }
 
@@ -295,7 +295,7 @@ class TestCostColumns:
         args = dict(revenue_pv=[[0.0]], deciles=deciles([Settlement.RURAL], [0]),
                     strategies=[StrategyBundle(Generation.G4, Backhaul.FIBER, Sharing.ACTIVE, Policy.BASELINE,
                                                EnergyStrategy.BASELINE)],
-                    country=country(2, [SpectrumHolding(800.0, 10.0, Generation.G4)]), costs=COSTS)
+                    country=country(2, [(Generation.G4, Carrier(800.0, 10.0))]), costs=COSTS)
         with pytest.raises(ValidationError, match="site counts"):
             cost_columns(new_sites=[[1]], upgraded_sites=[[-1]], **args)
         # the sharers are the country's major operators, of which there is at least one

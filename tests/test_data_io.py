@@ -1,9 +1,10 @@
+import csv
 from pathlib import Path
 
 import pytest
 import yaml
 
-from bband_sim.core import AdoptionScenario, Generation, IncomeGroup
+from bband_sim.core import AdoptionScenario, Carrier, Generation, IncomeGroup
 from bband_sim.data_io import default_se_table_path, load_bundle, load_table_inputs, save_bundle
 from bband_sim.errors import InputValidationError
 
@@ -120,15 +121,41 @@ class TestValidateAxes:
         assert bundle.adoption.cagr(IncomeGroup.LIC, AdoptionScenario.BASELINE) == 0.04
 
 
+MLA_SPECTRUM = "MLA,4G,800,10\nMLA,4G,1800,10\nMLA,4G,2500,10\nMLA,5G,700,10\nMLA,5G,3500,30\n"
+# generations interleaved and frequencies unsorted: a carrier's place in its set comes from the file alone
+MLA_SPECTRUM_INTERLEAVED = "MLA,4G,1800,10\nMLA,5G,3500,30\nMLA,4G,800,10\nMLA,5G,700,10\nMLA,4G,2500,10\n"
+
+
+def spectrum_rows(path: Path) -> list[tuple]:
+    """The rows of a ``spectrum.csv`` as ``(iso3, generation, MHz, MHz)``, in file order."""
+    with path.open(newline="") as fh:
+        return [(iso3, gen, float(freq), float(bw)) for iso3, gen, freq, bw in list(csv.reader(fh))[1:]]
+
+
 class TestRoundTrip:
-    def test_save_load_identity(self, bundle, tmp_path):
+    @pytest.fixture(params=["miniland", "interleaved"])
+    def source(self, request, miniland_copy) -> Path:
+        """A data directory to round-trip: miniland, or a copy with MLA's spectrum rows interleaved."""
+        if request.param == "interleaved":
+            rewrite(miniland_copy / "spectrum.csv", MLA_SPECTRUM, MLA_SPECTRUM_INTERLEAVED)
+        return miniland_copy
+
+    def test_save_load_identity(self, source, tmp_path):
+        bundle = load_bundle(source, source / "config.yaml")
         data_dir = tmp_path / "data"
         config = tmp_path / "config.yaml"
         save_bundle(bundle, data_dir, config)
         reloaded = load_bundle(data_dir, config)
         assert reloaded == bundle
+        rows = spectrum_rows(source / "spectrum.csv")
+        assert spectrum_rows(data_dir / "spectrum.csv") == rows
+        for iso3, params in reloaded.countries.items():
+            for gen in Generation:
+                assert params.frequency_set(gen).carriers == tuple(
+                    Carrier(freq, bw) for i, g, freq, bw in rows if (i, g) == (iso3, gen.value))
 
-    def test_double_round_trip_stable(self, bundle, tmp_path):
+    def test_double_round_trip_stable(self, source, tmp_path):
+        bundle = load_bundle(source, source / "config.yaml")
         save_bundle(bundle, tmp_path / "a", tmp_path / "a.yaml")
         b1 = load_bundle(tmp_path / "a", tmp_path / "a.yaml")
         save_bundle(b1, tmp_path / "b", tmp_path / "b.yaml")

@@ -197,6 +197,12 @@ CASES = {
         [("countries.csv", "MLB,UMC,", ",UMC,")],
         ["countries.csv:3: country_iso3 is empty", *MLB_DROPPED],
     ),
+    # the result CSVs write the code unquoted, so a comma would shift every later column
+    "countries_iso3_comma": (
+        [("countries.csv", "MLA,LMC,", '"MLA,X",LMC,')],
+        ["countries.csv:2: 'MLA,X': country_iso3 must not contain a comma, a double quote or a line break",
+         *MLA_DROPPED],
+    ),
     "countries_duplicate": (
         [("countries.csv", "MLB,UMC,", "MLA,UMC,")],
         ["countries.csv:3: duplicate country MLA", *MLB_DROPPED],
