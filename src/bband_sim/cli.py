@@ -89,7 +89,7 @@ def _seeded(params: SimulationParams, seed: int | None) -> SimulationParams:
 
 def _jobs(text: str) -> int:
     """A ``--jobs`` value: an integer >= 1."""
-    if not text.lstrip("+").isdecimal() or int(text) < 1:
+    if not text.removeprefix("+").isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
 

@@ -53,11 +53,13 @@ def energy(
     nothing under the renewables strategy. Returns :data:`ENERGY_FIELDS` ->
     (keys, deciles) array, the years added in order. Equal bit for bit to
     the per-decile, per-year chain in ``tests/reference_chains.py``: each
-    element sees the same operations in the same order, sources add in
-    each mix row's own order, the diesel add is masked, and years reduce
-    sequentially. Working memory is a few (keys, deciles, years) arrays:
-    the four species are built one at a time, and each field's years are
-    reduced in place, on their own.
+    element sees the same operations in the same order, each year's sources
+    add in its mix row's own order, diesel is added under every strategy
+    with a factor of 0.0 under renewables, and years reduce sequentially;
+    each species starts at +0.0 and adds only non-negative terms, so an
+    added +0.0 changes no bit. Working memory is a few (keys, deciles,
+    years) arrays: the four species are built one at a time, and each
+    field's years are reduced in place, on their own.
     """
     existing = np.asarray(existing_sites, dtype=np.int64)
     new = np.asarray(new_sites, dtype=np.int64)
@@ -78,27 +80,14 @@ def energy(
     on = kwh * country.on_grid_share
     off = kwh - on
 
-    # slot k of year t holds the k-th source of that year's mix row; slots
-    # past the end of a shorter row are padding and add nothing
-    width = max(len(row) for row in mix_rows)
-    pad = [(0.0, (0.0, 0.0, 0.0, 0.0))]
-    slots = [
-        [(share, factors.by_source[source].as_tuple()) for source, share in row.items()] + pad * (width - len(row))
-        for row in mix_rows
-    ]
-    shares = np.array([[share for share, _ in year] for year in slots])
-    coef = np.array([[f for _, f in year] for year in slots])  # (year, slot, species)
-    used = np.arange(width) < np.array([len(row) for row in mix_rows])[:, None]
-    burns = np.array([s.energy_strategy != EnergyStrategy.RENEWABLES for s in strategies], dtype=bool)[:, None, None]
-    totals, term = {}, np.empty(kwh.shape)
+    burns = np.array([s.energy_strategy != EnergyStrategy.RENEWABLES for s in strategies], dtype=float)[:, None, None]
+    totals = {}
     for i, (name, diesel) in enumerate(zip(ENERGY_FIELDS[3:], factors.diesel.as_tuple())):
         species = np.zeros(kwh.shape)
-        for k in range(width):
-            np.multiply(on, shares[:, k], out=term)
-            term *= coef[:, k, i]
-            np.add(species, term, out=species, where=used[:, k])
-        np.multiply(off, diesel, out=term)
-        np.add(species, term, out=species, where=burns)
+        for t, row in enumerate(mix_rows):
+            for source, share in row.items():
+                species[..., t] += on[..., t] * share * factors.by_source[source].as_tuple()[i]
+        species += off * (burns * diesel)
         totals[name] = _horizon_total(species)
     return {**dict(zip(ENERGY_FIELDS, map(_horizon_total, (kwh, on, off)))), **totals}
 

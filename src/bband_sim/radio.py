@@ -65,8 +65,8 @@ RADIO_MODEL_VERSION = 1
 
 #: (trial, interferer) paths per block of the interferer chain in
 #: :func:`trial_sinr_db`: a block holds ``max(1, BLOCK_ELEMENTS //
-#: interferers)`` trials, 2048 at two rings. Its four (block, interferers)
-#: buffers, shadow fading included, take about 25 bytes per path, so the
+#: interferers)`` trials, 2048 at two rings. Its three (block, interferers)
+#: float buffers, shadow fading included, take 24 bytes per path, so the
 #: chain's memory is bounded whatever the ring count, and they fit in a
 #: core's L2 cache; results do not depend on it.
 BLOCK_ELEMENTS = 36864
@@ -161,8 +161,8 @@ def _sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float):
     u = rng.random(n)
     v = rng.random(n)
     over = u + v > 1.0
-    np.subtract(1.0, u, out=u, where=over)
-    np.subtract(1.0, v, out=v, where=over)
+    u[over] = 1.0 - u[over]
+    v[over] = 1.0 - v[over]
     u *= circumradius_km
     v *= circumradius_km
     x = u * _HEX_COS0[tri] + v * _HEX_COS1[tri]
@@ -201,25 +201,26 @@ def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_densi
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-def _received_mw(d_km, shadow_db, params: SimulationParams, freq_term_db, mask, scratch):
+def _received_mw(d_km, shadow_db, params: SimulationParams, freq_term_db, scratch):
     """Distances in km -> received power in mW, in place in ``d_km``.
 
     Free-space path loss ``20 log10(d) + 20 log10(f_MHz) + 32.44`` dB, with
-    ``d`` clamped to ``min_distance_m / 1000`` km and paths strictly longer
-    than the LoS breakpoint taking ``nlos_excess_db`` more; received dBm is
-    ``(tx power + tx gain - tx losses) - loss - shadow + rx gain - rx losses
-    - rx misc losses``, added in that order, then ``10 ** (dBm / 10)``.
-    ``freq_term_db`` is ``20 log10(f_MHz)``; ``mask`` and ``scratch`` are
-    buffers shaped like ``d_km``.
+    ``d`` clamped to ``min_distance_m / 1000`` km, plus an NLoS excess of
+    ``nlos_excess_db`` on paths strictly longer than the LoS breakpoint and
+    0.0 on the rest; received dBm is ``(tx power + tx gain - tx losses) -
+    loss - shadow + rx gain - rx losses - rx misc losses``, added in that
+    order, then ``10 ** (dBm / 10)``. ``freq_term_db`` is ``20 log10(f_MHz)``;
+    ``scratch`` is a float buffer shaped like ``d_km``.
     """
     np.maximum(d_km, params.min_distance_m / 1000.0, out=d_km)
     np.multiply(d_km, 1000.0, out=scratch)
-    np.greater(scratch, params.los_breakpoint_m, out=mask)
+    np.greater(scratch, params.los_breakpoint_m, out=scratch)
+    scratch *= params.nlos_excess_db
     np.log10(d_km, out=d_km)
     d_km *= 20.0
     d_km += freq_term_db
     d_km += 32.44
-    np.add(d_km, params.nlos_excess_db, out=d_km, where=mask)
+    d_km += scratch
     np.subtract(params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db, d_km, out=d_km)
     d_km -= shadow_db
     d_km += params.rx_gain_db
@@ -269,12 +270,12 @@ def trial_sinr_db(
     freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
     noise_mw = 10.0 ** (noise_floor(params, carrier.bandwidth_mhz * 1e6) / 10.0)
     signal = np.sqrt(x * x + y * y + dh_sq)
-    _received_mw(signal, shadow_signal, params, freq_term_db, np.empty(n, bool), np.empty(n))
+    _received_mw(signal, shadow_signal, params, freq_term_db, np.empty(n))
 
     total = np.empty(n)  # interference sum, then plus noise, then the SINR
     if m:
         rows = min(max(1, BLOCK_ELEMENTS // m), n)
-        path, scratch, mask = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m), bool)
+        path, scratch = np.empty((rows, m)), np.empty((rows, m))
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
             d, t = path[:hi - lo], scratch[:hi - lo]
@@ -286,7 +287,7 @@ def trial_sinr_db(
             d += dh_sq
             np.sqrt(d, out=d)
             shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (hi - lo, m))
-            _received_mw(d, shadow, params, freq_term_db, mask[:hi - lo], t)
+            _received_mw(d, shadow, params, freq_term_db, t)
             np.sum(d, axis=-1, out=total[lo:hi])
         total *= params.network_load
         total += noise_mw

@@ -44,7 +44,7 @@ def test_negative_seed_is_one_line_and_exit_2(miniland_dir, miniland_config, tmp
 
 
 @pytest.mark.parametrize("command", ["run", "tables"])
-@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two", "++3"])
 def test_jobs_below_one_is_a_usage_error(miniland_dir, miniland_config, tmp_path, capsys, command, jobs):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_:

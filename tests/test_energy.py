@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim.core import (
@@ -322,9 +322,48 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+GREEN_WIRELESS = strategy(energy_strategy=EnergyStrategy.RENEWABLES)
+
+# Renewables and baseline keys in one batch, all off-grid: the diesel term
+# is added to every key, times 0.0 under renewables.
+MIXED_STRATEGIES_OFF_GRID = {
+    "keys": [
+        {"existing_sites": [3, 0], "new_sites": [7, 40], "strategy": GREEN_WIRELESS},
+        {"existing_sites": [3, 0], "new_sites": [7, 40], "strategy": strategy(Backhaul.FIBER, Sharing.ACTIVE)},
+        {"existing_sites": [1, 9], "new_sites": [0, 5], "strategy": GREEN_WIRELESS},
+    ],
+    "settlements": [Settlement.RURAL, Settlement.URBAN],
+    "n_sharers": 3,
+    "on_grid_share": 0.0,
+    "mix_rows": [ALL_COAL, ALL_GREEN, ALL_COAL],
+    "params": EnergyParams(),
+    "factors": FACTORS,
+}
+
+# Mix rows of 1 and 6 sources, the 6-source rows in different orders.
+RAGGED_MIX_ROWS = {
+    "keys": [
+        {"existing_sites": [2, 11, 0], "new_sites": [9, 0, 31], "strategy": strategy(Backhaul.WIRELESS, Sharing.SRN)},
+    ],
+    "settlements": [Settlement.SUBURBAN, Settlement.RURAL, Settlement.URBAN],
+    "n_sharers": 2,
+    "on_grid_share": 0.7,
+    "mix_rows": [
+        {"gas": 1.0},
+        {"oil": 0.1, "hydro": 0.2, "coal": 0.3, "renewables_other": 0.05, "gas": 0.25, "nuclear": 0.1},
+        {"nuclear": 0.15, "gas": 0.35, "renewables_other": 0.1, "coal": 0.2, "hydro": 0.05, "oil": 0.15},
+        {"coal": 1.0},
+    ],
+    "params": EnergyParams(),
+    "factors": FACTORS,
+}
+
+
 class TestEnergyKernel:
     @settings(max_examples=300, deadline=None)
     @given(energy_blocks())
+    @example(block=MIXED_STRATEGIES_OFF_GRID)
+    @example(block=RAGGED_MIX_ROWS)
     def test_equals_scalar_chain_bit_for_bit(self, block):
         got = batch_energy(**block)
         assert list(got) == list(ENERGY_FIELDS)

@@ -201,6 +201,18 @@ class TestShadowFading:
             shadow_fading_draws(rng, 0.0, 10.0, 10)
 
 
+class TestSampleHexagon:
+    def test_uniform_inside_the_hexagon(self):
+        # corners at angles k * 60 degrees: the flat sides are at |y| = sqrt(3)/2 R
+        x, y = radio._sample_hexagon(np.random.default_rng(11), 200_000, 1.0)
+        root3 = math.sqrt(3.0)
+        assert (np.abs(y) <= root3 / 2.0 + 1e-12).all()
+        assert (root3 * np.abs(x) + np.abs(y) <= root3 + 1e-12).all()
+        # a uniform point's mean squared radius is 5/12 R^2
+        r2 = x * x + y * y
+        assert abs(r2.mean() - 5.0 / 12.0) <= 6.0 * r2.std() / math.sqrt(len(r2))
+
+
 class TestSimulateDensity:
     def test_deterministic_stub_closed_form(self):
         # one receiver fixed at the cell edge, a constant shadow loss and no
@@ -216,6 +228,27 @@ class TestSimulateDensity:
         assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)], abs=1e-9)
         table = SpectralEfficiencyTable(rows={gen: ((-1000.0, 4.0),) for gen in Generation})
         assert se_lookup(table, got, Generation.G4).tolist() == [4.0]
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_path_on_the_breakpoint_takes_no_excess(self, below):
+        # The breakpoint set to the serving path's own length: only a path
+        # strictly longer than it takes the NLoS excess, so one ulp less adds it.
+        x, y = 0.3, 0.2
+        base = SimulationParams(shadow_sigma_db=0.0, interferer_rings=0, trials=2000, seed=1)
+        d_km = max(math.sqrt(x * x + y * y + ((base.tx_height_m - base.rx_height_m) / 1000.0) ** 2),
+                   base.min_distance_m / 1000.0)
+        breakpoint_m = d_km * 1000.0
+        if below:
+            breakpoint_m = math.nextafter(breakpoint_m, 0.0)
+        params = dataclasses.replace(base, los_breakpoint_m=breakpoint_m)
+        carrier = Carrier(800.0, 10.0)
+        got = trial_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=[(x, y)])
+        loss = 20.0 * math.log10(d_km) + 20.0 * math.log10(800.0) + 32.44 + (params.nlos_excess_db if below else 0.0)
+        signal = (params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db - loss - params.shadow_mu_db
+                  + params.rx_gain_db - params.rx_losses_db - params.rx_misc_losses_db)
+        assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)], abs=1e-9)
+        want = reference_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=[(x, y)])
+        assert got.tobytes() == want.tobytes()
 
     def test_same_seed_bit_identical(self, se_table, fast_params):
         a = simulate_density(fast_params, se_table, FS4, 0.5)
@@ -296,7 +329,7 @@ class TestKernelMemory:
 
     def test_peak_memory_does_not_grow_with_rings(self):
         # 20 rings are 1260 interferers: one block of all 400 trials would
-        # hold about 12.6 MB in its four buffers; blocks of at most
+        # hold about 12.1 MB in its three buffers; blocks of at most
         # BLOCK_ELEMENTS paths hold under 1 MB, as at two rings.
         params = SimulationParams(trials=400, seed=3, interferer_rings=20)
         assert kernel_peak_bytes(params) < 2e6
