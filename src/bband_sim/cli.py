@@ -77,6 +77,11 @@ def parse_run_filter(expr: str):
     return accept
 
 
+def run_filter_of(strategy, scenario) -> str:
+    """The ``--runs`` expression that selects this one run: every field, with the run's value."""
+    return ",".join(f"{field}={value}" for field, value in zip(RUN_FILTER_FIELDS, run_key(strategy, scenario)))
+
+
 def _seeded(params: SimulationParams, seed: int | None) -> SimulationParams:
     """``params`` with the ``--seed`` override, if one is given; a bad seed is an input diagnostic."""
     if seed is None:
@@ -127,7 +132,7 @@ def _cmd_run(args) -> int:
     print(f"{len(runs)} run(s), {len(output.results)} result rows -> {out_dir}")
     if output.failures:
         for f in output.failures:
-            print(f"FAILED run {f.strategy} {f.scenario}: {f.error}", file=sys.stderr)
+            print(f"FAILED run {run_filter_of(f.strategy, f.scenario)}: {f.error}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -7,8 +7,8 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import reduce
-from operator import add
+from functools import cache, reduce
+from operator import add, ge, gt, le, lt, ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MissingDataError, ValidationError
@@ -91,36 +91,80 @@ def raise_broken(messages: Iterable[str]) -> None:
         raise ValidationError(*broken)
 
 
+#: The test of each bound ``op``: ``BOUND_OPS[op](value, limit)`` holds when ``value`` meets the bound.
+BOUND_OPS = {">": gt, ">=": ge, "<": lt, "<=": le, "nonempty": ne}
+
+#: The bound of a text that must not be empty.
+NONEMPTY = ("nonempty", "")
+
+
+def bounded(*bounds: tuple[str, object], **kwargs):
+    """A dataclass field that declares its single-field input rules: each ``(op, limit)`` of ``bounds`` holds.
+
+    This is each rule's one declaration: :class:`SelfChecked` checks it on the record, and the CSV reader
+    on the cells of the field's column. ``kwargs`` go to :func:`dataclasses.field`.
+    """
+    return field(metadata={"bounds": bounds}, **kwargs)
+
+
+@cache
+def declared_bounds(record: type) -> dict[str, tuple]:
+    """The bounds each field of the dataclass ``record`` declares with :func:`bounded`."""
+    return {f.name: f.metadata["bounds"] for f in fields(record) if "bounds" in f.metadata}
+
+
+@cache
+def _bound_tests(record: type) -> tuple:
+    """``(field, test, limit)`` for each bound that a field of ``record`` declares."""
+    return tuple((name, BOUND_OPS[op], limit)
+                 for name, bounds in declared_bounds(record).items() for op, limit in bounds)
+
+
+def broken_bound(column: str, value, bounds) -> str | None:
+    """The one text of the first of ``bounds`` that ``value`` breaks, or None if it meets them all.
+
+    The text is ``<column>: <value> must be <op> <limit>``, or ``<column> is empty``.
+    """
+    for op, limit in bounds:
+        if not BOUND_OPS[op](value, limit):
+            return f"{column} is empty" if op == "nonempty" else f"{column}: {value} must be {op} {limit}"
+    return None
+
+
 class SelfChecked:
     """Base of a record that rejects itself when built.
 
-    ``broken_rules()`` yields one message per broken rule, in declaration order, skipping a rule meaningful
-    only when an earlier, broken one holds; building the record raises them all through :func:`raise_broken`.
+    Building the record raises every broken rule together (:func:`raise_broken`): first each field whose
+    value breaks a bound it declares (:func:`bounded`), in field order, then each message of
+    ``broken_rules()``, the rules across fields, in declaration order, skipping a rule meaningful only when
+    an earlier, broken one holds.
     """
 
     def __post_init__(self):
+        for name, test, limit in _bound_tests(type(self)):
+            if not test(getattr(self, name), limit):  # only a broken bound needs the messages
+                raise_broken(itertools.chain(self.bound_rules(), self.broken_rules()))
         raise_broken(self.broken_rules())
+
+    def bound_rules(self) -> Iterator[str]:
+        for name, bounds in declared_bounds(type(self)).items():
+            message = broken_bound(name, getattr(self, name), bounds)
+            if message:
+                yield message
+
+    def broken_rules(self) -> Iterable[str]:
+        return ()
 
 
 @dataclass(frozen=True)
 class RegionRecord(SelfChecked):
     """One local statistical area, pre-aggregated to a single row."""
 
-    region_id: str
+    region_id: str = bounded(NONEMPTY)
     country_iso3: str
-    population: int
-    area_km2: float
-    existing_sites: int
-
-    def broken_rules(self) -> Iterator[str]:
-        if not self.region_id:
-            yield "region_id must be non-empty"
-        if self.population < 0:
-            yield f"region {self.region_id}: population < 0"
-        if not (self.area_km2 > 0):
-            yield f"region {self.region_id}: area_km2 must be > 0"
-        if self.existing_sites < 0:
-            yield f"region {self.region_id}: existing_sites < 0"
+    population: int = bounded((">=", 0))
+    area_km2: float = bounded((">", 0))
+    existing_sites: int = bounded((">=", 0))
 
     @property
     def pop_density(self) -> float:
@@ -141,7 +185,7 @@ class DecileRecord(SelfChecked):
     """
 
     country_iso3: str
-    decile_index: int
+    decile_index: int = bounded((">=", 1), ("<=", N_DECILES))
     population: int
     area_km2: float
     existing_sites: int
@@ -149,8 +193,6 @@ class DecileRecord(SelfChecked):
     degenerate: bool = False
 
     def broken_rules(self) -> Iterator[str]:
-        if not 1 <= self.decile_index <= 10:
-            yield f"decile_index {self.decile_index} outside 1..10"
         if not self.degenerate and not (self.area_km2 > 0):
             yield "non-degenerate decile requires area_km2 > 0"
 
@@ -169,29 +211,21 @@ class DecileRecord(SelfChecked):
 class CountryParams(SelfChecked):
     """Country-level model inputs for the hypothetical operator."""
 
-    country_iso3: str
+    country_iso3: str = bounded(NONEMPTY)
     income_group: IncomeGroup
-    n_major_operators: int
+    n_major_operators: int = bounded((">=", 1))
     spectrum_portfolio: tuple[tuple[Generation, Carrier], ...]  # in ``spectrum.csv`` order
-    arpu_low: float
-    arpu_base: float
-    arpu_high: float
-    on_grid_share: float
-    grid_carbon_intensity_kg_kwh: float
+    arpu_low: float = bounded((">=", 0))
+    arpu_base: float = bounded((">=", 0))
+    arpu_high: float = bounded((">=", 0))
+    on_grid_share: float = bounded((">=", 0), ("<=", 1))
+    grid_carbon_intensity_kg_kwh: float = bounded((">=", 0))
 
     def broken_rules(self) -> Iterator[str]:
         if any(c in self.country_iso3 for c in ',"\r\n'):  # the result CSVs write it unquoted
             yield f"{self.country_iso3!r}: country_iso3 must not contain a comma, a double quote or a line break"
-        if self.n_major_operators < 1:
-            yield f"{self.country_iso3}: n_major_operators < 1"
-        if not (0 <= self.arpu_low <= self.arpu_base <= self.arpu_high):
+        if not (self.arpu_low <= self.arpu_base <= self.arpu_high):
             yield f"{self.country_iso3}: ARPU tiers must be ordered low <= base <= high"
-        if self.on_grid_share > 1:
-            yield f"{self.country_iso3}: on_grid_share {self.on_grid_share} exceeds 1"
-        elif not self.on_grid_share >= 0:
-            yield f"{self.country_iso3}: on_grid_share {self.on_grid_share} outside [0, 1]"
-        if self.grid_carbon_intensity_kg_kwh < 0:
-            yield f"{self.country_iso3}: grid_carbon_intensity < 0"
 
     @property
     def market_share(self) -> float:
@@ -221,19 +255,15 @@ class StrategyBundle:
 class ScenarioSpec(SelfChecked):
     """Capacity target and adoption scenario over the assessment horizon."""
 
-    capacity_gb_month: float
+    capacity_gb_month: float = bounded((">", 0))
     adoption: AdoptionScenario
     start_year: int = 2023
     end_year: int = 2030
-    discount_rate: float = 0.05
+    discount_rate: float = bounded((">=", 0), default=0.05)
 
     def broken_rules(self) -> Iterator[str]:
-        if not (self.capacity_gb_month > 0):
-            yield "capacity_gb_month must be > 0"
         if self.end_year < self.start_year:
-            yield "end_year before start_year"
-        if self.discount_rate < 0:
-            yield "discount_rate must be >= 0"
+            yield f"end_year {self.end_year} before start_year {self.start_year}"
 
     @property
     def n_years(self) -> int:
@@ -333,40 +363,22 @@ class SimulationParams(SelfChecked):
     rx_misc_losses_db: float = 4.0
     tx_height_m: float = 30.0
     rx_height_m: float = 1.5
-    sectors_per_site: int = 3
-    network_load: float = 1.0
+    sectors_per_site: int = bounded((">=", 1), default=3)
+    network_load: float = bounded((">=", 0), ("<=", 1), default=1.0)
     los_breakpoint_m: float = 500.0
     shadow_mu_db: float = 2.0
-    shadow_sigma_db: float = 10.0
-    temperature_k: float = 290.0
+    shadow_sigma_db: float = bounded((">=", 0), default=10.0)
+    temperature_k: float = bounded((">", 0), default=290.0)
     noise_figure_db: float = 1.5
     nlos_excess_db: float = 12.0
     min_distance_m: float = 10.0
-    reliability: float = 0.90
-    trials: int = 10_000
-    seed: int = 42
-    interferer_rings: int = 1
-    mimo_efficiency: float = 0.85
+    reliability: float = bounded((">", 0), ("<", 1), default=0.90)
+    trials: int = bounded((">=", 100), default=10_000)
+    seed: int = bounded((">=", 0), default=42)
+    interferer_rings: int = bounded((">=", 0), default=1)
+    mimo_efficiency: float = bounded((">", 0), ("<=", 1), default=0.85)
 
     def broken_rules(self) -> Iterator[str]:
-        if not (0 < self.reliability < 1):
-            yield "reliability must be in (0, 1)"
-        if self.trials < 100:
-            yield "trials must be >= 100"
-        if self.seed < 0:
-            yield "seed must be >= 0"
-        if self.sectors_per_site < 1:
-            yield "sectors_per_site must be >= 1"
-        if not (0 <= self.network_load <= 1):
-            yield "network_load must be in [0, 1]"
-        if self.interferer_rings < 0:
-            yield "interferer_rings must be >= 0"
-        if not (0 < self.mimo_efficiency <= 1):
-            yield "mimo_efficiency must be in (0, 1]"
-        if self.temperature_k <= 0:
-            yield "temperature_k must be > 0"
-        if self.shadow_sigma_db < 0:
-            yield "shadow_sigma_db must be >= 0"
         if self.shadow_sigma_db > 0 and self.shadow_mu_db <= 0:
             yield "shadow_mu_db must be > 0 when shadow_sigma_db > 0"
 
@@ -375,12 +387,8 @@ class SimulationParams(SelfChecked):
 class Carrier(SelfChecked):
     """One frequency carrier: centre frequency and downlink bandwidth."""
 
-    frequency_mhz: float
-    bandwidth_mhz: float
-
-    def broken_rules(self) -> Iterator[str]:
-        if not (self.frequency_mhz > 0 and self.bandwidth_mhz > 0):
-            yield "carrier frequency and bandwidth must be > 0"
+    frequency_mhz: float = bounded((">", 0))
+    bandwidth_mhz: float = bounded((">", 0))
 
 
 def carrier_stream_key(carrier: Carrier) -> tuple[int, int]:
@@ -435,6 +443,9 @@ class SpectralEfficiencyTable(SelfChecked):
 
     rows: Mapping[Generation, tuple[tuple[float, float], ...]]
 
+    #: The one declaration of the bound on every row's ``se_bps_hz``, which the CSV reader checks too.
+    SE_BPS_HZ_BOUNDS = ((">", 0),)
+
     def broken_rules(self) -> Iterator[str]:
         for gen, rows in self.rows.items():
             if not rows:
@@ -445,8 +456,10 @@ class SpectralEfficiencyTable(SelfChecked):
                 yield f"SE table for {gen.value}: min_sinr_db not strictly increasing"
             if any(b <= a for a, b in zip(ses, ses[1:])):
                 yield f"SE table for {gen.value}: se_bps_hz not strictly increasing"
-            if any(se <= 0 for se in ses):
-                yield f"SE table for {gen.value}: se_bps_hz must be > 0"
+            for se in ses:
+                message = broken_bound("se_bps_hz", se, self.SE_BPS_HZ_BOUNDS)
+                if message:
+                    yield message
 
 
 # Income-group compound annual growth defaults for the low / baseline / high
@@ -514,32 +527,25 @@ class CostInputs(SelfChecked):
     The spectrum fee is ``coefficient x MHz held x decile population``.
     """
 
-    equipment_usd: float = 40_000.0
-    backhaul_wireless_usd: float = 20_000.0
-    backhaul_fiber_usd: float = 40_000.0
-    civils_usd: float = 30_000.0
-    core_usd: float = 10_000.0
-    admin_share: float = 0.10
-    profit_margin: float = 0.20
-    tax_rate_low: float = 0.10
+    equipment_usd: float = bounded((">=", 0), default=40_000.0)
+    backhaul_wireless_usd: float = bounded((">=", 0), default=20_000.0)
+    backhaul_fiber_usd: float = bounded((">=", 0), default=40_000.0)
+    civils_usd: float = bounded((">=", 0), default=30_000.0)
+    core_usd: float = bounded((">=", 0), default=10_000.0)
+    admin_share: float = bounded((">=", 0), default=0.10)
+    profit_margin: float = bounded((">=", 0), default=0.20)
+    tax_rate_low: float = bounded((">=", 0), default=0.10)
     tax_rate_baseline: float = 0.25
     tax_rate_high: float = 0.40
-    spectrum_coef_low_usd_mhz_pop: float = 0.005
+    spectrum_coef_low_usd_mhz_pop: float = bounded((">=", 0), default=0.005)
     spectrum_coef_baseline_usd_mhz_pop: float = 0.01
     spectrum_coef_high_usd_mhz_pop: float = 0.02
 
     def broken_rules(self) -> Iterator[str]:
-        for name in (
-            "equipment_usd", "backhaul_wireless_usd", "backhaul_fiber_usd",
-            "civils_usd", "core_usd", "admin_share", "profit_margin",
-        ):
-            if getattr(self, name) < 0:
-                yield f"{name} must be >= 0"
-        if not (0 <= self.tax_rate_low <= self.tax_rate_baseline <= self.tax_rate_high):
+        if not (self.tax_rate_low <= self.tax_rate_baseline <= self.tax_rate_high):
             yield "tax rates must be ordered low <= baseline <= high"
         if not (
-            0
-            <= self.spectrum_coef_low_usd_mhz_pop
+            self.spectrum_coef_low_usd_mhz_pop
             <= self.spectrum_coef_baseline_usd_mhz_pop
             <= self.spectrum_coef_high_usd_mhz_pop
         ):
@@ -575,22 +581,18 @@ DIESEL_SOURCE = "diesel"
 
 MIX_SUM_TOLERANCE = 1e-6
 
+#: The one declaration of the bound on each ``energy_mix.csv`` share.
+MIX_SHARE_BOUNDS = ((">=", 0),)
+
 
 @dataclass(frozen=True)
 class EnergyParams(SelfChecked):
     """Hourly electricity draw per site, plus the backhaul adder."""
 
-    site_kwh_per_hour: float = 0.249
-    backhaul_wireless_kwh_per_hour: float = 0.025
-    backhaul_fiber_kwh_per_hour: float = 0.010
-
-    def broken_rules(self) -> Iterator[str]:
-        if not (self.site_kwh_per_hour > 0):
-            yield "site_kwh_per_hour must be > 0"
-        # adders of zero are allowed so a bare site can be modeled
-        for name in ("backhaul_wireless_kwh_per_hour", "backhaul_fiber_kwh_per_hour"):
-            if getattr(self, name) < 0:
-                yield f"{name} must be >= 0"
+    site_kwh_per_hour: float = bounded((">", 0), default=0.249)
+    # adders of zero are allowed so a bare site can be modeled
+    backhaul_wireless_kwh_per_hour: float = bounded((">=", 0), default=0.025)
+    backhaul_fiber_kwh_per_hour: float = bounded((">=", 0), default=0.010)
 
     def backhaul_kwh_per_hour(self, backhaul: Backhaul) -> float:
         if backhaul == Backhaul.FIBER:
@@ -602,15 +604,10 @@ class EnergyParams(SelfChecked):
 class FactorRow(SelfChecked):
     """Per-kWh emission factors for one generation source."""
 
-    co2_kg_kwh: float
-    nox_g_kwh: float
-    sox_g_kwh: float
-    pm10_g_kwh: float
-
-    def broken_rules(self) -> Iterator[str]:
-        for name in ("co2_kg_kwh", "nox_g_kwh", "sox_g_kwh", "pm10_g_kwh"):
-            if getattr(self, name) < 0:
-                yield f"{name} must be >= 0"
+    co2_kg_kwh: float = bounded((">=", 0))
+    nox_g_kwh: float = bounded((">=", 0))
+    sox_g_kwh: float = bounded((">=", 0))
+    pm10_g_kwh: float = bounded((">=", 0))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.co2_kg_kwh, self.nox_g_kwh, self.sox_g_kwh, self.pm10_g_kwh)

@@ -1,13 +1,14 @@
 """Input schemas, collect-all validation, and bundle (de)serialization.
 
 All inputs are headered CSV files plus one YAML config document. Each CSV is
-declared once, in :data:`SCHEMAS`, as one ``(column, kind, bound)`` row per
+declared once, in :data:`SCHEMAS`, as one ``(column, kind, bounds)`` row per
 column in file order; the header, the reader and :func:`save_bundle` all walk
-it. A ``str`` cell is stripped of surrounding blanks (bound ``"nonempty"``
-rejects an empty one); an enum cell must be one of the enum's values exactly
-as written; an ``int`` or ``float`` cell is parsed by that builtin, must be
-finite, and is checked against a bound such as ``(">=", 0)``. Config numbers
-are parsed the same way.
+it. A ``str`` cell is stripped of surrounding blanks; an enum cell must be one
+of the enum's values exactly as written; an ``int`` or ``float`` cell is parsed
+by that builtin and must be finite. Config numbers are parsed the same way.
+A column's bounds are those ``core`` declares on the record field it fills
+(:func:`core.bounded`): a cell outside them and a record built with that value
+give the one text ``<column>: <value> must be <op> <limit>``.
 
 Headers must match byte for byte. Loading never stops at the first problem:
 each bad cell, and each row with the wrong number of cells, is reported with
@@ -39,55 +40,57 @@ import yaml
 
 from .core import (
     AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY,
-    DIESEL_SOURCE, HORIZON_KEYS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier,
-    CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup,
-    RegionRecord, ScenarioSpace, SimulationParams, SpectralEfficiencyTable, StrategySpace,
-    density_grid_rules, raise_broken, settlement_threshold_rules,
+    BOUND_OPS, DIESEL_SOURCE, HORIZON_KEYS, MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams,
+    AdoptionScenario, Carrier, CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet,
+    Generation, IncomeGroup, RegionRecord, ScenarioSpace, ScenarioSpec, SimulationParams, SpectralEfficiencyTable,
+    StrategySpace, broken_bound, declared_bounds, density_grid_rules, raise_broken, settlement_threshold_rules,
 )
 from .errors import InputValidationError, ValidationError
 
-#: Every input CSV: one ``(column, kind, bound)`` row per column, in file order.
+_REGION, _COUNTRY, _CARRIER, _FACTOR = map(declared_bounds, (RegionRecord, CountryParams, Carrier, FactorRow))
+
+#: Every input CSV: one ``(column, kind, bounds)`` row per column, in file order, the bounds ``core``'s.
 SCHEMAS = {
     "regions.csv": (
-        ("region_id", str, "nonempty"),
-        ("country_iso3", str, None),
-        ("population", int, (">=", 0)),
-        ("area_km2", float, (">", 0)),
-        ("existing_sites", int, (">=", 0)),
+        ("region_id", str, _REGION["region_id"]),
+        ("country_iso3", str, ()),
+        ("population", int, _REGION["population"]),
+        ("area_km2", float, _REGION["area_km2"]),
+        ("existing_sites", int, _REGION["existing_sites"]),
     ),
     "countries.csv": (
-        ("country_iso3", str, "nonempty"),
-        ("income_group", IncomeGroup, None),
-        ("n_major_operators", int, (">=", 1)),
-        ("arpu_low", float, (">=", 0)),
-        ("arpu_base", float, (">=", 0)),
-        ("arpu_high", float, (">=", 0)),
-        ("on_grid_share", float, (">=", 0)),
-        ("grid_carbon_intensity_kg_kwh", float, (">=", 0)),
+        ("country_iso3", str, _COUNTRY["country_iso3"]),
+        ("income_group", IncomeGroup, ()),
+        ("n_major_operators", int, _COUNTRY["n_major_operators"]),
+        ("arpu_low", float, _COUNTRY["arpu_low"]),
+        ("arpu_base", float, _COUNTRY["arpu_base"]),
+        ("arpu_high", float, _COUNTRY["arpu_high"]),
+        ("on_grid_share", float, _COUNTRY["on_grid_share"]),
+        ("grid_carbon_intensity_kg_kwh", float, _COUNTRY["grid_carbon_intensity_kg_kwh"]),
     ),
     "spectrum.csv": (
-        ("country_iso3", str, None),
-        ("generation", Generation, None),
-        ("frequency_mhz", float, (">", 0)),
-        ("bandwidth_mhz", float, (">", 0)),
+        ("country_iso3", str, ()),
+        ("generation", Generation, ()),
+        ("frequency_mhz", float, _CARRIER["frequency_mhz"]),
+        ("bandwidth_mhz", float, _CARRIER["bandwidth_mhz"]),
     ),
     "energy_mix.csv": (
-        ("region", str, None),
-        ("year", int, None),
-        ("source", str, None),
-        ("share", float, (">=", 0)),
+        ("region", str, ()),
+        ("year", int, ()),
+        ("source", str, ()),
+        ("share", float, MIX_SHARE_BOUNDS),
     ),
     "emission_factors.csv": (
-        ("source", str, None),
-        ("co2_kg_kwh", float, (">=", 0)),
-        ("nox_g_kwh", float, (">=", 0)),
-        ("sox_g_kwh", float, (">=", 0)),
-        ("pm10_g_kwh", float, (">=", 0)),
+        ("source", str, ()),
+        ("co2_kg_kwh", float, _FACTOR["co2_kg_kwh"]),
+        ("nox_g_kwh", float, _FACTOR["nox_g_kwh"]),
+        ("sox_g_kwh", float, _FACTOR["sox_g_kwh"]),
+        ("pm10_g_kwh", float, _FACTOR["pm10_g_kwh"]),
     ),
     "se_table.csv": (
-        ("generation", Generation, None),
-        ("min_sinr_db", float, None),
-        ("se_bps_hz", float, (">", 0)),
+        ("generation", Generation, ()),
+        ("min_sinr_db", float, ()),
+        ("se_bps_hz", float, SpectralEfficiencyTable.SE_BPS_HZ_BOUNDS),
     ),
 }
 
@@ -163,30 +166,27 @@ class _Collector:
             raise InputValidationError(self.diagnostics)
 
 
-def _parse(raw, kind, bound, where: str):
-    """``raw`` as a ``kind`` within ``bound``, else ValueError: the diagnostic, led by ``where``."""
+def _parse(raw, kind, bounds, where: str):
+    """``raw`` as a ``kind`` within ``bounds``, else ValueError: the diagnostic, led by ``where``."""
     if kind is str:
         value = raw.strip()
-        if bound and not value:
-            raise ValueError(f"{where} is empty")
-        return value
-    if kind is not int and kind is not float:
+    elif kind is not int and kind is not float:
         try:
             return kind(raw)
         except ValueError:
             raise ValueError(f"{where}: {raw!r} is not one of {{{', '.join(e.value for e in kind)}}}") from None
-    try:
-        value = kind(raw)
-        if isinstance(raw, bool) or kind is int and isinstance(raw, float) and value != raw:
-            raise ValueError  # a YAML boolean (yes, on, true), or int() would drop the fraction
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
-    if kind is float and not -math.inf < value < math.inf:
-        raise ValueError(f"{where}: {raw!r} is not finite")
-    if bound:
-        op, limit = bound
-        if not (value > limit if op == ">" else value >= limit):
-            raise ValueError(f"{where}: {value} must be {op} {limit}")
+    else:
+        try:
+            value = kind(raw)
+            if isinstance(raw, bool) or kind is int and isinstance(raw, float) and value != raw:
+                raise ValueError  # a YAML boolean (yes, on, true), or int() would drop the fraction
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+        if kind is float and not -math.inf < value < math.inf:
+            raise ValueError(f"{where}: {raw!r} is not finite")
+    for op, limit in bounds:
+        if not BOUND_OPS[op](value, limit):  # only a broken bound needs the message
+            raise ValueError(broken_bound(where, value, bounds))
     return value
 
 
@@ -238,9 +238,9 @@ def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
             collector.add(name, line, "wrong number of columns")
             continue
         values = []
-        for raw, (column, kind, bound) in zip(cells, columns):
+        for raw, (column, kind, bounds) in zip(cells, columns):
             try:
-                values.append(_parse(raw, kind, bound, column))
+                values.append(_parse(raw, kind, bounds, column))
             except ValueError as err:
                 collector.add(name, line, str(err))
         if len(values) == len(columns):
@@ -372,17 +372,17 @@ def _expect_mapping(value: Any, where: str, collector: _Collector) -> dict:
     return value
 
 
-def _config_scalar(section: dict, key: str, default, where: str, collector: _Collector, cast=float, bound=None):
+def _config_scalar(section: dict, key: str, default, where: str, collector: _Collector, cast=float, bounds=()):
     if key not in section:
         return default
     try:
-        return _parse(section[key], cast, bound, f"{where}.{key}")
+        return _parse(section[key], cast, bounds, f"{where}.{key}")
     except ValueError as err:
         collector.add("config", 0, str(err))
         return default
 
 
-def _config_list(raw, kind, where: str, collector: _Collector, bound=None) -> tuple | None:
+def _config_list(raw, kind, where: str, collector: _Collector, bounds=()) -> tuple | None:
     """The items of a config list that parse as ``kind``; None when ``raw`` is not a list."""
     if not isinstance(raw, (list, tuple)):
         collector.add("config", 0, f"{where} must be a list")
@@ -390,7 +390,7 @@ def _config_list(raw, kind, where: str, collector: _Collector, bound=None) -> tu
     values = []
     for item in raw:
         try:
-            values.append(_parse(item, kind, bound, where))
+            values.append(_parse(item, kind, bounds, where))
         except ValueError as err:
             collector.add("config", 0, str(err))
     return tuple(values)
@@ -429,7 +429,8 @@ def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[St
     values = {}
     for name, field_name, kind in AXES:
         if name in axes:
-            items = _config_list(axes[name], kind, f"axes.{name}", collector, (">", 0) if kind is float else None)
+            bounds = declared_bounds(ScenarioSpec).get(name, ())
+            items = _config_list(axes[name], kind, f"axes.{name}", collector, bounds)
             if items == ():
                 collector.add("config", 0, f"axes.{name} is empty")
             values[field_name] = items or ()
@@ -438,12 +439,10 @@ def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[St
     start_year = _config_scalar(horizon, "start_year", defaults.start_year, "horizon", collector, cast=int)
     end_year = _config_scalar(horizon, "end_year", defaults.end_year, "horizon", collector, cast=int)
     discount = _config_scalar(horizon, "discount_rate", defaults.discount_rate, "horizon", collector)
-    if end_year < start_year:
-        collector.add("config", 0, f"horizon: end_year {end_year} before start_year {start_year}")
-    if discount < 0:
-        collector.add("config", 0, "horizon.discount_rate must be >= 0")
-    else:
-        _check_compounding(discount, end_year - start_year + 1, "horizon.discount_rate", collector)
+    # the horizon rules are ScenarioSpec's, whatever the capacity and adoption
+    collector.check("config", 0, "horizon: ", ScenarioSpec, 1.0, AdoptionScenario.BASELINE,
+                    start_year, end_year, discount)
+    _check_compounding(discount, end_year - start_year + 1, "horizon.discount_rate", collector)
 
     strategy_space = StrategySpace(**{f.name: values.pop(f.name) for f in fields(StrategySpace) if f.name in values})
     scenario_space = ScenarioSpace(**values, start_year=start_year, end_year=end_year, discount_rate=discount)
@@ -475,7 +474,7 @@ def _build_adoption(config: Mapping[str, Any], space: ScenarioSpace, collector: 
                 collector.add("config", 0, f"adoption.cagr.{group_name}: unknown scenario {scen_name!r}")
                 continue
             cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}",
-                                               collector, bound=(">=", -1))
+                                               collector, bounds=((">=", -1),))
     n_years = space.end_year - space.start_year + 1
     for group, by_scenario in cagr.items():
         for scen, rate in by_scenario.items():
@@ -520,7 +519,7 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
         _unknown_keys(entry, ("generation", "carriers"), "tables.portfolios[]", collector)
         try:
             gen = Generation(entry.get("generation"))
-            carriers = tuple(Carrier(*(_parse(x, float, None, "carriers") for x in pair)) for pair in entry.get("carriers", ()))
+            carriers = tuple(Carrier(*(_parse(x, float, (), "carriers") for x in pair)) for pair in entry.get("carriers", ()))
         except (TypeError, ValueError, ValidationError) as err:
             collector.add("config", 0, f"tables.portfolios: {err}")
             continue

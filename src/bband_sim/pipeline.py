@@ -376,7 +376,6 @@ def run_pipeline(
         if error is not None:
             ok[i] = False
             failures.append(RunFailure(*runs[i], error))
-            logger.error("run failed (%s, %s): %s", *runs[i], error)
     good = np.flatnonzero(ok)
     per_run = len(countries) * N_DECILES
     run = np.repeat(good, per_run)

@@ -249,9 +249,11 @@ def trial_sinr_db(
     :data:`BLOCK_ELEMENTS` paths, so memory beyond the per-trial arrays is
     bounded by the block size, whatever the ring count. Each path's
     distance is ``sqrt(dx^2 + dy^2 + dh^2)`` in km and its power in mW
-    comes from :func:`_received_mw`; a trial's interference is the sum of
-    its paths' powers in interferer order, times ``network_load``, and its
-    SINR is ``10 log10(signal / (interference + noise))`` with the noise
+    comes from :func:`_received_mw`; a trial's interference is numpy's
+    ``sum`` of its paths' powers over the interferer axis (not a left fold;
+    ``tests/reference_chains.py`` makes the same call), times
+    ``network_load``, and its SINR is
+    ``10 log10(signal / (interference + noise))`` with the noise
     floor in mW (noise alone when there are no rings). A signal below float
     range gives -inf.
     """

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim import save_bundle
-from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main, parse_run_filter
+from bband_sim.core import enumerate_runs, run_key
+from bband_sim.data_io import load_bundle
 
 SINGLE_RUN_FILTER = (
     "generation=4G,backhaul=wireless,sharing=baseline,policy=baseline,"
@@ -39,7 +41,7 @@ def test_negative_seed_is_one_line_and_exit_2(miniland_dir, miniland_config, tmp
     code = main([command, "--data", str(miniland_dir), "--config", str(miniland_config), "--out", str(out),
                  "--seed", "-1"])
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err == "--seed: seed must be >= 0\n"
+    assert capsys.readouterr().err == "--seed: seed: -1 must be >= 0\n"
     assert not out.exists()
 
 
@@ -79,10 +81,18 @@ def test_non_finite_money_fails_the_run(miniland_copy, table_cache, tmp_path, mo
         "--out", str(out), "--runs", SINGLE_RUN_FILTER,
     ])
     assert code == EXIT_RUNTIME
-    assert "ValidationError: sites stage: non-finite revenue_pv_usd" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("ValidationError: sites stage: non-finite revenue_pv_usd") == 1
     files = sorted(out.glob("*.csv"))
     assert len(files) == 6
     assert all(len(path.read_text().splitlines()) == 1 for path in files)
+    # the failed run is one line, named by the --runs expression that selects it alone
+    [failed] = [line for line in err.splitlines() if line.startswith("FAILED run ")]
+    key = failed.removeprefix("FAILED run ").partition(": ")[0]
+    bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
+    accept = parse_run_filter(key)
+    assert [run_key(*r) for r in enumerate_runs(bundle.strategy_space, bundle.scenario_space) if accept(*r)] == [
+        ("4G", "wireless", "baseline", "baseline", "baseline", 30.0, "baseline")]
 
 
 def test_run_is_deterministic_across_invocations(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch):

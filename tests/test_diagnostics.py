@@ -10,11 +10,21 @@ With ``old`` ``None`` the file is overwritten with ``new``, or deleted when
 ``new`` is ``None`` too; ``APPEND`` adds ``new`` to the end of the file.
 """
 
-import pytest
+import dataclasses
+import math
 
+import pytest
+import yaml
+
+from bband_sim import core
 from bband_sim.cli import EXIT_VALIDATION, main
-from bband_sim.data_io import load_bundle
-from bband_sim.errors import InputValidationError
+from bband_sim.core import (
+    MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CostInputs, CountryParams, DecileRecord, EnergyParams, FactorRow,
+    Generation, RegionRecord, ScenarioSpec, SelfChecked, SimulationParams, SpectralEfficiencyTable, build_deciles,
+    declared_bounds,
+)
+from bband_sim.data_io import SCHEMAS, load_bundle
+from bband_sim.errors import InputValidationError, ValidationError
 
 APPEND = "append"
 
@@ -213,7 +223,7 @@ CASES = {
     ),
     "countries_on_grid_above_one": (
         [("countries.csv", "0.67,0.62", "1.67,0.62")],
-        ["countries.csv:2: MLA: on_grid_share 1.67 exceeds 1", *MLA_DROPPED],
+        ["countries.csv:2: on_grid_share: 1.67 must be <= 1", *MLA_DROPPED],
     ),
     "spectrum_unknown_country": (
         [("spectrum.csv", "MLB,5G,3500,40\n", "MLB,5G,3500,40\nXXX,4G,800,10\n")],
@@ -404,7 +414,7 @@ CASES = {
     ),
     "config_discount_negative": (
         [("config.yaml", "discount_rate: 0.05", "discount_rate: -0.05")],
-        ["config: horizon.discount_rate must be >= 0"],
+        ["config: horizon: discount_rate: -0.05 must be >= 0"],
     ),
     "config_cagr_unknown_income_group": (
         [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {XIC: {low: 0.1}}\n")],
@@ -420,7 +430,7 @@ CASES = {
     ),
     "config_simulation_invalid": (
         [("config.yaml", "trials: 10000", "trials: 5")],
-        ["config: simulation: trials must be >= 100"],
+        ["config: simulation: trials: 5 must be >= 100"],
     ),
     "config_cost_missing_key": (
         [("config.yaml", "  core_usd: 10000\n", "")],
@@ -469,7 +479,7 @@ CASES = {
     ),
     "config_energy_invalid": (
         [("config.yaml", "site_kwh_per_hour: 0.249", "site_kwh_per_hour: 0")],
-        ["config: energy: site_kwh_per_hour must be > 0"],
+        ["config: energy: site_kwh_per_hour: 0.0 must be > 0"],
     ),
     "config_table_portfolio_invalid": (
         [("config.yaml", APPEND, "tables:\n  portfolios:\n    - {generation: 6G, carriers: [[800, 10]]}\n")],
@@ -636,20 +646,20 @@ CASES = {
     ),
     "config_seed_negative": (
         [("config.yaml", "seed: 20230", "seed: -5")],
-        ["config: simulation: seed must be >= 0"],
+        ["config: simulation: seed: -5 must be >= 0"],
     ),
     # --- link parameters the radio chain cannot take ---
     "config_temperature_zero": (
         [("config.yaml", "trials: 10000", "trials: 10000\n  temperature_k: 0")],
-        ["config: simulation: temperature_k must be > 0"],
+        ["config: simulation: temperature_k: 0.0 must be > 0"],
     ),
     "config_temperature_negative": (
         [("config.yaml", "trials: 10000", "trials: 10000\n  temperature_k: -5")],
-        ["config: simulation: temperature_k must be > 0"],
+        ["config: simulation: temperature_k: -5.0 must be > 0"],
     ),
     "config_shadow_sigma_negative": (
         [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_sigma_db: -3")],
-        ["config: simulation: shadow_sigma_db must be >= 0"],
+        ["config: simulation: shadow_sigma_db: -3.0 must be >= 0"],
     ),
     "config_shadow_mu_zero": (
         [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_mu_db: 0")],
@@ -659,24 +669,29 @@ CASES = {
         [("config.yaml", "trials: 10000", "trials: 10000\n  shadow_mu_db: 0\n  shadow_sigma_db: 0")],
         [],
     ),
-    # --- every rule a config section or a CSV row breaks, in rule order ---
+    # --- every rule a config section or a CSV row breaks: the field bounds in field order, then the rest ---
     "config_simulation_three_faults": (
         [("config.yaml", "trials: 10000", "trials: 10000\n  temperature_k: 0\n  shadow_sigma_db: -3\n  reliability: 2")],
         [
-            "config: simulation: reliability must be in (0, 1)",
-            "config: simulation: temperature_k must be > 0",
-            "config: simulation: shadow_sigma_db must be >= 0",
+            "config: simulation: shadow_sigma_db: -3.0 must be >= 0",
+            "config: simulation: temperature_k: 0.0 must be > 0",
+            "config: simulation: reliability: 2.0 must be < 1",
         ],
     ),
     "config_cost_two_faults": (
         [("config.yaml", "tax_rate_low: 0.10", "tax_rate_low: 0.50"), ("config.yaml", "civils_usd: 30000", "civils_usd: -1")],
-        ["config: cost: civils_usd must be >= 0", "config: cost: tax rates must be ordered low <= baseline <= high"],
+        ["config: cost: civils_usd: -1.0 must be >= 0", "config: cost: tax rates must be ordered low <= baseline <= high"],
     ),
+    # a cell outside its bound drops the row before the rules across its cells run
     "countries_arpu_unordered_and_on_grid_above_one": (
         [("countries.csv", "MLA,LMC,3,6,10,14,0.67", "MLA,LMC,3,6,16,14,1.67")],
+        ["countries.csv:2: on_grid_share: 1.67 must be <= 1", *MLA_DROPPED],
+    ),
+    "countries_iso3_comma_and_arpu_unordered": (
+        [("countries.csv", "MLA,LMC,3,6,10,14,", '"MLA,X",LMC,3,6,16,14,')],
         [
-            "countries.csv:2: MLA: ARPU tiers must be ordered low <= base <= high",
-            "countries.csv:2: MLA: on_grid_share 1.67 exceeds 1",
+            "countries.csv:2: 'MLA,X': country_iso3 must not contain a comma, a double quote or a line break",
+            "countries.csv:2: MLA,X: ARPU tiers must be ordered low <= base <= high",
             *MLA_DROPPED,
         ],
     ),
@@ -887,3 +902,117 @@ def test_byte_order_mark_then_non_utf8_gives_the_file_offset(miniland_copy):
     path.write_bytes(data)
     first_bad = f"regions.csv: not valid UTF-8: byte 0xe9 at offset {data.index(0xE9)}"
     assert diagnostics(miniland_copy, miniland_copy / "config.yaml") == [first_bad, *follow_on]
+
+
+# --- each single-field bound: one declaration in core, read by the record and by the input reader ---
+
+#: The records whose fields declare bounds on a CSV's columns, and a valid one of each from miniland.
+CSV_RECORDS = {
+    "regions.csv": (RegionRecord, lambda b: b.regions["MLA"][0]),
+    "countries.csv": (CountryParams, lambda b: b.countries["MLA"]),
+    "spectrum.csv": (Carrier, lambda b: b.countries["MLA"].spectrum_portfolio[0][1]),
+    "emission_factors.csv": (FactorRow, lambda b: b.emission_factors.by_source["coal"]),
+}
+
+#: The config sections whose records declare bounds on their keys.
+CONFIG_RECORDS = {"simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams}
+
+
+def _bound_cases():
+    """``(record, field, kind, bounds, input, rebuild)`` for every bound core declares.
+
+    ``input`` is ``(file, column)`` for a CSV column, ``("config", path)`` for a config key, or None for a
+    record that is never read from input; ``rebuild(bundle, value)`` builds the record with that value.
+    """
+    def kind(record, name):
+        return {"int": int, "float": float, "str": str}[{f.name: f.type for f in dataclasses.fields(record)}[name]]
+
+    for file, (record, valid) in CSV_RECORDS.items():
+        for name, bounds in declared_bounds(record).items():
+            yield (record, name, kind(record, name), bounds, (file, name),
+                   lambda b, v, valid=valid, name=name: dataclasses.replace(valid(b), **{name: v}))
+    yield (SpectralEfficiencyTable, "se_bps_hz", float, SpectralEfficiencyTable.SE_BPS_HZ_BOUNDS,
+           ("se_table.csv", "se_bps_hz"),
+           lambda b, v: SpectralEfficiencyTable({**b.se_table.rows, Generation.G4: ((0.0, v),)}))
+    yield None, "share", float, MIX_SHARE_BOUNDS, ("energy_mix.csv", "share"), None
+    scenario = ScenarioSpec(30.0, AdoptionScenario.BASELINE)
+    for name, path in (("capacity_gb_month", ("axes", "capacity_gb_month")),
+                       ("discount_rate", ("horizon", "discount_rate"))):
+        yield (ScenarioSpec, name, float, declared_bounds(ScenarioSpec)[name], ("config", path),
+               lambda b, v, name=name: dataclasses.replace(scenario, **{name: v}))
+    for section, record in CONFIG_RECORDS.items():
+        for name, bounds in declared_bounds(record).items():
+            yield (record, name, kind(record, name), bounds, ("config", (section, name)),
+                   lambda b, v, record=record, name=name: record(**{name: v}))
+    yield (DecileRecord, "decile_index", int, declared_bounds(DecileRecord)["decile_index"], None,
+           lambda b, v: dataclasses.replace(build_deciles(b.regions["MLA"], "MLA")[0], decile_index=v))
+
+
+BOUND_CASES = [(*case, op, limit) for case in _bound_cases() for op, limit in case[3]]
+
+
+def test_every_declared_bound_has_a_case():
+    records = [c for c in vars(core).values() if isinstance(c, type) and issubclass(c, SelfChecked)]
+    declared = {(record, name) for record in records if record is not SelfChecked for name in declared_bounds(record)}
+    assert declared <= {(case[0], case[1]) for case in BOUND_CASES}
+
+
+def _outside(op, limit, kind):
+    """The value of ``kind`` nearest ``limit`` that breaks the bound ``op limit``."""
+    if op == "nonempty":
+        return ""
+    if op in (">", "<"):
+        return kind(limit)
+    step = -1 if op == ">=" else 1
+    return limit + step if kind is int else math.nextafter(limit, step * math.inf)
+
+
+def _damage_with(data_dir, source, value):
+    """Set ``source`` (a CSV column's first row, or a config key) to ``value``; the expected diagnostic prefix."""
+    file, column = source
+    if file == "config":
+        config = yaml.safe_load((data_dir / "config.yaml").read_text())
+        section, key = column
+        config[section][key] = [value, 30.0] if section == "axes" else value
+        (data_dir / "config.yaml").write_text(yaml.safe_dump(config))
+        return "config: axes." if section == "axes" else f"config: {section}: "
+    path = data_dir / file
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = str(value)
+    path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    return f"{file}:2: "
+
+
+@pytest.mark.parametrize("record, name, kind, bounds, source, rebuild, op, limit", BOUND_CASES,
+                         ids=[f"{case[1]}{case[6]}{case[7]}" for case in BOUND_CASES])
+def test_a_bound_is_one_rule_with_one_text(miniland_copy, bundle, record, name, kind, bounds, source, rebuild, op,
+                                           limit):
+    if source and source[0] != "config":
+        # the reader checks the declaration itself, not a copy
+        assert {column: b for column, _, b in SCHEMAS[source[0]]}[source[1]] is bounds
+    value = _outside(op, limit, kind)
+    text = f"{name} is empty" if op == "nonempty" else f"{name}: {value} must be {op} {limit}"
+    if source:
+        prefix = _damage_with(miniland_copy, source, value)
+        assert diagnostics(miniland_copy, miniland_copy / "config.yaml").count(prefix + text) == 1
+    if rebuild:
+        with pytest.raises(ValidationError) as err:
+            rebuild(bundle, value)
+        assert err.value.args[0] == text
+
+
+@pytest.mark.parametrize("record, name, kind, bounds, source, rebuild, op, limit",
+                         [case for case in BOUND_CASES if case[6] in (">=", "<=")],
+                         ids=[f"{case[1]}{case[6]}{case[7]}" for case in BOUND_CASES if case[6] in (">=", "<=")])
+def test_a_value_on_an_inclusive_limit_passes(miniland_copy, bundle, record, name, kind, bounds, source, rebuild, op,
+                                              limit):
+    value = kind(limit)
+    if source:
+        prefix = _damage_with(miniland_copy, source, value)
+        assert not [d for d in diagnostics(miniland_copy, miniland_copy / "config.yaml") if d.startswith(prefix + name)]
+    if rebuild:
+        try:
+            rebuild(bundle, value)
+        except ValidationError as err:  # a rule across fields may break; the bound must not
+            assert not [m for m in err.args if m.startswith(f"{name}:")]
