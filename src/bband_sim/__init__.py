@@ -17,7 +17,7 @@ from .core import (
     Generation,
     IncomeGroup,
     Policy,
-    RegionRecord,
+    Regions,
     ScenarioSpace,
     ScenarioSpec,
     Settlement,
@@ -55,7 +55,7 @@ __all__ = [
     "MissingDataError",
     "PipelineOutput",
     "Policy",
-    "RegionRecord",
+    "Regions",
     "ScenarioSpace",
     "ScenarioSpec",
     "Settlement",

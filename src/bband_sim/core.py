@@ -78,12 +78,6 @@ class IncomeGroup(str, Enum):
     HIC = "HIC"
 
 
-# Default density cutoffs (persons/km^2) above which a decile counts as
-# urban / suburban. Config-overridable; there is no universal definition.
-DEFAULT_URBAN_MIN_DENSITY = 1500.0
-DEFAULT_SUBURBAN_MIN_DENSITY = 300.0
-
-
 def raise_broken(messages: Iterable[str]) -> None:
     """Raise every message together as one :class:`ValidationError`, one ``arg`` each; return if there are none."""
     broken = list(messages)
@@ -101,8 +95,9 @@ NONEMPTY = ("nonempty", "")
 def bounded(*bounds: tuple[str, object], **kwargs):
     """A dataclass field that declares its single-field input rules: each ``(op, limit)`` of ``bounds`` holds.
 
-    This is each rule's one declaration: :class:`SelfChecked` checks it on the record, and the CSV reader
-    on the cells of the field's column. ``kwargs`` go to :func:`dataclasses.field`.
+    This is each rule's one declaration: the CSV reader checks it on each cell of the field's column, and a
+    :class:`SelfChecked` record when it is built, config records included. :class:`Regions` is not
+    self-checking: all its values come from cells the reader checked. ``kwargs`` go to :func:`dataclasses.field`.
     """
     return field(metadata={"bounds": bounds}, **kwargs)
 
@@ -157,18 +152,19 @@ class SelfChecked:
 
 
 @dataclass(frozen=True)
-class RegionRecord(SelfChecked):
-    """One local statistical area, pre-aggregated to a single row."""
+class Regions:
+    """One country's local statistical areas, one column per ``regions.csv`` field, in file order.
 
-    region_id: str = bounded(NONEMPTY)
-    country_iso3: str
-    population: int = bounded((">=", 0))
-    area_km2: float = bounded((">", 0))
-    existing_sites: int = bounded((">=", 0))
+    Not self-checking: the input reader checks each cell against its field's bounds.
+    """
 
-    @property
-    def pop_density(self) -> float:
-        return self.population / self.area_km2
+    region_id: tuple[str, ...] = bounded(NONEMPTY)
+    population: tuple[int, ...] = bounded((">=", 0))
+    area_km2: tuple[float, ...] = bounded((">", 0))
+    existing_sites: tuple[int, ...] = bounded((">=", 0))
+
+    def __len__(self) -> int:
+        return len(self.region_id)
 
 
 #: Deciles per country: :func:`build_deciles` always returns this many.
@@ -634,36 +630,40 @@ class EmissionFactors(SelfChecked):
         return self.by_source[DIESEL_SOURCE]
 
 
-def settlement_threshold_rules(urban_min: float, suburban_min: float) -> Iterator[str]:
-    """The rule a pair of settlement density thresholds breaks, if it does."""
-    if not urban_min > suburban_min > 0:
-        yield "settlement thresholds must satisfy urban_min > suburban_min > 0"
+@dataclass(frozen=True)
+class SettlementThresholds(SelfChecked):
+    """Density cutoffs (persons/km^2) at and above which a decile counts as urban / suburban.
+
+    Config-overridable; there is no universal definition.
+    """
+
+    urban_min_density: float = 1500.0
+    suburban_min_density: float = bounded((">", 0), default=300.0)
+
+    def broken_rules(self) -> Iterator[str]:
+        if not self.urban_min_density > self.suburban_min_density:
+            yield (f"urban_min_density {self.urban_min_density} must be > suburban_min_density "
+                   f"{self.suburban_min_density}")
 
 
-def classify_settlement(
-    density: float,
-    thresholds: tuple[float, float] = (DEFAULT_URBAN_MIN_DENSITY, DEFAULT_SUBURBAN_MIN_DENSITY),
-) -> Settlement:
+def classify_settlement(density: float, thresholds: SettlementThresholds = SettlementThresholds()) -> Settlement:
     """Map a population density (persons/km^2) to urban / suburban / rural.
 
-    ``thresholds`` is ``(urban_min, suburban_min)``; both boundaries are
-    inclusive on the denser side.
+    Both boundaries are inclusive on the denser side.
     """
-    raise_broken(settlement_threshold_rules(*thresholds))
-    urban_min, suburban_min = thresholds
     if not math.isfinite(density) or density < 0:
         raise ValidationError(f"pop_density {density!r} is not a finite non-negative number")
-    if density >= urban_min:
+    if density >= thresholds.urban_min_density:
         return Settlement.URBAN
-    if density >= suburban_min:
+    if density >= thresholds.suburban_min_density:
         return Settlement.SUBURBAN
     return Settlement.RURAL
 
 
 def build_deciles(
-    regions: list[RegionRecord],
+    regions: Regions,
     country_iso3: str,
-    thresholds: tuple[float, float] = (DEFAULT_URBAN_MIN_DENSITY, DEFAULT_SUBURBAN_MIN_DENSITY),
+    thresholds: SettlementThresholds = SettlementThresholds(),
 ) -> list[DecileRecord]:
     """Partition a country's regions into 10 population-density deciles.
 
@@ -674,18 +674,13 @@ def build_deciles(
     are conserved exactly; area is the left-to-right float sum of the
     bin's regions in sorted order. Empty bins (fewer than 10 regions)
     come back degenerate and rural, with zero population, area and sites.
+    The region ids are unique and the columns within their bounds: the
+    input reader checks both.
     """
     if not regions:
         raise MissingDataError(f"{country_iso3}: no regions supplied")
-    seen: set[str] = set()
-    for r in regions:
-        if r.country_iso3 != country_iso3:
-            raise ValidationError(f"region {r.region_id} belongs to {r.country_iso3}, not {country_iso3}")
-        if r.region_id in seen:
-            raise ValidationError(f"{country_iso3}: duplicate region_id {r.region_id}")
-        seen.add(r.region_id)
-
-    ordered = sorted(regions, key=lambda r: (-r.pop_density, r.region_id))
+    ids, pops, areas, sites = regions.region_id, regions.population, regions.area_km2, regions.existing_sites
+    ordered = sorted(range(len(regions)), key=lambda i: (-(pops[i] / areas[i]), ids[i]))
     q, rem = divmod(len(ordered), N_DECILES)
     sizes = [q + 1] * rem + [q] * (N_DECILES - rem)
 
@@ -694,15 +689,15 @@ def build_deciles(
     for idx, size in enumerate(sizes, start=1):
         members = ordered[start:start + size]
         start += size
-        population = sum(m.population for m in members)
-        area = ordered_sum(m.area_km2 for m in members)
+        population = sum(pops[i] for i in members)
+        area = ordered_sum(areas[i] for i in members)
         density = population / area if members else 0.0  # an empty bin classifies as rural
         deciles.append(DecileRecord(
             country_iso3=country_iso3,
             decile_index=idx,
             population=population,
             area_km2=area,
-            existing_sites=sum(m.existing_sites for m in members),
+            existing_sites=sum(sites[i] for i in members),
             settlement=classify_settlement(density, thresholds),
             degenerate=not members,
         ))

@@ -6,9 +6,12 @@ column in file order; the header, the reader and :func:`save_bundle` all walk
 it. A ``str`` cell is stripped of surrounding blanks; an enum cell must be one
 of the enum's values exactly as written; an ``int`` or ``float`` cell is parsed
 by that builtin and must be finite. Config numbers are parsed the same way.
-A column's bounds are those ``core`` declares on the record field it fills
-(:func:`core.bounded`): a cell outside them and a record built with that value
-give the one text ``<column>: <value> must be <op> <limit>``.
+A column's bounds are those ``core`` declares on the field it fills
+(:func:`core.bounded`), and each cell is checked against them once, here: a
+cell outside them gives the one text ``<column>: <value> must be <op> <limit>``,
+as does a self-checking record built with that value. ``regions.csv`` is read
+into one :class:`core.Regions` of columns per country, in file order, which
+nothing checks again.
 
 Headers must match byte for byte. Loading never stops at the first problem:
 each bad cell, and each row with the wrong number of cells, is reported with
@@ -39,15 +42,15 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DEFAULT_SUBURBAN_MIN_DENSITY, DEFAULT_URBAN_MIN_DENSITY,
-    BOUND_OPS, DIESEL_SOURCE, HORIZON_KEYS, MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams,
-    AdoptionScenario, Carrier, CostInputs, CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet,
-    Generation, IncomeGroup, RegionRecord, ScenarioSpace, ScenarioSpec, SimulationParams, SpectralEfficiencyTable,
-    StrategySpace, broken_bound, declared_bounds, density_grid_rules, raise_broken, settlement_threshold_rules,
+    AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, BOUND_OPS, DIESEL_SOURCE, HORIZON_KEYS, MIX_SHARE_BOUNDS,
+    MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs, CountryParams,
+    EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup, Regions, ScenarioSpace,
+    ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable, StrategySpace, broken_bound,
+    declared_bounds, density_grid_rules, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
-_REGION, _COUNTRY, _CARRIER, _FACTOR = map(declared_bounds, (RegionRecord, CountryParams, Carrier, FactorRow))
+_REGION, _COUNTRY, _CARRIER, _FACTOR = map(declared_bounds, (Regions, CountryParams, Carrier, FactorRow))
 
 #: Every input CSV: one ``(column, kind, bounds)`` row per column, in file order, the bounds ``core``'s.
 SCHEMAS = {
@@ -102,7 +105,6 @@ DEFAULT_TABLE_PORTFOLIOS = (
 )
 
 CONFIG_SECTIONS = ("axes", "horizon", "settlement", "adoption", "simulation", "cost", "energy", "tables")
-SETTLEMENT_KEYS = ("urban_min_density", "suburban_min_density")
 
 COST_KEYS = tuple(f.name for f in fields(CostInputs))
 
@@ -126,7 +128,7 @@ class InputBundle:
     """Everything a pipeline run needs, validated and immutable."""
 
     countries: dict[str, CountryParams]
-    regions: dict[str, tuple[RegionRecord, ...]]
+    regions: dict[str, Regions]
     adoption: AdoptionParams
     energy_mix: dict[str, dict[int, dict[str, float]]]
     emission_factors: EmissionFactors
@@ -136,7 +138,7 @@ class InputBundle:
     energy_params: EnergyParams
     strategy_space: StrategySpace
     scenario_space: ScenarioSpace
-    settlement_thresholds: tuple[float, float]
+    settlement_thresholds: SettlementThresholds
     density_grid: tuple[float, ...]
     table_portfolios: tuple[FrequencySet, ...] = DEFAULT_TABLE_PORTFOLIOS
 
@@ -266,19 +268,20 @@ def _countries(rows: Rows, spectrum: Mapping[str, list[tuple[Generation, Carrier
     return countries
 
 
-def _regions(rows: Rows, countries: Mapping[str, CountryParams], collector: _Collector) -> dict[str, tuple[RegionRecord, ...]]:
-    regions: dict[str, list[RegionRecord]] = {}
+def _regions(rows: Rows, countries: Mapping[str, CountryParams], collector: _Collector) -> dict[str, Regions]:
+    """Each country's :class:`Regions`, its rows in file order; a row with an unknown country or a repeated id is reported."""
+    columns: dict[str, tuple[list, ...]] = {}
     seen_ids: dict[tuple[str, str], int] = {}
-    for line, values in rows:
-        region_id, iso3 = values[0], values[1]
+    for line, (region_id, iso3, *values) in rows:
         if countries and iso3 not in countries:
             collector.add("regions.csv", line, f"region {region_id} references unknown country {iso3}")
         elif (iso3, region_id) in seen_ids:
             collector.add("regions.csv", line, f"duplicate region_id {region_id} in {iso3} (first seen line {seen_ids[iso3, region_id]})")
         else:
             seen_ids[iso3, region_id] = line
-            regions.setdefault(iso3, []).append(RegionRecord(*values))
-    return {iso3: tuple(rs) for iso3, rs in regions.items()}
+            for column, value in zip(columns.setdefault(iso3, ([], [], [], [])), (region_id, *values)):
+                column.append(value)
+    return {iso3: Regions(*map(tuple, cs)) for iso3, cs in columns.items()}
 
 
 def _energy_mix(rows: Rows, countries: Mapping[str, CountryParams], years: range, collector: _Collector) -> dict:
@@ -565,11 +568,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     energy_params = _config_params(EnergyParams, _expect_mapping(config.get("energy"), "energy", collector), "energy", collector)
     portfolios = _build_table_portfolios(config, collector)
 
-    settlement_section = _expect_mapping(config.get("settlement"), "settlement", collector)
-    _unknown_keys(settlement_section, SETTLEMENT_KEYS, "settlement", collector)
-    urban_min = _config_scalar(settlement_section, "urban_min_density", DEFAULT_URBAN_MIN_DENSITY, "settlement", collector)
-    suburban_min = _config_scalar(settlement_section, "suburban_min_density", DEFAULT_SUBURBAN_MIN_DENSITY, "settlement", collector)
-    collector.check("config", 0, "", raise_broken, settlement_threshold_rules(urban_min, suburban_min))
+    settlement = _config_params(SettlementThresholds, _expect_mapping(config.get("settlement"), "settlement", collector),
+                                "settlement", collector)
 
     spectrum = _spectrum(_read_csv(data_dir / "spectrum.csv", collector))
     countries = _countries(_read_csv(data_dir / "countries.csv", collector), spectrum, collector)
@@ -587,9 +587,9 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     for iso3 in sorted(countries):
         if iso3 not in regions:
             collector.add("regions.csv", 0, f"country {iso3} has no regions")
-    for iso3, records in sorted(regions.items()):
+    for iso3, columns in sorted(regions.items()):
         # a run holds decile sums as 64-bit integers, and a country's total bounds them all
-        over = [c for c in ("population", "existing_sites") if sum(getattr(r, c) for r in records) > 2**63 - 1]
+        over = [c for c in ("population", "existing_sites") if sum(getattr(columns, c)) > 2**63 - 1]
         if over:
             collector.add("regions.csv", 0, f"{iso3}: total {' and total '.join(over)} above 2**63 - 1")
 
@@ -612,7 +612,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         energy_params=energy_params,
         strategy_space=strategy_space,
         scenario_space=scenario_space,
-        settlement_thresholds=(urban_min, suburban_min),
+        settlement_thresholds=settlement,
         density_grid=density_grid,
         table_portfolios=portfolios,
     )
@@ -665,7 +665,11 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
     data_dir.mkdir(parents=True, exist_ok=True)
 
     records = {
-        "regions.csv": (vars(r) for iso3 in sorted(bundle.regions) for r in bundle.regions[iso3]),
+        "regions.csv": (
+            {"country_iso3": iso3, **dict(zip(vars(columns), row))}
+            for iso3, columns in sorted(bundle.regions.items())
+            for row in zip(*vars(columns).values())
+        ),
         "countries.csv": (vars(bundle.countries[iso3]) for iso3 in sorted(bundle.countries)),
         "spectrum.csv": (
             {"country_iso3": iso3, "generation": gen, **vars(carrier)}
@@ -700,10 +704,7 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
     config = {
         "axes": {axis.name: [_text(v) for v in spaces[axis.field]] for axis in AXES},
         "horizon": {key: spaces[key] for key in HORIZON_KEYS},
-        "settlement": {
-            "urban_min_density": bundle.settlement_thresholds[0],
-            "suburban_min_density": bundle.settlement_thresholds[1],
-        },
+        "settlement": vars(bundle.settlement_thresholds),
         "adoption": {
             **{k: v for k, v in vars(bundle.adoption).items() if k != "cagr_by_income"},
             "cagr": {

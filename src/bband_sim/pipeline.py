@@ -265,17 +265,19 @@ def _batched(
                 columns[name] = np.zeros(shape, dtype=values.dtype)
             columns[name][country, keys] = values
 
-    for country, keys in (batch for batch in batches if len(batch[1])):
-        try:
-            calls += 1
-            put(country, keys, compute(country, keys))
-        except BbandSimError:
-            for key in keys.tolist():
-                try:
-                    calls += 1
-                    put(country, [key], compute(country, np.array([key])))
-                except BbandSimError as err:
-                    errors[country, key] = f"{type(err).__name__}: {err}"
+    # an overflow or invalid value needs no numpy warning: put fails its key as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for country, keys in (batch for batch in batches if len(batch[1])):
+            try:
+                calls += 1
+                put(country, keys, compute(country, keys))
+            except BbandSimError:
+                for key in keys.tolist():
+                    try:
+                        calls += 1
+                        put(country, [key], compute(country, np.array([key])))
+                    except BbandSimError as err:
+                        errors[country, key] = f"{type(err).__name__}: {err}"
     _log_stage(stage, sum(len(keys) for _, keys in batches), calls, len(errors), start, counts(columns, errors))
     return columns, errors
 
@@ -299,7 +301,7 @@ def run_pipeline(
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
-    deciles = {iso3: build_deciles(list(bundle.regions[iso3]), iso3, bundle.settlement_thresholds)
+    deciles = {iso3: build_deciles(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
                for iso3 in sorted(bundle.regions)}
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)

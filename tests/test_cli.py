@@ -4,6 +4,7 @@ import logging
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -76,12 +77,17 @@ def test_non_finite_money_fails_the_run(miniland_copy, table_cache, tmp_path, mo
     countries.write_text(countries.read_text().replace("MLA,LMC,3,6,10,14,", "MLA,LMC,3,6,10,1e307,"))
     monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
     out = tmp_path / "out"
-    code = main([
-        "run", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml"),
-        "--out", str(out), "--runs", SINGLE_RUN_FILTER,
-    ])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([
+            "run", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml"),
+            "--out", str(out), "--runs", SINGLE_RUN_FILTER,
+        ])
     assert code == EXIT_RUNTIME
+    # the overflow is the run's failure, reported once, not a numpy warning besides
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
     assert err.count("ValidationError: sites stage: non-finite revenue_pv_usd") == 1
     files = sorted(out.glob("*.csv"))
     assert len(files) == 6

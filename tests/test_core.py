@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 from bband_sim.core import (
     AdoptionScenario,
     DecileRecord,
-    RegionRecord,
+    Regions,
     ScenarioSpace,
     Settlement,
+    SettlementThresholds,
     SimulationParams,
     StrategySpace,
     build_deciles,
@@ -18,14 +21,37 @@ from bband_sim.core import (
 from bband_sim.errors import MissingDataError, ValidationError
 
 
-def region(idx, pop, area, country="AAA", sites=0):
-    return RegionRecord(f"R{idx:03d}", country, pop, area, sites)
+class Region(NamedTuple):
+    """One ``regions.csv`` row of a test country."""
+
+    region_id: str
+    population: int
+    area_km2: float
+    existing_sites: int
+
+    @property
+    def pop_density(self) -> float:
+        return self.population / self.area_km2
+
+
+def region(idx, pop, area, sites=0):
+    return Region(f"R{idx:03d}", pop, area, sites)
+
+
+def columns(regions) -> Regions:
+    """The rows ``regions`` as one country's columns, in the given order."""
+    return Regions(*(tuple(r[i] for r in regions) for i in range(len(Region._fields))))
+
+
+def rows(regions: Regions) -> list[Region]:
+    """One country's columns as rows, in column order."""
+    return [Region(*row) for row in zip(*vars(regions).values())]
 
 
 class TestBuildDeciles:
     def test_twenty_regions_two_each(self):
         regions = [region(i, pop=1000 * (20 - i), area=1.0) for i in range(20)]
-        deciles = build_deciles(regions, "AAA")
+        deciles = build_deciles(columns(regions), "AAA")
         assert len(deciles) == 10
         assert all(not d.degenerate for d in deciles)
         # decile 1 holds the two densest regions (R000, R001)
@@ -33,7 +59,7 @@ class TestBuildDeciles:
         assert deciles[0].decile_index == 1
 
     def test_single_region_rest_degenerate(self):
-        deciles = build_deciles([region(0, 5000, 10.0, sites=3)], "AAA")
+        deciles = build_deciles(columns([region(0, 5000, 10.0, sites=3)]), "AAA")
         assert deciles[0].population == 5000
         assert deciles[0].existing_sites == 3
         for d in deciles[1:]:
@@ -42,7 +68,7 @@ class TestBuildDeciles:
 
     def test_remainder_rule_23_regions(self):
         regions = [region(i, pop=100 * (23 - i), area=1.0) for i in range(23)]
-        deciles = build_deciles(regions, "AAA")
+        deciles = build_deciles(columns(regions), "AAA")
         sizes = []
         # recover bin sizes from population sums (each region has distinct pop)
         pops = sorted((r.population for r in regions), reverse=True)
@@ -63,7 +89,7 @@ class TestBuildDeciles:
             region(i, pop=int(rng.integers(0, 500_000)), area=float(rng.uniform(1, 5000)), sites=int(rng.integers(0, 300)))
             for i in range(37)
         ]
-        deciles = build_deciles(regions, "AAA")
+        deciles = build_deciles(columns(regions), "AAA")
         assert sum(d.population for d in deciles) == sum(r.population for r in regions)
         assert sum(d.existing_sites for d in deciles) == sum(r.existing_sites for r in regions)
         assert sum(d.area_km2 for d in deciles) == pytest.approx(sum(r.area_km2 for r in regions), rel=1e-12)
@@ -76,34 +102,26 @@ class TestBuildDeciles:
         # builtin sum from Python 3.12 on) would give 1e16 + 2
         regions = [region(0, 10**23, 1e16), region(1, 10**6, 1.0), region(2, 10**6 - 1, 1.0)]
         regions += [region(i, 1, 1000.0) for i in range(3, 30)]
-        assert build_deciles(regions, "AAA")[0].area_km2 == 1e16
+        assert build_deciles(columns(regions), "AAA")[0].area_km2 == 1e16
 
     def test_density_tie_broken_by_region_id(self):
         regions = [region(i, pop=100, area=1.0) for i in range(10)]
-        deciles = build_deciles(regions, "AAA")
+        deciles = build_deciles(columns(regions), "AAA")
         assert [d.population for d in deciles] == [100] * 10
 
     def test_empty_is_missing_data(self):
         with pytest.raises(MissingDataError):
-            build_deciles([], "AAA")
-
-    def test_duplicate_region_id_rejected(self):
-        regions = [region(1, 100, 1.0), region(1, 200, 2.0)]
-        with pytest.raises(ValidationError, match="duplicate"):
-            build_deciles(regions, "AAA")
-
-    def test_wrong_country_rejected(self):
-        with pytest.raises(ValidationError):
-            build_deciles([region(0, 100, 1.0, country="BBB")], "AAA")
+            build_deciles(columns([]), "AAA")
 
 
 @st.composite
 def country_regions(draw):
-    """1-40 regions of one country; region i holds 2**i existing sites, so a
-    decile's site count names its member regions."""
+    """The columns of 1-40 regions of one country; region i holds 2**i
+    existing sites, so a decile's site count names its member regions."""
     n = draw(st.integers(1, 40))
     areas = st.one_of(st.floats(1e-3, 1e7), st.sampled_from([1.0, 1e16]))
-    return [region(i, draw(st.one_of(st.just(0), st.integers(0, 10**7))), draw(areas), sites=2**i) for i in range(n)]
+    return columns([region(i, draw(st.one_of(st.just(0), st.integers(0, 10**7))), draw(areas), sites=2**i)
+                    for i in range(n)])
 
 
 class TestDecileConservation:
@@ -111,6 +129,7 @@ class TestDecileConservation:
     @given(country_regions())
     def test_partition_conserves_population_sites_and_area(self, regions):
         deciles = build_deciles(regions, "AAA")
+        regions = rows(regions)
         assert [d.decile_index for d in deciles] == list(range(1, 11))
         members = [[r for r in regions if d.existing_sites >> int(r.region_id[1:]) & 1] for d in deciles]
         # every region lands in exactly one decile
@@ -133,9 +152,9 @@ class TestDecileConservation:
                 assert (d.population, d.area_km2, d.existing_sites) == (0, 0.0, 0)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 25), st.sampled_from([(1500.0, 300.0), (1e-3, 1e-6)]))
+    @given(st.integers(1, 25), st.sampled_from([SettlementThresholds(), SettlementThresholds(1e-3, 1e-6)]))
     def test_empty_bins_come_last_rural_and_zero(self, n, thresholds):
-        deciles = build_deciles([region(i, i + 1, 1.0, sites=1) for i in range(n)], "AAA", thresholds)
+        deciles = build_deciles(columns([region(i, i + 1, 1.0, sites=1) for i in range(n)]), "AAA", thresholds)
         filled = min(n, 10)
         assert [d.degenerate for d in deciles] == [False] * filled + [True] * (10 - filled)
         for d in deciles[filled:]:
@@ -143,8 +162,15 @@ class TestDecileConservation:
             assert fields == (0, 0.0, 0, 0.0, Settlement.RURAL)
             assert [type(v) for v in fields[:4]] == [int, float, int, float]
         # filled bins hold 1-25 persons/km^2: all rural, or all urban under the low thresholds
-        want = Settlement.URBAN if thresholds[0] < 1 else Settlement.RURAL
+        want = Settlement.URBAN if thresholds.urban_min_density < 1 else Settlement.RURAL
         assert all(d.settlement == want for d in deciles[:filled])
+
+    @settings(max_examples=300, deadline=None)
+    @given(country_regions(), st.randoms(use_true_random=False))
+    def test_any_region_order_gives_the_same_deciles(self, regions, random):
+        shuffled = columns(random.sample(rows(regions), len(regions)))
+        # repr writes every float exactly: equal texts are equal bits
+        assert repr(build_deciles(shuffled, "AAA")) == repr(build_deciles(regions, "AAA"))
 
 
 class TestDecileRecord:

@@ -132,12 +132,24 @@ def spectrum_rows(path: Path) -> list[tuple]:
         return [(iso3, gen, float(freq), float(bw)) for iso3, gen, freq, bw in list(csv.reader(fh))[1:]]
 
 
+def interleave_regions(path: Path):
+    """Rewrite a ``regions.csv`` with its two countries' rows alternating, each country's in file order."""
+    header, *lines = path.read_text().splitlines()
+    mla = [line for line in lines if line.split(",")[1] == "MLA"]
+    mlb = [line for line in lines if line not in mla]
+    assert len(mla) == len(mlb) == 12
+    path.write_text("\n".join([header, *(line for pair in zip(mla, mlb) for line in pair)]) + "\n")
+
+
 class TestRoundTrip:
-    @pytest.fixture(params=["miniland", "interleaved"])
+    @pytest.fixture(params=["miniland", "interleaved", "regions_interleaved"])
     def source(self, request, miniland_copy) -> Path:
-        """A data directory to round-trip: miniland, or a copy with MLA's spectrum rows interleaved."""
+        """A data directory to round-trip: miniland, or a copy with MLA's spectrum rows, or the two countries'
+        regions, interleaved."""
         if request.param == "interleaved":
             rewrite(miniland_copy / "spectrum.csv", MLA_SPECTRUM, MLA_SPECTRUM_INTERLEAVED)
+        if request.param == "regions_interleaved":
+            interleave_regions(miniland_copy / "regions.csv")
         return miniland_copy
 
     def test_save_load_identity(self, source, tmp_path):

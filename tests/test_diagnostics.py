@@ -20,7 +20,7 @@ from bband_sim import core
 from bband_sim.cli import EXIT_VALIDATION, main
 from bband_sim.core import (
     MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CostInputs, CountryParams, DecileRecord, EnergyParams, FactorRow,
-    Generation, RegionRecord, ScenarioSpec, SelfChecked, SimulationParams, SpectralEfficiencyTable, build_deciles,
+    Generation, Regions, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable, build_deciles,
     declared_bounds,
 )
 from bband_sim.data_io import SCHEMAS, load_bundle
@@ -504,7 +504,7 @@ CASES = {
     ),
     "config_settlement_unordered": (
         [("config.yaml", "urban_min_density: 1500", "urban_min_density: 100")],
-        ["config: settlement thresholds must satisfy urban_min > suburban_min > 0"],
+        ["config: settlement: urban_min_density 100.0 must be > suburban_min_density 300.0"],
     ),
     # --- numbers must be finite ---
     "energy_mix_share_nan": (
@@ -908,21 +908,23 @@ def test_byte_order_mark_then_non_utf8_gives_the_file_offset(miniland_copy):
 
 #: The records whose fields declare bounds on a CSV's columns, and a valid one of each from miniland.
 CSV_RECORDS = {
-    "regions.csv": (RegionRecord, lambda b: b.regions["MLA"][0]),
     "countries.csv": (CountryParams, lambda b: b.countries["MLA"]),
     "spectrum.csv": (Carrier, lambda b: b.countries["MLA"].spectrum_portfolio[0][1]),
     "emission_factors.csv": (FactorRow, lambda b: b.emission_factors.by_source["coal"]),
 }
 
 #: The config sections whose records declare bounds on their keys.
-CONFIG_RECORDS = {"simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams}
+CONFIG_RECORDS = {
+    "simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams, "settlement": SettlementThresholds,
+}
 
 
 def _bound_cases():
     """``(record, field, kind, bounds, input, rebuild)`` for every bound core declares.
 
     ``input`` is ``(file, column)`` for a CSV column, ``("config", path)`` for a config key, or None for a
-    record that is never read from input; ``rebuild(bundle, value)`` builds the record with that value.
+    record that is never read from input; ``rebuild(bundle, value)`` builds the record with that value, or is
+    None where only the reader checks the bound.
     """
     def kind(record, name):
         return {"int": int, "float": float, "str": str}[{f.name: f.type for f in dataclasses.fields(record)}[name]]
@@ -935,6 +937,10 @@ def _bound_cases():
            ("se_table.csv", "se_bps_hz"),
            lambda b, v: SpectralEfficiencyTable({**b.se_table.rows, Generation.G4: ((0.0, v),)}))
     yield None, "share", float, MIX_SHARE_BOUNDS, ("energy_mix.csv", "share"), None
+    # each Regions column is checked on its cells alone: there is no record to rebuild
+    column_kinds = {column: column_kind for column, column_kind, _ in SCHEMAS["regions.csv"]}
+    for name, bounds in declared_bounds(Regions).items():
+        yield Regions, name, column_kinds[name], bounds, ("regions.csv", name), None
     scenario = ScenarioSpec(30.0, AdoptionScenario.BASELINE)
     for name, path in (("capacity_gb_month", ("axes", "capacity_gb_month")),
                        ("discount_rate", ("horizon", "discount_rate"))):
@@ -952,8 +958,8 @@ BOUND_CASES = [(*case, op, limit) for case in _bound_cases() for op, limit in ca
 
 
 def test_every_declared_bound_has_a_case():
-    records = [c for c in vars(core).values() if isinstance(c, type) and issubclass(c, SelfChecked)]
-    declared = {(record, name) for record in records if record is not SelfChecked for name in declared_bounds(record)}
+    records = [c for c in vars(core).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    declared = {(record, name) for record in records for name in declared_bounds(record)}
     assert declared <= {(case[0], case[1]) for case in BOUND_CASES}
 
 

@@ -107,7 +107,7 @@ def test_pipeline_exports_resolve_on_first_use():
     assert bband_sim.__all__ == [
         "AdoptionScenario", "Backhaul", "BbandSimError", "CountryParams", "DecileRecord", "EnergyStrategy",
         "Generation", "IncomeGroup", "InputBundle", "InputValidationError", "MissingDataError", "PipelineOutput",
-        "Policy", "RegionRecord", "ScenarioSpace", "ScenarioSpec", "Settlement", "Sharing",
+        "Policy", "Regions", "ScenarioSpace", "ScenarioSpec", "Settlement", "Sharing",
         "StrategyBundle", "StrategySpace", "ValidationError", "build_deciles", "classify_settlement",
         "emit_results", "enumerate_runs", "load_bundle", "run_pipeline", "save_bundle",
     ]
