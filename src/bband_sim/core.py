@@ -108,13 +108,6 @@ def declared_bounds(record: type) -> dict[str, tuple]:
     return {f.name: f.metadata["bounds"] for f in fields(record) if "bounds" in f.metadata}
 
 
-@cache
-def _bound_tests(record: type) -> tuple:
-    """``(field, test, limit)`` for each bound that a field of ``record`` declares."""
-    return tuple((name, BOUND_OPS[op], limit)
-                 for name, bounds in declared_bounds(record).items() for op, limit in bounds)
-
-
 def broken_bound(column: str, value, bounds) -> str | None:
     """The one text of the first of ``bounds`` that ``value`` breaks, or None if it meets them all.
 
@@ -136,10 +129,7 @@ class SelfChecked:
     """
 
     def __post_init__(self):
-        for name, test, limit in _bound_tests(type(self)):
-            if not test(getattr(self, name), limit):  # only a broken bound needs the messages
-                raise_broken(itertools.chain(self.bound_rules(), self.broken_rules()))
-        raise_broken(self.broken_rules())
+        raise_broken(itertools.chain(self.bound_rules(), self.broken_rules()))
 
     def bound_rules(self) -> Iterator[str]:
         for name, bounds in declared_bounds(type(self)).items():

@@ -210,20 +210,19 @@ def _read_utf8(path: Path, collector: _Collector) -> str | None:
         return None
 
 
-def _read_csv(path: Path, collector: _Collector, columns=None) -> Rows:
-    """Yield ``(line, values)`` for each row whose cells all parse as ``columns``.
+def _read_csv(path: Path, collector: _Collector) -> Rows:
+    """Yield ``(line, values)`` for each row whose cells all parse as the schema of the file's name.
 
-    ``columns`` defaults to the schema of the file's name. Reports a missing
-    file, a header other than the declared one, a row with the wrong number of
-    cells and each bad cell, in column order. Blank lines are skipped but
-    counted: ``line`` is the physical line on which the row ends. A file
-    that is not UTF-8 gives one diagnostic and no rows.
+    Reports a missing file, a header other than the declared one, a row with
+    the wrong number of cells and each bad cell, in column order. Blank lines
+    are skipped but counted: ``line`` is the physical line on which the row
+    ends. A file that is not UTF-8 gives one diagnostic and no rows.
     """
     name = path.name
     if not path.is_file():
         collector.add(name, 0, "file is missing")
         return
-    columns = columns or SCHEMAS[name]
+    columns = SCHEMAS[name]
     header = ",".join(column for column, _, _ in columns)
     text = _read_utf8(path, collector)
     if text is None:
@@ -339,7 +338,7 @@ def _emission_factors(rows: Rows, collector: _Collector) -> EmissionFactors | No
 
 def _se_table(path: Path, collector: _Collector) -> SpectralEfficiencyTable | None:
     rows_by_gen: dict[Generation, list[tuple[float, float]]] = {}
-    for _, (gen, min_sinr, se) in _read_csv(path, collector, SCHEMAS["se_table.csv"]):
+    for _, (gen, min_sinr, se) in _read_csv(path, collector):
         rows_by_gen.setdefault(gen, []).append((min_sinr, se))
     missing = [gen for gen in Generation if gen not in rows_by_gen]
     for gen in missing:

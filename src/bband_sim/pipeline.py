@@ -29,18 +29,20 @@ module only routes keys and slices arrays. The cost and energy kernels
 equal the per-decile scalar chains in ``tests/reference_chains.py`` bit
 for bit. A batch that raises, or computes a non-finite float, runs again
 key by key, so a failing key fails only the runs that need it. The
-:class:`ResultTable` keeps each stage's (country, key, decile) arrays and
-per-row indices.
+:class:`ResultTable` keeps five stages, each as its stage rows' columns and
+each row's index into them: the decile stage per (country, decile), the
+run stage per run, and the three keyed stages per (country, key, decile).
 
-:func:`emit_results` sorts the rows by run key with one ``np.lexsort`` and
-writes each file one :data:`EMIT_BLOCK` of rows at a time, so the result
-text it holds does not grow with the rows. A ``results_decile.csv`` row is
-its five stage segments joined: the decile and run segments are formatted
-once, and each block formats only the keyed stage rows it refers to. The
-country file and the summaries are group-bys (``np.bincount``/
-``np.add.at``) that add in sorted row order, exactly as a running total
-would. Besides the result table, the run path's working memory is then a
-few (keys, deciles, years) arrays in :func:`energy.energy` and one block
+:func:`emit_results` sorts the rows by country, decile and run key with
+``np.lexsort`` and writes each file one :data:`EMIT_BLOCK` of rows at a
+time, so the result text it holds does not grow with the rows. A
+``results_decile.csv`` row is its five stage segments joined: the decile
+and run segments are formatted once, and each block formats only the keyed
+stage rows it refers to. The country file and the summaries are group-bys
+(``np.bincount``/``np.add.at``) that add in sorted row order, exactly as a
+running total would; each group and filter field is read on the rows of
+its stage. Besides the result table, the run path's working memory is then
+a few (keys, deciles, years) arrays in :func:`energy.energy` and one block
 of text.
 """
 
@@ -49,7 +51,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -116,43 +117,34 @@ RUN_KEY_COLUMNS = STAGE_COLUMNS["run"]
 class ResultTable:
     """Per-decile results, one row per (run, country, decile), kept per stage.
 
-    ``runs`` lists each run once and ``run`` holds each row's index into
-    it: the run stage's columns are :attr:`run_values`. ``stages`` maps
-    every other stage of :data:`STAGE_COLUMNS` to each row's index into
-    the stage rows, and the stage's columns. A pipeline stage row is one
-    (country, stage key, decile), stored once however many runs share it.
+    ``runs`` lists each run once, failed runs included. ``stages`` maps each
+    of the five stages of :data:`STAGE_COLUMNS` to each row's index into the
+    stage rows, and the stage's columns. A run stage row is one run of
+    ``runs``, a decile stage row one (country, decile), and a keyed stage row
+    one (country, stage key, decile), stored once however many runs share it.
     """
 
     runs: Sequence[tuple[StrategyBundle, ScenarioSpec]]
-    run: np.ndarray
     stages: Mapping[str, tuple[np.ndarray, Mapping[str, np.ndarray]]]
+
+    @property
+    def run(self) -> np.ndarray:
+        """Each row's index into :attr:`runs`."""
+        return self.stages["run"][0]
 
     def __len__(self) -> int:
         return len(self.run)
 
-    @cached_property
-    def run_keys(self) -> list[tuple]:
-        """:func:`run_key` of each run."""
-        return [run_key(*r) for r in self.runs]
-
-    @cached_property
-    def run_values(self) -> dict[str, np.ndarray]:
-        """Each run-key column's value per run (not per row)."""
-        return {name: np.array([k[i] for k in self.run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)}
-
-    def stage(self, name: str) -> tuple[np.ndarray, Mapping[str, np.ndarray]]:
-        """Each row's index into the rows of stage ``name``, and the stage's columns."""
-        return (self.run, self.run_values) if name == "run" else self.stages[name]
-
     def column(self, name: str, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """The values of a stage column at row indices ``rows`` (default: every row)."""
-        index, columns = self.stage(_STAGE_OF[name])
+        index, columns = self.stages[_STAGE_OF[name]]
         return columns[name][index[rows]]
 
     def sort_order(self) -> np.ndarray:
         """Row indices sorted by country, decile and run key; equal keys keep row order."""
-        rank = {k: i for i, k in enumerate(sorted(set(self.run_keys)))}
-        run_rank = np.array([rank[k] for k in self.run_keys], dtype=np.int64)
+        keys = self.stages["run"][1]
+        run_rank = np.empty(len(self.runs), dtype=np.int64)
+        run_rank[np.lexsort([keys[name] for name in reversed(RUN_KEY_COLUMNS)])] = np.arange(len(self.runs))
         return np.lexsort((run_rank[self.run], self.column("decile_index"), self.column("country_iso3")))
 
 
@@ -383,13 +375,15 @@ def run_pipeline(
     run = np.repeat(good, per_run)
     place = np.tile(np.arange(per_run), len(good))  # (country, decile) within the run
     country, decile = np.divmod(np.arange(per_run), N_DECILES)
-    stages = {"decile": (place, _decile_columns([d for iso3 in countries for d in deciles[iso3]]))}
+    run_keys = [run_key(*r) for r in runs]
+    stages = {"decile": (place, _decile_columns([d for iso3 in countries for d in deciles[iso3]])),
+              "run": (run, {name: np.array([k[i] for k in run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)})}
     for j, (stage, columns) in enumerate(zip(_KEYED_STAGES, (sited, costs, used))):
         # stage row (country, key, decile), built per run and place, not per row
         index = key_ids[good, j, None] * N_DECILES + (country * len(first[j]) * N_DECILES + decile)
         stages[stage] = (index.reshape(-1), {name: columns.get(name, np.zeros(0)).reshape(-1)
                                              for name in STAGE_COLUMNS[stage]})
-    return PipelineOutput(ResultTable(list(runs), run, stages), failures)
+    return PipelineOutput(ResultTable(list(runs), stages), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +396,10 @@ COUNTRY_COLUMNS = [
     "unserviceable_deciles", *DECILE_COLUMNS[DECILE_COLUMNS.index("revenue_pv_usd"):],
 ]
 
-#: Group fields (country and run key) and (column, source, zero) sums of the country file.
+#: Group fields (country and run key) and (column, source) sums of the country file.
 _COUNTRY_GROUP = COUNTRY_COLUMNS[:COUNTRY_COLUMNS.index("population")]
-_COUNTRY_SUMS = [
-    *((f, f, 0) for f in ("population", "total_sites", "new_sites", "upgraded_sites")),
-    ("unserviceable_deciles", "unserviceable", 0),
-    *((f, f, 0.0) for f in COUNTRY_COLUMNS[COUNTRY_COLUMNS.index("revenue_pv_usd"):]),
-]
+_COUNTRY_SUMS = [(f, {"unserviceable_deciles": "unserviceable"}.get(f, f))
+                 for f in COUNTRY_COLUMNS[len(_COUNTRY_GROUP):]]
 
 _COST_ENERGY = ["financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g"]
 
@@ -454,39 +445,34 @@ def _group_sums(
     table: ResultTable,
     order: np.ndarray,
     group: Sequence[str],
-    sums: Sequence[tuple[str, str, float]],
+    sums: Sequence[tuple[str, str]],
     where: Mapping[str, str] | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-group sums over the rows ``order`` lists: each group's first row, and the sums as columns.
 
-    ``group`` names ``country_iso3`` (first, if at all) and run-key
-    columns; groups come sorted by their values, which are those of their
-    first row. ``sums`` holds ``(column, source, zero)`` triples: a float
-    zero sums as float, an int zero counts in integers. Rows whose run
-    differs from ``where`` are skipped. Each sum adds its rows in ``order``
-    (``np.bincount`` and ``np.add.at`` add in index order), as a running
-    total would.
+    Each field of ``where`` and ``group`` is compared, or coded, on the rows
+    of its stage, and read per row through the stage's row index. Rows whose
+    ``where`` fields differ from its values are skipped. A group is one
+    value of each ``group`` field; groups come sorted by those values in
+    field order. ``sums`` holds ``(column, source)`` pairs: a float source
+    sums as float, an int or bool source counts in integers. Each sum adds
+    its rows in ``order`` (``np.bincount`` and ``np.add.at`` add in index
+    order), as a running total would.
     """
-    run_ok = np.ones(len(table.runs), dtype=bool)
+    rows = order
     for f, v in (where or {}).items():
-        run_ok &= table.run_values[f] == v
-    run_code, radix = np.zeros(len(table.runs), dtype=np.int64), 1
-    for f in group:
-        if f != "country_iso3":
-            labels, code = np.unique(table.run_values[f], return_inverse=True)
-            run_code, radix = run_code * len(labels) + code, radix * len(labels)
-
-    rows = order[run_ok[table.run[order]]]
-    key = run_code[table.run[rows]]
-    if "country_iso3" in group:
-        index, columns = table.stage("decile")
-        _, country = np.unique(columns["country_iso3"], return_inverse=True)
-        key += country[index[rows]] * radix
+        index, columns = table.stages[_STAGE_OF[f]]
+        rows = rows[(columns[f] == v)[index[rows]]]
+    key = np.zeros(len(rows), dtype=np.int64)
+    for f in group:  # the mixed-radix code of the group's values
+        index, columns = table.stages[_STAGE_OF[f]]
+        labels, code = np.unique(columns[f], return_inverse=True)
+        key = key * len(labels) + code[index[rows]]
     _, first, gid = np.unique(key, return_index=True, return_inverse=True)
     out = {}
-    for column, source, zero in sums:
+    for column, source in sums:
         values = table.column(source, rows)
-        if isinstance(zero, float) or values.dtype.kind == "f":
+        if values.dtype.kind == "f":
             out[column] = np.bincount(gid, weights=values, minlength=len(first))
         else:
             out[column] = np.zeros(len(first), dtype=np.int64)
@@ -523,13 +509,13 @@ def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[str]]
     """
     fixed = []
     for stage in ("decile", "run"):
-        index, columns = table.stage(stage)
+        index, columns = table.stages[stage]
         fixed.append((index, format_rows([columns[name] for name in STAGE_COLUMNS[stage]])))
     for block in _blocks(len(order)):
         rows = order[block]
         parts = [map(text.__getitem__, index[rows].tolist()) for index, text in fixed]
         for stage in _KEYED_STAGES:
-            index, columns = table.stage(stage)
+            index, columns = table.stages[stage]
             stage_rows, inverse = np.unique(index[rows], return_inverse=True)
             text = format_rows([columns[name][stage_rows] for name in STAGE_COLUMNS[stage]])
             parts.append(map(text.__getitem__, inverse.tolist()))
@@ -550,11 +536,11 @@ def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     order = table.sort_order()
 
-    def write(name: str, group: Sequence[str], sums: Sequence[tuple[str, str, float]],
+    def write(name: str, group: Sequence[str], sums: Sequence[tuple[str, str]],
               where: Mapping[str, str] | None = None) -> Path:
         first, totals = _group_sums(table, order, group, sums, where)
-        _write_csv(out / name, [*group, *(column for column, _, _ in sums)], (
-            format_rows([*(table.column(f, first[block]) for f in group), *(totals[c][block] for c, _, _ in sums)])
+        _write_csv(out / name, [*group, *(column for column, _ in sums)], (
+            format_rows([*(table.column(f, first[block]) for f in group), *(totals[c][block] for c, _ in sums)])
             for block in _blocks(len(first))
         ))
         return out / name
@@ -562,6 +548,6 @@ def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
     paths = [out / "results_decile.csv"]
     _write_csv(paths[0], DECILE_COLUMNS, _decile_blocks(table, order))
     paths.append(write("results_country.csv", _COUNTRY_GROUP, _COUNTRY_SUMS))
-    paths += [write(name, group, [(f, f, 0.0) for f in values], where) for name, group, values, where in _SUMMARIES]
+    paths += [write(name, group, [(f, f) for f in values], where) for name, group, values, where in _SUMMARIES]
     _log_stage("emit", len(table), len(paths), 0, start)
     return paths

@@ -12,8 +12,9 @@ the whole-array link chain :func:`free_space_path_loss` ->
 :func:`received_signal` -> :func:`sinr` with no trial blocks.
 The property tests in ``test_energy.py``, ``test_cost.py`` and
 ``test_radio.py`` check the kernels against these; the run path uses only
-the kernels. :func:`country_sums` folds a result table's rows into country
-totals, without the group-bys that write ``results_country.csv``.
+the kernels. :func:`country_sums` and :func:`summary_lines` fold a result
+table's rows into country and summary totals, without the group-bys that
+write the result files.
 """
 
 import math
@@ -24,8 +25,8 @@ import numpy as np
 
 from bband_sim import radio
 from bband_sim.core import (
-    Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement, Sharing, SimulationParams,
-    ordered_sum,
+    AXES, Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement, Sharing,
+    SimulationParams, ordered_sum,
 )
 from bband_sim.cost import subsidies
 from bband_sim.energy import DIESEL_SOURCE, HOURS_PER_YEAR, check_mix_row
@@ -364,14 +365,34 @@ def financial_cost_total(decile_costs: list[DecileCost]) -> float:
 
 def country_sums(table, fields: Sequence[str]) -> dict[tuple, dict[str, float]]:
     """Each (country, run key)'s totals of ``fields``: a left-to-right fold of its rows in table order."""
-    groups = zip(table.column("country_iso3").tolist(), (table.run_keys[i] for i in table.run.tolist()))
+    groups = zip(*(table.column(f).tolist() for f in ("country_iso3", *(axis.name for axis in AXES))))
     columns = [table.column(f).tolist() for f in fields]
     sums: dict[tuple, dict[str, float]] = {}
-    for row, (iso3, key) in enumerate(groups):
-        totals = sums.setdefault((iso3, *key), dict.fromkeys(fields, 0))
+    for row, key in enumerate(groups):
+        totals = sums.setdefault(key, dict.fromkeys(fields, 0))
         for f, values in zip(fields, columns):
             totals[f] += values[row]
     return sums
+
+
+def summary_lines(table, group: Sequence[str], values: Sequence[str], baseline: Mapping[str, str]) -> list[str]:
+    """A summary file's lines: totals of ``values`` per ``group``, over the rows whose fields equal ``baseline``.
+
+    A left-to-right fold: rows are walked in (country, decile, run key)
+    order, and each group's totals add its rows' values from 0.0. Groups
+    come sorted by their values; numbers are written with ``{:.6g}``.
+    """
+    order = ("country_iso3", "decile_index", *(axis.name for axis in AXES))
+    columns = {f: table.column(f).tolist() for f in {*order, *group, *values, *baseline}}
+    sums: dict[tuple, list[float]] = {}
+    for row in sorted(range(len(table)), key=lambda r: [columns[f][r] for f in order]):
+        if all(columns[f][row] == v for f, v in baseline.items()):
+            totals = sums.setdefault(tuple(columns[f][row] for f in group), [0.0] * len(values))
+            for i, f in enumerate(values):
+                totals[i] += columns[f][row]
+    lines = (",".join(v if isinstance(v, str) else f"{v:.6g}" for v in (*key, *totals))
+             for key, totals in sorted(sums.items()))
+    return [",".join((*group, *values)), *lines]
 
 
 # ---------------------------------------------------------------------------

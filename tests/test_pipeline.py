@@ -22,6 +22,7 @@ from bband_sim.core import (
     Sharing,
     StrategyBundle,
     enumerate_runs,
+    run_key,
 )
 from bband_sim.cli import RUN_FILTER_VALUES, parse_run_filter
 from bband_sim.errors import ValidationError
@@ -37,7 +38,7 @@ from bband_sim.pipeline import (
     format_rows,
     run_pipeline,
 )
-from reference_chains import DecileCost, country_sums
+from reference_chains import DecileCost, country_sums, summary_lines
 
 BASELINE_RUN = (
     StrategyBundle(Generation.G4, Backhaul.WIRELESS, Sharing.BASELINE, Policy.BASELINE, EnergyStrategy.BASELINE),
@@ -349,6 +350,27 @@ class TestAggregation:
             assert country_total == pytest.approx(decile_total, rel=1e-9)
         assert sum(row["total_sites"] for row in country_rows) == sum(table.column("total_sites").tolist())
 
+    def test_summary_files_equal_a_left_to_right_fold(self, bundle, table_cache, tmp_path):
+        cost_energy = ("financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g")
+        costs = ("financial_cost_usd", "private_cost_usd", "government_cost_usd", "subsidy_usd")
+        summaries = {  # each file's group fields, value columns and baseline filter
+            "summary_by_technology.csv": (
+                ("generation", "backhaul", "capacity_gb_month", "adoption"), cost_energy,
+                {"sharing": "baseline", "policy": "baseline", "energy_strategy": "baseline"}),
+            "summary_by_sharing.csv": (
+                ("sharing",), cost_energy, {"policy": "baseline", "energy_strategy": "baseline"}),
+            "summary_by_policy.csv": (
+                ("policy",), costs, {"sharing": "baseline", "energy_strategy": "baseline"}),
+            "summary_emissions.csv": (
+                ("energy_strategy", "generation", "backhaul"), cost_energy[1:],
+                {"sharing": "baseline", "policy": "baseline"}),
+        }
+        out = run_pipeline(bundle, cache_dir=table_cache)
+        assert not out.failures
+        emit_results(out.results, tmp_path)
+        for name, (group, values, baseline) in summaries.items():
+            assert (tmp_path / name).read_text().splitlines() == summary_lines(out.results, group, values, baseline)
+
 
 class TestEmitResults:
     def test_files_written(self, baseline_output, tmp_path):
@@ -548,7 +570,10 @@ def special_table() -> ResultTable:
                         for name, values in zip(STAGE_COLUMNS[stage], zip(*(r[stage] for r in records)))})
         for stage in records[0]
     }
-    return ResultTable([(low_tax, scenario), (base, scenario)], np.array([0, 1, 1]), stages)
+    runs = [(low_tax, scenario), (base, scenario)]
+    stages["run"] = (np.array([0, 1, 1]), {name: np.array(values)
+                                           for name, values in zip(RUN_KEY_COLUMNS, zip(*(run_key(*r) for r in runs)))})
+    return ResultTable(runs, stages)
 
 
 # the files written for special_table() by the row-at-a-time emitter this one replaced
