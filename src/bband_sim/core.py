@@ -239,10 +239,16 @@ class StrategyBundle:
 
 @dataclass(frozen=True)
 class ScenarioSpec(SelfChecked):
-    """Capacity target and adoption scenario over the assessment horizon."""
+    """Capacity target and adoption scenario of one run; the run matrix's :class:`Horizon` is shared."""
 
     capacity_gb_month: float = bounded((">", 0))
     adoption: AdoptionScenario
+
+
+@dataclass(frozen=True)
+class Horizon(SelfChecked):
+    """The assessment years, first and last inclusive, and the discount rate: one per run matrix."""
+
     start_year: int = 2023
     end_year: int = 2030
     discount_rate: float = bounded((">=", 0), default=0.05)
@@ -272,17 +278,11 @@ class StrategySpace:
 
 @dataclass(frozen=True)
 class ScenarioSpace:
-    """Axes of the scenario enumeration plus the shared horizon."""
+    """Axes of the scenario enumeration, and the one horizon every run of the matrix is assessed over."""
 
     capacities_gb_month: tuple[float, ...] = (20.0, 30.0, 40.0)
     adoptions: tuple[AdoptionScenario, ...] = tuple(AdoptionScenario)
-    start_year: int = 2023
-    end_year: int = 2030
-    discount_rate: float = 0.05
-
-
-#: The ScenarioSpace fields every ScenarioSpec of a run matrix shares.
-HORIZON_KEYS = ("start_year", "end_year", "discount_rate")
+    horizon: Horizon = Horizon()
 
 
 class Axis(NamedTuple):
@@ -704,9 +704,8 @@ def enumerate_runs(
         if not spaces[axis.field]:
             raise ValidationError(f"axis {axis.field} is empty")
     n = len(fields(StrategyBundle))
-    horizon = {k: spaces[k] for k in HORIZON_KEYS}
     return [
-        (StrategyBundle(*point[:n]), ScenarioSpec(*point[n:], **horizon))
+        (StrategyBundle(*point[:n]), ScenarioSpec(*point[n:]))
         for point in itertools.product(*(spaces[axis.field] for axis in AXES))
     ]
 

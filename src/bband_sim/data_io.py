@@ -42,11 +42,11 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, BOUND_OPS, DIESEL_SOURCE, HORIZON_KEYS, MIX_SHARE_BOUNDS,
-    MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs, CountryParams,
-    EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, IncomeGroup, Regions, ScenarioSpace,
-    ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable, StrategySpace, broken_bound,
-    declared_bounds, density_grid_rules, raise_broken,
+    AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, BOUND_OPS, DIESEL_SOURCE, MIX_SHARE_BOUNDS, MIX_SOURCES,
+    MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs, CountryParams, EmissionFactors,
+    EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup, Regions, ScenarioSpace, ScenarioSpec,
+    SettlementThresholds, SimulationParams, SpectralEfficiencyTable, StrategySpace, broken_bound, declared_bounds,
+    density_grid_rules, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -421,8 +421,6 @@ def _config_params(cls, section: dict, where: str, collector: _Collector, extra_
 def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[StrategySpace, ScenarioSpace]:
     """The strategy and scenario spaces of the ``axes`` and ``horizon`` sections; omitted axes take their defaults."""
     axes = _expect_mapping(config.get("axes"), "axes", collector)
-    horizon = _expect_mapping(config.get("horizon"), "horizon", collector)
-    _unknown_keys(horizon, HORIZON_KEYS, "horizon", collector)
 
     names = [axis.name for axis in AXES]
     for key in axes:
@@ -437,29 +435,22 @@ def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[St
                 collector.add("config", 0, f"axes.{name} is empty")
             values[field_name] = items or ()
 
-    defaults = ScenarioSpace()
-    start_year = _config_scalar(horizon, "start_year", defaults.start_year, "horizon", collector, cast=int)
-    end_year = _config_scalar(horizon, "end_year", defaults.end_year, "horizon", collector, cast=int)
-    discount = _config_scalar(horizon, "discount_rate", defaults.discount_rate, "horizon", collector)
-    # the horizon rules are ScenarioSpec's, whatever the capacity and adoption
-    collector.check("config", 0, "horizon: ", ScenarioSpec, 1.0, AdoptionScenario.BASELINE,
-                    start_year, end_year, discount)
-    _check_compounding(discount, end_year - start_year + 1, "horizon.discount_rate", collector)
+    horizon = _config_params(Horizon, _expect_mapping(config.get("horizon"), "horizon", collector), "horizon", collector)
+    _check_compounding(horizon.discount_rate, horizon.n_years, "horizon.discount_rate", collector)
 
     strategy_space = StrategySpace(**{f.name: values.pop(f.name) for f in fields(StrategySpace) if f.name in values})
-    scenario_space = ScenarioSpace(**values, start_year=start_year, end_year=end_year, discount_rate=discount)
-    return strategy_space, scenario_space
+    return strategy_space, ScenarioSpace(**values, horizon=horizon)
 
 
 def _check_compounding(rate: float, n_years: int, where: str, collector: _Collector) -> None:
     """Report ``rate`` when ``(1 + rate) ** n_years``, its growth over the horizon, overflows a float."""
     try:
-        (1.0 + rate) ** max(n_years, 0)
+        (1.0 + rate) ** n_years
     except OverflowError:
         collector.add("config", 0, f"{where}: (1 + {rate}) ** {n_years} overflows")
 
 
-def _build_adoption(config: Mapping[str, Any], space: ScenarioSpace, collector: _Collector) -> AdoptionParams:
+def _build_adoption(config: Mapping[str, Any], horizon: Horizon, collector: _Collector) -> AdoptionParams:
     section = _expect_mapping(config.get("adoption"), "adoption", collector)
     cagr = {g: dict(v) for g, v in DEFAULT_ADOPTION_CAGR.items()}
     for group_name, by_scenario in _expect_mapping(section.get("cagr"), "adoption.cagr", collector).items():
@@ -477,10 +468,9 @@ def _build_adoption(config: Mapping[str, Any], space: ScenarioSpace, collector: 
                 continue
             cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}",
                                                collector, bounds=((">=", -1),))
-    n_years = space.end_year - space.start_year + 1
     for group, by_scenario in cagr.items():
         for scen, rate in by_scenario.items():
-            _check_compounding(rate, n_years, f"adoption.cagr.{group.value}.{scen.value}", collector)
+            _check_compounding(rate, horizon.n_years, f"adoption.cagr.{group.value}.{scen.value}", collector)
     return _config_params(AdoptionParams, section, "adoption", collector, ("cagr",), cagr_by_income=cagr)
 
 
@@ -530,18 +520,34 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
     return tuple(portfolios) if portfolios else DEFAULT_TABLE_PORTFOLIOS
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that records each key repeated within its mapping, as ``(line, column, key)``."""
+
+    repeated: tuple[tuple[int, int, Any], ...] = ()  # a tuple: ``+=`` gives each loader its own
+
+    def construct_mapping(self, node, deep=False):
+        written = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # before merge keys are added
+        mapping = super().construct_mapping(node, deep=deep)
+        keys = [self.construct_object(k) for k in written]  # each built already: the same objects
+        self.repeated += tuple((n.start_mark.line + 1, n.start_mark.column, key)
+                               for i, (n, key) in enumerate(zip(written, keys)) if key in keys[:i])
+        return mapping
+
+
 def load_config(config_path: Path | str, collector: _Collector) -> dict[str, Any]:
-    """Parse the YAML config document and report problems with its top-level structure."""
+    """Parse the YAML config document and report its repeated keys and problems with its top-level structure."""
     path = Path(config_path)
     raw = None
     if not path.is_file():
         collector.add(path.name, 0, "config file is missing")
-    else:
-        text = _read_utf8(path, collector)
+    elif (text := _read_utf8(path, collector)) is not None:
+        loader = _ConfigLoader(text)
         try:
-            raw = yaml.safe_load(text) if text is not None else None
+            raw = loader.get_single_data()
         except yaml.YAMLError as err:
             collector.add(path.name, 0, f"invalid YAML: {err}")
+        for line, _, key in sorted(loader.repeated):  # in line order: YAML builds nested mappings last
+            collector.add(path.name, line, f"duplicate key {key!r}")
     if raw is not None and not isinstance(raw, dict):
         collector.add(path.name, 0, "config must be a mapping at the top level")
     raw = raw if isinstance(raw, dict) else {}
@@ -561,7 +567,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
 
     config = load_config(config_path, collector)
     strategy_space, scenario_space = _validate_axes(config, collector)
-    adoption = _build_adoption(config, scenario_space, collector)
+    adoption = _build_adoption(config, scenario_space.horizon, collector)
     sim_params, density_grid = _build_sim_params(config, collector)
     cost_inputs = _build_cost_inputs(config, collector)
     energy_params = _config_params(EnergyParams, _expect_mapping(config.get("energy"), "energy", collector), "energy", collector)
@@ -592,8 +598,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         if over:
             collector.add("regions.csv", 0, f"{iso3}: total {' and total '.join(over)} above 2**63 - 1")
 
-    years = range(scenario_space.start_year, scenario_space.end_year + 1)
-    energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries, years, collector)
+    energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries,
+                             scenario_space.horizon.years(), collector)
     emission_factors = _emission_factors(_read_csv(data_dir / "emission_factors.csv", collector), collector)
 
     se_table = _se_table(_se_table_path(data_dir), collector)
@@ -702,7 +708,7 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
     spaces = {**vars(bundle.strategy_space), **vars(bundle.scenario_space)}
     config = {
         "axes": {axis.name: [_text(v) for v in spaces[axis.field]] for axis in AXES},
-        "horizon": {key: spaces[key] for key in HORIZON_KEYS},
+        "horizon": vars(bundle.scenario_space.horizon),
         "settlement": vars(bundle.settlement_thresholds),
         "adoption": {
             **{k: v for k, v in vars(bundle.adoption).items() if k != "cagr_by_income"},

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_ADOPTION_CAGR, AdoptionParams, CountryParams, DecileRecord, ScenarioSpec, Settlement
+from .core import AdoptionParams, CountryParams, DecileRecord, Horizon, ScenarioSpec, Settlement
 from .errors import ValidationError
 
 
@@ -39,19 +39,20 @@ def demand_columns(
     deciles: Sequence[DecileRecord],
     country: CountryParams,
     adoption: AdoptionParams,
+    horizon: Horizon,
     scenarios: Sequence[ScenarioSpec],
 ) -> dict[str, np.ndarray]:
     """Peak area demand and revenue present value of one country's deciles under a batch of scenarios.
 
-    In year t = 1..n of a scenario's horizon, cell and smartphone
-    penetration (the decile's settlement's base) each grow to
+    In year t = 1..n of ``horizon``, which every scenario shares, cell and
+    smartphone penetration (the decile's settlement's base) each grow to
     ``min(base * (1 + cagr) ** t, cap)``. Smartphone users are population x
     cell x smartphone penetration, and the operator has its market share
     of them. ``demand_mbps_km2`` is the peak year's busy-hour traffic
     divided by the decile area. ``revenue_pv_usd`` is each year's users x
-    ARPU x 12, divided by ``(1 + r) ** t`` (end of year) and added year by
-    year. Degenerate and unpopulated deciles have neither. Returns both as
-    (scenarios, deciles) arrays.
+    ARPU x 12, divided by ``(1 + r) ** t`` (end of year, r the horizon's
+    discount rate) and added year by year. Degenerate and unpopulated
+    deciles have neither. Returns both as (scenarios, deciles) arrays.
     """
     population = np.array([d.population for d in deciles], dtype=np.int64)[:, None]
     smartphone = np.array([adoption.smartphone_base(d.settlement) for d in deciles])[:, None]
@@ -59,12 +60,12 @@ def demand_columns(
     active = np.array([d.active for d in deciles], dtype=bool)
     area = np.array([d.area_km2 if a else 1.0 for d, a in zip(deciles, active)])
     share, cap = country.market_share, adoption.penetration_cap
+    years = range(1, horizon.n_years + 1)
+    discount = np.array([(1.0 + horizon.discount_rate) ** t for t in years])
     demand, revenue = [], []
     for scenario in scenarios:
-        years = range(1, scenario.n_years + 1)
         cagr = adoption.cagr(country.income_group, scenario.adoption)
         growth = np.array([(1.0 + cagr) ** t for t in years])
-        discount = np.array([(1.0 + scenario.discount_rate) ** t for t in years])
         users = population * np.minimum(adoption.base_cell_penetration * growth, cap) * np.minimum(
             smartphone * growth, cap)
         peak = (users * per_user_busy_hour_rate(scenario.capacity_gb_month) * share).max(axis=1)

@@ -7,8 +7,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    DIESEL_SOURCE, MIX_SOURCES, MIX_SUM_TOLERANCE, ZERO_EMISSION_SOURCES, CountryParams, DecileRecord,
-    EmissionFactors, EnergyParams, EnergyStrategy, FactorRow, StrategyBundle,
+    MIX_SOURCES, MIX_SUM_TOLERANCE, CountryParams, DecileRecord, EmissionFactors, EnergyParams, EnergyStrategy,
+    StrategyBundle,
 )
 from .cost import radio_divisor
 from .errors import ValidationError

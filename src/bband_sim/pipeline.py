@@ -18,20 +18,22 @@ has the same stage keys:
 stage, then runs each stage over all its keys, one kernel call per
 country: sites as :func:`demand.demand_columns` over the distinct
 scenarios and :func:`dimensioning.site_counts` over the keys, cost as
-:func:`cost.cost_columns`, and energy as :func:`energy.energy` per
-(country, horizon). Every kernel takes the same kind of input: the
-batch's (keys, deciles) arrays from earlier stages, the country's
-:class:`DecileRecord` list, one :class:`StrategyBundle` (or
-:class:`ScenarioSpec`) per key, the :class:`CountryParams` and the
-stage's parameters. Each kernel works out its own coefficients (sharing
-divisors, backhaul draw, spectrum MHz, on-grid share, diesel); this
-module only routes keys and slices arrays. The cost and energy kernels
-equal the per-decile scalar chains in ``tests/reference_chains.py`` bit
-for bit. A batch that raises, or computes a non-finite float, runs again
-key by key, so a failing key fails only the runs that need it. The
-:class:`ResultTable` keeps five stages, each as its stage rows' columns and
-each row's index into them: the decile stage per (country, decile), the
-run stage per run, and the three keyed stages per (country, key, decile).
+:func:`cost.cost_columns`, and energy as :func:`energy.energy`. Every
+run shares the bundle's one :class:`core.Horizon`: demand takes it, and
+energy the mix rows of its years, once per call. Every kernel takes the
+same kind of input: the batch's (keys, deciles) arrays from earlier
+stages, the country's :class:`DecileRecord` list, one
+:class:`StrategyBundle` (or :class:`ScenarioSpec`) per key, the
+:class:`CountryParams` and the stage's parameters. Each kernel works
+out its own coefficients (sharing divisors, backhaul draw, spectrum MHz,
+on-grid share, diesel); this module only routes keys and slices arrays.
+The cost and energy kernels equal the per-decile scalar chains in
+``tests/reference_chains.py`` bit for bit. A batch that raises, or
+computes a non-finite float, runs again key by key, so a failing key
+fails only the runs that need it. The :class:`ResultTable` keeps five
+stages, each as its stage rows' columns and each row's index into them:
+the decile stage per (country, decile), the run stage per run, and the
+three keyed stages per (country, key, decile).
 
 :func:`emit_results` sorts the rows by country, decile and run key with
 ``np.lexsort`` and writes each file one :data:`EMIT_BLOCK` of rows at a
@@ -232,12 +234,12 @@ def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float, cou
 
 def _batched(
     stage: str,
-    batches: Sequence[tuple[int, np.ndarray]],
+    batches: Sequence[np.ndarray],
     compute: Callable[[int, np.ndarray], Mapping[str, np.ndarray]],
     shape: tuple[int, int, int],
     counts: Callable[[Mapping[str, np.ndarray], Mapping[tuple[int, int], str]], str] = lambda columns, errors: "",
 ) -> tuple[dict[str, np.ndarray], dict[tuple[int, int], str]]:
-    """One stage over (country, key ids) batches, one ``compute`` call per non-empty batch.
+    """One stage over ``batches``, each country's key ids: one ``compute`` call per non-empty batch.
 
     A batch that raises, or that computes a non-finite value in a float
     column, runs again one key at a time, so each failing key fails alone.
@@ -259,7 +261,7 @@ def _batched(
 
     # an overflow or invalid value needs no numpy warning: put fails its key as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for country, keys in (batch for batch in batches if len(batch[1])):
+        for country, keys in ((c, keys) for c, keys in enumerate(batches) if len(keys)):
             try:
                 calls += 1
                 put(country, keys, compute(country, keys))
@@ -270,7 +272,7 @@ def _batched(
                         put(country, [key], compute(country, np.array([key])))
                     except BbandSimError as err:
                         errors[country, key] = f"{type(err).__name__}: {err}"
-    _log_stage(stage, sum(len(keys) for _, keys in batches), calls, len(errors), start, counts(columns, errors))
+    _log_stage(stage, sum(map(len, batches)), calls, len(errors), start, counts(columns, errors))
     return columns, errors
 
 
@@ -297,7 +299,7 @@ def run_pipeline(
                for iso3 in sorted(bundle.regions)}
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
-    countries = list(deciles)
+    countries, horizon = list(deciles), bundle.scenario_space.horizon
 
     # every (run, country) needs one key of each stage; keys hold no country
     ids, first = ({}, {}, {}), ([], [], [])  # each stage's key ids, and each key's first run
@@ -316,7 +318,7 @@ def run_pipeline(
         iso3, ds = countries[c], deciles[countries[c]]
         batch = [runs[first[0][k]] for k in keys]
         scenarios = {scenario: i for i, scenario in enumerate(dict.fromkeys(sc for _, sc in batch))}
-        demand = demand_columns(ds, bundle.countries[iso3], bundle.adoption, list(scenarios))
+        demand = demand_columns(ds, bundle.countries[iso3], bundle.adoption, horizon, list(scenarios))
         out = {name: values[[scenarios[sc] for _, sc in batch]] for name, values in demand.items()}
         return {**out, **site_counts(out["demand_mbps_km2"], [tables[(iso3, s.generation)] for s, _ in batch], ds)}
 
@@ -326,13 +328,12 @@ def run_pipeline(
         degenerate = computed @ [sum(d.degenerate for d in deciles[iso3]) for iso3 in countries]
         return f"{columns.get('unserviceable', np.zeros(0)).sum()} unserviceable rows, {degenerate} degenerate rows, "
 
-    sited, site_errors = _batched("sites", [(c, np.arange(len(first[0]))) for c in range(len(countries))],
-                                  sites, shapes[0], flagged)
+    sited, site_errors = _batched("sites", [np.arange(len(first[0]))] * len(countries), sites, shapes[0], flagged)
 
-    def needing_sites(j: int, groups: Sequence[np.ndarray]) -> list[tuple[int, np.ndarray]]:
-        """Batches of stage ``j`` keys per country and group, without keys whose sites failed."""
-        return [(c, keys[[(c, k) not in site_errors for k in site_of[j][keys].tolist()]])
-                for c in range(len(countries)) for keys in groups]
+    def needing_sites(j: int) -> list[np.ndarray]:
+        """Each country's batch of stage ``j`` keys, without the keys whose sites failed."""
+        return [np.flatnonzero([(c, k) not in site_errors for k in site_of[j].tolist()])
+                for c in range(len(countries))]
 
     def cost(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
         iso3, on = countries[c], site_of[1][keys]
@@ -341,25 +342,17 @@ def run_pipeline(
             [runs[first[1][k]][0] for k in keys], bundle.countries[iso3], bundle.cost_inputs,
         )
 
-    costs, cost_errors = _batched("cost", needing_sites(1, [np.arange(len(first[1]))]), cost, shapes[1])
+    costs, cost_errors = _batched("cost", needing_sites(1), cost, shapes[1])
 
     def energy_batch(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
         iso3, on = countries[c], site_of[2][keys]
-        mix, years = bundle.energy_mix[iso3], runs[first[2][keys[0]]][1].years()
-        missing = [year for year in years if year not in mix]
-        if missing:
-            raise ValidationError(f"{iso3}: no energy mix for year {missing[0]}")
         return energy(
             sited["existing_sites"][c, on], sited["new_sites"][c, on], deciles[iso3],
             [runs[first[2][k]][0] for k in keys], bundle.countries[iso3], bundle.energy_params,
-            [mix[year] for year in years], bundle.emission_factors,
+            [bundle.energy_mix[iso3][year] for year in horizon.years()], bundle.emission_factors,
         )
 
-    horizons: dict[tuple[int, int], list[int]] = {}  # energy keys share mix rows within one horizon
-    for k, i in enumerate(first[2]):
-        horizons.setdefault((runs[i][1].start_year, runs[i][1].end_year), []).append(k)
-    used, energy_errors = _batched("energy", needing_sites(2, [np.array(keys) for keys in horizons.values()]),
-                                   energy_batch, shapes[2])
+    used, energy_errors = _batched("energy", needing_sites(2), energy_batch, shapes[2])
 
     errors = (site_errors, cost_errors, energy_errors)
     ok = np.ones(len(runs), dtype=bool)

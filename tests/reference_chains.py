@@ -25,11 +25,11 @@ import numpy as np
 
 from bband_sim import radio
 from bband_sim.core import (
-    AXES, Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement, Sharing,
-    SimulationParams, ordered_sum,
+    AXES, DIESEL_SOURCE, Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement,
+    Sharing, SimulationParams, ordered_sum,
 )
 from bband_sim.cost import subsidies
-from bband_sim.energy import DIESEL_SOURCE, HOURS_PER_YEAR, check_mix_row
+from bband_sim.energy import HOURS_PER_YEAR, check_mix_row
 from bband_sim.errors import ValidationError
 from bband_sim.radio import inter_site_distance_km, noise_floor, shadow_fading_draws
 
@@ -375,24 +375,35 @@ def country_sums(table, fields: Sequence[str]) -> dict[tuple, dict[str, float]]:
     return sums
 
 
-def summary_lines(table, group: Sequence[str], values: Sequence[str], baseline: Mapping[str, str]) -> list[str]:
+def summary_lines(
+    table, group: Sequence[str], values: Sequence[str | tuple[str, str]], baseline: Mapping[str, str],
+) -> list[str]:
     """A summary file's lines: totals of ``values`` per ``group``, over the rows whose fields equal ``baseline``.
 
-    A left-to-right fold: rows are walked in (country, decile, run key)
-    order, and each group's totals add its rows' values from 0.0. Groups
-    come sorted by their values; numbers are written with ``{:.6g}``.
+    A value is a column that totals the field of its name, or a ``(column,
+    source)`` pair that totals ``source``. A left-to-right fold: rows are
+    walked in (country, decile, run key) order, and each group's totals add
+    its rows' values from 0.0, or from 0 for an integer or bool source.
+    Groups come sorted by their values; integers are written as they are,
+    other numbers with ``{:.6g}``.
     """
+    pairs = [(v, v) if isinstance(v, str) else v for v in values]
     order = ("country_iso3", "decile_index", *(axis.name for axis in AXES))
-    columns = {f: table.column(f).tolist() for f in {*order, *group, *values, *baseline}}
-    sums: dict[tuple, list[float]] = {}
+    arrays = {f: table.column(f) for f in {*order, *group, *(source for _, source in pairs), *baseline}}
+    columns = {f: array.tolist() for f, array in arrays.items()}
+    zeros = [0 if arrays[source].dtype.kind in "biu" else 0.0 for _, source in pairs]
+    sums: dict[tuple, list] = {}
     for row in sorted(range(len(table)), key=lambda r: [columns[f][r] for f in order]):
         if all(columns[f][row] == v for f, v in baseline.items()):
-            totals = sums.setdefault(tuple(columns[f][row] for f in group), [0.0] * len(values))
-            for i, f in enumerate(values):
-                totals[i] += columns[f][row]
-    lines = (",".join(v if isinstance(v, str) else f"{v:.6g}" for v in (*key, *totals))
-             for key, totals in sorted(sums.items()))
-    return [",".join((*group, *values)), *lines]
+            totals = sums.setdefault(tuple(columns[f][row] for f in group), list(zeros))
+            for i, (_, source) in enumerate(pairs):
+                totals[i] += columns[source][row]
+
+    def text(v):
+        return v if isinstance(v, str) else f"{v:d}" if isinstance(v, int) else f"{v:.6g}"
+
+    lines = (",".join(map(text, (*key, *totals))) for key, totals in sorted(sums.items()))
+    return [",".join((*group, *(column for column, _ in pairs))), *lines]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from bband_sim.core import (
     EnergyStrategy,
     FactorRow,
     Generation,
+    Horizon,
     IncomeGroup,
     Policy,
     ScenarioSpec,
@@ -122,8 +123,8 @@ def test_criterion_1_equation_oracles():
                           settlement=Settlement.SUBURBAN)
     country = CountryParams("AAA", IncomeGroup.LIC, 1, (), *[100.0 / 12.0] * 3, 1.0, 0.0)
     adoption = AdoptionParams(1.0, 1.0, 1.0, 1.0, {IncomeGroup.LIC: {AdoptionScenario.BASELINE: 0.0}})
-    scenario = ScenarioSpec(30.0, AdoptionScenario.BASELINE, 2023, 2030, 0.05)
-    pv = demand_columns([decile], country, adoption, [scenario])["revenue_pv_usd"].item()
+    horizon = Horizon(2023, 2030, 0.05)
+    pv = demand_columns([decile], country, adoption, horizon, [SCENARIO_30])["revenue_pv_usd"].item()
     assert pv == pytest.approx(oracles.annuity_pv_oracle(100.0, 0.05, 8), rel=1e-12)
     assert pv == pytest.approx(646.32, abs=0.01)
 

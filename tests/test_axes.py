@@ -14,6 +14,7 @@ from bband_sim.core import (
     Backhaul,
     EnergyStrategy,
     Generation,
+    Horizon,
     Policy,
     ScenarioSpace,
     ScenarioSpec,
@@ -56,9 +57,7 @@ def test_space_defaults():
     assert ScenarioSpace() == ScenarioSpace(
         capacities_gb_month=(20.0, 30.0, 40.0),
         adoptions=(AdoptionScenario.LOW, AdoptionScenario.BASELINE, AdoptionScenario.HIGH),
-        start_year=2023,
-        end_year=2030,
-        discount_rate=0.05,
+        horizon=Horizon(start_year=2023, end_year=2030, discount_rate=0.05),
     )
     assert isinstance(ScenarioSpace().adoptions, tuple)
 
@@ -67,22 +66,24 @@ def test_first_and_last_runs():
     runs = enumerate_runs(StrategySpace(), ScenarioSpace())
     assert runs[0] == (
         StrategyBundle(Generation.G4, Backhaul.WIRELESS, Sharing.BASELINE, Policy.BASELINE, EnergyStrategy.BASELINE),
-        ScenarioSpec(20.0, AdoptionScenario.LOW, 2023, 2030, 0.05),
+        ScenarioSpec(20.0, AdoptionScenario.LOW),
     )
     assert runs[1][1].adoption is AdoptionScenario.BASELINE  # the last axis varies fastest
     assert runs[-1] == (
         StrategyBundle(Generation.G5, Backhaul.FIBER, Sharing.SRN, Policy.HIGH_SPECTRUM, EnergyStrategy.RENEWABLES),
-        ScenarioSpec(40.0, AdoptionScenario.HIGH, 2023, 2030, 0.05),
+        ScenarioSpec(40.0, AdoptionScenario.HIGH),
     )
 
 
 def test_axes_table_matches_the_dataclasses():
     strategy = [f.name for f in fields(StrategyBundle)]
-    scenario = [f.name for f in fields(ScenarioSpec)][:2]
+    scenario = [f.name for f in fields(ScenarioSpec)]
     assert [axis.name for axis in core.AXES] == strategy + scenario
     spaces = [f.name for f in fields(StrategySpace)] + [f.name for f in fields(ScenarioSpace)][:2]
     assert [axis.field for axis in core.AXES] == spaces
-    assert [f.name for f in fields(ScenarioSpace)][2:] == [f.name for f in fields(ScenarioSpec)][2:]
+    # the horizon is the scenario space's one field that is not an axis, shared by every run
+    assert [f.name for f in fields(ScenarioSpace)][2:] == ["horizon"]
+    assert [f.name for f in fields(Horizon)] == ["start_year", "end_year", "discount_rate"]
     assert [axis.kind for axis in core.AXES] == [
         Generation, Backhaul, Sharing, Policy, EnergyStrategy, float, AdoptionScenario,
     ]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bband_sim.core import AdoptionScenario, Carrier, Generation, IncomeGroup
+from bband_sim.core import AdoptionScenario, Carrier, Generation, Horizon, IncomeGroup
 from bband_sim.data_io import default_se_table_path, load_bundle, load_table_inputs, save_bundle
 from bband_sim.errors import InputValidationError
 
@@ -115,7 +115,7 @@ class TestValidateAxes:
                                     horizon={"start_year": 2024, "end_year": 2028})
         assert [g.value for g in bundle.strategy_space.generations] == ["4G"]
         assert bundle.scenario_space.capacities_gb_month == (30.0,)
-        assert bundle.scenario_space.start_year == 2024
+        assert bundle.scenario_space.horizon == Horizon(2024, 2028)
 
     def test_lic_baseline_cagr_default(self, bundle):
         assert bundle.adoption.cagr(IncomeGroup.LIC, AdoptionScenario.BASELINE) == 0.04

@@ -1,6 +1,8 @@
 import pytest
 
-from bband_sim.core import AdoptionScenario, CountryParams, DecileRecord, IncomeGroup, ScenarioSpec, Settlement
+from bband_sim.core import (
+    AdoptionScenario, CountryParams, DecileRecord, Horizon, IncomeGroup, ScenarioSpec, Settlement,
+)
 from bband_sim.demand import (
     AdoptionParams,
     arpu_for_settlement,
@@ -35,8 +37,8 @@ def columns(deciles, *, cell=1.0, smartphone=1.0, cagr=0.0, years=1, gb_month=90
         smartphone_penetration_rural=smartphone, penetration_cap=cap,
         cagr_by_income={IncomeGroup.LMC: {AdoptionScenario.BASELINE: cagr}},
     )
-    scenario = ScenarioSpec(gb_month, AdoptionScenario.BASELINE, 2023, 2022 + years, discount)
-    out = demand_columns(deciles, country(operators, arpu), adoption, [scenario])
+    scenario = ScenarioSpec(gb_month, AdoptionScenario.BASELINE)
+    out = demand_columns(deciles, country(operators, arpu), adoption, Horizon(2023, 2022 + years, discount), [scenario])
     return out["demand_mbps_km2"][0].tolist(), out["revenue_pv_usd"][0].tolist()
 
 
@@ -123,11 +125,11 @@ class TestAreaDemand:
         deciles = [decile(pop=1000, area=10.0), decile(pop=0), decile(pop=500, area=1.0, settlement=Settlement.RURAL)]
         adoption = AdoptionParams()
         scenarios = [ScenarioSpec(c, a) for c in (20.0, 40.0) for a in AdoptionScenario]
-        out = demand_columns(deciles, country(operators=3, arpu=5.0), adoption, scenarios)
+        out = demand_columns(deciles, country(operators=3, arpu=5.0), adoption, Horizon(), scenarios)
         for name, values in out.items():
             assert values.shape == (len(scenarios), len(deciles)), name
             for i, scenario in enumerate(scenarios):
-                one = demand_columns(deciles, country(operators=3, arpu=5.0), adoption, [scenario])[name][0]
+                one = demand_columns(deciles, country(operators=3, arpu=5.0), adoption, Horizon(), [scenario])[name][0]
                 assert values[i].tolist() == one.tolist(), name
 
 

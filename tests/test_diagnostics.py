@@ -20,8 +20,8 @@ from bband_sim import core
 from bband_sim.cli import EXIT_VALIDATION, main
 from bband_sim.core import (
     MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CostInputs, CountryParams, DecileRecord, EnergyParams, FactorRow,
-    Generation, Regions, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable, build_deciles,
-    declared_bounds,
+    Generation, Horizon, Regions, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable,
+    build_deciles, declared_bounds,
 )
 from bband_sim.data_io import SCHEMAS, load_bundle
 from bband_sim.errors import InputValidationError, ValidationError
@@ -415,6 +415,15 @@ CASES = {
     "config_discount_negative": (
         [("config.yaml", "discount_rate: 0.05", "discount_rate: -0.05")],
         ["config: horizon: discount_rate: -0.05 must be >= 0"],
+    ),
+    # YAML would keep a repeated key's last value without a word
+    "config_key_repeated_in_section": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  trials: 100")],
+        ["config.yaml:32: duplicate key 'trials'"],
+    ),
+    "config_section_repeated": (
+        [("config.yaml", APPEND, "\naxes:\n  generation: [4G]\n")],
+        ["config.yaml:54: duplicate key 'axes'"],
     ),
     "config_cagr_unknown_income_group": (
         [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {XIC: {low: 0.1}}\n")],
@@ -915,7 +924,8 @@ CSV_RECORDS = {
 
 #: The config sections whose records declare bounds on their keys.
 CONFIG_RECORDS = {
-    "simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams, "settlement": SettlementThresholds,
+    "horizon": Horizon, "simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams,
+    "settlement": SettlementThresholds,
 }
 
 
@@ -941,11 +951,8 @@ def _bound_cases():
     column_kinds = {column: column_kind for column, column_kind, _ in SCHEMAS["regions.csv"]}
     for name, bounds in declared_bounds(Regions).items():
         yield Regions, name, column_kinds[name], bounds, ("regions.csv", name), None
-    scenario = ScenarioSpec(30.0, AdoptionScenario.BASELINE)
-    for name, path in (("capacity_gb_month", ("axes", "capacity_gb_month")),
-                       ("discount_rate", ("horizon", "discount_rate"))):
-        yield (ScenarioSpec, name, float, declared_bounds(ScenarioSpec)[name], ("config", path),
-               lambda b, v, name=name: dataclasses.replace(scenario, **{name: v}))
+    yield (ScenarioSpec, "capacity_gb_month", float, declared_bounds(ScenarioSpec)["capacity_gb_month"],
+           ("config", ("axes", "capacity_gb_month")), lambda b, v: ScenarioSpec(v, AdoptionScenario.BASELINE))
     for section, record in CONFIG_RECORDS.items():
         for name, bounds in declared_bounds(record).items():
             yield (record, name, kind(record, name), bounds, ("config", (section, name)),

@@ -3,8 +3,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim.core import (
-    Backhaul, CountryParams, DecileRecord, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement, Sharing,
-    StrategyBundle,
+    Backhaul, CountryParams, DecileRecord, EnergyStrategy, FactorRow, Generation, IncomeGroup, Policy, Settlement,
+    Sharing, StrategyBundle,
 )
 from bband_sim.cost import radio_divisor
 from bband_sim.energy import (
@@ -12,7 +12,6 @@ from bband_sim.energy import (
     MIX_SOURCES,
     EmissionFactors,
     EnergyParams,
-    FactorRow,
     energy,
 )
 from bband_sim.errors import ValidationError

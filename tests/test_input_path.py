@@ -114,14 +114,13 @@ def test_pipeline_exports_resolve_on_first_use():
     assert all(hasattr(bband_sim, name) for name in bband_sim.__all__)
 
 
-#: The input types that moved to ``core``, by the module that defined them before.
+#: The input types that moved to ``core``, by the module that defined them before and still uses them.
 MOVED = {
     radio: ("SimulationParams", "Carrier", "FrequencySet", "SpectralEfficiencyTable", "MIMO_STREAMS",
             "DEFAULT_DENSITY_GRID"),
     cost: ("CostInputs",),
-    demand: ("AdoptionParams", "DEFAULT_ADOPTION_CAGR"),
-    energy: ("EnergyParams", "FactorRow", "EmissionFactors", "MIX_SOURCES", "ZERO_EMISSION_SOURCES",
-             "DIESEL_SOURCE", "MIX_SUM_TOLERANCE"),
+    demand: ("AdoptionParams",),
+    energy: ("EnergyParams", "EmissionFactors", "MIX_SOURCES", "MIX_SUM_TOLERANCE"),
 }
 
 

@@ -55,6 +55,16 @@ def baseline_output(bundle, table_cache) -> PipelineOutput:
     return single_run(bundle, table_cache)
 
 
+@pytest.fixture(scope="module")
+def full_matrix(bundle, table_cache, tmp_path_factory):
+    """The full miniland matrix's result table, and the directory its result files are written to."""
+    out = run_pipeline(bundle, cache_dir=table_cache)
+    assert not out.failures
+    out_dir = tmp_path_factory.mktemp("full_matrix")
+    emit_results(out.results, out_dir)
+    return out.results, out_dir
+
+
 def rows(table: ResultTable) -> list[tuple]:
     """Each row of ``table`` in table order: its run, then its ``results_decile.csv`` values."""
     runs = [table.runs[i] for i in table.run.tolist()]
@@ -231,7 +241,7 @@ class TestRunPipeline:
         out = run_pipeline(bundle, runs, cache_dir=table_cache)
         keys = {(s.generation, s.backhaul, s.sharing, s.energy_strategy, sc) for s, sc in runs}
         assert not out.failures
-        # one call per country (every run shares one horizon), each over every energy key
+        # one call per country, each over every energy key
         assert calls == [len(keys)] * 2
 
     def test_demand_computed_once_per_country_and_scenario(self, bundle, table_cache, monkeypatch):
@@ -240,9 +250,9 @@ class TestRunPipeline:
         computed = []
         real = pl.demand_columns
 
-        def counted(deciles, country, adoption, scenarios):
+        def counted(deciles, country, adoption, horizon, scenarios):
             computed.extend((country.country_iso3, scenario) for scenario in scenarios)
-            return real(deciles, country, adoption, scenarios)
+            return real(deciles, country, adoption, horizon, scenarios)
 
         monkeypatch.setattr(pl, "demand_columns", counted)
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
@@ -252,15 +262,6 @@ class TestRunPipeline:
         assert sorted(computed, key=str) == sorted(
             ((iso3, sc) for iso3 in bundle.countries for sc in {sc for _, sc in runs}), key=str)
         assert len(computed) == 2 * 9
-
-    @pytest.mark.parametrize("change", [{"discount_rate": 0.10}, {"end_year": 2027}])
-    def test_runs_differing_only_in_scenario_detail_are_independent(self, bundle, table_cache, change):
-        strategy, scenario = BASELINE_RUN
-        other = dataclasses.replace(scenario, **change)
-        alone = rows(run_pipeline(bundle, [(strategy, other)], cache_dir=table_cache).results)
-        together = rows(run_pipeline(bundle, [BASELINE_RUN, (strategy, other)], cache_dir=table_cache).results)
-        assert [r for r in together if r[0][1] == other] == alone
-        assert [r for r in together if r[0][1] == scenario] == rows(single_run(bundle, table_cache).results)
 
     def test_cache_files_created_and_reused(self, bundle, tmp_path):
         cache = tmp_path / "cache"
@@ -350,7 +351,7 @@ class TestAggregation:
             assert country_total == pytest.approx(decile_total, rel=1e-9)
         assert sum(row["total_sites"] for row in country_rows) == sum(table.column("total_sites").tolist())
 
-    def test_summary_files_equal_a_left_to_right_fold(self, bundle, table_cache, tmp_path):
+    def test_summary_files_equal_a_left_to_right_fold(self, full_matrix):
         cost_energy = ("financial_cost_usd", "energy_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g")
         costs = ("financial_cost_usd", "private_cost_usd", "government_cost_usd", "subsidy_usd")
         summaries = {  # each file's group fields, value columns and baseline filter
@@ -365,11 +366,24 @@ class TestAggregation:
                 ("energy_strategy", "generation", "backhaul"), cost_energy[1:],
                 {"sharing": "baseline", "policy": "baseline"}),
         }
-        out = run_pipeline(bundle, cache_dir=table_cache)
-        assert not out.failures
-        emit_results(out.results, tmp_path)
+        table, out_dir = full_matrix
         for name, (group, values, baseline) in summaries.items():
-            assert (tmp_path / name).read_text().splitlines() == summary_lines(out.results, group, values, baseline)
+            assert (out_dir / name).read_text().splitlines() == summary_lines(table, group, values, baseline)
+
+    def test_country_file_equals_a_left_to_right_fold(self, full_matrix):
+        # written out here, not read from pipeline.COUNTRY_COLUMNS, so the oracle shares no spec with the code
+        values = (
+            "population", "total_sites", "new_sites", "upgraded_sites", ("unserviceable_deciles", "unserviceable"),
+            "revenue_pv_usd", "network_usd", "administration_usd", "spectrum_usd", "tax_usd", "profit_usd",
+            "private_cost_usd", "subsidy_usd", "government_cost_usd", "financial_cost_usd", "energy_kwh",
+            "on_grid_kwh", "off_grid_kwh", "co2_kg", "nox_g", "sox_g", "pm10_g",
+        )
+        group = ("country_iso3", "generation", "backhaul", "sharing", "policy", "energy_strategy",
+                 "capacity_gb_month", "adoption")
+        table, out_dir = full_matrix
+        lines = (out_dir / "results_country.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 1440
+        assert lines == summary_lines(table, group, values, baseline={})
 
 
 class TestEmitResults:
