@@ -6,9 +6,10 @@ Subcommands:
 * ``validate`` check a data directory and config without running anything
 * ``tables``   build and write the capacity lookup tables only
 
-Exit codes: 0 success, 2 input validation failure, 3 runtime failure,
-4 I/O failure. The environment variable ``BBAND_SIM_CACHE`` overrides the
-capacity-table cache directory (default: ``<out>/capacity_cache``).
+Exit codes: 0 success, 2 input validation failure, 3 runtime failure (an
+allocation failure included), 4 I/O failure. The environment variable
+``BBAND_SIM_CACHE`` overrides the capacity-table cache directory (default:
+``<out>/capacity_cache``).
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
-    except BbandSimError as err:
+    except (BbandSimError, MemoryError) as err:  # MemoryError: a simulation too large to allocate
         print(f"runtime error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -18,15 +18,20 @@ and its identifying integers (:func:`core.carrier_stream_key` and
 :func:`core.density_stream_key`; a frequency set and a density grid reject
 two entries with one key), so tables are bit-identical regardless of how
 the work is scheduled across threads. A simulation draws the receiver
-drops and the serving shadow fading for all its trials, then runs the
-interferer chain over blocks of consecutive trials of at most
-:data:`BLOCK_ELEMENTS` (trial, interferer) paths, drawing each block's
-interferer shadow fading as it goes; the stream yields the same numbers as
-one whole-array draw, so the chain's working memory is bounded by the
-block size, not by trials x interferers, however many rings there are.
-Every element takes the same arithmetic, in the same order, whatever the
-block size (see :func:`_received_mw`), and ``tests/reference_chains.py``
-keeps the unblocked whole-array chain that the kernel equals bit for bit.
+drops and the serving shadow fading for all its trials, and runs every
+per-trial step over blocks of consecutive trials, in two float buffers of
+at most :data:`BLOCK_ELEMENTS` elements: the drops' placement in the
+hexagon and the serving path in chunks of that many trials, then the
+interferer chain and the SINR in blocks of that many (trial, interferer)
+paths, drawing each block's interferer shadow fading as it goes; the
+stream yields the same numbers as one whole-array draw. The only
+trial-length arrays are the drop coordinates x and y and the serving
+shadow, which becomes the signal power and then the SINR in place; all
+other working memory is bounded by the block size, not by trials x
+interferers, however many rings there are. Every element takes the same
+arithmetic, in the same order, whatever the block size (see
+:func:`_received_mw`), and ``tests/reference_chains.py`` keeps the
+unblocked whole-array chain that the kernel equals bit for bit.
 A carrier's contribution depends only on (params, SE table, generation,
 carrier, density), so :func:`build_capacity_tables` runs each distinct
 simulation its sets need once, in one pool of ``jobs`` threads that is
@@ -67,8 +72,10 @@ RADIO_MODEL_VERSION = 1
 #: :func:`trial_sinr_db`: a block holds ``max(1, BLOCK_ELEMENTS //
 #: interferers)`` trials, 2048 at two rings. Its three (block, interferers)
 #: float buffers, shadow fading included, take 24 bytes per path, so the
-#: chain's memory is bounded whatever the ring count, and they fit in a
-#: core's L2 cache; results do not depend on it.
+#: memory beyond the trial-length arrays is bounded whatever the ring
+#: count, and they fit in a core's L2 cache; results do not depend on it.
+#: Two of them also serve the per-trial placement and serving path, one
+#: float per trial, in chunks of up to this many trials.
 BLOCK_ELEMENTS = 36864
 
 
@@ -155,19 +162,41 @@ _HEX_COS0, _HEX_SIN0 = np.cos(_HEX_A0), np.sin(_HEX_A0)
 _HEX_COS1, _HEX_SIN1 = np.cos(_HEX_A1), np.sin(_HEX_A1)
 
 
-def _sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float):
-    """Uniform points in a regular hexagon centred at the origin."""
-    tri = rng.integers(0, 6, n)
+def _sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float, work: tuple | None = None):
+    """Uniform points in a regular hexagon centred at the origin.
+
+    The draws are made whole (triangle, then u, then v); the fold, scale and
+    rotation run over chunks of trials as long as the two float buffers of
+    ``work`` (default :data:`BLOCK_ELEMENTS`), turning u and v into x and y
+    in place, so only the triangle index, as one byte per trial, is extra.
+    """
+    tri = rng.integers(0, 6, n).astype(np.uint8)
     u = rng.random(n)
     v = rng.random(n)
-    over = u + v > 1.0
-    u[over] = 1.0 - u[over]
-    v[over] = 1.0 - v[over]
-    u *= circumradius_km
-    v *= circumradius_km
-    x = u * _HEX_COS0[tri] + v * _HEX_COS1[tri]
-    y = u * _HEX_SIN0[tri] + v * _HEX_SIN1[tri]
-    return x, y
+    a, b = work or (np.empty(min(BLOCK_ELEMENTS, n)), np.empty(min(BLOCK_ELEMENTS, n)))
+    step = len(a)
+    for lo in range(0, n, step):
+        ub, vb = u[lo:lo + step], v[lo:lo + step]
+        xb, yb = a[:len(ub)], b[:len(ub)]
+        tb = tri[lo:lo + step].astype(np.intp)  # one index conversion for the four lookups
+        np.add(ub, vb, out=xb)
+        over = xb > 1.0
+        ub[over] = 1.0 - ub[over]
+        vb[over] = 1.0 - vb[over]
+        ub *= circumradius_km
+        vb *= circumradius_km
+        np.take(_HEX_COS0, tb, out=xb)
+        xb *= ub
+        np.take(_HEX_COS1, tb, out=yb)
+        yb *= vb
+        xb += yb  # x = u cos0[tri] + v cos1[tri]
+        np.take(_HEX_SIN0, tb, out=yb)
+        yb *= ub
+        np.take(_HEX_SIN1, tb, out=ub)
+        ub *= vb
+        np.add(yb, ub, out=vb)  # y = u sin0[tri] + v sin1[tri]
+        ub[:] = xb
+    return u, v
 
 
 def shadow_fading_draws(
@@ -244,43 +273,62 @@ def trial_sinr_db(
     the serving path, the interfering ring paths and the noise floor. The
     draws come from the carrier's own stream in a fixed order: hexagon
     drops, serving shadow, then the (trials, interferers) shadow array in
-    row order, one block of rows at a time. The serving path runs on whole
-    arrays and the interferer paths over blocks of at most
-    :data:`BLOCK_ELEMENTS` paths, so memory beyond the per-trial arrays is
-    bounded by the block size, whatever the ring count. Each path's
-    distance is ``sqrt(dx^2 + dy^2 + dh^2)`` in km and its power in mW
-    comes from :func:`_received_mw`; a trial's interference is numpy's
-    ``sum`` of its paths' powers over the interferer axis (not a left fold;
-    ``tests/reference_chains.py`` makes the same call), times
-    ``network_load``, and its SINR is
-    ``10 log10(signal / (interference + noise))`` with the noise
-    floor in mW (noise alone when there are no rings). A signal below float
-    range gives -inf.
+    row order, one block of rows at a time. Every step runs over blocks in
+    two float buffers of one block's :data:`BLOCK_ELEMENTS` paths: the
+    drops' placement and the serving path in chunks of that many trials,
+    the signal power written over the serving shadow; then the interferer
+    paths one block of rows at a time, each block's signal divided by its
+    interference plus noise in place; and a last in-place pass takes the
+    ratio to dB. The only trial-length arrays are x, y and that shadow, so
+    memory beyond them is bounded by the block size, whatever the ring
+    count. (Serving paths in blocks of rows, not chunks, would add a numpy
+    call per step and block; with ``jobs`` threads those calls hand the GIL
+    back and forth.) Each path's distance is ``sqrt(dx^2 + dy^2 + dh^2)`` in
+    km and its power in mW comes from :func:`_received_mw`; a trial's
+    interference is numpy's ``sum`` of its paths' powers over the
+    interferer axis (not a left fold; ``tests/reference_chains.py`` makes
+    the same call), times ``network_load``, and its SINR is
+    ``10 log10(signal / (interference + noise))`` with the noise floor in mW
+    (noise alone when there are no rings). A signal below float range gives
+    -inf.
     """
     isd = inter_site_distance_km(site_density)
     sites = _interferer_positions(isd, params.interferer_rings)
     rng = _carrier_rng(params.seed, generation, carrier, site_density)
+    n = params.trials if receiver_positions is None else len(receiver_positions)
+    m = len(sites)
+    rows = min(max(1, BLOCK_ELEMENTS // max(m, 1)), n)
+    # Two float buffers of one block's paths: the placement and serving
+    # passes take chunks of that many trials, as few numpy calls as the
+    # whole-array code made, and the interferer chain one block of rows.
+    step = rows * max(m, 1)
+    a, b = np.empty(step), np.empty(step)
     if receiver_positions is None:
-        x, y = _sample_hexagon(rng, params.trials, isd / math.sqrt(3.0))
+        x, y = _sample_hexagon(rng, n, isd / math.sqrt(3.0), (a, b))
     else:
         pos = np.asarray(receiver_positions, dtype=float)
         x, y = pos[:, 0], pos[:, 1]
-    n, m = len(x), len(sites)
-    shadow_signal = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)
+    sinr = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)  # serving shadow, then SINR
 
     dh_sq = ((params.tx_height_m - params.rx_height_m) / 1000.0) ** 2
     freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
     noise_mw = 10.0 ** (noise_floor(params, carrier.bandwidth_mhz * 1e6) / 10.0)
-    signal = np.sqrt(x * x + y * y + dh_sq)
-    _received_mw(signal, shadow_signal, params, freq_term_db, np.empty(n))
-
-    total = np.empty(n)  # interference sum, then plus noise, then the SINR
+    for lo in range(0, n, step):
+        xb, yb, sb = x[lo:lo + step], y[lo:lo + step], sinr[lo:lo + step]
+        s, t = a[:len(sb)], b[:len(sb)]
+        np.multiply(xb, xb, out=s)
+        np.multiply(yb, yb, out=t)
+        s += t
+        s += dh_sq
+        np.sqrt(s, out=s)
+        _received_mw(s, sb, params, freq_term_db, t)
+        sb[:] = s  # the serving shadow becomes the signal power
     if m:
-        rows = min(max(1, BLOCK_ELEMENTS // m), n)
-        path, scratch = np.empty((rows, m)), np.empty((rows, m))
+        path, scratch = a.reshape(rows, m), b.reshape(rows, m)
+        total = np.empty(rows)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            d, t = path[:hi - lo], scratch[:hi - lo]
+            d, t, tot = path[:hi - lo], scratch[:hi - lo], total[:hi - lo]
             np.subtract(x[lo:hi, None], sites[:, 0], out=d)
             d *= d
             np.subtract(y[lo:hi, None], sites[:, 1], out=t)
@@ -290,16 +338,17 @@ def trial_sinr_db(
             np.sqrt(d, out=d)
             shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (hi - lo, m))
             _received_mw(d, shadow, params, freq_term_db, t)
-            np.sum(d, axis=-1, out=total[lo:hi])
-        total *= params.network_load
-        total += noise_mw
+            del shadow  # freed before the next block's draw
+            np.sum(d, axis=-1, out=tot)
+            tot *= params.network_load
+            tot += noise_mw
+            np.divide(sinr[lo:hi], tot, out=sinr[lo:hi])
     else:
-        total.fill(noise_mw)  # 0.0 + noise_mw == noise_mw
-    np.divide(signal, total, out=total)
+        sinr /= noise_mw  # interference 0.0 + noise_mw == noise_mw
     with np.errstate(divide="ignore"):
-        np.log10(total, out=total)
-    total *= 10.0
-    return total
+        np.log10(sinr, out=sinr)
+    sinr *= 10.0
+    return sinr
 
 
 def carrier_capacity(
@@ -317,9 +366,10 @@ def carrier_capacity(
     reliability-level percentile of that distribution times bandwidth,
     sectors and density.
     """
-    sinr_db = trial_sinr_db(params, generation, carrier, site_density)
-    se = se_lookup(se_table, sinr_db, generation) * (MIMO_STREAMS[generation] * params.mimo_efficiency)
-    se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0))
+    se = se_lookup(se_table, trial_sinr_db(params, generation, carrier, site_density), generation)
+    se *= MIMO_STREAMS[generation] * params.mimo_efficiency
+    # the percentile partitions ``se`` in place, as it would a copy: the same value, no copy
+    se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0, overwrite_input=True))
     return se_reliable * carrier.bandwidth_mhz * params.sectors_per_site * site_density
 
 

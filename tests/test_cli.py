@@ -101,6 +101,24 @@ def test_non_finite_money_fails_the_run(miniland_copy, table_cache, tmp_path, mo
         ("4G", "wireless", "baseline", "baseline", "baseline", 30.0, "baseline")]
 
 
+@pytest.mark.parametrize("command", ["run", "tables"])
+def test_simulation_too_large_to_allocate_is_one_line_and_exit_3(miniland_copy, tmp_path, monkeypatch, capsys,
+                                                                  command):
+    # 1e17 trials are 800 PB per float array, above any address space: the first allocation fails at once
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 100000000000000000\n"))
+    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_OK
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
+    capsys.readouterr()
+    code = main([command, "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out"),
+                 *(["--runs", SINGLE_RUN_FILTER] if command == "run" else [])])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("runtime error: Unable to allocate")
+    assert "Traceback" not in err
+
+
 def test_run_is_deterministic_across_invocations(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch):
     monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
     outs = []

@@ -337,6 +337,23 @@ class TestKernelMemory:
         want = reference_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 0.5)
         assert got.tobytes() == want.tobytes()
 
+    def test_working_memory_per_trial(self, se_table):
+        # x, y and the serving shadow that becomes the SINR are the only
+        # trial-length float arrays (24 B per trial); the rest is one block
+        # of three (2048, 18) buffers at two rings.
+        def peak(trials):
+            params = SimulationParams(trials=trials, seed=3, interferer_rings=2)
+            tracemalloc.start()
+            try:
+                carrier_capacity(params, se_table, Generation.G4, Carrier(800.0, 10.0), 0.5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(50_000), peak(200_000)
+        assert small < 2.5e6
+        assert (large - small) / 150_000 <= 28  # 3.5 float64 per trial
+
 
 class TestCarrierStreams:
     def test_stream_key_is_the_carrier_in_khz(self):
