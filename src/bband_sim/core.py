@@ -473,6 +473,9 @@ DEFAULT_ADOPTION_CAGR: dict[IncomeGroup, dict[AdoptionScenario, float]] = {
     },
 }
 
+#: The one declaration of the bound on each adoption growth rate: below -1, demand would change sign.
+ADOPTION_CAGR_BOUNDS = ((">=", -1),)
+
 
 @dataclass(frozen=True)
 class AdoptionParams(SelfChecked):
@@ -512,6 +515,9 @@ class CostInputs(SelfChecked):
     published prices; override them from the cost section of the config.
     The spectrum fee is ``coefficient x MHz held x decile population``.
     """
+
+    #: A config section of these costs gives every field or none, so that no set of prices mixes with the defaults.
+    ALL_OR_NONE = True
 
     equipment_usd: float = bounded((">=", 0), default=40_000.0)
     backhaul_wireless_usd: float = bounded((">=", 0), default=20_000.0)
@@ -692,6 +698,15 @@ def build_deciles(
             degenerate=not members,
         ))
     return deciles
+
+
+#: The axes each keyed result stage depends on, by :data:`AXES` name, in :data:`AXES` order: a stage is
+#: computed once per distinct value of its axes, and every run with that value shares it.
+STAGE_AXES = {
+    "sites": ("generation", "capacity_gb_month", "adoption"),  # demand and revenue depend on the last two only
+    "cost": ("generation", "backhaul", "sharing", "policy", "capacity_gb_month", "adoption"),
+    "energy": ("generation", "backhaul", "sharing", "energy_strategy", "capacity_gb_month", "adoption"),
+}
 
 
 def enumerate_runs(

@@ -21,11 +21,12 @@ file and line and its row dropped; the rules across cells, rows and files
 :class:`InputValidationError`. ``se_table.csv`` is optional; the packaged
 table is used when it is absent.
 
-The config is a YAML mapping with the sections ``axes``, ``horizon``,
-``settlement``, ``adoption``, ``simulation``, ``cost``, ``energy`` and
-``tables``; every key has a documented default, but when a ``cost`` section
-is present it must be complete. A key that no section reads is rejected,
-in ``tables`` and its portfolio entries too.
+The config is a YAML mapping of the :data:`CONFIG_SECTIONS`, each checked once
+to be a mapping and read as empty when absent. One reader reads each section of
+:data:`CONFIG_RECORDS` into its record: a key as the type of its field's default,
+an absent key left at that default. The ``cost`` record is ``ALL_OR_NONE``: a
+partial section is reported. A key that no section reads is rejected, in
+``tables`` and its portfolio entries too.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, BOUND_OPS, DIESEL_SOURCE, MIX_SHARE_BOUNDS, MIX_SOURCES,
-    MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs, CountryParams, EmissionFactors,
-    EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup, Regions, ScenarioSpace, ScenarioSpec,
-    SettlementThresholds, SimulationParams, SpectralEfficiencyTable, StrategySpace, broken_bound, declared_bounds,
-    density_grid_rules, raise_broken,
+    ADOPTION_CAGR_BOUNDS, AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DIESEL_SOURCE, MIX_SHARE_BOUNDS,
+    MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs, CountryParams,
+    EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup, Regions,
+    ScenarioSpace, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable, StrategySpace,
+    broken_bound, declared_bounds, density_grid_rules, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -104,9 +105,12 @@ DEFAULT_TABLE_PORTFOLIOS = (
     FrequencySet(Generation.G5, (Carrier(700.0, 10.0), Carrier(3500.0, 40.0))),
 )
 
-CONFIG_SECTIONS = ("axes", "horizon", "settlement", "adoption", "simulation", "cost", "energy", "tables")
+#: Each config section read as a record, in section order, and its record.
+CONFIG_RECORDS = {"horizon": Horizon, "settlement": SettlementThresholds, "adoption": AdoptionParams,
+                  "simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams}
 
-COST_KEYS = tuple(f.name for f in fields(CostInputs))
+#: Every config section, in order: the run-matrix axes, the records, then the ``tables`` command's portfolios.
+CONFIG_SECTIONS = ("axes", *CONFIG_RECORDS, "tables")
 
 
 @dataclass(frozen=True)
@@ -168,27 +172,26 @@ class _Collector:
             raise InputValidationError(self.diagnostics)
 
 
-def _parse(raw, kind, bounds, where: str):
-    """``raw`` as a ``kind`` within ``bounds``, else ValueError: the diagnostic, led by ``where``."""
+def _parse(raw, where: str, kind, bounds=()):
+    """``raw`` as a ``kind`` within ``bounds``, else ValidationError: the diagnostic, led by ``where``."""
     if kind is str:
         value = raw.strip()
     elif kind is not int and kind is not float:
         try:
             return kind(raw)
         except ValueError:
-            raise ValueError(f"{where}: {raw!r} is not one of {{{', '.join(e.value for e in kind)}}}") from None
+            raise ValidationError(f"{where}: {raw!r} is not one of {{{', '.join(e.value for e in kind)}}}") from None
     else:
         try:
             value = kind(raw)
             if isinstance(raw, bool) or kind is int and isinstance(raw, float) and value != raw:
                 raise ValueError  # a YAML boolean (yes, on, true), or int() would drop the fraction
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+            raise ValidationError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
         if kind is float and not -math.inf < value < math.inf:
-            raise ValueError(f"{where}: {raw!r} is not finite")
-    for op, limit in bounds:
-        if not BOUND_OPS[op](value, limit):  # only a broken bound needs the message
-            raise ValueError(broken_bound(where, value, bounds))
+            raise ValidationError(f"{where}: {raw!r} is not finite")
+    if message := broken_bound(where, value, bounds):
+        raise ValidationError(message)
     return value
 
 
@@ -238,13 +241,8 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
         if len(cells) != len(columns):
             collector.add(name, line, "wrong number of columns")
             continue
-        values = []
-        for raw, (column, kind, bounds) in zip(cells, columns):
-            try:
-                values.append(_parse(raw, kind, bounds, column))
-            except ValueError as err:
-                collector.add(name, line, str(err))
-        if len(values) == len(columns):
+        values = [collector.check(name, line, "", _parse, raw, *column) for raw, column in zip(cells, columns)]
+        if None not in values:
             yield line, values
 
 
@@ -366,80 +364,66 @@ def _se_table_path(data_dir: Path | str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 def _expect_mapping(value: Any, where: str, collector: _Collector) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
+    """``value`` if it is a mapping, else empty: reported, unless it is None (an empty YAML value)."""
+    if value is not None and not isinstance(value, dict):
         collector.add("config", 0, f"{where} must be a mapping")
-        return {}
-    return value
+    return value if isinstance(value, dict) else {}
 
 
-def _config_scalar(section: dict, key: str, default, where: str, collector: _Collector, cast=float, bounds=()):
-    if key not in section:
-        return default
-    try:
-        return _parse(section[key], cast, bounds, f"{where}.{key}")
-    except ValueError as err:
-        collector.add("config", 0, str(err))
-        return default
-
-
-def _config_list(raw, kind, where: str, collector: _Collector, bounds=()) -> tuple | None:
+def _config_list(raw, where: str, collector: _Collector, kind, bounds=()) -> tuple | None:
     """The items of a config list that parse as ``kind``; None when ``raw`` is not a list."""
     if not isinstance(raw, (list, tuple)):
         collector.add("config", 0, f"{where} must be a list")
         return None
-    values = []
-    for item in raw:
-        try:
-            values.append(_parse(item, kind, bounds, where))
-        except ValueError as err:
-            collector.add("config", 0, str(err))
-    return tuple(values)
+    items = [collector.check("config", 0, "", _parse, item, where, kind, bounds) for item in raw]
+    return tuple(item for item in items if item is not None)
 
 
-def _unknown_keys(section: dict, known: Iterable[str], where: str, collector: _Collector) -> list:
-    """The keys of a config section that nothing reads, all reported in one diagnostic."""
+def _unknown_keys(section: dict, known: Iterable[str], where: str, collector: _Collector) -> None:
+    """Report the keys of a config section that nothing reads, all in one diagnostic."""
     unknown = [k for k in section if k not in known]
     if unknown:
         collector.add("config", 0, f"{where}: unknown keys {unknown}")
-    return unknown
 
 
-def _config_params(cls, section: dict, where: str, collector: _Collector, extra_keys=(), **given):
-    """A ``cls`` with each field from the config section, parsed as the type of its default.
+def _config_params(name: str, config: Mapping[str, dict], collector: _Collector, extra_keys=(), **given):
+    """The :data:`CONFIG_RECORDS` record of section ``name``: each field's key parsed as the type of its default.
 
-    Absent fields keep their default; ``given`` fields are passed as they are.
-    A key that is neither a read field nor one of ``extra_keys`` is reported.
+    An absent key leaves the field's default; ``given`` fields are passed as they are. A key that is neither
+    a read field nor one of ``extra_keys`` is reported. A record with ``ALL_OR_NONE`` takes every field's key
+    or none: a partial section is reported and gives the defaults, its rules unchecked.
     """
-    read = [f for f in fields(cls) if f.name not in given]
-    _unknown_keys(section, [*extra_keys, *(f.name for f in read)], where, collector)
-    kwargs = {f.name: _config_scalar(section, f.name, f.default, where, collector, cast=type(f.default)) for f in read}
-    return collector.check("config", 0, f"{where}: ", cls, **kwargs, **given) or cls()
+    record, section = CONFIG_RECORDS[name], config[name]
+    read = [f for f in fields(record) if f.name not in given]
+    all_or_none = section and getattr(record, "ALL_OR_NONE", False)
+    missing = [f.name for f in read if f.name not in section] if all_or_none else []
+    if missing:
+        collector.add("config", 0, f"{name}: missing mandatory keys {missing}")
+    _unknown_keys(section, [*extra_keys, *(f.name for f in read)], name, collector)
+    for f in (f for f in read if f.name in section):
+        value = collector.check("config", 0, "", _parse, section[f.name], f"{name}.{f.name}", type(f.default))
+        if value is not None:
+            given[f.name] = value
+    if missing:
+        return record()
+    return collector.check("config", 0, f"{name}: ", record, **given) or record()
 
 
-def _validate_axes(config: Mapping[str, Any], collector: _Collector) -> tuple[StrategySpace, ScenarioSpace]:
-    """The strategy and scenario spaces of the ``axes`` and ``horizon`` sections; omitted axes take their defaults."""
-    axes = _expect_mapping(config.get("axes"), "axes", collector)
-
+def _axes(section: dict, collector: _Collector) -> dict[str, tuple]:
+    """The values of each axis the ``axes`` section gives, by the name of the space field that holds them."""
     names = [axis.name for axis in AXES]
-    for key in axes:
+    for key in section:
         if key not in names:
             collector.add("config", 0, f"axes.{key} is not a recognised axis ({sorted(names)})")
     values = {}
     for name, field_name, kind in AXES:
-        if name in axes:
+        if name in section:
             bounds = declared_bounds(ScenarioSpec).get(name, ())
-            items = _config_list(axes[name], kind, f"axes.{name}", collector, bounds)
+            items = _config_list(section[name], f"axes.{name}", collector, kind, bounds)
             if items == ():
                 collector.add("config", 0, f"axes.{name} is empty")
             values[field_name] = items or ()
-
-    horizon = _config_params(Horizon, _expect_mapping(config.get("horizon"), "horizon", collector), "horizon", collector)
-    _check_compounding(horizon.discount_rate, horizon.n_years, "horizon.discount_rate", collector)
-
-    strategy_space = StrategySpace(**{f.name: values.pop(f.name) for f in fields(StrategySpace) if f.name in values})
-    return strategy_space, ScenarioSpace(**values, horizon=horizon)
+    return values
 
 
 def _check_compounding(rate: float, n_years: int, where: str, collector: _Collector) -> None:
@@ -450,54 +434,42 @@ def _check_compounding(rate: float, n_years: int, where: str, collector: _Collec
         collector.add("config", 0, f"{where}: (1 + {rate}) ** {n_years} overflows")
 
 
-def _build_adoption(config: Mapping[str, Any], horizon: Horizon, collector: _Collector) -> AdoptionParams:
-    section = _expect_mapping(config.get("adoption"), "adoption", collector)
+def _adoption(config: Mapping[str, dict], horizon: Horizon, collector: _Collector) -> AdoptionParams:
+    """The ``adoption`` record, its ``cagr`` table's rates over the defaults and each rate's growth checked."""
     cagr = {g: dict(v) for g, v in DEFAULT_ADOPTION_CAGR.items()}
-    for group_name, by_scenario in _expect_mapping(section.get("cagr"), "adoption.cagr", collector).items():
+    for group_name, by_scenario in _expect_mapping(config["adoption"].get("cagr"), "adoption.cagr", collector).items():
         try:
             group = IncomeGroup(group_name)
         except ValueError:
             collector.add("config", 0, f"adoption.cagr: unknown income group {group_name!r}")
             continue
-        rates = _expect_mapping(by_scenario, f"adoption.cagr.{group_name}", collector)
-        for scen_name in rates:
+        where = f"adoption.cagr.{group_name}"
+        for scen_name, raw in _expect_mapping(by_scenario, where, collector).items():
             try:
                 scen = AdoptionScenario(scen_name)
             except ValueError:
-                collector.add("config", 0, f"adoption.cagr.{group_name}: unknown scenario {scen_name!r}")
+                collector.add("config", 0, f"{where}: unknown scenario {scen_name!r}")
                 continue
-            cagr[group][scen] = _config_scalar(rates, scen_name, cagr[group][scen], f"adoption.cagr.{group_name}",
-                                               collector, bounds=((">=", -1),))
+            rate = collector.check("config", 0, "", _parse, raw, f"{where}.{scen_name}", float, ADOPTION_CAGR_BOUNDS)
+            if rate is not None:
+                cagr[group][scen] = rate
     for group, by_scenario in cagr.items():
         for scen, rate in by_scenario.items():
             _check_compounding(rate, horizon.n_years, f"adoption.cagr.{group.value}.{scen.value}", collector)
-    return _config_params(AdoptionParams, section, "adoption", collector, ("cagr",), cagr_by_income=cagr)
+    return _config_params("adoption", config, collector, ("cagr",), cagr_by_income=cagr)
 
 
-def _build_sim_params(config: Mapping[str, Any], collector: _Collector) -> tuple[SimulationParams, tuple[float, ...]]:
-    section = _expect_mapping(config.get("simulation"), "simulation", collector)
-    raw = section.get("density_grid", DEFAULT_DENSITY_GRID)
-    grid = _config_list(raw, float, "simulation.density_grid", collector)
+def _sim_params(config: Mapping[str, dict], collector: _Collector) -> tuple[SimulationParams, tuple[float, ...]]:
+    """The ``simulation`` record, and its ``density_grid``: the default when the section gives none."""
+    raw = config["simulation"].get("density_grid", DEFAULT_DENSITY_GRID)
+    grid = _config_list(raw, "simulation.density_grid", collector, float)
     if grid is not None and len(grid) == len(raw):  # a bad item is reported already
         collector.check("config", 0, "simulation: ", raise_broken, density_grid_rules(grid))
-    return _config_params(SimulationParams, section, "simulation", collector, ("density_grid",)), grid or ()
+    return _config_params("simulation", config, collector, ("density_grid",)), grid or ()
 
 
-def _build_cost_inputs(config: Mapping[str, Any], collector: _Collector) -> CostInputs:
-    section = _expect_mapping(config.get("cost"), "cost", collector)
-    if not section:
-        return CostInputs()
-    missing = [k for k in COST_KEYS if k not in section]
-    if missing:
-        collector.add("config", 0, f"cost: missing mandatory keys {missing}")
-    unknown = _unknown_keys(section, COST_KEYS, "cost", collector)
-    if missing or unknown:
-        return CostInputs()
-    return _config_params(CostInputs, section, "cost", collector)
-
-
-def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) -> tuple[FrequencySet, ...]:
-    section = _expect_mapping(config.get("tables"), "tables", collector)
+def _table_portfolios(section: dict, collector: _Collector) -> tuple[FrequencySet, ...]:
+    """The frequency sets of the ``tables`` section, or :data:`DEFAULT_TABLE_PORTFOLIOS` if none is given and valid."""
     _unknown_keys(section, ("portfolios",), "tables", collector)
     raw = section.get("portfolios")
     if raw is None:
@@ -509,15 +481,18 @@ def _build_table_portfolios(config: Mapping[str, Any], collector: _Collector) ->
     for entry in raw:
         entry = _expect_mapping(entry, "tables.portfolios[]", collector)
         _unknown_keys(entry, ("generation", "carriers"), "tables.portfolios[]", collector)
+        pairs = entry.get("carriers", [])
         try:
             gen = Generation(entry.get("generation"))
-            carriers = tuple(Carrier(*(_parse(x, float, (), "carriers") for x in pair)) for pair in entry.get("carriers", ()))
-        except (TypeError, ValueError, ValidationError) as err:
+            if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+                raise ValidationError(f"carriers: {pairs!r} is not a list of [frequency_mhz, bandwidth_mhz] pairs")
+            carriers = tuple(Carrier(*(_parse(x, "carriers", float) for x in pair)) for pair in pairs)
+        except (ValueError, ValidationError) as err:
             collector.add("config", 0, f"tables.portfolios: {err}")
             continue
         if freq_set := collector.check("config", 0, "tables.portfolios: ", FrequencySet, gen, carriers):
             portfolios.append(freq_set)
-    return tuple(portfolios) if portfolios else DEFAULT_TABLE_PORTFOLIOS
+    return tuple(portfolios) or DEFAULT_TABLE_PORTFOLIOS
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -534,8 +509,12 @@ class _ConfigLoader(yaml.SafeLoader):
         return mapping
 
 
-def load_config(config_path: Path | str, collector: _Collector) -> dict[str, Any]:
-    """Parse the YAML config document and report its repeated keys and problems with its top-level structure."""
+def load_config(config_path: Path | str, collector: _Collector) -> dict[str, dict]:
+    """Each of :data:`CONFIG_SECTIONS` of the YAML config document as a mapping, empty when it is absent.
+
+    Reports the document's repeated keys, problems with its top-level structure, and each section that is
+    not a mapping, which is then read as empty.
+    """
     path = Path(config_path)
     raw = None
     if not path.is_file():
@@ -554,7 +533,7 @@ def load_config(config_path: Path | str, collector: _Collector) -> dict[str, Any
     for key in raw:
         if key not in CONFIG_SECTIONS:
             collector.add(path.name, 0, f"unknown config section {key!r} (valid: {CONFIG_SECTIONS})")
-    return raw
+    return {name: _expect_mapping(raw.get(name), name, collector) for name in CONFIG_SECTIONS}
 
 
 def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
@@ -566,15 +545,16 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         collector.raise_if_any()
 
     config = load_config(config_path, collector)
-    strategy_space, scenario_space = _validate_axes(config, collector)
-    adoption = _build_adoption(config, scenario_space.horizon, collector)
-    sim_params, density_grid = _build_sim_params(config, collector)
-    cost_inputs = _build_cost_inputs(config, collector)
-    energy_params = _config_params(EnergyParams, _expect_mapping(config.get("energy"), "energy", collector), "energy", collector)
-    portfolios = _build_table_portfolios(config, collector)
-
-    settlement = _config_params(SettlementThresholds, _expect_mapping(config.get("settlement"), "settlement", collector),
-                                "settlement", collector)
+    axes = _axes(config["axes"], collector)
+    horizon = _config_params("horizon", config, collector)
+    _check_compounding(horizon.discount_rate, horizon.n_years, "horizon.discount_rate", collector)
+    settlement = _config_params("settlement", config, collector)
+    adoption = _adoption(config, horizon, collector)
+    sim_params, density_grid = _sim_params(config, collector)
+    cost_inputs, energy_params = (_config_params(name, config, collector) for name in ("cost", "energy"))
+    portfolios = _table_portfolios(config["tables"], collector)
+    strategy_space = StrategySpace(**{f.name: axes.pop(f.name) for f in fields(StrategySpace) if f.name in axes})
+    scenario_space = ScenarioSpace(**axes, horizon=horizon)
 
     spectrum = _spectrum(_read_csv(data_dir / "spectrum.csv", collector))
     countries = _countries(_read_csv(data_dir / "countries.csv", collector), spectrum, collector)
@@ -598,28 +578,17 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         if over:
             collector.add("regions.csv", 0, f"{iso3}: total {' and total '.join(over)} above 2**63 - 1")
 
-    energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries,
-                             scenario_space.horizon.years(), collector)
+    energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries, horizon.years(), collector)
     emission_factors = _emission_factors(_read_csv(data_dir / "emission_factors.csv", collector), collector)
 
     se_table = _se_table(_se_table_path(data_dir), collector)
 
     collector.raise_if_any()
     return InputBundle(
-        countries=countries,
-        regions=regions,
-        adoption=adoption,
-        energy_mix=energy_mix,
-        emission_factors=emission_factors,
-        se_table=se_table,
-        cost_inputs=cost_inputs,
-        sim_params=sim_params,
-        energy_params=energy_params,
-        strategy_space=strategy_space,
-        scenario_space=scenario_space,
-        settlement_thresholds=settlement,
-        density_grid=density_grid,
-        table_portfolios=portfolios,
+        countries=countries, regions=regions, adoption=adoption, energy_mix=energy_mix,
+        emission_factors=emission_factors, se_table=se_table, cost_inputs=cost_inputs, sim_params=sim_params,
+        energy_params=energy_params, strategy_space=strategy_space, scenario_space=scenario_space,
+        settlement_thresholds=settlement, density_grid=density_grid, table_portfolios=portfolios,
     )
 
 
@@ -636,15 +605,16 @@ class TableInputs:
 def load_table_inputs(config_path: Path | str, data_dir: Path | str | None = None) -> TableInputs:
     """Load and validate the inputs of the ``tables`` command.
 
-    Reads the config's ``simulation`` and ``tables`` sections and the SE
-    table (``<data_dir>/se_table.csv`` if present, else the packaged one).
+    Reads the config's ``simulation`` and ``tables`` sections, after
+    :func:`load_config` has checked that every section is a mapping, and the
+    SE table (``<data_dir>/se_table.csv`` if present, else the packaged one).
     Like :func:`load_bundle`, raises one :class:`InputValidationError`
     carrying every diagnostic.
     """
     collector = _Collector()
     config = load_config(config_path, collector)
-    sim_params, density_grid = _build_sim_params(config, collector)
-    portfolios = _build_table_portfolios(config, collector)
+    sim_params, density_grid = _sim_params(config, collector)
+    portfolios = _table_portfolios(config["tables"], collector)
     se_table = _se_table(_se_table_path(data_dir), collector)
     collector.raise_if_any()
     return TableInputs(sim_params, density_grid, se_table, portfolios)

@@ -6,13 +6,9 @@ call does not find are built together, so each distinct carrier is
 simulated once per density. With a warm cache, about half of a miniland
 ``run``'s wall time is starting the interpreter and importing modules (numpy
 among them); of the work in this module, result emission takes the most.
-Each stage runs once per key of the axes it depends on, and every country
-has the same stage keys:
-
-* sites (demand and dimensioning): (generation, scenario); demand and
-  revenue themselves depend on the scenario only
-* cost and cross-subsidy: (generation, backhaul, sharing, policy, scenario)
-* energy and emissions: (generation, backhaul, sharing, energy strategy, scenario)
+Each stage (sites: demand and dimensioning; cost and cross-subsidy; energy
+and emissions) runs once per key of the axes :data:`core.STAGE_AXES`
+declares for it, and every country has the same stage keys.
 
 :func:`run_pipeline` walks the runs once to find each run's key in each
 stage, then runs each stage over all its keys, one kernel call per
@@ -53,6 +49,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,6 +58,7 @@ import numpy as np
 from .core import (
     AXES,
     N_DECILES,
+    STAGE_AXES,
     DecileRecord,
     Generation,
     ScenarioSpec,
@@ -224,7 +222,7 @@ def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
 
 
 #: The stages computed per key, in the order a run reports its first failure.
-_KEYED_STAGES = ("sites", "cost", "energy")
+_KEYED_STAGES = tuple(STAGE_AXES)
 
 
 def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float, counts: str = "") -> None:
@@ -301,14 +299,14 @@ def run_pipeline(
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
     countries, horizon = list(deciles), bundle.scenario_space.horizon
 
-    # every (run, country) needs one key of each stage; keys hold no country
-    ids, first = ({}, {}, {}), ([], [], [])  # each stage's key ids, and each key's first run
-    key_ids = np.empty((len(runs), len(ids)), dtype=np.intp)
-    for i, (s, scenario) in enumerate(runs):
-        stage_keys = ((s.generation, scenario), (s.generation, s.backhaul, s.sharing, s.policy, scenario),
-                      (s.generation, s.backhaul, s.sharing, s.energy_strategy, scenario))
-        for j, key in enumerate(stage_keys):
-            k = key_ids[i, j] = ids[j].setdefault(key, len(first[j]))
+    # every (run, country) needs one key of each stage: its run key on the stage's axes, which hold no country
+    run_keys = [run_key(*r) for r in runs]
+    stage_keys = [itemgetter(*map(RUN_KEY_COLUMNS.index, axes)) for axes in STAGE_AXES.values()]
+    ids, first = [{} for _ in stage_keys], [[] for _ in stage_keys]  # each stage's key ids, and each key's first run
+    key_ids = np.empty((len(runs), len(stage_keys)), dtype=np.intp)
+    for i, key in enumerate(run_keys):
+        for j, stage_key in enumerate(stage_keys):
+            k = key_ids[i, j] = ids[j].setdefault(stage_key(key), len(first[j]))
             if k == len(first[j]):
                 first[j].append(i)
     site_of = [key_ids[first[j], 0] for j in range(len(ids))]  # each key's sites key
@@ -368,7 +366,6 @@ def run_pipeline(
     run = np.repeat(good, per_run)
     place = np.tile(np.arange(per_run), len(good))  # (country, decile) within the run
     country, decile = np.divmod(np.arange(per_run), N_DECILES)
-    run_keys = [run_key(*r) for r in runs]
     stages = {"decile": (place, _decile_columns([d for iso3 in countries for d in deciles[iso3]])),
               "run": (run, {name: np.array([k[i] for k in run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)})}
     for j, (stage, columns) in enumerate(zip(_KEYED_STAGES, (sited, costs, used))):

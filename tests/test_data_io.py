@@ -215,6 +215,14 @@ class TestTableInputs:
         assert load_table_inputs(config, miniland_copy).se_table != packaged
         assert load_table_inputs(config, miniland_copy / "elsewhere").se_table == packaged
 
+    def test_a_section_it_does_not_read_must_still_be_a_mapping(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("cost: 5\nenergy: [1]\n")
+        with pytest.raises(InputValidationError) as err:
+            load_table_inputs(config)
+        assert [str(d) for d in err.value.diagnostics] == ["config: cost must be a mapping",
+                                                           "config: energy must be a mapping"]
+
     def test_collects_all_errors_not_fail_fast(self, miniland_copy):
         rewrite(miniland_copy / "config.yaml", "  trials: 10000\n", "  trials: 5\n")
         with (miniland_copy / "config.yaml").open("a") as fh:

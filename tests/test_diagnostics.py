@@ -19,11 +19,10 @@ import yaml
 from bband_sim import core
 from bband_sim.cli import EXIT_VALIDATION, main
 from bband_sim.core import (
-    MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CostInputs, CountryParams, DecileRecord, EnergyParams, FactorRow,
-    Generation, Horizon, Regions, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable,
-    build_deciles, declared_bounds,
+    ADOPTION_CAGR_BOUNDS, MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CountryParams, DecileRecord, FactorRow,
+    Generation, Regions, ScenarioSpec, SpectralEfficiencyTable, build_deciles, declared_bounds,
 )
-from bband_sim.data_io import SCHEMAS, load_bundle
+from bband_sim.data_io import CONFIG_RECORDS, SCHEMAS, load_bundle
 from bband_sim.errors import InputValidationError, ValidationError
 
 APPEND = "append"
@@ -716,6 +715,12 @@ CASES = {
         [("config.yaml", APPEND, "tables:\n  portfolios: 3\n")],
         ["config: tables.portfolios must be a list"],
     ),
+    # each names the pair it expects, not the Python error that building a carrier from it would raise
+    **{f"config_table_portfolio_carriers_{name}": (
+        [("config.yaml", APPEND, f"tables:\n  portfolios:\n    - {{generation: 4G, carriers: {carriers}}}\n")],
+        [f"config: tables.portfolios: carriers: {carriers} is not a list of [frequency_mhz, bandwidth_mhz] pairs"],
+    ) for name, carriers in (("one_number", "[[800]]"), ("three_numbers", "[[800, 10, 5]]"), ("a_number", "5"),
+                             ("a_flat_pair", "[800, 10]"))},
     "config_int_not_integral": (
         [("config.yaml", "start_year: 2023", "start_year: 2023.9")],
         ["config: horizon.start_year: 2023.9 is not a valid int"],
@@ -922,19 +927,13 @@ CSV_RECORDS = {
     "emission_factors.csv": (FactorRow, lambda b: b.emission_factors.by_source["coal"]),
 }
 
-#: The config sections whose records declare bounds on their keys.
-CONFIG_RECORDS = {
-    "horizon": Horizon, "simulation": SimulationParams, "cost": CostInputs, "energy": EnergyParams,
-    "settlement": SettlementThresholds,
-}
-
 
 def _bound_cases():
     """``(record, field, kind, bounds, input, rebuild)`` for every bound core declares.
 
-    ``input`` is ``(file, column)`` for a CSV column, ``("config", path)`` for a config key, or None for a
-    record that is never read from input; ``rebuild(bundle, value)`` builds the record with that value, or is
-    None where only the reader checks the bound.
+    ``input`` is ``(file, column)`` for a CSV column, ``("config", path)`` for a config key (the path's keys
+    from the section down), or None for a record that is never read from input; ``rebuild(bundle, value)``
+    builds the record with that value, or is None where only the reader checks the bound.
     """
     def kind(record, name):
         return {"int": int, "float": float, "str": str}[{f.name: f.type for f in dataclasses.fields(record)}[name]]
@@ -953,6 +952,8 @@ def _bound_cases():
         yield Regions, name, column_kinds[name], bounds, ("regions.csv", name), None
     yield (ScenarioSpec, "capacity_gb_month", float, declared_bounds(ScenarioSpec)["capacity_gb_month"],
            ("config", ("axes", "capacity_gb_month")), lambda b, v: ScenarioSpec(v, AdoptionScenario.BASELINE))
+    yield None, "cagr.LIC.low", float, ADOPTION_CAGR_BOUNDS, ("config", ("adoption", "cagr", "LIC", "low")), None
+    # the loader's own declaration of the config records, so that no section's bounds go untested
     for section, record in CONFIG_RECORDS.items():
         for name, bounds in declared_bounds(record).items():
             yield (record, name, kind(record, name), bounds, ("config", (section, name)),
@@ -985,10 +986,14 @@ def _damage_with(data_dir, source, value):
     file, column = source
     if file == "config":
         config = yaml.safe_load((data_dir / "config.yaml").read_text())
-        section, key = column
-        config[section][key] = [value, 30.0] if section == "axes" else value
+        section, *path, key = column
+        parent = config[section]
+        for step in path:
+            parent = parent.setdefault(step, {})
+        parent[key] = [value, 30.0] if section == "axes" else value
         (data_dir / "config.yaml").write_text(yaml.safe_dump(config))
-        return "config: axes." if section == "axes" else f"config: {section}: "
+        # a record reports its bound after the section; the reader reports a list item's or a table's with its path
+        return f"config: {section}." if section == "axes" or path else f"config: {section}: "
     path = data_dir / file
     header, first, *rest = path.read_text().splitlines()
     cells = first.split(",")

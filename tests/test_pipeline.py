@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from bband_sim import load_bundle, pipeline, radio
 
 from bband_sim.core import (
+    AXES,
+    STAGE_AXES,
     AdoptionScenario,
     Backhaul,
     EnergyStrategy,
@@ -63,6 +65,12 @@ def full_matrix(bundle, table_cache, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("full_matrix")
     emit_results(out.results, out_dir)
     return out.results, out_dir
+
+
+def stage_keys(runs, stage: str) -> set[tuple]:
+    """The distinct keys of ``stage`` over ``runs``: each run key's values on the axes ``STAGE_AXES`` declares."""
+    names = [axis.name for axis in AXES]
+    return {tuple(key[names.index(a)] for a in STAGE_AXES[stage]) for key in (run_key(*r) for r in runs)}
 
 
 def rows(table: ResultTable) -> list[tuple]:
@@ -239,10 +247,18 @@ class TestRunPipeline:
         monkeypatch.setattr(pl, "energy", counted)
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
         out = run_pipeline(bundle, runs, cache_dir=table_cache)
-        keys = {(s.generation, s.backhaul, s.sharing, s.energy_strategy, sc) for s, sc in runs}
         assert not out.failures
         # one call per country, each over every energy key
-        assert calls == [len(keys)] * 2
+        assert calls == [len(stage_keys(runs, "energy"))] * 2
+
+    def test_stage_key_counts_follow_the_declaration(self, bundle, table_cache, caplog):
+        runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
+        with caplog.at_level(logging.INFO, logger="bband_sim"):
+            assert not run_pipeline(bundle, runs, cache_dir=table_cache).failures
+        counts = {stage: len(stage_keys(runs, stage)) * len(bundle.countries) for stage in STAGE_AXES}
+        assert counts == {"sites": 36, "cost": 1440, "energy": 576}
+        for stage, n in counts.items():  # what ``-v`` logs
+            assert f"stage {stage}: {n} keys," in caplog.text
 
     def test_demand_computed_once_per_country_and_scenario(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
