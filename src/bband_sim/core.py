@@ -183,11 +183,6 @@ class DecileRecord(SelfChecked):
             yield "non-degenerate decile requires area_km2 > 0"
 
     @property
-    def pop_density(self) -> float:
-        """Population per km^2; 0.0 for a degenerate decile."""
-        return 0.0 if self.degenerate else self.population / self.area_km2
-
-    @property
     def active(self) -> bool:
         """Populated and not degenerate: only an active decile has demand, revenue and sites."""
         return self.population > 0 and not self.degenerate

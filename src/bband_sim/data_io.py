@@ -278,6 +278,9 @@ def _regions(rows: Rows, countries: Mapping[str, CountryParams], collector: _Col
             seen_ids[iso3, region_id] = line
             for column, value in zip(columns.setdefault(iso3, ([], [], [], [])), (region_id, *values)):
                 column.append(value)
+            population, area = values[:2]  # a population above 2**63 - 1 is reported with its country's total
+            if population <= 2**63 - 1 and not math.isfinite(population / area):
+                collector.add("regions.csv", line, f"region {region_id}: population / area_km2 is not finite")
     return {iso3: Regions(*map(tuple, cs)) for iso3, cs in columns.items()}
 
 
@@ -302,24 +305,26 @@ def _energy_mix(rows: Rows, countries: Mapping[str, CountryParams], years: range
             if abs(total - 1.0) > MIX_SUM_TOLERANCE:
                 collector.add("energy_mix.csv", 0, f"{region}/{year}: shares sum to {total:.6f}, expected 1")
     for iso3 in sorted(countries):
-        missing_years = [y for y in years if y not in mix.get(iso3, ())]
         if iso3 not in mix:
             collector.add("energy_mix.csv", 0, f"country {iso3} has no energy mix rows")
-        elif missing_years:
-            collector.add("energy_mix.csv", 0, f"{iso3}: missing mix years {_year_ranges(missing_years)}")
+        elif missing := _missing_years(years, mix[iso3]):
+            collector.add("energy_mix.csv", 0, f"{iso3}: missing mix years {missing}")
     return mix
 
 
-def _year_ranges(years: list[int], shown: int = 5) -> str:
-    """Ascending ``years`` as ``[2024, 2026-2030]``: the first ``shown`` runs, then ``(+K more)``."""
-    runs: list[list[int]] = []
-    for year in years:
-        if runs and runs[-1][1] == year - 1:
-            runs[-1][1] = year
-        else:
-            runs.append([year, year])
+def _missing_years(years: range, present: Iterable[int], shown: int = 5) -> str:
+    """The ``years`` not ``present`` as ``[2024, 2026-2030]``: the first ``shown`` runs, then ``(+K more)``; "" if none.
+
+    Each run is a gap between present years, so the work grows with those, not with the horizon.
+    """
+    runs, start = [], years.start
+    for year in [*sorted(y for y in present if y in years), years.stop]:  # the stop ends the last gap
+        if year > start:
+            runs.append((start, year - 1))
+        start = year + 1
     text = ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs[:shown])
-    return f"[{text}]" + (f" (+{len(runs) - shown} more)" if len(runs) > shown else "")
+    more = f" (+{len(runs) - shown} more)" if len(runs) > shown else ""
+    return f"[{text}]{more}" if runs else ""
 
 
 def _emission_factors(rows: Rows, collector: _Collector) -> EmissionFactors | None:
@@ -577,6 +582,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         over = [c for c in ("population", "existing_sites") if sum(getattr(columns, c)) > 2**63 - 1]
         if over:
             collector.add("regions.csv", 0, f"{iso3}: total {' and total '.join(over)} above 2**63 - 1")
+        if not math.isfinite(sum(columns.area_km2)):  # a decile's area sums a part of it
+            collector.add("regions.csv", 0, f"{iso3}: total area_km2 is not finite")
 
     energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries, horizon.years(), collector)
     emission_factors = _emission_factors(_read_csv(data_dir / "emission_factors.csv", collector), collector)

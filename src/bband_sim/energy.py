@@ -54,12 +54,12 @@ def energy(
     (keys, deciles) array, the years added in order. Equal bit for bit to
     the per-decile, per-year chain in ``tests/reference_chains.py``: each
     element sees the same operations in the same order, each year's sources
-    add in its mix row's own order, diesel is added under every strategy
-    with a factor of 0.0 under renewables, and years reduce sequentially;
-    each species starts at +0.0 and adds only non-negative terms, so an
-    added +0.0 changes no bit. Working memory is a few (keys, deciles,
-    years) arrays: the four species are built one at a time, and each
-    field's years are reduced in place, on their own.
+    add in :data:`core.MIX_SOURCES` order, whatever the row's order, diesel
+    is added under every strategy with a factor of 0.0 under renewables,
+    and years reduce sequentially; each species starts at +0.0 and adds
+    only non-negative terms, so an added +0.0 changes no bit. Working memory
+    is a few (keys, deciles, years) arrays: the four species are built one
+    at a time, and each field's years are reduced in place, on their own.
     """
     existing = np.asarray(existing_sites, dtype=np.int64)
     new = np.asarray(new_sites, dtype=np.int64)
@@ -85,8 +85,8 @@ def energy(
     for i, (name, diesel) in enumerate(zip(ENERGY_FIELDS[3:], factors.diesel.as_tuple())):
         species = np.zeros(kwh.shape)
         for t, row in enumerate(mix_rows):
-            for source, share in row.items():
-                species[..., t] += on[..., t] * share * factors.by_source[source].as_tuple()[i]
+            for source in filter(row.__contains__, MIX_SOURCES):
+                species[..., t] += on[..., t] * row[source] * factors.by_source[source].as_tuple()[i]
         species += off * (burns * diesel)
         totals[name] = _horizon_total(species)
     return {**dict(zip(ENERGY_FIELDS, map(_horizon_total, (kwh, on, off)))), **totals}

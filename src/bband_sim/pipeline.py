@@ -1,9 +1,8 @@
 """End-to-end orchestration: demand -> capacity -> sites -> cost -> energy.
 
-Capacity tables are built once per (country, generation) and cached on disk
-keyed by a content hash of everything that determines them; the tables one
-call does not find are built together, so each distinct carrier is
-simulated once per density. With a warm cache, about half of a miniland
+Capacity tables come from one :func:`radio.build_capacity_tables` call per
+run, the path ``tables`` takes too; it owns the disk cache and its trust
+check (see :mod:`radio`). With a warm cache, about half of a miniland
 ``run``'s wall time is starting the interpreter and importing modules (numpy
 among them); of the work in this module, result emission takes the most.
 Each stage (sites: demand and dimensioning; cost and cross-subsidy; energy
@@ -73,15 +72,7 @@ from .demand import demand_columns
 from .dimensioning import site_counts
 from .energy import ENERGY_FIELDS, energy
 from .errors import BbandSimError, ValidationError
-from .radio import (
-    CapacityTable,
-    FrequencySet,
-    build_capacity_tables,
-    load_capacity_tables,
-    log_table_counts,
-    save_capacity_tables,
-    table_cache_key,
-)
+from .radio import CapacityTable, build_capacity_tables
 
 logger = logging.getLogger(__name__)
 
@@ -156,59 +147,23 @@ class PipelineOutput:
     failures: list[RunFailure]
 
 
-def _load_cached_table(path: Path | None, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:
-    """The table cached at ``path``, or None: if there is none, or (with a warning) if it does not match its key."""
-    if path is None or not path.is_file():
-        return None
-    try:
-        loaded = load_capacity_tables(path)
-    except (ValidationError, ValueError) as err:
-        logger.warning("capacity table cache %s is unreadable (%s); rebuilding", path, err)
-        return None
-    expected = (freq_set.generation, freq_set.label, tuple(density_grid))
-    if [(t.generation, t.freq_label, tuple(d for d, _ in t.rows)) for t in loaded] != [expected]:
-        logger.warning("capacity table cache %s does not match its key; rebuilding", path)
-        return None
-    return loaded[0]
-
-
 def capacity_tables(
     bundle: InputBundle,
     cache_dir: Path | str | None = None,
     jobs: int = 1,
     generations: Sequence[Generation] | None = None,
 ) -> dict[tuple[str, Generation], CapacityTable]:
-    """Build (or load from cache) one capacity table per country and generation.
+    """One capacity table per country and generation, from one :func:`radio.build_capacity_tables` call.
 
-    Each distinct cache key is read from its cache file at most once per
-    call, and that table serves every lookup of the key. A cached table
-    whose generation, frequency label or density grid differs from the
-    inputs behind its key is rebuilt and rewritten, never used. The keys
-    left over are built in one :func:`radio.build_capacity_tables` call, so
-    identical portfolios, and carriers common to several, are simulated
-    once per density; each built table is then written to its cache file.
+    The tables are read from ``cache_dir`` or built; sets with one cache key share a table.
     """
     if generations is None:
         generations = bundle.strategy_space.generations
-    cache = Path(cache_dir) if cache_dir is not None else None
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
-    grid = bundle.density_grid
     sets = {(iso3, gen): bundle.countries[iso3].frequency_set(gen)
             for iso3 in sorted(bundle.countries) for gen in generations}
-    keys = {lookup: table_cache_key(bundle.sim_params, bundle.se_table, fs, grid) for lookup, fs in sets.items()}
-    distinct = {key: sets[lookup] for lookup, key in keys.items()}  # cache key -> its set, in first-lookup order
-    paths = {key: cache / f"{key}.csv" for key in distinct} if cache is not None else {}
-    found = {key: table for key, fs in distinct.items()
-             if (table := _load_cached_table(paths.get(key), fs, grid)) is not None}
-    misses = {key: fs for key, fs in distinct.items() if key not in found}
-    built = build_capacity_tables(bundle.sim_params, bundle.se_table, list(misses.values()), grid, jobs)
-    log_table_counts(len(keys), len(found), list(misses.values()), grid)
-    for key, table in zip(misses, built):
-        if key in paths:
-            save_capacity_tables([table], paths[key])
-        found[key] = table
-    return {lookup: found[key] for lookup, key in keys.items()}
+    tables = build_capacity_tables(bundle.sim_params, bundle.se_table, list(sets.values()), bundle.density_grid, jobs,
+                                   cache_dir)
+    return dict(zip(sets, tables))
 
 
 def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:

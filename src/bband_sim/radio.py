@@ -32,11 +32,12 @@ interferers, however many rings there are. Every element takes the same
 arithmetic, in the same order, whatever the block size (see
 :func:`_received_mw`), and ``tests/reference_chains.py`` keeps the
 unblocked whole-array chain that the kernel equals bit for bit.
-A carrier's contribution depends only on (params, SE table, generation,
-carrier, density), so :func:`build_capacity_tables` runs each distinct
-simulation its sets need once, in one pool of ``jobs`` threads that is
-imported only when ``jobs > 1`` and there is work: a run whose tables all
-come from the cache never loads it.
+:func:`build_capacity_tables` is the one path from frequency sets to tables,
+for ``run`` and ``tables`` alike: it keys each set, reads each distinct key's
+cache file at most once and trusts only a match (:func:`_load_cached_table`),
+runs each distinct simulation the other tables need once, in one pool of
+``jobs`` threads imported only when ``jobs > 1`` and there is work, writes
+the built tables back and logs one ``capacity tables:`` line.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def inter_site_distance_km(site_density: float) -> float:
     return math.sqrt(2.0 / (math.sqrt(3.0) * site_density))
 
 
-def _interferer_positions(isd_km: float, rings: int) -> np.ndarray:
+def interferer_positions(isd_km: float, rings: int) -> np.ndarray:
     """Co-channel site coordinates: ring k holds 6k sites at distance k*ISD."""
     points = []
     for k in range(1, rings + 1):
@@ -162,7 +163,7 @@ _HEX_COS0, _HEX_SIN0 = np.cos(_HEX_A0), np.sin(_HEX_A0)
 _HEX_COS1, _HEX_SIN1 = np.cos(_HEX_A1), np.sin(_HEX_A1)
 
 
-def _sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float, work: tuple | None = None):
+def sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float, work: tuple | None = None):
     """Uniform points in a regular hexagon centred at the origin.
 
     The draws are made whole (triangle, then u, then v); the fold, scale and
@@ -223,9 +224,9 @@ def shadow_fading_draws(
     return rng.lognormal(mu_ln, sigma_ln, size)
 
 
-def _carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_density: float) -> np.random.Generator:
-    # Stream identity depends only on (seed, generation, carrier, density),
-    # never on scheduling order, so parallel table builds are reproducible.
+def carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_density: float) -> np.random.Generator:
+    """The simulation's own RNG stream: keyed by (seed, generation, carrier, density) alone, never by
+    scheduling order, so parallel table builds are reproducible."""
     key = (4 if generation == Generation.G4 else 5, *carrier_stream_key(carrier), density_stream_key(site_density))
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
@@ -293,8 +294,8 @@ def trial_sinr_db(
     -inf.
     """
     isd = inter_site_distance_km(site_density)
-    sites = _interferer_positions(isd, params.interferer_rings)
-    rng = _carrier_rng(params.seed, generation, carrier, site_density)
+    sites = interferer_positions(isd, params.interferer_rings)
+    rng = carrier_rng(params.seed, generation, carrier, site_density)
     n = params.trials if receiver_positions is None else len(receiver_positions)
     m = len(sites)
     rows = min(max(1, BLOCK_ELEMENTS // max(m, 1)), n)
@@ -304,7 +305,7 @@ def trial_sinr_db(
     step = rows * max(m, 1)
     a, b = np.empty(step), np.empty(step)
     if receiver_positions is None:
-        x, y = _sample_hexagon(rng, n, isd / math.sqrt(3.0), (a, b))
+        x, y = sample_hexagon(rng, n, isd / math.sqrt(3.0), (a, b))
     else:
         pos = np.asarray(receiver_positions, dtype=float)
         x, y = pos[:, 0], pos[:, 1]
@@ -389,7 +390,7 @@ def isotonic_clip(values: Sequence[float]) -> list[float]:
     return np.maximum.accumulate(np.asarray(values, dtype=float)).tolist()
 
 
-def _simulation_plan(freq_sets: Sequence[FrequencySet], density_grid: Sequence[float]) -> list[tuple]:
+def _simulation_plan(freq_sets: Iterable[FrequencySet], density_grid: Sequence[float]) -> list[tuple]:
     """Every distinct (generation, carrier, density) the sets' tables need, once each, in first-seen order."""
     return list(dict.fromkeys((fs.generation, c, d) for fs in freq_sets for d in density_grid for c in fs.carriers))
 
@@ -400,16 +401,28 @@ def build_capacity_tables(
     freq_sets: Sequence[FrequencySet],
     density_grid: Sequence[float] = DEFAULT_DENSITY_GRID,
     jobs: int = 1,
+    cache_dir: Path | str | None = None,
 ) -> list[CapacityTable]:
     """One monotone capacity table per frequency set, in the sets' order.
 
-    Each simulation of :func:`_simulation_plan` runs once, across ``jobs`` threads if ``jobs > 1``, so sets that
-    share a carrier simulate it once per density. A set's column is its carriers' results summed as in
-    :func:`simulate_density`, isotonically clipped. The grid must break no :func:`core.density_grid_rules`.
+    Sets with one :func:`table_cache_key` share a table. With a ``cache_dir``, each distinct key's ``<key>.csv``
+    there is read at most once, used if :func:`_load_cached_table` trusts it, and written for each table built.
+    The rest are built together: each simulation of :func:`_simulation_plan` runs once, across ``jobs`` threads
+    if ``jobs > 1``; a set's column is its carriers' results summed as in :func:`simulate_density`, isotonically
+    clipped. Logs one INFO line of the call's counts. The grid must break no :func:`core.density_grid_rules`.
     """
     grid = list(density_grid)
     raise_broken(density_grid_rules(grid))
-    plan = _simulation_plan(freq_sets, grid)
+    cache = Path(cache_dir) if cache_dir is not None else None
+    if cache is not None:
+        cache.mkdir(parents=True, exist_ok=True)
+    keys = [table_cache_key(params, se_table, fs, grid) for fs in freq_sets]
+    distinct = dict(zip(keys, freq_sets))  # cache key -> its set, in first-lookup order
+    paths = {key: cache / f"{key}.csv" for key in distinct} if cache is not None else {}
+    found = {key: table for key, fs in distinct.items()
+             if (table := _load_cached_table(paths.get(key), fs, grid)) is not None}
+    misses = {key: fs for key, fs in distinct.items() if key not in found}
+    plan = _simulation_plan(misses.values(), grid)
 
     def simulate(point: tuple) -> float:
         return carrier_capacity(params, se_table, *point)
@@ -421,11 +434,18 @@ def build_capacity_tables(
             capacity = dict(zip(plan, pool.map(simulate, plan)))
     else:
         capacity = {point: simulate(point) for point in plan}
-    tables = []
-    for fs in freq_sets:
+    built = {}
+    for key, fs in misses.items():
         column = [ordered_sum(capacity[fs.generation, c, d] for c in fs.carriers) for d in grid]
-        tables.append(CapacityTable(fs.generation, fs.label, tuple(zip(grid, isotonic_clip(column)))))
-    return tables
+        built[key] = CapacityTable(fs.generation, fs.label, tuple(zip(grid, isotonic_clip(column))))
+    logger.info("capacity tables: %d lookups, %d distinct tables, %d read from cache, %d built, %d carrier-density "
+                "pairs, %d simulations", len(keys), len(distinct), len(found), len(built),
+                sum(len(fs.carriers) for fs in misses.values()) * len(grid), len(plan))
+    for key, table in built.items():
+        if key in paths:
+            save_capacity_tables([table], paths[key])
+    tables = {**found, **built}
+    return [tables[key] for key in keys]
 
 
 def build_capacity_table(
@@ -437,14 +457,6 @@ def build_capacity_table(
 ) -> CapacityTable:
     """The capacity table of one frequency set; see :func:`build_capacity_tables`."""
     return build_capacity_tables(params, se_table, [freq_set], density_grid, jobs)[0]
-
-
-def log_table_counts(lookups: int, cached: int, built: Sequence[FrequencySet], density_grid: Sequence[float]) -> None:
-    """Log one INFO line on a call's table lookups, with the pairs and simulations of the distinct sets ``built``."""
-    pairs = sum(len(fs.carriers) for fs in built) * len(density_grid)
-    logger.info("capacity tables: %d lookups, %d distinct tables, %d read from cache, %d built, %d carrier-density "
-                "pairs, %d simulations", lookups, cached + len(built), cached, len(built), pairs,
-                len(_simulation_plan(built, density_grid)))
 
 
 def required_density(table: CapacityTable, demand_mbps_km2) -> tuple[np.ndarray, np.ndarray]:
@@ -537,3 +549,19 @@ def load_capacity_tables(path: Path | str) -> list[CapacityTable]:
         CapacityTable(generation=Generation(gen), freq_label=label, rows=tuple(rows))
         for (gen, label), rows in grouped.items()
     ]
+
+
+def _load_cached_table(path: Path | None, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:
+    """The table cached at ``path``, or None: if there is none, or (with a warning) if it does not match its key."""
+    if path is None or not path.is_file():
+        return None
+    try:
+        loaded = load_capacity_tables(path)
+    except (ValidationError, ValueError) as err:
+        logger.warning("capacity table cache %s is unreadable (%s); rebuilding", path, err)
+        return None
+    expected = (freq_set.generation, freq_set.label, tuple(density_grid))
+    if [(t.generation, t.freq_label, tuple(d for d, _ in t.rows)) for t in loaded] != [expected]:
+        logger.warning("capacity table cache %s does not match its key; rebuilding", path)
+        return None
+    return loaded[0]

@@ -25,8 +25,8 @@ import numpy as np
 
 from bband_sim import radio
 from bband_sim.core import (
-    AXES, DIESEL_SOURCE, Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy, Settlement,
-    Sharing, SimulationParams, ordered_sum,
+    AXES, DIESEL_SOURCE, MIX_SOURCES, Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy,
+    Settlement, Sharing, SimulationParams, ordered_sum,
 )
 from bband_sim.cost import subsidies
 from bband_sim.energy import HOURS_PER_YEAR, check_mix_row
@@ -142,15 +142,16 @@ def emissions(
 ) -> Emissions:
     """Emission species from one year's energy.
 
-    On-grid energy is split across the year's generation mix and each
-    source's factors applied; off-grid energy uses the diesel generator row,
-    or nothing at all once converted to renewables.
+    On-grid energy is split across the year's generation mix, its sources
+    in ``MIX_SOURCES`` order, and each source's factors applied; off-grid
+    energy uses the diesel generator row, or nothing at all once converted
+    to renewables.
     """
     check_mix_row(mix_row)
     co2 = nox = sox = pm10 = 0.0
-    for source, share in mix_row.items():
+    for source in filter(mix_row.__contains__, MIX_SOURCES):
         row = factors.by_source[source]
-        kwh = on_grid_kwh * share
+        kwh = on_grid_kwh * mix_row[source]
         co2 += kwh * row.co2_kg_kwh
         nox += kwh * row.nox_g_kwh
         sox += kwh * row.sox_g_kwh
@@ -479,9 +480,9 @@ def sinr(signal_dbm, interferers_dbm, noise_dbm: float, network_load: float = 1.
 def reference_sinr_db(params, generation, carrier, site_density, receiver_positions=None):
     """The unblocked whole-array chain that trial_sinr_db must match bit for bit."""
     isd = inter_site_distance_km(site_density)
-    sites = radio._interferer_positions(isd, params.interferer_rings)
+    sites = radio.interferer_positions(isd, params.interferer_rings)
     dh_km = (params.tx_height_m - params.rx_height_m) / 1000.0
-    rng = radio._carrier_rng(params.seed, generation, carrier, site_density)
+    rng = radio.carrier_rng(params.seed, generation, carrier, site_density)
     if receiver_positions is None:
         n, r = params.trials, isd / math.sqrt(3.0)
         tri = rng.integers(0, 6, n)

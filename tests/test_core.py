@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +94,7 @@ class TestBuildDeciles:
         assert sum(d.population for d in deciles) == sum(r.population for r in regions)
         assert sum(d.existing_sites for d in deciles) == sum(r.existing_sites for r in regions)
         assert sum(d.area_km2 for d in deciles) == pytest.approx(sum(r.area_km2 for r in regions), rel=1e-12)
-        densities = [d.pop_density for d in deciles if not d.degenerate]
+        densities = [d.population / d.area_km2 for d in deciles if not d.degenerate]
         assert all(a >= b for a, b in zip(densities, densities[1:]))
 
     def test_area_is_the_left_to_right_sum(self):
@@ -158,9 +159,9 @@ class TestDecileConservation:
         filled = min(n, 10)
         assert [d.degenerate for d in deciles] == [False] * filled + [True] * (10 - filled)
         for d in deciles[filled:]:
-            fields = (d.population, d.area_km2, d.existing_sites, d.pop_density, d.settlement)
-            assert fields == (0, 0.0, 0, 0.0, Settlement.RURAL)
-            assert [type(v) for v in fields[:4]] == [int, float, int, float]
+            fields = (d.population, d.area_km2, d.existing_sites, d.settlement)
+            assert fields == (0, 0.0, 0, Settlement.RURAL)
+            assert [type(v) for v in fields[:3]] == [int, float, int]
         # filled bins hold 1-25 persons/km^2: all rural, or all urban under the low thresholds
         want = Settlement.URBAN if thresholds.urban_min_density < 1 else Settlement.RURAL
         assert all(d.settlement == want for d in deciles[:filled])
@@ -180,16 +181,20 @@ class TestDecileRecord:
             DecileRecord("AAA", 1, 1, 1.0, 0, 1.0, Settlement.RURAL)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 10**12), st.floats(1e-6, 1e9))
+    @given(st.integers(1, 10**12), st.floats(1e-6, 1e9))
     def test_pop_density_is_population_over_area(self, population, area):
-        d = DecileRecord(country_iso3="AAA", decile_index=1, population=population, area_km2=area, existing_sites=0,
-                         settlement=Settlement.RURAL)
-        assert d.pop_density == population / area
+        # an urban cutoff at population / area, and one ulp above it, tells the decile's density to the bit
+        density = population / area
+        deciles = [build_deciles(columns([region(0, population, area)]), "AAA", SettlementThresholds(cut, density / 2))
+                   for cut in (density, math.nextafter(density, math.inf))]
+        assert [d[0].settlement for d in deciles] == [Settlement.URBAN, Settlement.SUBURBAN]
 
     def test_degenerate_density_is_zero(self):
-        d = DecileRecord(country_iso3="AAA", decile_index=10, population=0, area_km2=0.0, existing_sites=0,
-                         settlement=Settlement.RURAL, degenerate=True)
-        assert d.pop_density == 0.0 and type(d.pop_density) is float
+        # one region of 1 person/km^2 is urban under these thresholds; an empty bin classifies at density 0.0
+        low = SettlementThresholds(1e-3, 1e-6)
+        deciles = build_deciles(columns([region(0, 1, 1.0)]), "AAA", low)
+        assert deciles[0].settlement == Settlement.URBAN
+        assert all(d.degenerate and d.settlement == classify_settlement(0.0, low) for d in deciles[1:])
 
 
 #: The SimulationParams rules that break independently of each other, in

@@ -763,6 +763,21 @@ CASES = {
         [("regions.csv", "MLA-R01,MLA,480000,", "MLA-R01,MLA,9223372036853105807,")],
         [],
     ),
+    # --- region areas whose decile arithmetic leaves float range ---
+    "regions_density_not_finite": (  # 10 regions: the region is a decile of its own, of density inf
+        [("regions.csv", "MLA-R01,MLA,480000,200,", "MLA-R01,MLA,480000,1e-320,"),
+         ("regions.csv", "MLA-R11,MLA,40000,5000,30\nMLA-R12,MLA,20000,6250,25\n", "")],
+        ["regions.csv:2: region MLA-R01: population / area_km2 is not finite"],
+    ),
+    "regions_population_beyond_float_range_is_its_total": (  # population / area would raise, not overflow
+        [("regions.csv", "MLA-R01,MLA,480000,", f"MLA-R01,MLA,{10**400},")],
+        ["regions.csv: MLA: total population above 2**63 - 1"],
+    ),
+    "regions_area_total_not_finite": (  # 20 regions: the two sparsest share decile 10, of area inf
+        [("regions.csv", APPEND,
+          "".join(f"MLA-R{i},MLA,1000,{'1e308' if i < 15 else 1000},0\n" for i in range(13, 21)))],
+        ["regions.csv: MLA: total area_km2 is not finite"],
+    ),
 }
 
 #: The damaged configs that passed ``validate`` before rates were bounded:
@@ -810,9 +825,12 @@ def test_bad_rates_stop_validate_and_run(miniland_copy, tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-#: The damaged regions that passed ``validate`` before country totals were
-#: bounded: ``run`` then died with an OverflowError traceback.
-OVERFLOWING_TOTALS = ("regions_population_total_overflows", "regions_both_totals_overflow")
+#: The damaged regions that passed ``validate`` before country totals and
+#: region densities were bounded: ``run`` then died with an OverflowError
+#: traceback, stopped at an infinite decile density (exit 3), or failed every
+#: run on a decile area sum of inf.
+OVERFLOWING_TOTALS = ("regions_population_total_overflows", "regions_both_totals_overflow",
+                      "regions_density_not_finite", "regions_area_total_not_finite")
 
 
 @pytest.mark.parametrize("case", OVERFLOWING_TOTALS)
@@ -860,12 +878,18 @@ def test_carriers_sharing_a_stream_stop_validate_and_run(miniland_copy, tmp_path
 
 def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):
     # every rate now overflows too, one line each; the mix years are one range per country
-    damage(miniland_copy, [("config.yaml", "end_year: 2030", "end_year: 200000")])
-    code = main(["validate", "--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")])
-    assert code == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "energy_mix.csv: MLA: missing mix years [2031-200000]\n" in err
-    assert len(err.encode()) < 4096
+    config = miniland_copy / "config.yaml"
+    text = config.read_text()
+    for end_year in ("200000", "100000000"):
+        config.write_text(text.replace("end_year: 2030", f"end_year: {end_year}"))
+        assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"energy_mix.csv: MLA: missing mix years [2031-{end_year}]\n" in err
+        assert len(err.encode()) < 4096
+    # a float end year reads as its integer, and the work still grows with the mix rows alone
+    config.write_text(text.replace("end_year: 2030", "end_year: 1.0e+300"))
+    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
+    assert f"missing mix years [2031-{int(1.0e+300)}]" in capsys.readouterr().err
 
 
 def test_missing_data_directory(miniland_copy):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import logging
 import math
 import random
@@ -296,7 +297,8 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "build_capacity_tables", lambda *a, **k: builds.append(a[2]) or build(*a, **k))
         monkeypatch.setattr(radio, "carrier_capacity", lambda *a, **k: sims.append(a[2:5]) or simulate(*a, **k))
         tables = pipeline.capacity_tables(small)
-        assert [len(sets) for sets in builds] == [3]  # one build call of the distinct tables, even without a cache
+        # one build call of the 4 lookups, which hold 3 distinct tables, even without a cache
+        assert [(len(sets), len(set(sets))) for sets in builds] == [(4, 3)]
         # MLA and MLB hold the same 4G carriers and share 700x10 in 5G: 6 distinct carriers, not 10
         assert len(sims) == len(set(sims)) == 6 * len(small.density_grid)
         monkeypatch.undo()
@@ -307,8 +309,8 @@ class TestRunPipeline:
     def test_shared_cache_file_read_once_per_call(self, bundle, table_cache, monkeypatch):
         warm = pipeline.capacity_tables(bundle, cache_dir=table_cache)
         reads = []
-        load = pipeline.load_capacity_tables
-        monkeypatch.setattr(pipeline, "load_capacity_tables", lambda path: reads.append(path) or load(path))
+        load = radio.load_capacity_tables
+        monkeypatch.setattr(radio, "load_capacity_tables", lambda path: reads.append(path) or load(path))
         tables = pipeline.capacity_tables(bundle, cache_dir=table_cache)
         # MLA and MLB hold the same 4G carriers: 4 lookups of 3 distinct files
         assert len(tables) == 4
@@ -318,8 +320,8 @@ class TestRunPipeline:
     def test_cold_call_reads_no_cache_file(self, bundle, tmp_path, monkeypatch):
         small = dataclasses.replace(bundle, sim_params=dataclasses.replace(bundle.sim_params, trials=200))
         reads = []
-        load = pipeline.load_capacity_tables
-        monkeypatch.setattr(pipeline, "load_capacity_tables", lambda path: reads.append(path) or load(path))
+        load = radio.load_capacity_tables
+        monkeypatch.setattr(radio, "load_capacity_tables", lambda path: reads.append(path) or load(path))
         tables = pipeline.capacity_tables(small, cache_dir=tmp_path / "cache")
         # the shared 4G table is built once and serves both countries without a read back
         assert len(tables) == 4
@@ -735,6 +737,20 @@ class TestEdgeCasesEndToEnd:
         assert (table.column("total_sites", empty) == 0).all()
         assert (table.column("financial_cost_usd", empty) == 0).all()
         assert (table.column("energy_kwh", empty) == 0).all()
+
+    def test_mix_row_order_changes_no_emission_bit(self, bundle, miniland_copy, table_cache, full_matrix):
+        # each (region, year)'s source rows reversed: an equal bundle, so equal emissions to the bit
+        path = miniland_copy / "energy_mix.csv"
+        header, *lines = path.read_text().splitlines()
+        years = itertools.groupby(lines, key=lambda line: line.split(",")[:2])
+        path.write_text("\n".join([header, *(line for _, rows in years for line in reversed(list(rows)))]) + "\n")
+        reordered = load_bundle(miniland_copy, miniland_copy / "config.yaml")
+        assert reordered == bundle
+        assert list(reordered.energy_mix["MLA"][2023]) != list(bundle.energy_mix["MLA"][2023])
+        out = run_pipeline(reordered, cache_dir=table_cache)
+        assert not out.failures
+        for name in ("co2_kg", "nox_g", "sox_g", "pm10_g"):
+            assert np.array_equal(out.results.column(name).view(np.int64), full_matrix[0].column(name).view(np.int64))
 
     def test_unserviceable_demand_flagged_not_crashed(self, miniland_copy, table_cache):
         # a density grid topping out far below urban demand forces the flag

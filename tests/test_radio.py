@@ -204,7 +204,7 @@ class TestShadowFading:
 class TestSampleHexagon:
     def test_uniform_inside_the_hexagon(self):
         # corners at angles k * 60 degrees: the flat sides are at |y| = sqrt(3)/2 R
-        x, y = radio._sample_hexagon(np.random.default_rng(11), 200_000, 1.0)
+        x, y = radio.sample_hexagon(np.random.default_rng(11), 200_000, 1.0)
         root3 = math.sqrt(3.0)
         assert (np.abs(y) <= root3 / 2.0 + 1e-12).all()
         assert (root3 * np.abs(x) + np.abs(y) <= root3 + 1e-12).all()
@@ -362,7 +362,7 @@ class TestCarrierStreams:
 
     def test_carrier_rng_is_keyed_by_the_stream_key(self):
         def draws(carrier):
-            return radio._carrier_rng(7, Generation.G4, carrier, 0.5).random(4).tolist()
+            return radio.carrier_rng(7, Generation.G4, carrier, 0.5).random(4).tolist()
 
         assert draws(Carrier(800.0001, 10.0)) == draws(Carrier(800.0004, 10.0)) == draws(Carrier(800.0, 10.0))
         assert draws(Carrier(800.001, 10.0)) != draws(Carrier(800.0, 10.0))
