@@ -219,7 +219,9 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
     Reports a missing file, a header other than the declared one, a row with
     the wrong number of cells and each bad cell, in column order. Blank lines
     are skipped but counted: ``line`` is the physical line on which the row
-    ends. A file that is not UTF-8 gives one diagnostic and no rows.
+    ends. A file that is not UTF-8 gives one diagnostic and no rows; a record
+    csv cannot read (a stray quote can run a field past csv's size limit)
+    gives one diagnostic at the line where it starts, and ends the rows.
     """
     name = path.name
     if not path.is_file():
@@ -236,14 +238,20 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
         collector.add(name, 1, f"header must be exactly {header!r}, got {first!r}")
         return
     reader = csv.reader(fh)
-    for cells in filter(None, reader):
-        line = reader.line_num + 1  # the header was read before the reader
-        if len(cells) != len(columns):
-            collector.add(name, line, "wrong number of columns")
-            continue
-        values = [collector.check(name, line, "", _parse, raw, *column) for raw, column in zip(cells, columns)]
-        if None not in values:
-            yield line, values
+    line = 1  # the line the last record ended on: the header was read before the reader
+    try:
+        for cells in reader:
+            line = reader.line_num + 1
+            if not cells:
+                continue
+            if len(cells) != len(columns):
+                collector.add(name, line, "wrong number of columns")
+                continue
+            values = [collector.check(name, line, "", _parse, raw, *column) for raw, column in zip(cells, columns)]
+            if None not in values:
+                yield line, values
+    except csv.Error as err:
+        collector.add(name, line + 1, f"unreadable record: {err}")
 
 
 def _spectrum(rows: Rows) -> dict[str, list[tuple[Generation, Carrier]]]:
@@ -528,7 +536,7 @@ def load_config(config_path: Path | str, collector: _Collector) -> dict[str, dic
         loader = _ConfigLoader(text)
         try:
             raw = loader.get_single_data()
-        except yaml.YAMLError as err:
+        except (yaml.YAMLError, RecursionError) as err:  # a document nested too deep for the parser's recursion
             collector.add(path.name, 0, f"invalid YAML: {err}")
         for line, _, key in sorted(loader.repeated):  # in line order: YAML builds nested mappings last
             collector.add(path.name, line, f"duplicate key {key!r}")

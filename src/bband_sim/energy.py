@@ -7,8 +7,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    MIX_SOURCES, MIX_SUM_TOLERANCE, CountryParams, DecileRecord, EmissionFactors, EnergyParams, EnergyStrategy,
-    StrategyBundle,
+    MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, CountryParams, DecileRecord, EmissionFactors, EnergyParams,
+    EnergyStrategy, StrategyBundle, broken_bound, raise_broken,
 )
 from .cost import radio_divisor
 from .errors import ValidationError
@@ -20,12 +20,14 @@ ENERGY_FIELDS = ("energy_kwh", "on_grid_kwh", "off_grid_kwh", "co2_kg", "nox_g",
 
 
 def check_mix_row(mix_row: Mapping[str, float]) -> None:
-    """Reject a generation mix with unknown sources or shares not summing to 1."""
+    """Reject a generation mix with unknown sources, a share breaking :data:`MIX_SHARE_BOUNDS` (nan included) or
+    shares not summing to 1, with the loader's texts for the shares."""
     unknown = [s for s in mix_row if s not in MIX_SOURCES]
     if unknown:
         raise ValidationError(f"unknown mix sources: {unknown}")
+    raise_broken(filter(None, (broken_bound("share", share, MIX_SHARE_BOUNDS) for share in mix_row.values())))
     total_share = sum(mix_row.values())
-    if abs(total_share - 1.0) > MIX_SUM_TOLERANCE:
+    if not abs(total_share - 1.0) <= MIX_SUM_TOLERANCE:  # a nan total fails too
         raise ValidationError(f"mix shares sum to {total_share}, expected 1")
 
 

@@ -36,7 +36,7 @@ unblocked whole-array chain that the kernel equals bit for bit.
 for ``run`` and ``tables`` alike: it keys each set, reads each distinct key's
 cache file at most once and trusts only a match (:func:`_load_cached_table`),
 runs each distinct simulation the other tables need once, in one pool of
-``jobs`` threads imported only when ``jobs > 1`` and there is work, writes
+``jobs`` threads imported only when there is a simulation to run, writes
 the built tables back and logs one ``capacity tables:`` line.
 """
 
@@ -163,18 +163,18 @@ _HEX_COS0, _HEX_SIN0 = np.cos(_HEX_A0), np.sin(_HEX_A0)
 _HEX_COS1, _HEX_SIN1 = np.cos(_HEX_A1), np.sin(_HEX_A1)
 
 
-def sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float, work: tuple | None = None):
+def sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float, work: tuple[np.ndarray, np.ndarray]):
     """Uniform points in a regular hexagon centred at the origin.
 
     The draws are made whole (triangle, then u, then v); the fold, scale and
-    rotation run over chunks of trials as long as the two float buffers of
-    ``work`` (default :data:`BLOCK_ELEMENTS`), turning u and v into x and y
-    in place, so only the triangle index, as one byte per trial, is extra.
+    rotation run over chunks of trials as long as the two equal float buffers
+    of ``work``, turning u and v into x and y in place, so only the triangle
+    index, as one byte per trial, is extra.
     """
     tri = rng.integers(0, 6, n).astype(np.uint8)
     u = rng.random(n)
     v = rng.random(n)
-    a, b = work or (np.empty(min(BLOCK_ELEMENTS, n)), np.empty(min(BLOCK_ELEMENTS, n)))
+    a, b = work
     step = len(a)
     for lo in range(0, n, step):
         ub, vb = u[lo:lo + step], v[lo:lo + step]
@@ -289,9 +289,9 @@ def trial_sinr_db(
     interference is numpy's ``sum`` of its paths' powers over the
     interferer axis (not a left fold; ``tests/reference_chains.py`` makes
     the same call), times ``network_load``, and its SINR is
-    ``10 log10(signal / (interference + noise))`` with the noise floor in mW
-    (noise alone when there are no rings). A signal below float range gives
-    -inf.
+    ``10 log10(signal / (interference + noise))`` with the noise floor in mW;
+    with no rings the blocks hold no paths, and their interference 0.0 adds
+    nothing to the noise. A signal below float range gives -inf.
     """
     isd = inter_site_distance_km(site_density)
     sites = interferer_positions(isd, params.interferer_rings)
@@ -324,28 +324,25 @@ def trial_sinr_db(
         np.sqrt(s, out=s)
         _received_mw(s, sb, params, freq_term_db, t)
         sb[:] = s  # the serving shadow becomes the signal power
-    if m:
-        path, scratch = a.reshape(rows, m), b.reshape(rows, m)
-        total = np.empty(rows)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            d, t, tot = path[:hi - lo], scratch[:hi - lo], total[:hi - lo]
-            np.subtract(x[lo:hi, None], sites[:, 0], out=d)
-            d *= d
-            np.subtract(y[lo:hi, None], sites[:, 1], out=t)
-            t *= t
-            d += t
-            d += dh_sq
-            np.sqrt(d, out=d)
-            shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (hi - lo, m))
-            _received_mw(d, shadow, params, freq_term_db, t)
-            del shadow  # freed before the next block's draw
-            np.sum(d, axis=-1, out=tot)
-            tot *= params.network_load
-            tot += noise_mw
-            np.divide(sinr[lo:hi], tot, out=sinr[lo:hi])
-    else:
-        sinr /= noise_mw  # interference 0.0 + noise_mw == noise_mw
+    path, scratch = a[:rows * m].reshape(rows, m), b[:rows * m].reshape(rows, m)
+    total = np.empty(rows)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        d, t, tot = path[:hi - lo], scratch[:hi - lo], total[:hi - lo]
+        np.subtract(x[lo:hi, None], sites[:, 0], out=d)
+        d *= d
+        np.subtract(y[lo:hi, None], sites[:, 1], out=t)
+        t *= t
+        d += t
+        d += dh_sq
+        np.sqrt(d, out=d)
+        shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (hi - lo, m))
+        _received_mw(d, shadow, params, freq_term_db, t)
+        del shadow  # freed before the next block's draw
+        np.sum(d, axis=-1, out=tot)  # 0.0 with no rings
+        tot *= params.network_load
+        tot += noise_mw
+        np.divide(sinr[lo:hi], tot, out=sinr[lo:hi])
     with np.errstate(divide="ignore"):
         np.log10(sinr, out=sinr)
     sinr *= 10.0
@@ -390,11 +387,6 @@ def isotonic_clip(values: Sequence[float]) -> list[float]:
     return np.maximum.accumulate(np.asarray(values, dtype=float)).tolist()
 
 
-def _simulation_plan(freq_sets: Iterable[FrequencySet], density_grid: Sequence[float]) -> list[tuple]:
-    """Every distinct (generation, carrier, density) the sets' tables need, once each, in first-seen order."""
-    return list(dict.fromkeys((fs.generation, c, d) for fs in freq_sets for d in density_grid for c in fs.carriers))
-
-
 def build_capacity_tables(
     params: SimulationParams,
     se_table: SpectralEfficiencyTable,
@@ -407,9 +399,10 @@ def build_capacity_tables(
 
     Sets with one :func:`table_cache_key` share a table. With a ``cache_dir``, each distinct key's ``<key>.csv``
     there is read at most once, used if :func:`_load_cached_table` trusts it, and written for each table built.
-    The rest are built together: each simulation of :func:`_simulation_plan` runs once, across ``jobs`` threads
-    if ``jobs > 1``; a set's column is its carriers' results summed as in :func:`simulate_density`, isotonically
-    clipped. Logs one INFO line of the call's counts. The grid must break no :func:`core.density_grid_rules`.
+    The rest are built together: each distinct (generation, carrier, density) simulation they need runs once, in
+    one pool of ``jobs`` threads, imported only when there is a simulation to run; the first failure stops the
+    build. A set's column is its carriers' results summed as in :func:`simulate_density`, isotonically clipped.
+    Logs one INFO line of the call's counts. The grid must break no :func:`core.density_grid_rules`.
     """
     grid = list(density_grid)
     raise_broken(density_grid_rules(grid))
@@ -422,18 +415,14 @@ def build_capacity_tables(
     found = {key: table for key, fs in distinct.items()
              if (table := _load_cached_table(paths.get(key), fs, grid)) is not None}
     misses = {key: fs for key, fs in distinct.items() if key not in found}
-    plan = _simulation_plan(misses.values(), grid)
-
-    def simulate(point: tuple) -> float:
-        return carrier_capacity(params, se_table, *point)
-
-    if jobs > 1 and plan:
+    plan = list(dict.fromkeys((fs.generation, c, d) for fs in misses.values() for d in grid for c in fs.carriers))
+    capacity = {}
+    if plan:  # a warm run loads no thread pool
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            capacity = dict(zip(plan, pool.map(simulate, plan)))
-    else:
-        capacity = {point: simulate(point) for point in plan}
+            # map cancels the queued simulations when one raises
+            capacity = dict(zip(plan, pool.map(lambda point: carrier_capacity(params, se_table, *point), plan)))
     built = {}
     for key, fs in misses.items():
         column = [ordered_sum(capacity[fs.generation, c, d] for c in fs.carriers) for d in grid]
@@ -557,7 +546,7 @@ def _load_cached_table(path: Path | None, freq_set: FrequencySet, density_grid: 
         return None
     try:
         loaded = load_capacity_tables(path)
-    except (ValidationError, ValueError) as err:
+    except (ValidationError, ValueError, csv.Error) as err:
         logger.warning("capacity table cache %s is unreadable (%s); rebuilding", path, err)
         return None
     expected = (freq_set.generation, freq_set.label, tuple(density_grid))

@@ -778,6 +778,11 @@ CASES = {
           "".join(f"MLA-R{i},MLA,1000,{'1e308' if i < 15 else 1000},0\n" for i in range(13, 21)))],
         ["regions.csv: MLA: total area_km2 is not finite"],
     ),
+    # --- a record csv cannot read: the rows before it load ---
+    "regions_record_over_the_field_limit": (  # a stray quote runs one field past csv's 131072 characters
+        [("regions.csv", APPEND, '"' + "x" * 140_000)],
+        ["regions.csv:26: unreadable record: field larger than field limit (131072)"],
+    ),
 }
 
 #: The damaged configs that passed ``validate`` before rates were bounded:
@@ -890,6 +895,14 @@ def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):
     config.write_text(text.replace("end_year: 2030", "end_year: 1.0e+300"))
     assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
     assert f"missing mix years [2031-{int(1.0e+300)}]" in capsys.readouterr().err
+
+
+def test_yaml_nested_past_the_parser_recursion_is_one_diagnostic(miniland_copy):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text() + "tables:\n  portfolios: " + "[" * 1000 + "]" * 1000 + "\n")
+    [only] = diagnostics(miniland_copy, config)
+    assert only.startswith("config.yaml: invalid YAML: maximum recursion depth exceeded")
+    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
 
 
 def test_missing_data_directory(miniland_copy):

@@ -414,5 +414,10 @@ class TestEnergyKernel:
             batch_energy(**block, mix_rows=[ALL_COAL, bad])
         with pytest.raises(ValidationError, match="unknown mix sources"):
             batch_energy(**block, mix_rows=[{"peat": 1.0}])
+        # the loader's one text for a share below its bound, nan included
+        with pytest.raises(ValidationError, match="^share: nan must be >= 0$"):
+            batch_energy(**block, mix_rows=[{"coal": float("nan")}])
+        with pytest.raises(ValidationError, match="^share: -0.5 must be >= 0$"):
+            batch_energy(**block, mix_rows=[ALL_COAL, {"coal": -0.5, "gas": 1.5}])
         with pytest.raises(ValidationError, match="site counts"):
             batch_energy(**dict(block, keys=[key, dict(key, new_sites=[-1])]), mix_rows=[ALL_COAL])

@@ -24,10 +24,15 @@ from bband_sim.core import (
     ScenarioSpec,
     Sharing,
     StrategyBundle,
+    build_deciles,
     enumerate_runs,
     run_key,
 )
 from bband_sim.cli import RUN_FILTER_VALUES, parse_run_filter
+from bband_sim.cost import cost_columns
+from bband_sim.demand import demand_columns
+from bband_sim.dimensioning import site_counts
+from bband_sim.energy import energy
 from bband_sim.errors import ValidationError
 from bband_sim.pipeline import (
     COUNTRY_COLUMNS,
@@ -261,6 +266,39 @@ class TestRunPipeline:
         for stage, n in counts.items():  # what ``-v`` logs
             assert f"stage {stage}: {n} keys," in caplog.text
 
+    def test_stage_axes_are_neither_too_narrow_nor_too_wide(self, bundle, table_cache):
+        # run_pipeline hands each stage key's first run to the kernels, so a kernel reading an axis outside
+        # its key would pass every other test. Here each run of the matrix is its own key, on MLA's deciles.
+        runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
+        strategies, iso3 = [s for s, _ in runs], "MLA"
+        country, ds = bundle.countries[iso3], build_deciles(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
+        tables, horizon = pipeline.capacity_tables(bundle, cache_dir=table_cache), bundle.scenario_space.horizon
+        demand = demand_columns(ds, country, bundle.adoption, horizon, [sc for _, sc in runs])
+        sites = {**demand, **site_counts(demand["demand_mbps_km2"], [tables[iso3, s.generation] for s in strategies], ds)}
+        stages = {
+            "sites": sites,
+            "cost": cost_columns(sites["new_sites"], sites["upgraded_sites"], sites["revenue_pv_usd"], ds,
+                                 strategies, country, bundle.cost_inputs),
+            "energy": energy(sites["existing_sites"], sites["new_sites"], ds, strategies, country,
+                             bundle.energy_params, [bundle.energy_mix[iso3][y] for y in horizon.years()],
+                             bundle.emission_factors),
+        }
+        names = [axis.name for axis in AXES]
+        keys = [run_key(*r) for r in runs]
+        for stage, columns in stages.items():
+            bits = [b"".join(column[i].tobytes() for column in columns.values()) for i in range(len(runs))]
+
+            def outputs_by_key(axes):
+                groups = {}
+                for key, run_bits in zip(keys, bits):
+                    groups.setdefault(tuple(key[names.index(a)] for a in axes), set()).add(run_bits)
+                return groups.values()
+
+            # too narrow: runs sharing a key differ in some column
+            assert all(len(group) == 1 for group in outputs_by_key(STAGE_AXES[stage])), stage
+            for axis in STAGE_AXES[stage]:  # too wide: an axis that changes no column
+                assert any(len(group) > 1 for group in outputs_by_key(set(STAGE_AXES[stage]) - {axis})), (stage, axis)
+
     def test_demand_computed_once_per_country_and_scenario(self, bundle, table_cache, monkeypatch):
         import bband_sim.pipeline as pl
 
@@ -329,7 +367,7 @@ class TestRunPipeline:
         assert len(list((tmp_path / "cache").glob("*.csv"))) == 3
 
     @pytest.mark.parametrize("damage", [
-        "truncate", "garbage",
+        "truncate", "garbage", "oversized",
         *(f"{cell}={value}" for cell in ("density", "capacity") for value in ("nan", "inf", "-inf")),
     ])
     def test_damaged_cache_file_rebuilt_with_warning(self, bundle, baseline_output, tmp_path, caplog, damage):
@@ -343,6 +381,8 @@ class TestRunPipeline:
                 f.write_text("".join(lines[:4]))
             elif damage == "garbage":
                 f.write_text(lines[0] + "4G,x,not-a-number,1\n")
+            elif damage == "oversized":  # a stray quote runs one field past csv's size limit
+                f.write_text("".join(lines) + '"' + "x" * 140_000)
             else:  # one cell of the last row, e.g. "capacity=inf"
                 cell, value = damage.split("=")
                 last = lines[-1].rstrip("\n").split(",")

@@ -204,7 +204,7 @@ class TestShadowFading:
 class TestSampleHexagon:
     def test_uniform_inside_the_hexagon(self):
         # corners at angles k * 60 degrees: the flat sides are at |y| = sqrt(3)/2 R
-        x, y = radio.sample_hexagon(np.random.default_rng(11), 200_000, 1.0)
+        x, y = radio.sample_hexagon(np.random.default_rng(11), 200_000, 1.0, (np.empty(4096), np.empty(4096)))
         root3 = math.sqrt(3.0)
         assert (np.abs(y) <= root3 / 2.0 + 1e-12).all()
         assert (root3 * np.abs(x) + np.abs(y) <= root3 + 1e-12).all()
@@ -376,6 +376,56 @@ class TestCarrierStreams:
         with pytest.raises(ValidationError, match="equal to 1 kHz, so they would share an RNG stream"):
             FrequencySet(Generation.G4, tuple(Carrier(*c) for c in carriers))
         FrequencySet(Generation.G4, tuple(Carrier(f + 0.001 * i, bw) for i, (f, bw) in enumerate(carriers)))
+
+
+def hexagon_lattice(per_side: int, circumradius: float, vertex_deg: float) -> np.ndarray:
+    """The cell centres of a ``per_side`` x ``per_side`` lattice over [-R, R]^2 that lie in the regular hexagon of
+    circumradius R with vertices at ``vertex_deg + k * 60`` degrees: within the apothem along each side's normal."""
+    c = ((np.arange(per_side) + 0.5) / per_side * 2.0 - 1.0) * circumradius
+    x, y = (a.ravel() for a in np.meshgrid(c, c))
+    inside = np.ones(len(x), dtype=bool)
+    for normal in np.radians(vertex_deg + 30.0 + 60.0 * np.arange(6)):
+        inside &= x * math.cos(normal) + y * math.sin(normal) <= circumradius * math.sqrt(3.0) / 2.0
+    return np.column_stack([x[inside], y[inside]])
+
+
+def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest gap between the empirical CDFs of two samples."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, at, side="right") / len(a)
+                        - np.searchsorted(b, at, side="right") / len(b)).max())
+
+
+class TestGeometryOracle:
+    """The kernel's receiver drops against the model as documented, with no draw shared.
+
+    Without shadow spread a trial's SINR is a fixed function of where the receiver stands, so the distribution
+    of 100,000 kernel trials must match that function over a dense lattice on the serving hexagon, which is
+    written here from the model: vertices at k * 60 degrees, circumradius ISD / sqrt(3). Both sides take the
+    rings of ``trial_sinr_db``, so the ring layout is not checked here.
+    """
+
+    TRIALS = 100_000
+    #: DKW at alpha = 1e-6: sampling alone exceeds it with probability below 1e-6.
+    BOUND = math.sqrt(math.log(2.0 / 1e-6) / (2 * TRIALS))  # 0.0085
+    PARAMS = SimulationParams(trials=TRIALS, seed=20230, interferer_rings=2, shadow_sigma_db=0.0)
+    CARRIER, DENSITY = Carrier(800.0, 10.0), 0.5
+
+    def lattice_sinr_db(self, per_side: int, vertex_deg: float = 0.0) -> np.ndarray:
+        circumradius = math.sqrt(2.0 / (math.sqrt(3.0) * self.DENSITY)) / math.sqrt(3.0)  # ISD / sqrt(3)
+        return trial_sinr_db(self.PARAMS, Generation.G4, self.CARRIER, self.DENSITY,
+                             receiver_positions=hexagon_lattice(per_side, circumradius, vertex_deg))
+
+    def test_kernel_sinr_distribution_matches_the_hexagon_lattice(self):
+        drawn = trial_sinr_db(self.PARAMS, Generation.G4, self.CARRIER, self.DENSITY)
+        fine = self.lattice_sinr_db(601)
+        # The 601-point lattice's own error is about its distance to the 301-point one (first order in the
+        # spacing): a quarter of the bound at most, the rest left to sampling.
+        assert ks_distance(fine, self.lattice_sinr_db(301)) <= self.BOUND / 4
+        assert ks_distance(drawn, fine) <= self.BOUND  # 0.0022
+        # the bound is tight enough to see a hexagon turned by 30 degrees
+        assert ks_distance(drawn, self.lattice_sinr_db(601, vertex_deg=30.0)) > self.BOUND  # 0.016
 
 
 #: Carriers the generated frequency sets draw from: few, so sets often share one.
