@@ -43,11 +43,11 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .core import (
-    ADOPTION_CAGR_BOUNDS, AXES, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DIESEL_SOURCE, MIX_SHARE_BOUNDS,
-    MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs, CountryParams,
-    EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup, Regions,
-    ScenarioSpace, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable, StrategySpace,
-    broken_bound, declared_bounds, density_grid_rules, raise_broken,
+    ADOPTION_CAGR_BOUNDS, AXES, BOUND_OPS, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DIESEL_SOURCE,
+    MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs,
+    CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup,
+    Regions, ScenarioSpace, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable,
+    StrategySpace, broken_bound, declared_bounds, density_grid_rules, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -122,9 +122,7 @@ class Diagnostic:
     message: str
 
     def __str__(self) -> str:
-        if self.line:
-            return f"{self.file}:{self.line}: {self.message}"
-        return f"{self.file}: {self.message}"
+        return f"{self.file}:{self.line}: {self.message}" if self.line else f"{self.file}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,9 @@ def _parse(raw, where: str, kind, bounds=()):
             raise ValidationError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
         if kind is float and not -math.inf < value < math.inf:
             raise ValidationError(f"{where}: {raw!r} is not finite")
-    if message := broken_bound(where, value, bounds):
-        raise ValidationError(message)
+    for op, limit in bounds:  # only a broken bound builds its text
+        if not BOUND_OPS[op](value, limit):
+            raise ValidationError(broken_bound(where, value, bounds))
     return value
 
 
@@ -247,9 +246,11 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
             if len(cells) != len(columns):
                 collector.add(name, line, "wrong number of columns")
                 continue
-            values = [collector.check(name, line, "", _parse, raw, *column) for raw, column in zip(cells, columns)]
-            if None not in values:
-                yield line, values
+            try:  # a good cell costs one _parse call
+                yield line, [_parse(raw, *column) for raw, column in zip(cells, columns)]
+            except ValidationError:  # the row again, cell by cell: one diagnostic per bad cell, in column order
+                for raw, column in zip(cells, columns):
+                    collector.check(name, line, "", _parse, raw, *column)
     except csv.Error as err:
         collector.add(name, line + 1, f"unreadable record: {err}")
 
@@ -394,8 +395,7 @@ def _config_list(raw, where: str, collector: _Collector, kind, bounds=()) -> tup
 
 def _unknown_keys(section: dict, known: Iterable[str], where: str, collector: _Collector) -> None:
     """Report the keys of a config section that nothing reads, all in one diagnostic."""
-    unknown = [k for k in section if k not in known]
-    if unknown:
+    if unknown := [k for k in section if k not in known]:
         collector.add("config", 0, f"{where}: unknown keys {unknown}")
 
 

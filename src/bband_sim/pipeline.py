@@ -9,8 +9,8 @@ Each stage (sites: demand and dimensioning; cost and cross-subsidy; energy
 and emissions) runs once per key of the axes :data:`core.STAGE_AXES`
 declares for it, and every country has the same stage keys.
 
-:func:`run_pipeline` walks the runs once to find each run's key in each
-stage, then runs each stage over all its keys, one kernel call per
+:func:`run_pipeline` numbers each stage's keys in key order from the run
+keys' columns, then runs each stage over all its keys, one kernel call per
 country: sites as :func:`demand.demand_columns` over the distinct
 scenarios and :func:`dimensioning.site_counts` over the keys, cost as
 :func:`cost.cost_columns`, and energy as :func:`energy.energy`. Every
@@ -28,19 +28,20 @@ computes a non-finite float, runs again key by key, so a failing key
 fails only the runs that need it. The :class:`ResultTable` keeps five
 stages, each as its stage rows' columns and each row's index into them:
 the decile stage per (country, decile), the run stage per run, and the
-three keyed stages per (country, key, decile).
+three keyed stages per (country, key, decile). Its rows are in file order
+(countries sorted, then deciles, then runs by run key), so row i is line
+i + 2 of ``results_decile.csv``.
 
-:func:`emit_results` sorts the rows by country, decile and run key with
-``np.lexsort`` and writes each file one :data:`EMIT_BLOCK` of rows at a
-time, so the result text it holds does not grow with the rows. A
-``results_decile.csv`` row is its five stage segments joined: the decile
-and run segments are formatted once, and each block formats only the keyed
-stage rows it refers to. The country file and the summaries are group-bys
-(``np.bincount``/``np.add.at``) that add in sorted row order, exactly as a
-running total would; each group and filter field is read on the rows of
-its stage. Besides the result table, the run path's working memory is then
-a few (keys, deciles, years) arrays in :func:`energy.energy` and one block
-of text.
+:func:`emit_results` writes the rows as they lie, each file one
+:data:`EMIT_BLOCK` of rows at a time, so the result text it holds does not
+grow with the rows. A ``results_decile.csv`` row is its five stage segments
+joined: the decile and run segments are formatted once, and each block
+formats only the keyed stage rows it refers to. The country file and the
+summaries are group-bys (``np.bincount``/``np.add.at``) that add in row
+order, exactly as a running total would; each group and filter field is
+read on the rows of its stage. Besides the result table, the run path's
+working memory is then a few (keys, deciles, years) arrays in
+:func:`energy.energy` and one block of text.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -108,6 +108,7 @@ RUN_KEY_COLUMNS = STAGE_COLUMNS["run"]
 class ResultTable:
     """Per-decile results, one row per (run, country, decile), kept per stage.
 
+    Rows are in file order: row i is line i + 2 of ``results_decile.csv``.
     ``runs`` lists each run once, failed runs included. ``stages`` maps each
     of the five stages of :data:`STAGE_COLUMNS` to each row's index into the
     stage rows, and the stage's columns. A run stage row is one run of
@@ -130,13 +131,6 @@ class ResultTable:
         """The values of a stage column at row indices ``rows`` (default: every row)."""
         index, columns = self.stages[_STAGE_OF[name]]
         return columns[name][index[rows]]
-
-    def sort_order(self) -> np.ndarray:
-        """Row indices sorted by country, decile and run key; equal keys keep row order."""
-        keys = self.stages["run"][1]
-        run_rank = np.empty(len(self.runs), dtype=np.int64)
-        run_rank[np.lexsort([keys[name] for name in reversed(RUN_KEY_COLUMNS)])] = np.arange(len(self.runs))
-        return np.lexsort((run_rank[self.run], self.column("decile_index"), self.column("country_iso3")))
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,6 @@ def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
         "population": np.array([d.population for d in deciles], dtype=np.int64),
         "area_km2": np.array([d.area_km2 for d in deciles], dtype=np.float64),
     }
-
-
-#: The stages computed per key, in the order a run reports its first failure.
-_KEYED_STAGES = tuple(STAGE_AXES)
 
 
 def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float, counts: str = "") -> None:
@@ -242,9 +232,9 @@ def run_pipeline(
     (countries sorted, then sites, cost, energy) and does not abort the
     rest. ``jobs`` is the thread count for capacity-table builds; the runs
     themselves execute in one thread. The result table lists the runs as
-    given, failed ones included, and holds rows of the runs that did not
-    fail in deterministic order: runs as given, then countries sorted, then
-    deciles; :func:`emit_results` sorts them by run key.
+    given, failed ones included, and holds the rows of the runs that did
+    not fail in file order: countries sorted, then deciles, then runs by
+    run key, equal keys as given.
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
@@ -254,17 +244,16 @@ def run_pipeline(
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
     countries, horizon = list(deciles), bundle.scenario_space.horizon
 
-    # every (run, country) needs one key of each stage: its run key on the stage's axes, which hold no country
+    # each run's key as one column per axis, and its code on each axis, in the axis's value order
     run_keys = [run_key(*r) for r in runs]
-    stage_keys = [itemgetter(*map(RUN_KEY_COLUMNS.index, axes)) for axes in STAGE_AXES.values()]
-    ids, first = [{} for _ in stage_keys], [[] for _ in stage_keys]  # each stage's key ids, and each key's first run
-    key_ids = np.empty((len(runs), len(stage_keys)), dtype=np.intp)
-    for i, key in enumerate(run_keys):
-        for j, stage_key in enumerate(stage_keys):
-            k = key_ids[i, j] = ids[j].setdefault(stage_key(key), len(first[j]))
-            if k == len(first[j]):
-                first[j].append(i)
-    site_of = [key_ids[first[j], 0] for j in range(len(ids))]  # each key's sites key
+    key_columns = {name: np.array([k[i] for k in run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)}
+    codes = np.stack([np.unique(key_columns[name], return_inverse=True)[1] for name in RUN_KEY_COLUMNS], axis=-1)
+    # a stage key is a run key on the stage's axes, which hold no country; each stage's keys are numbered in key
+    # order, and every (run, country) needs one key of each stage: each key's first run, and each run's key ids
+    first, ids = zip(*(np.unique(codes[:, [RUN_KEY_COLUMNS.index(a) for a in axes]], axis=0, return_index=True,
+                                 return_inverse=True)[1:] for axes in STAGE_AXES.values()))
+    key_ids = np.stack(ids, axis=-1)
+    site_of = [key_ids[f, 0] for f in first]  # each key's sites key
     shapes = [(len(countries), len(f), N_DECILES) for f in first]
 
     def sites(c: int, keys: np.ndarray) -> dict[str, np.ndarray]:
@@ -316,16 +305,17 @@ def run_pipeline(
         if error is not None:
             ok[i] = False
             failures.append(RunFailure(*runs[i], error))
-    good = np.flatnonzero(ok)
+    ranked = np.lexsort(codes.T[::-1])  # the runs in run-key order, equal keys as given
+    good = ranked[ok[ranked]]
     per_run = len(countries) * N_DECILES
-    run = np.repeat(good, per_run)
-    place = np.tile(np.arange(per_run), len(good))  # (country, decile) within the run
     country, decile = np.divmod(np.arange(per_run), N_DECILES)
-    stages = {"decile": (place, _decile_columns([d for iso3 in countries for d in deciles[iso3]])),
-              "run": (run, {name: np.array([k[i] for k in run_keys]) for i, name in enumerate(RUN_KEY_COLUMNS)})}
-    for j, (stage, columns) in enumerate(zip(_KEYED_STAGES, (sited, costs, used))):
-        # stage row (country, key, decile), built per run and place, not per row
-        index = key_ids[good, j, None] * N_DECILES + (country * len(first[j]) * N_DECILES + decile)
+    # rows in file order: each (country, decile) place, then each good run in run-key order
+    stages = {"decile": (np.repeat(np.arange(per_run), len(good)),
+                         _decile_columns([d for iso3 in countries for d in deciles[iso3]])),
+              "run": (np.tile(good, per_run), key_columns)}
+    for j, (stage, columns) in enumerate(zip(STAGE_AXES, (sited, costs, used))):
+        # stage row (country, key, decile), built per place and run, not per row
+        index = (country[:, None] * len(first[j]) + key_ids[good, j]) * N_DECILES + decile[:, None]
         stages[stage] = (index.reshape(-1), {name: columns.get(name, np.zeros(0)).reshape(-1)
                                              for name in STAGE_COLUMNS[stage]})
     return PipelineOutput(ResultTable(list(runs), stages), failures)
@@ -388,12 +378,11 @@ def format_rows(columns: Sequence[np.ndarray]) -> list[str]:
 
 def _group_sums(
     table: ResultTable,
-    order: np.ndarray,
     group: Sequence[str],
     sums: Sequence[tuple[str, str]],
     where: Mapping[str, str] | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-group sums over the rows ``order`` lists: each group's first row, and the sums as columns.
+    """Per-group sums over the table's rows: each group's first row, and the sums as columns.
 
     Each field of ``where`` and ``group`` is compared, or coded, on the rows
     of its stage, and read per row through the stage's row index. Rows whose
@@ -401,10 +390,10 @@ def _group_sums(
     value of each ``group`` field; groups come sorted by those values in
     field order. ``sums`` holds ``(column, source)`` pairs: a float source
     sums as float, an int or bool source counts in integers. Each sum adds
-    its rows in ``order`` (``np.bincount`` and ``np.add.at`` add in index
-    order), as a running total would.
+    its rows in row order, the file's (``np.bincount`` and ``np.add.at`` add
+    in index order), as a running total would.
     """
-    rows = order
+    rows = np.arange(len(table))
     for f, v in (where or {}).items():
         index, columns = table.stages[_STAGE_OF[f]]
         rows = rows[(columns[f] == v)[index[rows]]]
@@ -430,9 +419,8 @@ def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[str
     try:
         with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
-            for lines in blocks:
-                if lines:
-                    fh.write("\n".join(lines) + "\n")
+            for lines in blocks:  # each block holds one row or more
+                fh.write("\n".join(lines) + "\n")
     except OSError as err:
         raise OSError(f"cannot write {path}: {err}") from err
 
@@ -442,13 +430,13 @@ def _blocks(n: int) -> Iterable[slice]:
     return (slice(start, start + EMIT_BLOCK) for start in range(0, n, EMIT_BLOCK))
 
 
-def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[str]]:
-    """``results_decile.csv`` row texts in ``order``, one block of :data:`EMIT_BLOCK` rows at a time.
+def _decile_blocks(table: ResultTable) -> Iterable[list[str]]:
+    """``results_decile.csv`` row texts, one block of :data:`EMIT_BLOCK` rows at a time.
 
     A row's text is its five stage segments joined, a segment being one
     stage row's columns. The decile and run segments, which scale with
     deciles and runs, are formatted once. A block formats only the keyed
-    stage rows it refers to: sorted rows group by (country, decile), and a
+    stage rows it refers to: rows group by (country, decile), and a
     keyed stage row is one (country, key, decile), so it falls in one group
     and is formatted about once in all.
     """
@@ -456,12 +444,11 @@ def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[str]]
     for stage in ("decile", "run"):
         index, columns = table.stages[stage]
         fixed.append((index, format_rows([columns[name] for name in STAGE_COLUMNS[stage]])))
-    for block in _blocks(len(order)):
-        rows = order[block]
-        parts = [map(text.__getitem__, index[rows].tolist()) for index, text in fixed]
-        for stage in _KEYED_STAGES:
+    for block in _blocks(len(table)):
+        parts = [map(text.__getitem__, index[block].tolist()) for index, text in fixed]
+        for stage in STAGE_AXES:
             index, columns = table.stages[stage]
-            stage_rows, inverse = np.unique(index[rows], return_inverse=True)
+            stage_rows, inverse = np.unique(index[block], return_inverse=True)
             text = format_rows([columns[name][stage_rows] for name in STAGE_COLUMNS[stage]])
             parts.append(map(text.__getitem__, inverse.tolist()))
         yield list(map(",".join, zip(*parts)))
@@ -470,20 +457,20 @@ def _decile_blocks(table: ResultTable, order: np.ndarray) -> Iterable[list[str]]
 def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
     """Write the decile, country and summary CSVs; returns the paths written.
 
-    Output is byte-stable: rows are fully sorted, floats carry 6 significant
-    digits, and re-running with identical inputs rewrites identical files.
-    Every sum adds its rows in sorted order. Each file is formatted and
-    written one :data:`EMIT_BLOCK` of rows at a time, so the text held at
-    once does not grow with the number of rows.
+    Output is byte-stable: the decile file's rows are the table's, in its
+    file order, floats carry 6 significant digits, and re-running with
+    identical inputs rewrites identical files. Every sum adds its rows in
+    that order. Each file is formatted and written one :data:`EMIT_BLOCK`
+    of rows at a time, so the text held at once does not grow with the
+    number of rows.
     """
     start = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    order = table.sort_order()
 
     def write(name: str, group: Sequence[str], sums: Sequence[tuple[str, str]],
               where: Mapping[str, str] | None = None) -> Path:
-        first, totals = _group_sums(table, order, group, sums, where)
+        first, totals = _group_sums(table, group, sums, where)
         _write_csv(out / name, [*group, *(column for column, _ in sums)], (
             format_rows([*(table.column(f, first[block]) for f in group), *(totals[c][block] for c, _ in sums)])
             for block in _blocks(len(first))
@@ -491,7 +478,7 @@ def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
         return out / name
 
     paths = [out / "results_decile.csv"]
-    _write_csv(paths[0], DECILE_COLUMNS, _decile_blocks(table, order))
+    _write_csv(paths[0], DECILE_COLUMNS, _decile_blocks(table))
     paths.append(write("results_country.csv", _COUNTRY_GROUP, _COUNTRY_SUMS))
     paths += [write(name, group, [(f, f) for f in values], where) for name, group, values, where in _SUMMARIES]
     _log_stage("emit", len(table), len(paths), 0, start)

@@ -11,7 +11,11 @@ SINR maps through a step lookup table to single-stream spectral
 efficiency, scaled by the generation's MIMO streams times
 ``params.mimo_efficiency``; the capacity credited to a density is the
 reliability-level (default 10th percentile) spectral efficiency times
-bandwidth, sectors and site density, summed over the carriers in use.
+bandwidth, sectors and site density, summed over the carriers in use. A
+nan SINR (signal and interference both overflowed), which the lookup would
+credit with its top row, fails the simulation, as a noise floor beyond float
+range does; a +inf SINR (an overflowed signal over finite interference and
+noise) takes the top row, as every SINR above it does.
 
 Every (carrier, density) simulation derives its own RNG stream from the seed
 and its identifying integers (:func:`core.carrier_stream_key` and
@@ -362,9 +366,18 @@ def carrier_capacity(
     spectral efficiency, scaled by the generation's :data:`MIMO_STREAMS`
     times ``params.mimo_efficiency``; the carrier is credited with the
     reliability-level percentile of that distribution times bandwidth,
-    sectors and density.
+    sectors and density. Any nan SINR, or a noise floor beyond float range
+    in mW, raises one :class:`ValidationError` naming the carrier and density.
     """
-    se = se_lookup(se_table, trial_sinr_db(params, generation, carrier, site_density), generation)
+    try:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a nan SINR is checked below
+            sinr = trial_sinr_db(params, generation, carrier, site_density)
+    except OverflowError:  # the noise floor overflows in mW: it fails as a nan SINR does
+        sinr = np.array([math.nan])
+    if np.isnan(sinr).any():
+        raise ValidationError(f"{generation.value} carrier {carrier.frequency_mhz:g}x{carrier.bandwidth_mhz:g} at "
+                              f"{site_density:g} sites/km2: link budget out of float range")
+    se = se_lookup(se_table, sinr, generation)
     se *= MIMO_STREAMS[generation] * params.mimo_efficiency
     # the percentile partitions ``se`` in place, as it would a copy: the same value, no copy
     se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0, overwrite_input=True))

@@ -7,11 +7,13 @@
 :func:`emissions` -> :func:`cumulate_horizon`, and
 :func:`bband_sim.cost.cost_columns` the chain :func:`decile_components` ->
 :func:`apply_sharing` -> :func:`private_cost` -> :func:`cross_subsidize`.
+The sites stage, :func:`bband_sim.demand.demand_columns` ->
+:func:`bband_sim.dimensioning.site_counts`, equals :func:`sites_chain`.
 :func:`bband_sim.radio.trial_sinr_db` equals :func:`reference_sinr_db`,
 the whole-array link chain :func:`free_space_path_loss` ->
 :func:`received_signal` -> :func:`sinr` with no trial blocks.
-The property tests in ``test_energy.py``, ``test_cost.py`` and
-``test_radio.py`` check the kernels against these; the run path uses only
+The tests in ``test_energy.py``, ``test_cost.py``, ``test_pipeline.py``
+and ``test_radio.py`` check the kernels against these; the run path uses only
 the kernels. :func:`country_sums` and :func:`summary_lines` fold a result
 table's rows into country and summary totals, without the group-bys that
 write the result files.
@@ -29,9 +31,63 @@ from bband_sim.core import (
     Settlement, Sharing, SimulationParams, ordered_sum,
 )
 from bband_sim.cost import subsidies
+from bband_sim.demand import arpu_for_settlement, per_user_busy_hour_rate
 from bband_sim.energy import HOURS_PER_YEAR, check_mix_row
 from bband_sim.errors import ValidationError
 from bband_sim.radio import inter_site_distance_km, noise_floor, shadow_fading_draws
+
+
+# ---------------------------------------------------------------------------
+# Demand and sites
+# ---------------------------------------------------------------------------
+
+
+def density_for(table, demand: float) -> tuple[float, bool]:
+    """``(density, unserviceable)`` of one demand: a walk up the table's rows from the (0, 0) point."""
+    if demand > table.max_capacity:
+        return table.max_density, True
+    prev_d, prev_c = 0.0, 0.0
+    for d, c in table.rows:
+        if demand > 0 and c >= demand:
+            return (d if c == prev_c else min(prev_d + (demand - prev_c) / (c - prev_c) * (d - prev_d), d)), False
+        prev_d, prev_c = d, c
+    return 0.0, False
+
+
+def sites_chain(deciles, country, adoption, horizon, scenario, table) -> list[dict]:
+    """The seven sites-stage columns of each decile under one scenario and capacity table, one decile at a time.
+
+    Year t = 1..n: each penetration grows to ``min(base * (1 + cagr) ** t,
+    cap)``, users are population x cell x smartphone penetration, the
+    busy-hour demand ``users * rate * share`` peaks by ``>``, and revenue is
+    ``users * share * arpu * 12 / (1 + r) ** t`` as a running total from the
+    first year, plus 0.0. Demand per km2 meets the table in
+    :func:`density_for`; sites are ``ceil(density * area - 1e-9)``,
+    existing towers upgraded first. An inactive decile has none of them.
+    """
+    cagr, cap = adoption.cagr(country.income_group, scenario.adoption), adoption.penetration_cap
+    share, rate = country.market_share, per_user_busy_hour_rate(scenario.capacity_gb_month)
+    out = []
+    for d in deciles:
+        peak, revenue = None, None
+        for t in range(1, horizon.n_years + 1):
+            growth = (1.0 + cagr) ** t
+            users = (d.population * min(adoption.base_cell_penetration * growth, cap)
+                     * min(adoption.smartphone_base(d.settlement) * growth, cap))
+            busy = users * rate * share
+            peak = busy if peak is None or busy > peak else peak
+            arpu = arpu_for_settlement(country, d.settlement)
+            term = users * share * arpu * 12.0 / (1.0 + horizon.discount_rate) ** t
+            revenue = term if revenue is None else revenue + term
+        demand = peak / d.area_km2 if d.active else 0.0
+        density, unserviceable = density_for(table, demand)
+        total = math.ceil(density * d.area_km2 - 1e-9) if d.active else 0
+        out.append({
+            "demand_mbps_km2": demand, "total_sites": total, "existing_sites": d.existing_sites,
+            "new_sites": max(0, total - d.existing_sites), "upgraded_sites": min(d.existing_sites, total),
+            "unserviceable": unserviceable and d.active, "revenue_pv_usd": revenue + 0.0 if d.active else 0.0,
+        })
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import logging
 import math
+import re
 import shutil
 import tempfile
 import warnings
@@ -117,6 +118,22 @@ def test_simulation_too_large_to_allocate_is_one_line_and_exit_3(miniland_copy, 
     assert len(err.splitlines()) == 1
     assert err.startswith("runtime error: Unable to allocate")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "tables"])
+@pytest.mark.parametrize("edit", ["tx_power_dbm: 4000", "noise_figure_db: 4000"])
+def test_link_budget_out_of_float_range_is_one_line_and_exit_3(miniland_copy, tmp_path, monkeypatch, capsys, command,
+                                                                edit):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", f"  trials: 200\n  {edit}\n"))
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
+    capsys.readouterr()
+    code = main([command, "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"runtime error: [45]G carrier \S+ at \S+ sites/km2: link budget out of float range\n", err)
+    assert not [*(tmp_path / "cache").rglob("*.csv"), *(tmp_path / "out").rglob("*.csv")]
 
 
 def test_run_is_deterministic_across_invocations(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch):

@@ -46,7 +46,7 @@ from bband_sim.pipeline import (
     format_rows,
     run_pipeline,
 )
-from reference_chains import DecileCost, country_sums, summary_lines
+from reference_chains import DecileCost, country_sums, sites_chain, summary_lines
 
 BASELINE_RUN = (
     StrategyBundle(Generation.G4, Backhaul.WIRELESS, Sharing.BASELINE, Policy.BASELINE, EnergyStrategy.BASELINE),
@@ -444,6 +444,28 @@ class TestAggregation:
         assert lines == summary_lines(table, group, values, baseline={})
 
 
+class TestSitesColumns:
+    def test_equals_scalar_chain_bit_for_bit(self, bundle, table_cache, full_matrix):
+        # every row of the full matrix: 360 (country, sites key, decile) chains
+        table, tables = full_matrix[0], pipeline.capacity_tables(bundle, cache_dir=table_cache)
+        names = STAGE_COLUMNS["sites"]
+        keys = zip(*(table.column(f).tolist() for f in ("country_iso3", "generation", "capacity_gb_month", "adoption")))
+        chains = {}
+        for key in set(keys):
+            iso3, generation, capacity, adoption = key
+            deciles = build_deciles(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
+            chain = sites_chain(deciles, bundle.countries[iso3], bundle.adoption, bundle.scenario_space.horizon,
+                                ScenarioSpec(capacity, AdoptionScenario(adoption)), tables[iso3, Generation(generation)])
+            chains.update({(*key, d.decile_index): tuple(row[n] for n in names) for d, row in zip(deciles, chain)})
+        assert len(chains) == 360
+        row_keys = zip(*(table.column(f).tolist()
+                         for f in ("country_iso3", "generation", "capacity_gb_month", "adoption", "decile_index")))
+        got = [tuple(x.hex() if isinstance(x, float) else x for x in row)
+               for row in zip(*(table.column(n).tolist() for n in names))]
+        want = [tuple(x.hex() if isinstance(x, float) else x for x in chains[key]) for key in row_keys]
+        assert got == want
+
+
 class TestEmitResults:
     def test_files_written(self, baseline_output, tmp_path):
         paths = emit_results(baseline_output.results, tmp_path)
@@ -548,8 +570,33 @@ def assert_filter_keeps_decile_lines(bundle, table_cache, matrix_files, out_dir,
     assert lines == full[:1] + [line for line in full[1:] if tuple(line.split(b",")[RUN_KEY]) in keys]
 
 
+#: The decile-stage and run-key columns: the first twelve fields of a ``results_decile.csv`` line.
+LEADING_COLUMNS = [*STAGE_COLUMNS["decile"], *RUN_KEY_COLUMNS]
+
+
+def assert_rows_in_file_order(table: ResultTable, out_dir) -> None:
+    """Row i's leading columns, formatted as emission formats them, lead line i + 2 of ``results_decile.csv``."""
+    lines = (out_dir / "results_decile.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(table) > 0
+    leading = [",".join(line.split(",")[:len(LEADING_COLUMNS)]) for line in lines]
+    assert format_rows([table.column(name) for name in LEADING_COLUMNS]) == leading
+
+
 class TestBatchedMatrix:
     """A run's rows depend on its own inputs only, not on which other runs or countries are present."""
+
+    def test_full_matrix_rows_are_in_file_order(self, full_matrix):
+        assert_rows_in_file_order(*full_matrix)
+
+    def test_shuffled_runs_with_a_repeat_are_in_file_order(self, bundle, table_cache, tmp_path):
+        runs = random.Random(11).sample(enumerate_runs(bundle.strategy_space, bundle.scenario_space), 60)
+        runs.insert(30, runs[3])  # one run given twice: its rows keep the order given
+        table = run_pipeline(bundle, runs, cache_dir=table_cache).results
+        emit_results(table, tmp_path)
+        assert_rows_in_file_order(table, tmp_path)
+        first_place = table.run[:len(runs)].tolist()  # MLA's decile 1, one row per run
+        assert sorted(first_place) == list(range(len(runs)))
+        assert [i for i in first_place if runs[i] == runs[3]] == [3, 30]
 
     def test_shuffled_runs_emit_identical_files(self, bundle, table_cache, matrix_files, tmp_path):
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
@@ -628,13 +675,14 @@ def special_table() -> ResultTable:
             "energy": energy,
         }
 
+    # in file order, as the pipeline lays rows out: (AAA, 1) for each run by run key, then (AAA, 2)
     records = [
+        row(1, 0, 1e16, 5e-324, (1, 1, 0, 1, True), (5e-324, 1e-320, 2.0, -INF, NAN, 999999.5, 1e16, 0.0),
+            (0.0, 0.0, 0.0, 1e-300, 1e16, -0.0, 5e-324)),
         row(1, 1_234_567, 5e-324, NAN, (3, 1, 2, 1, True), (1e16, -0.0, 0.0, INF, -INF, 123456.5, 0.5, -0.0),
             (2.5e-310, -0.0, 1e16, -0.0, 0.0, NAN, 1e-7)),
         row(2, 10_000_000, 123456.5, 0.0, (0, 4, 0, 0, False), (-0.0, 1.5, 2.5, 3.5, 4.5, 5.5, -0.0, 6.5),
             (1.0, 0.5, 0.5, -0.0, -0.0, INF, 1e300)),
-        row(1, 0, 1e16, 5e-324, (1, 1, 0, 1, True), (5e-324, 1e-320, 2.0, -INF, NAN, 999999.5, 1e16, 0.0),
-            (0.0, 0.0, 0.0, 1e-300, 1e16, -0.0, 5e-324)),
     ]
     every = np.arange(len(records))
     stages = {
@@ -643,7 +691,7 @@ def special_table() -> ResultTable:
         for stage in records[0]
     }
     runs = [(low_tax, scenario), (base, scenario)]
-    stages["run"] = (np.array([0, 1, 1]), {name: np.array(values)
+    stages["run"] = (np.array([1, 0, 1]), {name: np.array(values)
                                            for name, values in zip(RUN_KEY_COLUMNS, zip(*(run_key(*r) for r in runs)))})
     return ResultTable(runs, stages)
 
@@ -734,7 +782,7 @@ class TestWorkingMemory:
     def test_emission_holds_one_block_of_text(self, bundle, table_cache, tmp_path):
         table = run_pipeline(bundle, cache_dir=table_cache).results
         # results_decile.csv alone is about 7 MB of text in 28 blocks; one
-        # block's text, the sort order and the country sums stay under 4 MB
+        # block's text, the row indices and the country sums stay under 4 MB
         assert traced_peak(emit_results, table, tmp_path) < 4e6
         assert (tmp_path / "results_decile.csv").stat().st_size > 6e6
         assert len(table) > 28 * EMIT_BLOCK

@@ -182,6 +182,32 @@ class TestSeLookup:
             SpectralEfficiencyTable(rows={Generation.G4: ((0.0, 1.0), (1.0, 0.5)), Generation.G5: ((0.0, 1.0),)})
 
 
+class TestLinkBudgetOutOfFloatRange:
+    """A link budget beyond float range fails the simulation, naming it; it is never credited the top SE row."""
+
+    FAILED = r"^5G carrier 3500x30 at 0\.01 sites/km2: link budget out of float range$"
+
+    @pytest.mark.parametrize("field", [
+        "tx_power_dbm",  # signal and interference overflow to inf: every SINR is nan
+        "noise_figure_db",  # the noise floor overflows in mW
+    ])
+    def test_is_one_validation_error_naming_the_simulation(self, bundle, field):
+        params = dataclasses.replace(bundle.sim_params, trials=200, **{field: 4000.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=self.FAILED):
+                carrier_capacity(params, bundle.se_table, Generation.G5, Carrier(3500.0, 30.0), 0.01)
+
+    def test_infinite_sinr_takes_the_top_row_without_warning(self, bundle):
+        # no rings: an overflowed signal over finite noise gives +inf SINR on every trial
+        params = dataclasses.replace(bundle.sim_params, trials=200, tx_power_dbm=4000.0, interferer_rings=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = carrier_capacity(params, bundle.se_table, Generation.G5, Carrier(3500.0, 30.0), 0.01)
+        top = bundle.se_table.rows[Generation.G5][-1][1] * (radio.MIMO_STREAMS[Generation.G5] * params.mimo_efficiency)
+        assert got == top * 30.0 * params.sectors_per_site * 0.01
+
+
 class TestShadowFading:
     def test_zero_sigma_is_constant(self):
         rng = np.random.default_rng(0)
