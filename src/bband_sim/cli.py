@@ -3,7 +3,10 @@
 Subcommands:
 
 * ``run``      execute the scenario matrix and write result CSVs
-* ``validate`` check a data directory and config without running anything
+* ``validate`` check a data directory and config without running anything;
+  beyond what every command checks, it checks each carrier's link budget
+  against float range (:func:`core.link_budget_rules`), which ``run`` and
+  ``tables`` meet as a runtime error
 * ``tables``   build and write the capacity lookup tables only
 
 Exit codes: 0 success, 2 input validation failure, 3 runtime failure (an
@@ -21,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import AXES, SimulationParams, enumerate_runs, run_key
+from .core import AXES, SimulationParams, enumerate_runs, link_budget_rules, run_key
 from .data_io import Diagnostic, load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError, ValidationError
 
@@ -101,7 +104,12 @@ def _jobs(text: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    load_bundle(args.data, args.config)
+    bundle = load_bundle(args.data, args.config)
+    carriers = [c for country in bundle.countries.values() for _, c in country.spectrum_portfolio]
+    carriers += [c for fs in bundle.table_portfolios for c in fs.carriers]
+    broken = [Diagnostic("config", 0, f"simulation: {m}") for m in link_budget_rules(bundle.sim_params, carriers)]
+    if broken:
+        raise InputValidationError(broken)
     print("OK")
     return EXIT_OK
 
@@ -143,9 +151,9 @@ def _cmd_tables(args) -> int:
 
     inputs = load_table_inputs(args.config, args.data)
     sim_params = _seeded(inputs.sim_params, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tables = build_capacity_tables(sim_params, inputs.se_table, inputs.portfolios, inputs.density_grid, args.jobs)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
     path = out_dir / "capacity_tables.csv"
     save_capacity_tables(tables, path)
     print(f"wrote {path}")

@@ -332,6 +332,16 @@ def density_grid_rules(grid: Sequence[float]) -> Iterator[str]:
         yield "density grid points must be > 0"
 
 
+#: The most trials one simulation may run. A simulation's memory does not
+#: grow with trials, so this bounds its time: about 2 minutes at two rings
+#: on one core of a 2-core x86-64 host (1.1 s per million trials).
+MAX_TRIALS = 10**8
+
+#: The most interferer rings: ring k holds 6k sites, so 100 rings are
+#: 30,300 interferer paths per trial.
+MAX_INTERFERER_RINGS = 100
+
+
 @dataclass(frozen=True)
 class SimulationParams(SelfChecked):
     """Link budget and Monte Carlo controls for the radio simulation."""
@@ -354,9 +364,9 @@ class SimulationParams(SelfChecked):
     nlos_excess_db: float = 12.0
     min_distance_m: float = 10.0
     reliability: float = bounded((">", 0), ("<", 1), default=0.90)
-    trials: int = bounded((">=", 100), default=10_000)
+    trials: int = bounded((">=", 100), ("<=", MAX_TRIALS), default=10_000)
     seed: int = bounded((">=", 0), default=42)
-    interferer_rings: int = bounded((">=", 0), default=1)
+    interferer_rings: int = bounded((">=", 0), ("<=", MAX_INTERFERER_RINGS), default=1)
     mimo_efficiency: float = bounded((">", 0), ("<=", 1), default=0.85)
 
     def broken_rules(self) -> Iterator[str]:
@@ -408,6 +418,63 @@ class FrequencySet(SelfChecked):
 
 # Spatial multiplexing streams per generation (2x2 vs 4x4 antennas).
 MIMO_STREAMS = {Generation.G4: 2, Generation.G5: 4}
+
+BOLTZMANN_J_PER_K = 1.380649e-23
+
+
+def noise_floor(params: SimulationParams, bw_hz: float) -> float:
+    """Thermal noise power in dBm over ``bw_hz``, including the UE noise figure."""
+    if bw_hz <= 0:
+        raise ValidationError("bw_hz must be > 0")
+    return (
+        10.0 * math.log10(BOLTZMANN_J_PER_K * params.temperature_k * 1000.0)
+        + params.noise_figure_db
+        + 10.0 * math.log10(bw_hz)
+    )
+
+
+def _mw(dbm: float) -> float:
+    """``10 ** (dbm / 10)``, a power in dBm in mW: inf where that overflows."""
+    try:
+        return 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def link_budget_rules(params: SimulationParams, carriers: Iterable[Carrier]) -> Iterator[str]:
+    """The link budget's float ranges that simulations of ``carriers`` need, checked without numpy.
+
+    The largest power a path can deliver, at the nearest distance a path
+    can have (``min_distance_m``, or the antenna height difference if
+    larger), with the smallest shadow (0 with fading, else
+    ``shadow_mu_db``) and NLoS term (``min(0, nlos_excess_db)``), times a
+    trial's paths (the serving one and every interferer), and the noise
+    floor, must each be finite and nonzero in mW. Each rule broken on some
+    carrier is one message, naming the first such carrier. A simulation
+    outside these ranges fails as a nan SINR does, or reads all signals as
+    zero or as +inf.
+    """
+    carriers = list(carriers)
+    paths = 1 + 3 * params.interferer_rings * (params.interferer_rings + 1)
+    nearest_km = max(params.min_distance_m, abs(params.tx_height_m - params.rx_height_m)) / 1000.0
+    near_db = 20.0 * math.log10(nearest_km) if nearest_km > 0 else -math.inf
+    shadow_db = params.shadow_mu_db if params.shadow_sigma_db == 0 else 0.0
+    for c in carriers:
+        loss = near_db + 20.0 * math.log10(c.frequency_mhz) + 32.44 + min(0.0, params.nlos_excess_db)
+        dbm = (params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db - loss - shadow_db
+               + params.rx_gain_db - params.rx_losses_db - params.rx_misc_losses_db)
+        if not 0 < _mw(dbm) * paths < math.inf:
+            yield (f"the largest received power, {dbm:.6g} dBm on each of a trial's {paths} paths at "
+                   f"{c.frequency_mhz:g} MHz, is out of float range in mW")
+            break
+    for c in carriers:
+        try:
+            dbm = noise_floor(params, c.bandwidth_mhz * 1e6)
+        except ValueError:  # k T is below float range
+            dbm = -math.inf
+        if not 0 < _mw(dbm) < math.inf:
+            yield f"the noise floor over {c.bandwidth_mhz:g} MHz, {dbm:.6g} dBm, is out of float range in mW"
+            break
 
 
 @dataclass(frozen=True)

@@ -21,21 +21,18 @@ Every (carrier, density) simulation derives its own RNG stream from the seed
 and its identifying integers (:func:`core.carrier_stream_key` and
 :func:`core.density_stream_key`; a frequency set and a density grid reject
 two entries with one key), so tables are bit-identical regardless of how
-the work is scheduled across threads. A simulation draws the receiver
-drops and the serving shadow fading for all its trials, and runs every
-per-trial step over blocks of consecutive trials, in two float buffers of
-at most :data:`BLOCK_ELEMENTS` elements: the drops' placement in the
-hexagon and the serving path in chunks of that many trials, then the
-interferer chain and the SINR in blocks of that many (trial, interferer)
-paths, drawing each block's interferer shadow fading as it goes; the
-stream yields the same numbers as one whole-array draw. The only
-trial-length arrays are the drop coordinates x and y and the serving
-shadow, which becomes the signal power and then the SINR in place; all
-other working memory is bounded by the block size, not by trials x
-interferers, however many rings there are. Every element takes the same
-arithmetic, in the same order, whatever the block size (see
-:func:`_received_mw`), and ``tests/reference_chains.py`` keeps the
-unblocked whole-array chain that the kernel equals bit for bit.
+the work is scheduled across threads. A simulation streams its trials
+(:func:`sinr_blocks`): it reads each part of the stream (drop triangles, u,
+v, serving shadows, interferer shadows) from its own copy, started where
+one whole-array draw of the parts would reach it, and runs every per-trial
+step over chunks of trials and blocks of (trial, interferer) paths (see
+:data:`BLOCK_ELEMENTS`); :func:`carrier_capacity` keeps only a count of
+trials per SE step. No array grows with trials: at two rings a simulation
+holds about 1.2 MB, at 50,000 trials as at 200,000 (tracemalloc peak).
+Every element takes the same arithmetic, in the same order, whatever the
+block size (see :func:`_received_mw`), and ``tests/reference_chains.py``
+keeps the unblocked whole-array chain, up to ``np.percentile`` over every
+trial's SE, that the kernel equals bit for bit.
 :func:`build_capacity_tables` is the one path from frequency sets to tables,
 for ``run`` and ``tables`` alike: it keys each set, reads each distinct key's
 cache file at most once and trusts only a match (:func:`_load_cached_table`),
@@ -46,8 +43,11 @@ the built tables back and logs one ``capacity tables:`` line.
 
 from __future__ import annotations
 
+import bisect
+import copy
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -60,13 +60,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
-    SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, ordered_sum, raise_broken,
+    SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, noise_floor, ordered_sum, raise_broken,
 )
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
-
-BOLTZMANN_J_PER_K = 1.380649e-23
 
 #: Version of the radio model behind every capacity table, part of
 #: :func:`table_cache_key`. Bump it with any change that alters a table
@@ -74,13 +72,14 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 RADIO_MODEL_VERSION = 1
 
 #: (trial, interferer) paths per block of the interferer chain in
-#: :func:`trial_sinr_db`: a block holds ``max(1, BLOCK_ELEMENTS //
-#: interferers)`` trials, 2048 at two rings. Its three (block, interferers)
-#: float buffers, shadow fading included, take 24 bytes per path, so the
-#: memory beyond the trial-length arrays is bounded whatever the ring
-#: count, and they fit in a core's L2 cache; results do not depend on it.
-#: Two of them also serve the per-trial placement and serving path, one
-#: float per trial, in chunks of up to this many trials.
+#: :func:`sinr_blocks`: a block holds ``max(1, BLOCK_ELEMENTS //
+#: interferers)`` trials, 2048 at two rings. Its two (block, interferers)
+#: float buffers and its interferer shadow fading take 24 bytes per path and
+#: fit in a core's L2 cache. The drops' placement and the serving path run
+#: over chunks of whole blocks, up to a quarter of this many trials (8192 at
+#: two rings), in the same two buffers and three chunk-length arrays; so a
+#: simulation's memory is bounded by this constant, whatever the ring and
+#: trial counts. Results do not depend on it.
 BLOCK_ELEMENTS = 36864
 
 
@@ -117,30 +116,6 @@ class CapacityTable(SelfChecked):
         return self.rows[-1][1]
 
 
-def noise_floor(params: SimulationParams, bw_hz: float) -> float:
-    """Thermal noise power in dBm over ``bw_hz``, including the UE noise figure."""
-    if bw_hz <= 0:
-        raise ValidationError("bw_hz must be > 0")
-    return (
-        10.0 * math.log10(BOLTZMANN_J_PER_K * params.temperature_k * 1000.0)
-        + params.noise_figure_db
-        + 10.0 * math.log10(bw_hz)
-    )
-
-
-def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation) -> np.ndarray:
-    """Single-stream spectral efficiency in bps/Hz for each SINR, as an array of the SINRs' shape.
-
-    Step function: the largest row whose ``min_sinr_db`` the SINR meets is
-    selected; below the lowest row (-inf included) returns 0 (no service);
-    above the top row saturates at the top row.
-    """
-    rows = table.rows[generation]
-    mins = np.array([r[0] for r in rows])
-    ses = np.array([0.0, *(r[1] for r in rows)])  # ses[i]: the SE of an SINR that meets i thresholds
-    return ses[np.searchsorted(mins, np.asarray(sinr_db, dtype=float), side="right")]
-
-
 def inter_site_distance_km(site_density: float) -> float:
     """Hexagonal-layout inter-site distance for a given site density."""
     if site_density <= 0:
@@ -167,41 +142,32 @@ _HEX_COS0, _HEX_SIN0 = np.cos(_HEX_A0), np.sin(_HEX_A0)
 _HEX_COS1, _HEX_SIN1 = np.cos(_HEX_A1), np.sin(_HEX_A1)
 
 
-def sample_hexagon(rng: np.random.Generator, n: int, circumradius_km: float, work: tuple[np.ndarray, np.ndarray]):
-    """Uniform points in a regular hexagon centred at the origin.
+def place_in_hexagon(tri: np.ndarray, x: np.ndarray, y: np.ndarray, circumradius_km: float, scratch) -> None:
+    """Points uniform in a regular hexagon centred at the origin, made in place: ``x`` and ``y`` hold u and v.
 
-    The draws are made whole (triangle, then u, then v); the fold, scale and
-    rotation run over chunks of trials as long as the two equal float buffers
-    of ``work``, turning u and v into x and y in place, so only the triangle
-    index, as one byte per trial, is extra.
+    Each trial's uniforms (u, v) fold into the triangle u + v <= 1, scale by
+    the circumradius and map onto triangle ``tri`` (0-5) of the hexagon's six,
+    whose corners lie at ``tri * 60`` and ``tri * 60 + 60`` degrees.
+    ``scratch`` holds two float buffers as long as ``x``.
     """
-    tri = rng.integers(0, 6, n).astype(np.uint8)
-    u = rng.random(n)
-    v = rng.random(n)
-    a, b = work
-    step = len(a)
-    for lo in range(0, n, step):
-        ub, vb = u[lo:lo + step], v[lo:lo + step]
-        xb, yb = a[:len(ub)], b[:len(ub)]
-        tb = tri[lo:lo + step].astype(np.intp)  # one index conversion for the four lookups
-        np.add(ub, vb, out=xb)
-        over = xb > 1.0
-        ub[over] = 1.0 - ub[over]
-        vb[over] = 1.0 - vb[over]
-        ub *= circumradius_km
-        vb *= circumradius_km
-        np.take(_HEX_COS0, tb, out=xb)
-        xb *= ub
-        np.take(_HEX_COS1, tb, out=yb)
-        yb *= vb
-        xb += yb  # x = u cos0[tri] + v cos1[tri]
-        np.take(_HEX_SIN0, tb, out=yb)
-        yb *= ub
-        np.take(_HEX_SIN1, tb, out=ub)
-        ub *= vb
-        np.add(yb, ub, out=vb)  # y = u sin0[tri] + v sin1[tri]
-        ub[:] = xb
-    return u, v
+    s, t = scratch
+    np.add(x, y, out=s)
+    over = s > 1.0
+    x[over] = 1.0 - x[over]
+    y[over] = 1.0 - y[over]
+    x *= circumradius_km
+    y *= circumradius_km
+    np.take(_HEX_COS0, tri, out=s)
+    s *= x
+    np.take(_HEX_COS1, tri, out=t)
+    t *= y
+    s += t  # x = u cos0[tri] + v cos1[tri]
+    np.take(_HEX_SIN0, tri, out=t)
+    t *= x
+    np.take(_HEX_SIN1, tri, out=x)
+    x *= y
+    np.add(t, x, out=y)  # y = u sin0[tri] + v sin1[tri]
+    x[:] = s
 
 
 def shadow_fading_draws(
@@ -264,6 +230,117 @@ def _received_mw(d_km, shadow_db, params: SimulationParams, freq_term_db, scratc
     np.power(10.0, d_km, out=d_km)
 
 
+def sinr_blocks(
+    params: SimulationParams,
+    generation: Generation,
+    carrier: Carrier,
+    site_density: float,
+    receiver_positions: Sequence[tuple[float, float]] | None = None,
+) -> Iterator[np.ndarray]:
+    """Per-trial downlink SINR in dB of one carrier at ``site_density``, as consecutive blocks of trials.
+
+    ``params.trials`` receivers are dropped uniformly in the serving hexagon
+    (or placed at ``receiver_positions``, a testing hook); each trial sees
+    the serving path, the interfering ring paths and the noise floor. The
+    carrier's own stream is read in one fixed order, as one whole-array draw
+    of each part would read it: hexagon triangles, then u, then v (``n``
+    each), the serving shadows (``n``), then the (trials, interferers)
+    shadow array in row order. Each part is read from its own copy of the
+    stream, started where the part starts: a triangle draw taken in pieces
+    leaves the stream where one whole draw does, so one pass that skips the
+    triangles finds u; a uniform takes one 64-bit output, so u and v start
+    ``n`` outputs apart and the serving shadows ``2n`` outputs on
+    (``bit_generator.advance``); a skipped ``standard_normal`` takes what
+    the serving ``lognormal`` takes, and with ``shadow_sigma_db`` 0 there
+    is nothing to skip. So no array grows with ``trials``.
+
+    The trials run in chunks of whole blocks (see :data:`BLOCK_ELEMENTS`):
+    each chunk draws and places its drops, computes its serving paths and
+    turns its serving shadows into signal power, then runs the interferer
+    paths one block of rows at a time, each block's signal divided by its
+    interference plus noise in place, and takes the ratio to dB; it yields
+    that chunk's SINRs, a new array. (Placement and serving paths per block,
+    not per chunk, would add a numpy call per step and block; with ``jobs``
+    threads those calls hand the GIL back and forth.) Each path's distance
+    is ``sqrt(dx^2 + dy^2 + dh^2)`` in km and its power in mW comes from
+    :func:`_received_mw`; a trial's interference is numpy's ``sum`` of its
+    paths' powers over the interferer axis (not a left fold;
+    ``tests/reference_chains.py`` makes the same call), times
+    ``network_load``, and its SINR is ``10 log10(signal / (interference +
+    noise))`` with the noise floor in mW; with no rings the blocks hold no
+    paths, and their interference 0.0 adds nothing to the noise. A signal
+    below float range gives -inf.
+    """
+    isd = inter_site_distance_km(site_density)
+    sites = interferer_positions(isd, params.interferer_rings)
+    n = params.trials if receiver_positions is None else len(receiver_positions)
+    m = len(sites)
+    rows = max(1, BLOCK_ELEMENTS // max(m, 1))
+    chunk = min(rows * max(1, BLOCK_ELEMENTS // 4 // rows), n)  # whole blocks, up to a quarter of the elements
+    rows = min(rows, n)
+    # Two float buffers: one block's paths, or one chunk's placement and serving scratch.
+    a, b = np.empty(max(rows * m, chunk)), np.empty(max(rows * m, chunk))
+    path, scratch = a[:rows * m].reshape(rows, m), b[:rows * m].reshape(rows, m)
+    total = np.empty(rows)
+
+    rng = carrier_rng(params.seed, generation, carrier, site_density)
+    if receiver_positions is None:
+        tri_rng = copy.deepcopy(rng)
+        for lo in range(0, n, chunk):
+            rng.integers(0, 6, min(chunk, n - lo))
+        u_rng, v_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+        v_rng.bit_generator.advance(n)
+        rng.bit_generator.advance(2 * n)
+        xs, ys = np.empty(chunk), np.empty(chunk)
+    else:
+        pos = np.asarray(receiver_positions, dtype=float)
+    serving_rng = copy.deepcopy(rng)
+    if params.shadow_sigma_db != 0:
+        for lo in range(0, n, chunk):
+            rng.standard_normal(out=a[:min(chunk, n - lo)])
+
+    dh_sq = ((params.tx_height_m - params.rx_height_m) / 1000.0) ** 2
+    freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
+    noise_mw = 10.0 ** (noise_floor(params, carrier.bandwidth_mhz * 1e6) / 10.0)
+    for lo in range(0, n, chunk):
+        k = min(chunk, n - lo)
+        s, t = a[:k], b[:k]
+        if receiver_positions is None:
+            x, y = u_rng.random(out=xs[:k]), v_rng.random(out=ys[:k])
+            place_in_hexagon(tri_rng.integers(0, 6, k), x, y, isd / math.sqrt(3.0), (s, t))
+        else:
+            x, y = pos[lo:lo + k, 0], pos[lo:lo + k, 1]
+        sinr = shadow_fading_draws(serving_rng, params.shadow_mu_db, params.shadow_sigma_db, k)  # then the SINR
+        np.multiply(x, x, out=s)
+        np.multiply(y, y, out=t)
+        s += t
+        s += dh_sq
+        np.sqrt(s, out=s)
+        _received_mw(s, sinr, params, freq_term_db, t)
+        sinr[:] = s  # the serving shadow becomes the signal power
+        for r0 in range(0, k, rows):
+            r1 = min(r0 + rows, k)
+            d, e, tot = path[:r1 - r0], scratch[:r1 - r0], total[:r1 - r0]
+            np.subtract(x[r0:r1, None], sites[:, 0], out=d)
+            d *= d
+            np.subtract(y[r0:r1, None], sites[:, 1], out=e)
+            e *= e
+            d += e
+            d += dh_sq
+            np.sqrt(d, out=d)
+            shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (r1 - r0, m))
+            _received_mw(d, shadow, params, freq_term_db, e)
+            del shadow  # freed before the next block's draw
+            np.sum(d, axis=-1, out=tot)  # 0.0 with no rings
+            tot *= params.network_load
+            tot += noise_mw
+            np.divide(sinr[r0:r1], tot, out=sinr[r0:r1])
+        with np.errstate(divide="ignore"):
+            np.log10(sinr, out=sinr)
+        sinr *= 10.0
+        yield sinr
+
+
 def trial_sinr_db(
     params: SimulationParams,
     generation: Generation,
@@ -271,86 +348,28 @@ def trial_sinr_db(
     site_density: float,
     receiver_positions: Sequence[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    """Per-trial downlink SINR in dB of one carrier at ``site_density``.
+    """Every trial's SINR in dB from :func:`sinr_blocks`, joined into one array."""
+    return np.concatenate(list(sinr_blocks(params, generation, carrier, site_density, receiver_positions)))
 
-    ``params.trials`` receivers are dropped uniformly in the serving hexagon
-    (or placed at ``receiver_positions``, a testing hook); each trial sees
-    the serving path, the interfering ring paths and the noise floor. The
-    draws come from the carrier's own stream in a fixed order: hexagon
-    drops, serving shadow, then the (trials, interferers) shadow array in
-    row order, one block of rows at a time. Every step runs over blocks in
-    two float buffers of one block's :data:`BLOCK_ELEMENTS` paths: the
-    drops' placement and the serving path in chunks of that many trials,
-    the signal power written over the serving shadow; then the interferer
-    paths one block of rows at a time, each block's signal divided by its
-    interference plus noise in place; and a last in-place pass takes the
-    ratio to dB. The only trial-length arrays are x, y and that shadow, so
-    memory beyond them is bounded by the block size, whatever the ring
-    count. (Serving paths in blocks of rows, not chunks, would add a numpy
-    call per step and block; with ``jobs`` threads those calls hand the GIL
-    back and forth.) Each path's distance is ``sqrt(dx^2 + dy^2 + dh^2)`` in
-    km and its power in mW comes from :func:`_received_mw`; a trial's
-    interference is numpy's ``sum`` of its paths' powers over the
-    interferer axis (not a left fold; ``tests/reference_chains.py`` makes
-    the same call), times ``network_load``, and its SINR is
-    ``10 log10(signal / (interference + noise))`` with the noise floor in mW;
-    with no rings the blocks hold no paths, and their interference 0.0 adds
-    nothing to the noise. A signal below float range gives -inf.
+
+def step_percentile(values: Sequence[float], counts: Sequence[int], q: float) -> float:
+    """``np.percentile`` of the values, each taken as many times as its count, computed from the counts alone.
+
+    ``values`` must be ascending and the counts must sum to at least 1. The
+    bits are those of numpy's default linear method: of ``n`` values, the
+    virtual index ``(n - 1) * (q / 100)`` has floor i and fraction t; with
+    a the i-th smallest value and b the next one (the last, at the end),
+    the result is ``b - (b - a) * (1 - t)`` if t >= 0.5, else ``a + (b -
+    a) * t``.
     """
-    isd = inter_site_distance_km(site_density)
-    sites = interferer_positions(isd, params.interferer_rings)
-    rng = carrier_rng(params.seed, generation, carrier, site_density)
-    n = params.trials if receiver_positions is None else len(receiver_positions)
-    m = len(sites)
-    rows = min(max(1, BLOCK_ELEMENTS // max(m, 1)), n)
-    # Two float buffers of one block's paths: the placement and serving
-    # passes take chunks of that many trials, as few numpy calls as the
-    # whole-array code made, and the interferer chain one block of rows.
-    step = rows * max(m, 1)
-    a, b = np.empty(step), np.empty(step)
-    if receiver_positions is None:
-        x, y = sample_hexagon(rng, n, isd / math.sqrt(3.0), (a, b))
-    else:
-        pos = np.asarray(receiver_positions, dtype=float)
-        x, y = pos[:, 0], pos[:, 1]
-    sinr = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, n)  # serving shadow, then SINR
-
-    dh_sq = ((params.tx_height_m - params.rx_height_m) / 1000.0) ** 2
-    freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
-    noise_mw = 10.0 ** (noise_floor(params, carrier.bandwidth_mhz * 1e6) / 10.0)
-    for lo in range(0, n, step):
-        xb, yb, sb = x[lo:lo + step], y[lo:lo + step], sinr[lo:lo + step]
-        s, t = a[:len(sb)], b[:len(sb)]
-        np.multiply(xb, xb, out=s)
-        np.multiply(yb, yb, out=t)
-        s += t
-        s += dh_sq
-        np.sqrt(s, out=s)
-        _received_mw(s, sb, params, freq_term_db, t)
-        sb[:] = s  # the serving shadow becomes the signal power
-    path, scratch = a[:rows * m].reshape(rows, m), b[:rows * m].reshape(rows, m)
-    total = np.empty(rows)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        d, t, tot = path[:hi - lo], scratch[:hi - lo], total[:hi - lo]
-        np.subtract(x[lo:hi, None], sites[:, 0], out=d)
-        d *= d
-        np.subtract(y[lo:hi, None], sites[:, 1], out=t)
-        t *= t
-        d += t
-        d += dh_sq
-        np.sqrt(d, out=d)
-        shadow = shadow_fading_draws(rng, params.shadow_mu_db, params.shadow_sigma_db, (hi - lo, m))
-        _received_mw(d, shadow, params, freq_term_db, t)
-        del shadow  # freed before the next block's draw
-        np.sum(d, axis=-1, out=tot)  # 0.0 with no rings
-        tot *= params.network_load
-        tot += noise_mw
-        np.divide(sinr[lo:hi], tot, out=sinr[lo:hi])
-    with np.errstate(divide="ignore"):
-        np.log10(sinr, out=sinr)
-    sinr *= 10.0
-    return sinr
+    ends = list(itertools.accumulate(counts))  # ends[j]: how many values are at steps 0..j
+    n = ends[-1]
+    virtual = (n - 1) * (q / 100.0)
+    i = min(math.floor(virtual), n - 1)
+    a, b = (values[bisect.bisect_right(ends, k)] for k in (i, min(i + 1, n - 1)))
+    t = virtual - i
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def carrier_capacity(
@@ -362,25 +381,33 @@ def carrier_capacity(
 ) -> float:
     """One carrier's area capacity in Mbps/km^2 at ``site_density`` sites/km^2.
 
-    The per-trial SINRs of :func:`trial_sinr_db` map to single-stream
-    spectral efficiency, scaled by the generation's :data:`MIMO_STREAMS`
-    times ``params.mimo_efficiency``; the carrier is credited with the
-    reliability-level percentile of that distribution times bandwidth,
+    Each block of :func:`sinr_blocks` adds its trials to a count per SE
+    step: the step of an SINR is the number of table thresholds it meets,
+    0 below the lowest (-inf included) and the top row above the highest
+    (+inf included). A step's spectral efficiency is its row's
+    single-stream value (0.0 at step 0) times the generation's
+    :data:`MIMO_STREAMS` times ``params.mimo_efficiency``; the carrier is
+    credited with the reliability-level percentile of those values over the
+    trials (:func:`step_percentile`, from the counts) times bandwidth,
     sectors and density. Any nan SINR, or a noise floor beyond float range
     in mW, raises one :class:`ValidationError` naming the carrier and density.
     """
+    rows = se_table.rows[generation]
+    thresholds = np.array([r[0] for r in rows])
+    counts = np.zeros(len(rows) + 1, dtype=np.int64)  # counts[i]: the trials whose SINR meets i thresholds
+    out_of_range = ValidationError(f"{generation.value} carrier {carrier.frequency_mhz:g}x{carrier.bandwidth_mhz:g} "
+                                   f"at {site_density:g} sites/km2: link budget out of float range")
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a nan SINR is checked below
-            sinr = trial_sinr_db(params, generation, carrier, site_density)
+            for sinr in sinr_blocks(params, generation, carrier, site_density):
+                if np.isnan(sinr).any():
+                    raise out_of_range
+                counts += np.bincount(np.searchsorted(thresholds, sinr, side="right"), minlength=len(counts))
     except OverflowError:  # the noise floor overflows in mW: it fails as a nan SINR does
-        sinr = np.array([math.nan])
-    if np.isnan(sinr).any():
-        raise ValidationError(f"{generation.value} carrier {carrier.frequency_mhz:g}x{carrier.bandwidth_mhz:g} at "
-                              f"{site_density:g} sites/km2: link budget out of float range")
-    se = se_lookup(se_table, sinr, generation)
-    se *= MIMO_STREAMS[generation] * params.mimo_efficiency
-    # the percentile partitions ``se`` in place, as it would a copy: the same value, no copy
-    se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0, overwrite_input=True))
+        raise out_of_range from None
+    steps = np.array([0.0, *(r[1] for r in rows)])
+    steps *= MIMO_STREAMS[generation] * params.mimo_efficiency
+    se_reliable = step_percentile(steps.tolist(), counts.tolist(), (1.0 - params.reliability) * 100.0)
     return se_reliable * carrier.bandwidth_mhz * params.sectors_per_site * site_density
 
 
@@ -411,17 +438,15 @@ def build_capacity_tables(
     """One monotone capacity table per frequency set, in the sets' order.
 
     Sets with one :func:`table_cache_key` share a table. With a ``cache_dir``, each distinct key's ``<key>.csv``
-    there is read at most once, used if :func:`_load_cached_table` trusts it, and written for each table built.
-    The rest are built together: each distinct (generation, carrier, density) simulation they need runs once, in
-    one pool of ``jobs`` threads, imported only when there is a simulation to run; the first failure stops the
-    build. A set's column is its carriers' results summed as in :func:`simulate_density`, isotonically clipped.
+    there is read at most once, used if :func:`_load_cached_table` trusts it, and written for each table built
+    (the directory is made only then). The rest are built together: each distinct (generation, carrier, density)
+    simulation they need runs once, in one pool of ``jobs`` threads, imported only when there is a simulation to
+    run; the first failure stops the build. A set's column is its carriers' results summed as in :func:`simulate_density`, isotonically clipped.
     Logs one INFO line of the call's counts. The grid must break no :func:`core.density_grid_rules`.
     """
     grid = list(density_grid)
     raise_broken(density_grid_rules(grid))
     cache = Path(cache_dir) if cache_dir is not None else None
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
     keys = [table_cache_key(params, se_table, fs, grid) for fs in freq_sets]
     distinct = dict(zip(keys, freq_sets))  # cache key -> its set, in first-lookup order
     paths = {key: cache / f"{key}.csv" for key in distinct} if cache is not None else {}
@@ -445,6 +470,7 @@ def build_capacity_tables(
                 sum(len(fs.carriers) for fs in misses.values()) * len(grid), len(plan))
     for key, table in built.items():
         if key in paths:
+            cache.mkdir(parents=True, exist_ok=True)  # only once there is a table to write
             save_capacity_tables([table], paths[key])
     tables = {**found, **built}
     return [tables[key] for key in keys]

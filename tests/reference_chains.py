@@ -11,7 +11,9 @@ The sites stage, :func:`bband_sim.demand.demand_columns` ->
 :func:`bband_sim.dimensioning.site_counts`, equals :func:`sites_chain`.
 :func:`bband_sim.radio.trial_sinr_db` equals :func:`reference_sinr_db`,
 the whole-array link chain :func:`free_space_path_loss` ->
-:func:`received_signal` -> :func:`sinr` with no trial blocks.
+:func:`received_signal` -> :func:`sinr` with no trial blocks, and
+:func:`bband_sim.radio.carrier_capacity` equals :func:`reference_capacity`,
+that chain -> :func:`se_lookup` per trial -> ``np.percentile``.
 The tests in ``test_energy.py``, ``test_cost.py``, ``test_pipeline.py``
 and ``test_radio.py`` check the kernels against these; the run path uses only
 the kernels. :func:`country_sums` and :func:`summary_lines` fold a result
@@ -27,8 +29,9 @@ import numpy as np
 
 from bband_sim import radio
 from bband_sim.core import (
-    AXES, DIESEL_SOURCE, MIX_SOURCES, Backhaul, CostInputs, EmissionFactors, EnergyParams, EnergyStrategy, Policy,
-    Settlement, Sharing, SimulationParams, ordered_sum,
+    AXES, DIESEL_SOURCE, MIMO_STREAMS, MIX_SOURCES, Backhaul, CostInputs, EmissionFactors, EnergyParams,
+    EnergyStrategy, Generation, Policy, Settlement, Sharing, SimulationParams, SpectralEfficiencyTable, build_deciles,
+    ordered_sum, run_key,
 )
 from bband_sim.cost import subsidies
 from bband_sim.demand import arpu_for_settlement, per_user_busy_hour_rate
@@ -250,6 +253,26 @@ def cumulate_horizon(per_year: Sequence[YearEnergy]) -> HorizonTotals:
     )
 
 
+def energy_chain(existing_sites, new_sites, strategy, settlements, n_sharers, on_grid_share, mix_rows, params,
+                 factors) -> list[tuple[float, ...]]:
+    """Per-decile horizon totals of one strategy, in ``ENERGY_FIELDS`` order, one decile-year at a time."""
+    grid = apply_renewables_strategy(GridSplit(on_grid_share), strategy.energy_strategy)
+    out = []
+    for existing, new, settlement in zip(existing_sites, new_sites, settlements):
+        divisor = sharing_energy_divisor(strategy.sharing, settlement, n_sharers)
+        per_year, cumulative = [], 0
+        for year, (builds, mix) in enumerate(zip(build_schedule(new, len(mix_rows)), mix_rows), start=2023):
+            cumulative += builds
+            kwh = annual_energy(existing, cumulative, params, strategy.backhaul)
+            kwh /= divisor
+            on, off = split_energy(kwh, grid)
+            per_year.append(YearEnergy(year, kwh, on, off, emissions(on, off, mix, factors, grid)))
+        t = cumulate_horizon(per_year)
+        e = t.emissions
+        out.append((t.energy_kwh, t.on_grid_kwh, t.off_grid_kwh, e.co2_kg, e.nox_g, e.sox_g, e.pm10_g))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Cost and cross-subsidy
 # ---------------------------------------------------------------------------
@@ -406,6 +429,24 @@ def cross_subsidize(decile_costs: list[DecileCost]) -> list[DecileCost]:
     return [replace(c, subsidy=s) for c, s in zip(decile_costs, subsidy)]
 
 
+def cost_chain(new_sites, upgraded_sites, revenue_pv, deciles, strategy, country, costs) -> list[DecileCost]:
+    """Each decile's cost stack under one strategy, cross-subsidised within the country.
+
+    The spectrum fee prices the MHz the country holds for the strategy's
+    generation, added left to right from 0.0.
+    """
+    held_mhz = ordered_sum(c.bandwidth_mhz for g, c in country.spectrum_portfolio if g == strategy.generation)
+    return cross_subsidize([
+        private_cost(
+            apply_sharing(decile_components(new, upgraded, strategy.backhaul, costs), strategy.sharing,
+                          country.n_major_operators, d.settlement).total,
+            costs, strategy.policy, revenue, spectrum_mhz=held_mhz, population=d.population,
+            country_iso3=country.country_iso3, decile_index=d.decile_index,
+        )
+        for new, upgraded, revenue, d in zip(new_sites, upgraded_sites, revenue_pv, deciles)
+    ])
+
+
 def financial_cost_total(decile_costs: list[DecileCost]) -> float:
     """Total cost to society: private plus net government cost.
 
@@ -461,6 +502,49 @@ def summary_lines(
 
     lines = (",".join(map(text, (*key, *totals))) for key, totals in sorted(sums.items()))
     return [",".join((*group, *(column for column, _ in pairs))), *lines]
+
+
+# ---------------------------------------------------------------------------
+# Whole result lines
+# ---------------------------------------------------------------------------
+
+
+def format_value(value) -> str:
+    """A result cell as emission writes it: integers verbatim, bools as 1/0, floats at 6 significant digits."""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(int(value)) if isinstance(value, bool) else str(value)
+
+
+def decile_line(bundle, tables, run, country_iso3: str, decile_index: int) -> str:
+    """The ``results_decile.csv`` line of one run, country and decile, from the scalar chains alone.
+
+    The decile's own columns, the run key, then :func:`sites_chain`,
+    and :func:`cost_chain` over the country's deciles (cross-subsidy pools
+    them), and :func:`energy_chain` of the decile, formatted as
+    :func:`format_value`. ``tables`` maps (country, generation)
+    to the capacity table a run reads.
+    """
+    strategy, scenario = run
+    country = bundle.countries[country_iso3]
+    deciles = build_deciles(bundle.regions[country_iso3], country_iso3, bundle.settlement_thresholds)
+    horizon = bundle.scenario_space.horizon
+    sites = sites_chain(deciles, country, bundle.adoption, horizon, scenario, tables[country_iso3, strategy.generation])
+    column = {name: [row[name] for row in sites] for name in sites[0]}
+    cost = cost_chain(column["new_sites"], column["upgraded_sites"], column["revenue_pv_usd"], deciles, strategy,
+                      country, bundle.cost_inputs)
+    i = decile_index - 1
+    d, c = deciles[i], cost[i]
+    [used] = energy_chain([d.existing_sites], column["new_sites"][i:i + 1], strategy, [d.settlement],
+                          country.n_major_operators, country.on_grid_share,
+                          [bundle.energy_mix[country_iso3][year] for year in horizon.years()], bundle.energy_params,
+                          bundle.emission_factors)
+    values = (
+        d.country_iso3, d.decile_index, d.settlement.value, d.population, d.area_km2, *run_key(strategy, scenario),
+        *sites[i].values(), c.network, c.administration, c.spectrum, c.tax, c.profit, c.private_cost, c.subsidy,
+        c.government_cost, c.financial_cost, *used,
+    )
+    return ",".join(map(format_value, values))
 
 
 # ---------------------------------------------------------------------------
@@ -571,3 +655,25 @@ def reference_sinr_db(params, generation, carrier, site_density, receiver_positi
     else:
         interferers = np.empty((n, 0))
     return sinr(signal, interferers, noise_floor(params, carrier.bandwidth_mhz * 1e6), params.network_load)
+
+
+def se_lookup(table: SpectralEfficiencyTable, sinr_db, generation: Generation) -> np.ndarray:
+    """Single-stream spectral efficiency in bps/Hz for each SINR, as an array of the SINRs' shape.
+
+    Step function: the largest row whose ``min_sinr_db`` the SINR meets is
+    selected; below the lowest row (-inf included) returns 0 (no service);
+    above the top row saturates at the top row.
+    """
+    rows = table.rows[generation]
+    mins = np.array([r[0] for r in rows])
+    ses = np.array([0.0, *(r[1] for r in rows)])  # ses[i]: the SE of an SINR that meets i thresholds
+    return ses[np.searchsorted(mins, np.asarray(sinr_db, dtype=float), side="right")]
+
+
+def reference_capacity(params, se_table, generation, carrier, site_density) -> float:
+    """The whole-array capacity chain that carrier_capacity must match bit for bit: every trial's SE, then its
+    percentile. A nan SINR is not checked here."""
+    se = se_lookup(se_table, reference_sinr_db(params, generation, carrier, site_density), generation)
+    se *= MIMO_STREAMS[generation] * params.mimo_efficiency
+    se_reliable = float(np.percentile(se, (1.0 - params.reliability) * 100.0))
+    return se_reliable * carrier.bandwidth_mhz * params.sectors_per_site * site_density

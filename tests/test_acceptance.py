@@ -45,9 +45,8 @@ from bband_sim.radio import (
     SimulationParams,
     build_capacity_table,
     noise_floor,
-    se_lookup,
 )
-from reference_chains import country_sums, free_space_path_loss, sinr
+from reference_chains import country_sums, free_space_path_loss, se_lookup, sinr
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "miniland"
 

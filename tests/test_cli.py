@@ -102,22 +102,72 @@ def test_non_finite_money_fails_the_run(miniland_copy, table_cache, tmp_path, mo
         ("4G", "wireless", "baseline", "baseline", "baseline", 30.0, "baseline")]
 
 
-@pytest.mark.parametrize("command", ["run", "tables"])
-def test_simulation_too_large_to_allocate_is_one_line_and_exit_3(miniland_copy, tmp_path, monkeypatch, capsys,
-                                                                  command):
-    # 1e17 trials are 800 PB per float array, above any address space: the first allocation fails at once
+@pytest.mark.parametrize("command", ["validate", "run", "tables"])
+def test_trials_above_the_ceiling_is_one_diagnostic_and_exit_2(miniland_copy, tmp_path, monkeypatch, capsys, command):
+    # 1e17 trials would loop through about 5e13 blocks: every command rejects them on load
     config = miniland_copy / "config.yaml"
     config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 100000000000000000\n"))
-    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_OK
     monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
+    capsys.readouterr()
+    code = main([command, "--data", str(miniland_copy), "--config", str(config),
+                 *(["--out", str(tmp_path / "out")] if command != "validate" else [])])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "config: simulation: trials: 100000000000000000 must be <= 100000000"
+    assert err[1:] == (["INVALID: 1 problem(s)"] if command == "validate" else [])
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tables"])
+def test_memory_error_in_a_simulation_is_one_line_and_exit_3(miniland_copy, tmp_path, monkeypatch, capsys, command):
+    from bband_sim import radio
+
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. PiB for an array with shape (100000000000000000,)")
+        yield
+
+    monkeypatch.setattr(radio, "sinr_blocks", unallocatable)
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
+    config = miniland_copy / "config.yaml"
     capsys.readouterr()
     code = main([command, "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out"),
                  *(["--runs", SINGLE_RUN_FILTER] if command == "run" else [])])
     assert code == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("runtime error: Unable to allocate")
-    assert "Traceback" not in err
+    assert err == "runtime error: Unable to allocate 745. PiB for an array with shape (100000000000000000,)\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+#: ``validate``'s one diagnostic for each link budget out of float range; ``run`` and ``tables`` fail it at runtime.
+OUT_OF_RANGE = {
+    "tx_power_dbm: 4000": "config: simulation: the largest received power, 3947.4 dBm on each of a trial's 7 paths "
+                          "at 800 MHz, is out of float range in mW",
+    "noise_figure_db: 4000": "config: simulation: the noise floor over 10 MHz, 3896.02 dBm, is out of float range "
+                             "in mW",
+    "tx_power_dbm: -4000": "config: simulation: the largest received power, -4052.6 dBm on each of a trial's 7 "
+                           "paths at 800 MHz, is out of float range in mW",
+    "temperature_k: 1.0e-310": "config: simulation: the noise floor over 10 MHz, -inf dBm, is out of float range in mW",
+}
+
+
+@pytest.mark.parametrize("edit", sorted(OUT_OF_RANGE))
+def test_validate_rejects_a_link_budget_out_of_float_range(miniland_copy, capsys, edit):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", f"  trials: 10000\n  {edit}\n"))
+    capsys.readouterr()
+    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [OUT_OF_RANGE[edit], "INVALID: 1 problem(s)"]
+
+
+@pytest.mark.parametrize("command", ["run", "tables"])
+def test_failed_build_leaves_no_directory(miniland_copy, tmp_path, monkeypatch, capsys, command):
+    # with no BBAND_SIM_CACHE, run caches under --out: neither directory is made before a table is written
+    monkeypatch.delenv("BBAND_SIM_CACHE", raising=False)
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 200\n  noise_figure_db: 4000\n"))
+    code = main([command, "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "tables"])

@@ -208,9 +208,11 @@ SIMULATION_RULES = (
     ("temperature_k", st.floats(max_value=0.0), "temperature_k: {} must be > 0".format),
     ("reliability", st.floats(max_value=0.0) | st.floats(min_value=1.0),
      lambda v: f"reliability: {v} must be " + ("> 0" if v <= 0 else "< 1")),
-    ("trials", st.integers(max_value=99), "trials: {} must be >= 100".format),
+    ("trials", st.integers(max_value=99) | st.integers(min_value=10**8 + 1),
+     lambda v: f"trials: {v} must be " + (">= 100" if v < 100 else "<= 100000000")),
     ("seed", st.integers(max_value=-1), "seed: {} must be >= 0".format),
-    ("interferer_rings", st.integers(max_value=-1), "interferer_rings: {} must be >= 0".format),
+    ("interferer_rings", st.integers(max_value=-1) | st.integers(min_value=101),
+     lambda v: f"interferer_rings: {v} must be " + (">= 0" if v < 0 else "<= 100")),
     ("mimo_efficiency", st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
      lambda v: f"mimo_efficiency: {v} must be " + ("> 0" if v <= 0 else "<= 1")),
     ("shadow_mu_db", st.floats(max_value=0.0), lambda v: "shadow_mu_db must be > 0 when shadow_sigma_db > 0"),

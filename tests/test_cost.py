@@ -14,6 +14,7 @@ from reference_chains import (
     CostComponents,
     DecileCost,
     apply_sharing,
+    cost_chain,
     cross_subsidize,
     decile_components,
     financial_cost_total,
@@ -211,15 +212,6 @@ def deciles(settlements, population):
             for i, (s, p) in enumerate(zip(settlements, population), 1)]
 
 
-def held_mhz(country, generation):
-    """The MHz the country holds for ``generation``, added left to right."""
-    total = 0.0
-    for g, carrier in country.spectrum_portfolio:
-        if g == generation:
-            total += carrier.bandwidth_mhz
-    return total
-
-
 @st.composite
 def cost_blocks(draw):
     """Keyword arguments of :func:`cost_columns`: 1-8 strategies over one country's 1-10 deciles.
@@ -270,7 +262,7 @@ class TestCostColumns:
     @settings(max_examples=300, deadline=None)
     @given(cost_blocks())
     def test_equals_scalar_chain_bit_for_bit(self, b):
-        costs, n_sharers = b["costs"], b["country"].n_major_operators
+        costs = b["costs"]
         got = cost_columns(**b)
         fields = {"network_usd": "network", "administration_usd": "administration", "spectrum_usd": "spectrum",
                   "tax_usd": "tax", "profit_usd": "profit", "private_cost_usd": "private_cost",
@@ -278,16 +270,8 @@ class TestCostColumns:
                   "financial_cost_usd": "financial_cost"}
         assert set(got) == set(fields)
         for i, s in enumerate(b["strategies"]):
-            chain = cross_subsidize([
-                private_cost(
-                    apply_sharing(decile_components(new, upgraded, s.backhaul, costs), s.sharing, n_sharers,
-                                  d.settlement).total,
-                    costs, s.policy, revenue, spectrum_mhz=held_mhz(b["country"], s.generation),
-                    population=d.population, country_iso3="AAA", decile_index=d.decile_index,
-                )
-                for new, upgraded, revenue, d in zip(b["new_sites"][i], b["upgraded_sites"][i], b["revenue_pv"][i],
-                                                     b["deciles"])
-            ])
+            chain = cost_chain(b["new_sites"][i], b["upgraded_sites"][i], b["revenue_pv"][i], b["deciles"], s,
+                               b["country"], costs)
             for column, field in fields.items():
                 assert [x.hex() for x in got[column][i].tolist()] == [float(getattr(c, field)).hex() for c in chain], column
 

@@ -440,6 +440,14 @@ CASES = {
         [("config.yaml", "trials: 10000", "trials: 5")],
         ["config: simulation: trials: 5 must be >= 100"],
     ),
+    "config_simulation_trials_above_the_ceiling": (
+        [("config.yaml", "trials: 10000", "trials: 100000001")],
+        ["config: simulation: trials: 100000001 must be <= 100000000"],
+    ),
+    "config_simulation_rings_above_the_ceiling": (
+        [("config.yaml", "trials: 10000", "trials: 10000\n  interferer_rings: 1000000")],
+        ["config: simulation: interferer_rings: 1000000 must be <= 100"],
+    ),
     "config_cost_missing_key": (
         [("config.yaml", "  core_usd: 10000\n", "")],
         ["config: cost: missing mandatory keys ['core_usd']"],

@@ -20,11 +20,10 @@ from reference_chains import (
     GridSplit,
     YearEnergy,
     annual_energy,
-    apply_renewables_strategy,
     build_schedule,
     cumulate_horizon,
     emissions,
-    sharing_energy_divisor,
+    energy_chain,
     split_energy,
 )
 
@@ -297,26 +296,6 @@ def scaled(block, k):
     return dict(block, keys=keys)
 
 
-def scalar_chain(existing_sites, new_sites, strategy, settlements, n_sharers, on_grid_share, mix_rows, params,
-                 factors):
-    """Per-decile horizon totals of one key from the scalar functions, one decile-year at a time."""
-    grid = apply_renewables_strategy(GridSplit(on_grid_share), strategy.energy_strategy)
-    out = []
-    for existing, new, settlement in zip(existing_sites, new_sites, settlements):
-        divisor = sharing_energy_divisor(strategy.sharing, settlement, n_sharers)
-        per_year, cumulative = [], 0
-        for year, (builds, mix) in enumerate(zip(build_schedule(new, len(mix_rows)), mix_rows), start=2023):
-            cumulative += builds
-            kwh = annual_energy(existing, cumulative, params, strategy.backhaul)
-            kwh /= divisor
-            on, off = split_energy(kwh, grid)
-            per_year.append(YearEnergy(year, kwh, on, off, emissions(on, off, mix, factors, grid)))
-        t = cumulate_horizon(per_year)
-        e = t.emissions
-        out.append((t.energy_kwh, t.on_grid_kwh, t.off_grid_kwh, e.co2_kg, e.nox_g, e.sox_g, e.pm10_g))
-    return out
-
-
 def bits(values):
     return [float(v).hex() for v in values]
 
@@ -369,7 +348,7 @@ class TestEnergyKernel:
         shared = {name: value for name, value in block.items() if name != "keys"}
         for i, key in enumerate(block["keys"]):
             columns = zip(*(got[f][i].tolist() for f in ENERGY_FIELDS))
-            for kernel_row, chain_row in zip(columns, scalar_chain(**key, **shared), strict=True):
+            for kernel_row, chain_row in zip(columns, energy_chain(**key, **shared), strict=True):
                 assert bits(kernel_row) == bits(chain_row)
 
     @settings(max_examples=200, deadline=None)

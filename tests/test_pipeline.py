@@ -46,7 +46,7 @@ from bband_sim.pipeline import (
     format_rows,
     run_pipeline,
 )
-from reference_chains import DecileCost, country_sums, sites_chain, summary_lines
+from reference_chains import DecileCost, country_sums, decile_line, sites_chain, summary_lines
 
 BASELINE_RUN = (
     StrategyBundle(Generation.G4, Backhaul.WIRELESS, Sharing.BASELINE, Policy.BASELINE, EnergyStrategy.BASELINE),
@@ -463,6 +463,27 @@ class TestSitesColumns:
         got = [tuple(x.hex() if isinstance(x, float) else x for x in row)
                for row in zip(*(table.column(n).tolist() for n in names))]
         want = [tuple(x.hex() if isinstance(x, float) else x for x in chains[key]) for key in row_keys]
+        assert got == want
+
+
+class TestDecileLines:
+    def test_sampled_runs_equal_the_scalar_chains_line_for_line(self, bundle, table_cache, full_matrix):
+        # the first run with each value of each axis, and every 13th run: each of their rows, formatted from the
+        # scalar chains, is its line of results_decile.csv (row i is line i + 2)
+        table, out_dir = full_matrix
+        keys = [run_key(*r) for r in table.runs]
+        sample = {next(i for i, k in enumerate(keys) if k[a] == v)
+                  for a in range(len(AXES)) for v in {k[a] for k in keys}}
+        sample |= set(range(0, len(keys), 13))
+        assert len(sample) == 125
+        tables = pipeline.capacity_tables(bundle, cache_dir=table_cache)
+        lines = (out_dir / "results_decile.csv").read_text().splitlines()
+        rows = np.flatnonzero(np.isin(table.run, sorted(sample)))
+        assert len(rows) == 20 * len(sample)
+        got = [lines[i + 1] for i in rows.tolist()]
+        want = [decile_line(bundle, tables, table.runs[run], iso3, decile) for run, iso3, decile in
+                zip(table.run[rows].tolist(), table.column("country_iso3", rows).tolist(),
+                    table.column("decile_index", rows).tolist())]
         assert got == want
 
 
