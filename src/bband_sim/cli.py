@@ -3,10 +3,9 @@
 Subcommands:
 
 * ``run``      execute the scenario matrix and write result CSVs
-* ``validate`` check a data directory and config without running anything;
-  beyond what every command checks, it checks each carrier's link budget
-  against float range (:func:`core.link_budget_rules`), which ``run`` and
-  ``tables`` meet as a runtime error
+* ``validate`` check a data directory and config without running anything:
+  the loaders' checks, which ``run`` and ``tables`` make too, so an input
+  ``validate`` passes is one they accept
 * ``tables``   build and write the capacity lookup tables only
 
 Exit codes: 0 success, 2 input validation failure, 3 runtime failure (an
@@ -24,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import AXES, SimulationParams, enumerate_runs, link_budget_rules, run_key
+from .core import AXES, SimulationParams, enumerate_runs, run_key
 from .data_io import Diagnostic, load_bundle, load_table_inputs
 from .errors import BbandSimError, InputValidationError, ValidationError
 
@@ -104,12 +103,7 @@ def _jobs(text: str) -> int:
 
 
 def _cmd_validate(args) -> int:
-    bundle = load_bundle(args.data, args.config)
-    carriers = [c for country in bundle.countries.values() for _, c in country.spectrum_portfolio]
-    carriers += [c for fs in bundle.table_portfolios for c in fs.carriers]
-    broken = [Diagnostic("config", 0, f"simulation: {m}") for m in link_budget_rules(bundle.sim_params, carriers)]
-    if broken:
-        raise InputValidationError(broken)
+    load_bundle(args.data, args.config)
     print("OK")
     return EXIT_OK
 

@@ -441,6 +441,15 @@ def _mw(dbm: float) -> float:
         return math.inf
 
 
+def shadow_lognormal(mu_db: float, sigma_db: float) -> tuple[float, float]:
+    """The moment-matched ``(mu, sigma)`` of the normal whose lognormal has mean ``mu_db`` and deviation ``sigma_db``;
+    a square beyond float range makes one infinite, or raises ``ValueError`` or ``ZeroDivisionError``."""
+    ratio = sigma_db / mu_db
+    sigma_ln = math.sqrt(math.log(1.0 + ratio * ratio))
+    mu_ln = math.log(mu_db * mu_db / math.sqrt(mu_db * mu_db + sigma_db * sigma_db))
+    return mu_ln, sigma_ln
+
+
 def link_budget_rules(params: SimulationParams, carriers: Iterable[Carrier]) -> Iterator[str]:
     """The link budget's float ranges that simulations of ``carriers`` need, checked without numpy.
 
@@ -450,9 +459,9 @@ def link_budget_rules(params: SimulationParams, carriers: Iterable[Carrier]) -> 
     ``shadow_mu_db``) and NLoS term (``min(0, nlos_excess_db)``), times a
     trial's paths (the serving one and every interferer), and the noise
     floor, must each be finite and nonzero in mW. Each rule broken on some
-    carrier is one message, naming the first such carrier. A simulation
-    outside these ranges fails as a nan SINR does, or reads all signals as
-    zero or as +inf.
+    carrier is one message, naming the first such carrier; so is a fading
+    shadow whose :func:`shadow_lognormal` is not finite. A simulation outside
+    these ranges fails as a nan SINR does, or reads all signals as 0 or +inf.
     """
     carriers = list(carriers)
     paths = 1 + 3 * params.interferer_rings * (params.interferer_rings + 1)
@@ -475,6 +484,13 @@ def link_budget_rules(params: SimulationParams, carriers: Iterable[Carrier]) -> 
         if not 0 < _mw(dbm) < math.inf:
             yield f"the noise floor over {c.bandwidth_mhz:g} MHz, {dbm:.6g} dBm, is out of float range in mW"
             break
+    try:
+        normal = shadow_lognormal(params.shadow_mu_db, params.shadow_sigma_db) if params.shadow_sigma_db > 0 else ()
+    except (ValueError, ZeroDivisionError):  # a square below float range
+        normal = (math.nan,)
+    if not all(map(math.isfinite, normal)):
+        yield (f"the shadow fading's lognormal, {params.shadow_mu_db:.6g} dB mean and "
+               f"{params.shadow_sigma_db:.6g} dB deviation, is out of float range")
 
 
 @dataclass(frozen=True)

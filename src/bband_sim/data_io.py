@@ -17,9 +17,10 @@ Headers must match byte for byte. Loading never stops at the first problem:
 each bad cell, and each row with the wrong number of cells, is reported with
 file and line and its row dropped; the rules across cells, rows and files
 (duplicates, unknown countries, ARPU order, mix sums, SE rows per generation
-...) run on the rows that parsed. All diagnostics are raised together as
-:class:`InputValidationError`. ``se_table.csv`` is optional; the packaged
-table is used when it is absent.
+...) run on the rows that parsed, and last the link budget's float ranges
+(:func:`core.link_budget_rules`) on each carrier a command would simulate.
+All diagnostics are raised together as :class:`InputValidationError`.
+``se_table.csv`` is optional; the packaged table is used when it is absent.
 
 The config is a YAML mapping of the :data:`CONFIG_SECTIONS`, each checked once
 to be a mapping and read as empty when absent. One reader reads each section of
@@ -47,7 +48,7 @@ from .core import (
     MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs,
     CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup,
     Regions, ScenarioSpace, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable,
-    StrategySpace, broken_bound, declared_bounds, density_grid_rules, raise_broken,
+    StrategySpace, broken_bound, declared_bounds, density_grid_rules, link_budget_rules, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -508,6 +509,11 @@ def _table_portfolios(section: dict, collector: _Collector) -> tuple[FrequencySe
     return tuple(portfolios) or DEFAULT_TABLE_PORTFOLIOS
 
 
+def _check_link_budget(params: SimulationParams, carriers: Iterable[Carrier], collector: _Collector) -> None:
+    """Report each float range that the link budget of ``carriers`` leaves (:func:`link_budget_rules`)."""
+    collector.check("config", 0, "simulation: ", raise_broken, link_budget_rules(params, carriers))
+
+
 class _ConfigLoader(yaml.SafeLoader):
     """``yaml.SafeLoader`` that records each key repeated within its mapping, as ``(line, column, key)``."""
 
@@ -550,7 +556,7 @@ def load_config(config_path: Path | str, collector: _Collector) -> dict[str, dic
 
 
 def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
-    """Load and validate every input; raise with all diagnostics on failure."""
+    """Load and validate every input, the link budget of every carrier last; raise with all diagnostics on failure."""
     data_dir = Path(data_dir)
     collector = _Collector()
     if not data_dir.is_dir():
@@ -598,6 +604,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
 
     se_table = _se_table(_se_table_path(data_dir), collector)
 
+    spectrum_carriers = [c for params in countries.values() for _, c in params.spectrum_portfolio]
+    _check_link_budget(sim_params, [*spectrum_carriers, *(c for fs in portfolios for c in fs.carriers)], collector)
     collector.raise_if_any()
     return InputBundle(
         countries=countries, regions=regions, adoption=adoption, energy_mix=energy_mix,
@@ -622,15 +630,16 @@ def load_table_inputs(config_path: Path | str, data_dir: Path | str | None = Non
 
     Reads the config's ``simulation`` and ``tables`` sections, after
     :func:`load_config` has checked that every section is a mapping, and the
-    SE table (``<data_dir>/se_table.csv`` if present, else the packaged one).
-    Like :func:`load_bundle`, raises one :class:`InputValidationError`
-    carrying every diagnostic.
+    SE table (``<data_dir>/se_table.csv`` if present, else the packaged one),
+    then the link budget of the portfolios' carriers. Like :func:`load_bundle`,
+    raises one :class:`InputValidationError` carrying every diagnostic.
     """
     collector = _Collector()
     config = load_config(config_path, collector)
     sim_params, density_grid = _sim_params(config, collector)
     portfolios = _table_portfolios(config["tables"], collector)
     se_table = _se_table(_se_table_path(data_dir), collector)
+    _check_link_budget(sim_params, (c for fs in portfolios for c in fs.carriers), collector)
     collector.raise_if_any()
     return TableInputs(sim_params, density_grid, se_table, portfolios)
 

@@ -61,6 +61,7 @@ import numpy as np
 from .core import (
     DEFAULT_DENSITY_GRID, MIMO_STREAMS, Carrier, FrequencySet, Generation, SimulationParams, SpectralEfficiencyTable,
     SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, noise_floor, ordered_sum, raise_broken,
+    shadow_lognormal,
 )
 from .errors import ValidationError
 
@@ -179,19 +180,16 @@ def shadow_fading_draws(
     """Per-path shadow fading excess loss, lognormally distributed in dB.
 
     ``mu_db`` and ``sigma_db`` are the mean and standard deviation of the
-    dB-valued loss; the underlying normal parameters are moment-matched, so
-    draws are non-negative with a long right tail (occasional heavy
-    blockage) rather than symmetric. ``sigma_db = 0`` degenerates to the
-    constant ``mu_db``.
+    dB-valued loss; the underlying normal parameters are moment-matched
+    (:func:`core.shadow_lognormal`), so draws are non-negative with a long
+    right tail (occasional heavy blockage) rather than symmetric.
+    ``sigma_db = 0`` degenerates to the constant ``mu_db``.
     """
     if sigma_db == 0:
         return np.full(size, float(mu_db))
     if mu_db <= 0:
         raise ValidationError("shadow_mu_db must be > 0 when shadow_sigma_db > 0")
-    ratio = sigma_db / mu_db
-    sigma_ln = math.sqrt(math.log(1.0 + ratio * ratio))
-    mu_ln = math.log(mu_db * mu_db / math.sqrt(mu_db * mu_db + sigma_db * sigma_db))
-    return rng.lognormal(mu_ln, sigma_ln, size)
+    return rng.lognormal(*shadow_lognormal(mu_db, sigma_db), size)
 
 
 def carrier_rng(seed: int, generation: Generation, carrier: Carrier, site_density: float) -> np.random.Generator:
@@ -235,24 +233,23 @@ def sinr_blocks(
     generation: Generation,
     carrier: Carrier,
     site_density: float,
-    receiver_positions: Sequence[tuple[float, float]] | None = None,
 ) -> Iterator[np.ndarray]:
     """Per-trial downlink SINR in dB of one carrier at ``site_density``, as consecutive blocks of trials.
 
     ``params.trials`` receivers are dropped uniformly in the serving hexagon
-    (or placed at ``receiver_positions``, a testing hook); each trial sees
-    the serving path, the interfering ring paths and the noise floor. The
-    carrier's own stream is read in one fixed order, as one whole-array draw
-    of each part would read it: hexagon triangles, then u, then v (``n``
-    each), the serving shadows (``n``), then the (trials, interferers)
-    shadow array in row order. Each part is read from its own copy of the
-    stream, started where the part starts: a triangle draw taken in pieces
-    leaves the stream where one whole draw does, so one pass that skips the
-    triangles finds u; a uniform takes one 64-bit output, so u and v start
-    ``n`` outputs apart and the serving shadows ``2n`` outputs on
-    (``bit_generator.advance``); a skipped ``standard_normal`` takes what
-    the serving ``lognormal`` takes, and with ``shadow_sigma_db`` 0 there
-    is nothing to skip. So no array grows with ``trials``.
+    (:func:`place_in_hexagon`); each trial sees the serving path, the
+    interfering ring paths and the noise floor. The carrier's own stream is
+    read in one fixed order, as one whole-array draw of each part would read
+    it: hexagon triangles, then u, then v (``n`` each), the serving shadows
+    (``n``), then the (trials, interferers) shadow array in row order. Each
+    part is read from its own copy of the stream, started where the part
+    starts: a triangle draw taken in pieces leaves the stream where one
+    whole draw does, so one pass that skips the triangles finds u; a uniform
+    takes one 64-bit output, so u and v start ``n`` outputs apart and the
+    serving shadows ``2n`` outputs on (``bit_generator.advance``); a skipped
+    ``standard_normal`` takes what the serving ``lognormal`` takes, and with
+    ``shadow_sigma_db`` 0 there is nothing to skip. So no array grows with
+    ``trials``.
 
     The trials run in chunks of whole blocks (see :data:`BLOCK_ELEMENTS`):
     each chunk draws and places its drops, computes its serving paths and
@@ -273,7 +270,7 @@ def sinr_blocks(
     """
     isd = inter_site_distance_km(site_density)
     sites = interferer_positions(isd, params.interferer_rings)
-    n = params.trials if receiver_positions is None else len(receiver_positions)
+    n = params.trials
     m = len(sites)
     rows = max(1, BLOCK_ELEMENTS // max(m, 1))
     chunk = min(rows * max(1, BLOCK_ELEMENTS // 4 // rows), n)  # whole blocks, up to a quarter of the elements
@@ -284,16 +281,13 @@ def sinr_blocks(
     total = np.empty(rows)
 
     rng = carrier_rng(params.seed, generation, carrier, site_density)
-    if receiver_positions is None:
-        tri_rng = copy.deepcopy(rng)
-        for lo in range(0, n, chunk):
-            rng.integers(0, 6, min(chunk, n - lo))
-        u_rng, v_rng = copy.deepcopy(rng), copy.deepcopy(rng)
-        v_rng.bit_generator.advance(n)
-        rng.bit_generator.advance(2 * n)
-        xs, ys = np.empty(chunk), np.empty(chunk)
-    else:
-        pos = np.asarray(receiver_positions, dtype=float)
+    tri_rng = copy.deepcopy(rng)
+    for lo in range(0, n, chunk):
+        rng.integers(0, 6, min(chunk, n - lo))
+    u_rng, v_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    v_rng.bit_generator.advance(n)
+    rng.bit_generator.advance(2 * n)
+    xs, ys = np.empty(chunk), np.empty(chunk)
     serving_rng = copy.deepcopy(rng)
     if params.shadow_sigma_db != 0:
         for lo in range(0, n, chunk):
@@ -305,11 +299,8 @@ def sinr_blocks(
     for lo in range(0, n, chunk):
         k = min(chunk, n - lo)
         s, t = a[:k], b[:k]
-        if receiver_positions is None:
-            x, y = u_rng.random(out=xs[:k]), v_rng.random(out=ys[:k])
-            place_in_hexagon(tri_rng.integers(0, 6, k), x, y, isd / math.sqrt(3.0), (s, t))
-        else:
-            x, y = pos[lo:lo + k, 0], pos[lo:lo + k, 1]
+        x, y = u_rng.random(out=xs[:k]), v_rng.random(out=ys[:k])
+        place_in_hexagon(tri_rng.integers(0, 6, k), x, y, isd / math.sqrt(3.0), (s, t))
         sinr = shadow_fading_draws(serving_rng, params.shadow_mu_db, params.shadow_sigma_db, k)  # then the SINR
         np.multiply(x, x, out=s)
         np.multiply(y, y, out=t)
@@ -339,17 +330,6 @@ def sinr_blocks(
             np.log10(sinr, out=sinr)
         sinr *= 10.0
         yield sinr
-
-
-def trial_sinr_db(
-    params: SimulationParams,
-    generation: Generation,
-    carrier: Carrier,
-    site_density: float,
-    receiver_positions: Sequence[tuple[float, float]] | None = None,
-) -> np.ndarray:
-    """Every trial's SINR in dB from :func:`sinr_blocks`, joined into one array."""
-    return np.concatenate(list(sinr_blocks(params, generation, carrier, site_density, receiver_positions)))
 
 
 def step_percentile(values: Sequence[float], counts: Sequence[int], q: float) -> float:
@@ -389,8 +369,8 @@ def carrier_capacity(
     :data:`MIMO_STREAMS` times ``params.mimo_efficiency``; the carrier is
     credited with the reliability-level percentile of those values over the
     trials (:func:`step_percentile`, from the counts) times bandwidth,
-    sectors and density. Any nan SINR, or a noise floor beyond float range
-    in mW, raises one :class:`ValidationError` naming the carrier and density.
+    sectors and density. Any nan SINR, or a noise floor, k T or shadow moment
+    beyond float range, raises one :class:`ValidationError` naming the carrier and density.
     """
     rows = se_table.rows[generation]
     thresholds = np.array([r[0] for r in rows])
@@ -403,7 +383,7 @@ def carrier_capacity(
                 if np.isnan(sinr).any():
                     raise out_of_range
                 counts += np.bincount(np.searchsorted(thresholds, sinr, side="right"), minlength=len(counts))
-    except OverflowError:  # the noise floor overflows in mW: it fails as a nan SINR does
+    except (ArithmeticError, ValueError):  # the noise floor overflows in mW, or k T or a shadow moment underflows to 0
         raise out_of_range from None
     steps = np.array([0.0, *(r[1] for r in rows)])
     steps *= MIMO_STREAMS[generation] * params.mimo_efficiency

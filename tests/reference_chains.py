@@ -9,7 +9,7 @@
 :func:`apply_sharing` -> :func:`private_cost` -> :func:`cross_subsidize`.
 The sites stage, :func:`bband_sim.demand.demand_columns` ->
 :func:`bband_sim.dimensioning.site_counts`, equals :func:`sites_chain`.
-:func:`bband_sim.radio.trial_sinr_db` equals :func:`reference_sinr_db`,
+:func:`bband_sim.radio.sinr_blocks`, its blocks joined, equals :func:`reference_sinr_db`,
 the whole-array link chain :func:`free_space_path_loss` ->
 :func:`received_signal` -> :func:`sinr` with no trial blocks, and
 :func:`bband_sim.radio.carrier_capacity` equals :func:`reference_capacity`,
@@ -618,7 +618,7 @@ def sinr(signal_dbm, interferers_dbm, noise_dbm: float, network_load: float = 1.
 
 
 def reference_sinr_db(params, generation, carrier, site_density, receiver_positions=None):
-    """The unblocked whole-array chain that trial_sinr_db must match bit for bit."""
+    """The unblocked whole-array chain that sinr_blocks, its blocks joined, must match bit for bit."""
     isd = inter_site_distance_km(site_density)
     sites = radio.interferer_positions(isd, params.interferer_rings)
     dh_km = (params.tx_height_m - params.rx_height_m) / 1000.0

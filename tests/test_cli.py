@@ -2,7 +2,6 @@ import csv
 import hashlib
 import logging
 import math
-import re
 import shutil
 import tempfile
 import warnings
@@ -17,6 +16,7 @@ from bband_sim import save_bundle
 from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main, parse_run_filter
 from bband_sim.core import enumerate_runs, run_key
 from bband_sim.data_io import load_bundle
+from bband_sim.errors import ValidationError
 
 SINGLE_RUN_FILTER = (
     "generation=4G,backhaul=wireless,sharing=baseline,policy=baseline,"
@@ -138,7 +138,7 @@ def test_memory_error_in_a_simulation_is_one_line_and_exit_3(miniland_copy, tmp_
     assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
-#: ``validate``'s one diagnostic for each link budget out of float range; ``run`` and ``tables`` fail it at runtime.
+#: The one diagnostic of each link budget out of float range, which every command gives at load.
 OUT_OF_RANGE = {
     "tx_power_dbm: 4000": "config: simulation: the largest received power, 3947.4 dBm on each of a trial's 7 paths "
                           "at 800 MHz, is out of float range in mW",
@@ -147,43 +147,45 @@ OUT_OF_RANGE = {
     "tx_power_dbm: -4000": "config: simulation: the largest received power, -4052.6 dBm on each of a trial's 7 "
                            "paths at 800 MHz, is out of float range in mW",
     "temperature_k: 1.0e-310": "config: simulation: the noise floor over 10 MHz, -inf dBm, is out of float range in mW",
+    "shadow_mu_db: 1.0e-200": "config: simulation: the shadow fading's lognormal, 1e-200 dB mean and 10 dB deviation, "
+                              "is out of float range",
 }
 
 
-@pytest.mark.parametrize("edit", sorted(OUT_OF_RANGE))
-def test_validate_rejects_a_link_budget_out_of_float_range(miniland_copy, capsys, edit):
+@pytest.mark.parametrize("command, edit", [
+    pytest.param(command, edit, id=edit if command == "validate" else f"{edit}-{command}")
+    for edit in sorted(OUT_OF_RANGE) for command in ("validate", "run", "tables")
+])
+def test_validate_rejects_a_link_budget_out_of_float_range(miniland_copy, tmp_path, monkeypatch, capsys, command,
+                                                           edit):
     config = miniland_copy / "config.yaml"
     config.write_text(config.read_text().replace("  trials: 10000\n", f"  trials: 10000\n  {edit}\n"))
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
     capsys.readouterr()
-    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err.splitlines() == [OUT_OF_RANGE[edit], "INVALID: 1 problem(s)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--data", str(miniland_copy), "--config", str(config), *out]) == EXIT_VALIDATION
+    invalid = ["INVALID: 1 problem(s)"] if command == "validate" else []
+    assert capsys.readouterr().err.splitlines() == [OUT_OF_RANGE[edit], *invalid]
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "tables"])
 def test_failed_build_leaves_no_directory(miniland_copy, tmp_path, monkeypatch, capsys, command):
+    from bband_sim import radio
+
+    def out_of_range(*args, **kwargs):
+        raise ValidationError("5G carrier 3500x30 at 0.01 sites/km2: link budget out of float range")
+        yield
+
     # with no BBAND_SIM_CACHE, run caches under --out: neither directory is made before a table is written
     monkeypatch.delenv("BBAND_SIM_CACHE", raising=False)
+    monkeypatch.setattr(radio, "sinr_blocks", out_of_range)
     config = miniland_copy / "config.yaml"
-    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 200\n  noise_figure_db: 4000\n"))
     code = main([command, "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == EXIT_RUNTIME
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "tables"])
-@pytest.mark.parametrize("edit", ["tx_power_dbm: 4000", "noise_figure_db: 4000"])
-def test_link_budget_out_of_float_range_is_one_line_and_exit_3(miniland_copy, tmp_path, monkeypatch, capsys, command,
-                                                                edit):
-    config = miniland_copy / "config.yaml"
-    config.write_text(config.read_text().replace("  trials: 10000\n", f"  trials: 200\n  {edit}\n"))
-    monkeypatch.setenv("BBAND_SIM_CACHE", str(tmp_path / "cache"))
-    capsys.readouterr()
-    code = main([command, "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert re.fullmatch(r"runtime error: [45]G carrier \S+ at \S+ sites/km2: link budget out of float range\n", err)
-    assert not [*(tmp_path / "cache").rglob("*.csv"), *(tmp_path / "out").rglob("*.csv")]
 
 
 def test_run_is_deterministic_across_invocations(miniland_dir, miniland_config, table_cache, tmp_path, monkeypatch):

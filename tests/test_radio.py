@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim import radio
-from bband_sim.core import Generation, carrier_stream_key
+from bband_sim.core import Generation, carrier_stream_key, link_budget_rules
 from bband_sim.errors import ValidationError
 from bband_sim.radio import (
     Carrier,
@@ -32,7 +32,6 @@ from bband_sim.radio import (
     sinr_blocks,
     step_percentile,
     table_cache_key,
-    trial_sinr_db,
 )
 from reference_chains import (
     free_space_path_loss, received_signal, reference_capacity, reference_sinr_db, se_lookup, sinr,
@@ -52,6 +51,25 @@ def fast_params():
 FS4 = FrequencySet(Generation.G4, (Carrier(800, 10), Carrier(1800, 10), Carrier(2500, 10)))
 FS5 = FrequencySet(Generation.G5, (Carrier(700, 10), Carrier(3500, 40)))
 GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+
+
+def trial_sinr_db(params, generation, carrier, site_density) -> np.ndarray:
+    """Every trial's SINR in dB from :func:`radio.sinr_blocks`, joined into one array."""
+    return np.concatenate(list(sinr_blocks(params, generation, carrier, site_density)))
+
+
+def pin_receivers(monkeypatch, positions) -> None:
+    """Stand the kernel's trials at ``positions``, in trial order: a stub in place of ``radio.place_in_hexagon``
+    writes each chunk's x and y into its buffers. The kernel still reads its triangle and uniform draws."""
+    pos = np.asarray(positions, dtype=float)
+    placed = 0
+
+    def place(tri, x, y, circumradius_km, scratch):
+        nonlocal placed
+        x[:], y[:] = pos[placed:placed + len(x)].T
+        placed += len(x)
+
+    monkeypatch.setattr(radio, "place_in_hexagon", place)
 
 
 class TestPathLoss:
@@ -185,21 +203,70 @@ class TestSeLookup:
             SpectralEfficiencyTable(rows={Generation.G4: ((0.0, 1.0), (1.0, 0.5)), Generation.G5: ((0.0, 1.0),)})
 
 
+#: A dB term of the link budget: far past what a power in mW can hold either way.
+DB = st.floats(-5000.0, 5000.0)
+#: A length in metres, of either sign as the record accepts, to far past any cell's edge.
+METRES = st.floats(-1e7, 1e7)
+
+
+@st.composite
+def link_budgets(draw) -> SimulationParams:
+    """Any :class:`SimulationParams` the record accepts, its dB terms and ``temperature_k`` past float range,
+    with at most 200 trials and 2 rings."""
+    sigma = draw(st.just(0.0) | st.floats(0.0, 5000.0))
+    return SimulationParams(
+        tx_power_dbm=draw(DB), tx_gain_db=draw(DB), tx_losses_db=draw(DB), rx_gain_db=draw(DB),
+        rx_losses_db=draw(DB), rx_misc_losses_db=draw(DB), tx_height_m=draw(METRES), rx_height_m=draw(METRES),
+        sectors_per_site=draw(st.integers(1, 6)), network_load=draw(st.floats(0.0, 1.0)),
+        los_breakpoint_m=draw(METRES), shadow_mu_db=draw(st.floats(0.0, 5000.0, exclude_min=True) if sigma else DB),
+        shadow_sigma_db=sigma, temperature_k=draw(st.floats(1e-320, 1e300)), noise_figure_db=draw(DB),
+        nlos_excess_db=draw(DB), min_distance_m=draw(METRES),
+        reliability=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        trials=draw(st.integers(100, 200)), seed=draw(st.integers(0, 2**64)), interferer_rings=draw(st.integers(0, 2)),
+        mimo_efficiency=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+
+
 class TestLinkBudgetOutOfFloatRange:
     """A link budget beyond float range fails the simulation, naming it; it is never credited the top SE row."""
 
     FAILED = r"^5G carrier 3500x30 at 0\.01 sites/km2: link budget out of float range$"
 
-    @pytest.mark.parametrize("field", [
-        "tx_power_dbm",  # signal and interference overflow to inf: every SINR is nan
-        "noise_figure_db",  # the noise floor overflows in mW
-    ])
+    BROKEN = {
+        "tx_power_dbm": 4000.0,  # signal and interference overflow to inf: every SINR is nan
+        "noise_figure_db": 4000.0,  # the noise floor overflows in mW
+        "temperature_k": 1e-310,  # k T underflows to 0: the noise floor has no log
+        "shadow_mu_db": 1e-200,  # the shadow mean's square underflows to 0: its lognormal mu has no log
+    }
+
+    @pytest.mark.parametrize("field", sorted(BROKEN))
     def test_is_one_validation_error_naming_the_simulation(self, bundle, field):
-        params = dataclasses.replace(bundle.sim_params, trials=200, **{field: 4000.0})
+        params = dataclasses.replace(bundle.sim_params, trials=200, **{field: self.BROKEN[field]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=self.FAILED):
                 carrier_capacity(params, bundle.se_table, Generation.G5, Carrier(3500.0, 30.0), 0.01)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=link_budgets())
+    @example(params=SimulationParams(trials=200, tx_power_dbm=4000.0))
+    @example(params=SimulationParams(trials=200, noise_figure_db=4000.0))
+    @example(params=SimulationParams(trials=200, tx_power_dbm=-4000.0))
+    @example(params=SimulationParams(trials=200, temperature_k=1.0e-310))
+    @example(params=SimulationParams(trials=200, shadow_mu_db=1e-200))
+    def test_what_the_gate_passes_never_fails(self, se_table, params):
+        # Past the gate (link_budget_rules) a simulation gives a finite capacity; short of it, a finite capacity
+        # or the one out-of-range error: never a float error or a numpy warning.
+        carrier, density = Carrier(800.0, 10.0), 0.5
+        passed = not list(link_budget_rules(params, [carrier]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = carrier_capacity(params, se_table, Generation.G4, carrier, density)
+            except ValidationError as err:
+                assert not passed and str(err) == "4G carrier 800x10 at 0.5 sites/km2: link budget out of float range"
+                return
+        assert math.isfinite(got) and got >= 0.0
 
     def test_infinite_sinr_takes_the_top_row_without_warning(self, bundle):
         # no rings: an overflowed signal over finite noise gives +inf SINR on every trial
@@ -245,23 +312,24 @@ class TestSampleHexagon:
 
 
 class TestSimulateDensity:
-    def test_deterministic_stub_closed_form(self):
-        # one receiver fixed at the cell edge, a constant shadow loss and no
+    def test_deterministic_stub_closed_form(self, monkeypatch):
+        # every receiver fixed at the cell edge, a constant shadow loss and no
         # interferers: the SINR is the link budget over the noise floor
         params = SimulationParams(shadow_mu_db=0.001, shadow_sigma_db=0.0, interferer_rings=0, trials=2000, seed=1)
         edge = inter_site_distance_km(1.0) / math.sqrt(3.0)
-        got = trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 1.0, receiver_positions=[(edge, 0.0)])
+        pin_receivers(monkeypatch, [(edge, 0.0)] * params.trials)
+        got = trial_sinr_db(params, Generation.G4, Carrier(800.0, 10.0), 1.0)
         d_km = math.hypot(edge, (params.tx_height_m - params.rx_height_m) / 1000.0)
         assert d_km * 1000.0 > params.los_breakpoint_m
         loss = 20.0 * math.log10(d_km) + 20.0 * math.log10(800.0) + 32.44 + params.nlos_excess_db
         signal = (params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db - loss - 0.001
                   + params.rx_gain_db - params.rx_losses_db - params.rx_misc_losses_db)
-        assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)], abs=1e-9)
+        assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)] * params.trials, abs=1e-9)
         table = SpectralEfficiencyTable(rows={gen: ((-1000.0, 4.0),) for gen in Generation})
-        assert se_lookup(table, got, Generation.G4).tolist() == [4.0]
+        assert se_lookup(table, got[:1], Generation.G4).tolist() == [4.0]
 
     @pytest.mark.parametrize("below", [False, True])
-    def test_path_on_the_breakpoint_takes_no_excess(self, below):
+    def test_path_on_the_breakpoint_takes_no_excess(self, monkeypatch, below):
         # The breakpoint set to the serving path's own length: only a path
         # strictly longer than it takes the NLoS excess, so one ulp less adds it.
         x, y = 0.3, 0.2
@@ -272,13 +340,14 @@ class TestSimulateDensity:
         if below:
             breakpoint_m = math.nextafter(breakpoint_m, 0.0)
         params = dataclasses.replace(base, los_breakpoint_m=breakpoint_m)
-        carrier = Carrier(800.0, 10.0)
-        got = trial_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=[(x, y)])
+        carrier, positions = Carrier(800.0, 10.0), [(x, y)] * params.trials
+        pin_receivers(monkeypatch, positions)
+        got = trial_sinr_db(params, Generation.G4, carrier, 1.0)
         loss = 20.0 * math.log10(d_km) + 20.0 * math.log10(800.0) + 32.44 + (params.nlos_excess_db if below else 0.0)
         signal = (params.tx_power_dbm + params.tx_gain_db - params.tx_losses_db - loss - params.shadow_mu_db
                   + params.rx_gain_db - params.rx_losses_db - params.rx_misc_losses_db)
-        assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)], abs=1e-9)
-        want = reference_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=[(x, y)])
+        assert got.tolist() == pytest.approx([signal - noise_floor(params, 10e6)] * params.trials, abs=1e-9)
+        want = reference_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=positions)
         assert got.tobytes() == want.tobytes()
 
     def test_same_seed_bit_identical(self, se_table, fast_params):
@@ -316,15 +385,6 @@ class TestBlockedKernel:
             assert got.tobytes() == want.tobytes()
         if extra is DEEP_SHADOW:
             assert np.isneginf(got).any()
-
-    def test_receiver_positions_match_unblocked_chain(self, monkeypatch):
-        monkeypatch.setattr(radio, "BLOCK_ELEMENTS", 2 * 18)  # two trials at two rings
-        params = SimulationParams(trials=2000, seed=5, interferer_rings=2)
-        positions = [(0.0, 0.0), (0.3, -0.1), (0.05, 0.4), (-0.2, 0.2), (0.5, 0.0)]
-        carrier = Carrier(1800.0, 10.0)
-        got = trial_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=positions)
-        want = reference_sinr_db(params, Generation.G4, carrier, 1.0, receiver_positions=positions)
-        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("trials, rings, block, extra", [
         (5000, 2, None, {}),
@@ -474,8 +534,9 @@ class TestGeometryOracle:
 
     Without shadow spread a trial's SINR is a fixed function of where the receiver stands, so the distribution
     of 100,000 kernel trials must match that function over a dense lattice on the serving hexagon, which is
-    written here from the model: vertices at k * 60 degrees, circumradius ISD / sqrt(3). Both sides take the
-    rings of ``trial_sinr_db``, so the ring layout is not checked here.
+    written here from the model: vertices at k * 60 degrees, circumradius ISD / sqrt(3); a stub in place of
+    ``radio.place_in_hexagon`` stands the lattice's trials on its points. Both sides take the kernel's rings, so
+    the ring layout is not checked here.
     """
 
     TRIALS = 100_000
@@ -486,8 +547,11 @@ class TestGeometryOracle:
 
     def lattice_sinr_db(self, per_side: int, vertex_deg: float = 0.0) -> np.ndarray:
         circumradius = math.sqrt(2.0 / (math.sqrt(3.0) * self.DENSITY)) / math.sqrt(3.0)  # ISD / sqrt(3)
-        return trial_sinr_db(self.PARAMS, Generation.G4, self.CARRIER, self.DENSITY,
-                             receiver_positions=hexagon_lattice(per_side, circumradius, vertex_deg))
+        lattice = hexagon_lattice(per_side, circumradius, vertex_deg)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pin_receivers(monkeypatch, lattice)
+            params = dataclasses.replace(self.PARAMS, trials=len(lattice))
+            return trial_sinr_db(params, Generation.G4, self.CARRIER, self.DENSITY)
 
     def test_kernel_sinr_distribution_matches_the_hexagon_lattice(self):
         drawn = trial_sinr_db(self.PARAMS, Generation.G4, self.CARRIER, self.DENSITY)
