@@ -12,7 +12,7 @@ from .core import (
     AdoptionScenario,
     Backhaul,
     CountryParams,
-    DecileRecord,
+    Deciles,
     EnergyStrategy,
     Generation,
     IncomeGroup,
@@ -24,7 +24,6 @@ from .core import (
     Sharing,
     StrategyBundle,
     StrategySpace,
-    build_deciles,
     classify_settlement,
     enumerate_runs,
 )
@@ -46,7 +45,7 @@ __all__ = [
     "Backhaul",
     "BbandSimError",
     "CountryParams",
-    "DecileRecord",
+    "Deciles",
     "EnergyStrategy",
     "Generation",
     "IncomeGroup",
@@ -63,7 +62,6 @@ __all__ = [
     "StrategyBundle",
     "StrategySpace",
     "ValidationError",
-    "build_deciles",
     "classify_settlement",
     "emit_results",
     "enumerate_runs",

@@ -157,35 +157,8 @@ class Regions:
         return len(self.region_id)
 
 
-#: Deciles per country: :func:`build_deciles` always returns this many.
+#: Deciles per country: :meth:`Deciles.of` always builds this many.
 N_DECILES = 10
-
-
-@dataclass(frozen=True, kw_only=True)
-class DecileRecord(SelfChecked):
-    """One population-density decile of a country; its fields are keyword-only.
-
-    Decile 1 holds the densest regions. A decile with no member regions
-    (fewer than 10 regions in the country) is flagged ``degenerate`` and
-    contributes nothing downstream.
-    """
-
-    country_iso3: str
-    decile_index: int = bounded((">=", 1), ("<=", N_DECILES))
-    population: int
-    area_km2: float
-    existing_sites: int
-    settlement: Settlement
-    degenerate: bool = False
-
-    def broken_rules(self) -> Iterator[str]:
-        if not self.degenerate and not (self.area_km2 > 0):
-            yield "non-degenerate decile requires area_km2 > 0"
-
-    @property
-    def active(self) -> bool:
-        """Populated and not degenerate: only an active decile has demand, revenue and sites."""
-        return self.population > 0 and not self.degenerate
 
 
 @dataclass(frozen=True)
@@ -734,48 +707,58 @@ def classify_settlement(density: float, thresholds: SettlementThresholds = Settl
     return Settlement.RURAL
 
 
-def build_deciles(
-    regions: Regions,
-    country_iso3: str,
-    thresholds: SettlementThresholds = SettlementThresholds(),
-) -> list[DecileRecord]:
-    """Partition a country's regions into 10 population-density deciles.
+@dataclass(frozen=True, kw_only=True)
+class Deciles:
+    """One country's population-density deciles, one column per field, decile 1 first; fields are keyword-only.
 
-    Regions are sorted by descending density (ties broken by ascending
-    region_id) and split into 10 contiguous bins of equal region count;
-    with ``n = 10q + r`` regions the first ``r`` bins take one extra
-    region. Population and site totals are exact integer sums, so they
-    are conserved exactly; area is the left-to-right float sum of the
-    bin's regions in sorted order. Empty bins (fewer than 10 regions)
-    come back degenerate and rural, with zero population, area and sites.
-    The region ids are unique and the columns within their bounds: the
-    input reader checks both.
+    Decile 1 holds the densest regions. A decile with no member regions
+    (fewer than 10 regions in the country) is ``degenerate`` and contributes
+    nothing downstream. Not self-checking, like :class:`Regions`: all its
+    values come from regions the input reader checked.
     """
-    if not regions:
-        raise MissingDataError(f"{country_iso3}: no regions supplied")
-    ids, pops, areas, sites = regions.region_id, regions.population, regions.area_km2, regions.existing_sites
-    ordered = sorted(range(len(regions)), key=lambda i: (-(pops[i] / areas[i]), ids[i]))
-    q, rem = divmod(len(ordered), N_DECILES)
-    sizes = [q + 1] * rem + [q] * (N_DECILES - rem)
 
-    deciles: list[DecileRecord] = []
-    start = 0
-    for idx, size in enumerate(sizes, start=1):
-        members = ordered[start:start + size]
-        start += size
-        population = sum(pops[i] for i in members)
-        area = ordered_sum(areas[i] for i in members)
-        density = population / area if members else 0.0  # an empty bin classifies as rural
-        deciles.append(DecileRecord(
-            country_iso3=country_iso3,
-            decile_index=idx,
+    population: tuple[int, ...]
+    area_km2: tuple[float, ...]
+    existing_sites: tuple[int, ...]
+    settlement: tuple[Settlement, ...]
+    degenerate: tuple[bool, ...]
+
+    @property
+    def active(self) -> tuple[bool, ...]:
+        """Populated and not degenerate: only an active decile has demand, revenue and sites."""
+        return tuple(p > 0 and not d for p, d in zip(self.population, self.degenerate))
+
+    @classmethod
+    def of(cls, regions: Regions, country_iso3: str, thresholds: SettlementThresholds = SettlementThresholds()) -> Deciles:
+        """Partition a country's regions into :data:`N_DECILES` population-density deciles.
+
+        Regions are sorted by descending density (ties broken by ascending
+        region_id) and split into 10 contiguous bins of equal region count;
+        with ``n = 10q + r`` regions the first ``r`` bins take one extra
+        region. Population and site totals are exact integer sums, so they
+        are conserved exactly; area is the left-to-right float sum of the
+        bin's regions in sorted order. Empty bins (fewer than 10 regions)
+        come back degenerate and rural, with zero population, area and sites.
+        The region ids are unique and the columns within their bounds: the
+        input reader checks both.
+        """
+        if not regions:
+            raise MissingDataError(f"{country_iso3}: no regions supplied")
+        ids, pops, areas, sites = regions.region_id, regions.population, regions.area_km2, regions.existing_sites
+        ordered = sorted(range(len(regions)), key=lambda i: (-(pops[i] / areas[i]), ids[i]))
+        q, rem = divmod(len(ordered), N_DECILES)
+        bins = [ordered[k * q + min(k, rem):(k + 1) * q + min(k + 1, rem)] for k in range(N_DECILES)]
+        population = tuple(sum(pops[i] for i in members) for members in bins)
+        area = tuple(ordered_sum(areas[i] for i in members) for members in bins)
+        return cls(
             population=population,
             area_km2=area,
-            existing_sites=sum(sites[i] for i in members),
-            settlement=classify_settlement(density, thresholds),
-            degenerate=not members,
-        ))
-    return deciles
+            existing_sites=tuple(sum(sites[i] for i in members) for members in bins),
+            # an empty bin classifies as rural, at density 0.0
+            settlement=tuple(classify_settlement(p / a if members else 0.0, thresholds)
+                             for p, a, members in zip(population, area, bins)),
+            degenerate=tuple(not members for members in bins),
+        )
 
 
 #: The axes each keyed result stage depends on, by :data:`AXES` name, in :data:`AXES` order: a stage is

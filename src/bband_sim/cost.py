@@ -6,11 +6,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CostInputs, CountryParams, DecileRecord, Settlement, Sharing, StrategyBundle
+from .core import CostInputs, CountryParams, Deciles, Settlement, Sharing, StrategyBundle
 from .errors import ValidationError
 
 
-def radio_divisor(strategies: Sequence[StrategyBundle], deciles: Sequence[DecileRecord], n_sharers: int) -> np.ndarray:
+def radio_divisor(strategies: Sequence[StrategyBundle], deciles: Deciles, n_sharers: int) -> np.ndarray:
     """(keys, deciles): the operators sharing each decile's radio equipment and backhaul under each key.
 
     Active sharing shares them in every decile, the shared rural network in
@@ -19,19 +19,19 @@ def radio_divisor(strategies: Sequence[StrategyBundle], deciles: Sequence[Decile
     divide by it.
     """
     sharing = np.array([s.sharing.value for s in strategies])[:, None]
-    rural = np.array([d.settlement == Settlement.RURAL for d in deciles], dtype=bool)
+    rural = np.array([s == Settlement.RURAL for s in deciles.settlement], dtype=bool)
     shared = (sharing == Sharing.ACTIVE.value) | ((sharing == Sharing.SRN.value) & rural)
     return np.where(shared, float(n_sharers), 1.0)
 
 
-def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: Sequence[int]) -> np.ndarray:
+def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray) -> np.ndarray:
     """State subsidy per decile after cross-subsidy within each key, for (keys, deciles) arrays.
 
     Each key's pooled surplus (revenue above private cost) pays down its
     deficits most viable first, that is smallest deficit first, ties broken
-    by decile index; whatever deficit remains is the state subsidy. The
-    pool is the left-to-right sum of the surpluses; deficits are paid one
-    rank at a time across keys, in stable (deficit, decile index) order.
+    by decile index (the position); whatever deficit remains is the state
+    subsidy. The pool is the left-to-right sum of the surpluses; deficits
+    are paid one rank at a time across keys, in stable deficit order.
     ``np.where`` spells ``max(0.0, x)`` and ``min(pool, deficit)`` exactly,
     so every value equals the per-key loop bit for bit.
     """
@@ -42,7 +42,7 @@ def subsidies(revenue_pv: np.ndarray, private_costs: np.ndarray, decile_index: S
     short = private > revenue
     deficit = private - revenue
     # non-deficit deciles sort last; their steps below change nothing
-    rank = np.lexsort((np.broadcast_to(decile_index, revenue.shape), np.where(short, deficit, np.inf)), axis=-1)
+    rank = np.argsort(np.where(short, deficit, np.inf), axis=-1, kind="stable")
     keys = np.arange(len(revenue))
     out = np.zeros(revenue.shape)
     for i in rank.T:
@@ -58,7 +58,7 @@ def cost_columns(
     new_sites: np.ndarray,
     upgraded_sites: np.ndarray,
     revenue_pv: np.ndarray,
-    deciles: Sequence[DecileRecord],
+    deciles: Deciles,
     strategies: Sequence[StrategyBundle],
     country: CountryParams,
     costs: CostInputs,
@@ -98,9 +98,9 @@ def cost_columns(
     tax = np.array([costs.tax_rate(s.policy) for s in strategies])[:, None] * revenue
     mhz = {g: country.frequency_set(g).total_bandwidth_mhz for g in {s.generation for s in strategies}}
     fee = np.array([costs.spectrum_coef(s.policy) * mhz[s.generation] for s in strategies])
-    spectrum = fee[:, None] * np.array([d.population for d in deciles], dtype=np.int64)
+    spectrum = fee[:, None] * np.array(deciles.population, dtype=np.int64)
     total = network + administration + spectrum + tax + profit
-    subsidy = subsidies(revenue, total, [d.decile_index for d in deciles])
+    subsidy = subsidies(revenue, total)
     government = subsidy - (spectrum + tax)
     return {
         "network_usd": network,

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AdoptionParams, CountryParams, DecileRecord, Horizon, ScenarioSpec, Settlement
+from .core import AdoptionParams, CountryParams, Deciles, Horizon, ScenarioSpec, Settlement
 from .errors import ValidationError
 
 
@@ -36,7 +36,7 @@ def arpu_for_settlement(country: CountryParams, settlement: Settlement) -> float
 
 
 def demand_columns(
-    deciles: Sequence[DecileRecord],
+    deciles: Deciles,
     country: CountryParams,
     adoption: AdoptionParams,
     horizon: Horizon,
@@ -54,11 +54,11 @@ def demand_columns(
     discount rate) and added year by year. Degenerate and unpopulated
     deciles have neither. Returns both as (scenarios, deciles) arrays.
     """
-    population = np.array([d.population for d in deciles], dtype=np.int64)[:, None]
-    smartphone = np.array([adoption.smartphone_base(d.settlement) for d in deciles])[:, None]
-    arpu = np.array([arpu_for_settlement(country, d.settlement) for d in deciles])[:, None]
-    active = np.array([d.active for d in deciles], dtype=bool)
-    area = np.array([d.area_km2 if a else 1.0 for d, a in zip(deciles, active)])
+    population = np.array(deciles.population, dtype=np.int64)[:, None]
+    smartphone = np.array([adoption.smartphone_base(s) for s in deciles.settlement])[:, None]
+    arpu = np.array([arpu_for_settlement(country, s) for s in deciles.settlement])[:, None]
+    active = np.array(deciles.active, dtype=bool)
+    area = np.where(active, deciles.area_km2, 1.0)
     share, cap = country.market_share, adoption.penetration_cap
     years = range(1, horizon.n_years + 1)
     discount = np.array([(1.0 + horizon.discount_rate) ** t for t in years])

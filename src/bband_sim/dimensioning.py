@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DecileRecord
+from .core import Deciles
 from .radio import CapacityTable, required_density
 
 # Guard against float noise pushing an exact product over the next integer
@@ -17,7 +17,7 @@ _CEIL_EPS = 1e-9
 def site_counts(
     demand_mbps_km2: np.ndarray,
     tables: Sequence[CapacityTable],
-    deciles: Sequence[DecileRecord],
+    deciles: Deciles,
 ) -> dict[str, np.ndarray]:
     """Dimension one country's deciles against one capacity table per key.
 
@@ -30,9 +30,9 @@ def site_counts(
     """
     demand = np.asarray(demand_mbps_km2, dtype=np.float64)
     density, unserviceable = map(np.array, zip(*(required_density(t, row) for t, row in zip(tables, demand))))
-    area = np.array([d.area_km2 for d in deciles], dtype=np.float64)
-    existing = np.broadcast_to(np.array([d.existing_sites for d in deciles], dtype=np.int64), demand.shape)
-    active = np.array([d.active for d in deciles], dtype=bool)
+    area = np.array(deciles.area_km2, dtype=np.float64)
+    existing = np.broadcast_to(np.array(deciles.existing_sites, dtype=np.int64), demand.shape)
+    active = np.array(deciles.active, dtype=bool)
     total = np.where(active, np.ceil(density * area - _CEIL_EPS), 0.0).astype(np.int64)
     return {
         "total_sites": total,

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, CountryParams, DecileRecord, EmissionFactors, EnergyParams,
+    MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, CountryParams, Deciles, EmissionFactors, EnergyParams,
     EnergyStrategy, StrategyBundle, broken_bound, raise_broken,
 )
 from .cost import radio_divisor
@@ -34,7 +34,7 @@ def check_mix_row(mix_row: Mapping[str, float]) -> None:
 def energy(
     existing_sites: np.ndarray,
     new_sites: np.ndarray,
-    deciles: Sequence[DecileRecord],
+    deciles: Deciles,
     strategies: Sequence[StrategyBundle],
     country: CountryParams,
     params: EnergyParams,

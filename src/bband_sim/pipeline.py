@@ -17,7 +17,7 @@ scenarios and :func:`dimensioning.site_counts` over the keys, cost as
 run shares the bundle's one :class:`core.Horizon`: demand takes it, and
 energy the mix rows of its years, once per call. Every kernel takes the
 same kind of input: the batch's (keys, deciles) arrays from earlier
-stages, the country's :class:`DecileRecord` list, one
+stages, the country's :class:`Deciles` columns, one
 :class:`StrategyBundle` (or :class:`ScenarioSpec`) per key, the
 :class:`CountryParams` and the stage's parameters. Each kernel works
 out its own coefficients (sharing divisors, backhaul draw, spectrum MHz,
@@ -34,7 +34,8 @@ i + 2 of ``results_decile.csv``.
 
 :func:`emit_results` writes the rows as they lie, each file one
 :data:`EMIT_BLOCK` of rows at a time, so the result text it holds does not
-grow with the rows. A ``results_decile.csv`` row is its five stage segments
+grow with the rows, and renames the six files into place only once all
+are written. A ``results_decile.csv`` row is its five stage segments
 joined: the decile and run segments are formatted once, and each block
 formats only the keyed stage rows it refers to. The country file and the
 summaries are group-bys (``np.bincount``/``np.add.at``) that add in row
@@ -47,6 +48,7 @@ working memory is then a few (keys, deciles, years) arrays in
 from __future__ import annotations
 
 import logging
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,11 +60,10 @@ from .core import (
     AXES,
     N_DECILES,
     STAGE_AXES,
-    DecileRecord,
+    Deciles,
     Generation,
     ScenarioSpec,
     StrategyBundle,
-    build_deciles,
     enumerate_runs,
     run_key,
 )
@@ -160,16 +161,6 @@ def capacity_tables(
     return dict(zip(sets, tables))
 
 
-def _decile_columns(deciles: Sequence[DecileRecord]) -> dict[str, np.ndarray]:
-    return {
-        "country_iso3": np.array([d.country_iso3 for d in deciles]),
-        "decile_index": np.array([d.decile_index for d in deciles], dtype=np.int64),
-        "settlement": np.array([d.settlement.value for d in deciles]),
-        "population": np.array([d.population for d in deciles], dtype=np.int64),
-        "area_km2": np.array([d.area_km2 for d in deciles], dtype=np.float64),
-    }
-
-
 def _log_stage(stage: str, keys: int, calls: int, failed: int, start: float, counts: str = "") -> None:
     logger.info("stage %s: %d keys, %d kernel calls, %d failed keys, %s%.3f s",
                 stage, keys, calls, failed, counts, time.perf_counter() - start)
@@ -238,7 +229,7 @@ def run_pipeline(
     """
     if runs is None:
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
-    deciles = {iso3: build_deciles(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
+    deciles = {iso3: Deciles.of(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
                for iso3 in sorted(bundle.regions)}
     needed = sorted({strategy.generation for strategy, _ in runs}, key=lambda g: g.value)
     tables = capacity_tables(bundle, cache_dir=cache_dir, jobs=jobs, generations=needed)
@@ -267,7 +258,7 @@ def run_pipeline(
     def flagged(columns: Mapping[str, np.ndarray], errors: Mapping[tuple[int, int], str]) -> str:
         """The unserviceable and degenerate (country, key, decile) rows of the computed keys."""
         computed = len(first[0]) - np.bincount([c for c, _ in errors], minlength=len(countries))
-        degenerate = computed @ [sum(d.degenerate for d in deciles[iso3]) for iso3 in countries]
+        degenerate = computed @ [sum(deciles[iso3].degenerate) for iso3 in countries]
         return f"{columns.get('unserviceable', np.zeros(0)).sum()} unserviceable rows, {degenerate} degenerate rows, "
 
     sited, site_errors = _batched("sites", [np.arange(len(first[0]))] * len(countries), sites, shapes[0], flagged)
@@ -310,8 +301,13 @@ def run_pipeline(
     per_run = len(countries) * N_DECILES
     country, decile = np.divmod(np.arange(per_run), N_DECILES)
     # rows in file order: each (country, decile) place, then each good run in run-key order
-    stages = {"decile": (np.repeat(np.arange(per_run), len(good)),
-                         _decile_columns([d for iso3 in countries for d in deciles[iso3]])),
+    ds = deciles.values()  # each column as a (countries, deciles) array, raveled: np.concatenate rejects 0 countries
+    stages = {"decile": (np.repeat(np.arange(per_run), len(good)), {
+                  "country_iso3": np.repeat(countries, N_DECILES),
+                  "decile_index": decile + 1,
+                  "settlement": np.array([[s.value for s in d.settlement] for d in ds]).ravel(),
+                  "population": np.array([d.population for d in ds], dtype=np.int64).ravel(),
+                  "area_km2": np.array([d.area_km2 for d in ds], dtype=np.float64).ravel()}),
               "run": (np.tile(good, per_run), key_columns)}
     for j, (stage, columns) in enumerate(zip(STAGE_AXES, (sited, costs, used))):
         # stage row (country, key, decile), built per place and run, not per row
@@ -414,10 +410,10 @@ def _group_sums(
     return rows[first], out
 
 
-def _write_csv(path: Path, columns: Sequence[str], blocks: Iterable[Sequence[str]]) -> None:
-    """Write ``columns`` as the header, then each block of row texts."""
+def _write_csv(path: Path, into: Path, columns: Sequence[str], blocks: Iterable[Sequence[str]]) -> None:
+    """Write ``path``'s text to the file ``into``: ``columns`` as the header, then each block of row texts."""
     try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
+        with into.open("w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(columns) + "\n")
             for lines in blocks:  # each block holds one row or more
                 fh.write("\n".join(lines) + "\n")
@@ -455,31 +451,42 @@ def _decile_blocks(table: ResultTable) -> Iterable[list[str]]:
 
 
 def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
-    """Write the decile, country and summary CSVs; returns the paths written.
+    """Write the decile, country and summary CSVs as one set; returns the paths written.
 
     Output is byte-stable: the decile file's rows are the table's, in its
     file order, floats carry 6 significant digits, and re-running with
     identical inputs rewrites identical files. Every sum adds its rows in
     that order. Each file is formatted and written one :data:`EMIT_BLOCK`
     of rows at a time, so the text held at once does not grow with the
-    number of rows.
+    number of rows, under a temporary name in ``out_dir``. Only when all six
+    are complete are they renamed over the result files, in the order
+    returned; on any exception the temporary files are removed, and the
+    result files already in ``out_dir`` stay as they were.
     """
     start = time.perf_counter()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in ("results_decile.csv", "results_country.csv", *(s[0] for s in _SUMMARIES))]
+    temporary = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths}
 
-    def write(name: str, group: Sequence[str], sums: Sequence[tuple[str, str]],
-              where: Mapping[str, str] | None = None) -> Path:
+    def write(path: Path, group: Sequence[str], sums: Sequence[tuple[str, str]],
+              where: Mapping[str, str] | None = None) -> None:
         first, totals = _group_sums(table, group, sums, where)
-        _write_csv(out / name, [*group, *(column for column, _ in sums)], (
+        _write_csv(path, temporary[path], [*group, *(column for column, _ in sums)], (
             format_rows([*(table.column(f, first[block]) for f in group), *(totals[c][block] for c, _ in sums)])
             for block in _blocks(len(first))
         ))
-        return out / name
 
-    paths = [out / "results_decile.csv"]
-    _write_csv(paths[0], DECILE_COLUMNS, _decile_blocks(table))
-    paths.append(write("results_country.csv", _COUNTRY_GROUP, _COUNTRY_SUMS))
-    paths += [write(name, group, [(f, f) for f in values], where) for name, group, values, where in _SUMMARIES]
+    try:
+        _write_csv(paths[0], temporary[paths[0]], DECILE_COLUMNS, _decile_blocks(table))
+        write(paths[1], _COUNTRY_GROUP, _COUNTRY_SUMS)
+        for path, (_, group, values, where) in zip(paths[2:], _SUMMARIES):
+            write(path, group, [(f, f) for f in values], where)
+        for path, tmp in temporary.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temporary.values():
+            tmp.unlink(missing_ok=True)
+        raise
     _log_stage("emit", len(table), len(paths), 0, start)
     return paths

@@ -29,9 +29,9 @@ import numpy as np
 
 from bband_sim import radio
 from bband_sim.core import (
-    AXES, DIESEL_SOURCE, MIMO_STREAMS, MIX_SOURCES, Backhaul, CostInputs, EmissionFactors, EnergyParams,
-    EnergyStrategy, Generation, Policy, Settlement, Sharing, SimulationParams, SpectralEfficiencyTable, build_deciles,
-    ordered_sum, run_key,
+    AXES, DIESEL_SOURCE, MIMO_STREAMS, MIX_SOURCES, Backhaul, CostInputs, Deciles, EmissionFactors, EnergyParams,
+    EnergyStrategy, Generation, Policy, Settlement, Sharing, SimulationParams, SpectralEfficiencyTable, ordered_sum,
+    run_key,
 )
 from bband_sim.cost import subsidies
 from bband_sim.demand import arpu_for_settlement, per_user_busy_hour_rate
@@ -71,24 +71,25 @@ def sites_chain(deciles, country, adoption, horizon, scenario, table) -> list[di
     cagr, cap = adoption.cagr(country.income_group, scenario.adoption), adoption.penetration_cap
     share, rate = country.market_share, per_user_busy_hour_rate(scenario.capacity_gb_month)
     out = []
-    for d in deciles:
+    for population, area, existing, settlement, active in zip(
+            deciles.population, deciles.area_km2, deciles.existing_sites, deciles.settlement, deciles.active):
         peak, revenue = None, None
         for t in range(1, horizon.n_years + 1):
             growth = (1.0 + cagr) ** t
-            users = (d.population * min(adoption.base_cell_penetration * growth, cap)
-                     * min(adoption.smartphone_base(d.settlement) * growth, cap))
+            users = (population * min(adoption.base_cell_penetration * growth, cap)
+                     * min(adoption.smartphone_base(settlement) * growth, cap))
             busy = users * rate * share
             peak = busy if peak is None or busy > peak else peak
-            arpu = arpu_for_settlement(country, d.settlement)
+            arpu = arpu_for_settlement(country, settlement)
             term = users * share * arpu * 12.0 / (1.0 + horizon.discount_rate) ** t
             revenue = term if revenue is None else revenue + term
-        demand = peak / d.area_km2 if d.active else 0.0
+        demand = peak / area if active else 0.0
         density, unserviceable = density_for(table, demand)
-        total = math.ceil(density * d.area_km2 - 1e-9) if d.active else 0
+        total = math.ceil(density * area - 1e-9) if active else 0
         out.append({
-            "demand_mbps_km2": demand, "total_sites": total, "existing_sites": d.existing_sites,
-            "new_sites": max(0, total - d.existing_sites), "upgraded_sites": min(d.existing_sites, total),
-            "unserviceable": unserviceable and d.active, "revenue_pv_usd": revenue + 0.0 if d.active else 0.0,
+            "demand_mbps_km2": demand, "total_sites": total, "existing_sites": existing,
+            "new_sites": max(0, total - existing), "upgraded_sites": min(existing, total),
+            "unserviceable": unserviceable and active, "revenue_pv_usd": revenue + 0.0 if active else 0.0,
         })
     return out
 
@@ -416,7 +417,8 @@ def cross_subsidize(decile_costs: list[DecileCost]) -> list[DecileCost]:
     The pooled surplus (revenue above private cost) pays down deficits in
     descending-viability order, most viable deficit first, ties broken by
     decile index; whatever deficit remains becomes the state subsidy.
-    Returns new records in the original order.
+    :func:`subsidies` breaks ties by position, so the records go to it in
+    decile order. Returns new records in the original order.
     """
     if not decile_costs:
         return []
@@ -424,9 +426,10 @@ def cross_subsidize(decile_costs: list[DecileCost]) -> list[DecileCost]:
     if len(countries) > 1:
         raise ValidationError(f"cross_subsidize spans countries: {sorted(countries)}")
 
-    revenue, private, index = zip(*((c.revenue_pv, c.private_cost, c.decile_index) for c in decile_costs))
-    subsidy = subsidies([revenue], [private], index)[0].tolist()
-    return [replace(c, subsidy=s) for c, s in zip(decile_costs, subsidy)]
+    order = sorted(range(len(decile_costs)), key=lambda i: decile_costs[i].decile_index)
+    revenue, private = zip(*((decile_costs[i].revenue_pv, decile_costs[i].private_cost) for i in order))
+    subsidy = dict(zip(order, subsidies([revenue], [private])[0].tolist()))
+    return [replace(c, subsidy=subsidy[i]) for i, c in enumerate(decile_costs)]
 
 
 def cost_chain(new_sites, upgraded_sites, revenue_pv, deciles, strategy, country, costs) -> list[DecileCost]:
@@ -439,11 +442,12 @@ def cost_chain(new_sites, upgraded_sites, revenue_pv, deciles, strategy, country
     return cross_subsidize([
         private_cost(
             apply_sharing(decile_components(new, upgraded, strategy.backhaul, costs), strategy.sharing,
-                          country.n_major_operators, d.settlement).total,
-            costs, strategy.policy, revenue, spectrum_mhz=held_mhz, population=d.population,
-            country_iso3=country.country_iso3, decile_index=d.decile_index,
+                          country.n_major_operators, settlement).total,
+            costs, strategy.policy, revenue, spectrum_mhz=held_mhz, population=population,
+            country_iso3=country.country_iso3, decile_index=index,
         )
-        for new, upgraded, revenue, d in zip(new_sites, upgraded_sites, revenue_pv, deciles)
+        for index, (new, upgraded, revenue, settlement, population) in enumerate(
+            zip(new_sites, upgraded_sites, revenue_pv, deciles.settlement, deciles.population), start=1)
     ])
 
 
@@ -527,20 +531,21 @@ def decile_line(bundle, tables, run, country_iso3: str, decile_index: int) -> st
     """
     strategy, scenario = run
     country = bundle.countries[country_iso3]
-    deciles = build_deciles(bundle.regions[country_iso3], country_iso3, bundle.settlement_thresholds)
+    deciles = Deciles.of(bundle.regions[country_iso3], country_iso3, bundle.settlement_thresholds)
     horizon = bundle.scenario_space.horizon
     sites = sites_chain(deciles, country, bundle.adoption, horizon, scenario, tables[country_iso3, strategy.generation])
     column = {name: [row[name] for row in sites] for name in sites[0]}
     cost = cost_chain(column["new_sites"], column["upgraded_sites"], column["revenue_pv_usd"], deciles, strategy,
                       country, bundle.cost_inputs)
     i = decile_index - 1
-    d, c = deciles[i], cost[i]
-    [used] = energy_chain([d.existing_sites], column["new_sites"][i:i + 1], strategy, [d.settlement],
+    c = cost[i]
+    [used] = energy_chain([deciles.existing_sites[i]], column["new_sites"][i:i + 1], strategy, [deciles.settlement[i]],
                           country.n_major_operators, country.on_grid_share,
                           [bundle.energy_mix[country_iso3][year] for year in horizon.years()], bundle.energy_params,
                           bundle.emission_factors)
     values = (
-        d.country_iso3, d.decile_index, d.settlement.value, d.population, d.area_km2, *run_key(strategy, scenario),
+        country_iso3, decile_index, deciles.settlement[i].value, deciles.population[i], deciles.area_km2[i],
+        *run_key(strategy, scenario),
         *sites[i].values(), c.network, c.administration, c.spectrum, c.tax, c.profit, c.private_cost, c.subsidy,
         c.government_cost, c.financial_cost, *used,
     )

@@ -22,7 +22,7 @@ from bband_sim.core import (
     AdoptionScenario,
     Backhaul,
     CountryParams,
-    DecileRecord,
+    Deciles,
     EmissionFactors,
     EnergyParams,
     EnergyStrategy,
@@ -89,10 +89,10 @@ FACTORS = EmissionFactors(by_source={
 
 def _one_year_energy(existing: int, new: int, params: EnergyParams, on_grid_share: float = 1.0) -> dict:
     """:func:`energy.energy` of one unshared, wireless, diesel key and one decile over one year, as Python floats."""
-    decile = DecileRecord(country_iso3="AAA", decile_index=1, population=1, area_km2=1.0, existing_sites=existing,
-                          settlement=Settlement.RURAL)
+    decile = Deciles(population=(1,), area_km2=(1.0,), existing_sites=(existing,), settlement=(Settlement.RURAL,),
+                     degenerate=(False,))
     country = CountryParams("AAA", IncomeGroup.LIC, 1, (), 0.0, 0.0, 0.0, on_grid_share, 0.0)
-    out = energy([[existing]], [[new]], [decile], [_strategy()], country, params, [MIX], FACTORS)
+    out = energy([[existing]], [[new]], decile, [_strategy()], country, params, [MIX], FACTORS)
     return {name: out[name].item() for name in ENERGY_FIELDS}
 
 
@@ -118,12 +118,12 @@ def test_criterion_1_equation_oracles():
     assert got["energy_kwh"] == pytest.approx(21_812.4, abs=1e-9)
 
     # one user, always connected, paying $100 a year for 8 years at 5%
-    decile = DecileRecord(country_iso3="AAA", decile_index=1, population=1, area_km2=1.0, existing_sites=0,
-                          settlement=Settlement.SUBURBAN)
+    decile = Deciles(population=(1,), area_km2=(1.0,), existing_sites=(0,), settlement=(Settlement.SUBURBAN,),
+                     degenerate=(False,))
     country = CountryParams("AAA", IncomeGroup.LIC, 1, (), *[100.0 / 12.0] * 3, 1.0, 0.0)
     adoption = AdoptionParams(1.0, 1.0, 1.0, 1.0, {IncomeGroup.LIC: {AdoptionScenario.BASELINE: 0.0}})
     horizon = Horizon(2023, 2030, 0.05)
-    pv = demand_columns([decile], country, adoption, horizon, [SCENARIO_30])["revenue_pv_usd"].item()
+    pv = demand_columns(decile, country, adoption, horizon, [SCENARIO_30])["revenue_pv_usd"].item()
     assert pv == pytest.approx(oracles.annuity_pv_oracle(100.0, 0.05, 8), rel=1e-12)
     assert pv == pytest.approx(646.32, abs=0.01)
 
@@ -339,7 +339,7 @@ def test_criterion_8_cross_subsidy_oracle():
     for _ in range(1000):
         revenues = rng.uniform(0, 500, 10)
         private = rng.uniform(0, 500, 10)
-        out = subsidies([revenues], [private], range(1, 11))[0].tolist()
+        out = subsidies([revenues], [private])[0].tolist()
 
         deficits = np.maximum(0.0, private - revenues)
         surplus = np.maximum(0.0, revenues - private).sum()

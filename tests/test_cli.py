@@ -1,5 +1,7 @@
 import csv
+import errno
 import hashlib
+import itertools
 import logging
 import math
 import shutil
@@ -17,6 +19,8 @@ from bband_sim.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
 from bband_sim.core import enumerate_runs, run_key
 from bband_sim.data_io import load_bundle
 from bband_sim.errors import ValidationError
+from bband_sim.pipeline import EMIT_BLOCK
+from conftest import MINILAND_CONFIG, MINILAND_DIR
 
 SINGLE_RUN_FILTER = (
     "generation=4G,backhaul=wireless,sharing=baseline,policy=baseline,"
@@ -288,6 +292,93 @@ def test_run_unwritable_out_is_io_error(miniland_dir, miniland_config, table_cac
         "--out", str(blocker / "out"), "--runs", SINGLE_RUN_FILTER,
     ])
     assert code == EXIT_IO
+
+
+#: The six result files of a run, and the ``--runs`` slice written over a full earlier run below.
+RESULT_FILES = ("results_decile.csv", "results_country.csv", "summary_by_technology.csv", "summary_by_sharing.csv",
+                "summary_by_policy.csv", "summary_emissions.csv")
+SLICE_FILTER = "generation=4G"
+
+
+def run_into(out: Path, *args: str) -> int:
+    return main(["run", "--data", str(MINILAND_DIR), "--config", str(MINILAND_CONFIG), "--out", str(out), *args])
+
+
+@pytest.fixture(scope="module")
+def earlier_and_slice(table_cache, tmp_path_factory) -> tuple[dict[str, bytes], dict[str, int]]:
+    """A full miniland run's result bytes, by file name, and the number of blocks of each file of the slice."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BBAND_SIM_CACHE", str(table_cache))
+        full, part = tmp_path_factory.mktemp("full"), tmp_path_factory.mktemp("slice")
+        assert run_into(full) == EXIT_OK and run_into(part, "--runs", SLICE_FILTER) == EXIT_OK
+    earlier = {name: (full / name).read_bytes() for name in RESULT_FILES}
+    blocks = {name: math.ceil(((part / name).read_bytes().count(b"\n") - 1) / EMIT_BLOCK) for name in RESULT_FILES}
+    assert earlier != {name: (part / name).read_bytes() for name in RESULT_FILES}
+    assert blocks["results_decile.csv"] > 1 and blocks["results_country.csv"] > 1
+    return earlier, blocks
+
+
+class FaultyWrites:
+    """A result file opened for writing, whose write of block ``block`` (0 is the first) raises ``error``."""
+
+    def __init__(self, fh, block: int, error: BaseException):
+        self.fh, self.block, self.error = fh, block, error
+        self.writes = itertools.count(-1)  # write -1 is the header
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text: str) -> int:
+        if next(self.writes) == self.block:
+            raise self.error
+        return self.fh.write(text)
+
+
+class TestResultFilesAreOneSet:
+    """A run that fails while writing its results leaves the earlier run's six files as they were."""
+
+    def fail(self, monkeypatch, name: str, block: int, error: BaseException) -> None:
+        real_open = Path.open
+
+        def open_(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return FaultyWrites(fh, block, error) if "w" in mode and name in path.name else fh
+
+        monkeypatch.setattr(Path, "open", open_)
+
+    def earlier_run(self, tmp_path, earlier) -> Path:
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, text in earlier.items():
+            (out / name).write_bytes(text)
+        return out
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("name", RESULT_FILES)
+    def test_a_write_fault_is_exit_4_and_leaves_the_earlier_set(self, earlier_and_slice, table_cache, tmp_path,
+                                                                monkeypatch, capsys, name, at):
+        earlier, blocks = earlier_and_slice
+        out = self.earlier_run(tmp_path, earlier)
+        monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
+        block = 0 if at == "first" else blocks[name] - 1
+        self.fail(monkeypatch, name, block, OSError(errno.ENOSPC, "No space left on device"))
+        assert run_into(out, "--runs", SLICE_FILTER) == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"I/O error: cannot write {out / name}: "), err
+        # the earlier six files, byte for byte, and no temporary file
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_an_interrupt_leaves_the_earlier_set(self, earlier_and_slice, table_cache, tmp_path, monkeypatch):
+        earlier, _ = earlier_and_slice
+        out = self.earlier_run(tmp_path, earlier)
+        monkeypatch.setenv("BBAND_SIM_CACHE", str(table_cache))
+        self.fail(monkeypatch, "summary_emissions.csv", 0, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_into(out, "--runs", SLICE_FILTER)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 def test_tables_command(miniland_config, tmp_path, capsys):

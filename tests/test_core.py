@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from bband_sim.core import (
     AdoptionScenario,
-    DecileRecord,
+    Deciles,
     Regions,
     ScenarioSpace,
     Settlement,
     SettlementThresholds,
     SimulationParams,
     StrategySpace,
-    build_deciles,
     classify_settlement,
     enumerate_runs,
 )
@@ -52,32 +51,30 @@ def rows(regions: Regions) -> list[Region]:
 class TestBuildDeciles:
     def test_twenty_regions_two_each(self):
         regions = [region(i, pop=1000 * (20 - i), area=1.0) for i in range(20)]
-        deciles = build_deciles(columns(regions), "AAA")
-        assert len(deciles) == 10
-        assert all(not d.degenerate for d in deciles)
+        deciles = Deciles.of(columns(regions), "AAA")
+        assert all(len(column) == 10 for column in vars(deciles).values())
+        assert not any(deciles.degenerate)
         # decile 1 holds the two densest regions (R000, R001)
-        assert deciles[0].population == 20000 + 19000
-        assert deciles[0].decile_index == 1
+        assert deciles.population[0] == 20000 + 19000
 
     def test_single_region_rest_degenerate(self):
-        deciles = build_deciles(columns([region(0, 5000, 10.0, sites=3)]), "AAA")
-        assert deciles[0].population == 5000
-        assert deciles[0].existing_sites == 3
-        for d in deciles[1:]:
-            assert d.degenerate
-            assert d.population == 0 and d.area_km2 == 0.0
+        deciles = Deciles.of(columns([region(0, 5000, 10.0, sites=3)]), "AAA")
+        assert deciles.population[0] == 5000
+        assert deciles.existing_sites[0] == 3
+        assert deciles.degenerate[1:] == (True,) * 9
+        assert deciles.population[1:] == (0,) * 9 and deciles.area_km2[1:] == (0.0,) * 9
 
     def test_remainder_rule_23_regions(self):
         regions = [region(i, pop=100 * (23 - i), area=1.0) for i in range(23)]
-        deciles = build_deciles(columns(regions), "AAA")
+        deciles = Deciles.of(columns(regions), "AAA")
         sizes = []
         # recover bin sizes from population sums (each region has distinct pop)
         pops = sorted((r.population for r in regions), reverse=True)
         cursor = 0
-        for d in deciles:
+        for population in deciles.population:
             size = 0
             total = 0
-            while total < d.population:
+            while total < population:
                 total += pops[cursor]
                 cursor += 1
                 size += 1
@@ -90,11 +87,12 @@ class TestBuildDeciles:
             region(i, pop=int(rng.integers(0, 500_000)), area=float(rng.uniform(1, 5000)), sites=int(rng.integers(0, 300)))
             for i in range(37)
         ]
-        deciles = build_deciles(columns(regions), "AAA")
-        assert sum(d.population for d in deciles) == sum(r.population for r in regions)
-        assert sum(d.existing_sites for d in deciles) == sum(r.existing_sites for r in regions)
-        assert sum(d.area_km2 for d in deciles) == pytest.approx(sum(r.area_km2 for r in regions), rel=1e-12)
-        densities = [d.population / d.area_km2 for d in deciles if not d.degenerate]
+        deciles = Deciles.of(columns(regions), "AAA")
+        assert sum(deciles.population) == sum(r.population for r in regions)
+        assert sum(deciles.existing_sites) == sum(r.existing_sites for r in regions)
+        assert sum(deciles.area_km2) == pytest.approx(sum(r.area_km2 for r in regions), rel=1e-12)
+        densities = [p / a for p, a, empty in zip(deciles.population, deciles.area_km2, deciles.degenerate)
+                     if not empty]
         assert all(a >= b for a, b in zip(densities, densities[1:]))
 
     def test_area_is_the_left_to_right_sum(self):
@@ -103,16 +101,15 @@ class TestBuildDeciles:
         # builtin sum from Python 3.12 on) would give 1e16 + 2
         regions = [region(0, 10**23, 1e16), region(1, 10**6, 1.0), region(2, 10**6 - 1, 1.0)]
         regions += [region(i, 1, 1000.0) for i in range(3, 30)]
-        assert build_deciles(columns(regions), "AAA")[0].area_km2 == 1e16
+        assert Deciles.of(columns(regions), "AAA").area_km2[0] == 1e16
 
     def test_density_tie_broken_by_region_id(self):
         regions = [region(i, pop=100, area=1.0) for i in range(10)]
-        deciles = build_deciles(columns(regions), "AAA")
-        assert [d.population for d in deciles] == [100] * 10
+        assert Deciles.of(columns(regions), "AAA").population == (100,) * 10
 
     def test_empty_is_missing_data(self):
         with pytest.raises(MissingDataError):
-            build_deciles(columns([]), "AAA")
+            Deciles.of(columns([]), "AAA")
 
 
 @st.composite
@@ -129,72 +126,73 @@ class TestDecileConservation:
     @settings(max_examples=300, deadline=None)
     @given(country_regions())
     def test_partition_conserves_population_sites_and_area(self, regions):
-        deciles = build_deciles(regions, "AAA")
+        deciles = Deciles.of(regions, "AAA")
         regions = rows(regions)
-        assert [d.decile_index for d in deciles] == list(range(1, 11))
-        members = [[r for r in regions if d.existing_sites >> int(r.region_id[1:]) & 1] for d in deciles]
+        assert all(len(column) == 10 for column in vars(deciles).values())
+        members = [[r for r in regions if sites >> int(r.region_id[1:]) & 1] for sites in deciles.existing_sites]
         # every region lands in exactly one decile
         assert sorted(r.region_id for m in members for r in m) == sorted(r.region_id for r in regions)
-        assert sum(d.existing_sites for d in deciles) == sum(r.existing_sites for r in regions)
-        assert sum(d.population for d in deciles) == sum(r.population for r in regions)
+        assert sum(deciles.existing_sites) == sum(r.existing_sites for r in regions)
+        assert sum(deciles.population) == sum(r.population for r in regions)
         # contiguous bins of the density order, larger bins first
         ordered = sorted(regions, key=lambda r: (-r.pop_density, r.region_id))
         assert [r for m in members for r in sorted(m, key=ordered.index)] == ordered
         sizes = [len(m) for m in members]
         assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
-        for d, m in zip(deciles, members):
-            assert d.population == sum(r.population for r in m)
+        for population, area_km2, sites, degenerate, m in zip(
+                deciles.population, deciles.area_km2, deciles.existing_sites, deciles.degenerate, members):
+            assert population == sum(r.population for r in m)
             area = 0.0
             for r in sorted(m, key=ordered.index):
                 area += r.area_km2
-            assert d.area_km2 == area
-            assert d.degenerate == (not m)
+            assert area_km2 == area
+            assert degenerate == (not m)
             if not m:
-                assert (d.population, d.area_km2, d.existing_sites) == (0, 0.0, 0)
+                assert (population, area_km2, sites) == (0, 0.0, 0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 25), st.sampled_from([SettlementThresholds(), SettlementThresholds(1e-3, 1e-6)]))
     def test_empty_bins_come_last_rural_and_zero(self, n, thresholds):
-        deciles = build_deciles(columns([region(i, i + 1, 1.0, sites=1) for i in range(n)]), "AAA", thresholds)
+        deciles = Deciles.of(columns([region(i, i + 1, 1.0, sites=1) for i in range(n)]), "AAA", thresholds)
         filled = min(n, 10)
-        assert [d.degenerate for d in deciles] == [False] * filled + [True] * (10 - filled)
-        for d in deciles[filled:]:
-            fields = (d.population, d.area_km2, d.existing_sites, d.settlement)
+        assert deciles.degenerate == (False,) * filled + (True,) * (10 - filled)
+        empty = list(zip(deciles.population, deciles.area_km2, deciles.existing_sites, deciles.settlement))[filled:]
+        for fields in empty:
             assert fields == (0, 0.0, 0, Settlement.RURAL)
             assert [type(v) for v in fields[:3]] == [int, float, int]
         # filled bins hold 1-25 persons/km^2: all rural, or all urban under the low thresholds
         want = Settlement.URBAN if thresholds.urban_min_density < 1 else Settlement.RURAL
-        assert all(d.settlement == want for d in deciles[:filled])
+        assert deciles.settlement[:filled] == (want,) * filled
 
     @settings(max_examples=300, deadline=None)
     @given(country_regions(), st.randoms(use_true_random=False))
     def test_any_region_order_gives_the_same_deciles(self, regions, random):
         shuffled = columns(random.sample(rows(regions), len(regions)))
         # repr writes every float exactly: equal texts are equal bits
-        assert repr(build_deciles(shuffled, "AAA")) == repr(build_deciles(regions, "AAA"))
+        assert repr(Deciles.of(shuffled, "AAA")) == repr(Deciles.of(regions, "AAA"))
 
 
-class TestDecileRecord:
+class TestDeciles:
     def test_fields_are_keyword_only(self):
-        # positionally, a stored density would have shifted into ``settlement`` without an error
+        # positionally, a column in the wrong place, say areas as populations, would pass without an error
         with pytest.raises(TypeError):
-            DecileRecord("AAA", 1, 1, 1.0, 0, 1.0, Settlement.RURAL)
+            Deciles((1,), (1.0,), (0,), (Settlement.RURAL,), (False,))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 10**12), st.floats(1e-6, 1e9))
     def test_pop_density_is_population_over_area(self, population, area):
         # an urban cutoff at population / area, and one ulp above it, tells the decile's density to the bit
         density = population / area
-        deciles = [build_deciles(columns([region(0, population, area)]), "AAA", SettlementThresholds(cut, density / 2))
+        deciles = [Deciles.of(columns([region(0, population, area)]), "AAA", SettlementThresholds(cut, density / 2))
                    for cut in (density, math.nextafter(density, math.inf))]
-        assert [d[0].settlement for d in deciles] == [Settlement.URBAN, Settlement.SUBURBAN]
+        assert [d.settlement[0] for d in deciles] == [Settlement.URBAN, Settlement.SUBURBAN]
 
     def test_degenerate_density_is_zero(self):
         # one region of 1 person/km^2 is urban under these thresholds; an empty bin classifies at density 0.0
         low = SettlementThresholds(1e-3, 1e-6)
-        deciles = build_deciles(columns([region(0, 1, 1.0)]), "AAA", low)
-        assert deciles[0].settlement == Settlement.URBAN
-        assert all(d.degenerate and d.settlement == classify_settlement(0.0, low) for d in deciles[1:])
+        deciles = Deciles.of(columns([region(0, 1, 1.0)]), "AAA", low)
+        assert deciles.settlement[0] == Settlement.URBAN
+        assert all(deciles.degenerate[1:]) and deciles.settlement[1:] == (classify_settlement(0.0, low),) * 9
 
 
 #: The SimulationParams rules that break independently of each other, in

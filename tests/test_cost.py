@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bband_sim.core import (
-    Backhaul, Carrier, CountryParams, DecileRecord, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement,
+    Backhaul, Carrier, CountryParams, Deciles, EnergyStrategy, Generation, IncomeGroup, Policy, Settlement,
     Sharing, StrategyBundle,
 )
 from bband_sim.cost import CostInputs, cost_columns, subsidies
@@ -208,8 +208,9 @@ def country(n_sharers, portfolio=()):
 
 def deciles(settlements, population):
     """Deciles 1..n with the given settlements and populations, each of 1 km^2."""
-    return [DecileRecord(country_iso3="AAA", decile_index=i, population=p, area_km2=1.0, existing_sites=0, settlement=s)
-            for i, (s, p) in enumerate(zip(settlements, population), 1)]
+    n = len(settlements)
+    return Deciles(population=tuple(population), area_km2=(1.0,) * n, existing_sites=(0,) * n,
+                   settlement=tuple(settlements), degenerate=(False,) * n)
 
 
 @st.composite
@@ -244,14 +245,14 @@ def cost_blocks(draw):
     }
 
 
-def scalar_subsidies(revenue_pv, private_costs, decile_index):
+def scalar_subsidies(revenue_pv, private_costs):
     """One key's subsidies, one decile at a time: the loop the batched rule must equal."""
     pool = 0.0
     for r, c in zip(revenue_pv, private_costs):
         pool += max(0.0, r - c)
     out = [0.0] * len(revenue_pv)
-    deficits = [(c - r, d, i) for i, (r, c, d) in enumerate(zip(revenue_pv, private_costs, decile_index)) if c > r]
-    for deficit, _, i in sorted(deficits, key=lambda x: x[:2]):
+    deficits = [(c - r, i) for i, (r, c) in enumerate(zip(revenue_pv, private_costs)) if c > r]
+    for deficit, i in sorted(deficits):  # equal deficits in decile order
         grant = min(pool, deficit)
         pool -= grant
         out[i] = deficit - grant
@@ -295,15 +296,13 @@ class TestBatchedSubsidies:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.lists(
         st.tuples(st.lists(money, min_size=n, max_size=n), st.lists(money, min_size=n, max_size=n)),
-        min_size=1, max_size=8)), st.randoms(use_true_random=False))
-    def test_equals_per_key_loop_bit_for_bit(self, keys, rnd):
+        min_size=1, max_size=8)))
+    def test_equals_per_key_loop_bit_for_bit(self, keys):
         revenue = [r for r, _ in keys]
         private = [c for _, c in keys]
-        index = list(range(1, len(revenue[0]) + 1))
-        rnd.shuffle(index)  # ties are broken by decile index, wherever the decile sits
-        got = subsidies(revenue, private, index)
+        got = subsidies(revenue, private)
         for row, r, c in zip(got.tolist(), revenue, private):
-            assert [x.hex() for x in row] == [x.hex() for x in scalar_subsidies(r, c, index)]
+            assert [x.hex() for x in row] == [x.hex() for x in scalar_subsidies(r, c)]
 
 
     def test_pool_adds_surpluses_left_to_right(self):
@@ -313,8 +312,8 @@ class TestBatchedSubsidies:
         surplus = [380475.37, 713257.86, 612517.8, 941000.98, 991676.72, 723676.25, 808843.81, 152865.02, 712890.26]
         revenue, private = [*surplus, 0.0], [0.0] * 9 + [1e7]
         assert np.cumsum(revenue[:9])[-1] != np.sum(revenue[:9])
-        got = subsidies([revenue], [private], list(range(1, 11)))[0].tolist()
-        assert [x.hex() for x in got] == [x.hex() for x in scalar_subsidies(revenue, private, list(range(1, 11)))]
+        got = subsidies([revenue], [private])[0].tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in scalar_subsidies(revenue, private)]
 
 
 class TestFinancialTotal:

@@ -1,7 +1,7 @@
 import pytest
 
 from bband_sim.core import (
-    AdoptionScenario, CountryParams, DecileRecord, Horizon, IncomeGroup, ScenarioSpec, Settlement,
+    AdoptionScenario, CountryParams, Deciles, Horizon, IncomeGroup, ScenarioSpec, Settlement,
 )
 from bband_sim.demand import (
     AdoptionParams,
@@ -12,11 +12,10 @@ from bband_sim.demand import (
 from bband_sim.errors import ValidationError
 
 
-def decile(pop=1000, area=10.0, settlement=Settlement.SUBURBAN, sites=0):
-    return DecileRecord(
-        country_iso3="AAA", decile_index=1, population=pop, area_km2=area,
-        existing_sites=sites, settlement=settlement,
-    )
+def decile(pop=1000, area=10.0, settlement=Settlement.SUBURBAN, sites=0, degenerate=False):
+    """One decile's columns."""
+    return Deciles(population=(pop,), area_km2=(area,), existing_sites=(sites,), settlement=(settlement,),
+                   degenerate=(degenerate,))
 
 
 def country(operators=1, arpu=1.0):
@@ -44,15 +43,15 @@ def columns(deciles, *, cell=1.0, smartphone=1.0, cagr=0.0, years=1, gb_month=90
 
 def peak_penetration(base, cagr, years, cap=1.0):
     """The peak cell penetration over the horizon, as the demand of one user on 1 km^2 at 1 Mbps."""
-    return columns([decile(pop=1, area=1.0)], cell=base, cagr=cagr, years=years, cap=cap)[0][0]
+    return columns(decile(pop=1, area=1.0), cell=base, cagr=cagr, years=years, cap=cap)[0][0]
 
 
 def area_demand(d, **kwargs):
-    return columns([d], **kwargs)[0][0]
+    return columns(d, **kwargs)[0][0]
 
 
 def revenue_pv(d, **kwargs):
-    return columns([d], **kwargs)[1][0]
+    return columns(d, **kwargs)[1][0]
 
 
 class TestBusyHourRate:
@@ -96,17 +95,16 @@ class TestAreaDemand:
         assert area_demand(decile(pop=1000, area=10.0), operators=4) == pytest.approx(25.0)
 
     def test_zero_population(self):
-        assert columns([decile(pop=0)], operators=4) == ([0.0], [0.0])
+        assert columns(decile(pop=0), operators=4) == ([0.0], [0.0])
 
     def test_growth_peaks_at_horizon_end(self):
         got = area_demand(decile(pop=1000, area=1.0), cell=0.5, cagr=0.02, years=8)
         assert got == pytest.approx(585.83, abs=0.01)
 
     def test_zero_area_with_population_rejected(self):
-        d = DecileRecord(country_iso3="AAA", decile_index=1, population=100, area_km2=0.0, existing_sites=0,
-                         settlement=Settlement.RURAL, degenerate=True)
+        d = decile(pop=100, area=0.0, settlement=Settlement.RURAL, degenerate=True)
         # degenerate deciles contribute zero demand and revenue rather than erroring
-        assert columns([d]) == ([0.0], [0.0])
+        assert columns(d) == ([0.0], [0.0])
 
     def test_market_share_scales_exactly(self):
         d = decile(pop=12345, area=7.0)
@@ -122,12 +120,14 @@ class TestAreaDemand:
         assert area_demand(decile(pop=1000), **kwargs, gb_month=180.0) >= base
 
     def test_one_row_per_scenario_and_decile(self):
-        deciles = [decile(pop=1000, area=10.0), decile(pop=0), decile(pop=500, area=1.0, settlement=Settlement.RURAL)]
+        deciles = Deciles(population=(1000, 0, 500), area_km2=(10.0, 10.0, 1.0), existing_sites=(0, 0, 0),
+                          settlement=(Settlement.SUBURBAN, Settlement.SUBURBAN, Settlement.RURAL),
+                          degenerate=(False, False, False))
         adoption = AdoptionParams()
         scenarios = [ScenarioSpec(c, a) for c in (20.0, 40.0) for a in AdoptionScenario]
         out = demand_columns(deciles, country(operators=3, arpu=5.0), adoption, Horizon(), scenarios)
         for name, values in out.items():
-            assert values.shape == (len(scenarios), len(deciles)), name
+            assert values.shape == (len(scenarios), 3), name
             for i, scenario in enumerate(scenarios):
                 one = demand_columns(deciles, country(operators=3, arpu=5.0), adoption, Horizon(), [scenario])[name][0]
                 assert values[i].tolist() == one.tolist(), name

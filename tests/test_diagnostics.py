@@ -19,8 +19,8 @@ import yaml
 from bband_sim import core
 from bband_sim.cli import EXIT_VALIDATION, main
 from bband_sim.core import (
-    ADOPTION_CAGR_BOUNDS, MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CountryParams, DecileRecord, FactorRow,
-    Generation, Regions, ScenarioSpec, SpectralEfficiencyTable, build_deciles, declared_bounds,
+    ADOPTION_CAGR_BOUNDS, MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CountryParams, FactorRow, Generation,
+    Regions, ScenarioSpec, SpectralEfficiencyTable, declared_bounds,
 )
 from bband_sim.data_io import CONFIG_RECORDS, SCHEMAS, load_bundle
 from bband_sim.errors import InputValidationError, ValidationError
@@ -976,8 +976,8 @@ CSV_RECORDS = {
 def _bound_cases():
     """``(record, field, kind, bounds, input, rebuild)`` for every bound core declares.
 
-    ``input`` is ``(file, column)`` for a CSV column, ``("config", path)`` for a config key (the path's keys
-    from the section down), or None for a record that is never read from input; ``rebuild(bundle, value)``
+    ``input`` is ``(file, column)`` for a CSV column, or ``("config", path)`` for a config key (the path's keys
+    from the section down); ``rebuild(bundle, value)``
     builds the record with that value, or is None where only the reader checks the bound.
     """
     def kind(record, name):
@@ -1003,8 +1003,6 @@ def _bound_cases():
         for name, bounds in declared_bounds(record).items():
             yield (record, name, kind(record, name), bounds, ("config", (section, name)),
                    lambda b, v, record=record, name=name: record(**{name: v}))
-    yield (DecileRecord, "decile_index", int, declared_bounds(DecileRecord)["decile_index"], None,
-           lambda b, v: dataclasses.replace(build_deciles(b.regions["MLA"], "MLA")[0], decile_index=v))
 
 
 BOUND_CASES = [(*case, op, limit) for case in _bound_cases() for op, limit in case[3]]
@@ -1051,14 +1049,13 @@ def _damage_with(data_dir, source, value):
                          ids=[f"{case[1]}{case[6]}{case[7]}" for case in BOUND_CASES])
 def test_a_bound_is_one_rule_with_one_text(miniland_copy, bundle, record, name, kind, bounds, source, rebuild, op,
                                            limit):
-    if source and source[0] != "config":
+    if source[0] != "config":
         # the reader checks the declaration itself, not a copy
         assert {column: b for column, _, b in SCHEMAS[source[0]]}[source[1]] is bounds
     value = _outside(op, limit, kind)
     text = f"{name} is empty" if op == "nonempty" else f"{name}: {value} must be {op} {limit}"
-    if source:
-        prefix = _damage_with(miniland_copy, source, value)
-        assert diagnostics(miniland_copy, miniland_copy / "config.yaml").count(prefix + text) == 1
+    prefix = _damage_with(miniland_copy, source, value)
+    assert diagnostics(miniland_copy, miniland_copy / "config.yaml").count(prefix + text) == 1
     if rebuild:
         with pytest.raises(ValidationError) as err:
             rebuild(bundle, value)
@@ -1071,9 +1068,8 @@ def test_a_bound_is_one_rule_with_one_text(miniland_copy, bundle, record, name, 
 def test_a_value_on_an_inclusive_limit_passes(miniland_copy, bundle, record, name, kind, bounds, source, rebuild, op,
                                               limit):
     value = kind(limit)
-    if source:
-        prefix = _damage_with(miniland_copy, source, value)
-        assert not [d for d in diagnostics(miniland_copy, miniland_copy / "config.yaml") if d.startswith(prefix + name)]
+    prefix = _damage_with(miniland_copy, source, value)
+    assert not [d for d in diagnostics(miniland_copy, miniland_copy / "config.yaml") if d.startswith(prefix + name)]
     if rebuild:
         try:
             rebuild(bundle, value)

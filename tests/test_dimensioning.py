@@ -2,17 +2,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bband_sim.core import DecileRecord, Generation, Settlement
+from bband_sim.core import Deciles, Generation, Settlement
 from bband_sim.dimensioning import site_counts
 from bband_sim.radio import CapacityTable
 from test_radio import capacity_tables
 
 
-def decile(pop=10_000, area=100.0, existing=40, country="AAA", index=1):
-    return DecileRecord(
-        country_iso3=country, decile_index=index, population=pop, area_km2=area,
-        existing_sites=existing, settlement=Settlement.RURAL,
-    )
+def deciles(pop, area, existing, degenerate=None):
+    """Rural deciles of the given populations, areas and existing sites; none degenerate by default."""
+    return Deciles(population=tuple(pop), area_km2=tuple(area), existing_sites=tuple(existing),
+                   settlement=(Settlement.RURAL,) * len(pop), degenerate=tuple(degenerate or [False] * len(pop)))
+
+
+def decile(pop=10_000, area=100.0, existing=40):
+    return deciles([pop], [area], [existing])
 
 
 # densities 0.2..1.0 mapping linearly to 24..120 Mbps/km^2
@@ -24,7 +27,7 @@ TABLE = CapacityTable(
 
 def required_sites(d, demand, table):
     """:func:`site_counts` of one decile under one key, as a dict of Python values."""
-    return {name: values.item() for name, values in site_counts([[demand]], [table], [d]).items()}
+    return {name: values.item() for name, values in site_counts([[demand]], [table], d).items()}
 
 
 class TestRequiredSites:
@@ -75,8 +78,7 @@ class TestRequiredSites:
 
     def test_each_key_uses_its_own_table(self):
         t5 = CapacityTable(Generation.G5, "700x10", tuple((d, c * 3.0) for d, c in TABLE.rows))
-        deciles = [decile(existing=0), decile(existing=10, index=2)]
-        got = site_counts([[72.0, 500.0], [72.0, 500.0]], [TABLE, t5], deciles)
+        got = site_counts([[72.0, 500.0], [72.0, 500.0]], [TABLE, t5], deciles([10_000] * 2, [100.0] * 2, [0, 10]))
         assert got["total_sites"].tolist() == [[60, 100], [20, 100]]
         assert got["unserviceable"].tolist() == [[False, True], [False, True]]
         assert got["existing_sites"].tolist() == [[0, 10], [0, 10]]
@@ -87,19 +89,16 @@ def site_blocks(draw):
     """A table and a (keys, deciles) demand block over deciles of any size, some empty."""
     table = draw(capacity_tables())
     n = draw(st.integers(1, 10))
-    deciles = []
-    for i in range(n):
+    columns = []
+    for _ in range(n):
         pop = draw(st.one_of(st.just(0), st.integers(1, 10_000_000)))
         area = draw(st.floats(1e-3, 1e4))
         existing = draw(st.integers(0, 100_000))
-        if draw(st.booleans()) and pop == 0:
-            deciles.append(DecileRecord(country_iso3="AAA", decile_index=i + 1, population=0, area_km2=0.0,
-                                        existing_sites=existing, settlement=Settlement.RURAL, degenerate=True))
-        else:
-            deciles.append(decile(pop, area, existing, index=i + 1))
+        degenerate = draw(st.booleans()) and pop == 0
+        columns.append((pop, 0.0 if degenerate else area, existing, degenerate))
     fractions = st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)
     demand = [[f * table.max_capacity for f in row] for row in draw(st.lists(fractions, min_size=1, max_size=4))]
-    return table, deciles, demand
+    return table, deciles(*zip(*columns)), demand
 
 
 class TestSiteCountsProperties:
@@ -109,11 +108,11 @@ class TestSiteCountsProperties:
         table, deciles, demand = block
         got = site_counts(demand, [table] * len(demand), deciles)
         total, existing = got["total_sites"], got["existing_sites"]
-        assert (existing == [d.existing_sites for d in deciles]).all()
+        assert (existing == deciles.existing_sites).all()
         assert (got["new_sites"] == np.maximum(0, total - existing)).all()
         assert (got["upgraded_sites"] == np.minimum(existing, total)).all()
         assert min(got[name].min() for name in ("total_sites", "existing_sites", "new_sites", "upgraded_sites")) >= 0
-        empty = np.array([d.degenerate or d.population == 0 for d in deciles])
+        empty = np.array(deciles.degenerate) | (np.array(deciles.population) == 0)
         assert (total[:, empty] == 0).all()
         assert (got["unserviceable"] == ((np.array(demand) > table.max_capacity) & ~empty)).all()
 
@@ -122,5 +121,5 @@ class TestSiteCountsProperties:
     def test_total_monotone_in_demand(self, table, fractions, area):
         demand = sorted({f * table.max_capacity for f in fractions} | {c for _, c in table.rows})
         d = decile(pop=1000, area=area, existing=0)
-        totals = site_counts([[x] for x in demand], [table] * len(demand), [d])["total_sites"][:, 0].tolist()
+        totals = site_counts([[x] for x in demand], [table] * len(demand), d)["total_sites"][:, 0].tolist()
         assert totals == sorted(totals)

@@ -3,7 +3,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bband_sim.core import (
-    Backhaul, CountryParams, DecileRecord, EnergyStrategy, FactorRow, Generation, IncomeGroup, Policy, Settlement,
+    Backhaul, CountryParams, Deciles, EnergyStrategy, FactorRow, Generation, IncomeGroup, Policy, Settlement,
     Sharing, StrategyBundle,
 )
 from bband_sim.cost import radio_divisor
@@ -52,8 +52,9 @@ def country(n_sharers=1, on_grid_share=1.0):
 
 def deciles(settlements):
     """One populated decile per settlement, in order."""
-    return [DecileRecord(country_iso3="AAA", decile_index=i, population=1, area_km2=1.0, existing_sites=0, settlement=s)
-            for i, s in enumerate(settlements, start=1)]
+    n = len(settlements)
+    return Deciles(population=(1,) * n, area_km2=(1.0,) * n, existing_sites=(0,) * n, settlement=tuple(settlements),
+                   degenerate=(False,) * n)
 
 
 def one_decile(existing, new, key, on_grid_share, mix=ALL_COAL):

@@ -105,10 +105,10 @@ def test_pipeline_exports_resolve_on_first_use():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(bband_sim, "no_such_name")
     assert bband_sim.__all__ == [
-        "AdoptionScenario", "Backhaul", "BbandSimError", "CountryParams", "DecileRecord", "EnergyStrategy",
+        "AdoptionScenario", "Backhaul", "BbandSimError", "CountryParams", "Deciles", "EnergyStrategy",
         "Generation", "IncomeGroup", "InputBundle", "InputValidationError", "MissingDataError", "PipelineOutput",
         "Policy", "Regions", "ScenarioSpace", "ScenarioSpec", "Settlement", "Sharing",
-        "StrategyBundle", "StrategySpace", "ValidationError", "build_deciles", "classify_settlement",
+        "StrategyBundle", "StrategySpace", "ValidationError", "classify_settlement",
         "emit_results", "enumerate_runs", "load_bundle", "run_pipeline", "save_bundle",
     ]
     assert all(hasattr(bband_sim, name) for name in bband_sim.__all__)

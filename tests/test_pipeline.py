@@ -18,13 +18,13 @@ from bband_sim.core import (
     STAGE_AXES,
     AdoptionScenario,
     Backhaul,
+    Deciles,
     EnergyStrategy,
     Generation,
     Policy,
     ScenarioSpec,
     Sharing,
     StrategyBundle,
-    build_deciles,
     enumerate_runs,
     run_key,
 )
@@ -271,7 +271,7 @@ class TestRunPipeline:
         # its key would pass every other test. Here each run of the matrix is its own key, on MLA's deciles.
         runs = enumerate_runs(bundle.strategy_space, bundle.scenario_space)
         strategies, iso3 = [s for s, _ in runs], "MLA"
-        country, ds = bundle.countries[iso3], build_deciles(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
+        country, ds = bundle.countries[iso3], Deciles.of(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
         tables, horizon = pipeline.capacity_tables(bundle, cache_dir=table_cache), bundle.scenario_space.horizon
         demand = demand_columns(ds, country, bundle.adoption, horizon, [sc for _, sc in runs])
         sites = {**demand, **site_counts(demand["demand_mbps_km2"], [tables[iso3, s.generation] for s in strategies], ds)}
@@ -453,10 +453,10 @@ class TestSitesColumns:
         chains = {}
         for key in set(keys):
             iso3, generation, capacity, adoption = key
-            deciles = build_deciles(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
+            deciles = Deciles.of(bundle.regions[iso3], iso3, bundle.settlement_thresholds)
             chain = sites_chain(deciles, bundle.countries[iso3], bundle.adoption, bundle.scenario_space.horizon,
                                 ScenarioSpec(capacity, AdoptionScenario(adoption)), tables[iso3, Generation(generation)])
-            chains.update({(*key, d.decile_index): tuple(row[n] for n in names) for d, row in zip(deciles, chain)})
+            chains.update({(*key, i): tuple(row[n] for n in names) for i, row in enumerate(chain, start=1)})
         assert len(chains) == 360
         row_keys = zip(*(table.column(f).tolist()
                          for f in ("country_iso3", "generation", "capacity_gb_month", "adoption", "decile_index")))
@@ -861,7 +861,7 @@ class TestEdgeCasesEndToEnd:
         for name in ("co2_kg", "nox_g", "sox_g", "pm10_g"):
             assert np.array_equal(out.results.column(name).view(np.int64), full_matrix[0].column(name).view(np.int64))
 
-    def test_unserviceable_demand_flagged_not_crashed(self, miniland_copy, table_cache):
+    def test_unserviceable_demand_flagged_not_crashed(self, miniland_copy, tmp_path):
         # a density grid topping out far below urban demand forces the flag
         rewrite = (miniland_copy / "config.yaml").read_text().replace(
             "density_grid: [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]",
@@ -869,14 +869,23 @@ class TestEdgeCasesEndToEnd:
         )
         (miniland_copy / "config.yaml").write_text(rewrite)
         bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
-        out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=None)
+        out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=tmp_path)
         assert not out.failures
         flagged = out.results.column("unserviceable")
-        assert flagged.any(), "expected at least one unserviceable decile"
+        assert flagged.any() and not flagged.all(), "expected unserviceable and serviceable deciles"
         max_density = bundle.density_grid[-1]
         for sites, area in zip(out.results.column("total_sites", flagged).tolist(),
                                out.results.column("area_km2", flagged).tolist()):
             assert sites == math.ceil(max_density * area - 1e-9)
+        # every row is flagged exactly when its decile is active and its demand exceeds its table's top capacity
+        tables = pipeline.capacity_tables(bundle, cache_dir=tmp_path)
+        deciles = {iso3: Deciles.of(regions, iso3, bundle.settlement_thresholds)
+                   for iso3, regions in bundle.regions.items()}
+        rows = zip(*(out.results.column(f).tolist()
+                     for f in ("country_iso3", "generation", "decile_index", "demand_mbps_km2", "unserviceable")))
+        for iso3, generation, index, demand, unserviceable in rows:
+            top = tables[iso3, Generation(generation)].max_capacity
+            assert unserviceable == (deciles[iso3].active[index - 1] and demand > top), (iso3, index)
 
 
 class TestRunFilter:
