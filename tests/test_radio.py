@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -508,6 +509,45 @@ class TestCarrierStreams:
         with pytest.raises(ValidationError, match="equal to 1 kHz, so they would share an RNG stream"):
             FrequencySet(Generation.G4, tuple(Carrier(*c) for c in carriers))
         FrequencySet(Generation.G4, tuple(Carrier(f + 0.001 * i, bw) for i, (f, bw) in enumerate(carriers)))
+
+
+class TestPinnedDraws:
+    """The radio draws of three fixed simulations, against committed values that change only with
+    ``RADIO_MODEL_VERSION``.
+
+    The kernel-versus-reference tests share ``carrier_rng`` with the kernel, so they cannot see a changed stream;
+    these can. The SE step counts are taken as ``carrier_capacity`` takes them; no SINR float is compared, since
+    ``log10`` and ``power`` may round otherwise under another SIMD dispatch, and every SINR here lies more than
+    1e-6 dB from an SE threshold, so such a rounding moves no count.
+    """
+
+    POINTS = {
+        (20230, Generation.G4, Carrier(800.0, 10.0), 0.5): (
+            [82, 50, 286, 538, 261, 23, 3, 7, 17, 15, 90, 226, 168, 96, 39, 99],
+            "3fd289bc5ea401e174c68835457641851d39183c9ed334e73b39df882bd8816d"),
+        (7, Generation.G5, Carrier(3500.0, 40.0), 2.0): (
+            [60, 17, 57, 177, 354, 212, 94, 38, 42, 52, 245, 233, 194, 86, 52, 87],
+            "1b6a66db9a22f2b72fda91f30af17ee576f04df65f9c4a6377fe22e05d55d353"),
+        (99, Generation.G5, Carrier(700.0, 10.0), 0.05): (
+            [101, 70, 291, 542, 334, 203, 146, 128, 68, 17, 16, 1, 1, 1, 0, 81],
+            "f049daf27f1f597da9f6996c2603dbdadd7dd272b2d37eeefba6802cca0c6086"),
+    }
+
+    @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{p[1].value}-{p[2].frequency_mhz:g}-{p[3]:g}")
+    def test_step_counts_and_drops_are_pinned(self, se_table, point):
+        seed, generation, carrier, density = point
+        want_counts, want_drops = self.POINTS[point]
+        params = SimulationParams(trials=2000, seed=seed)
+        thresholds = np.array([r[0] for r in se_table.rows[generation]])
+        got = trial_sinr_db(params, generation, carrier, density)
+        assert np.abs(got[:, None] - thresholds).min() > 1e-6
+        counts = np.bincount(np.searchsorted(thresholds, got, side="right"), minlength=len(thresholds) + 1)
+        assert counts.tolist() == want_counts
+        # the drops' triangles, u and v, read as one whole-array draw of each, in that order
+        rng, digest = radio.carrier_rng(seed, generation, carrier, density), hashlib.sha256()
+        for draw in (rng.integers(0, 6, params.trials), rng.random(params.trials), rng.random(params.trials)):
+            digest.update(draw.astype(draw.dtype.newbyteorder("<")).tobytes())
+        assert digest.hexdigest() == want_drops
 
 
 def hexagon_lattice(per_side: int, circumradius: float, vertex_deg: float) -> np.ndarray:
