@@ -28,7 +28,7 @@ one whole-array draw of the parts would reach it, and runs every per-trial
 step over chunks of trials and blocks of (trial, interferer) paths (see
 :data:`BLOCK_ELEMENTS`); :func:`carrier_capacity` keeps only a count of
 trials per SE step. No array grows with trials: at two rings a simulation
-holds about 1.2 MB, at 50,000 trials as at 200,000 (tracemalloc peak).
+holds about 1.3 MB, at 50,000 trials as at 200,000 (tracemalloc peak).
 Every element takes the same arithmetic, in the same order, whatever the
 block size (see :func:`_received_mw`), and ``tests/reference_chains.py``
 keeps the unblocked whole-array chain, up to ``np.percentile`` over every
@@ -76,10 +76,13 @@ RADIO_MODEL_VERSION = 1
 #: :func:`sinr_blocks`: a block holds ``max(1, BLOCK_ELEMENTS //
 #: interferers)`` trials, 2048 at two rings. Its two (block, interferers)
 #: float buffers and its interferer shadow fading take 24 bytes per path and
-#: fit in a core's L2 cache. The drops' placement and the serving path run
-#: over chunks of whole blocks, up to a quarter of this many trials (8192 at
-#: two rings), in the same two buffers and three chunk-length arrays; so a
-#: simulation's memory is bounded by this constant, whatever the ring and
+#: fit in a core's L2 cache. They are the only arrays a simulation makes
+#: ahead, since they pay: made anew per block, the interferer chain took the
+#: cold ``radio`` bench build 30-40% longer at ``--jobs 2`` and peaked at
+#: 2.6 MB at two rings. The drops' placement and the serving path are plain
+#: arrays over chunks of whole blocks, up to a quarter of this many trials
+#: (8192 at two rings); run per block instead, they took about 6% longer. So
+#: a simulation's memory is bounded by this constant, whatever the ring and
 #: trial counts. Results do not depend on it.
 BLOCK_ELEMENTS = 36864
 
@@ -143,32 +146,17 @@ _HEX_COS0, _HEX_SIN0 = np.cos(_HEX_A0), np.sin(_HEX_A0)
 _HEX_COS1, _HEX_SIN1 = np.cos(_HEX_A1), np.sin(_HEX_A1)
 
 
-def place_in_hexagon(tri: np.ndarray, x: np.ndarray, y: np.ndarray, circumradius_km: float, scratch) -> None:
-    """Points uniform in a regular hexagon centred at the origin, made in place: ``x`` and ``y`` hold u and v.
+def place_in_hexagon(tri: np.ndarray, u: np.ndarray, v: np.ndarray, circumradius_km: float):
+    """Points ``(x, y)`` uniform in a regular hexagon centred at the origin, from uniforms u and v.
 
-    Each trial's uniforms (u, v) fold into the triangle u + v <= 1, scale by
-    the circumradius and map onto triangle ``tri`` (0-5) of the hexagon's six,
+    Each trial's (u, v) folds into the triangle u + v <= 1, scales by the
+    circumradius and maps onto triangle ``tri`` (0-5) of the hexagon's six,
     whose corners lie at ``tri * 60`` and ``tri * 60 + 60`` degrees.
-    ``scratch`` holds two float buffers as long as ``x``.
     """
-    s, t = scratch
-    np.add(x, y, out=s)
-    over = s > 1.0
-    x[over] = 1.0 - x[over]
-    y[over] = 1.0 - y[over]
-    x *= circumradius_km
-    y *= circumradius_km
-    np.take(_HEX_COS0, tri, out=s)
-    s *= x
-    np.take(_HEX_COS1, tri, out=t)
-    t *= y
-    s += t  # x = u cos0[tri] + v cos1[tri]
-    np.take(_HEX_SIN0, tri, out=t)
-    t *= x
-    np.take(_HEX_SIN1, tri, out=x)
-    x *= y
-    np.add(t, x, out=y)  # y = u sin0[tri] + v sin1[tri]
-    x[:] = s
+    over = u + v > 1.0
+    u = np.where(over, 1.0 - u, u) * circumradius_km
+    v = np.where(over, 1.0 - v, v) * circumradius_km
+    return _HEX_COS0[tri] * u + _HEX_COS1[tri] * v, _HEX_SIN0[tri] * u + _HEX_SIN1[tri] * v
 
 
 def shadow_fading_draws(
@@ -252,16 +240,16 @@ def sinr_blocks(
     ``trials``.
 
     The trials run in chunks of whole blocks (see :data:`BLOCK_ELEMENTS`):
-    each chunk draws and places its drops, computes its serving paths and
-    turns its serving shadows into signal power, then runs the interferer
-    paths one block of rows at a time, each block's signal divided by its
-    interference plus noise in place, and takes the ratio to dB; it yields
-    that chunk's SINRs, a new array. (Placement and serving paths per block,
-    not per chunk, would add a numpy call per step and block; with ``jobs``
-    threads those calls hand the GIL back and forth.) Each path's distance
-    is ``sqrt(dx^2 + dy^2 + dh^2)`` in km and its power in mW comes from
-    :func:`_received_mw`; a trial's interference is numpy's ``sum`` of its
-    paths' powers over the interferer axis (not a left fold;
+    each chunk places its drops and computes its serving distances and
+    signal powers as new arrays, then runs the interferer paths one block of
+    rows at a time in one block's preallocated buffers, each block's signal
+    divided by its interference plus noise in place, and takes the ratio to
+    dB; it yields that chunk's SINRs, a new array. (Placement and serving
+    paths per block, not per chunk, would add a numpy call per step and
+    block; with ``jobs`` threads those calls hand the GIL back and forth.)
+    Each path's distance is ``sqrt(dx^2 + dy^2 + dh^2)`` in km and its power
+    in mW comes from :func:`_received_mw`; a trial's interference is numpy's
+    ``sum`` of its paths' powers over the interferer axis (not a left fold;
     ``tests/reference_chains.py`` makes the same call), times
     ``network_load``, and its SINR is ``10 log10(signal / (interference +
     noise))`` with the noise floor in mW; with no rings the blocks hold no
@@ -275,10 +263,7 @@ def sinr_blocks(
     rows = max(1, BLOCK_ELEMENTS // max(m, 1))
     chunk = min(rows * max(1, BLOCK_ELEMENTS // 4 // rows), n)  # whole blocks, up to a quarter of the elements
     rows = min(rows, n)
-    # Two float buffers: one block's paths, or one chunk's placement and serving scratch.
-    a, b = np.empty(max(rows * m, chunk)), np.empty(max(rows * m, chunk))
-    path, scratch = a[:rows * m].reshape(rows, m), b[:rows * m].reshape(rows, m)
-    total = np.empty(rows)
+    path, scratch, total = np.empty((rows, m)), np.empty((rows, m)), np.empty(rows)
 
     rng = carrier_rng(params.seed, generation, carrier, site_density)
     tri_rng = copy.deepcopy(rng)
@@ -287,28 +272,20 @@ def sinr_blocks(
     u_rng, v_rng = copy.deepcopy(rng), copy.deepcopy(rng)
     v_rng.bit_generator.advance(n)
     rng.bit_generator.advance(2 * n)
-    xs, ys = np.empty(chunk), np.empty(chunk)
     serving_rng = copy.deepcopy(rng)
     if params.shadow_sigma_db != 0:
         for lo in range(0, n, chunk):
-            rng.standard_normal(out=a[:min(chunk, n - lo)])
+            rng.standard_normal(min(chunk, n - lo))
 
     dh_sq = ((params.tx_height_m - params.rx_height_m) / 1000.0) ** 2
     freq_term_db = 20.0 * np.log10(carrier.frequency_mhz)
     noise_mw = 10.0 ** (noise_floor(params, carrier.bandwidth_mhz * 1e6) / 10.0)
     for lo in range(0, n, chunk):
         k = min(chunk, n - lo)
-        s, t = a[:k], b[:k]
-        x, y = u_rng.random(out=xs[:k]), v_rng.random(out=ys[:k])
-        place_in_hexagon(tri_rng.integers(0, 6, k), x, y, isd / math.sqrt(3.0), (s, t))
-        sinr = shadow_fading_draws(serving_rng, params.shadow_mu_db, params.shadow_sigma_db, k)  # then the SINR
-        np.multiply(x, x, out=s)
-        np.multiply(y, y, out=t)
-        s += t
-        s += dh_sq
-        np.sqrt(s, out=s)
-        _received_mw(s, sinr, params, freq_term_db, t)
-        sinr[:] = s  # the serving shadow becomes the signal power
+        x, y = place_in_hexagon(tri_rng.integers(0, 6, k), u_rng.random(k), v_rng.random(k), isd / math.sqrt(3.0))
+        sinr = np.sqrt(x * x + y * y + dh_sq)  # the serving distance, then its power, then the SINR
+        _received_mw(sinr, shadow_fading_draws(serving_rng, params.shadow_mu_db, params.shadow_sigma_db, k), params,
+                     freq_term_db, np.empty(k))
         for r0 in range(0, k, rows):
             r1 = min(r0 + rows, k)
             d, e, tot = path[:r1 - r0], scratch[:r1 - r0], total[:r1 - r0]

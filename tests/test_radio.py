@@ -61,14 +61,15 @@ def trial_sinr_db(params, generation, carrier, site_density) -> np.ndarray:
 
 def pin_receivers(monkeypatch, positions) -> None:
     """Stand the kernel's trials at ``positions``, in trial order: a stub in place of ``radio.place_in_hexagon``
-    writes each chunk's x and y into its buffers. The kernel still reads its triangle and uniform draws."""
+    returns each chunk's x and y. The kernel still reads its triangle and uniform draws."""
     pos = np.asarray(positions, dtype=float)
     placed = 0
 
-    def place(tri, x, y, circumradius_km, scratch):
+    def place(tri, u, v, circumradius_km):
         nonlocal placed
-        x[:], y[:] = pos[placed:placed + len(x)].T
-        placed += len(x)
+        x, y = pos[placed:placed + len(u)].T
+        placed += len(u)
+        return x, y
 
     monkeypatch.setattr(radio, "place_in_hexagon", place)
 
@@ -302,8 +303,7 @@ class TestSampleHexagon:
     def test_uniform_inside_the_hexagon(self):
         # corners at angles k * 60 degrees: the flat sides are at |y| = sqrt(3)/2 R
         rng, n = np.random.default_rng(11), 200_000
-        tri, x, y = rng.integers(0, 6, n), rng.random(n), rng.random(n)
-        radio.place_in_hexagon(tri, x, y, 1.0, (np.empty(n), np.empty(n)))
+        x, y = radio.place_in_hexagon(rng.integers(0, 6, n), rng.random(n), rng.random(n), 1.0)
         root3 = math.sqrt(3.0)
         assert (np.abs(y) <= root3 / 2.0 + 1e-12).all()
         assert (root3 * np.abs(x) + np.abs(y) <= root3 + 1e-12).all()
