@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
+import time
 from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
@@ -45,12 +47,15 @@ import yaml
 
 from .core import (
     ADOPTION_CAGR_BOUNDS, AXES, BOUND_OPS, DEFAULT_ADOPTION_CAGR, DEFAULT_DENSITY_GRID, DIESEL_SOURCE,
-    MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, AdoptionParams, AdoptionScenario, Carrier, CostInputs,
+    MIX_SHARE_BOUNDS, MIX_SOURCES, N_DECILES, AdoptionParams, AdoptionScenario, Carrier, CostInputs,
     CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup,
     Regions, ScenarioSpace, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable,
-    StrategySpace, broken_bound, declared_bounds, density_grid_rules, link_budget_rules, raise_broken,
+    StrategySpace, broken_bound, declared_bounds, density_grid_rules, link_budget_rules, mix_sum_problem,
+    raise_broken,
 )
 from .errors import InputValidationError, ValidationError
+
+logger = logging.getLogger(__name__)
 
 _REGION, _COUNTRY, _CARRIER, _FACTOR = map(declared_bounds, (Regions, CountryParams, Carrier, FactorRow))
 
@@ -153,6 +158,7 @@ class InputBundle:
 class _Collector:
     def __init__(self):
         self.diagnostics: list[Diagnostic] = []
+        self.rows: dict[str, int] = {}  # data rows of each CSV read whole with its header right
 
     def add(self, file: str, line: int, message: str) -> None:
         self.diagnostics.append(Diagnostic(file, line, message))
@@ -239,11 +245,13 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
         return
     reader = csv.reader(fh)
     line = 1  # the line the last record ended on: the header was read before the reader
+    rows = 0
     try:
         for cells in reader:
             line = reader.line_num + 1
             if not cells:
                 continue
+            rows += 1
             if len(cells) != len(columns):
                 collector.add(name, line, "wrong number of columns")
                 continue
@@ -254,6 +262,7 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
                     collector.check(name, line, "", _parse, raw, *column)
     except csv.Error as err:
         collector.add(name, line + 1, f"unreadable record: {err}")
+    collector.rows[name] = rows
 
 
 def _spectrum(rows: Rows) -> dict[str, list[tuple[Generation, Carrier]]]:
@@ -311,9 +320,8 @@ def _energy_mix(rows: Rows, countries: Mapping[str, CountryParams], years: range
         del mix[region]
     for region, by_year in sorted(mix.items()):
         for year, shares in sorted(by_year.items()):
-            total = sum(shares.values())
-            if abs(total - 1.0) > MIX_SUM_TOLERANCE:
-                collector.add("energy_mix.csv", 0, f"{region}/{year}: shares sum to {total:.6f}, expected 1")
+            if (problem := mix_sum_problem(shares.values())) is not None:
+                collector.add("energy_mix.csv", 0, f"{region}/{year}: {problem}")
     for iso3 in sorted(countries):
         if iso3 not in mix:
             collector.add("energy_mix.csv", 0, f"country {iso3} has no energy mix rows")
@@ -556,7 +564,13 @@ def load_config(config_path: Path | str, collector: _Collector) -> dict[str, dic
 
 
 def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
-    """Load and validate every input, the link budget of every carrier last; raise with all diagnostics on failure."""
+    """Load and validate every input, the link budget of every carrier last; raise with all diagnostics on failure.
+
+    A ``countries.csv`` with its header and no data row is a diagnostic: there is nothing to model. Logs one INFO
+    line: the CSV files read, their data rows, the countries, their deciles, the degenerate ones (those a country
+    with fewer than :data:`core.N_DECILES` regions leaves empty) and the seconds taken.
+    """
+    start = time.perf_counter()
     data_dir = Path(data_dir)
     collector = _Collector()
     if not data_dir.is_dir():
@@ -577,6 +591,8 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
 
     spectrum = _spectrum(_read_csv(data_dir / "spectrum.csv", collector))
     countries = _countries(_read_csv(data_dir / "countries.csv", collector), spectrum, collector)
+    if collector.rows.get("countries.csv") == 0:
+        collector.add("countries.csv", 0, "no country rows")
     for iso3 in sorted(spectrum):
         if countries and iso3 not in countries:
             collector.add("spectrum.csv", 0, f"spectrum row references unknown country {iso3}")
@@ -607,6 +623,9 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
     spectrum_carriers = [c for params in countries.values() for _, c in params.spectrum_portfolio]
     _check_link_budget(sim_params, [*spectrum_carriers, *(c for fs in portfolios for c in fs.carriers)], collector)
     collector.raise_if_any()
+    logger.info("input load: %d files, %d data rows, %d countries, %d deciles, %d degenerate deciles, %.3f s",
+                len(collector.rows), sum(collector.rows.values()), len(countries), N_DECILES * len(countries),
+                sum(max(0, N_DECILES - len(r)) for r in regions.values()), time.perf_counter() - start)
     return InputBundle(
         countries=countries, regions=regions, adoption=adoption, energy_mix=energy_mix,
         emission_factors=emission_factors, se_table=se_table, cost_inputs=cost_inputs, sim_params=sim_params,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import (
     MIX_SHARE_BOUNDS, MIX_SOURCES, MIX_SUM_TOLERANCE, CountryParams, Deciles, EmissionFactors, EnergyParams,
-    EnergyStrategy, StrategyBundle, broken_bound, raise_broken,
+    EnergyStrategy, StrategyBundle, broken_bound, mix_sum_problem, raise_broken,
 )
 from .cost import radio_divisor
 from .errors import ValidationError
@@ -26,9 +26,8 @@ def check_mix_row(mix_row: Mapping[str, float]) -> None:
     if unknown:
         raise ValidationError(f"unknown mix sources: {unknown}")
     raise_broken(filter(None, (broken_bound("share", share, MIX_SHARE_BOUNDS) for share in mix_row.values())))
-    total_share = sum(mix_row.values())
-    if not abs(total_share - 1.0) <= MIX_SUM_TOLERANCE:  # a nan total fails too
-        raise ValidationError(f"mix shares sum to {total_share}, expected 1")
+    if (problem := mix_sum_problem(mix_row.values())) is not None:
+        raise ValidationError(problem)
 
 
 def energy(

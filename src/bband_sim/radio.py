@@ -52,6 +52,7 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -399,7 +400,7 @@ def build_capacity_tables(
     (the directory is made only then). The rest are built together: each distinct (generation, carrier, density)
     simulation they need runs once, in one pool of ``jobs`` threads, imported only when there is a simulation to
     run; the first failure stops the build. A set's column is its carriers' results summed as in :func:`simulate_density`, isotonically clipped.
-    Logs one INFO line of the call's counts. The grid must break no :func:`core.density_grid_rules`.
+    Logs one INFO line of the call's counts and of its seconds reading the cache and building. The grid must break no :func:`core.density_grid_rules`.
     """
     grid = list(density_grid)
     raise_broken(density_grid_rules(grid))
@@ -407,10 +408,12 @@ def build_capacity_tables(
     keys = [table_cache_key(params, se_table, fs, grid) for fs in freq_sets]
     distinct = dict(zip(keys, freq_sets))  # cache key -> its set, in first-lookup order
     paths = {key: cache / f"{key}.csv" for key in distinct} if cache is not None else {}
+    start = time.perf_counter()
     found = {key: table for key, fs in distinct.items()
              if (table := _load_cached_table(paths.get(key), fs, grid)) is not None}
     misses = {key: fs for key, fs in distinct.items() if key not in found}
     plan = list(dict.fromkeys((fs.generation, c, d) for fs in misses.values() for d in grid for c in fs.carriers))
+    read_s, start = time.perf_counter() - start, time.perf_counter()
     capacity = {}
     if plan:  # a warm run loads no thread pool
         from concurrent.futures import ThreadPoolExecutor
@@ -423,8 +426,9 @@ def build_capacity_tables(
         column = [ordered_sum(capacity[fs.generation, c, d] for c in fs.carriers) for d in grid]
         built[key] = CapacityTable(fs.generation, fs.label, tuple(zip(grid, isotonic_clip(column))))
     logger.info("capacity tables: %d lookups, %d distinct tables, %d read from cache, %d built, %d carrier-density "
-                "pairs, %d simulations", len(keys), len(distinct), len(found), len(built),
-                sum(len(fs.carriers) for fs in misses.values()) * len(grid), len(plan))
+                "pairs, %d simulations, cache reads %.3f s, builds %.3f s", len(keys), len(distinct), len(found),
+                len(built), sum(len(fs.carriers) for fs in misses.values()) * len(grid), len(plan), read_s,
+                time.perf_counter() - start)
     for key, table in built.items():
         if key in paths:
             cache.mkdir(parents=True, exist_ok=True)  # only once there is a table to write

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import logging
 import math
+import re
 import shutil
 import tempfile
 import warnings
@@ -220,6 +221,10 @@ def test_verbose_logs_each_stage_and_writes_the_same_bytes(
         outs[out.name] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
     assert len(outs["verbose"]) == 6
     assert outs["verbose"] == outs["quiet"]
+    loads = [r.getMessage() for r in caplog.records if r.getMessage().startswith("input load:")]
+    assert [m.rsplit(",", 1)[0] for m in loads] == [
+        "input load: 6 files, 169 data rows, 2 countries, 20 deciles, 0 degenerate deciles",
+    ]
     stages = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stage ")]
     # 240 runs over 2 countries: 3 sites, 120 cost and 48 energy keys per country
     assert [m.rsplit(",", 1)[0] for m in stages] == [
@@ -395,6 +400,13 @@ def test_tables_command(miniland_config, tmp_path, capsys):
     assert len(rows) == 2 * 10
 
 
+def table_counts(message: str) -> str:
+    """A ``capacity tables:`` line without its two timings, which it must end with."""
+    counts, reads, builds = message.rsplit(", ", 2)
+    assert re.fullmatch(r"cache reads \d+\.\d{3} s", reads) and re.fullmatch(r"builds \d+\.\d{3} s", builds), message
+    return counts
+
+
 def test_tables_build_shared_carriers_once_and_log_the_counts(miniland_copy, tmp_path, caplog):
     config = miniland_copy / "config.yaml"
     config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 200\n") + (
@@ -406,7 +418,7 @@ def test_tables_build_shared_carriers_once_and_log_the_counts(miniland_copy, tmp
     with caplog.at_level(logging.INFO, logger="bband_sim"):
         assert main(["-v", "tables", "--config", str(config), "--out", str(out), "--jobs", "2"]) == EXIT_OK
     # 2 tables of 2 carriers over 10 densities; 800x10 is simulated once for both
-    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("capacity tables:")] == [
+    assert [table_counts(r.getMessage()) for r in caplog.records if r.getMessage().startswith("capacity tables:")] == [
         "capacity tables: 3 lookups, 2 distinct tables, 0 read from cache, 2 built, 40 carrier-density pairs, "
         "30 simulations",
     ]
@@ -425,7 +437,7 @@ def test_verbose_logs_the_table_counts_of_a_cold_and_a_warm_cache(miniland_copy,
         with caplog.at_level(logging.INFO if flags else logging.WARNING, logger="bband_sim"):
             assert main([*flags, *args, "--out", str(tmp_path / name)]) == EXIT_OK
         outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.csv")}
-        counts = [r.getMessage() for r in caplog.records if r.getMessage().startswith("capacity tables:")]
+        counts = [table_counts(r.getMessage()) for r in caplog.records if r.getMessage().startswith("capacity tables:")]
         if name == "cold":
             # MLA and MLB share their 4G table, and the 700x10 carrier of their 5G tables
             assert counts == ["capacity tables: 4 lookups, 3 distinct tables, 0 read from cache, 3 built, "

@@ -56,6 +56,11 @@ CASES = {
             "regions.csv: country MLB has no regions",
         ],
     ),
+    # A bundle with no country has nothing to model; the other files' rows then go unchecked against countries.
+    "countries_no_rows": (
+        [("countries.csv", None, COUNTRIES_HEADER + "\n\n")],
+        ["countries.csv: no country rows"],
+    ),
     "countries_header": (
         [("countries.csv", "country_iso3,income_group", "iso3,income_group")],
         [f"countries.csv:1: header must be exactly {COUNTRIES_HEADER!r}, got {'iso3' + COUNTRIES_HEADER[12:]!r}"],
@@ -886,6 +891,19 @@ def test_carriers_sharing_a_stream_stop_validate_and_run(miniland_copy, tmp_path
     assert main(["validate", *args]) == EXIT_VALIDATION
     assert main(["run", *args, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.count(expected[0]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_bundle_with_no_country_stops_validate_and_run(miniland_copy, tmp_path, capsys):
+    # four header-only CSVs: before, validate printed OK and run wrote 1440 runs as six header-only files
+    for name in ("countries.csv", "regions.csv", "spectrum.csv", "energy_mix.csv"):
+        path = miniland_copy / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+    args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
+    assert main(["validate", *args]) == EXIT_VALIDATION
+    assert main(["run", *args, "--out", str(tmp_path / "run")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["countries.csv: no country rows", "INVALID: 1 problem(s)",
+                                                    "countries.csv: no country rows"]
     assert not (tmp_path / "run").exists()
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from bband_sim.core import (
     Backhaul, CountryParams, Deciles, EnergyStrategy, FactorRow, Generation, IncomeGroup, Policy, Settlement,
-    Sharing, StrategyBundle,
+    Sharing, StrategyBundle, mix_sum_problem,
 )
 from bband_sim.cost import radio_divisor
 from bband_sim.energy import (
@@ -12,6 +12,7 @@ from bband_sim.energy import (
     MIX_SOURCES,
     EmissionFactors,
     EnergyParams,
+    check_mix_row,
     energy,
 )
 from bband_sim.errors import ValidationError
@@ -130,6 +131,14 @@ class TestEmissions:
         bad = dict(ALL_COAL, coal=0.97)
         with pytest.raises(ValidationError, match="sum"):
             emissions(100.0, 0.0, bad, FACTORS, GridSplit(1.0))
+
+    def test_mix_sum_rule_is_the_loaders(self):
+        # the loader's text for the same rule, without its "MLA/2026: " prefix (test_diagnostics.py)
+        with pytest.raises(ValidationError, match=r"^shares sum to 0\.970000, expected 1$"):
+            check_mix_row(dict(ALL_COAL, coal=0.97))
+        assert mix_sum_problem([0.5, 0.5 + 9e-7]) is None
+        assert mix_sum_problem([0.5, 0.5 + 2e-6]) == "shares sum to 1.000002, expected 1"
+        assert mix_sum_problem([float("inf"), -float("inf")]) == "shares sum to nan, expected 1"
 
     def test_linearity_doubling_exact(self):
         mix = {"coal": 0.4, "gas": 0.3, "oil": 0.1, "nuclear": 0.05, "hydro": 0.05, "renewables_other": 0.1}

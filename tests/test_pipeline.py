@@ -832,10 +832,11 @@ class TestEdgeCasesEndToEnd:
         regions = (miniland_copy / "regions.csv").read_text().splitlines()
         kept = [r for r in regions if not r.startswith("MLA-") or r.startswith(("MLA-R01", "MLA-R02"))]
         (miniland_copy / "regions.csv").write_text("\n".join(kept) + "\n")
-        bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
         with caplog.at_level(logging.INFO, logger="bband_sim"):
+            bundle = load_bundle(miniland_copy, miniland_copy / "config.yaml")
             out = run_pipeline(bundle, [BASELINE_RUN], cache_dir=table_cache)
         assert not out.failures
+        assert "input load: 6 files, 159 data rows, 2 countries, 20 deciles, 8 degenerate deciles, " in caplog.text
         # one sites key per country: MLA's 8 degenerate deciles are 8 degenerate rows
         assert "stage sites: 2 keys, 2 kernel calls, 0 failed keys, 0 unserviceable rows, 8 degenerate rows" in caplog.text
         table = out.results

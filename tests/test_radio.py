@@ -470,9 +470,10 @@ class TestKernelMemory:
     def test_working_memory_per_trial(self, se_table):
         # No array grows with trials: at two rings a simulation holds one
         # block's (2048, 18) buffers and interferer shadows, one chunk's
-        # 8192-trial placement and serving arrays, and a count per SE step
-        # (about 1.2 MB; 2.1 MB at 50k trials and 24 B per trial more when
-        # x, y and the serving shadow were whole arrays).
+        # 8192-trial placement and serving arrays, made anew per chunk, and a
+        # count per SE step (about 1.3 MB; 1.2 MB when the chunk's arrays
+        # shared the block's buffers, and 2.1 MB at 50k trials and 24 B per
+        # trial more when x, y and the serving shadow were whole arrays).
         def peak(trials):
             params = SimulationParams(trials=trials, seed=3, interferer_rings=2)
             tracemalloc.start()
