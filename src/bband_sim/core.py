@@ -632,6 +632,7 @@ def mix_sum_problem(shares: Iterable[float]) -> str | None:
     total = sum(shares)
     return None if abs(total - 1.0) <= MIX_SUM_TOLERANCE else f"shares sum to {total:.6f}, expected 1"
 
+
 #: The one declaration of the bound on each ``energy_mix.csv`` share.
 MIX_SHARE_BOUNDS = ((">=", 0),)
 

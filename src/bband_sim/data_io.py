@@ -158,7 +158,7 @@ class InputBundle:
 class _Collector:
     def __init__(self):
         self.diagnostics: list[Diagnostic] = []
-        self.rows: dict[str, int] = {}  # data rows of each CSV read whole with its header right
+        self.rows: dict[str, int] = {}  # file name -> data rows, for each CSV read with its header right
 
     def add(self, file: str, line: int, message: str) -> None:
         self.diagnostics.append(Diagnostic(file, line, message))
