@@ -146,9 +146,7 @@ def _cmd_tables(args) -> int:
     inputs = load_table_inputs(args.config, args.data)
     sim_params = _seeded(inputs.sim_params, args.seed)
     tables = build_capacity_tables(sim_params, inputs.se_table, inputs.portfolios, inputs.density_grid, args.jobs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is a file to write
-    path = out_dir / "capacity_tables.csv"
+    path = Path(args.out) / "capacity_tables.csv"
     save_capacity_tables(tables, path)
     print(f"wrote {path}")
     return EXIT_OK

@@ -629,7 +629,7 @@ def mix_sum_problem(shares: Iterable[float]) -> str | None:
     """The one rule on a generation mix's total, for the loader and :func:`energy.check_mix_row` alike: the text
     ``shares sum to <total>, expected 1`` if the shares miss 1 by more than :data:`MIX_SUM_TOLERANCE` (a nan total
     too), else None."""
-    total = sum(shares)
+    total = ordered_sum(shares)
     return None if abs(total - 1.0) <= MIX_SUM_TOLERANCE else f"shares sum to {total:.6f}, expected 1"
 
 

@@ -36,12 +36,14 @@ import csv
 import io
 import logging
 import math
+import os
+import reprlib
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import yaml
 
@@ -51,7 +53,7 @@ from .core import (
     CountryParams, EmissionFactors, EnergyParams, FactorRow, FrequencySet, Generation, Horizon, IncomeGroup,
     Regions, ScenarioSpace, ScenarioSpec, SettlementThresholds, SimulationParams, SpectralEfficiencyTable,
     StrategySpace, broken_bound, declared_bounds, density_grid_rules, link_budget_rules, mix_sum_problem,
-    raise_broken,
+    ordered_sum, raise_broken,
 )
 from .errors import InputValidationError, ValidationError
 
@@ -177,24 +179,31 @@ class _Collector:
             raise InputValidationError(self.diagnostics)
 
 
+#: The one rendering of a config or cell value in a diagnostic: its repr, cut past two levels of nesting, six
+#: items and 60 characters, so that a YAML alias nest, whose full repr grows tenfold per level, stays one short line.
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel, _SHOWN.maxdict, _SHOWN.maxstring, _SHOWN.maxlong, _SHOWN.maxother = 2, 6, 60, 60, 60
+
+
 def _parse(raw, where: str, kind, bounds=()):
     """``raw`` as a ``kind`` within ``bounds``, else ValidationError: the diagnostic, led by ``where``."""
     if kind is str:
         value = raw.strip()
     elif kind is not int and kind is not float:
-        try:
-            return kind(raw)
+        try:  # only a string can be a value: the enum's own error would repr any other in full
+            return kind(raw if isinstance(raw, str) else None)
         except ValueError:
-            raise ValidationError(f"{where}: {raw!r} is not one of {{{', '.join(e.value for e in kind)}}}") from None
+            raise ValidationError(f"{where}: {_SHOWN.repr(raw)} is not one of "
+                                  f"{{{', '.join(e.value for e in kind)}}}") from None
     else:
         try:
             value = kind(raw)
             if isinstance(raw, bool) or kind is int and isinstance(raw, float) and value != raw:
                 raise ValueError  # a YAML boolean (yes, on, true), or int() would drop the fraction
         except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{where}: {raw!r} is not a valid {kind.__name__}") from None
+            raise ValidationError(f"{where}: {_SHOWN.repr(raw)} is not a valid {kind.__name__}") from None
         if kind is float and not -math.inf < value < math.inf:
-            raise ValidationError(f"{where}: {raw!r} is not finite")
+            raise ValidationError(f"{where}: {_SHOWN.repr(raw)} is not finite")
     for op, limit in bounds:  # only a broken bound builds its text
         if not BOUND_OPS[op](value, limit):
             raise ValidationError(broken_bound(where, value, bounds))
@@ -503,13 +512,16 @@ def _table_portfolios(section: dict, collector: _Collector) -> tuple[FrequencySe
     for entry in raw:
         entry = _expect_mapping(entry, "tables.portfolios[]", collector)
         _unknown_keys(entry, ("generation", "carriers"), "tables.portfolios[]", collector)
-        pairs = entry.get("carriers", [])
+        generation, pairs = entry.get("generation"), entry.get("carriers", [])
         try:
-            gen = Generation(entry.get("generation"))
+            if generation not in [g.value for g in Generation]:  # a list: an unhashable value is compared, not hashed
+                raise ValidationError(f"{_SHOWN.repr(generation)} is not a valid Generation")
+            gen = Generation(generation)
             if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-                raise ValidationError(f"carriers: {pairs!r} is not a list of [frequency_mhz, bandwidth_mhz] pairs")
+                raise ValidationError(f"carriers: {_SHOWN.repr(pairs)} is not a list of [frequency_mhz, "
+                                      "bandwidth_mhz] pairs")
             carriers = tuple(Carrier(*(_parse(x, "carriers", float) for x in pair)) for pair in pairs)
-        except (ValueError, ValidationError) as err:
+        except ValidationError as err:
             collector.add("config", 0, f"tables.portfolios: {err}")
             continue
         if freq_set := collector.check("config", 0, "tables.portfolios: ", FrequencySet, gen, carriers):
@@ -612,7 +624,7 @@ def load_bundle(data_dir: Path | str, config_path: Path | str) -> InputBundle:
         over = [c for c in ("population", "existing_sites") if sum(getattr(columns, c)) > 2**63 - 1]
         if over:
             collector.add("regions.csv", 0, f"{iso3}: total {' and total '.join(over)} above 2**63 - 1")
-        if not math.isfinite(sum(columns.area_km2)):  # a decile's area sums a part of it
+        if not math.isfinite(ordered_sum(columns.area_km2)):  # a decile's area sums a part of it
             collector.add("regions.csv", 0, f"{iso3}: total area_km2 is not finite")
 
     energy_mix = _energy_mix(_read_csv(data_dir / "energy_mix.csv", collector), countries, horizon.years(), collector)
@@ -672,15 +684,41 @@ def _text(value):
     return value.value if isinstance(value, Enum) else value
 
 
+def write_files(files: Mapping[Path, Iterable[str]]) -> None:
+    """Write each path's text chunks, all the files as one set: the one way bband-sim writes a file.
+
+    Each file's directory is made when that file is written, and each chunk is one ``write`` to
+    ``.<name>.<pid>.tmp`` beside it. Only once every file is written are they renamed over their paths, in order.
+    On any exception, ``KeyboardInterrupt`` included, the temporary files are removed, so the files already there
+    stay as they were. A failed write raises ``OSError("cannot write <path>: <error>")``.
+    """
+    temporary: dict[Path, Path] = {}
+    try:
+        for path, chunks in files.items():
+            tmp = temporary[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with tmp.open("w", newline="", encoding="utf-8") as fh:
+                    for chunk in chunks:
+                        fh.write(chunk)
+            except OSError as err:
+                raise OSError(f"cannot write {path}: {err}") from err
+        for path, tmp in temporary.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temporary.values():
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | str) -> None:
-    """Write a bundle back out in the documented schemas.
+    """Write a bundle back out in the documented schemas, the six CSVs and the config as one :func:`write_files` set.
 
     Each CSV is written by walking its :data:`SCHEMAS` columns over the
     bundle's records, numbers with ``repr`` and enums as their values, so
     ``load_bundle(save_bundle(b)) == b`` field for field.
     """
     data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
 
     records = {
         "regions.csv": (
@@ -711,12 +749,11 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
             for min_sinr, se in bundle.se_table.rows[gen]
         ),
     }
-    for name, columns in SCHEMAS.items():
-        with (data_dir / name).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(column for column, _, _ in columns)
-            for record in records[name]:
-                writer.writerow(_text(record[column]) for column, _, _ in columns)
+
+    def csv_text(name: str) -> Iterator[str]:
+        columns = [column for column, _, _ in SCHEMAS[name]]
+        csv.writer(text := io.StringIO()).writerows([columns, *([_text(r[c]) for c in columns] for r in records[name])])
+        yield text.getvalue()
 
     spaces = {**vars(bundle.strategy_space), **vars(bundle.scenario_space)}
     config = {
@@ -738,4 +775,5 @@ def save_bundle(bundle: InputBundle, data_dir: Path | str, config_path: Path | s
             for fs in bundle.table_portfolios
         ]},
     }
-    Path(config_path).write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
+    write_files({**{data_dir / name: csv_text(name) for name in SCHEMAS},
+                 Path(config_path): [yaml.safe_dump(config, sort_keys=True)]})

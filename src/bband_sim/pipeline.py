@@ -34,8 +34,8 @@ i + 2 of ``results_decile.csv``.
 
 :func:`emit_results` writes the rows as they lie, each file one
 :data:`EMIT_BLOCK` of rows at a time, so the result text it holds does not
-grow with the rows, and renames the six files into place only once all
-are written. A ``results_decile.csv`` row is its five stage segments
+grow with the rows, and the six files are one :func:`data_io.write_files`
+set. A ``results_decile.csv`` row is its five stage segments
 joined: the decile and run segments are formatted once, and each block
 formats only the keyed stage rows it refers to. The country file and the
 summaries are group-bys (``np.bincount``/``np.add.at``) that add in row
@@ -48,11 +48,10 @@ working memory is then a few (keys, deciles, years) arrays in
 from __future__ import annotations
 
 import logging
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -68,7 +67,7 @@ from .core import (
     run_key,
 )
 from .cost import cost_columns
-from .data_io import InputBundle
+from .data_io import InputBundle, write_files
 from .demand import demand_columns
 from .dimensioning import site_counts
 from .energy import ENERGY_FIELDS, energy
@@ -410,24 +409,13 @@ def _group_sums(
     return rows[first], out
 
 
-def _write_csv(path: Path, into: Path, columns: Sequence[str], blocks: Iterable[Sequence[str]]) -> None:
-    """Write ``path``'s text to the file ``into``: ``columns`` as the header, then each block of row texts."""
-    try:
-        with into.open("w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            for lines in blocks:  # each block holds one row or more
-                fh.write("\n".join(lines) + "\n")
-    except OSError as err:
-        raise OSError(f"cannot write {path}: {err}") from err
-
-
 def _blocks(n: int) -> Iterable[slice]:
     """Consecutive slices of at most :data:`EMIT_BLOCK` of ``n`` rows."""
     return (slice(start, start + EMIT_BLOCK) for start in range(0, n, EMIT_BLOCK))
 
 
-def _decile_blocks(table: ResultTable) -> Iterable[list[str]]:
-    """``results_decile.csv`` row texts, one block of :data:`EMIT_BLOCK` rows at a time.
+def _decile_chunks(table: ResultTable) -> Iterator[str]:
+    """``results_decile.csv``'s text: its header, then one chunk per block of :data:`EMIT_BLOCK` rows.
 
     A row's text is its five stage segments joined, a segment being one
     stage row's columns. The decile and run segments, which scale with
@@ -436,6 +424,7 @@ def _decile_blocks(table: ResultTable) -> Iterable[list[str]]:
     keyed stage row is one (country, key, decile), so it falls in one group
     and is formatted about once in all.
     """
+    yield ",".join(DECILE_COLUMNS) + "\n"
     fixed = []
     for stage in ("decile", "run"):
         index, columns = table.stages[stage]
@@ -447,46 +436,35 @@ def _decile_blocks(table: ResultTable) -> Iterable[list[str]]:
             stage_rows, inverse = np.unique(index[block], return_inverse=True)
             text = format_rows([columns[name][stage_rows] for name in STAGE_COLUMNS[stage]])
             parts.append(map(text.__getitem__, inverse.tolist()))
-        yield list(map(",".join, zip(*parts)))
+        yield "\n".join(map(",".join, zip(*parts))) + "\n"
+
+
+def _group_chunks(table: ResultTable, group: Sequence[str], sums: Sequence[tuple[str, str]],
+                  where: Mapping[str, str] | None = None) -> Iterator[str]:
+    """A group-by file's text: its header, then the :func:`_group_sums` of :data:`EMIT_BLOCK` groups per chunk."""
+    first, totals = _group_sums(table, group, sums, where)
+    yield ",".join([*group, *(column for column, _ in sums)]) + "\n"
+    for block in _blocks(len(first)):
+        yield "\n".join(format_rows([*(table.column(f, first[block]) for f in group),
+                                      *(totals[c][block] for c, _ in sums)])) + "\n"
 
 
 def emit_results(table: ResultTable, out_dir: Path | str) -> list[Path]:
-    """Write the decile, country and summary CSVs as one set; returns the paths written.
+    """Write the decile, country and summary CSVs as one :func:`data_io.write_files` set; returns the paths written.
 
     Output is byte-stable: the decile file's rows are the table's, in its
     file order, floats carry 6 significant digits, and re-running with
     identical inputs rewrites identical files. Every sum adds its rows in
     that order. Each file is formatted and written one :data:`EMIT_BLOCK`
     of rows at a time, so the text held at once does not grow with the
-    number of rows, under a temporary name in ``out_dir``. Only when all six
-    are complete are they renamed over the result files, in the order
-    returned; on any exception the temporary files are removed, and the
-    result files already in ``out_dir`` stay as they were.
+    number of rows.
     """
     start = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / name for name in ("results_decile.csv", "results_country.csv", *(s[0] for s in _SUMMARIES))]
-    temporary = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths}
-
-    def write(path: Path, group: Sequence[str], sums: Sequence[tuple[str, str]],
-              where: Mapping[str, str] | None = None) -> None:
-        first, totals = _group_sums(table, group, sums, where)
-        _write_csv(path, temporary[path], [*group, *(column for column, _ in sums)], (
-            format_rows([*(table.column(f, first[block]) for f in group), *(totals[c][block] for c, _ in sums)])
-            for block in _blocks(len(first))
-        ))
-
-    try:
-        _write_csv(paths[0], temporary[paths[0]], DECILE_COLUMNS, _decile_blocks(table))
-        write(paths[1], _COUNTRY_GROUP, _COUNTRY_SUMS)
-        for path, (_, group, values, where) in zip(paths[2:], _SUMMARIES):
-            write(path, group, [(f, f) for f in values], where)
-        for path, tmp in temporary.items():
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in temporary.values():
-            tmp.unlink(missing_ok=True)
-        raise
+    paths = [Path(out_dir) / name for name in ("results_decile.csv", "results_country.csv", *(s[0] for s in _SUMMARIES))]
+    write_files(dict(zip(paths, [
+        _decile_chunks(table),
+        _group_chunks(table, _COUNTRY_GROUP, _COUNTRY_SUMS),
+        *(_group_chunks(table, group, [(f, f) for f in values], where) for _, group, values, where in _SUMMARIES),
+    ])))
     _log_stage("emit", len(table), len(paths), 0, start)
     return paths

@@ -51,7 +51,6 @@ import itertools
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -64,6 +63,7 @@ from .core import (
     SelfChecked, carrier_stream_key, density_grid_rules, density_stream_key, noise_floor, ordered_sum, raise_broken,
     shadow_lognormal,
 )
+from .data_io import write_files
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -431,7 +431,6 @@ def build_capacity_tables(
                 time.perf_counter() - start)
     for key, table in built.items():
         if key in paths:
-            cache.mkdir(parents=True, exist_ok=True)  # only once there is a table to write
             save_capacity_tables([table], paths[key])
     tables = {**found, **built}
     return [tables[key] for key in keys]
@@ -502,24 +501,16 @@ CAPACITY_TABLE_HEADER = ["generation", "freq_set", "site_density", "capacity_mbp
 
 
 def save_capacity_tables(tables: Iterable[CapacityTable], path: Path | str) -> None:
-    """Write tables to CSV (``generation,freq_set,site_density,capacity_mbps_km2``).
+    """Write tables to CSV (``generation,freq_set,site_density,capacity_mbps_km2``) through :func:`data_io.write_files`.
 
-    The file is written next to ``path`` under a temporary name and then
-    renamed over it, so a reader never sees a partly written table.
+    Lines end in ``\r\n``, as ``csv.writer`` ends them; the header is one chunk and each table's rows one more.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CAPACITY_TABLE_HEADER)
-            for table in tables:
-                for density, capacity in table.rows:
-                    writer.writerow([table.generation.value, table.freq_label, repr(density), repr(capacity)])
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    def chunks() -> Iterator[str]:
+        yield ",".join(CAPACITY_TABLE_HEADER) + "\r\n"
+        for table in tables:
+            yield "".join(f"{table.generation.value},{table.freq_label},{d!r},{c!r}\r\n" for d, c in table.rows)
+
+    write_files({Path(path): chunks()})
 
 
 def load_capacity_tables(path: Path | str) -> list[CapacityTable]:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import hashlib
 import itertools
@@ -342,17 +343,21 @@ class FaultyWrites:
         return self.fh.write(text)
 
 
+def fail_writes(monkeypatch, name: str, block: int, error: BaseException) -> None:
+    """Make each file whose name holds ``name``, opened for writing, a :class:`FaultyWrites`."""
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FaultyWrites(fh, block, error) if "w" in mode and name in path.name else fh
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
 class TestResultFilesAreOneSet:
     """A run that fails while writing its results leaves the earlier run's six files as they were."""
 
-    def fail(self, monkeypatch, name: str, block: int, error: BaseException) -> None:
-        real_open = Path.open
-
-        def open_(path, mode="r", *args, **kwargs):
-            fh = real_open(path, mode, *args, **kwargs)
-            return FaultyWrites(fh, block, error) if "w" in mode and name in path.name else fh
-
-        monkeypatch.setattr(Path, "open", open_)
+    fail = staticmethod(fail_writes)
 
     def earlier_run(self, tmp_path, earlier) -> Path:
         out = tmp_path / "out"
@@ -384,6 +389,68 @@ class TestResultFilesAreOneSet:
         with pytest.raises(KeyboardInterrupt):
             run_into(out, "--runs", SLICE_FILTER)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+ENOSPC = OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_cache_write_fault_is_exit_4_and_names_the_file(miniland_copy, tmp_path, monkeypatch, capsys):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 200\n"))
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("BBAND_SIM_CACHE", str(cache))
+    fail_writes(monkeypatch, ".csv", 0, ENOSPC)  # the first table's rows
+    assert main(["run", "--data", str(miniland_copy), "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--runs", SINGLE_RUN_FILTER]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(
+        rf"I/O error: cannot write {re.escape(str(cache))}/[0-9a-f]{{64}}\.csv: \[Errno 28\] No space left on device",
+        err[0]), err
+    assert list(cache.iterdir()) == []  # no temporary file
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_tables_write_fault_leaves_no_file(miniland_copy, tmp_path, monkeypatch, capsys):
+    config = miniland_copy / "config.yaml"
+    config.write_text(config.read_text().replace("  trials: 10000\n", "  trials: 200\n"))
+    out = tmp_path / "tables"
+    fail_writes(monkeypatch, "capacity_tables.csv", 0, ENOSPC)
+    assert main(["tables", "--config", str(config), "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [
+        f"I/O error: cannot write {out / 'capacity_tables.csv'}: [Errno 28] No space left on device"]
+    assert list(out.iterdir()) == []
+
+
+def test_an_interrupted_save_bundle_leaves_the_earlier_bundle(bundle, tmp_path, monkeypatch):
+    data_dir = tmp_path / "bundle"
+    save_bundle(bundle, data_dir, data_dir / "config.yaml")
+    earlier = {p.name: p.read_bytes() for p in data_dir.iterdir()}
+    fail_writes(monkeypatch, "config.yaml", -1, KeyboardInterrupt())  # the last file, after six whole CSVs
+    with pytest.raises(KeyboardInterrupt):
+        save_bundle(dataclasses.replace(bundle, countries={"MLA": bundle.countries["MLA"]}), data_dir,
+                    data_dir / "config.yaml")
+    assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == earlier
+
+
+def alias_nest(depth: int) -> str:
+    """YAML anchors ``a0`` to ``a<depth>``: ``a0`` ten numbers, and each later one ten aliases of the one before."""
+    lines = ["a0: &a0 [" + ", ".join(["100"] * 10) + "]"]
+    lines += [f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, depth + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_yaml_alias_nest_in_a_diagnostic_is_shown_short(miniland_copy, capsys):
+    # in full, the value's repr is its 10**4 expanded lists: one line of 522,273 characters
+    config = miniland_copy / "config.yaml"
+    config.write_text(alias_nest(4) + config.read_text().replace("capacity_gb_month: [20, 30, 40]",
+                                                                 "capacity_gb_month: [20, 30, *a4]"))
+    assert main(["validate", "--data", str(miniland_copy), "--config", str(config)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert max(map(len, err)) <= 1000
+    assert "config: axes.capacity_gb_month: [[[...], [...], [...], [...], [...], [...], ...], [[...], [...], [...], " \
+           "[...], [...], [...], ...], [[...], [...], [...], [...], [...], [...], ...], [[...], [...], [...], [...], " \
+           "[...], [...], ...], [[...], [...], [...], [...], [...], [...], ...], [[...], [...], [...], [...], [...], " \
+           "[...], ...], ...] is not a valid float" in err
 
 
 def test_tables_command(miniland_config, tmp_path, capsys):

@@ -140,6 +140,11 @@ class TestEmissions:
         assert mix_sum_problem([0.5, 0.5 + 2e-6]) == "shares sum to 1.000002, expected 1"
         assert mix_sum_problem([float("inf"), -float("inf")]) == "shares sum to nan, expected 1"
 
+    def test_mix_sum_adds_left_to_right_on_every_python(self):
+        # added left to right from 0.0 this row misses 1 by 1.000000000139778e-06; the builtin sum, compensated
+        # from Python 3.12 on, makes it 9.999999999177334e-07 and would accept it
+        assert mix_sum_problem([0.25, 0.3, 0.05, 0.40000099999999994]) == "shares sum to 1.000001, expected 1"
+
     def test_linearity_doubling_exact(self):
         mix = {"coal": 0.4, "gas": 0.3, "oil": 0.1, "nuclear": 0.05, "hydro": 0.05, "renewables_other": 0.1}
         single = emissions(1234.5, 678.9, mix, FACTORS, GridSplit(0.6))
