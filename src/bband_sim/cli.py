@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .core import AXES, SimulationParams, enumerate_runs, run_key
-from .data_io import Diagnostic, load_bundle, load_table_inputs
+from .data_io import Diagnostic, load_bundle, load_table_inputs, parse_value
 from .errors import BbandSimError, InputValidationError, ValidationError
 
 EXIT_OK = 0
@@ -47,8 +47,8 @@ def parse_run_filter(expr: str):
 
     Fields: generation, backhaul, sharing, policy, energy, capacity,
     adoption. Clauses are ANDed; ``|`` separates alternatives in a clause.
-    A value the field cannot take raises ValueError naming the valid ones;
-    capacities compare as numbers.
+    :func:`data_io.parse_value` reads each value as its axis's kind, so
+    capacities compare as numbers; a bad value raises ValueError naming each.
     """
     clauses = []
     for part in expr.split(","):
@@ -61,21 +61,20 @@ def parse_run_filter(expr: str):
         field = field.strip()
         if field not in RUN_FILTER_FIELDS:
             raise ValueError(f"unknown run filter field {field!r} (valid: {RUN_FILTER_FIELDS})")
-        allowed = {v.strip() for v in values.split("|")}
-        if field == "capacity":
+        axis = AXES[RUN_FILTER_FIELDS.index(field)]
+        allowed, problems = set(), []
+        for value in values.split("|"):
             try:
-                allowed = {float(v) for v in allowed}
-            except ValueError:
-                raise ValueError(f"capacity values must be numbers, got {sorted(allowed)}") from None
-        else:
-            unknown = sorted(allowed - set(RUN_FILTER_VALUES[field]))
-            if unknown:
-                raise ValueError(f"unknown {field} value(s) {unknown} (valid: {'|'.join(RUN_FILTER_VALUES[field])})")
-        clauses.append((field, allowed))
+                allowed.add(parse_value(value.strip(), field, axis.kind))
+            except ValidationError as err:
+                problems.append(str(err))
+        if problems:
+            raise ValueError("; ".join(problems))
+        clauses.append((axis.name, allowed))
 
     def accept(strategy, scenario) -> bool:
-        lookup = dict(zip(RUN_FILTER_FIELDS, run_key(strategy, scenario)))
-        return all(lookup[f] in allowed for f, allowed in clauses)
+        values = {**vars(strategy), **vars(scenario)}
+        return all(values[name] in allowed for name, allowed in clauses)
 
     return accept
 
@@ -203,7 +202,7 @@ def main(argv=None) -> int:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
     except (BbandSimError, MemoryError) as err:  # MemoryError: a simulation too large to allocate
-        print(f"runtime error: {err}", file=sys.stderr)
+        print(f"runtime error: {str(err) or type(err).__name__}", file=sys.stderr)  # Python's own has no text
         return EXIT_RUNTIME
 
 

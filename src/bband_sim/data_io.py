@@ -3,9 +3,12 @@
 All inputs are headered CSV files plus one YAML config document. Each CSV is
 declared once, in :data:`SCHEMAS`, as one ``(column, kind, bounds)`` row per
 column in file order; the header, the reader and :func:`save_bundle` all walk
-it. A ``str`` cell is stripped of surrounding blanks; an enum cell must be one
-of the enum's values exactly as written; an ``int`` or ``float`` cell is parsed
-by that builtin and must be finite. Config numbers are parsed the same way.
+it. One reader, :func:`parse_value`, turns each value from outside into its
+kind: CSV cells, config values and keys (``axes`` items, ``adoption.cagr``
+keys, a portfolio's ``generation``) and ``cli``'s ``--runs`` values. A ``str``
+is stripped of surrounding blanks; an enum value must be one of the enum's
+values exactly as written; an ``int`` or ``float`` is parsed by that builtin
+and must be finite. Each ``axes`` list must hold distinct values.
 A column's bounds are those ``core`` declares on the field it fills
 (:func:`core.bounded`), and each cell is checked against them once, here: a
 cell outside them gives the one text ``<column>: <value> must be <op> <limit>``,
@@ -39,6 +42,7 @@ import math
 import os
 import reprlib
 import time
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
@@ -185,7 +189,7 @@ _SHOWN = reprlib.Repr()
 _SHOWN.maxlevel, _SHOWN.maxdict, _SHOWN.maxstring, _SHOWN.maxlong, _SHOWN.maxother = 2, 6, 60, 60, 60
 
 
-def _parse(raw, where: str, kind, bounds=()):
+def parse_value(raw, where: str, kind, bounds=()):
     """``raw`` as a ``kind`` within ``bounds``, else ValidationError: the diagnostic, led by ``where``."""
     if kind is str:
         value = raw.strip()
@@ -264,11 +268,11 @@ def _read_csv(path: Path, collector: _Collector) -> Rows:
             if len(cells) != len(columns):
                 collector.add(name, line, "wrong number of columns")
                 continue
-            try:  # a good cell costs one _parse call
-                yield line, [_parse(raw, *column) for raw, column in zip(cells, columns)]
+            try:  # a good cell costs one parse_value call
+                yield line, [parse_value(raw, *column) for raw, column in zip(cells, columns)]
             except ValidationError:  # the row again, cell by cell: one diagnostic per bad cell, in column order
                 for raw, column in zip(cells, columns):
-                    collector.check(name, line, "", _parse, raw, *column)
+                    collector.check(name, line, "", parse_value, raw, *column)
     except csv.Error as err:
         collector.add(name, line + 1, f"unreadable record: {err}")
     collector.rows[name] = rows
@@ -407,7 +411,7 @@ def _config_list(raw, where: str, collector: _Collector, kind, bounds=()) -> tup
     if not isinstance(raw, (list, tuple)):
         collector.add("config", 0, f"{where} must be a list")
         return None
-    items = [collector.check("config", 0, "", _parse, item, where, kind, bounds) for item in raw]
+    items = [collector.check("config", 0, "", parse_value, item, where, kind, bounds) for item in raw]
     return tuple(item for item in items if item is not None)
 
 
@@ -432,7 +436,7 @@ def _config_params(name: str, config: Mapping[str, dict], collector: _Collector,
         collector.add("config", 0, f"{name}: missing mandatory keys {missing}")
     _unknown_keys(section, [*extra_keys, *(f.name for f in read)], name, collector)
     for f in (f for f in read if f.name in section):
-        value = collector.check("config", 0, "", _parse, section[f.name], f"{name}.{f.name}", type(f.default))
+        value = collector.check("config", 0, "", parse_value, section[f.name], f"{name}.{f.name}", type(f.default))
         if value is not None:
             given[f.name] = value
     if missing:
@@ -453,6 +457,9 @@ def _axes(section: dict, collector: _Collector) -> dict[str, tuple]:
             items = _config_list(section[name], f"axes.{name}", collector, kind, bounds)
             if items == ():
                 collector.add("config", 0, f"axes.{name} is empty")
+            for value, count in Counter(items or ()).items():  # a repeated value would repeat its runs' rows
+                if count > 1:
+                    collector.add("config", 0, f"axes.{name}: {_text(value)} is repeated")
             values[field_name] = items or ()
     return values
 
@@ -469,20 +476,12 @@ def _adoption(config: Mapping[str, dict], horizon: Horizon, collector: _Collecto
     """The ``adoption`` record, its ``cagr`` table's rates over the defaults and each rate's growth checked."""
     cagr = {g: dict(v) for g, v in DEFAULT_ADOPTION_CAGR.items()}
     for group_name, by_scenario in _expect_mapping(config["adoption"].get("cagr"), "adoption.cagr", collector).items():
-        try:
-            group = IncomeGroup(group_name)
-        except ValueError:
-            collector.add("config", 0, f"adoption.cagr: unknown income group {group_name!r}")
-            continue
+        group = collector.check("config", 0, "", parse_value, group_name, "adoption.cagr", IncomeGroup)
         where = f"adoption.cagr.{group_name}"
         for scen_name, raw in _expect_mapping(by_scenario, where, collector).items():
-            try:
-                scen = AdoptionScenario(scen_name)
-            except ValueError:
-                collector.add("config", 0, f"{where}: unknown scenario {scen_name!r}")
-                continue
-            rate = collector.check("config", 0, "", _parse, raw, f"{where}.{scen_name}", float, ADOPTION_CAGR_BOUNDS)
-            if rate is not None:
+            scen = collector.check("config", 0, "", parse_value, scen_name, where, AdoptionScenario)
+            rate = collector.check("config", 0, "", parse_value, raw, f"{where}.{scen_name}", float, ADOPTION_CAGR_BOUNDS)
+            if None not in (group, scen, rate):
                 cagr[group][scen] = rate
     for group, by_scenario in cagr.items():
         for scen, rate in by_scenario.items():
@@ -512,15 +511,13 @@ def _table_portfolios(section: dict, collector: _Collector) -> tuple[FrequencySe
     for entry in raw:
         entry = _expect_mapping(entry, "tables.portfolios[]", collector)
         _unknown_keys(entry, ("generation", "carriers"), "tables.portfolios[]", collector)
-        generation, pairs = entry.get("generation"), entry.get("carriers", [])
+        pairs = entry.get("carriers", [])
         try:
-            if generation not in [g.value for g in Generation]:  # a list: an unhashable value is compared, not hashed
-                raise ValidationError(f"{_SHOWN.repr(generation)} is not a valid Generation")
-            gen = Generation(generation)
+            gen = parse_value(entry.get("generation"), "generation", Generation)
             if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValidationError(f"carriers: {_SHOWN.repr(pairs)} is not a list of [frequency_mhz, "
                                       "bandwidth_mhz] pairs")
-            carriers = tuple(Carrier(*(_parse(x, "carriers", float) for x in pair)) for pair in pairs)
+            carriers = tuple(Carrier(*(parse_value(x, "carriers", float) for x in pair)) for pair in pairs)
         except ValidationError as err:
             collector.add("config", 0, f"tables.portfolios: {err}")
             continue

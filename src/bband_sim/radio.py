@@ -514,21 +514,25 @@ def save_capacity_tables(tables: Iterable[CapacityTable], path: Path | str) -> N
 
 
 def load_capacity_tables(path: Path | str) -> list[CapacityTable]:
-    """Read tables written by :func:`save_capacity_tables`."""
+    """Read tables written by :func:`save_capacity_tables`, in file order.
+
+    A table is a run of consecutive rows of one ``(generation, freq_set)`` whose densities increase: a row of
+    another pair, or one whose density is no higher than the row before, starts the next table. So a file that
+    holds the same frequency set twice reads back as two tables.
+    """
     path = Path(path)
-    grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    runs: list[tuple[str, str, list[tuple[float, float]]]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CAPACITY_TABLE_HEADER:
             raise ValidationError(f"{path}: unexpected capacity table header {header}")
-        for row in reader:
-            gen, label, density, capacity = row
-            grouped.setdefault((gen, label), []).append((float(density), float(capacity)))
-    return [
-        CapacityTable(generation=Generation(gen), freq_label=label, rows=tuple(rows))
-        for (gen, label), rows in grouped.items()
-    ]
+        for gen, label, density, capacity in reader:
+            row = (float(density), float(capacity))
+            if not runs or runs[-1][:2] != (gen, label) or not row[0] > runs[-1][2][-1][0]:
+                runs.append((gen, label, []))
+            runs[-1][2].append(row)
+    return [CapacityTable(generation=Generation(gen), freq_label=label, rows=tuple(rows)) for gen, label, rows in runs]
 
 
 def _load_cached_table(path: Path | None, freq_set: FrequencySet, density_grid: Sequence[float]) -> CapacityTable | None:

@@ -17,10 +17,10 @@ import pytest
 import yaml
 
 from bband_sim import core
-from bband_sim.cli import EXIT_VALIDATION, main
+from bband_sim.cli import EXIT_VALIDATION, RUN_FILTER_FIELDS, main, parse_run_filter
 from bband_sim.core import (
     ADOPTION_CAGR_BOUNDS, MIX_SHARE_BOUNDS, AdoptionScenario, Carrier, CountryParams, FactorRow, Generation,
-    Regions, ScenarioSpec, SpectralEfficiencyTable, declared_bounds,
+    IncomeGroup, Regions, ScenarioSpec, SpectralEfficiencyTable, declared_bounds,
 )
 from bband_sim.data_io import CONFIG_RECORDS, SCHEMAS, load_bundle
 from bband_sim.errors import InputValidationError, ValidationError
@@ -412,6 +412,16 @@ CASES = {
         [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: []")],
         ["config: axes.capacity_gb_month is empty"],
     ),
+    # a value given twice would run each of its runs twice and double every total; 30 and 30.0 are one value
+    "config_capacity_repeated": (
+        [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: [30, 20, 30.0, 40, 30]")],
+        ["config: axes.capacity_gb_month: 30.0 is repeated"],
+    ),
+    # each repeated value once, in the order of its first place
+    "config_generations_repeated": (
+        [("config.yaml", 'generation: ["4G", "5G"]', 'generation: ["4G", "5G", "5G", "4G"]')],
+        ["config: axes.generation: 4G is repeated", "config: axes.generation: 5G is repeated"],
+    ),
     "config_end_before_start": (
         [("config.yaml", "end_year: 2030", "end_year: 2020")],
         ["config: horizon: end_year 2020 before start_year 2023"],
@@ -431,11 +441,20 @@ CASES = {
     ),
     "config_cagr_unknown_income_group": (
         [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {XIC: {low: 0.1}}\n")],
-        ["config: adoption.cagr: unknown income group 'XIC'"],
+        ["config: adoption.cagr: 'XIC' is not one of {LIC, LMC, UMC, HIC}"],
     ),
     "config_cagr_unknown_scenario": (
         [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {LIC: {medium: 0.1}}\n")],
-        ["config: adoption.cagr.LIC: unknown scenario 'medium'"],
+        ["config: adoption.cagr.LIC: 'medium' is not one of {low, baseline, high}"],
+    ),
+    # collect-all: an unknown income group's scenarios and rates are read too
+    "config_cagr_unknown_income_group_and_scenario": (
+        [("config.yaml", PENETRATION_CAP, PENETRATION_CAP + "  cagr: {XIC: {medium: 0.1, low: -2}}\n")],
+        [
+            "config: adoption.cagr: 'XIC' is not one of {LIC, LMC, UMC, HIC}",
+            "config: adoption.cagr.XIC: 'medium' is not one of {low, baseline, high}",
+            "config: adoption.cagr.XIC.low: -2.0 must be >= -1",
+        ],
     ),
     "config_adoption_invalid": (
         [("config.yaml", "penetration_cap: 1.0", "penetration_cap: 0")],
@@ -504,7 +523,7 @@ CASES = {
     ),
     "config_table_portfolio_invalid": (
         [("config.yaml", APPEND, "tables:\n  portfolios:\n    - {generation: 6G, carriers: [[800, 10]]}\n")],
-        ["config: tables.portfolios: '6G' is not a valid Generation"],
+        ["config: tables.portfolios: generation: '6G' is not one of {4G, 5G}"],
     ),
     "config_table_portfolio_carriers_share_a_stream": (
         [("config.yaml", APPEND,
@@ -905,6 +924,64 @@ def test_a_bundle_with_no_country_stops_validate_and_run(miniland_copy, tmp_path
     assert capsys.readouterr().err.splitlines() == ["countries.csv: no country rows", "INVALID: 1 problem(s)",
                                                     "countries.csv: no country rows"]
     assert not (tmp_path / "run").exists()
+
+
+def test_a_repeated_axis_value_stops_validate_and_run(miniland_copy, tmp_path, capsys):
+    # before, validate printed OK and this run wrote each decile row twice: 2 run(s), 40 result rows
+    damage(miniland_copy, [("config.yaml", "capacity_gb_month: [20, 30, 40]", "capacity_gb_month: [30, 30.0]")])
+    args = ["--data", str(miniland_copy), "--config", str(miniland_copy / "config.yaml")]
+    assert main(["validate", *args]) == EXIT_VALIDATION
+    assert main(["run", *args, "--out", str(tmp_path / "run"), "--runs", "generation=4G,backhaul=fiber,"
+                 "sharing=baseline,policy=baseline,energy=baseline,adoption=baseline"]) == EXIT_VALIDATION
+    repeated = "config: axes.capacity_gb_month: 30.0 is repeated"
+    assert capsys.readouterr().err.splitlines() == [repeated, "INVALID: 1 problem(s)", repeated]
+    assert not (tmp_path / "run").exists()
+
+
+def one_of(kind) -> str:
+    """An enum's values as a diagnostic lists them: in declaration order."""
+    return "{" + ", ".join(e.value for e in kind) + "}"
+
+
+#: The enum ``--runs`` fields, each with its axis's enum, and one bad value of each enum axis, in that order.
+RUN_FILTER_KINDS = {field: axis.kind for field, axis in zip(RUN_FILTER_FIELDS, core.AXES) if axis.kind is not float}
+BAD_AXIS_VALUES = ("6G", "copper", "full", "lowtax", "solar", "medium")
+
+#: Every enum that bband-sim reads from outside, with one bad value: ``(kind, edits or --runs expression, where)``.
+ENUM_INPUTS = {
+    "countries.csv income_group": (IncomeGroup, [("countries.csv", "MLA,LMC,", "MLA,XIC,")],
+                                   "countries.csv:2: income_group: 'XIC'"),
+    "spectrum.csv generation": (Generation, [("spectrum.csv", "MLB,4G,800,", "MLB,6G,800,")],
+                                "spectrum.csv:7: generation: '6G'"),
+    "se_table.csv generation": (Generation, [("se_table.csv", "4G,-6.7,", "6G,-6.7,")],
+                                "se_table.csv:2: generation: '6G'"),
+    **{f"axes.{axis.name}": (axis.kind, [("config.yaml", f"  {axis.name}: [", f"  {axis.name}: [{bad}, ")],
+                             f"config: axes.{axis.name}: '{bad}'")
+       for axis, bad in zip((a for a in core.AXES if a.kind is not float), BAD_AXIS_VALUES)},
+    "adoption.cagr income group": (IncomeGroup, [("config.yaml", PENETRATION_CAP,
+                                                   PENETRATION_CAP + "  cagr: {XIC: {low: 0.1}}\n")],
+                                   "config: adoption.cagr: 'XIC'"),
+    "adoption.cagr scenario": (AdoptionScenario, [("config.yaml", PENETRATION_CAP,
+                                                   PENETRATION_CAP + "  cagr: {LIC: {medium: 0.1}}\n")],
+                               "config: adoption.cagr.LIC: 'medium'"),
+    "tables.portfolios[].generation": (Generation, [("config.yaml", APPEND, "tables:\n  portfolios:\n"
+                                                     "    - {generation: 6G, carriers: [[800, 10]]}\n")],
+                                       "config: tables.portfolios: generation: '6G'"),
+    **{f"--runs {field}": (RUN_FILTER_KINDS[field], f"{field}={bad}", f"{field}: '{bad}'")
+       for field, bad in zip(RUN_FILTER_KINDS, BAD_AXIS_VALUES)},
+}
+
+
+@pytest.mark.parametrize("kind, source, where", ENUM_INPUTS.values(), ids=list(ENUM_INPUTS))
+def test_a_bad_enum_value_is_one_text(miniland_copy, kind, source, where):
+    if isinstance(source, str):  # a --runs expression
+        with pytest.raises(ValueError) as err:
+            parse_run_filter(source)
+        shown = list(err.value.args)
+    else:
+        damage(miniland_copy, source)
+        shown = [d for d in diagnostics(miniland_copy, miniland_copy / "config.yaml") if "is not one of" in d]
+    assert shown == [f"{where} is not one of {one_of(kind)}"]
 
 
 def test_long_horizon_keeps_validate_output_short(miniland_copy, capsys):

@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -907,13 +908,21 @@ class TestRunFilter:
 
     @pytest.mark.parametrize("expr, message", [
         ("policy=baseline|lowtax", "low_tax"),
-        ("generation=6G", "4G|5G"),
-        ("capacity=thirty", "numbers"),
+        pytest.param("generation=6G", "generation: '6G' is not one of {4G, 5G}", id="generation=6G"),
+        pytest.param("capacity=thirty", "capacity: 'thirty' is not a valid float", id="capacity=thirty"),
+        pytest.param("capacity=30|inf", "capacity: 'inf' is not finite", id="capacity=30|inf"),
     ])
     def test_unknown_value_rejected(self, expr, message):
         from bband_sim.cli import parse_run_filter
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_run_filter(expr)
+
+    def test_every_bad_value_of_a_clause_is_named(self):
+        from bband_sim.cli import parse_run_filter
+        with pytest.raises(ValueError) as err:
+            parse_run_filter("adoption=mid|low|medium")
+        assert str(err.value) == ("adoption: 'mid' is not one of {low, baseline, high}; "
+                                  "adoption: 'medium' is not one of {low, baseline, high}")
 
     def test_capacity_compares_as_number(self):
         from bband_sim.cli import parse_run_filter

@@ -744,6 +744,15 @@ class TestCapacityTable:
         loaded = load_capacity_tables(path)
         assert loaded == [t4, t5]
 
+    @pytest.mark.parametrize("freq_sets", [(FS4, FS5, FS4), (FS4, FS4)], ids=["A-B-A", "A-A"])
+    def test_a_frequency_set_saved_twice_reads_back_twice(self, se_table, fast_params, tmp_path, freq_sets):
+        # a table ends where its pair changes or its density stops increasing, so repeated sets stay apart
+        tables = build_capacity_tables(fast_params, se_table, freq_sets, GRID)
+        path = tmp_path / "tables.csv"
+        save_capacity_tables(tables, path)
+        assert load_capacity_tables(path) == tables
+        assert len(tables) == len(freq_sets)
+
     def test_cache_key_sensitivity(self, se_table, fast_params):
         import dataclasses
         key = table_cache_key(fast_params, se_table, FS4, GRID)
